@@ -12,7 +12,7 @@ Subcommands cover the whole pipeline on one output directory:
 
 Configuration comes from --config (JSON); every value has a default, so
 the pipeline runs without one. Failures print ``ERROR:<code>: message``
-on stderr and exit nonzero. NUMUR_THREADS caps evaluation parallelism.
+on stderr and exit nonzero.
 """
 
 from __future__ import annotations

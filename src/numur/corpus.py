@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,8 +101,16 @@ class Dataset:
 
     def positives_of(self, query_id: str) -> list[str]:
         """Positive-labelled doc ids of a query, in sample order."""
-        return [s.doc_id for s in self.samples
-                if s.query_id == query_id and s.label is Label.POSITIVE]
+        return list(self.index.positives.get(query_id, ()))
+
+    @cached_property
+    def index(self) -> "DatasetIndex":
+        """Integer arrays for whole-pool scoring, built on first use.
+
+        Datasets are immutable by convention and ``dataclasses.replace``
+        builds a new instance, so the index never goes stale.
+        """
+        return DatasetIndex.build(self)
 
     def validate(self) -> None:
         """Check every structural invariant; raise DataError on the first violation."""
@@ -133,6 +142,51 @@ class Dataset:
             for did in pool:
                 if did not in self.documents:
                     raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
+
+
+@dataclass(frozen=True)
+class DatasetIndex:
+    """Documents as rows of a matrix, and pools as arrays of those rows.
+
+    Rows follow the order of ``Dataset.documents``. ``groups`` holds, per
+    token count, the rows of the docs with that many tokens and their
+    tokens as one (docs, count) array, so doc vectors pool a whole group
+    at a time. ``id_order`` is each row's position among the sorted doc
+    ids: comparing it compares ids, which breaks score ties.
+    """
+
+    doc_row: dict[str, int]
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
+    id_order: np.ndarray
+    pool_rows: dict[str, np.ndarray]
+    positives: dict[str, tuple[str, ...]]
+
+    @classmethod
+    def build(cls, dataset: "Dataset") -> "DatasetIndex":
+        tokens = list(dataset._dtok.values())
+        doc_row = {did: i for i, did in enumerate(dataset._dtok)}
+        by_len: dict[int, list[int]] = {}
+        for i, toks in enumerate(tokens):
+            by_len.setdefault(len(toks), []).append(i)
+        groups = tuple((np.asarray(rows, dtype=np.intp),
+                        np.stack([tokens[r] for r in rows]))
+                       for _, rows in sorted(by_len.items()))
+        id_order = np.empty(len(doc_row), dtype=np.intp)
+        for pos, did in enumerate(sorted(doc_row)):
+            id_order[doc_row[did]] = pos
+        pool_rows: dict[str, np.ndarray] = {}
+        for qid, pool in dataset.pools.items():
+            try:
+                pool_rows[qid] = np.asarray([doc_row[did] for did in pool], dtype=np.intp)
+            except KeyError as exc:
+                raise DataError(f"pool of query {qid!r} references unknown doc id "
+                                f"{exc.args[0]!r}") from None
+        positives: dict[str, list[str]] = {}
+        for s in dataset.samples:
+            if s.label is Label.POSITIVE:
+                positives.setdefault(s.query_id, []).append(s.doc_id)
+        return cls(doc_row=doc_row, groups=groups, id_order=id_order, pool_rows=pool_rows,
+                   positives={q: tuple(dids) for q, dids in positives.items()})
 
 
 @dataclass
@@ -246,6 +300,7 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     vocab_size = max_token + 1 if max_token >= 0 else 1
 
     pool_rows: dict[str, list[tuple[int, str]]] = {}
+    pool_entries: set[tuple[str, str]] = set()
     for lineno, (qid, did, hint) in [(ln, tuple(f)) for ln, f in _read_tsv(pools_path, POOLS_HEADER)]:
         if qid not in queries:
             raise DataError(f"{pools_path}:{lineno}: unknown query id {qid!r}")
@@ -255,10 +310,10 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
             rank_hint = int(hint)
         except ValueError:
             raise DataError(f"{pools_path}:{lineno}: rank_hint {hint!r} is not an integer") from None
-        bucket = pool_rows.setdefault(qid, [])
-        if any(d == did for _, d in bucket):
+        if (qid, did) in pool_entries:
             raise DataError(f"{pools_path}:{lineno}: duplicate pool entry {did!r} for query {qid!r}")
-        bucket.append((rank_hint, did))
+        pool_entries.add((qid, did))
+        pool_rows.setdefault(qid, []).append((rank_hint, did))
     pools = {qid: tuple(did for _, did in sorted(rows, key=lambda r: r[0]))
              for qid, rows in pool_rows.items()}
 

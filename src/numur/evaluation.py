@@ -7,15 +7,13 @@ under document removal it is the first document named for removal,
 whatever its label. Queries whose target never appears in their pool
 are excluded from the mean and counted separately.
 
-Per-query work can be spread over threads by setting NUMUR_THREADS > 1;
-results are reduced in query order either way, so reports do not depend
-on the thread count.
+An MRR pass pools every doc once (``doc_vectors``) and finds each
+target's position by counting the pool entries placed before it, which
+gives the same rank as sorting the pool.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +21,7 @@ import numpy as np
 from .corpus import Dataset, Label, Sample
 from .errors import ConfigError, DataError
 from .partition import ForgetSpec, Partition, RemovalKind
-from .ranker import ScoreModel, score_pool
+from .ranker import ScoreModel, doc_vectors, score_pool
 
 MRR_EMPTY = 0.0
 
@@ -70,48 +68,49 @@ class ScoreDistribution:
     deciles: tuple[float, ...]  # 10th through 90th percentile
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("NUMUR_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_queries(fn, query_ids: list[str]) -> list:
-    threads = min(_max_threads(), len(query_ids)) if query_ids else 1
-    if threads <= 1:
-        return [fn(qid) for qid in query_ids]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, query_ids))
+def _pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
+    if query_id not in dataset.queries:
+        raise DataError(f"unknown query id {query_id!r}")
+    if not dataset.pools.get(query_id):
+        raise DataError(f"query {query_id!r} has an empty pool")
+    return dataset.index.pool_rows[query_id]
 
 
 def rank(model: ScoreModel, dataset: Dataset, query_id: str) -> RankedList:
     """The query's pool sorted by descending score, ties by ascending doc id."""
-    if query_id not in dataset.queries:
-        raise DataError(f"unknown query id {query_id!r}")
-    pool = dataset.pools.get(query_id)
-    if not pool:
-        raise DataError(f"query {query_id!r} has an empty pool")
+    rows = _pool_rows(dataset, query_id)
     scores = score_pool(model, dataset, query_id)
-    order = sorted(range(len(pool)), key=lambda i: (-scores[i], pool[i]))
+    order = np.lexsort((dataset.index.id_order[rows], -scores))
+    pool = dataset.pools[query_id]
     return RankedList(query_id=query_id, doc_ids=tuple(pool[i] for i in order))
 
 
-def _first_rank(ranking: RankedList, targets: set[str]) -> int | None:
-    for position, did in enumerate(ranking.doc_ids, start=1):
-        if did in targets:
-            return position
-    return None
+def _first_rank(scores: np.ndarray, ids: np.ndarray, hit: np.ndarray) -> int:
+    """1-based rank of the best-placed hit, by descending score then ascending id.
+
+    A hit's rank is one plus the number of entries with a higher score
+    or an equal score and a smaller id; the first rank is the smallest.
+    """
+    s, i = scores[hit][:, None], ids[hit][:, None]
+    ahead = (scores > s) | ((scores == s) & (ids < i))
+    return 1 + int(ahead.sum(axis=1).min())
 
 
 def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
                      dataset: Dataset) -> MrrResult:
-    qids = sorted(per_query_targets)
-    ranks = _map_queries(
-        lambda qid: _first_rank(rank(model, dataset, qid), per_query_targets[qid]), qids)
-    reciprocals = [1.0 / r for r in ranks if r is not None]
-    skipped = sum(1 for r in ranks if r is None)
+    index = dataset.index
+    dvec = doc_vectors(model, dataset)
+    reciprocals: list[float] = []
+    skipped = 0
+    for qid in sorted(per_query_targets):
+        rows = _pool_rows(dataset, qid)
+        targets = [index.doc_row.get(did, -1) for did in per_query_targets[qid]]
+        hit = (rows[:, None] == np.asarray(targets, dtype=np.intp)).any(axis=1)
+        if not hit.any():
+            skipped += 1
+            continue
+        scores = score_pool(model, dataset, qid, dvec)
+        reciprocals.append(1.0 / _first_rank(scores, index.id_order[rows], hit))
     if not reciprocals:
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped)
     return MrrResult(value=sum(reciprocals) / len(reciprocals),

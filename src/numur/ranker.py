@@ -125,41 +125,87 @@ def _sigmoid(z: float) -> float:
     return float(e / (1.0 + e))
 
 
-def _pooled(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str):
-    qt = dataset.query_tokens(query_id)
-    dt = dataset.doc_tokens(doc_id)
-    u = model.embed_q[qt].mean(axis=0)
-    v = model.embed_d[dt].mean(axis=0)
-    return qt, dt, u, v
+def _mean_rows(x: np.ndarray) -> np.ndarray:
+    # The arithmetic of x.mean(axis=0), a sum over rows then one division,
+    # without mean's Python-level bookkeeping: bitwise the same result.
+    return np.add.reduce(x) / len(x)
+
+
+class PairForward:
+    """Pooled vectors, logit and score of one (query, doc) pair under one model.
+
+    A loss pools each pair it touches once and reuses the result for its
+    gradient; the parameters must not change in between.
+    """
+
+    __slots__ = ("qt", "dt", "u", "v", "z", "score")
+
+    def __init__(self, model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str):
+        self.qt = dataset.query_tokens(query_id)
+        self.dt = dataset.doc_tokens(doc_id)
+        self.u = _mean_rows(model.embed_q[self.qt])
+        self.v = _mean_rows(model.embed_d[self.dt])
+        self.z = float(self.u @ self.v)
+        self.score = _softplus(self.z)
+
+    def backward(self, upstream: float, buf: GradientBuffer) -> None:
+        """Accumulate upstream * d(score)/d(params) into buf."""
+        if upstream == 0.0:
+            return
+        g = _sigmoid(self.z) * upstream
+        np.add.at(buf.grad_q, self.qt, g * self.v / len(self.qt))
+        np.add.at(buf.grad_d, self.dt, g * self.u / len(self.dt))
+        buf.rows_q.update(self.qt.tolist())
+        buf.rows_d.update(self.dt.tolist())
+
+
+# Docs pooled per gather in doc_vectors; keeps the (rows, tokens, dim)
+# temporary near the size of the output block.
+POOL_BLOCK_ROWS = 256
+
+
+def doc_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
+    """Mean-pooled vector of every doc, one row per ``dataset.index.doc_row``.
+
+    Each block of equal-length docs is gathered as one (rows, tokens, dim)
+    array and averaged over its token axis, which reduces every doc in the
+    same order as ``embed_d[tokens].mean(axis=0)``: the rows are bitwise
+    equal to pooling each doc on its own.
+    """
+    index = dataset.index
+    out = np.empty((len(index.doc_row), model.dim))
+    for rows, toks in index.groups:
+        for start in range(0, len(rows), POOL_BLOCK_ROWS):
+            block = slice(start, start + POOL_BLOCK_ROWS)
+            out[rows[block]] = model.embed_d[toks[block]].mean(axis=1)
+    return out
 
 
 def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
     """Relevance score of one pair; always > 0."""
-    _, _, u, v = _pooled(model, dataset, query_id, doc_id)
-    return _softplus(float(u @ v))
+    return PairForward(model, dataset, query_id, doc_id).score
 
 
-def score_pool(model: ScoreModel, dataset: Dataset, query_id: str) -> np.ndarray:
-    """Scores for every doc in the query's pool, in pool order."""
-    pool = dataset.pools.get(query_id)
-    if not pool:
+def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
+               dvec: np.ndarray | None = None) -> np.ndarray:
+    """Scores for every doc in the query's pool, in pool order.
+
+    ``dvec`` is ``doc_vectors(model, dataset)``; callers scoring many
+    pools under one model pass it in so the docs are pooled once.
+    """
+    rows = dataset.index.pool_rows.get(query_id)
+    if rows is None or not len(rows):
         raise DataError(f"query {query_id!r} has no pool")
-    u = model.embed_q[dataset.query_tokens(query_id)].mean(axis=0)
-    mat = np.stack([model.embed_d[dataset.doc_tokens(did)].mean(axis=0) for did in pool])
-    return np.logaddexp(0.0, mat @ u)
+    u = _mean_rows(model.embed_q[dataset.query_tokens(query_id)])
+    if dvec is None:
+        dvec = doc_vectors(model, dataset)
+    return np.logaddexp(0.0, dvec[rows] @ u)
 
 
 def backward_score(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str,
                    upstream: float, buf: GradientBuffer) -> None:
     """Accumulate upstream * d(score)/d(params) into buf."""
-    if upstream == 0.0:
-        return
-    qt, dt, u, v = _pooled(model, dataset, query_id, doc_id)
-    g = _sigmoid(float(u @ v)) * upstream
-    np.add.at(buf.grad_q, qt, g * v / len(qt))
-    np.add.at(buf.grad_d, dt, g * u / len(dt))
-    buf.rows_q.update(int(t) for t in qt)
-    buf.rows_d.update(int(t) for t in dt)
+    PairForward(model, dataset, query_id, doc_id).backward(upstream, buf)
 
 
 def apply_gradients(model: ScoreModel, buf: GradientBuffer, lr: float) -> None:
@@ -176,14 +222,14 @@ def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
                         pos_id: str, neg_id: str, margin: float,
                         buf: GradientBuffer | None) -> float:
     """max(0, margin - f(q, pos) + f(q, neg)); gradient wrt params if buf given."""
-    s_pos = forward(model, dataset, query_id, pos_id)
-    s_neg = forward(model, dataset, query_id, neg_id)
-    loss = margin - s_pos + s_neg
+    pos = PairForward(model, dataset, query_id, pos_id)
+    neg = PairForward(model, dataset, query_id, neg_id)
+    loss = margin - pos.score + neg.score
     if loss <= 0.0:
         return 0.0
     if buf is not None:
-        backward_score(model, dataset, query_id, pos_id, -1.0, buf)
-        backward_score(model, dataset, query_id, neg_id, 1.0, buf)
+        pos.backward(-1.0, buf)
+        neg.backward(1.0, buf)
     return loss
 
 
@@ -218,24 +264,27 @@ def pairwise_epoch(model: ScoreModel, dataset: Dataset, samples: list[Sample],
     positives = _positives_by_query(samples)
     qids = sorted(positives)
 
+    index = dataset.index
+    dvec = doc_vectors(model, dataset)
+    uniform: dict[str, list[str]] = {}
     hard: dict[str, list[str]] = {}
     for qid in qids:
         pos_set = set(positives[qid])
         negatives = pool_negatives(dataset, qid, pos_set)
         if not negatives:
             raise DataError(f"query {qid!r} has no pool negatives to train against")
-        pool = dataset.pools[qid]
-        scores = score_pool(model, dataset, qid)
-        by_score = {did: scores[i] for i, did in enumerate(pool)}
-        ranked = sorted(negatives, key=lambda did: (-by_score[did], did))
-        hard[qid] = ranked[:HARD_NEGATIVES_PER_QUERY]
+        scores = score_pool(model, dataset, qid, dvec)
+        is_neg = np.array([did not in pos_set for did in dataset.pools[qid]])
+        ids = index.id_order[index.pool_rows[qid][is_neg]]
+        top = np.lexsort((ids, -scores[is_neg]))[:HARD_NEGATIVES_PER_QUERY]
+        uniform[qid] = negatives
+        hard[qid] = [negatives[i] for i in top]
 
     order = rng.permutation(len(qids))
     total, steps = 0.0, 0
     for qi in order:
         qid = qids[int(qi)]
-        pos_set = set(positives[qid])
-        negatives = pool_negatives(dataset, qid, pos_set)
+        negatives = uniform[qid]
         hard_negs = hard[qid]
         for pos_id in positives[qid]:
             if touched is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .corpus import Dataset, Label, Sample
 from .errors import ConfigError
-from .ranker import GradientBuffer, ScoreModel, TeacherSnapshot, backward_score, forward
+from .ranker import GradientBuffer, PairForward, ScoreModel, TeacherSnapshot, forward
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,14 @@ class TeacherMinCache:
 def delta(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
           pair: Sample) -> DeltaValue:
     """Bounded discrepancy between teacher and student on one pair."""
+    return _delta(teacher, dataset, pair,
+                  PairForward(student, dataset, pair.query_id, pair.doc_id))
+
+
+def _delta(teacher: TeacherSnapshot, dataset: Dataset, pair: Sample,
+           student_fwd: PairForward) -> DeltaValue:
     f_m = forward(teacher, dataset, pair.query_id, pair.doc_id)
-    f_w = forward(student, dataset, pair.query_id, pair.doc_id)
+    f_w = student_fwd.score
     return DeltaValue(value=(f_m - f_w) / (f_m + f_w), teacher_score=f_m,
                       student_score=f_w)
 
@@ -62,23 +68,29 @@ def build_min_cache(teacher: TeacherSnapshot, dataset: Dataset) -> TeacherMinCac
 
 
 def delta_min(cache: TeacherMinCache, student: ScoreModel, dataset: Dataset,
-              forget_pair: Sample) -> float:
-    """(student - floor) / (student + floor): positive while the score sits above it."""
+              forget_pair: Sample, student_fwd: PairForward | None = None) -> float:
+    """(student - floor) / (student + floor): positive while the score sits above it.
+
+    ``student_fwd`` is the student's forward pass on ``forget_pair`` when
+    the caller already has it.
+    """
     floor = cache.score_floor(forget_pair.query_id)
-    f_w = forward(student, dataset, forget_pair.query_id, forget_pair.doc_id)
+    if student_fwd is None:
+        student_fwd = PairForward(student, dataset, forget_pair.query_id, forget_pair.doc_id)
+    f_w = student_fwd.score
     return (f_w - floor) / (f_w + floor)
 
 
 def _abs_delta_with_grad(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
                          pair: Sample, buf: GradientBuffer | None) -> float:
     """|delta(pair)| and its gradient wrt the student."""
-    d = delta(teacher, student, dataset, pair)
+    fwd = PairForward(student, dataset, pair.query_id, pair.doc_id)
+    d = _delta(teacher, dataset, pair, fwd)
     if buf is not None and d.value != 0.0:
         total = d.teacher_score + d.student_score
         d_delta_d_fw = -2.0 * d.teacher_score / (total * total)
         sign = 1.0 if d.value > 0.0 else -1.0
-        backward_score(student, dataset, pair.query_id, pair.doc_id,
-                       sign * d_delta_d_fw, buf)
+        fwd.backward(sign * d_delta_d_fw, buf)
     return abs(d.value)
 
 
@@ -96,14 +108,13 @@ def contrastive_loss(cache: TeacherMinCache, teacher: TeacherSnapshot,
             f"partner ({partner.query_id!r}, {partner.doc_id!r}) shares no id with "
             f"the forget pair ({forget_pair.query_id!r}, {forget_pair.doc_id!r})")
 
-    adjusted = delta_min(cache, student, dataset, forget_pair)
+    fwd = PairForward(student, dataset, forget_pair.query_id, forget_pair.doc_id)
+    adjusted = delta_min(cache, student, dataset, forget_pair, fwd)
     value = max(0.0, adjusted)
     if buf is not None and adjusted > 0.0:
         floor = cache.score_floor(forget_pair.query_id)
-        f_w = forward(student, dataset, forget_pair.query_id, forget_pair.doc_id)
-        denom = f_w + floor
-        backward_score(student, dataset, forget_pair.query_id, forget_pair.doc_id,
-                       2.0 * floor / (denom * denom), buf)
+        denom = fwd.score + floor
+        fwd.backward(2.0 * floor / (denom * denom), buf)
     if partner is not None:
         value += _abs_delta_with_grad(teacher, student, dataset, partner, buf)
     return value

@@ -216,21 +216,6 @@ class TestMrrSet:
         assert mrr_forget(m2, flipped, part2, spec).value == pytest.approx(base)
 
 
-class TestThreadedEvaluation:
-    def test_thread_count_does_not_change_results(self, accept_split, accept_model,
-                                                  monkeypatch):
-        ds = accept_split.train
-        single = mrr_set(accept_model, ds, ds.samples)
-        monkeypatch.setenv("NUMUR_THREADS", "4")
-        threaded = mrr_set(accept_model, ds, ds.samples)
-        assert threaded == single
-
-    def test_garbage_env_value_falls_back_to_serial(self, monkeypatch):
-        monkeypatch.setenv("NUMUR_THREADS", "many")
-        from numur.evaluation import _max_threads
-        assert _max_threads() == 1
-
-
 class TestNormalizedForget:
     def test_equal_values_give_one(self):
         assert normalized_forget_score(0.42, 0.42) == pytest.approx(1.0)
