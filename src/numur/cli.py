@@ -120,6 +120,32 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
+def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
+    """A JSON object written by _write_json; DataError when malformed or lacking a key."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise DataError(f"{path}: missing keys {missing}")
+    return payload
+
+
+def _read_csv_column(path: Path, col: int) -> list[float]:
+    """One numeric column of a CSV written by _write_csv, header skipped."""
+    values = []
+    lines = path.read_text(encoding="utf-8").strip().splitlines()
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            values.append(float(line.split(",")[col]))
+        except (IndexError, ValueError):
+            raise DataError(f"{path}:{lineno}: expected a number in column {col + 1}") from None
+    return values
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     def cell(v):
@@ -134,19 +160,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _load_split(out: Path) -> CorpusSplit:
+    # both splits share one docs.jsonl: the test split reuses the parsed documents
     train_ds = load_dataset(*_corpus_paths(out, "train"))
-    test_ds = load_dataset(*_corpus_paths(out, "test"))
+    test_ds = load_dataset(*_corpus_paths(out, "test"), documents=train_ds.documents)
     vocab = max(train_ds.vocab_size, test_ds.vocab_size)
     stats_path = out / "corpus" / "stats.json"
     if stats_path.exists():
         # the generator records its vocabulary size; token inference can
         # undershoot it when the highest ids happen never to be drawn
-        recorded = json.loads(stats_path.read_text(encoding="utf-8")).get("vocab_size")
+        recorded = _read_json(stats_path).get("vocab_size")
         if recorded is not None:
-            vocab = max(vocab, int(recorded))
-    split = CorpusSplit(train=replace(train_ds, vocab_size=vocab),
-                        test=replace(test_ds, vocab_size=vocab))
-    split.validate()
+            try:
+                vocab = max(vocab, int(recorded))
+            except (TypeError, ValueError):
+                raise DataError(f"{stats_path}: vocab_size {recorded!r} is not an integer") from None
+    # load_dataset validated both; a larger vocabulary keeps every token in range
+    train_ds.vocab_size = test_ds.vocab_size = vocab
+    split = CorpusSplit(train=train_ds, test=test_ds)
+    split.check_disjoint()
     return split
 
 
@@ -173,8 +204,7 @@ def _train_epoch_times(out: Path) -> list[float]:
     path = out / "train" / "trajectory.csv"
     if not path.exists():
         raise ConfigError(f"training trajectory not found at {path}")
-    rows = path.read_text(encoding="utf-8").strip().splitlines()[1:]
-    return [float(line.split(",")[3]) for line in rows]
+    return _read_csv_column(path, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +273,10 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
                ["epoch", "loss", "mrr_retained", "wall_time_s"], rows)
     dest = compute_destinations(result.model, split, part)
     _write_json(dest_dir / "report.json", {
-        "mrr_forget": mrr_forget(result.model, split.train, part, spec).value,
+        "mrr_forget": dest.d1,
         "mrr_entangled": mrr_set(result.model, split.train, part.entangled).value,
         "mrr_disjoint": mrr_set(result.model, split.train, part.disjoint).value,
-        "mrr_test": mrr_set(result.model, split.test, split.test.samples).value,
+        "mrr_test": dest.d2,
         "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3},
     })
     print(f"retrained for {name}: destinations d1={dest.d1:.4f} d2={dest.d2:.4f} "
@@ -264,7 +294,7 @@ def _resolve_delta(out: Path, spec_name: str, delta: float | None,
         if not report_path.exists():
             raise ConfigError(
                 f"destination mode needs {report_path}; run `numur retrain` first")
-        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report = _read_json(report_path, ("destinations",))
         try:
             value = report["destinations"][dest]
         except KeyError:
@@ -307,7 +337,7 @@ def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, name: str
     }
     retrain_report = out / "retrain" / name / "report.json"
     if retrain_report.exists():
-        retrain_test = json.loads(retrain_report.read_text(encoding="utf-8"))["mrr_test"]
+        retrain_test = _read_json(retrain_report, ("mrr_test",))["mrr_test"]
         report["normalized_forget"] = normalized_forget_score(last.mrr_forget,
                                                               retrain_test)
     train_times = _train_epoch_times(out)
@@ -366,6 +396,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
     header = ["run", "method", "spec", "delta_target", "epochs_run", "stopped_early",
               "mrr_forget", "mrr_entangled", "mrr_disjoint", "mrr_test",
               "normalized_forget", "normalized_epoch_duration", "total_unlearn_time"]
+    keys = tuple(header[1:])
     rows = []
     radar_rows: dict[str, list[float]] = {}
     forget_series: dict[str, list[float]] = {}
@@ -373,19 +404,13 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         report_path = run_dir / "report.json"
         if not report_path.exists():
             raise ConfigError(f"missing report.json in {run_dir}")
-        r = json.loads(report_path.read_text(encoding="utf-8"))
-        rows.append([run_dir.name, r["method"], r["spec"], r["delta_target"],
-                     r["epochs_run"], r["stopped_early"], r["mrr_forget"],
-                     r["mrr_entangled"], r["mrr_disjoint"], r["mrr_test"],
-                     r["normalized_forget"], r["normalized_epoch_duration"],
-                     r["total_unlearn_time"]])
+        r = _read_json(report_path, keys)
+        rows.append([run_dir.name, *(r[key] for key in keys)])
         f_axis = r["normalized_forget"] if r["normalized_forget"] is not None \
             else r["mrr_forget"]
         radar_rows[run_dir.name] = [f_axis, r["mrr_entangled"], r["mrr_disjoint"],
                                     r["mrr_test"]]
-        trajectory = (run_dir / "trajectory.csv").read_text(encoding="utf-8")
-        forget_series[run_dir.name] = [float(line.split(",")[1])
-                                       for line in trajectory.strip().splitlines()[1:]]
+        forget_series[run_dir.name] = _read_csv_column(run_dir / "trajectory.csv", 1)
     report_dir = out / "report"
     (report_dir / "charts").mkdir(parents=True, exist_ok=True)
     _write_csv(report_dir / "report.csv", header, rows)

@@ -25,6 +25,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,12 @@ class Document:
     id: str
     tokens: tuple[int, ...]
 
+    @cached_property
+    def token_array(self) -> np.ndarray:
+        """The tokens as an int64 array, made once and shared by every dataset
+        holding this document."""
+        return np.asarray(self.tokens, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -85,7 +92,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self._qtok = {q.id: np.asarray(q.tokens, dtype=np.int64) for q in self.queries.values()}
-        self._dtok = {d.id: np.asarray(d.tokens, dtype=np.int64) for d in self.documents.values()}
+        self._dtok = {d.id: d.token_array for d in self.documents.values()}
 
     def query_tokens(self, query_id: str) -> np.ndarray:
         try:
@@ -197,7 +204,11 @@ class CorpusSplit:
     def validate(self) -> None:
         self.train.validate()
         self.test.validate()
-        overlap = set(self.train.queries) & set(self.test.queries)
+        self.check_disjoint()
+
+    def check_disjoint(self) -> None:
+        """Raise DataError when a query id belongs to both splits."""
+        overlap = self.train.queries.keys() & self.test.queries.keys()
         if overlap:
             raise DataError(f"test queries overlap train queries: {sorted(overlap)[:5]}")
 
@@ -227,99 +238,123 @@ class SyntheticConfig:
 def _check_tokens(kind: str, ident: str, tokens: tuple[int, ...], vocab_size: int) -> None:
     if not tokens:
         raise DataError(f"{kind} {ident!r} has an empty token list")
-    for t in tokens:
-        if not 0 <= t < vocab_size:
-            raise DataError(f"{kind} {ident!r} token {t} outside vocabulary of size {vocab_size}")
+    if min(tokens) < 0 or max(tokens) >= vocab_size:
+        t = next(t for t in tokens if not 0 <= t < vocab_size)
+        raise DataError(f"{kind} {ident!r} token {t} outside vocabulary of size {vocab_size}")
 
 
 # ---------------------------------------------------------------------------
 # File ingestion
 
 
+def _lines(path: Path) -> list[str]:
+    # read_text turns \r\n and \r into \n, as iterating over the file does;
+    # str.splitlines would also split at \x0b, \x85 and \u2028.
+    try:
+        return path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_line(line: str):
+    """json.loads(line) for a stripped line: the same value or the same error."""
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    obj, end = _raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return obj
+
+
 def _read_jsonl_items(path: Path) -> list[tuple[str, tuple[int, ...]]]:
     items: list[tuple[str, tuple[int, ...]]] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
-                raise DataError(f"{path}:{lineno}: expected object with 'id' and 'tokens'")
-            ident = str(obj["id"])
-            if ident in seen:
-                raise DataError(f"{path}:{lineno}: duplicate id {ident!r}")
-            seen.add(ident)
-            toks = obj["tokens"]
-            if not isinstance(toks, list) or not all(isinstance(t, int) for t in toks):
-                raise DataError(f"{path}:{lineno}: 'tokens' must be a list of integers")
-            items.append((ident, tuple(toks)))
+    for lineno, line in enumerate(_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = _json_line(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
+            raise DataError(f"{path}:{lineno}: expected object with 'id' and 'tokens'")
+        ident = str(obj["id"])
+        if ident in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {ident!r}")
+        seen.add(ident)
+        toks = obj["tokens"]
+        if not isinstance(toks, list) or not all(isinstance(t, int) for t in toks):
+            raise DataError(f"{path}:{lineno}: 'tokens' must be a list of integers")
+        items.append((ident, tuple(toks)))
     return items
 
 
-def _read_tsv(path: Path, header: str) -> list[tuple[int, list[str]]]:
-    n_cols = len(header.split("\t"))
-    rows: list[tuple[int, list[str]]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if first.rstrip("\r\n") != header:
-            raise DataError(f"{path}:1: expected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_cols:
-                raise DataError(f"{path}:{lineno}: expected {n_cols} tab-separated fields")
-            rows.append((lineno, fields))
-    return rows
+def _read_tsv(path: Path, header: str):
+    """(line number, fields) of each non-blank line after the header, yielded as read."""
+    n_cols = header.count("\t") + 1
+    lines = _lines(path)
+    if lines[0] != header:
+        raise DataError(f"{path}:1: expected header {header!r}")
+    for lineno, line in enumerate(islice(lines, 1, None), start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_cols:
+            raise DataError(f"{path}:{lineno}: expected {n_cols} tab-separated fields")
+        yield lineno, fields
 
 
 def load_dataset(queries_path: str | Path, docs_path: str | Path,
-                 qrels_path: str | Path, pools_path: str | Path) -> Dataset:
+                 qrels_path: str | Path, pools_path: str | Path, *,
+                 documents: dict[str, Document] | None = None) -> Dataset:
     """Load a dataset from its four files, validating every invariant.
 
     The vocabulary size is inferred as one past the largest token seen.
     Sample order follows qrels file order; pool order follows rank_hint.
+    ``documents``, the documents of a dataset loaded from the same docs
+    file, stands in for that file, which is then not read again.
     """
     queries_path, docs_path = Path(queries_path), Path(docs_path)
     qrels_path, pools_path = Path(qrels_path), Path(pools_path)
 
     queries = {qid: Query(qid, toks) for qid, toks in _read_jsonl_items(queries_path)}
-    documents = {did: Document(did, toks) for did, toks in _read_jsonl_items(docs_path)}
+    if documents is None:
+        documents = {did: Document(did, toks) for did, toks in _read_jsonl_items(docs_path)}
 
     max_token = -1
-    for item in list(queries.values()) + list(documents.values()):
+    for item in (*queries.values(), *documents.values()):
         if not item.tokens:
             raise DataError(f"{item.id!r} has an empty token list")
         max_token = max(max_token, max(item.tokens))
     vocab_size = max_token + 1 if max_token >= 0 else 1
 
-    pool_rows: dict[str, list[tuple[int, str]]] = {}
-    pool_entries: set[tuple[str, str]] = set()
-    for lineno, (qid, did, hint) in [(ln, tuple(f)) for ln, f in _read_tsv(pools_path, POOLS_HEADER)]:
-        if qid not in queries:
-            raise DataError(f"{pools_path}:{lineno}: unknown query id {qid!r}")
+    # rank_hint of each pool entry, per query in file order
+    hints_of: dict[str, dict[str, int]] = {}
+    for lineno, (qid, did, hint) in _read_tsv(pools_path, POOLS_HEADER):
+        hints = hints_of.get(qid)
+        if hints is None:
+            if qid not in queries:
+                raise DataError(f"{pools_path}:{lineno}: unknown query id {qid!r}")
+            hints = hints_of[qid] = {}
         if did not in documents:
             raise DataError(f"{pools_path}:{lineno}: unknown doc id {did!r}")
         try:
             rank_hint = int(hint)
         except ValueError:
             raise DataError(f"{pools_path}:{lineno}: rank_hint {hint!r} is not an integer") from None
-        if (qid, did) in pool_entries:
+        if did in hints:
             raise DataError(f"{pools_path}:{lineno}: duplicate pool entry {did!r} for query {qid!r}")
-        pool_entries.add((qid, did))
-        pool_rows.setdefault(qid, []).append((rank_hint, did))
-    pools = {qid: tuple(did for _, did in sorted(rows, key=lambda r: r[0]))
-             for qid, rows in pool_rows.items()}
+        hints[did] = rank_hint
+    # sorted() is stable: equal hints keep their file order
+    pools = {qid: tuple(sorted(hints, key=hints.__getitem__)) for qid, hints in hints_of.items()}
 
     samples: list[Sample] = []
     seen_pairs: set[tuple[str, str]] = set()
-    for lineno, (qid, did, label_text) in [(ln, tuple(f)) for ln, f in _read_tsv(qrels_path, QRELS_HEADER)]:
+    for lineno, (qid, did, label_text) in _read_tsv(qrels_path, QRELS_HEADER):
         if qid not in queries:
             raise DataError(f"{qrels_path}:{lineno}: unknown query id {qid!r}")
         if did not in documents:
@@ -330,8 +365,7 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
             raise DataError(f"{qrels_path}:{lineno}: duplicate pair ({qid!r}, {did!r})")
         seen_pairs.add((qid, did))
         label = Label.POSITIVE if label_text == "1" else Label.NEGATIVE
-        pool = pools.get(qid)
-        if pool is None or did not in pool:
+        if did not in hints_of.get(qid, ()):
             kind = "positive" if label is Label.POSITIVE else "negative"
             raise DataError(
                 f"{qrels_path}:{lineno}: {kind} sample doc {did!r} absent from pool of {qid!r}")

@@ -90,7 +90,10 @@ def _first_rank(scores: np.ndarray, ids: np.ndarray, hit: np.ndarray) -> int:
 
     A hit's rank is one plus the number of entries with a higher score
     or an equal score and a smaller id; the first rank is the smallest.
+    A NaN score ranks after every number, as in ``rank``'s sort; -inf
+    does the same here because softplus scores are never below 0.
     """
+    scores = np.where(np.isnan(scores), -np.inf, scores)
     s, i = scores[hit][:, None], ids[hit][:, None]
     ahead = (scores > s) | ((scores == s) & (ids < i))
     return 1 + int(ahead.sum(axis=1).min())

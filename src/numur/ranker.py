@@ -62,17 +62,23 @@ class TrainConfig:
 
 @dataclass
 class GradientBuffer:
+    """Gradients of both tables, and the token arrays whose rows they touch.
+
+    A row may sit in several arrays; updates gather before they scatter,
+    so a repeated row is written twice with the same value.
+    """
+
     grad_q: np.ndarray
     grad_d: np.ndarray
-    rows_q: set[int] = field(default_factory=set)
-    rows_d: set[int] = field(default_factory=set)
+    rows_q: list[np.ndarray] = field(default_factory=list)
+    rows_d: list[np.ndarray] = field(default_factory=list)
 
     def zero(self) -> None:
         if self.rows_q:
-            self.grad_q[list(self.rows_q)] = 0.0
+            self.grad_q[np.concatenate(self.rows_q)] = 0.0
             self.rows_q.clear()
         if self.rows_d:
-            self.grad_d[list(self.rows_d)] = 0.0
+            self.grad_d[np.concatenate(self.rows_d)] = 0.0
             self.rows_d.clear()
 
 
@@ -140,10 +146,16 @@ class PairForward:
 
     __slots__ = ("qt", "dt", "u", "v", "z", "score")
 
-    def __init__(self, model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str):
-        self.qt = dataset.query_tokens(query_id)
+    def __init__(self, model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str,
+                 same_query: "PairForward | None" = None):
+        # same_query: a pass on another doc of this query under this model,
+        # whose pooled query vector is reused
+        if same_query is None:
+            self.qt = dataset.query_tokens(query_id)
+            self.u = _mean_rows(model.embed_q[self.qt])
+        else:
+            self.qt, self.u = same_query.qt, same_query.u
         self.dt = dataset.doc_tokens(doc_id)
-        self.u = _mean_rows(model.embed_q[self.qt])
         self.v = _mean_rows(model.embed_d[self.dt])
         self.z = float(self.u @ self.v)
         self.score = _softplus(self.z)
@@ -155,8 +167,8 @@ class PairForward:
         g = _sigmoid(self.z) * upstream
         np.add.at(buf.grad_q, self.qt, g * self.v / len(self.qt))
         np.add.at(buf.grad_d, self.dt, g * self.u / len(self.dt))
-        buf.rows_q.update(self.qt.tolist())
-        buf.rows_d.update(self.dt.tolist())
+        buf.rows_q.append(self.qt)
+        buf.rows_d.append(self.dt)
 
 
 # Docs pooled per gather in doc_vectors; keeps the (rows, tokens, dim)
@@ -211,10 +223,10 @@ def backward_score(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: s
 def apply_gradients(model: ScoreModel, buf: GradientBuffer, lr: float) -> None:
     """SGD step: subtract lr * grad on the touched rows only."""
     if buf.rows_q:
-        rows = list(buf.rows_q)
+        rows = np.concatenate(buf.rows_q)
         model.embed_q[rows] -= lr * buf.grad_q[rows]
     if buf.rows_d:
-        rows = list(buf.rows_d)
+        rows = np.concatenate(buf.rows_d)
         model.embed_d[rows] -= lr * buf.grad_d[rows]
 
 
@@ -223,7 +235,7 @@ def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
                         buf: GradientBuffer | None) -> float:
     """max(0, margin - f(q, pos) + f(q, neg)); gradient wrt params if buf given."""
     pos = PairForward(model, dataset, query_id, pos_id)
-    neg = PairForward(model, dataset, query_id, neg_id)
+    neg = PairForward(model, dataset, query_id, neg_id, same_query=pos)
     loss = margin - pos.score + neg.score
     if loss <= 0.0:
         return 0.0

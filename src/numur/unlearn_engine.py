@@ -393,10 +393,12 @@ def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
             neg = negs[int(rng.integers(len(negs)))]
             hinge_loss_and_grad(model, split.train, s.query_id, s.doc_id, neg,
                                 margin, buf)
-        rows_q, rows_d = list(buf.rows_q), list(buf.rows_d)
-        if rows_q:
+        # a row listed twice is gathered before the scatter, so it adds once
+        if buf.rows_q:
+            rows_q = np.concatenate(buf.rows_q)
             sq_q[rows_q] += (buf.grad_q[rows_q] / npp) ** 2
-        if rows_d:
+        if buf.rows_d:
+            rows_d = np.concatenate(buf.rows_d)
             sq_d[rows_d] += (buf.grad_d[rows_d] / npp) ** 2
         count += 1
     if count:

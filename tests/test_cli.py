@@ -1,4 +1,5 @@
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -197,3 +198,78 @@ class TestErrors:
                      "--method", "cocol", "--delta", "0.5", "--dest", "d1"])
         assert code == 1
         assert "ERROR:config:" in capsys.readouterr().err
+
+
+class TestMalformedArtifacts:
+    """A damaged run artifact ends in ERROR:data and exit 1, never a traceback."""
+
+    @pytest.fixture
+    def runs(self, workdir, tmp_path):
+        copy = tmp_path / "runs"
+        shutil.copytree(workdir / "runs", copy)
+        return copy
+
+    @staticmethod
+    def fails_with_data_error(capsys, runs, *args):
+        code = main(["--out", str(runs), *args])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("ERROR:data:"), err
+        return err
+
+    def unlearn(self, capsys, runs):
+        return self.fails_with_data_error(capsys, runs, "unlearn", "--spec", "spec_document_25",
+                                          "--method", "ssd", "--delta", "0.4")
+
+    def test_short_row_in_train_trajectory(self, runs, capsys):
+        path = runs / "train" / "trajectory.csv"
+        path.write_text(path.read_text() + "9,0.5\n")
+        err = self.unlearn(capsys, runs)
+        assert f"trajectory.csv:{1 + SMALL_CONFIG['train']['epochs'] + 1}:" in err
+
+    def test_bad_json_in_retrain_report(self, runs, capsys):
+        (runs / "retrain" / "spec_document_25" / "report.json").write_text("{\"mrr_test\": ")
+        assert "malformed JSON" in self.unlearn(capsys, runs)
+
+    def test_retrain_report_without_test_mrr(self, runs, capsys):
+        path = runs / "retrain" / "spec_document_25" / "report.json"
+        report = json.loads(path.read_text())
+        del report["mrr_test"]
+        path.write_text(json.dumps(report))
+        assert "mrr_test" in self.unlearn(capsys, runs)
+
+    def test_run_report_without_a_key(self, runs, capsys):
+        path = runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json"
+        report = json.loads(path.read_text())
+        del report["mrr_entangled"]
+        path.write_text(json.dumps(report))
+        assert "mrr_entangled" in self.fails_with_data_error(capsys, runs, "report")
+
+    def test_bad_json_in_run_report(self, runs, capsys):
+        (runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json").write_text("[1, 2")
+        assert "malformed JSON" in self.fails_with_data_error(capsys, runs, "report")
+
+    def test_run_report_not_an_object(self, runs, capsys):
+        (runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json").write_text("[1, 2]")
+        self.fails_with_data_error(capsys, runs, "report")
+
+    def test_bad_json_in_corpus_stats(self, runs, capsys):
+        (runs / "corpus" / "stats.json").write_text("{vocab_size: 128}")
+        assert "stats.json" in self.fails_with_data_error(
+            capsys, runs, "partition", "--spec", "spec_document_25")
+
+    def test_non_integer_vocab_in_corpus_stats(self, runs, capsys):
+        (runs / "corpus" / "stats.json").write_text('{"vocab_size": "large"}')
+        assert "vocab_size" in self.fails_with_data_error(
+            capsys, runs, "partition", "--spec", "spec_document_25")
+
+
+def test_docs_file_is_read_once_per_command(workdir, monkeypatch):
+    import numur.corpus as corpus
+
+    reads = []
+    read_items = corpus._read_jsonl_items
+    monkeypatch.setattr(corpus, "_read_jsonl_items",
+                        lambda path: reads.append(path.name) or read_items(path))
+    assert main(["--out", str(workdir / "runs"), "partition", "--spec", "spec_document_25"]) == 0
+    assert sorted(reads) == ["docs.jsonl", "test_queries.jsonl", "train_queries.jsonl"]

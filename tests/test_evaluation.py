@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
-                   forward, init_model, mrr_forget, mrr_set, normalized_forget_score,
+                   SyntheticConfig, forward, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
                    partition, rank, score_distribution, timing_metrics)
 from numur.evaluation import MetricsReport, normalized_forget
 
@@ -202,6 +202,28 @@ class TestMrrSet:
                     recips.append(1.0 / r)
             want = sum(recips) / len(recips) if recips else 0.0
             assert result.value == pytest.approx(want)
+
+    def test_nan_model_ranks_by_doc_id_not_perfectly(self):
+        # every score is NaN; rank() sorts NaN after every number, so the
+        # order is ascending doc id and the first positive is not always first
+        split = generate_synthetic(SyntheticConfig(n_queries=16, n_docs=64, vocab_size=128,
+                                                   pool_size=20, seed=3))
+        ds = split.train
+        m = init_model(ds.vocab_size, 4, seed=0)
+        m.embed_d[:] = np.nan
+        positives = {}
+        for s in ds.samples:
+            if s.label is Label.POSITIVE:
+                positives.setdefault(s.query_id, set()).add(s.doc_id)
+        recips = []
+        with np.errstate(invalid="ignore"):
+            for qid, targets in positives.items():
+                ranking = sorted(ds.pools[qid])
+                assert list(rank(m, ds, qid).doc_ids) == ranking
+                recips.append(1.0 / next(p for p, did in enumerate(ranking, 1) if did in targets))
+            want = sum(recips) / len(recips)
+            assert want < 1.0
+            assert mrr_set(m, ds, ds.samples).value == want
 
     def test_relabelling_nontargets_is_irrelevant_for_document_removal(self):
         ds, m = TestMrrForget().make_marked_ranking_case()

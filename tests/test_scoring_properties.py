@@ -122,6 +122,34 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
         assert mrr_forget(model, ds, part, spec).value == oracle_mrr(model, ds, targets)
 
 
+def nan_last_oracle_mrr(model, ds, targets):
+    """oracle_mrr with NaN scores placed after every number, ties by doc id."""
+    recips = []
+    for qid in sorted(targets):
+        scores = ref_score_pool(model, ds, qid)
+        ranking = [did for *_, did in sorted(
+            (np.isnan(s), 0.0 if np.isnan(s) else -s, did)
+            for s, did in zip(scores, ds.pools[qid]))]
+        hits = [pos for pos, did in enumerate(ranking, start=1) if did in targets[qid]]
+        if hits:
+            recips.append(1.0 / hits[0])
+    return sum(recips) / len(recips) if recips else 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), models, st.sets(st.integers(0, VOCAB - 1), min_size=1))
+def test_nan_scores_rank_after_numbers(ds, model, nan_tokens):
+    model.embed_d[sorted(nan_tokens)] = np.nan  # every doc with such a token scores NaN
+    targets = positives(ds.samples)
+    with np.errstate(invalid="ignore"):
+        want = nan_last_oracle_mrr(model, ds, targets)
+        assert mrr_set(model, ds, ds.samples).value == want
+        for qid in targets:
+            ranked = list(rank(model, ds, qid).doc_ids)
+            first = next(p for p, did in enumerate(ranked, start=1) if did in targets[qid])
+            assert 1.0 / first == nan_last_oracle_mrr(model, ds, {qid: targets[qid]})
+
+
 def _sigmoid(z):
     if z >= 0:
         return 1.0 / (1.0 + np.exp(-z))
@@ -146,8 +174,8 @@ def ref_backward(model, ds, qid, did, upstream, buf):
     g = _sigmoid(float(u @ v)) * upstream
     np.add.at(buf.grad_q, qt, g * v / len(qt))
     np.add.at(buf.grad_d, dt, g * u / len(dt))
-    buf.rows_q.update(int(t) for t in qt)
-    buf.rows_d.update(int(t) for t in dt)
+    buf.rows_q.append(qt)
+    buf.rows_d.append(dt)
 
 
 def ref_hinge(model, ds, qid, pos, neg, margin, buf):
@@ -182,7 +210,8 @@ def ref_contrastive(cache, teacher, student, ds, x, partner, buf):
 
 def assert_same_buffers(a, b):
     assert np.array_equal(a.grad_q, b.grad_q) and np.array_equal(a.grad_d, b.grad_d)
-    assert a.rows_q == b.rows_q and a.rows_d == b.rows_d
+    assert [r.tolist() for r in a.rows_q] == [r.tolist() for r in b.rows_q]
+    assert [r.tolist() for r in a.rows_d] == [r.tolist() for r in b.rows_d]
 
 
 @settings(max_examples=150, deadline=None)
