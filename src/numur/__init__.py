@@ -18,9 +18,9 @@ from .evaluation import (MetricsReport, MrrResult, RankedList, ScoreDistribution
 from .partition import (ForgetSpec, Partition, RemovalKind, entangled_partners,
                         load_forget_spec, partition, save_forget_spec)
 from .ranker import (GradientBuffer, ScoreModel, TeacherSnapshot, TrainConfig,
-                     TrainResult, apply_gradients, backward_score, clone_model,
-                     forward, init_model, load_model, models_equal, new_buffer,
-                     retrain, save_model, score_pool, snapshot, train)
+                     TrainResult, backward_score, clone_model, forward, init_model,
+                     load_model, models_equal, new_buffer, retrain, save_model,
+                     score_pool, snapshot, train)
 from .unlearn_engine import (Destinations, EpochRecord, Method, UnlearnConfig,
                              UnlearnRun, amnesiac_unlearn, badt_unlearn, cf_unlearn,
                              cocol_unlearn, compute_destinations, neggrad_unlearn,

@@ -24,15 +24,17 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import charts
-from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats,
+from .corpus import (CorpusSplit, SyntheticConfig, atomic_write, dataset_stats,
                      generate_synthetic, load_dataset, save_dataset)
 from .errors import ConfigError, DataError, NumurError
 from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
 from .partition import (ForgetSpec, RemovalKind, load_forget_spec, partition,
                         sample_forget_spec, save_forget_spec)
-from .ranker import TrainConfig, load_model, retrain, save_model, train
-from .unlearn_engine import Method, UnlearnConfig, compute_destinations, unlearn
+from .ranker import (TrainConfig, check_model_fits, load_model, retrain, save_model,
+                     train)
+from .unlearn_engine import (PARAM_KEYS, Method, UnlearnConfig, compute_destinations,
+                             unlearn)
 
 DEFAULT_FRACTIONS = (0.05, 0.15, 0.25)
 
@@ -116,8 +118,9 @@ def _corpus_paths(out: Path, split_name: str):
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
@@ -156,7 +159,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         return str(v)
     lines = [",".join(header)]
     lines += [",".join(cell(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _load_split(out: Path) -> CorpusSplit:
@@ -304,10 +308,14 @@ def _resolve_delta(out: Path, spec_name: str, delta: float | None,
 
 
 def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, name: str,
-                 spec: ForgetSpec, method: Method, delta: float, tag: str) -> None:
+                 spec: ForgetSpec, method: Method, delta: float, tag: str,
+                 method_params: dict) -> None:
     part = partition(split.train, spec)
-    m_train = load_model(_train_model_path(out))
-    run_cfg = replace(cfg.unlearn, method=method, delta_target=delta)
+    model_path = _train_model_path(out)
+    m_train = load_model(model_path)
+    check_model_fits(m_train, split.train, model_path)
+    run_cfg = replace(cfg.unlearn, method=method, delta_target=delta,
+                      method_params=method_params)
     run = unlearn(m_train, split, part, run_cfg)
 
     run_dir = out / "unlearn" / f"{method.value}_{name}_{tag}"
@@ -353,9 +361,18 @@ def cmd_unlearn(cfg: ExperimentConfig, out: Path, spec_arg: str, method_arg: str
     split = _load_split(out)
     name, spec = _resolve_spec(out, spec_arg)
     resolved, tag = _resolve_delta(out, name, delta, dest, cfg.unlearn.delta_target)
-    methods = list(Method) if method_arg == "all" else [_parse_method(method_arg)]
-    for method in methods:
-        _unlearn_one(cfg, out, split, name, spec, method, resolved, tag)
+    params = cfg.unlearn.method_params
+    if method_arg != "all":
+        _unlearn_one(cfg, out, split, name, spec, _parse_method(method_arg), resolved, tag,
+                     params)
+        return
+    # each method gets the keys it reads; a key that no method reads is a typo
+    unknown = set(params) - set().union(*PARAM_KEYS.values())
+    if unknown:
+        raise ConfigError(f"unknown method_params: {sorted(unknown)}")
+    for method in Method:
+        _unlearn_one(cfg, out, split, name, spec, method, resolved, tag,
+                     {k: v for k, v in params.items() if k in PARAM_KEYS[method]})
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -> None:
@@ -363,6 +380,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -
     name, spec = _resolve_spec(out, spec_arg)
     part = partition(split.train, spec)
     model = load_model(Path(model_path))
+    check_model_fits(model, split.train, model_path)
     # include the parent directory so train/ and retrain/ models do not collide
     model_tag = f"{Path(model_path).parent.name}_{Path(model_path).stem}"
     eval_dir = out / "eval" / f"{model_tag}_{name}"

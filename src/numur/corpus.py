@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import enum
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -325,11 +327,12 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     if documents is None:
         documents = {did: Document(did, toks) for did, toks in _read_jsonl_items(docs_path)}
 
-    max_token = -1
+    max_token, min_token = -1, 0
     for item in (*queries.values(), *documents.values()):
         if not item.tokens:
             raise DataError(f"{item.id!r} has an empty token list")
         max_token = max(max_token, max(item.tokens))
+        min_token = min(min_token, min(item.tokens))
     vocab_size = max_token + 1 if max_token >= 0 else 1
 
     # rank_hint of each pool entry, per query in file order
@@ -371,10 +374,34 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
                 f"{qrels_path}:{lineno}: {kind} sample doc {did!r} absent from pool of {qid!r}")
         samples.append(Sample(qid, did, label))
 
-    dataset = Dataset(queries=queries, documents=documents, samples=samples,
-                      pools=pools, vocab_size=vocab_size)
-    dataset.validate()
-    return dataset
+    # The line checks above cover every invariant of Dataset.validate but
+    # one: tokens below zero. Report the first, as validate would.
+    if min_token < 0:
+        for kind, items in (("query", queries.values()), ("document", documents.values())):
+            for item in items:
+                _check_tokens(kind, item.id, item.tokens, vocab_size)
+    return Dataset(queries=queries, documents=documents, samples=samples,
+                   pools=pools, vocab_size=vocab_size)
+
+
+@contextmanager
+def atomic_write(path: str | Path):
+    """A binary file to write ``path``'s new contents to.
+
+    The contents go to a temporary file in the same directory, which
+    replaces ``path`` (``os.replace``) only when the block completes. If
+    the block raises, ``path`` keeps its previous contents, or stays
+    absent, and the temporary file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_dataset(dataset: Dataset, queries_path: str | Path, docs_path: str | Path,

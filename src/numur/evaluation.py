@@ -184,14 +184,26 @@ def timing_metrics(train_epoch_times: list[float], unlearn_epoch_times: list[flo
 
 def score_distribution(models: list[tuple[str, ScoreModel]], dataset: Dataset,
                        sets: list[tuple[str, list[Sample]]]) -> list[ScoreDistribution]:
-    """Per (model, sample set): min/max/mean and deciles of pair scores."""
-    from .ranker import forward
+    """Per (model, sample set): min/max/mean and deciles of pair scores.
 
+    Each doc is pooled once (``doc_vectors``) and each query once; a
+    pair's score is then one dot product and a softplus, bitwise the
+    score ``forward`` gives it.
+    """
     out: list[ScoreDistribution] = []
+    doc_row = dataset.index.doc_row
     for model_name, model in models:
+        dvec = doc_vectors(model, dataset)
+        queries: dict[str, np.ndarray] = {}
         for set_name, samples in sets:
-            scores = np.array([forward(model, dataset, s.query_id, s.doc_id)
-                               for s in samples])
+            logits = []
+            for s in samples:
+                u = queries.get(s.query_id)
+                if u is None:
+                    u = queries[s.query_id] = \
+                        model.embed_q[dataset.query_tokens(s.query_id)].mean(axis=0)
+                logits.append(float(u @ dvec[doc_row[s.doc_id]]))
+            scores = np.logaddexp(0.0, logits)
             if scores.size == 0:
                 out.append(ScoreDistribution(model_name, set_name, 0, 0.0, 0.0, 0.0,
                                              tuple(0.0 for _ in range(9))))

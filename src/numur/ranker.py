@@ -1,7 +1,7 @@
 """Differentiable relevance scorer with hand-written gradients.
 
 The model keeps two embedding tables, one for query tokens and one for
-document tokens. A pair's relevance score is
+document tokens, stacked in one array. A pair's relevance score is
 
     score = softplus(mean(embed_q[query tokens]) . mean(embed_d[doc tokens]))
 
@@ -9,36 +9,73 @@ which is strictly positive, so the ratio-form discrepancy losses used
 during unlearning always have positive denominators. Training minimises
 a pairwise hinge over (positive, sampled pool negative) pairs with plain
 SGD, one pair per step, in a seeded order so runs are bit-reproducible.
+Every per-pair update, in training and in unlearning, is one
+``PairStep``.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CorpusSplit, Dataset, Label, Sample
+from .corpus import CorpusSplit, Dataset, Label, Sample, atomic_write
 from .errors import ConfigError, DataError
 
 MODEL_MAGIC = b"NUMR"
 MODEL_VERSION = 1
 
 
-@dataclass
 class ScoreModel:
-    embed_q: np.ndarray  # (vocab_size, dim) float64
-    embed_d: np.ndarray
-    dim: int
+    """Both embedding tables as one (2 * vocab_size, dim) float64 array.
+
+    Rows ``[0, vocab_size)`` embed query tokens and rows
+    ``[vocab_size, 2 * vocab_size)`` embed document tokens; ``embed_q``
+    and ``embed_d`` are views of the two halves. One gather or scatter
+    over the stacked table therefore covers every row an SGD step touches.
+    """
+
+    def __init__(self, params: np.ndarray):
+        self.params = np.ascontiguousarray(params)  # so flat views share its memory
+        self.embed_q, self.embed_d = np.split(self.params, 2)
 
     @property
     def vocab_size(self) -> int:
         return self.embed_q.shape[0]
 
+    @property
+    def dim(self) -> int:
+        return self.params.shape[1]
+
 
 class TeacherSnapshot(ScoreModel):
-    """Frozen deep copy of a ScoreModel; the arrays are read-only."""
+    """Frozen deep copy of a ScoreModel; the arrays are read-only.
+
+    A pair's score never changes, so ``score`` computes each pair once per
+    dataset and then looks it up.
+    """
+
+    def __init__(self, params: np.ndarray):
+        super().__init__(params)
+        # the dataset scored on, and its scores by query id, then doc id
+        self._scored: tuple[Dataset | None, dict[str, dict[str, float]]] = (None, {})
+
+    def score(self, dataset: Dataset, query_id: str, doc_id: str) -> float:
+        """``forward(self, dataset, query_id, doc_id)``, computed on first use."""
+        scored_on, scores = self._scored
+        if scored_on is not dataset:
+            scores = {}
+            self._scored = (dataset, scores)
+        of_query = scores.get(query_id)
+        if of_query is None:
+            of_query = scores[query_id] = {}
+        value = of_query.get(doc_id)
+        if value is None:
+            value = of_query[doc_id] = forward(self, dataset, query_id, doc_id)
+        return value
 
 
 @dataclass(frozen=True)
@@ -60,26 +97,22 @@ class TrainConfig:
             raise ConfigError("negatives_per_positive and dim must be positive")
 
 
-@dataclass
 class GradientBuffer:
-    """Gradients of both tables, and the token arrays whose rows they touch.
+    """Gradient of the stacked parameter table, and what a backward pass does with it.
 
-    A row may sit in several arrays; updates gather before they scatter,
-    so a repeated row is written twice with the same value.
+    With a learning rate ``lr``, every backward pass is one SGD step: its
+    gradient is added here, subtracted (times ``lr``) from the rows it
+    touched, and those rows are zeroed again, so the buffer is all zeros
+    between steps. Without one, gradients accumulate and ``rows`` lists
+    the stacked rows each pass touched, for the caller to read and zero.
     """
 
-    grad_q: np.ndarray
-    grad_d: np.ndarray
-    rows_q: list[np.ndarray] = field(default_factory=list)
-    rows_d: list[np.ndarray] = field(default_factory=list)
-
-    def zero(self) -> None:
-        if self.rows_q:
-            self.grad_q[np.concatenate(self.rows_q)] = 0.0
-            self.rows_q.clear()
-        if self.rows_d:
-            self.grad_d[np.concatenate(self.rows_d)] = 0.0
-            self.rows_d.clear()
+    def __init__(self, shape: tuple[int, int], lr: float | None = None):
+        self.grad = np.zeros(shape)
+        self.grad_q, self.grad_d = np.split(self.grad, 2)
+        self.lr = lr
+        self.rows: list[np.ndarray] = []
+        self.cols = np.arange(shape[1])  # a row's offsets in the flattened table
 
 
 @dataclass
@@ -92,36 +125,25 @@ class TrainResult:
 
 
 def init_model(vocab_size: int, dim: int, seed: int) -> ScoreModel:
-    """Fresh model with entries uniform in [-0.1, 0.1]."""
+    """Fresh model with entries uniform in [-0.1, 0.1], query table drawn first."""
     rng = np.random.default_rng(seed)
-    return ScoreModel(
-        embed_q=rng.uniform(-0.1, 0.1, size=(vocab_size, dim)),
-        embed_d=rng.uniform(-0.1, 0.1, size=(vocab_size, dim)),
-        dim=dim,
-    )
+    return ScoreModel(rng.uniform(-0.1, 0.1, size=(2 * vocab_size, dim)))
 
 
 def clone_model(model: ScoreModel) -> ScoreModel:
-    return ScoreModel(embed_q=model.embed_q.copy(), embed_d=model.embed_d.copy(),
-                      dim=model.dim)
+    return ScoreModel(model.params.copy())
 
 
 def snapshot(model: ScoreModel) -> TeacherSnapshot:
     """Deep copy whose parameters cannot be mutated afterwards."""
-    frozen = TeacherSnapshot(embed_q=model.embed_q.copy(), embed_d=model.embed_d.copy(),
-                             dim=model.dim)
-    frozen.embed_q.setflags(write=False)
-    frozen.embed_d.setflags(write=False)
-    return frozen
+    params = model.params.copy()
+    params.setflags(write=False)  # before the views are taken, so they are read-only too
+    return TeacherSnapshot(params)
 
 
-def new_buffer(model: ScoreModel) -> GradientBuffer:
-    return GradientBuffer(grad_q=np.zeros_like(model.embed_q),
-                          grad_d=np.zeros_like(model.embed_d))
-
-
-def _softplus(z: float) -> float:
-    return float(np.logaddexp(0.0, z))
+def new_buffer(model: ScoreModel, lr: float | None = None) -> GradientBuffer:
+    """A zeroed buffer for ``model``; with ``lr``, each backward pass is an SGD step."""
+    return GradientBuffer(model.params.shape, lr)
 
 
 def _sigmoid(z: float) -> float:
@@ -137,38 +159,79 @@ def _mean_rows(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x) / len(x)
 
 
-class PairForward:
-    """Pooled vectors, logit and score of one (query, doc) pair under one model.
+class PairStep:
+    """Scores of a few (query, doc) pairs under one model, and their gradient.
 
-    A loss pools each pair it touches once and reuses the result for its
-    gradient; the parameters must not change in between.
+    Every parameter row the pairs touch is gathered with one ``take``
+    from the stacked table, pair by pair: the query's token rows, then
+    the doc's token rows offset by ``vocab_size``. Each pooled vector is
+    the mean of its slice of that gather; a pair with the same query as
+    the pair before it reuses that pair's query vector. The parameters
+    must not change between the constructor and ``backward``.
     """
 
-    __slots__ = ("qt", "dt", "u", "v", "z", "score")
+    __slots__ = ("params", "rows", "x", "terms", "scores")
 
-    def __init__(self, model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str,
-                 same_query: "PairForward | None" = None):
-        # same_query: a pass on another doc of this query under this model,
-        # whose pooled query vector is reused
-        if same_query is None:
-            self.qt = dataset.query_tokens(query_id)
-            self.u = _mean_rows(model.embed_q[self.qt])
-        else:
-            self.qt, self.u = same_query.qt, same_query.u
-        self.dt = dataset.doc_tokens(doc_id)
-        self.v = _mean_rows(model.embed_d[self.dt])
-        self.z = float(self.u @ self.v)
-        self.score = _softplus(self.z)
+    def __init__(self, model: ScoreModel, dataset: Dataset,
+                 pairs: Sequence[tuple[str, str]]):
+        offset = model.vocab_size
+        segments = []
+        for query_id, doc_id in pairs:
+            segments += (dataset.query_tokens(query_id), dataset.doc_tokens(doc_id) + offset)
+        self.params = model.params
+        self.rows = np.concatenate(segments)
+        self.x = x = self.params.take(self.rows, axis=0)
+        self.terms = []  # (start, mid, end, u, v, z) per pair
+        end, last_query, u = 0, None, None
+        for i, (query_id, _) in enumerate(pairs):
+            start = end
+            mid = start + len(segments[2 * i])
+            end = mid + len(segments[2 * i + 1])
+            if query_id != last_query:
+                u, last_query = _mean_rows(x[start:mid]), query_id
+            v = _mean_rows(x[mid:end])
+            self.terms.append((start, mid, end, u, v, float(u @ v)))
+        # softplus, elementwise: the same values as one logaddexp call per pair
+        self.scores = np.logaddexp(0.0, [term[5] for term in self.terms]).tolist()
 
-    def backward(self, upstream: float, buf: GradientBuffer) -> None:
-        """Accumulate upstream * d(score)/d(params) into buf."""
-        if upstream == 0.0:
+    def backward(self, upstream: list[float], buf: GradientBuffer) -> None:
+        """Add each ``upstream[i] * d(score_i)/d(params)`` into ``buf``.
+
+        The rows of the pairs with a nonzero upstream are accumulated with
+        one ``np.add.at`` in pair order, each pair's query rows before its
+        doc rows. With ``buf.lr`` set, the step is then applied to those
+        rows and they are zeroed; otherwise they are appended to ``buf.rows``.
+        """
+        active = [(term, up) for term, up in zip(self.terms, upstream) if up != 0.0]
+        if not active:
             return
-        g = _sigmoid(self.z) * upstream
-        np.add.at(buf.grad_q, self.qt, g * self.v / len(self.qt))
-        np.add.at(buf.grad_d, self.dt, g * self.u / len(self.dt))
-        buf.rows_q.append(self.qt)
-        buf.rows_d.append(self.dt)
+        rows, x = self.rows, self.x
+        if len(active) < len(self.terms):
+            rows = np.concatenate([rows[term[0]:term[2]] for term, _ in active])
+            x = None
+        vectors, scales, counts = [], [], []
+        for (start, mid, end, u, v, z), up in active:
+            g = _sigmoid(z) * up
+            vectors += (v, u)
+            scales += ((g, mid - start), (g, end - mid))
+            counts += (mid - start, end - mid)
+        # (g * vector) / length, the arithmetic of one backward pass per pair
+        grads = np.array(vectors)
+        scales = np.array(scales)
+        grads *= scales[:, :1]
+        grads /= scales[:, 1:]
+        # one index per parameter, row by row: np.add.at is fastest on a flat array
+        index = (rows[:, None] * len(buf.cols) + buf.cols).ravel()
+        grad = buf.grad.reshape(-1)
+        np.add.at(grad, index, grads.repeat(counts, axis=0).ravel())
+        if buf.lr is None:
+            buf.rows.append(rows)
+            return
+        # a row listed twice is gathered before the scatter, so it steps once
+        stepped = (self.params.take(rows, axis=0) if x is None else x).ravel()
+        stepped -= buf.lr * grad[index]
+        self.params.reshape(-1)[index] = stepped
+        grad[index] = 0.0
 
 
 # Docs pooled per gather in doc_vectors; keeps the (rows, tokens, dim)
@@ -195,7 +258,7 @@ def doc_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
 
 def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
     """Relevance score of one pair; always > 0."""
-    return PairForward(model, dataset, query_id, doc_id).score
+    return PairStep(model, dataset, ((query_id, doc_id),)).scores[0]
 
 
 def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
@@ -216,32 +279,21 @@ def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
 
 def backward_score(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str,
                    upstream: float, buf: GradientBuffer) -> None:
-    """Accumulate upstream * d(score)/d(params) into buf."""
-    PairForward(model, dataset, query_id, doc_id).backward(upstream, buf)
-
-
-def apply_gradients(model: ScoreModel, buf: GradientBuffer, lr: float) -> None:
-    """SGD step: subtract lr * grad on the touched rows only."""
-    if buf.rows_q:
-        rows = np.concatenate(buf.rows_q)
-        model.embed_q[rows] -= lr * buf.grad_q[rows]
-    if buf.rows_d:
-        rows = np.concatenate(buf.rows_d)
-        model.embed_d[rows] -= lr * buf.grad_d[rows]
+    """Accumulate upstream * d(score)/d(params) into buf (a step when buf has an lr)."""
+    PairStep(model, dataset, ((query_id, doc_id),)).backward([upstream], buf)
 
 
 def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
                         pos_id: str, neg_id: str, margin: float,
                         buf: GradientBuffer | None) -> float:
-    """max(0, margin - f(q, pos) + f(q, neg)); gradient wrt params if buf given."""
-    pos = PairForward(model, dataset, query_id, pos_id)
-    neg = PairForward(model, dataset, query_id, neg_id, same_query=pos)
-    loss = margin - pos.score + neg.score
+    """max(0, margin - f(q, pos) + f(q, neg)); its gradient goes to buf if given."""
+    step = PairStep(model, dataset, ((query_id, pos_id), (query_id, neg_id)))
+    pos_score, neg_score = step.scores
+    loss = margin - pos_score + neg_score
     if loss <= 0.0:
         return 0.0
     if buf is not None:
-        pos.backward(-1.0, buf)
-        neg.backward(1.0, buf)
+        step.backward([-1.0, 1.0], buf)
     return loss
 
 
@@ -263,7 +315,7 @@ HARD_NEGATIVES_PER_QUERY = 8
 
 def pairwise_epoch(model: ScoreModel, dataset: Dataset, samples: list[Sample],
                    rng: np.random.Generator, lr: float, margin: float,
-                   negatives_per_positive: int, buf: GradientBuffer,
+                   negatives_per_positive: int,
                    touched: list[tuple[str, str]] | None = None) -> float:
     """One SGD epoch of pairwise hinge over the positives in `samples`.
 
@@ -292,6 +344,7 @@ def pairwise_epoch(model: ScoreModel, dataset: Dataset, samples: list[Sample],
         uniform[qid] = negatives
         hard[qid] = [negatives[i] for i in top]
 
+    buf = new_buffer(model, lr)
     order = rng.permutation(len(qids))
     total, steps = 0.0, 0
     for qi in order:
@@ -304,10 +357,8 @@ def pairwise_epoch(model: ScoreModel, dataset: Dataset, samples: list[Sample],
             for draw in range(negatives_per_positive):
                 source = hard_negs if draw % 2 else negatives
                 neg_id = source[int(rng.integers(len(source)))]
-                buf.zero()
                 total += hinge_loss_and_grad(model, dataset, qid, pos_id, neg_id,
                                              margin, buf)
-                apply_gradients(model, buf, lr)
                 steps += 1
     return total / steps if steps else 0.0
 
@@ -324,7 +375,6 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
 
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    buf = new_buffer(model)
     touched: list[tuple[str, str]] = []
     losses: list[float] = []
     mrrs: list[float] = []
@@ -332,7 +382,7 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
     for _ in range(cfg.epochs):
         t0 = time.perf_counter()
         loss = pairwise_epoch(model, dataset, samples, rng, cfg.learning_rate,
-                              cfg.margin, cfg.negatives_per_positive, buf,
+                              cfg.margin, cfg.negatives_per_positive,
                               touched if cfg.log_touched else None)
         times.append(time.perf_counter() - t0)
         losses.append(loss)
@@ -358,15 +408,15 @@ def retrain(split: CorpusSplit, cfg: TrainConfig, part) -> TrainResult:
 
 # ---------------------------------------------------------------------------
 # Serialization: "NUMR" magic, u32 version/vocab/dim header, then the two
-# embedding tables as row-major little-endian float64.
+# embedding tables as row-major little-endian float64: the stacked table.
 
 
 def save_model(model: ScoreModel, path) -> None:
+    """Write the model file; ``path`` is replaced only once it is complete."""
     header = MODEL_MAGIC + struct.pack("<III", MODEL_VERSION, model.vocab_size, model.dim)
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(model.embed_q, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(model.embed_d, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(model.params, dtype="<f8").tobytes())
 
 
 def load_model(path) -> ScoreModel:
@@ -380,12 +430,22 @@ def load_model(path) -> ScoreModel:
     expected = 16 + 2 * vocab_size * dim * 8
     if len(blob) != expected:
         raise DataError(f"{path}: truncated model file ({len(blob)} of {expected} bytes)")
-    table = vocab_size * dim * 8
-    embed_q = np.frombuffer(blob[16:16 + table], dtype="<f8").reshape(vocab_size, dim).copy()
-    embed_d = np.frombuffer(blob[16 + table:], dtype="<f8").reshape(vocab_size, dim).copy()
-    return ScoreModel(embed_q=embed_q, embed_d=embed_d, dim=dim)
+    params = np.frombuffer(blob, dtype="<f8", offset=16).reshape(2 * vocab_size, dim)
+    return ScoreModel(params.astype(np.float64))
+
+
+def check_model_fits(model: ScoreModel, dataset: Dataset, path) -> None:
+    """DataError unless every token of ``dataset`` has a row in each table.
+
+    A query token past the query table would otherwise read a doc row of
+    the stacked table instead of failing.
+    """
+    if model.dim < 1:
+        raise DataError(f"{path}: model has embedding dim {model.dim}")
+    if model.vocab_size < dataset.vocab_size:
+        raise DataError(f"{path}: model vocabulary of {model.vocab_size} tokens is smaller "
+                        f"than the corpus vocabulary of {dataset.vocab_size}")
 
 
 def models_equal(a: ScoreModel, b: ScoreModel) -> bool:
-    return (a.dim == b.dim and np.array_equal(a.embed_q, b.embed_q)
-            and np.array_equal(a.embed_d, b.embed_d))
+    return a.dim == b.dim and np.array_equal(a.params, b.params)

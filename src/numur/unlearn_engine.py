@@ -33,9 +33,8 @@ from .corpus import CorpusSplit, Label, Sample
 from .errors import ConfigError
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (ScoreModel, apply_gradients, clone_model,
-                     hinge_loss_and_grad, init_model, new_buffer, pairwise_epoch,
-                     pool_negatives, snapshot)
+from .ranker import (ScoreModel, clone_model, hinge_loss_and_grad, init_model,
+                     new_buffer, pairwise_epoch, pool_negatives, snapshot)
 from .unlearn_losses import (abs_delta_loss, build_min_cache, consistent_loss,
                              contrastive_loss)
 
@@ -106,9 +105,24 @@ def swap_labels(samples: list[Sample]) -> list[Sample]:
     return [Sample(s.query_id, s.doc_id, flip[s.label]) for s in samples]
 
 
+# The method_params keys each strategy reads; any other key is rejected.
+PARAM_KEYS = {
+    Method.COCOL: {"entangled_term", "phase2"},
+    Method.CF: {"margin", "negatives_per_positive"},
+    Method.AMNESIAC: {"margin", "negatives_per_positive"},
+    Method.NEGGRAD: {"margin", "negatives_per_positive"},
+    Method.SSD: {"alpha", "lambda", "margin", "negatives_per_positive"},
+    Method.BADT: set(),
+}
+
+
 def _require(cfg: UnlearnConfig, method: Method) -> None:
     if cfg.method is not method:
         raise ConfigError(f"config method is {cfg.method.value!r}, expected {method.value!r}")
+    unknown = set(cfg.method_params) - PARAM_KEYS[method]
+    if unknown:
+        raise ConfigError(f"unknown method_params for {method.value}: {sorted(unknown)}; "
+                          f"it reads {sorted(PARAM_KEYS[method])}")
 
 
 def _param(cfg: UnlearnConfig, key: str, default: float) -> float:
@@ -175,7 +189,7 @@ def cocol_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
                           "consistency pass")
 
     student = clone_model(m_train)
-    buf = new_buffer(student)
+    sgd = new_buffer(student, cfg.learning_rate)
     touched: list[tuple[str, str, str]] = []
 
     def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
@@ -185,9 +199,7 @@ def cocol_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
             partner = None
             if options and use_entangled:
                 partner = options[int(rng.integers(len(options)))]
-            buf.zero()
-            contrastive_loss(cache, teacher, model, split.train, x, partner, buf)
-            apply_gradients(model, buf, cfg.learning_rate)
+            contrastive_loss(cache, teacher, model, split.train, x, partner, sgd)
             if cfg.log_touched:
                 touched.append(("phase1", x.query_id, x.doc_id))
         if not use_phase2:
@@ -198,9 +210,7 @@ def cocol_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
                 pos, neg = s, d_neg[int(rng.integers(len(d_neg)))]
             else:
                 pos, neg = d_pos[int(rng.integers(len(d_pos)))], s
-            buf.zero()
-            consistent_loss(teacher, model, split.train, pos, neg, buf)
-            apply_gradients(model, buf, cfg.learning_rate)
+            consistent_loss(teacher, model, split.train, pos, neg, sgd)
             if cfg.log_touched:
                 touched.append(("phase2", s.query_id, s.doc_id))
 
@@ -218,13 +228,12 @@ def cf_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
 
     student = clone_model(m_train)
-    buf = new_buffer(student)
     touched: list[tuple[str, str, str]] = []
 
     def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
         raw: list[tuple[str, str]] | None = [] if cfg.log_touched else None
         pairwise_epoch(model, split.train, retained, rng, cfg.learning_rate,
-                       margin, npp, buf, raw)
+                       margin, npp, raw)
         if raw is not None:
             touched.extend(("retain", q, d) for q, d in raw)
 
@@ -259,7 +268,7 @@ def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
 
     tasks = [("forget", s) for s in forget_pos] + [("retain", s) for s in ent_pos]
     student = clone_model(m_train)
-    buf = new_buffer(student)
+    sgd = new_buffer(student, cfg.learning_rate)
     touched: list[tuple[str, str, str]] = []
 
     def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
@@ -268,17 +277,13 @@ def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
             negs = negatives[s.query_id]
             if tag == "forget":
                 promoted = negs[int(rng.integers(len(negs)))]
-                buf.zero()
                 hinge_loss_and_grad(model, split.train, s.query_id, promoted,
-                                    s.doc_id, margin, buf)
-                apply_gradients(model, buf, cfg.learning_rate)
+                                    s.doc_id, margin, sgd)
             else:
                 for _ in range(npp):
                     neg = negs[int(rng.integers(len(negs)))]
-                    buf.zero()
                     hinge_loss_and_grad(model, split.train, s.query_id, s.doc_id,
-                                        neg, margin, buf)
-                    apply_gradients(model, buf, cfg.learning_rate)
+                                        neg, margin, sgd)
             if cfg.log_touched:
                 touched.append((tag, s.query_id, s.doc_id))
 
@@ -304,7 +309,7 @@ def neggrad_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
                  for s in forget_pos}
 
     student = clone_model(m_train)
-    buf = new_buffer(student)
+    ascent = new_buffer(student, -cfg.learning_rate)
     touched: list[tuple[str, str, str]] = []
 
     def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
@@ -315,10 +320,8 @@ def neggrad_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
                 continue
             for _ in range(npp):
                 neg = negs[int(rng.integers(len(negs)))]
-                buf.zero()
                 hinge_loss_and_grad(model, split.train, s.query_id, s.doc_id, neg,
-                                    margin, buf)
-                apply_gradients(model, buf, -cfg.learning_rate)
+                                    margin, ascent)
             if cfg.log_touched:
                 touched.append(("ascent", s.query_id, s.doc_id))
 
@@ -350,9 +353,9 @@ def ssd_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     student = clone_model(m_train)
     edited = 0
     t0 = time.perf_counter()
-    for table, f_table, s_table in (
-            (student.embed_q, imp_f[0], imp_s[0]),
-            (student.embed_d, imp_f[1], imp_s[1])):
+    # one table at a time, which halves the temporaries
+    for table, f_table, s_table in zip(np.split(student.params, 2), np.split(imp_f, 2),
+                                       np.split(imp_s, 2)):
         # Zero full-set importance gives no evidence for a ratio; leave
         # those parameters alone so a huge lambda is exactly the identity.
         mask = (f_table > alpha * s_table) & (s_table > 0.0)
@@ -370,16 +373,16 @@ def ssd_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
 
 
 def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
-                margin: float, npp: int, rng: np.random.Generator):
-    """Mean squared per-sample gradient of the pairwise loss, per parameter."""
+                margin: float, npp: int, rng: np.random.Generator) -> np.ndarray:
+    """Mean squared per-sample gradient of the pairwise loss, per parameter
+    of the stacked table."""
     train_positives: dict[str, set[str]] = {}
     for s in split.train.samples:
         if s.label is Label.POSITIVE:
             train_positives.setdefault(s.query_id, set()).add(s.doc_id)
 
-    sq_q = np.zeros_like(model.embed_q)
-    sq_d = np.zeros_like(model.embed_d)
-    buf = new_buffer(model)
+    sq = np.zeros_like(model.params)
+    buf = new_buffer(model)  # no learning rate: the draws accumulate
     count = 0
     for s in samples:
         if s.label is not Label.POSITIVE:
@@ -388,23 +391,20 @@ def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
                               train_positives.get(s.query_id, set()))
         if not negs:
             continue
-        buf.zero()
         for _ in range(npp):
             neg = negs[int(rng.integers(len(negs)))]
             hinge_loss_and_grad(model, split.train, s.query_id, s.doc_id, neg,
                                 margin, buf)
-        # a row listed twice is gathered before the scatter, so it adds once
-        if buf.rows_q:
-            rows_q = np.concatenate(buf.rows_q)
-            sq_q[rows_q] += (buf.grad_q[rows_q] / npp) ** 2
-        if buf.rows_d:
-            rows_d = np.concatenate(buf.rows_d)
-            sq_d[rows_d] += (buf.grad_d[rows_d] / npp) ** 2
+        if buf.rows:
+            # a row listed twice is gathered before the scatter, so it adds once
+            rows = np.concatenate(buf.rows)
+            sq[rows] += (buf.grad[rows] / npp) ** 2
+            buf.grad[rows] = 0.0
+            buf.rows.clear()
         count += 1
     if count:
-        sq_q /= count
-        sq_d /= count
-    return sq_q, sq_d
+        sq /= count
+    return sq
 
 
 def badt_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
@@ -418,22 +418,18 @@ def badt_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
 
     student = clone_model(m_train)
-    buf = new_buffer(student)
+    sgd = new_buffer(student, cfg.learning_rate)
     touched: list[tuple[str, str, str]] = []
 
     def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
         for i in rng.permutation(len(part.forget)):
             x = part.forget[int(i)]
-            buf.zero()
-            abs_delta_loss(bad_teacher, model, split.train, x, buf)
-            apply_gradients(model, buf, cfg.learning_rate)
+            abs_delta_loss(bad_teacher, model, split.train, x, sgd)
             if cfg.log_touched:
                 touched.append(("bad", x.query_id, x.doc_id))
         for i in rng.permutation(len(retained)):
             x = retained[int(i)]
-            buf.zero()
-            abs_delta_loss(good_teacher, model, split.train, x, buf)
-            apply_gradients(model, buf, cfg.learning_rate)
+            abs_delta_loss(good_teacher, model, split.train, x, sgd)
             if cfg.log_touched:
                 touched.append(("good", x.query_id, x.doc_id))
 

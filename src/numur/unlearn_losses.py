@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .corpus import Dataset, Label, Sample
 from .errors import ConfigError
-from .ranker import GradientBuffer, PairForward, ScoreModel, TeacherSnapshot, forward
+from .ranker import GradientBuffer, PairStep, ScoreModel, TeacherSnapshot
 
 
 @dataclass(frozen=True)
@@ -45,53 +45,56 @@ class TeacherMinCache:
 def delta(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
           pair: Sample) -> DeltaValue:
     """Bounded discrepancy between teacher and student on one pair."""
-    return _delta(teacher, dataset, pair,
-                  PairForward(student, dataset, pair.query_id, pair.doc_id))
-
-
-def _delta(teacher: TeacherSnapshot, dataset: Dataset, pair: Sample,
-           student_fwd: PairForward) -> DeltaValue:
-    f_m = forward(teacher, dataset, pair.query_id, pair.doc_id)
-    f_w = student_fwd.score
-    return DeltaValue(value=(f_m - f_w) / (f_m + f_w), teacher_score=f_m,
-                      student_score=f_w)
+    f_m = teacher.score(dataset, pair.query_id, pair.doc_id)
+    f_w = PairStep(student, dataset, ((pair.query_id, pair.doc_id),)).scores[0]
+    return DeltaValue(value=(f_m - f_w) / (f_m + f_w), teacher_score=f_m, student_score=f_w)
 
 
 def build_min_cache(teacher: TeacherSnapshot, dataset: Dataset) -> TeacherMinCache:
-    """Minimum teacher score per query over all of the query's samples."""
+    """Minimum teacher score per query over all of the query's samples.
+
+    Scoring every sample also fills the teacher's score table, so the
+    losses look these scores up instead of computing them again.
+    """
     mins: dict[str, float] = {}
     for s in dataset.samples:
-        score = forward(teacher, dataset, s.query_id, s.doc_id)
+        score = teacher.score(dataset, s.query_id, s.doc_id)
         if s.query_id not in mins or score < mins[s.query_id]:
             mins[s.query_id] = score
     return TeacherMinCache(min_scores=mins)
 
 
 def delta_min(cache: TeacherMinCache, student: ScoreModel, dataset: Dataset,
-              forget_pair: Sample, student_fwd: PairForward | None = None) -> float:
+              forget_pair: Sample, student_score: float | None = None) -> float:
     """(student - floor) / (student + floor): positive while the score sits above it.
 
-    ``student_fwd`` is the student's forward pass on ``forget_pair`` when
-    the caller already has it.
+    ``student_score`` is the student's score of ``forget_pair`` when the
+    caller already has it.
     """
     floor = cache.score_floor(forget_pair.query_id)
-    if student_fwd is None:
-        student_fwd = PairForward(student, dataset, forget_pair.query_id, forget_pair.doc_id)
-    f_w = student_fwd.score
-    return (f_w - floor) / (f_w + floor)
+    if student_score is None:
+        student_score = PairStep(student, dataset,
+                                 ((forget_pair.query_id, forget_pair.doc_id),)).scores[0]
+    return (student_score - floor) / (student_score + floor)
 
 
-def _abs_delta_with_grad(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
-                         pair: Sample, buf: GradientBuffer | None) -> float:
-    """|delta(pair)| and its gradient wrt the student."""
-    fwd = PairForward(student, dataset, pair.query_id, pair.doc_id)
-    d = _delta(teacher, dataset, pair, fwd)
-    if buf is not None and d.value != 0.0:
-        total = d.teacher_score + d.student_score
-        d_delta_d_fw = -2.0 * d.teacher_score / (total * total)
-        sign = 1.0 if d.value > 0.0 else -1.0
-        fwd.backward(sign * d_delta_d_fw, buf)
-    return abs(d.value)
+def _abs_delta_terms(teacher: TeacherSnapshot, dataset: Dataset, pairs,
+                     scores: list[float]) -> tuple[float, list[float]]:
+    """Sum of |delta| over ``pairs``, whose student scores are ``scores``, and
+    the derivative of each term by its student score (0 at the kink)."""
+    total, upstream = 0.0, []
+    for pair, f_w in zip(pairs, scores):
+        f_m = teacher.score(dataset, pair.query_id, pair.doc_id)
+        denom = f_m + f_w
+        d = (f_m - f_w) / denom
+        total += abs(d)
+        upstream.append(0.0 if d == 0.0 else
+                        (1.0 if d > 0.0 else -1.0) * (-2.0 * f_m / (denom * denom)))
+    return total, upstream
+
+
+def _pair_keys(samples) -> tuple[tuple[str, str], ...]:
+    return tuple((s.query_id, s.doc_id) for s in samples)
 
 
 def contrastive_loss(cache: TeacherMinCache, teacher: TeacherSnapshot,
@@ -108,16 +111,21 @@ def contrastive_loss(cache: TeacherMinCache, teacher: TeacherSnapshot,
             f"partner ({partner.query_id!r}, {partner.doc_id!r}) shares no id with "
             f"the forget pair ({forget_pair.query_id!r}, {forget_pair.doc_id!r})")
 
-    fwd = PairForward(student, dataset, forget_pair.query_id, forget_pair.doc_id)
-    adjusted = delta_min(cache, student, dataset, forget_pair, fwd)
+    partners = [] if partner is None else [partner]
+    step = PairStep(student, dataset, _pair_keys([forget_pair, *partners]))
+    f_w = step.scores[0]
+    adjusted = delta_min(cache, student, dataset, forget_pair, f_w)
     value = max(0.0, adjusted)
-    if buf is not None and adjusted > 0.0:
+    upstream = [0.0]
+    if adjusted > 0.0:
         floor = cache.score_floor(forget_pair.query_id)
-        denom = fwd.score + floor
-        fwd.backward(2.0 * floor / (denom * denom), buf)
-    if partner is not None:
-        value += _abs_delta_with_grad(teacher, student, dataset, partner, buf)
-    return value
+        denom = f_w + floor
+        upstream[0] = 2.0 * floor / (denom * denom)
+    partner_value, partner_upstream = _abs_delta_terms(teacher, dataset, partners,
+                                                       step.scores[1:])
+    if buf is not None:
+        step.backward(upstream + partner_upstream, buf)
+    return value + partner_value
 
 
 def consistent_loss(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
@@ -130,11 +138,19 @@ def consistent_loss(teacher: TeacherSnapshot, student: ScoreModel, dataset: Data
     if neg_pair.label is not Label.NEGATIVE:
         raise ConfigError(
             f"neg_pair ({neg_pair.query_id!r}, {neg_pair.doc_id!r}) is not negative")
-    return (_abs_delta_with_grad(teacher, student, dataset, pos_pair, buf)
-            + _abs_delta_with_grad(teacher, student, dataset, neg_pair, buf))
+    return _abs_delta_loss(teacher, student, dataset, (pos_pair, neg_pair), buf)
 
 
 def abs_delta_loss(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
                    pair: Sample, buf: GradientBuffer | None = None) -> float:
     """|delta(pair)| with gradients; the single-pair distillation building block."""
-    return _abs_delta_with_grad(teacher, student, dataset, pair, buf)
+    return _abs_delta_loss(teacher, student, dataset, (pair,), buf)
+
+
+def _abs_delta_loss(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
+                    pairs: tuple[Sample, ...], buf: GradientBuffer | None) -> float:
+    step = PairStep(student, dataset, _pair_keys(pairs))
+    value, upstream = _abs_delta_terms(teacher, dataset, pairs, step.scores)
+    if buf is not None:
+        step.backward(upstream, buf)
+    return value

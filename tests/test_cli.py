@@ -2,9 +2,12 @@ import json
 import shutil
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
-from numur.cli import main
+from numur import ScoreModel, init_model, load_model, save_model
+from numur.cli import _write_csv, _write_json, main
+from numur.corpus import atomic_write
 
 SMALL_CONFIG = {
     "corpus": {"n_queries": 12, "n_docs": 48, "vocab_size": 128,
@@ -200,6 +203,25 @@ class TestErrors:
         assert "ERROR:config:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, code", [({"margin": 2.0, "phase2": False}, 0),
+                                           ({"entangeld_term": False}, 1)])
+def test_method_params_with_all_methods(workdir, tmp_path, capsys, params, code):
+    runs = tmp_path / "runs"
+    shutil.copytree(workdir / "runs", runs)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "unlearn": {
+        **SMALL_CONFIG["unlearn"], "method_params": params}}), encoding="utf-8")
+    assert main(["--config", str(config), "--out", str(runs), "unlearn", "--spec",
+                 "spec_document_25", "--method", "all", "--delta", "1.0"]) == code
+    if code:
+        assert "ERROR:config:" in capsys.readouterr().err
+        return
+    for method, keys in (("cocol", {"phase2"}), ("cf", {"margin"}), ("badt", set())):
+        run_config = json.loads((runs / "unlearn" / f"{method}_spec_document_25_delta1"
+                                 / "run_config.json").read_text())
+        assert set(run_config["method_params"]) == keys
+
+
 class TestMalformedArtifacts:
     """A damaged run artifact ends in ERROR:data and exit 1, never a traceback."""
 
@@ -258,6 +280,17 @@ class TestMalformedArtifacts:
         assert "stats.json" in self.fails_with_data_error(
             capsys, runs, "partition", "--spec", "spec_document_25")
 
+    @pytest.mark.parametrize("vocab, dim, words", [(4, 8, "smaller than the corpus"),
+                                                   (128, 0, "embedding dim 0")])
+    def test_model_that_does_not_fit_the_corpus(self, runs, capsys, vocab, dim, words):
+        small = runs / "small.bin"
+        save_model(init_model(vocab, dim, seed=0), small)
+        err = self.fails_with_data_error(capsys, runs, "eval", "--spec", "spec_document_25",
+                                         "--model", str(small))
+        assert words in err
+        small.replace(runs / "train" / "model.bin")
+        assert words in self.unlearn(capsys, runs)
+
     def test_non_integer_vocab_in_corpus_stats(self, runs, capsys):
         (runs / "corpus" / "stats.json").write_text('{"vocab_size": "large"}')
         assert "vocab_size" in self.fails_with_data_error(
@@ -273,3 +306,41 @@ def test_docs_file_is_read_once_per_command(workdir, monkeypatch):
                         lambda path: reads.append(path.name) or read_items(path))
     assert main(["--out", str(workdir / "runs"), "partition", "--spec", "spec_document_25"]) == 0
     assert sorted(reads) == ["docs.jsonl", "test_queries.jsonl", "train_queries.jsonl"]
+
+
+class _Unprintable:
+    def __str__(self):
+        raise ValueError("cell cannot be written")
+
+
+@pytest.mark.parametrize("write", [
+    # the header is written before the table fails to convert to float64
+    lambda path: save_model(ScoreModel(np.array([[1.0], [object()]], dtype=object)), path),
+    lambda path: _write_json(path, {"a": 1, "b": object()}),
+    lambda path: _write_csv(path, ["a"], [[1], [_Unprintable()]]),
+], ids=["save_model", "_write_json", "_write_csv"])
+def test_failed_write_keeps_the_previous_file(tmp_path, write):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous")
+    with pytest.raises((TypeError, ValueError)):
+        write(path)
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_atomic_write_replaces_only_when_complete(tmp_path):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"previous")
+    with pytest.raises(OSError):
+        with atomic_write(path) as fh:
+            fh.write(b"partial")
+            raise OSError("disk full")
+    assert path.read_bytes() == b"previous"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    with atomic_write(path) as fh:
+        fh.write(b"new")
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    model = init_model(6, 3, seed=1)
+    save_model(model, path)
+    assert np.array_equal(load_model(path).params, model.params)

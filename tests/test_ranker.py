@@ -110,7 +110,7 @@ class TestBackwardScore:
         m = random_model(rng, ds.vocab_size)
         buf = new_buffer(m)
         backward_score(m, ds, "q0", "d0", 0.0, buf)
-        assert not buf.rows_q and not buf.rows_d
+        assert not buf.rows
         assert np.all(buf.grad_q == 0) and np.all(buf.grad_d == 0)
 
     def test_matches_finite_differences(self):
@@ -153,7 +153,7 @@ class TestHinge:
         buf = new_buffer(m)
         loss = hinge_loss_and_grad(m, ds, "q0", "d0", "d1", 1.0, buf)
         assert loss == 0.0
-        assert not buf.rows_q
+        assert not buf.rows
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(6)

@@ -13,10 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
-                   RemovalKind, Sample, build_min_cache, contrastive_loss,
-                   init_model, mrr_forget, mrr_set, new_buffer, partition, rank,
-                   score_pool, snapshot)
-from numur.ranker import doc_vectors, hinge_loss_and_grad
+                   RemovalKind, Sample, abs_delta_loss, build_min_cache,
+                   consistent_loss, contrastive_loss, forward, init_model, mrr_forget,
+                   mrr_set, new_buffer, partition, rank, score_distribution, score_pool,
+                   snapshot)
+from numur.ranker import doc_vectors, hinge_loss_and_grad, pairwise_epoch
 
 VOCAB = 10
 
@@ -95,6 +96,16 @@ def test_score_pool_is_bitwise_the_per_doc_loop(ds, model):
 
 
 @settings(max_examples=150, deadline=None)
+@given(datasets(), models)
+def test_score_distribution_is_bitwise_the_per_pair_forward(ds, model):
+    assume(ds.samples)
+    dist, = score_distribution([("m", model)], ds, [("all", ds.samples)])
+    scores = np.array([forward(model, ds, s.query_id, s.doc_id) for s in ds.samples])
+    assert (dist.min, dist.max, dist.mean) == (scores.min(), scores.max(), scores.mean())
+    assert dist.deciles == tuple(np.percentile(scores, np.arange(10, 100, 10)))
+
+
+@settings(max_examples=150, deadline=None)
 @given(datasets(), models, st.booleans())
 def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
     if flat:  # every score ties; the order is decided by doc id alone
@@ -157,83 +168,212 @@ def _sigmoid(z):
     return float(e / (1.0 + e))
 
 
-def ref_pooled(model, ds, qid, did):
-    qt, dt = ds.query_tokens(qid), ds.doc_tokens(did)
-    return qt, dt, model.embed_q[qt].mean(axis=0), model.embed_d[dt].mean(axis=0)
+class Ref:
+    """The per-pair arithmetic of separate query and doc tables.
+
+    Each pair is pooled on its own with ``mean``; its backward pass is one
+    ``np.add.at`` per table; a step subtracts ``lr`` times the gradient on
+    the touched rows of each table and zeroes them. The stacked table's
+    one-gather, one-scatter step must match it bit for bit.
+    """
+
+    def __init__(self, model):
+        self.embed_q, self.embed_d = model.embed_q.copy(), model.embed_d.copy()
+        self.grad_q, self.grad_d = np.zeros_like(self.embed_q), np.zeros_like(self.embed_d)
+        self.rows_q, self.rows_d = [], []
+
+    def pooled(self, ds, qid, did):
+        qt, dt = ds.query_tokens(qid), ds.doc_tokens(did)
+        return qt, dt, self.embed_q[qt].mean(axis=0), self.embed_d[dt].mean(axis=0)
+
+    def forward(self, ds, qid, did):
+        _, _, u, v = self.pooled(ds, qid, did)
+        return float(np.logaddexp(0.0, float(u @ v)))
+
+    def backward(self, ds, qid, did, upstream):
+        if upstream == 0.0:
+            return
+        qt, dt, u, v = self.pooled(ds, qid, did)
+        g = _sigmoid(float(u @ v)) * upstream
+        np.add.at(self.grad_q, qt, g * v / len(qt))
+        np.add.at(self.grad_d, dt, g * u / len(dt))
+        self.rows_q.append(qt)
+        self.rows_d.append(dt)
+
+    def apply(self, lr):
+        for table, grad, rows in ((self.embed_q, self.grad_q, self.rows_q),
+                                  (self.embed_d, self.grad_d, self.rows_d)):
+            if rows:
+                touched = np.concatenate(rows)
+                table[touched] -= lr * grad[touched]
+                grad[touched] = 0.0
+                rows.clear()
 
 
-def ref_forward(model, ds, qid, did):
-    _, _, u, v = ref_pooled(model, ds, qid, did)
-    return float(np.logaddexp(0.0, float(u @ v)))
-
-
-def ref_backward(model, ds, qid, did, upstream, buf):
-    if upstream == 0.0:
-        return
-    qt, dt, u, v = ref_pooled(model, ds, qid, did)
-    g = _sigmoid(float(u @ v)) * upstream
-    np.add.at(buf.grad_q, qt, g * v / len(qt))
-    np.add.at(buf.grad_d, dt, g * u / len(dt))
-    buf.rows_q.append(qt)
-    buf.rows_d.append(dt)
-
-
-def ref_hinge(model, ds, qid, pos, neg, margin, buf):
-    loss = margin - ref_forward(model, ds, qid, pos) + ref_forward(model, ds, qid, neg)
+def ref_hinge(ref, ds, qid, pos, neg, margin):
+    loss = margin - ref.forward(ds, qid, pos) + ref.forward(ds, qid, neg)
     if loss <= 0.0:
         return 0.0
-    ref_backward(model, ds, qid, pos, -1.0, buf)
-    ref_backward(model, ds, qid, neg, 1.0, buf)
+    ref.backward(ds, qid, pos, -1.0)
+    ref.backward(ds, qid, neg, 1.0)
     return loss
 
 
-def ref_contrastive(cache, teacher, student, ds, x, partner, buf):
+def ref_abs_delta(ref, teacher, ds, pair):
+    f_m = Ref(teacher).forward(ds, pair.query_id, pair.doc_id)
+    f_w = ref.forward(ds, pair.query_id, pair.doc_id)
+    d = (f_m - f_w) / (f_m + f_w)
+    if d != 0.0:
+        total = f_m + f_w
+        sign = 1.0 if d > 0.0 else -1.0
+        ref.backward(ds, pair.query_id, pair.doc_id, sign * (-2.0 * f_m / (total * total)))
+    return abs(d)
+
+
+def ref_contrastive(ref, cache, teacher, ds, x, partner):
     floor = cache.score_floor(x.query_id)
-    f_w = ref_forward(student, ds, x.query_id, x.doc_id)
+    f_w = ref.forward(ds, x.query_id, x.doc_id)
     adjusted = (f_w - floor) / (f_w + floor)
     value = max(0.0, adjusted)
     if adjusted > 0.0:
         denom = f_w + floor
-        ref_backward(student, ds, x.query_id, x.doc_id, 2.0 * floor / (denom * denom), buf)
+        ref.backward(ds, x.query_id, x.doc_id, 2.0 * floor / (denom * denom))
     if partner is not None:
-        f_m = ref_forward(teacher, ds, partner.query_id, partner.doc_id)
-        f_p = ref_forward(student, ds, partner.query_id, partner.doc_id)
-        d = (f_m - f_p) / (f_m + f_p)
-        if d != 0.0:
-            total = f_m + f_p
-            sign = 1.0 if d > 0.0 else -1.0
-            ref_backward(student, ds, partner.query_id, partner.doc_id,
-                         sign * (-2.0 * f_m / (total * total)), buf)
-        value += abs(d)
+        value += ref_abs_delta(ref, teacher, ds, partner)
     return value
 
 
-def assert_same_buffers(a, b):
-    assert np.array_equal(a.grad_q, b.grad_q) and np.array_equal(a.grad_d, b.grad_d)
-    assert [r.tolist() for r in a.rows_q] == [r.tolist() for r in b.rows_q]
-    assert [r.tolist() for r in a.rows_d] == [r.tolist() for r in b.rows_d]
+def ref_consistent(ref, teacher, ds, pos, neg):
+    return ref_abs_delta(ref, teacher, ds, pos) + ref_abs_delta(ref, teacher, ds, neg)
+
+
+def ref_pairwise_epoch(ref, ds, samples, rng, lr, margin, npp):
+    """pairwise_epoch with sorting for the hard negatives and Ref for each step."""
+    positives = {}
+    for s in samples:
+        if s.label is Label.POSITIVE:
+            positives.setdefault(s.query_id, []).append(s.doc_id)
+    qids = sorted(positives)
+    uniform, hard = {}, {}
+    for qid in qids:
+        uniform[qid] = [d for d in ds.pools[qid] if d not in positives[qid]]
+        scores = dict(zip(ds.pools[qid], ref_score_pool(ref, ds, qid)))
+        hard[qid] = sorted(uniform[qid], key=lambda d: (-scores[d], d))[:8]
+    total, steps = 0.0, 0
+    for qi in rng.permutation(len(qids)):
+        qid = qids[int(qi)]
+        for pos in positives[qid]:
+            for draw in range(npp):
+                source = hard[qid] if draw % 2 else uniform[qid]
+                neg = source[int(rng.integers(len(source)))]
+                total += ref_hinge(ref, ds, qid, pos, neg, margin)
+                ref.apply(lr)
+                steps += 1
+    return total / steps if steps else 0.0
+
+
+def assert_same_gradients(buf, ref):
+    assert np.array_equal(buf.grad_q, ref.grad_q) and np.array_equal(buf.grad_d, ref.grad_d)
+    rows = np.concatenate(buf.rows) if buf.rows else np.zeros(0, dtype=int)
+    vocab = len(buf.grad_q)
+    want_q = np.concatenate(ref.rows_q) if ref.rows_q else []
+    want_d = np.concatenate(ref.rows_d) if ref.rows_d else []
+    assert rows[rows < vocab].tolist() == list(want_q)
+    assert (rows[rows >= vocab] - vocab).tolist() == list(want_d)
+
+
+def assert_same_params(model, ref):
+    assert np.array_equal(model.embed_q, ref.embed_q)
+    assert np.array_equal(model.embed_d, ref.embed_d)
+
+
+def draw_contrastive_case(data, ds):
+    x = data.draw(st.sampled_from(ds.samples))
+    partner = data.draw(st.sampled_from(
+        [None] + [s for s in ds.samples
+                  if s != x and (s.query_id == x.query_id or s.doc_id == x.doc_id)]))
+    return x, partner
 
 
 @settings(max_examples=150, deadline=None)
 @given(datasets(), models, st.integers(0, 2**31 - 1), st.floats(0.0, 2.0), st.data())
 def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
                                                       margin, data):
+    # Without a learning rate the buffer accumulates: the gradients and the
+    # touched rows must be those of one backward pass per pair.
     qid = data.draw(st.sampled_from(sorted(ds.pools)))
     pos = data.draw(st.sampled_from(ds.pools[qid]))
     neg = data.draw(st.sampled_from(ds.pools[qid]))
-    fused, ref = new_buffer(student), new_buffer(student)
+    fused, ref = new_buffer(student), Ref(student)
     assert (hinge_loss_and_grad(student, ds, qid, pos, neg, margin, fused)
-            == ref_hinge(student, ds, qid, pos, neg, margin, ref))
-    assert_same_buffers(fused, ref)
+            == ref_hinge(ref, ds, qid, pos, neg, margin))
+    assert_same_gradients(fused, ref)
 
     assume(ds.samples)
     teacher = snapshot(init_model(VOCAB, student.dim, teacher_seed))
     cache = build_min_cache(teacher, ds)
-    x = data.draw(st.sampled_from(ds.samples))
-    partner = data.draw(st.sampled_from(
-        [None] + [s for s in ds.samples
-                  if s != x and (s.query_id == x.query_id or s.doc_id == x.doc_id)]))
-    fused, ref = new_buffer(student), new_buffer(student)
+    x, partner = draw_contrastive_case(data, ds)
+    fused, ref = new_buffer(student), Ref(student)
     assert (contrastive_loss(cache, teacher, student, ds, x, partner, fused)
-            == ref_contrastive(cache, teacher, student, ds, x, partner, ref))
-    assert_same_buffers(fused, ref)
+            == ref_contrastive(ref, cache, teacher, ds, x, partner))
+    assert_same_gradients(fused, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), models, st.integers(0, 2**31 - 1), st.floats(0.0, 2.0),
+       st.floats(0.01, 5.0), st.data())
+def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, margin, lr,
+                                                 data):
+    # One step of each loss with a learning rate: the parameters must equal
+    # the per-table reference bit for bit, and the buffer is zero again.
+    sgd, ref = new_buffer(student, lr), Ref(student)
+    qid = data.draw(st.sampled_from(sorted(ds.pools)))
+    pos = data.draw(st.sampled_from(ds.pools[qid]))
+    neg = data.draw(st.sampled_from(ds.pools[qid]))
+    assert (hinge_loss_and_grad(student, ds, qid, pos, neg, margin, sgd)
+            == ref_hinge(ref, ds, qid, pos, neg, margin))
+    ref.apply(lr)
+    assert_same_params(student, ref)
+
+    assume(ds.samples)
+    teacher = snapshot(init_model(VOCAB, student.dim, teacher_seed))
+    cache = build_min_cache(teacher, ds)
+    x, partner = draw_contrastive_case(data, ds)
+    assert (contrastive_loss(cache, teacher, student, ds, x, partner, sgd)
+            == ref_contrastive(ref, cache, teacher, ds, x, partner))
+    ref.apply(lr)
+    assert_same_params(student, ref)
+
+    pair = data.draw(st.sampled_from(ds.samples))
+    assert (abs_delta_loss(teacher, student, ds, pair, sgd)
+            == ref_abs_delta(ref, teacher, ds, pair))
+    ref.apply(lr)
+    assert_same_params(student, ref)
+
+    pos_pairs = [s for s in ds.samples if s.label is Label.POSITIVE]
+    neg_pairs = [s for s in ds.samples if s.label is Label.NEGATIVE]
+    if pos_pairs and neg_pairs:
+        p, n = data.draw(st.sampled_from(pos_pairs)), data.draw(st.sampled_from(neg_pairs))
+        assert (consistent_loss(teacher, student, ds, p, n, sgd)
+                == ref_consistent(ref, teacher, ds, p, n))
+        ref.apply(lr)
+        assert_same_params(student, ref)
+    assert not sgd.grad.any() and not sgd.rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(datasets(), models, st.integers(0, 2**31 - 1), st.floats(0.01, 2.0),
+       st.floats(0.1, 2.0), st.integers(1, 4))
+def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, npp):
+    positives = {}
+    for s in ds.samples:
+        if s.label is Label.POSITIVE:
+            positives.setdefault(s.query_id, set()).add(s.doc_id)
+    assume(positives)
+    assume(all(set(ds.pools[q]) - p for q, p in positives.items()))
+    ref = Ref(model)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert (pairwise_epoch(model, ds, ds.samples, rng, lr, margin, npp)
+                == ref_pairwise_epoch(ref, ds, ds.samples, ref_rng, lr, margin, npp))
+        assert_same_params(model, ref)

@@ -288,3 +288,10 @@ class TestDestinations:
     def test_arithmetic_on_reference_magnitude(self):
         # a retrained test MRR around 0.46 halves to 0.23
         assert 0.46 / 2 == pytest.approx(0.23)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_unknown_method_param_rejected(method):
+    split, part, model = small_unlearn_world()
+    with pytest.raises(ConfigError, match="entangeld_term"):
+        unlearn(model, split, part, ucfg(method, method_params={"entangeld_term": False}))

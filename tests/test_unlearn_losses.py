@@ -135,7 +135,7 @@ class TestContrastiveLoss:
         value = contrastive_loss(cache, teacher, student, ds, ds.samples[0],
                                  ds.samples[1], buf)
         assert value == pytest.approx(0.0)
-        assert not buf.rows_q and not buf.rows_d
+        assert not buf.rows
 
     def test_forget_term_formula(self):
         # teacher floor 2, student score 5: relu((5-2)/(5+2)) = 3/7
@@ -252,4 +252,4 @@ class TestAbsDelta:
         m = init_model(4, 2, seed=5)
         buf = new_buffer(m)
         assert abs_delta_loss(snapshot(m), m, ds, ds.samples[0], buf) == 0.0
-        assert not buf.rows_q
+        assert not buf.rows
