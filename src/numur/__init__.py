@@ -10,7 +10,7 @@ rank-targeted stopping rule, and ranking metrics with reports.
 from .corpus import (CorpusSplit, Dataset, Document, Label, Query, Sample,
                      StatsRecord, SyntheticConfig, dataset_stats,
                      generate_synthetic, load_dataset, save_dataset)
-from .errors import ConfigError, DataError, NumurError
+from .errors import ConfigError, DataError, DivergedError, NumurError
 from .evaluation import (MetricsReport, MrrResult, RankedList, ScoreDistribution,
                          mrr_forget, mrr_set, normalized_forget,
                          normalized_forget_score, rank, score_distribution,

@@ -91,10 +91,19 @@ class Dataset:
     vocab_size: int
     _qtok: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _dtok: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    _docs_indexed_by: "Dataset | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._qtok = {q.id: np.asarray(q.tokens, dtype=np.int64) for q in self.queries.values()}
         self._dtok = {d.id: d.token_array for d in self.documents.values()}
+        self._docs_indexed_by = None
+
+    def share_doc_index(self, other: "Dataset") -> None:
+        """Take the doc half of ``index`` (doc rows, length groups, id order)
+        from ``other``, which holds this dataset's documents dict."""
+        if other.documents is not self.documents:
+            raise ValueError("share_doc_index needs datasets holding one documents dict")
+        self._docs_indexed_by = other
 
     def query_tokens(self, query_id: str) -> np.ndarray:
         try:
@@ -119,7 +128,8 @@ class Dataset:
         Datasets are immutable by convention and ``dataclasses.replace``
         builds a new instance, so the index never goes stale.
         """
-        return DatasetIndex.build(self)
+        source = self._docs_indexed_by
+        return DatasetIndex.build(self, None if source is None else source.index)
 
     def validate(self) -> None:
         """Check every structural invariant; raise DataError on the first violation."""
@@ -153,36 +163,57 @@ class Dataset:
                     raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
 
 
+def _length_groups(tokens: list[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per token count: the rows with that many tokens, and their tokens as one
+    token-major (count, rows) array."""
+    by_len: dict[int, list[int]] = {}
+    for i, toks in enumerate(tokens):
+        by_len.setdefault(len(toks), []).append(i)
+    return tuple((np.asarray(rows, dtype=np.intp), np.stack([tokens[r] for r in rows], axis=1))
+                 for _, rows in sorted(by_len.items()))
+
+
 @dataclass(frozen=True)
 class DatasetIndex:
-    """Documents as rows of a matrix, and pools as arrays of those rows.
+    """Documents and queries as rows of matrices, and pools as arrays of doc rows.
 
-    Rows follow the order of ``Dataset.documents``. ``groups`` holds, per
-    token count, the rows of the docs with that many tokens and their
-    tokens as one (docs, count) array, so doc vectors pool a whole group
-    at a time. ``id_order`` is each row's position among the sorted doc
-    ids: comparing it compares ids, which breaks score ties.
+    Doc rows follow the order of ``Dataset.documents`` and query rows the
+    order of ``Dataset.queries``. ``groups`` (docs) and ``query_groups``
+    hold, per token count, the rows with that many tokens and their
+    tokens as one (count, rows) array, so vectors are pooled a whole group
+    at a time. ``id_order`` is each doc row's position among the sorted
+    doc ids: comparing it compares ids, which breaks score ties.
+
+    ``pool_matrix`` holds each query's pool as one row of doc rows, padded
+    past ``pool_len`` with ``len(doc_row)``, a row no doc has; ``pool_ids``
+    is the ``id_order`` of those entries, padded with the same value, so a
+    padding entry sorts after every doc.
     """
 
     doc_row: dict[str, int]
     groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     id_order: np.ndarray
+    query_row: dict[str, int]
+    query_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
     pool_rows: dict[str, np.ndarray]
+    pool_matrix: np.ndarray
+    pool_ids: np.ndarray
+    pool_len: np.ndarray
     positives: dict[str, tuple[str, ...]]
 
     @classmethod
-    def build(cls, dataset: "Dataset") -> "DatasetIndex":
-        tokens = list(dataset._dtok.values())
-        doc_row = {did: i for i, did in enumerate(dataset._dtok)}
-        by_len: dict[int, list[int]] = {}
-        for i, toks in enumerate(tokens):
-            by_len.setdefault(len(toks), []).append(i)
-        groups = tuple((np.asarray(rows, dtype=np.intp),
-                        np.stack([tokens[r] for r in rows]))
-                       for _, rows in sorted(by_len.items()))
-        id_order = np.empty(len(doc_row), dtype=np.intp)
-        for pos, did in enumerate(sorted(doc_row)):
-            id_order[doc_row[did]] = pos
+    def build(cls, dataset: "Dataset", docs: "DatasetIndex | None" = None) -> "DatasetIndex":
+        """The index of ``dataset``; the doc half is taken from ``docs`` when given,
+        which must index the same documents dict."""
+        if docs is None:
+            doc_row = {did: i for i, did in enumerate(dataset._dtok)}
+            groups = _length_groups(list(dataset._dtok.values()))
+            id_order = np.empty(len(doc_row), dtype=np.intp)
+            for pos, did in enumerate(sorted(doc_row)):
+                id_order[doc_row[did]] = pos
+        else:
+            doc_row, groups, id_order = docs.doc_row, docs.groups, docs.id_order
+        query_row = {qid: i for i, qid in enumerate(dataset._qtok)}
         pool_rows: dict[str, np.ndarray] = {}
         for qid, pool in dataset.pools.items():
             try:
@@ -190,11 +221,25 @@ class DatasetIndex:
             except KeyError as exc:
                 raise DataError(f"pool of query {qid!r} references unknown doc id "
                                 f"{exc.args[0]!r}") from None
+            if qid not in query_row:
+                raise DataError(f"pool references unknown query id {qid!r}")
+        pad = len(doc_row)
+        pool_len = np.zeros(len(query_row), dtype=np.intp)
+        for qid, rows in pool_rows.items():
+            pool_len[query_row[qid]] = len(rows)
+        pool_matrix = np.full((len(query_row), int(pool_len.max(initial=0))), pad,
+                              dtype=np.intp)
+        for qid, rows in pool_rows.items():
+            pool_matrix[query_row[qid], :len(rows)] = rows
         positives: dict[str, list[str]] = {}
         for s in dataset.samples:
             if s.label is Label.POSITIVE:
                 positives.setdefault(s.query_id, []).append(s.doc_id)
-        return cls(doc_row=doc_row, groups=groups, id_order=id_order, pool_rows=pool_rows,
+        return cls(doc_row=doc_row, groups=groups, id_order=id_order,
+                   query_row=query_row,
+                   query_groups=_length_groups(list(dataset._qtok.values())),
+                   pool_rows=pool_rows, pool_matrix=pool_matrix,
+                   pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
                    positives={q: tuple(dids) for q, dids in positives.items()})
 
 

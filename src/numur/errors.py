@@ -21,3 +21,9 @@ class ConfigError(NumurError):
     """Invalid or infeasible configuration, spec, or call arguments."""
 
     code = "config"
+
+
+class DivergedError(NumurError):
+    """Training or unlearning left a parameter that is NaN or infinite."""
+
+    code = "diverged"

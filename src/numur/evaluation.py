@@ -7,9 +7,14 @@ under document removal it is the first document named for removal,
 whatever its label. Queries whose target never appears in their pool
 are excluded from the mean and counted separately.
 
-An MRR pass pools every doc once (``doc_vectors``) and finds each
-target's position by counting the pool entries placed before it, which
-gives the same rank as sorting the pool.
+An MRR call ranks all of its queries in one batched pass. It pools
+every doc and every query once, scores every pool with one matrix
+product per pool length (``score_pools``), and then finds each query's
+best-placed target with whole-matrix operations: the target with the
+highest score, ties to the smaller doc id, NaN after every number. Its
+rank is 1 plus the number of pool entries placed before it, which is
+the rank sorting the pool gives. The reciprocal ranks are summed in
+query-id order, so the mean is the same float as a per-query loop's.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from .corpus import Dataset, Label, Sample
 from .errors import ConfigError, DataError
 from .partition import ForgetSpec, Partition, RemovalKind
-from .ranker import ScoreModel, doc_vectors, score_pool
+from .ranker import ScoreModel, sample_scores, score_pool, score_pools
 
 MRR_EMPTY = 0.0
 
@@ -85,37 +90,41 @@ def rank(model: ScoreModel, dataset: Dataset, query_id: str) -> RankedList:
     return RankedList(query_id=query_id, doc_ids=tuple(pool[i] for i in order))
 
 
-def _first_rank(scores: np.ndarray, ids: np.ndarray, hit: np.ndarray) -> int:
-    """1-based rank of the best-placed hit, by descending score then ascending id.
-
-    A hit's rank is one plus the number of entries with a higher score
-    or an equal score and a smaller id; the first rank is the smallest.
-    A NaN score ranks after every number, as in ``rank``'s sort; -inf
-    does the same here because softplus scores are never below 0.
-    """
-    scores = np.where(np.isnan(scores), -np.inf, scores)
-    s, i = scores[hit][:, None], ids[hit][:, None]
-    ahead = (scores > s) | ((scores == s) & (ids < i))
-    return 1 + int(ahead.sum(axis=1).min())
-
-
 def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
                      dataset: Dataset) -> MrrResult:
     index = dataset.index
-    dvec = doc_vectors(model, dataset)
-    reciprocals: list[float] = []
-    skipped = 0
-    for qid in sorted(per_query_targets):
-        rows = _pool_rows(dataset, qid)
-        targets = [index.doc_row.get(did, -1) for did in per_query_targets[qid]]
-        hit = (rows[:, None] == np.asarray(targets, dtype=np.intp)).any(axis=1)
-        if not hit.any():
-            skipped += 1
-            continue
-        scores = score_pool(model, dataset, qid, dvec)
-        reciprocals.append(1.0 / _first_rank(scores, index.id_order[rows], hit))
-    if not reciprocals:
+    qids = sorted(per_query_targets)
+    query_rows = np.array([index.query_row.get(qid, -1) for qid in qids], dtype=np.intp)
+    bad = (query_rows < 0) | (index.pool_len[query_rows] == 0)
+    if bad.any():
+        _pool_rows(dataset, qids[int(bad.argmax())])  # raises for the query
+    # which pool entries are targets: a (queries, docs + padding) table read
+    # at each query's pool row
+    pad = len(index.doc_row)
+    at_query, at_doc = [], []
+    for i, qid in enumerate(qids):
+        for did in per_query_targets[qid]:
+            row = index.doc_row.get(did)
+            if row is not None:
+                at_query.append(i)
+                at_doc.append(row)
+    is_target = np.zeros((len(qids), pad + 1), dtype=bool)
+    is_target[at_query, at_doc] = True
+    hit = is_target[np.arange(len(qids))[:, None], index.pool_matrix[query_rows]]
+    found = hit.any(axis=1)
+    skipped = len(qids) - int(found.sum())
+    if skipped == len(qids):
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped)
+    query_rows, hit = query_rows[found], hit[found]
+    scores = score_pools(model, dataset, query_rows)
+    # NaN ranks after every number, as in rank's sort; softplus is never -inf,
+    # so -inf does the same, and padding (-inf, id past every doc) is never ahead
+    np.fmax(scores, -np.inf, out=scores)
+    ids = index.pool_ids[query_rows]
+    best = np.where(hit, scores, -np.inf).max(axis=1, keepdims=True)
+    best_id = np.where(hit & (scores == best), ids, pad).min(axis=1, keepdims=True)
+    ahead = (scores > best) | ((scores == best) & (ids < best_id))
+    reciprocals = [1.0 / (1 + n) for n in ahead.sum(axis=1).tolist()]
     return MrrResult(value=sum(reciprocals) / len(reciprocals),
                      evaluated=len(reciprocals), skipped=skipped)
 
@@ -132,7 +141,7 @@ def mrr_forget(model: ScoreModel, dataset: Dataset, part: Partition,
     targets: dict[str, set[str]] = {}
     for qid in part.forget_queries:
         if spec.kind is RemovalKind.DOCUMENT:
-            targets[qid] = {did for did in dataset.pools.get(qid, ()) if did in spec.ids}
+            targets[qid] = spec.ids.intersection(dataset.pools.get(qid, ()))
         else:
             targets[qid] = set(dataset.positives_of(qid))
     return _mean_reciprocal(targets, model, dataset)
@@ -186,24 +195,16 @@ def score_distribution(models: list[tuple[str, ScoreModel]], dataset: Dataset,
                        sets: list[tuple[str, list[Sample]]]) -> list[ScoreDistribution]:
     """Per (model, sample set): min/max/mean and deciles of pair scores.
 
-    Each doc is pooled once (``doc_vectors``) and each query once; a
-    pair's score is then one dot product and a softplus, bitwise the
-    score ``forward`` gives it.
+    The pairs of every set are scored in one ``sample_scores`` pass per
+    model, bitwise the scores ``forward`` gives them.
     """
     out: list[ScoreDistribution] = []
-    doc_row = dataset.index.doc_row
     for model_name, model in models:
-        dvec = doc_vectors(model, dataset)
-        queries: dict[str, np.ndarray] = {}
+        every = sample_scores(model, dataset, [s for _, samples in sets for s in samples])
+        end = 0
         for set_name, samples in sets:
-            logits = []
-            for s in samples:
-                u = queries.get(s.query_id)
-                if u is None:
-                    u = queries[s.query_id] = \
-                        model.embed_q[dataset.query_tokens(s.query_id)].mean(axis=0)
-                logits.append(float(u @ dvec[doc_row[s.doc_id]]))
-            scores = np.logaddexp(0.0, logits)
+            start, end = end, end + len(samples)
+            scores = np.array(every[start:end])
             if scores.size == 0:
                 out.append(ScoreDistribution(model_name, set_name, 0, 0.0, 0.0, 0.0,
                                              tuple(0.0 for _ in range(9))))

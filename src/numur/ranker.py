@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import CorpusSplit, Dataset, Label, Sample, atomic_write
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DivergedError
 
 MODEL_MAGIC = b"NUMR"
 MODEL_VERSION = 1
@@ -50,6 +50,12 @@ class ScoreModel:
     def dim(self) -> int:
         return self.params.shape[1]
 
+    def check_finite(self, after: str) -> None:
+        """DivergedError when a parameter is NaN or infinite ``after`` some step."""
+        if not np.isfinite(self.params).all():
+            raise DivergedError(f"parameters diverged to NaN or infinity after {after}; "
+                                "lower the learning rate")
+
 
 class TeacherSnapshot(ScoreModel):
     """Frozen deep copy of a ScoreModel; the arrays are read-only.
@@ -63,12 +69,16 @@ class TeacherSnapshot(ScoreModel):
         # the dataset scored on, and its scores by query id, then doc id
         self._scored: tuple[Dataset | None, dict[str, dict[str, float]]] = (None, {})
 
-    def score(self, dataset: Dataset, query_id: str, doc_id: str) -> float:
-        """``forward(self, dataset, query_id, doc_id)``, computed on first use."""
+    def _table(self, dataset: Dataset) -> dict[str, dict[str, float]]:
         scored_on, scores = self._scored
         if scored_on is not dataset:
             scores = {}
             self._scored = (dataset, scores)
+        return scores
+
+    def score(self, dataset: Dataset, query_id: str, doc_id: str) -> float:
+        """``forward(self, dataset, query_id, doc_id)``, computed on first use."""
+        scores = self._table(dataset)
         of_query = scores.get(query_id)
         if of_query is None:
             of_query = scores[query_id] = {}
@@ -76,6 +86,15 @@ class TeacherSnapshot(ScoreModel):
         if value is None:
             value = of_query[doc_id] = forward(self, dataset, query_id, doc_id)
         return value
+
+    def score_samples(self, dataset: Dataset, samples: Sequence[Sample]) -> list[float]:
+        """``score`` of every sample, computed in one pass (``sample_scores``)
+        and kept for later lookups."""
+        table = self._table(dataset)
+        values = sample_scores(self, dataset, samples)
+        for s, value in zip(samples, values):
+            table.setdefault(s.query_id, {})[s.doc_id] = value
+        return values
 
 
 @dataclass(frozen=True)
@@ -234,26 +253,45 @@ class PairStep:
         grad[index] = 0.0
 
 
-# Docs pooled per gather in doc_vectors; keeps the (rows, tokens, dim)
-# temporary near the size of the output block.
+# Rows pooled per gather in doc_vectors and query_vectors; keeps the
+# (tokens, rows, dim) temporary near the size of the output block.
 POOL_BLOCK_ROWS = 256
 
 
-def doc_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
-    """Mean-pooled vector of every doc, one row per ``dataset.index.doc_row``.
+def _pooled(table: np.ndarray, groups, n: int) -> np.ndarray:
+    """The mean of each row's token vectors, every row bitwise
+    ``table[tokens].mean(axis=0)``.
 
-    Each block of equal-length docs is gathered as one (rows, tokens, dim)
-    array and averaged over its token axis, which reduces every doc in the
-    same order as ``embed_d[tokens].mean(axis=0)``: the rows are bitwise
-    equal to pooling each doc on its own.
+    A block of equal-length rows is gathered token-major, (count, rows,
+    dim), and summed over its first axis: one token vector after another,
+    the order in which ``mean(axis=0)`` sums a (count, dim) slice. At dim
+    1 numpy sums such a slice pairwise, and so does the reduction over the
+    token axis of a (rows, count, 1) gather, which is used there instead.
     """
-    index = dataset.index
-    out = np.empty((len(index.doc_row), model.dim))
-    for rows, toks in index.groups:
+    out = np.empty((n, table.shape[1]))
+    for rows, toks in groups:
         for start in range(0, len(rows), POOL_BLOCK_ROWS):
-            block = slice(start, start + POOL_BLOCK_ROWS)
-            out[rows[block]] = model.embed_d[toks[block]].mean(axis=1)
+            block = toks[:, start:start + POOL_BLOCK_ROWS]
+            if table.shape[1] == 1:
+                total = np.add.reduce(table.take(block.T, axis=0), axis=1)
+            else:
+                total = np.add.reduce(table.take(block, axis=0), axis=0)
+            out[rows[start:start + POOL_BLOCK_ROWS]] = total / len(toks)
     return out
+
+
+def doc_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
+    """Mean-pooled vector of every doc, one row per ``dataset.index.doc_row``;
+    bitwise each doc pooled on its own."""
+    index = dataset.index
+    return _pooled(model.embed_d, index.groups, len(index.doc_row))
+
+
+def query_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
+    """Mean-pooled vector of every query, one row per ``dataset.index.query_row``;
+    pooled as ``doc_vectors`` pools docs, so bitwise each query pooled alone."""
+    index = dataset.index
+    return _pooled(model.embed_q, index.query_groups, len(index.query_row))
 
 
 def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
@@ -275,6 +313,45 @@ def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
     if dvec is None:
         dvec = doc_vectors(model, dataset)
     return np.logaddexp(0.0, dvec[rows] @ u)
+
+
+def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray) -> np.ndarray:
+    """``score_pool`` of many queries: row i scores the pool of query row
+    ``query_rows[i]`` in pool order, padded with -inf past its end.
+
+    Pools of one length are scored with one ``np.matmul`` over a
+    (queries, length, dim) gather of the doc vectors, which runs the same
+    matrix-vector product per pool as ``score_pool`` and so gives the same
+    bits. A gather padded to the longest pool would not: BLAS sums a row
+    in an order that depends on the height of the matrix.
+    """
+    index = dataset.index
+    dvec = doc_vectors(model, dataset)
+    qvec = query_vectors(model, dataset)[query_rows]
+    lengths = index.pool_len[query_rows]
+    out = np.full((len(query_rows), index.pool_matrix.shape[1]), -np.inf)
+    for length in sorted(set(lengths.tolist())):
+        at = np.flatnonzero(lengths == length)
+        docs = dvec.take(index.pool_matrix[query_rows[at], :length], axis=0)
+        out[at, :length] = np.logaddexp(0.0, np.matmul(docs, qvec[at, :, None])[:, :, 0])
+    return out
+
+
+def sample_scores(model: ScoreModel, dataset: Dataset,
+                  samples: Sequence[Sample]) -> list[float]:
+    """``forward`` of every sample, with each doc and each query pooled once.
+
+    A pair's score is one dot product of its rows of ``query_vectors``
+    and ``doc_vectors`` and a softplus: bitwise the score ``forward`` gives.
+    """
+    index = dataset.index
+    dvec, qvec = doc_vectors(model, dataset), query_vectors(model, dataset)
+    try:
+        logits = [float(qvec[index.query_row[s.query_id]] @ dvec[index.doc_row[s.doc_id]])
+                  for s in samples]
+    except KeyError as exc:
+        raise DataError(f"sample references unknown id {exc.args[0]!r}") from None
+    return np.logaddexp(0.0, logits).tolist()
 
 
 def backward_score(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str,
@@ -379,12 +456,13 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
     losses: list[float] = []
     mrrs: list[float] = []
     times: list[float] = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         loss = pairwise_epoch(model, dataset, samples, rng, cfg.learning_rate,
                               cfg.margin, cfg.negatives_per_positive,
                               touched if cfg.log_touched else None)
         times.append(time.perf_counter() - t0)
+        model.check_finite(f"training epoch {epoch}")
         losses.append(loss)
         mrrs.append(mrr_set(model, dataset, samples).value)
     return TrainResult(model=model, epoch_losses=losses, epoch_mrr=mrrs,

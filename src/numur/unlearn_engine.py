@@ -143,7 +143,11 @@ def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
 
 def _drive(student: ScoreModel, split: CorpusSplit, part: Partition, cfg: UnlearnConfig,
            epoch_fn, touched: list[tuple[str, str, str]]) -> UnlearnRun:
-    """Run epoch_fn until the forget MRR reaches the target or the budget ends."""
+    """Run epoch_fn until the forget MRR reaches the target or the budget ends.
+
+    An epoch that leaves a parameter NaN or infinite ends the run with a
+    DivergedError.
+    """
     rng = np.random.default_rng(cfg.seed)
     records = [_evaluate(student, split, part, 0, 0.0)]
     epoch_times: list[float] = []
@@ -154,6 +158,7 @@ def _drive(student: ScoreModel, split: CorpusSplit, part: Partition, cfg: Unlear
             t0 = time.perf_counter()
             epoch_fn(student, rng)
             epoch_times.append(time.perf_counter() - t0)
+            student.check_finite(f"{cfg.method.value} unlearning epoch {epoch}")
             epochs_run = epoch
             if epoch % cfg.check_every == 0 or epoch == cfg.max_epochs:
                 record = _evaluate(student, split, part, epoch, epoch_times[-1])

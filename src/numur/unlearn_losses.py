@@ -53,12 +53,12 @@ def delta(teacher: TeacherSnapshot, student: ScoreModel, dataset: Dataset,
 def build_min_cache(teacher: TeacherSnapshot, dataset: Dataset) -> TeacherMinCache:
     """Minimum teacher score per query over all of the query's samples.
 
-    Scoring every sample also fills the teacher's score table, so the
-    losses look these scores up instead of computing them again.
+    Every sample is scored in one pass, which also fills the teacher's
+    score table, so the losses look these scores up instead of computing
+    them again.
     """
     mins: dict[str, float] = {}
-    for s in dataset.samples:
-        score = teacher.score(dataset, s.query_id, s.doc_id)
+    for s, score in zip(dataset.samples, teacher.score_samples(dataset, dataset.samples)):
         if s.query_id not in mins or score < mins[s.query_id]:
             mins[s.query_id] = score
     return TeacherMinCache(min_scores=mins)

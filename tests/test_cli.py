@@ -308,6 +308,23 @@ def test_docs_file_is_read_once_per_command(workdir, monkeypatch):
     assert sorted(reads) == ["docs.jsonl", "test_queries.jsonl", "train_queries.jsonl"]
 
 
+
+def test_both_splits_map_every_doc_to_the_same_row(workdir):
+    from numur.cli import _load_split
+    from numur.corpus import DatasetIndex
+
+    split = _load_split(workdir / "runs")
+    train, test = split.train.index, split.test.index
+    assert test.doc_row is train.doc_row  # built once, for the train split
+    assert test.groups is train.groups and test.id_order is train.id_order
+    # and the shared half is what the test split would build on its own
+    alone = DatasetIndex.build(split.test)
+    assert alone.doc_row == test.doc_row and np.array_equal(alone.id_order, test.id_order)
+    for (rows, toks), (want_rows, want_toks) in zip(test.groups, alone.groups, strict=True):
+        assert np.array_equal(rows, want_rows) and np.array_equal(toks, want_toks)
+    for qid, rows in test.pool_rows.items():
+        assert np.array_equal(rows, alone.pool_rows[qid])
+
 class _Unprintable:
     def __str__(self):
         raise ValueError("cell cannot be written")
@@ -344,3 +361,36 @@ def test_atomic_write_replaces_only_when_complete(tmp_path):
     model = init_model(6, 3, seed=1)
     save_model(model, path)
     assert np.array_equal(load_model(path).params, model.params)
+
+
+def _run_in(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return lambda *args: main(["--config", str(path), "--out", str(tmp_path / "runs"), *args])
+
+
+def test_unlearning_that_diverges_fails_and_writes_nothing(tmp_path, capsys):
+    # At this step size neggrad turns the parameters to NaN within a few epochs.
+    run = _run_in(tmp_path, {"train": {"epochs": 3},
+                             "unlearn": {"learning_rate": 1e4, "max_epochs": 30}})
+    assert run("gen") == 0
+    assert run("train") == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = run("unlearn", "--spec", "spec_document_25", "--method", "neggrad",
+                   "--delta", "0.001")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("ERROR:diverged: ")
+    assert not (tmp_path / "runs" / "unlearn").exists()
+
+
+@pytest.mark.parametrize("command", [["train"], ["retrain", "--spec", "spec_document_25"]])
+def test_training_that_diverges_fails_and_writes_nothing(tmp_path, capsys, command):
+    config = dict(SMALL_CONFIG, train=dict(SMALL_CONFIG["train"], learning_rate=1e12))
+    run = _run_in(tmp_path, config)
+    assert run("gen") == 0
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        assert run(*command) == 1
+    assert capsys.readouterr().err.startswith("ERROR:diverged: ")
+    assert not (tmp_path / "runs" / command[0]).exists()

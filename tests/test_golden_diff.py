@@ -1,0 +1,72 @@
+"""The artifact comparison of tools/golden_diff.py, on hand-made artifact trees."""
+
+import importlib.util
+import json
+import shutil
+from pathlib import Path
+
+import pytest
+
+_path = Path(__file__).resolve().parents[1] / "tools" / "golden_diff.py"
+_spec = importlib.util.spec_from_file_location("golden_diff", _path)
+golden_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden_diff)
+
+
+def _write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
+@pytest.fixture
+def trees(tmp_path):
+    a = tmp_path / "a"
+    run = a / "unlearn" / "cocol_spec_delta0.001"
+    _write(run / "report.json", json.dumps(
+        {"mrr_forget": 0.25, "normalized_epoch_duration": 1.5, "total_unlearn_time": 3.0}))
+    _write(run / "trajectory.csv", "epoch,mrr_forget,wall_time_s\n0,0.5,0.0\n1,0.25,0.0123\n")
+    (run / "model.bin").write_bytes(b"NUMR\x00\x01")
+    _write(a / "eval" / "train_model_spec" / "report.json",
+           json.dumps({"model": str(a / "train" / "model.bin"), "mrr_test": 0.5}))
+    _write(a / "specs" / "spec.json", '{"ids": ["d1"], "kind": "document"}\n')
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    return a, b, run.relative_to(a)
+
+
+def test_identical_trees_are_clean(trees):
+    a, b, _ = trees
+    assert golden_diff.diff_trees(a, b) == []
+
+
+def test_a_changed_mrr_is_reported(trees):
+    a, b, run = trees
+    _write(b / run / "report.json", json.dumps(
+        {"mrr_forget": 0.2500000000000001, "normalized_epoch_duration": 1.5,
+         "total_unlearn_time": 3.0}))
+    _write(b / run / "trajectory.csv", "epoch,mrr_forget,wall_time_s\n0,0.5,0.0\n1,0.2,0.0123\n")
+    assert golden_diff.diff_trees(a, b) == [
+        f"{run / 'report.json'}: differs outside the wall-time fields",
+        f"{run / 'trajectory.csv'}: differs outside the wall-time fields"]
+
+
+def test_changed_wall_times_and_model_paths_are_ignored(trees):
+    a, b, run = trees
+    _write(b / run / "report.json", json.dumps(
+        {"total_unlearn_time": 9.0, "mrr_forget": 0.25, "normalized_epoch_duration": 4.5}))
+    _write(b / run / "trajectory.csv", "epoch,mrr_forget,wall_time_s\n0,0.5,0.0\n1,0.25,0.5\n")
+    _write(b / "eval" / "train_model_spec" / "report.json",
+           json.dumps({"model": str(b / "train" / "model.bin"), "mrr_test": 0.5}))
+    assert golden_diff.diff_trees(a, b) == []
+
+
+def test_bytes_must_match_for_models_and_specs_and_files_in_one_tree(trees):
+    a, b, run = trees
+    (b / run / "model.bin").write_bytes(b"NUMR\x00\x02")
+    _write(b / "specs" / "spec.json", '{"kind": "document", "ids": ["d1"]}\n')
+    (a / "report").mkdir()
+    (a / "report" / "chart.svg").write_bytes(b"<svg/>")
+    assert golden_diff.diff_trees(a, b) == [
+        f"{Path('report') / 'chart.svg'}: only in {a}",
+        f"{Path('specs') / 'spec.json'}: bytes differ",
+        f"{run / 'model.bin'}: bytes differ"]

@@ -1,0 +1,68 @@
+"""Property tests on random small datasets: the F/E/D partition and the
+save/load round trips of models and forget specs."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_scoring_properties import datasets
+
+from numur import (ConfigError, ForgetSpec, RemovalKind, ScoreModel, load_forget_spec,
+                   load_model, partition, save_forget_spec, save_model)
+
+
+@st.composite
+def specs(draw, ds):
+    kind = draw(st.sampled_from(RemovalKind))
+    known = sorted(ds.queries if kind is RemovalKind.QUERY else ds.documents)
+    return ForgetSpec(kind=kind, ids=frozenset(draw(st.lists(st.sampled_from(known),
+                                                             min_size=1))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(datasets(), st.data())
+def test_partition_is_a_disjoint_cover_and_e_shares_an_id_with_f(ds, data):
+    spec = data.draw(specs(ds))
+    try:
+        part = partition(ds, spec)
+    except ConfigError:  # the request would forget every sample
+        return
+    key = lambda s: (s.query_id, s.doc_id)
+    f, e, d = ({key(s) for s in group} for group in (part.forget, part.entangled,
+                                                      part.disjoint))
+    assert len(part.forget) + len(part.entangled) + len(part.disjoint) == len(ds.samples)
+    assert f | e | d == {key(s) for s in ds.samples}
+    assert not (f & e or f & d or e & d)
+
+    named = (lambda s: s.query_id in spec.ids) if spec.kind is RemovalKind.QUERY \
+        else (lambda s: s.doc_id in spec.ids)
+    assert part.forget == [s for s in ds.samples if named(s)]
+    shares = lambda s: any(s.query_id == x.query_id or s.doc_id == x.doc_id
+                           for x in part.forget)
+    retained = [s for s in ds.samples if not named(s)]
+    assert part.entangled == [s for s in retained if shares(s)]
+    assert part.disjoint == [s for s in retained if not shares(s)]
+
+
+finite_or_not = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.data())
+def test_model_files_round_trip_exactly(tmp_path_factory, vocab, dim, data):
+    values = data.draw(st.lists(finite_or_not, min_size=2 * vocab * dim,
+                                max_size=2 * vocab * dim))
+    model = ScoreModel(np.array(values).reshape(2 * vocab, dim))
+    path = tmp_path_factory.mktemp("model") / "model.bin"
+    save_model(model, path)
+    loaded = load_model(path)
+    assert (loaded.vocab_size, loaded.dim) == (vocab, dim)
+    assert loaded.params.tobytes() == model.params.tobytes()  # NaN payloads and -0.0 too
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(RemovalKind), st.frozensets(st.text(), min_size=1))
+def test_forget_specs_round_trip_exactly(tmp_path_factory, kind, ids):
+    path = tmp_path_factory.mktemp("spec") / "spec.json"
+    spec = ForgetSpec(kind=kind, ids=ids)
+    save_forget_spec(spec, path)
+    assert load_forget_spec(path) == spec

@@ -17,7 +17,8 @@ from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
                    consistent_loss, contrastive_loss, forward, init_model, mrr_forget,
                    mrr_set, new_buffer, partition, rank, score_distribution, score_pool,
                    snapshot)
-from numur.ranker import doc_vectors, hinge_loss_and_grad, pairwise_epoch
+from numur.ranker import (doc_vectors, hinge_loss_and_grad, pairwise_epoch,
+                          query_vectors, score_pools)
 
 VOCAB = 10
 
@@ -95,6 +96,45 @@ def test_score_pool_is_bitwise_the_per_doc_loop(ds, model):
         assert np.array_equal(score_pool(model, ds, qid), ref_score_pool(model, ds, qid))
 
 
+# Dims of 8 and more, where BLAS sums a matrix row in an order that depends
+# on the matrix's height, so a pool scored inside a taller padded matrix
+# can differ from the same pool scored alone.
+wide_models = st.builds(init_model, st.just(VOCAB), st.integers(6, 64),
+                        st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), st.one_of(models, wide_models), st.sampled_from([1.0, 40.0]))
+def test_batched_query_vectors_and_scores_are_bitwise_score_pool(ds, model, scale):
+    # Softplus keeps a logit's last bit only away from 0, hence the scaled model.
+    model.params *= scale
+    index = ds.index
+    qvec = query_vectors(model, ds)
+    for qid, row in index.query_row.items():
+        tokens = model.embed_q[ds.query_tokens(qid)]
+        assert np.array_equal(qvec[row], np.add.reduce(tokens) / len(tokens))
+    qids = sorted(ds.pools, reverse=True)  # any order of query rows
+    scores = score_pools(model, ds, np.array([index.query_row[q] for q in qids]))
+    for qid, row in zip(qids, scores):
+        pool = score_pool(model, ds, qid)
+        assert np.array_equal(row[:len(pool)], pool)
+        assert (row[len(pool):] == -np.inf).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(token_lists(24), min_size=1, max_size=12), st.one_of(models, wide_models))
+def test_long_docs_pool_bitwise_at_every_dim(doc_tokens, model):
+    # numpy sums a (tokens, 1) slice pairwise from 8 tokens on, and a wider
+    # one token by token; the grouped pooling must follow both.
+    documents = {f"d{i}": Document(f"d{i}", toks) for i, toks in enumerate(doc_tokens)}
+    ds = Dataset(queries={"q": Query("q", doc_tokens[0])}, documents=documents,
+                 samples=[], pools={"q": tuple(documents)}, vocab_size=VOCAB)
+    dvec, qvec = doc_vectors(model, ds), query_vectors(model, ds)
+    for did, row in ds.index.doc_row.items():
+        assert np.array_equal(dvec[row], model.embed_d[ds.doc_tokens(did)].mean(axis=0))
+    assert np.array_equal(qvec[0], model.embed_q[ds.query_tokens("q")].mean(axis=0))
+
+
 @settings(max_examples=150, deadline=None)
 @given(datasets(), models)
 def test_score_distribution_is_bitwise_the_per_pair_forward(ds, model):
@@ -131,6 +171,26 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
             pos = positives(ds.samples)
             targets = {q: pos.get(q, set()) for q in part.forget_queries}
         assert mrr_forget(model, ds, part, spec).value == oracle_mrr(model, ds, targets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), st.one_of(models, wide_models))
+def test_stored_teacher_scores_are_bitwise_forward(ds, model):
+    teacher = snapshot(model)
+    cache = build_min_cache(teacher, ds)
+    scored_on, table = teacher._scored  # filled by build_min_cache's one pass
+    assert scored_on is ds
+    assert sum(map(len, table.values())) == len(ds.samples)
+    for s in ds.samples:
+        want = forward(teacher, ds, s.query_id, s.doc_id)
+        assert table[s.query_id][s.doc_id] == want
+        assert cache.score_floor(s.query_id) <= want
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), wide_models)
+def test_mrrs_match_the_sorting_oracle_at_wide_dims(ds, model):
+    assert mrr_set(model, ds, ds.samples).value == oracle_mrr(model, ds, positives(ds.samples))
 
 
 def nan_last_oracle_mrr(model, ds, targets):
