@@ -167,8 +167,7 @@ def _load_split(out: Path) -> CorpusSplit:
     # both splits share one docs.jsonl: the test split reuses the parsed
     # documents and the doc half of the train split's index
     train_ds = load_dataset(*_corpus_paths(out, "train"))
-    test_ds = load_dataset(*_corpus_paths(out, "test"), documents=train_ds.documents)
-    test_ds.share_doc_index(train_ds)
+    test_ds = load_dataset(*_corpus_paths(out, "test"), docs_from=train_ds)
     vocab = max(train_ds.vocab_size, test_ds.vocab_size)
     stats_path = out / "corpus" / "stats.json"
     if stats_path.exists():

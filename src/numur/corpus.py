@@ -96,14 +96,7 @@ class Dataset:
     def __post_init__(self) -> None:
         self._qtok = {q.id: np.asarray(q.tokens, dtype=np.int64) for q in self.queries.values()}
         self._dtok = {d.id: d.token_array for d in self.documents.values()}
-        self._docs_indexed_by = None
-
-    def share_doc_index(self, other: "Dataset") -> None:
-        """Take the doc half of ``index`` (doc rows, length groups, id order)
-        from ``other``, which holds this dataset's documents dict."""
-        if other.documents is not self.documents:
-            raise ValueError("share_doc_index needs datasets holding one documents dict")
-        self._docs_indexed_by = other
+        self._docs_indexed_by = None  # load_dataset's docs_from
 
     def query_tokens(self, query_id: str) -> np.ndarray:
         try:
@@ -126,7 +119,8 @@ class Dataset:
         """Integer arrays for whole-pool scoring, built on first use.
 
         Datasets are immutable by convention and ``dataclasses.replace``
-        builds a new instance, so the index never goes stale.
+        builds a new instance, which indexes its own docs, so the index
+        never goes stale.
         """
         source = self._docs_indexed_by
         return DatasetIndex.build(self, None if source is None else source.index)
@@ -187,7 +181,9 @@ class DatasetIndex:
     ``pool_matrix`` holds each query's pool as one row of doc rows, padded
     past ``pool_len`` with ``len(doc_row)``, a row no doc has; ``pool_ids``
     is the ``id_order`` of those entries, padded with the same value, so a
-    padding entry sorts after every doc.
+    padding entry sorts after every doc. ``pool_keys`` holds every pool
+    entry as one sorted integer key, and ``pool_cols`` its position in the
+    pool; ``pool_columns`` looks (query, doc) pairs up in them.
     """
 
     doc_row: dict[str, int]
@@ -199,6 +195,8 @@ class DatasetIndex:
     pool_matrix: np.ndarray
     pool_ids: np.ndarray
     pool_len: np.ndarray
+    pool_keys: np.ndarray
+    pool_cols: np.ndarray
     positives: dict[str, tuple[str, ...]]
 
     @classmethod
@@ -231,6 +229,9 @@ class DatasetIndex:
                               dtype=np.intp)
         for qid, rows in pool_rows.items():
             pool_matrix[query_row[qid], :len(rows)] = rows
+        in_pool = pool_matrix < pad
+        keys = _pool_key(np.arange(len(query_row))[:, None], pool_matrix, pad)[in_pool]
+        order = np.argsort(keys, kind="stable")
         positives: dict[str, list[str]] = {}
         for s in dataset.samples:
             if s.label is Label.POSITIVE:
@@ -240,7 +241,20 @@ class DatasetIndex:
                    query_groups=_length_groups(list(dataset._qtok.values())),
                    pool_rows=pool_rows, pool_matrix=pool_matrix,
                    pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
+                   pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
                    positives={q: tuple(dids) for q, dids in positives.items()})
+
+    def pool_columns(self, query_rows: np.ndarray, doc_rows: np.ndarray) -> np.ndarray:
+        """Where each doc row stands in the pool of the matching query row;
+        -1 where that pool does not hold it. Needs at least one pool entry."""
+        keys = _pool_key(query_rows, doc_rows, len(self.doc_row))
+        at = np.minimum(np.searchsorted(self.pool_keys, keys), len(self.pool_keys) - 1)
+        return np.where(self.pool_keys[at] == keys, self.pool_cols[at], -1)
+
+
+def _pool_key(query_rows: np.ndarray, doc_rows: np.ndarray, n_docs: int) -> np.ndarray:
+    """One integer per (query row, doc row) pair, ordered by query row, then doc row."""
+    return query_rows * n_docs + doc_rows
 
 
 @dataclass
@@ -357,19 +371,22 @@ def _read_tsv(path: Path, header: str):
 
 def load_dataset(queries_path: str | Path, docs_path: str | Path,
                  qrels_path: str | Path, pools_path: str | Path, *,
-                 documents: dict[str, Document] | None = None) -> Dataset:
+                 docs_from: Dataset | None = None) -> Dataset:
     """Load a dataset from its four files, validating every invariant.
 
     The vocabulary size is inferred as one past the largest token seen.
     Sample order follows qrels file order; pool order follows rank_hint.
-    ``documents``, the documents of a dataset loaded from the same docs
-    file, stands in for that file, which is then not read again.
+    ``docs_from``, a dataset loaded from the same docs file, lends its
+    documents, which stand in for that file (it is not read again), and
+    the doc half of its ``index`` (doc rows, length groups, id order).
     """
     queries_path, docs_path = Path(queries_path), Path(docs_path)
     qrels_path, pools_path = Path(qrels_path), Path(pools_path)
 
     queries = {qid: Query(qid, toks) for qid, toks in _read_jsonl_items(queries_path)}
-    if documents is None:
+    if docs_from is not None:
+        documents = docs_from.documents
+    else:
         documents = {did: Document(did, toks) for did, toks in _read_jsonl_items(docs_path)}
 
     max_token, min_token = -1, 0
@@ -425,8 +442,10 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
         for kind, items in (("query", queries.values()), ("document", documents.values())):
             for item in items:
                 _check_tokens(kind, item.id, item.tokens, vocab_size)
-    return Dataset(queries=queries, documents=documents, samples=samples,
-                   pools=pools, vocab_size=vocab_size)
+    dataset = Dataset(queries=queries, documents=documents, samples=samples,
+                      pools=pools, vocab_size=vocab_size)
+    dataset._docs_indexed_by = docs_from
+    return dataset
 
 
 @contextmanager

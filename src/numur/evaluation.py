@@ -15,6 +15,9 @@ highest score, ties to the smaller doc id, NaN after every number. Its
 rank is 1 plus the number of pool entries placed before it, which is
 the rank sorting the pool gives. The reciprocal ranks are summed in
 query-id order, so the mean is the same float as a per-query loop's.
+Targets are looked up among the pool entries' sorted keys
+(``DatasetIndex.pool_columns``), so no step grows with the number of
+docs outside the pools.
 """
 
 from __future__ import annotations
@@ -98,9 +101,7 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
     bad = (query_rows < 0) | (index.pool_len[query_rows] == 0)
     if bad.any():
         _pool_rows(dataset, qids[int(bad.argmax())])  # raises for the query
-    # which pool entries are targets: a (queries, docs + padding) table read
-    # at each query's pool row
-    pad = len(index.doc_row)
+    # which pool entries are targets, found by looking each target up in its pool
     at_query, at_doc = [], []
     for i, qid in enumerate(qids):
         for did in per_query_targets[qid]:
@@ -108,9 +109,10 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
             if row is not None:
                 at_query.append(i)
                 at_doc.append(row)
-    is_target = np.zeros((len(qids), pad + 1), dtype=bool)
-    is_target[at_query, at_doc] = True
-    hit = is_target[np.arange(len(qids))[:, None], index.pool_matrix[query_rows]]
+    at_query = np.asarray(at_query, dtype=np.intp)
+    cols = index.pool_columns(query_rows[at_query], np.asarray(at_doc, dtype=np.intp))
+    hit = np.zeros((len(qids), index.pool_matrix.shape[1]), dtype=bool)
+    hit[at_query[cols >= 0], cols[cols >= 0]] = True
     found = hit.any(axis=1)
     skipped = len(qids) - int(found.sum())
     if skipped == len(qids):
@@ -120,7 +122,7 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
     # NaN ranks after every number, as in rank's sort; softplus is never -inf,
     # so -inf does the same, and padding (-inf, id past every doc) is never ahead
     np.fmax(scores, -np.inf, out=scores)
-    ids = index.pool_ids[query_rows]
+    ids, pad = index.pool_ids[query_rows], len(index.doc_row)
     best = np.where(hit, scores, -np.inf).max(axis=1, keepdims=True)
     best_id = np.where(hit & (scores == best), ids, pad).min(axis=1, keepdims=True)
     ahead = (scores > best) | ((scores == best) & (ids < best_id))

@@ -330,8 +330,11 @@ def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray) -> 
     qvec = query_vectors(model, dataset)[query_rows]
     lengths = index.pool_len[query_rows]
     out = np.full((len(query_rows), index.pool_matrix.shape[1]), -np.inf)
-    for length in sorted(set(lengths.tolist())):
-        at = np.flatnonzero(lengths == length)
+    # the queries grouped by pool length with one stable sort
+    order = np.argsort(lengths, kind="stable")
+    starts = np.flatnonzero(np.diff(lengths[order])) + 1
+    for at in np.split(order, starts) if len(order) else ():
+        length = int(lengths[at[0]])
         docs = dvec.take(index.pool_matrix[query_rows[at], :length], axis=0)
         out[at, :length] = np.logaddexp(0.0, np.matmul(docs, qvec[at, :, None])[:, :, 0])
     return out

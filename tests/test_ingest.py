@@ -149,7 +149,7 @@ def test_shared_documents_load_like_parsed_ones(tmp_path):
     paths = saved_figure_case(tmp_path)
     parsed = load_dataset(*paths.values())
     paths["docs"].write_text("not json\n", encoding="utf-8")  # must not be read again
-    shared = load_dataset(*paths.values(), documents=parsed.documents)
+    shared = load_dataset(*paths.values(), docs_from=parsed)
     assert same_dataset(shared, parsed)
     assert shared.documents is parsed.documents
 

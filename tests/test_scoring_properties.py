@@ -121,6 +121,16 @@ def test_batched_query_vectors_and_scores_are_bitwise_score_pool(ds, model, scal
         assert (row[len(pool):] == -np.inf).all()
 
 
+@given(datasets())
+def test_pool_columns_find_each_doc_in_each_pool(ds):
+    index = ds.index
+    docs = np.arange(len(index.doc_row))
+    for qid, row in index.query_row.items():
+        pool = index.pool_rows.get(qid, np.array([], dtype=np.intp)).tolist()
+        cols = index.pool_columns(np.full(len(docs), row), docs)
+        assert cols.tolist() == [pool.index(d) if d in pool else -1 for d in docs.tolist()]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(token_lists(24), min_size=1, max_size=12), st.one_of(models, wide_models))
 def test_long_docs_pool_bitwise_at_every_dim(doc_tokens, model):

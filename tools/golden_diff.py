@@ -2,7 +2,6 @@
 """Compare the artifacts of the whole CLI pipeline built from two source trees.
 
     python3 tools/golden_diff.py PARENT_SRC [CHANGE_SRC] [--seed N]
-                                 [--workload NAME ...] [--keep DIR]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are directories holding a ``numur``
 package (``CHANGE_SRC`` defaults to this checkout's ``src``). For each
@@ -28,7 +27,6 @@ import csv
 import io
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
@@ -135,23 +133,17 @@ def main(argv=None) -> int:
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path, nargs="?", default=REPO / "src")
     parser.add_argument("--seed", type=int, default=3, help="seed of every pipeline")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
-                        help="workload config to run (repeatable; default: all)")
-    parser.add_argument("--keep", type=Path,
-                        help="write the artifacts here (must not exist) and keep them")
     args = parser.parse_args(argv)
-    names = args.workload or list(WORKLOADS)
-    workloads = {name: WORKLOADS[name] for name in names}
-    work = args.keep or Path(tempfile.mkdtemp(prefix="golden_diff_"))
-    try:
+    with tempfile.TemporaryDirectory(prefix="golden_diff_") as tmp:
+        work = Path(tmp)
         for label, src in (("parent", args.parent_src), ("change", args.change_src)):
             try:
-                run_tree(src.resolve(), work / label, workloads, UNREACHABLE_DELTA, args.seed)
+                run_tree(src.resolve(), work / label, WORKLOADS, UNREACHABLE_DELTA, args.seed)
             except subprocess.CalledProcessError:
                 print(f"the pipeline failed on {src}", file=sys.stderr)
                 return 2
         differing = 0
-        for name in names:
+        for name in WORKLOADS:
             a, b = work / "parent" / name / "runs", work / "change" / name / "runs"
             lines = diff_trees(a, b)
             for line in lines:
@@ -159,9 +151,6 @@ def main(argv=None) -> int:
             compared = sum(1 for p in a.rglob("*") if p.is_file())
             print(f"{name}: {compared} files compared, {len(lines)} differ")
             differing += len(lines)
-    finally:
-        if args.keep is None:
-            shutil.rmtree(work, ignore_errors=True)
     return 1 if differing else 0
 
 
