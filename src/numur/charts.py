@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
+from .corpus import write_lines
+
 WIDTH, HEIGHT = 640, 420
 MARGIN = 56
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b",
@@ -78,7 +80,7 @@ def line_chart(path: str | Path, title: str, x_label: str, y_label: str,
         parts.append(f'<text x="{WIDTH - MARGIN - 104}" y="{ly}" '
                      f'font-family="sans-serif" font-size="11">{_esc(name)}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_lines(path, parts)
 
 
 def radar_chart(path: str | Path, title: str, axis_labels: list[str],
@@ -117,4 +119,4 @@ def radar_chart(path: str | Path, title: str, axis_labels: list[str],
         parts.append(f'<text x="{WIDTH - MARGIN - 94}" y="{ly}" '
                      f'font-family="sans-serif" font-size="11">{_esc(name)}</text>')
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_lines(path, parts)

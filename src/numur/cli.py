@@ -24,8 +24,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import charts
-from .corpus import (CorpusSplit, SyntheticConfig, atomic_write, dataset_stats,
-                     generate_synthetic, load_dataset, save_dataset)
+from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, generate_synthetic,
+                     load_dataset, save_dataset, write_lines)
 from .errors import ConfigError, DataError, NumurError
 from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
@@ -118,9 +118,7 @@ def _corpus_paths(out: Path, split_name: str):
 
 def _write_json(path: Path, payload) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with atomic_write(path) as fh:
-        fh.write(text.encode("utf-8"))
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
@@ -159,8 +157,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         return str(v)
     lines = [",".join(header)]
     lines += [",".join(cell(v) for v in row) for row in rows]
-    with atomic_write(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_lines(path, lines)
 
 
 def _load_split(out: Path) -> CorpusSplit:
@@ -220,8 +217,8 @@ def cmd_gen(cfg: ExperimentConfig, out: Path) -> None:
     split = generate_synthetic(cfg.corpus)
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     save_dataset(split.train, *_corpus_paths(out, "train"))
-    # both splits share one docs.jsonl; writing twice is byte-identical
-    save_dataset(split.test, *_corpus_paths(out, "test"))
+    # both splits share one docs.jsonl, which the train split's save wrote
+    save_dataset(split.test, *_corpus_paths(out, "test"), write_docs=False)
     _write_json(out / "corpus" / "stats.json", {
         "vocab_size": cfg.corpus.vocab_size,
         "train": asdict(dataset_stats(split.train)),

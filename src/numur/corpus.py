@@ -469,25 +469,29 @@ def atomic_write(path: str | Path):
 
 
 def save_dataset(dataset: Dataset, queries_path: str | Path, docs_path: str | Path,
-                 qrels_path: str | Path, pools_path: str | Path) -> None:
-    """Write the four dataset files in the canonical format load_dataset reads."""
-    _write_items(Path(queries_path), dataset.queries.values())
-    _write_items(Path(docs_path), dataset.documents.values())
-    with Path(qrels_path).open("w", encoding="utf-8") as fh:
-        fh.write(QRELS_HEADER + "\n")
-        for s in dataset.samples:
-            fh.write(f"{s.query_id}\t{s.doc_id}\t{s.label.value}\n")
-    with Path(pools_path).open("w", encoding="utf-8") as fh:
-        fh.write(POOLS_HEADER + "\n")
-        for qid in dataset.pools:
-            for rank, did in enumerate(dataset.pools[qid]):
-                fh.write(f"{qid}\t{did}\t{rank}\n")
+                 qrels_path: str | Path, pools_path: str | Path,
+                 write_docs: bool = True) -> None:
+    """Write the four dataset files in the canonical format load_dataset reads,
+    each with ``atomic_write``. ``write_docs=False`` leaves ``docs_path``
+    alone, for a split whose documents another split's save wrote."""
+    write_lines(queries_path, _item_lines(dataset.queries.values()))
+    if write_docs:
+        write_lines(docs_path, _item_lines(dataset.documents.values()))
+    write_lines(qrels_path, [QRELS_HEADER] + [f"{s.query_id}\t{s.doc_id}\t{s.label.value}"
+                                               for s in dataset.samples])
+    write_lines(pools_path, [POOLS_HEADER] + [f"{qid}\t{did}\t{rank}"
+                                               for qid, pool in dataset.pools.items()
+                                               for rank, did in enumerate(pool)])
 
 
-def _write_items(path: Path, items) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps({"id": item.id, "tokens": list(item.tokens)}) + "\n")
+def _item_lines(items) -> list[str]:
+    return [json.dumps({"id": item.id, "tokens": list(item.tokens)}) for item in items]
+
+
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    """Write each line and a newline as UTF-8 with ``atomic_write``."""
+    with atomic_write(path) as fh:
+        fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +619,10 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
     samples_of: dict[str, list[Sample]] = {}
     for qid in qids:
         pos = pos_docs_of[qid]
-        others = np.setdiff1d(all_doc_indices, np.asarray(pos, dtype=np.int64))
+        # the sorted docs outside pos: np.setdiff1d's result, without its sort
+        outside = np.ones(cfg.n_docs, dtype=bool)
+        outside[pos] = False
+        others = all_doc_indices[outside]
         negs = rng.choice(others, size=cfg.pool_size - len(pos), replace=False)
         pool_idx = list(pos) + [int(i) for i in negs]
         pools[qid] = tuple(dids[i] for i in pool_idx)

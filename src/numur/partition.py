@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Label, Sample
+from .corpus import Dataset, Label, Sample, write_lines
 from .errors import ConfigError, DataError
 
 
@@ -52,6 +53,16 @@ class Partition:
     def is_forgotten(self, sample: Sample) -> bool:
         return (sample.query_id, sample.doc_id) in self._forget_keys
 
+    @cached_property
+    def _entangled_at(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+        """Positions in ``entangled`` of each query id's samples and of each doc id's."""
+        by_query: dict[str, list[int]] = {}
+        by_doc: dict[str, list[int]] = {}
+        for i, e in enumerate(self.entangled):
+            by_query.setdefault(e.query_id, []).append(i)
+            by_doc.setdefault(e.doc_id, []).append(i)
+        return by_query, by_doc
+
 
 def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
     """Split dataset samples into (forget, entangled, disjoint) under spec."""
@@ -86,12 +97,14 @@ def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
 
 
 def entangled_partners(part: Partition, sample: Sample) -> list[Sample]:
-    """Entangled samples sharing a query id or doc id with a forget sample."""
+    """Entangled samples sharing a query id or doc id with a forget sample,
+    in ``part.entangled`` order."""
     if not part.is_forgotten(sample):
         raise ConfigError(
             f"pair ({sample.query_id!r}, {sample.doc_id!r}) is not in the forget set")
-    return [e for e in part.entangled
-            if e.query_id == sample.query_id or e.doc_id == sample.doc_id]
+    by_query, by_doc = part._entangled_at
+    at = set(by_query.get(sample.query_id, ())).union(by_doc.get(sample.doc_id, ()))
+    return [part.entangled[i] for i in sorted(at)]
 
 
 def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,
@@ -170,6 +183,7 @@ def load_forget_spec(path: str | Path) -> ForgetSpec:
 
 
 def save_forget_spec(spec: ForgetSpec, path: str | Path) -> None:
+    """Write the request as load_forget_spec reads it; ``path`` is
+    replaced only once the file is complete."""
     payload = {"kind": spec.kind.value, "ids": sorted(spec.ids)}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])

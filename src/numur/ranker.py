@@ -385,9 +385,106 @@ def _positives_by_query(samples: list[Sample]) -> dict[str, list[str]]:
     return out
 
 
-def pool_negatives(dataset: Dataset, query_id: str, positive_ids: set[str]) -> list[str]:
-    """Pool docs usable as hinge negatives: everything not positive for the query."""
-    return [did for did in dataset.pools.get(query_id, ()) if did not in positive_ids]
+def hinge_negatives(dataset: Dataset, samples: list[Sample]) -> dict[str, list[str]]:
+    """Hinge negatives of every query with a positive in ``samples``: its
+    pool docs, in pool order, that ``samples`` does not mark positive for it."""
+    out = {}
+    for qid, pos in _positives_by_query(samples).items():
+        pos_set = set(pos)
+        out[qid] = [did for did in dataset.pools.get(qid, ()) if did not in pos_set]
+    return out
+
+
+class HingeDraws:
+    """Hinge draws served one positive at a time, each bitwise one
+    ``hinge_loss_and_grad`` call, in draw order.
+
+    A draw whose hinge is not positive leaves the parameters as they
+    are, so the draws after it can be scored under the same parameters.
+    After such an inactive draw, every remaining draw of the positive is
+    scored in one ``PairStep``; after an active draw (a NaN loss counts
+    as active), only the next one is, which is ``hinge_loss_and_grad``'s
+    two-pair step. An active draw steps through ``backward`` with a zero
+    upstream on the other pairs. The window carries over from one
+    positive to the next, so a run whose draws are all active makes the
+    steps of the per-draw loop and no more.
+
+    Without a learning rate the parameters never move: each positive's
+    draws are one step whose pairs repeat the positive before each
+    negative, with one ``backward``, so ``np.add.at`` adds in the order
+    of the per-draw loop.
+
+    ``total`` sums the losses in draw order, inactive draws as 0.0;
+    ``draws`` counts the draws.
+    """
+
+    def __init__(self, model: ScoreModel, dataset: Dataset, margin: float,
+                 buf: GradientBuffer):
+        self.model, self.dataset, self.margin, self.buf = model, dataset, margin, buf
+        self.wide = False  # the last draw was inactive
+        self.total, self.draws = 0.0, 0
+
+    def draw(self, rng: np.random.Generator, query_id: str, pos_id: str,
+             sources: Sequence[Sequence[str]], n: int) -> None:
+        """``n`` draws against ``pos_id``, draw d a uniform pick from
+        ``sources[d % len(sources)]``, all taken from ``rng`` up front."""
+        pairs = []
+        for d in range(n):
+            source = sources[d % len(sources)]
+            pairs.append((query_id, source[int(rng.integers(len(source)))]))
+        self._serve((query_id, pos_id), pairs)
+
+    def run(self, query_id: str, pos_id: str, neg_ids: Sequence[str]) -> None:
+        """One draw of ``(pos_id, neg)`` for each of ``neg_ids`` in order."""
+        self._serve((query_id, pos_id), [(query_id, neg) for neg in neg_ids])
+
+    def _serve(self, pos_pair: tuple[str, str], pairs: list[tuple[str, str]]) -> None:
+        if not pairs:
+            return
+        self.draws += len(pairs)
+        if self.buf.lr is None:
+            self._accumulate(pos_pair, pairs)
+            return
+        model, dataset, margin, buf = self.model, self.dataset, self.margin, self.buf
+        at, n = 0, len(pairs)
+        while at < n:
+            if not self.wide:  # hinge_loss_and_grad's step
+                step = PairStep(model, dataset, (pos_pair, pairs[at]))
+                pos_score, neg_score = step.scores
+                loss = margin - pos_score + neg_score
+                at += 1
+                if loss <= 0.0:
+                    self.wide = True
+                else:
+                    step.backward([-1.0, 1.0], buf)
+                    self.total += loss
+                continue
+            step = PairStep(model, dataset, [pos_pair, *pairs[at:]])
+            scores = step.scores
+            for k in range(1, len(scores)):
+                loss = margin - scores[0] + scores[k]
+                at += 1
+                if loss <= 0.0:
+                    continue
+                upstream = [0.0] * len(scores)
+                upstream[0], upstream[k] = -1.0, 1.0
+                step.backward(upstream, buf)
+                self.total += loss
+                self.wide = False
+                break  # the parameters moved: score the rest again
+
+    def _accumulate(self, pos_pair: tuple[str, str], pairs: list[tuple[str, str]]) -> None:
+        step = PairStep(self.model, self.dataset, [p for pair in pairs for p in (pos_pair, pair)])
+        scores = step.scores
+        upstream = []
+        for k in range(0, len(scores), 2):
+            loss = self.margin - scores[k] + scores[k + 1]
+            if loss <= 0.0:
+                upstream += (0.0, 0.0)
+            else:
+                upstream += (-1.0, 1.0)
+                self.total += loss
+        step.backward(upstream, self.buf)
 
 
 HARD_NEGATIVES_PER_QUERY = 8
@@ -406,41 +503,31 @@ def pairwise_epoch(model: ScoreModel, dataset: Dataset, samples: list[Sample],
     lingering above rarely-sampled positives. Returns the mean hinge loss.
     """
     positives = _positives_by_query(samples)
+    negatives = hinge_negatives(dataset, samples)
     qids = sorted(positives)
 
     index = dataset.index
     dvec = doc_vectors(model, dataset)
-    uniform: dict[str, list[str]] = {}
-    hard: dict[str, list[str]] = {}
+    sources: dict[str, tuple[list[str], list[str]]] = {}  # uniform, hard
     for qid in qids:
-        pos_set = set(positives[qid])
-        negatives = pool_negatives(dataset, qid, pos_set)
-        if not negatives:
+        uniform = negatives[qid]
+        if not uniform:
             raise DataError(f"query {qid!r} has no pool negatives to train against")
         scores = score_pool(model, dataset, qid, dvec)
+        pos_set = set(positives[qid])
         is_neg = np.array([did not in pos_set for did in dataset.pools[qid]])
         ids = index.id_order[index.pool_rows[qid][is_neg]]
         top = np.lexsort((ids, -scores[is_neg]))[:HARD_NEGATIVES_PER_QUERY]
-        uniform[qid] = negatives
-        hard[qid] = [negatives[i] for i in top]
+        sources[qid] = (uniform, [uniform[i] for i in top])
 
-    buf = new_buffer(model, lr)
-    order = rng.permutation(len(qids))
-    total, steps = 0.0, 0
-    for qi in order:
+    draws = HingeDraws(model, dataset, margin, new_buffer(model, lr))
+    for qi in rng.permutation(len(qids)):
         qid = qids[int(qi)]
-        negatives = uniform[qid]
-        hard_negs = hard[qid]
         for pos_id in positives[qid]:
             if touched is not None:
                 touched.append((qid, pos_id))
-            for draw in range(negatives_per_positive):
-                source = hard_negs if draw % 2 else negatives
-                neg_id = source[int(rng.integers(len(source)))]
-                total += hinge_loss_and_grad(model, dataset, qid, pos_id, neg_id,
-                                             margin, buf)
-                steps += 1
-    return total / steps if steps else 0.0
+            draws.draw(rng, qid, pos_id, sources[qid], negatives_per_positive)
+    return draws.total / draws.draws if draws.draws else 0.0
 
 
 def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
@@ -516,16 +603,20 @@ def load_model(path) -> ScoreModel:
 
 
 def check_model_fits(model: ScoreModel, dataset: Dataset, path) -> None:
-    """DataError unless every token of ``dataset`` has a row in each table.
+    """DataError unless every token of ``dataset`` has a row in each table
+    and every parameter is finite.
 
     A query token past the query table would otherwise read a doc row of
-    the stacked table instead of failing.
+    the stacked table instead of failing, and a NaN or infinite parameter
+    would be scored, or edited by ssd, and reported as if it were a model.
     """
     if model.dim < 1:
         raise DataError(f"{path}: model has embedding dim {model.dim}")
     if model.vocab_size < dataset.vocab_size:
         raise DataError(f"{path}: model vocabulary of {model.vocab_size} tokens is smaller "
                         f"than the corpus vocabulary of {dataset.vocab_size}")
+    if not np.isfinite(model.params).all():
+        raise DataError(f"{path}: model has a NaN or infinite parameter")
 
 
 def models_equal(a: ScoreModel, b: ScoreModel) -> bool:

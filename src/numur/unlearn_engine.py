@@ -33,8 +33,8 @@ from .corpus import CorpusSplit, Label, Sample
 from .errors import ConfigError
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (ScoreModel, clone_model, hinge_loss_and_grad, init_model,
-                     new_buffer, pairwise_epoch, pool_negatives, snapshot)
+from .ranker import (HingeDraws, ScoreModel, clone_model, hinge_negatives, init_model,
+                     new_buffer, pairwise_epoch, snapshot)
 from .unlearn_losses import (abs_delta_loss, build_min_cache, consistent_loss,
                              contrastive_loss)
 
@@ -254,22 +254,13 @@ def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     margin = _param(cfg, "margin", 1.0)
     npp = int(_param(cfg, "negatives_per_positive", 4))
 
-    train_positives: dict[str, set[str]] = {}
-    for s in split.train.samples:
-        if s.label is Label.POSITIVE:
-            train_positives.setdefault(s.query_id, set()).add(s.doc_id)
-
+    negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
     ent_pos = [s for s in part.entangled if s.label is Label.POSITIVE]
-    negatives: dict[str, list[str]] = {}
     for s in forget_pos + ent_pos:
-        if s.query_id not in negatives:
-            negs = pool_negatives(split.train, s.query_id,
-                                  train_positives.get(s.query_id, set()))
-            if not negs:
-                raise ConfigError(f"forget query {s.query_id!r} has no pool negatives "
-                                  "to promote")
-            negatives[s.query_id] = negs
+        if not negatives[s.query_id]:
+            raise ConfigError(f"forget query {s.query_id!r} has no pool negatives "
+                              "to promote")
 
     tasks = [("forget", s) for s in forget_pos] + [("retain", s) for s in ent_pos]
     student = clone_model(m_train)
@@ -277,18 +268,15 @@ def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     touched: list[tuple[str, str, str]] = []
 
     def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
+        draws = HingeDraws(model, split.train, margin, sgd)
         for i in rng.permutation(len(tasks)):
             tag, s = tasks[int(i)]
             negs = negatives[s.query_id]
             if tag == "forget":
                 promoted = negs[int(rng.integers(len(negs)))]
-                hinge_loss_and_grad(model, split.train, s.query_id, promoted,
-                                    s.doc_id, margin, sgd)
+                draws.run(s.query_id, promoted, [s.doc_id])
             else:
-                for _ in range(npp):
-                    neg = negs[int(rng.integers(len(negs)))]
-                    hinge_loss_and_grad(model, split.train, s.query_id, s.doc_id,
-                                        neg, margin, sgd)
+                draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
             if cfg.log_touched:
                 touched.append((tag, s.query_id, s.doc_id))
 
@@ -304,29 +292,21 @@ def neggrad_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     margin = _param(cfg, "margin", 1.0)
     npp = int(_param(cfg, "negatives_per_positive", 4))
 
-    train_positives: dict[str, set[str]] = {}
-    for s in split.train.samples:
-        if s.label is Label.POSITIVE:
-            train_positives.setdefault(s.query_id, set()).add(s.doc_id)
+    negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
-    negatives = {s.query_id: pool_negatives(split.train, s.query_id,
-                                            train_positives.get(s.query_id, set()))
-                 for s in forget_pos}
 
     student = clone_model(m_train)
     ascent = new_buffer(student, -cfg.learning_rate)
     touched: list[tuple[str, str, str]] = []
 
     def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
+        draws = HingeDraws(model, split.train, margin, ascent)
         for i in rng.permutation(len(forget_pos)):
             s = forget_pos[int(i)]
             negs = negatives[s.query_id]
             if not negs:
                 continue
-            for _ in range(npp):
-                neg = negs[int(rng.integers(len(negs)))]
-                hinge_loss_and_grad(model, split.train, s.query_id, s.doc_id, neg,
-                                    margin, ascent)
+            draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
             if cfg.log_touched:
                 touched.append(("ascent", s.query_id, s.doc_id))
 
@@ -352,8 +332,9 @@ def ssd_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     npp = int(_param(cfg, "negatives_per_positive", 4))
 
     rng = np.random.default_rng(cfg.seed)
-    imp_f = _importance(m_train, split, part.forget, margin, npp, rng)
-    imp_s = _importance(m_train, split, split.train.samples, margin, npp, rng)
+    negatives = hinge_negatives(split.train, split.train.samples)
+    imp_f = _importance(m_train, split, part.forget, negatives, margin, npp, rng)
+    imp_s = _importance(m_train, split, split.train.samples, negatives, margin, npp, rng)
 
     student = clone_model(m_train)
     edited = 0
@@ -378,28 +359,21 @@ def ssd_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
 
 
 def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
-                margin: float, npp: int, rng: np.random.Generator) -> np.ndarray:
+                negatives: dict[str, list[str]], margin: float, npp: int,
+                rng: np.random.Generator) -> np.ndarray:
     """Mean squared per-sample gradient of the pairwise loss, per parameter
-    of the stacked table."""
-    train_positives: dict[str, set[str]] = {}
-    for s in split.train.samples:
-        if s.label is Label.POSITIVE:
-            train_positives.setdefault(s.query_id, set()).add(s.doc_id)
-
+    of the stacked table; ``negatives`` is ``hinge_negatives`` of the train set."""
     sq = np.zeros_like(model.params)
     buf = new_buffer(model)  # no learning rate: the draws accumulate
+    draws = HingeDraws(model, split.train, margin, buf)
     count = 0
     for s in samples:
         if s.label is not Label.POSITIVE:
             continue
-        negs = pool_negatives(split.train, s.query_id,
-                              train_positives.get(s.query_id, set()))
+        negs = negatives[s.query_id]
         if not negs:
             continue
-        for _ in range(npp):
-            neg = negs[int(rng.integers(len(negs)))]
-            hinge_loss_and_grad(model, split.train, s.query_id, s.doc_id, neg,
-                                margin, buf)
+        draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
         if buf.rows:
             # a row listed twice is gathered before the scatter, so it adds once
             rows = np.concatenate(buf.rows)

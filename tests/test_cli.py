@@ -5,7 +5,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from numur import ScoreModel, init_model, load_model, save_model
+from numur import (ForgetSpec, RemovalKind, ScoreModel, init_model, load_model,
+                   save_forget_spec, save_model)
 from numur.cli import _write_csv, _write_json, main
 from numur.corpus import atomic_write
 
@@ -291,6 +292,21 @@ class TestMalformedArtifacts:
         small.replace(runs / "train" / "model.bin")
         assert words in self.unlearn(capsys, runs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_model_with_a_non_finite_parameter(self, runs, capsys, value):
+        model_path = runs / "train" / "model.bin"
+        model = load_model(model_path)
+        model.params[3, 1] = value
+        save_model(model, model_path)
+        shutil.rmtree(runs / "eval")
+        shutil.rmtree(runs / "unlearn")
+        err = self.fails_with_data_error(capsys, runs, "eval", "--spec", "spec_document_25",
+                                         "--model", str(model_path))
+        assert str(model_path) in err and "NaN or infinite" in err
+        err = self.unlearn(capsys, runs)
+        assert str(model_path) in err and "NaN or infinite" in err
+        assert not (runs / "eval").exists() and not (runs / "unlearn").exists()
+
     def test_non_integer_vocab_in_corpus_stats(self, runs, capsys):
         (runs / "corpus" / "stats.json").write_text('{"vocab_size": "large"}')
         assert "vocab_size" in self.fails_with_data_error(
@@ -335,7 +351,9 @@ class _Unprintable:
     lambda path: save_model(ScoreModel(np.array([[1.0], [object()]], dtype=object)), path),
     lambda path: _write_json(path, {"a": 1, "b": object()}),
     lambda path: _write_csv(path, ["a"], [[1], [_Unprintable()]]),
-], ids=["save_model", "_write_json", "_write_csv"])
+    # ids of two types cannot be sorted into the file
+    lambda path: save_forget_spec(ForgetSpec(RemovalKind.QUERY, frozenset({"q1", 2})), path),
+], ids=["save_model", "_write_json", "_write_csv", "save_forget_spec"])
 def test_failed_write_keeps_the_previous_file(tmp_path, write):
     path = tmp_path / "artifact"
     path.write_bytes(b"previous")

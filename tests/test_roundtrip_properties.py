@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_scoring_properties import datasets
 
-from numur import (ConfigError, ForgetSpec, RemovalKind, ScoreModel, load_forget_spec,
-                   load_model, partition, save_forget_spec, save_model)
+from numur import (ConfigError, ForgetSpec, RemovalKind, ScoreModel, entangled_partners,
+                   load_forget_spec, load_model, partition, save_forget_spec, save_model)
 
 
 @st.composite
@@ -41,6 +41,19 @@ def test_partition_is_a_disjoint_cover_and_e_shares_an_id_with_f(ds, data):
     retained = [s for s in ds.samples if not named(s)]
     assert part.entangled == [s for s in retained if shares(s)]
     assert part.disjoint == [s for s in retained if not shares(s)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), st.data())
+def test_entangled_partners_are_the_linear_scan_of_e(ds, data):
+    spec = data.draw(specs(ds))
+    try:
+        part = partition(ds, spec)
+    except ConfigError:  # the request would forget every sample
+        return
+    for x in part.forget:
+        assert entangled_partners(part, x) == [
+            e for e in part.entangled if e.query_id == x.query_id or e.doc_id == x.doc_id]
 
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True, width=64)
