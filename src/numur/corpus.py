@@ -27,8 +27,10 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -55,6 +57,9 @@ class Label(enum.Enum):
     NEGATIVE = 0
 
 
+LABELS = {"1": Label.POSITIVE, "0": Label.NEGATIVE}  # qrels label field -> Label
+
+
 @dataclass(frozen=True)
 class Query:
     id: str
@@ -66,18 +71,45 @@ class Document:
     id: str
     tokens: tuple[int, ...]
 
-    @cached_property
-    def token_array(self) -> np.ndarray:
-        """The tokens as an int64 array, made once and shared by every dataset
-        holding this document."""
-        return np.asarray(self.tokens, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class Sample:
     query_id: str
     doc_id: str
     label: Label
+
+
+@dataclass(frozen=True)
+class TokenRows:
+    """Token lists as one flat int64 array and the offset where each list
+    starts (CSR): list i is ``flat[starts[i]:starts[i + 1]]``."""
+
+    flat: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.flat.flags.writeable = False  # rows() hands out views of it
+
+    @classmethod
+    def of(cls, lists: list) -> "TokenRows":
+        starts = np.zeros(len(lists) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, lists), np.intp, len(lists)), out=starts[1:])
+        flat = np.fromiter(chain.from_iterable(lists), np.int64, int(starts[-1]))
+        return cls(flat, starts)
+
+    def rows(self) -> list[np.ndarray]:
+        """Each list as a view of ``flat``."""
+        bounds = self.starts.tolist()
+        return list(map(self.flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+
+    def length_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per token count, ascending: the rows with that many tokens, and
+        their tokens as one token-major (count, rows) array."""
+        lengths = np.diff(self.starts)
+        order = np.argsort(lengths, kind="stable")
+        groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if len(order) else []
+        return tuple((rows, self.flat[self.starts[rows] + np.arange(lengths[rows[0]])[:, None]])
+                     for rows in groups)
 
 
 @dataclass
@@ -89,14 +121,31 @@ class Dataset:
     samples: list[Sample]
     pools: dict[str, tuple[str, ...]]
     vocab_size: int
-    _qtok: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
-    _dtok: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
     _docs_indexed_by: "Dataset | None" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._qtok = {q.id: np.asarray(q.tokens, dtype=np.int64) for q in self.queries.values()}
-        self._dtok = {d.id: d.token_array for d in self.documents.values()}
         self._docs_indexed_by = None  # load_dataset's docs_from
+
+    # The token tables are built from the tuples on first use; load_dataset
+    # sets them from the arrays it parsed.
+    @cached_property
+    def _query_rows(self) -> TokenRows:
+        return TokenRows.of([q.tokens for q in self.queries.values()])
+
+    @cached_property
+    def _doc_rows(self) -> TokenRows:
+        return TokenRows.of([d.tokens for d in self.documents.values()])
+
+    @cached_property
+    def _qtok(self) -> dict[str, np.ndarray]:
+        return dict(zip(self.queries, self._query_rows.rows()))
+
+    @cached_property
+    def _dtok(self) -> dict[str, np.ndarray]:
+        source = self._docs_indexed_by
+        if source is not None:
+            return source._dtok
+        return dict(zip(self.documents, self._doc_rows.rows()))
 
     def query_tokens(self, query_id: str) -> np.ndarray:
         try:
@@ -157,16 +206,6 @@ class Dataset:
                     raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
 
 
-def _length_groups(tokens: list[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Per token count: the rows with that many tokens, and their tokens as one
-    token-major (count, rows) array."""
-    by_len: dict[int, list[int]] = {}
-    for i, toks in enumerate(tokens):
-        by_len.setdefault(len(toks), []).append(i)
-    return tuple((np.asarray(rows, dtype=np.intp), np.stack([tokens[r] for r in rows], axis=1))
-                 for _, rows in sorted(by_len.items()))
-
-
 @dataclass(frozen=True)
 class DatasetIndex:
     """Documents and queries as rows of matrices, and pools as arrays of doc rows.
@@ -204,31 +243,34 @@ class DatasetIndex:
         """The index of ``dataset``; the doc half is taken from ``docs`` when given,
         which must index the same documents dict."""
         if docs is None:
-            doc_row = {did: i for i, did in enumerate(dataset._dtok)}
-            groups = _length_groups(list(dataset._dtok.values()))
-            id_order = np.empty(len(doc_row), dtype=np.intp)
-            for pos, did in enumerate(sorted(doc_row)):
-                id_order[doc_row[did]] = pos
+            doc_ids = list(dataset.documents)
+            doc_row = dict(zip(doc_ids, range(len(doc_ids))))
+            groups = dataset._doc_rows.length_groups()
+            id_order = np.empty(len(doc_ids), dtype=np.intp)
+            id_order[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = \
+                np.arange(len(doc_ids))
         else:
             doc_row, groups, id_order = docs.doc_row, docs.groups, docs.id_order
-        query_row = {qid: i for i, qid in enumerate(dataset._qtok)}
-        pool_rows: dict[str, np.ndarray] = {}
-        for qid, pool in dataset.pools.items():
-            try:
-                pool_rows[qid] = np.asarray([doc_row[did] for did in pool], dtype=np.intp)
-            except KeyError as exc:
-                raise DataError(f"pool of query {qid!r} references unknown doc id "
-                                f"{exc.args[0]!r}") from None
-            if qid not in query_row:
-                raise DataError(f"pool references unknown query id {qid!r}")
+        query_row = dict(zip(dataset.queries, range(len(dataset.queries))))
+        # every pool entry mapped to its doc row in one pass; -1 marks an unknown id
+        pools = dataset.pools
+        starts = np.zeros(len(pools) + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, pools.values()), np.intp, len(pools)), out=starts[1:])
+        flat = np.fromiter(map(doc_row.get, chain.from_iterable(pools.values()), repeat(-1)),
+                           np.intp, int(starts[-1]))
+        pool_query = np.fromiter(map(query_row.get, pools, repeat(-1)), np.intp, len(pools))
+        if (flat < 0).any() or (pool_query < 0).any():
+            _raise_unknown_pool_id(pools, doc_row, query_row)
+        bounds = starts.tolist()
+        pool_rows = dict(zip(pools, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
+        lengths = np.diff(starts)
         pad = len(doc_row)
         pool_len = np.zeros(len(query_row), dtype=np.intp)
-        for qid, rows in pool_rows.items():
-            pool_len[query_row[qid]] = len(rows)
+        pool_len[pool_query] = lengths
         pool_matrix = np.full((len(query_row), int(pool_len.max(initial=0))), pad,
                               dtype=np.intp)
-        for qid, rows in pool_rows.items():
-            pool_matrix[query_row[qid], :len(rows)] = rows
+        pool_matrix[pool_query.repeat(lengths),
+                    np.arange(len(flat)) - starts[:-1].repeat(lengths)] = flat
         in_pool = pool_matrix < pad
         keys = _pool_key(np.arange(len(query_row))[:, None], pool_matrix, pad)[in_pool]
         order = np.argsort(keys, kind="stable")
@@ -238,7 +280,7 @@ class DatasetIndex:
                 positives.setdefault(s.query_id, []).append(s.doc_id)
         return cls(doc_row=doc_row, groups=groups, id_order=id_order,
                    query_row=query_row,
-                   query_groups=_length_groups(list(dataset._qtok.values())),
+                   query_groups=dataset._query_rows.length_groups(),
                    pool_rows=pool_rows, pool_matrix=pool_matrix,
                    pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
                    pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
@@ -250,6 +292,17 @@ class DatasetIndex:
         keys = _pool_key(query_rows, doc_rows, len(self.doc_row))
         at = np.minimum(np.searchsorted(self.pool_keys, keys), len(self.pool_keys) - 1)
         return np.where(self.pool_keys[at] == keys, self.pool_cols[at], -1)
+
+
+def _raise_unknown_pool_id(pools: dict[str, tuple[str, ...]], doc_row: dict[str, int],
+                           query_row: dict[str, int]) -> None:
+    """Raise for the first pool, in pool order, naming an unknown doc or query id."""
+    for qid, pool in pools.items():
+        for did in pool:
+            if did not in doc_row:
+                raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
+        if qid not in query_row:
+            raise DataError(f"pool references unknown query id {qid!r}")
 
 
 def _pool_key(query_rows: np.ndarray, doc_rows: np.ndarray, n_docs: int) -> np.ndarray:
@@ -317,7 +370,11 @@ def _lines(path: Path) -> list[str]:
         raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+# Lines parsed at a time; bounds the JSON objects and TSV fields alive at once.
+BLOCK_LINES = 1024
+
+_decoder = json.JSONDecoder()
+_raw_decode = _decoder.raw_decode
 
 
 def _json_line(line: str):
@@ -330,43 +387,186 @@ def _json_line(line: str):
     return obj
 
 
-def _read_jsonl_items(path: Path) -> list[tuple[str, tuple[int, ...]]]:
-    items: list[tuple[str, tuple[int, ...]]] = []
+def _read_jsonl_items(path: Path) -> tuple[list[str], list[tuple[int, ...]], TokenRows]:
+    """The ids and token tuples of a JSONL file's objects, in file order, and
+    their tokens as ``TokenRows``."""
+    lines = _lines(path)
+    parsed = _parse_jsonl(list(filter(None, map(str.strip, lines))))
+    if parsed is None:
+        _line_error(path, lines, 1, _jsonl_check())
+    return parsed
+
+
+def _parse_jsonl(items: list[str]) -> tuple[list[str], list[tuple[int, ...]], TokenRows] | None:
+    """``_read_jsonl_items`` of the stripped non-blank lines, checked in
+    whole-block passes; None when a line is invalid."""
+    ids: list[str] = []
+    tokens: list[tuple[int, ...]] = []
+    for start in range(0, len(items), BLOCK_LINES):
+        block = items[start:start + BLOCK_LINES]
+        # scan_once is raw_decode without its wrapper: on a line that starts
+        # with no JSON value it raises StopIteration, which ends the list early
+        try:
+            decoded = list(map(_decoder.scan_once, block, repeat(0)))
+        except json.JSONDecodeError:
+            return None
+        if list(map(itemgetter(1), decoded)) != list(map(len, block)):
+            return None
+        objs = list(map(itemgetter(0), decoded))
+        if not (set(map(type, objs)) <= {dict} and all(map(dict.__contains__, objs, repeat("id")))
+                and all(map(dict.__contains__, objs, repeat("tokens")))):
+            return None
+        lists = list(map(itemgetter("tokens"), objs))
+        # isinstance(True, int) holds, so the line check accepts booleans too
+        if not (set(map(type, lists)) <= {list}
+                and set(map(type, chain.from_iterable(lists))) <= {int, bool}):
+            return None
+        ids += map(str, map(itemgetter("id"), objs))
+        tokens += map(tuple, lists)
+    if len(set(ids)) != len(ids):
+        return None
+    return ids, tokens, TokenRows.of(tokens)
+
+
+def _jsonl_check():
+    """The check of one line of a JSONL file, lines taken in file order."""
     seen: set[str] = set()
-    for lineno, line in enumerate(_lines(path), start=1):
+
+    def check(line: str) -> str | None:
         line = line.strip()
         if not line:
-            continue
+            return None
         try:
             obj = _json_line(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            return f"malformed JSON ({exc.msg})"
         if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
-            raise DataError(f"{path}:{lineno}: expected object with 'id' and 'tokens'")
+            return "expected object with 'id' and 'tokens'"
         ident = str(obj["id"])
         if ident in seen:
-            raise DataError(f"{path}:{lineno}: duplicate id {ident!r}")
+            return f"duplicate id {ident!r}"
         seen.add(ident)
         toks = obj["tokens"]
         if not isinstance(toks, list) or not all(isinstance(t, int) for t in toks):
-            raise DataError(f"{path}:{lineno}: 'tokens' must be a list of integers")
-        items.append((ident, tuple(toks)))
-    return items
+            return "'tokens' must be a list of integers"
+        return None
+    return check
 
 
-def _read_tsv(path: Path, header: str):
-    """(line number, fields) of each non-blank line after the header, yielded as read."""
-    n_cols = header.count("\t") + 1
+def _line_error(path: Path, lines: list[str], first: int, check) -> NoReturn:
+    """Raise the DataError of the first line ``check`` rejects, as
+    ``path:line: message``; ``lines`` are numbered from ``first``.
+
+    Loaders call this only after their whole-file checks found an invalid
+    line, so some line fails.
+    """
+    for lineno, line in enumerate(lines, start=first):
+        message = check(line)
+        if message is not None:
+            raise DataError(f"{path}:{lineno}: {message}")
+    raise AssertionError(f"{path}: the whole-file checks rejected a file whose lines all pass")
+
+
+def _read_tsv(path: Path, header: str, query_row: dict[str, int], doc_row: dict[str, int],
+              convert) -> tuple[np.ndarray, np.ndarray, list] | None:
+    """The query row, doc row and ``convert`` of the third field of each
+    non-blank line after the header of a three-column TSV file, in file
+    order; -1 for an id that ``query_row`` or ``doc_row`` lacks.
+
+    None when a line has another number of fields or ``convert`` raises
+    ValueError on a third field.
+    """
     lines = _lines(path)
     if lines[0] != header:
         raise DataError(f"{path}:1: expected header {header!r}")
-    for lineno, line in enumerate(islice(lines, 1, None), start=2):
+    rows = list(filter(None, islice(lines, 1, None)))
+    if not set(map(str.count, rows, repeat("\t"))) <= {2}:
+        return None
+    q, d, third = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], []
+    try:
+        for start in range(0, len(rows), BLOCK_LINES):
+            fields = "\t".join(rows[start:start + BLOCK_LINES]).split("\t")
+            q.append(_rows_of(fields[0::3], query_row))
+            d.append(_rows_of(fields[1::3], doc_row))
+            third += map(convert, fields[2::3])
+    except ValueError:
+        return None
+    return np.concatenate(q), np.concatenate(d), third
+
+
+def _tsv_check(check_fields):
+    """The check of one line after the header of a three-column TSV file:
+    its field count, then ``check_fields`` of its fields; blank lines pass."""
+    def check(line: str) -> str | None:
         if not line:
-            continue
+            return None
         fields = line.split("\t")
-        if len(fields) != n_cols:
-            raise DataError(f"{path}:{lineno}: expected {n_cols} tab-separated fields")
-        yield lineno, fields
+        if len(fields) != 3:
+            return "expected 3 tab-separated fields"
+        return check_fields(*fields)
+    return check
+
+
+def _pool_check(queries: dict, documents: dict):
+    """The check of one pools.tsv line, lines taken in file order."""
+    seen: set[tuple[str, str]] = set()
+
+    def check(qid: str, did: str, hint: str) -> str | None:
+        if qid not in queries:
+            return f"unknown query id {qid!r}"
+        if did not in documents:
+            return f"unknown doc id {did!r}"
+        try:
+            int(hint)
+        except ValueError:
+            return f"rank_hint {hint!r} is not an integer"
+        if (qid, did) in seen:
+            return f"duplicate pool entry {did!r} for query {qid!r}"
+        seen.add((qid, did))
+        return None
+    return _tsv_check(check)
+
+
+def _qrels_check(queries: dict, documents: dict, pools: dict[str, tuple[str, ...]]):
+    """The check of one qrels.tsv line, lines taken in file order."""
+    seen: set[tuple[str, str]] = set()
+
+    def check(qid: str, did: str, label: str) -> str | None:
+        if qid not in queries:
+            return f"unknown query id {qid!r}"
+        if did not in documents:
+            return f"unknown doc id {did!r}"
+        if label not in LABELS:
+            return f"label must be 0 or 1, got {label!r}"
+        if (qid, did) in seen:
+            return f"duplicate pair ({qid!r}, {did!r})"
+        seen.add((qid, did))
+        if did not in pools.get(qid, ()):
+            kind = "positive" if label == "1" else "negative"
+            return f"{kind} sample doc {did!r} absent from pool of {qid!r}"
+        return None
+    return _tsv_check(check)
+
+
+def _rows_of(ids: list[str], row: dict[str, int]) -> np.ndarray:
+    """The row of each id, -1 where ``row`` lacks it."""
+    return np.fromiter(map(row.get, ids, repeat(-1)), np.intp, len(ids))
+
+
+def _unique_keys(keys: np.ndarray) -> np.ndarray | None:
+    """``keys`` sorted, or None when one repeats."""
+    keys = np.sort(keys)
+    return None if (keys[1:] == keys[:-1]).any() else keys
+
+
+def _reject_negative_tokens(kind: str, ids: list[str], rows: TokenRows,
+                            vocab_size: int) -> None:
+    """Raise, as Dataset.validate would, for the first item with a token below zero."""
+    at = np.flatnonzero(rows.flat < 0)
+    if len(at):
+        row = int(np.searchsorted(rows.starts, at[0], side="right")) - 1
+        raise DataError(f"{kind} {ids[row]!r} token {rows.flat[at[0]]} outside vocabulary "
+                        f"of size {vocab_size}")
 
 
 def load_dataset(queries_path: str | Path, docs_path: str | Path,
@@ -379,71 +579,80 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     ``docs_from``, a dataset loaded from the same docs file, lends its
     documents, which stand in for that file (it is not read again), and
     the doc half of its ``index`` (doc rows, length groups, id order).
+
+    Each file is parsed and checked in whole-file passes over its lines;
+    only when those find an invalid line do the per-line checks run, to
+    report the first invalid line as ``path:line: message``.
     """
     queries_path, docs_path = Path(queries_path), Path(docs_path)
     qrels_path, pools_path = Path(qrels_path), Path(pools_path)
 
-    queries = {qid: Query(qid, toks) for qid, toks in _read_jsonl_items(queries_path)}
+    query_ids, query_tokens, query_rows = _read_jsonl_items(queries_path)
+    queries = dict(zip(query_ids, map(Query, query_ids, query_tokens)))
     if docs_from is not None:
-        documents = docs_from.documents
+        documents, doc_rows = docs_from.documents, docs_from._doc_rows
+        doc_ids = list(documents)
     else:
-        documents = {did: Document(did, toks) for did, toks in _read_jsonl_items(docs_path)}
+        doc_ids, doc_tokens, doc_rows = _read_jsonl_items(docs_path)
+        documents = dict(zip(doc_ids, map(Document, doc_ids, doc_tokens)))
 
-    max_token, min_token = -1, 0
-    for item in (*queries.values(), *documents.values()):
-        if not item.tokens:
-            raise DataError(f"{item.id!r} has an empty token list")
-        max_token = max(max_token, max(item.tokens))
-        min_token = min(min_token, min(item.tokens))
+    for ids, rows in ((query_ids, query_rows), (doc_ids, doc_rows)):
+        empty = np.flatnonzero(np.diff(rows.starts) == 0)
+        if len(empty):
+            raise DataError(f"{ids[empty[0]]!r} has an empty token list")
+    max_token = max(int(query_rows.flat.max(initial=-1)), int(doc_rows.flat.max(initial=-1)))
     vocab_size = max_token + 1 if max_token >= 0 else 1
 
-    # rank_hint of each pool entry, per query in file order
-    hints_of: dict[str, dict[str, int]] = {}
-    for lineno, (qid, did, hint) in _read_tsv(pools_path, POOLS_HEADER):
-        hints = hints_of.get(qid)
-        if hints is None:
-            if qid not in queries:
-                raise DataError(f"{pools_path}:{lineno}: unknown query id {qid!r}")
-            hints = hints_of[qid] = {}
-        if did not in documents:
-            raise DataError(f"{pools_path}:{lineno}: unknown doc id {did!r}")
-        try:
-            rank_hint = int(hint)
-        except ValueError:
-            raise DataError(f"{pools_path}:{lineno}: rank_hint {hint!r} is not an integer") from None
-        if did in hints:
-            raise DataError(f"{pools_path}:{lineno}: duplicate pool entry {did!r} for query {qid!r}")
-        hints[did] = rank_hint
-    # sorted() is stable: equal hints keep their file order
-    pools = {qid: tuple(sorted(hints, key=hints.__getitem__)) for qid, hints in hints_of.items()}
+    query_row = dict(zip(query_ids, range(len(query_ids))))
+    doc_row = dict(zip(doc_ids, range(len(doc_ids))))
+    n_docs = len(doc_ids)
 
-    samples: list[Sample] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    for lineno, (qid, did, label_text) in _read_tsv(qrels_path, QRELS_HEADER):
-        if qid not in queries:
-            raise DataError(f"{qrels_path}:{lineno}: unknown query id {qid!r}")
-        if did not in documents:
-            raise DataError(f"{qrels_path}:{lineno}: unknown doc id {did!r}")
-        if label_text not in ("0", "1"):
-            raise DataError(f"{qrels_path}:{lineno}: label must be 0 or 1, got {label_text!r}")
-        if (qid, did) in seen_pairs:
-            raise DataError(f"{qrels_path}:{lineno}: duplicate pair ({qid!r}, {did!r})")
-        seen_pairs.add((qid, did))
-        label = Label.POSITIVE if label_text == "1" else Label.NEGATIVE
-        if did not in hints_of.get(qid, ()):
-            kind = "positive" if label is Label.POSITIVE else "negative"
-            raise DataError(
-                f"{qrels_path}:{lineno}: {kind} sample doc {did!r} absent from pool of {qid!r}")
-        samples.append(Sample(qid, did, label))
+    columns = _read_tsv(pools_path, POOLS_HEADER, query_row, doc_row, int)
+    pool_keys = None
+    if columns is not None:
+        q, d, hints = columns
+        if (q >= 0).all() and (d >= 0).all():
+            pool_keys = _unique_keys(_pool_key(q, d, n_docs))
+    if pool_keys is None:
+        _line_error(pools_path, _lines(pools_path)[1:], 2, _pool_check(queries, documents))
+    try:
+        hint_keys = np.array(hints, dtype=np.int64)
+    except OverflowError:  # hints past int64 sort as their ranks among the hints
+        hint_keys = np.unique(np.array(hints, dtype=object), return_inverse=True)[1]
+    # the pools follow the order in which their queries first appear
+    present, first = np.unique(q, return_index=True)
+    by_appearance = present[np.argsort(first)]
+    appearance = np.empty(len(query_ids), dtype=np.intp)
+    appearance[by_appearance] = np.arange(len(by_appearance))
+    # entries by query, then rank_hint, then file order
+    order = np.lexsort((np.arange(len(q)), hint_keys, appearance[q]))
+    ranked = list(map(doc_ids.__getitem__, d[order].tolist()))
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(appearance[q])))).tolist()
+    pools = {query_ids[row]: tuple(ranked[bounds[i]:bounds[i + 1]])
+             for i, row in enumerate(by_appearance.tolist())}
 
-    # The line checks above cover every invariant of Dataset.validate but
-    # one: tokens below zero. Report the first, as validate would.
-    if min_token < 0:
-        for kind, items in (("query", queries.values()), ("document", documents.values())):
-            for item in items:
-                _check_tokens(kind, item.id, item.tokens, vocab_size)
+    columns = _read_tsv(qrels_path, QRELS_HEADER, query_row, doc_row, str)
+    valid = False
+    if columns is not None:
+        q, d, labels = columns
+        if set(labels) <= LABELS.keys() and (q >= 0).all() and (d >= 0).all():
+            keys = _unique_keys(_pool_key(q, d, n_docs))
+            if keys is not None:
+                at = np.searchsorted(pool_keys, keys)
+                valid = bool((np.append(pool_keys, -1)[at] == keys).all())
+    if not valid:
+        _line_error(qrels_path, _lines(qrels_path)[1:], 2,
+                    _qrels_check(queries, documents, pools))
+    samples = list(map(Sample, map(query_ids.__getitem__, q.tolist()),
+                       map(doc_ids.__getitem__, d.tolist()), map(LABELS.__getitem__, labels)))
+
+    # The checks above cover every invariant of Dataset.validate but one:
+    # tokens below zero.
+    _reject_negative_tokens("query", query_ids, query_rows, vocab_size)
+    _reject_negative_tokens("document", doc_ids, doc_rows, vocab_size)
     dataset = Dataset(queries=queries, documents=documents, samples=samples,
                       pools=pools, vocab_size=vocab_size)
+    dataset._query_rows, dataset._doc_rows = query_rows, doc_rows
     dataset._docs_indexed_by = docs_from
     return dataset
 

@@ -94,7 +94,7 @@ def rank(model: ScoreModel, dataset: Dataset, query_id: str) -> RankedList:
 
 
 def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
-                     dataset: Dataset) -> MrrResult:
+                     dataset: Dataset, dvec: np.ndarray | None) -> MrrResult:
     index = dataset.index
     qids = sorted(per_query_targets)
     query_rows = np.array([index.query_row.get(qid, -1) for qid in qids], dtype=np.intp)
@@ -118,7 +118,7 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
     if skipped == len(qids):
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped)
     query_rows, hit = query_rows[found], hit[found]
-    scores = score_pools(model, dataset, query_rows)
+    scores = score_pools(model, dataset, query_rows, dvec)
     # NaN ranks after every number, as in rank's sort; softplus is never -inf,
     # so -inf does the same, and padding (-inf, id past every doc) is never ahead
     np.fmax(scores, -np.inf, out=scores)
@@ -132,11 +132,12 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
 
 
 def mrr_forget(model: ScoreModel, dataset: Dataset, part: Partition,
-               spec: ForgetSpec) -> MrrResult:
+               spec: ForgetSpec, dvec: np.ndarray | None = None) -> MrrResult:
     """Mean reciprocal rank over the distinct queries of the forget set.
 
     Query removal targets the first positive document of the query;
     document removal targets the first document named for removal.
+    ``dvec`` is ``doc_vectors(model, dataset)``, as ``score_pool`` takes it.
     """
     if not part.forget_queries:
         raise ConfigError("forget set contains no queries")
@@ -146,15 +147,16 @@ def mrr_forget(model: ScoreModel, dataset: Dataset, part: Partition,
             targets[qid] = spec.ids.intersection(dataset.pools.get(qid, ()))
         else:
             targets[qid] = set(dataset.positives_of(qid))
-    return _mean_reciprocal(targets, model, dataset)
+    return _mean_reciprocal(targets, model, dataset, dvec)
 
 
-def mrr_set(model: ScoreModel, dataset: Dataset, samples: list[Sample]) -> MrrResult:
+def mrr_set(model: ScoreModel, dataset: Dataset, samples: list[Sample],
+            dvec: np.ndarray | None = None) -> MrrResult:
     """Mean reciprocal rank of the first positive doc, per query, within `samples`.
 
     Relevance is restricted to the positive-labelled docs a query has in
     `samples`; the ranking is over the query's full pool. Queries with
-    no positive in `samples` are skipped.
+    no positive in `samples` are skipped. ``dvec`` is as for ``mrr_forget``.
     """
     positives: dict[str, set[str]] = {}
     for s in samples:
@@ -164,7 +166,7 @@ def mrr_set(model: ScoreModel, dataset: Dataset, samples: list[Sample]) -> MrrRe
     skipped_no_positive = len(queries_seen - set(positives))
     if not positives:
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped_no_positive)
-    result = _mean_reciprocal(positives, model, dataset)
+    result = _mean_reciprocal(positives, model, dataset, dvec)
     return MrrResult(value=result.value, evaluated=result.evaluated,
                      skipped=result.skipped + skipped_no_positive)
 

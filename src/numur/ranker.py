@@ -315,9 +315,11 @@ def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
     return np.logaddexp(0.0, dvec[rows] @ u)
 
 
-def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray) -> np.ndarray:
+def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
+                dvec: np.ndarray | None = None) -> np.ndarray:
     """``score_pool`` of many queries: row i scores the pool of query row
-    ``query_rows[i]`` in pool order, padded with -inf past its end.
+    ``query_rows[i]`` in pool order, padded with -inf past its end;
+    ``dvec`` is as for ``score_pool``.
 
     Pools of one length are scored with one ``np.matmul`` over a
     (queries, length, dim) gather of the doc vectors, which runs the same
@@ -326,7 +328,8 @@ def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray) -> 
     in an order that depends on the height of the matrix.
     """
     index = dataset.index
-    dvec = doc_vectors(model, dataset)
+    if dvec is None:
+        dvec = doc_vectors(model, dataset)
     qvec = query_vectors(model, dataset)[query_rows]
     lengths = index.pool_len[query_rows]
     out = np.full((len(query_rows), index.pool_matrix.shape[1]), -np.inf)

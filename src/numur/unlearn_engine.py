@@ -24,6 +24,7 @@ Strategies:
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -33,8 +34,8 @@ from .corpus import CorpusSplit, Label, Sample
 from .errors import ConfigError
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (HingeDraws, ScoreModel, clone_model, hinge_negatives, init_model,
-                     new_buffer, pairwise_epoch, snapshot)
+from .ranker import (HingeDraws, ScoreModel, clone_model, doc_vectors, hinge_negatives,
+                     init_model, new_buffer, pairwise_epoch, snapshot)
 from .unlearn_losses import (abs_delta_loss, build_min_cache, consistent_loss,
                              contrastive_loss)
 
@@ -126,16 +127,33 @@ def _require(cfg: UnlearnConfig, method: Method) -> None:
 
 
 def _param(cfg: UnlearnConfig, key: str, default: float) -> float:
-    return float(cfg.method_params.get(key, default))
+    """A number from method_params; ConfigError unless it is a finite int or float."""
+    value = cfg.method_params.get(key, default)
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"method_params {key!r} must be a finite number, got {value!r}")
+    return number
+
+
+def _negatives_per_positive(cfg: UnlearnConfig) -> int:
+    value = cfg.method_params.get("negatives_per_positive", 4)
+    if type(value) is not int or value < 1:
+        raise ConfigError("method_params 'negatives_per_positive' must be an integer >= 1, "
+                          f"got {value!r}")
+    return value
 
 
 def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
               epoch: int, wall: float) -> EpochRecord:
+    dvec = doc_vectors(student, split.train)  # pooled once for the three train-split MRRs
     return EpochRecord(
         epoch=epoch,
-        mrr_forget=mrr_forget(student, split.train, part, part.spec).value,
-        mrr_entangled=mrr_set(student, split.train, part.entangled).value,
-        mrr_disjoint=mrr_set(student, split.train, part.disjoint).value,
+        mrr_forget=mrr_forget(student, split.train, part, part.spec, dvec).value,
+        mrr_entangled=mrr_set(student, split.train, part.entangled, dvec).value,
+        mrr_disjoint=mrr_set(student, split.train, part.disjoint, dvec).value,
         mrr_test=mrr_set(student, split.test, split.test.samples).value,
         epoch_wall_time=wall,
     )
@@ -229,7 +247,7 @@ def cf_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     if not part.forget:
         raise ConfigError("forget set is empty")
     margin = _param(cfg, "margin", 1.0)
-    npp = int(_param(cfg, "negatives_per_positive", 4))
+    npp = _negatives_per_positive(cfg)
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
 
     student = clone_model(m_train)
@@ -252,7 +270,7 @@ def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     if not part.forget:
         raise ConfigError("forget set is empty")
     margin = _param(cfg, "margin", 1.0)
-    npp = int(_param(cfg, "negatives_per_positive", 4))
+    npp = _negatives_per_positive(cfg)
 
     negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
@@ -290,7 +308,7 @@ def neggrad_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     if not part.forget:
         raise ConfigError("forget set is empty")
     margin = _param(cfg, "margin", 1.0)
-    npp = int(_param(cfg, "negatives_per_positive", 4))
+    npp = _negatives_per_positive(cfg)
 
     negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
@@ -329,7 +347,7 @@ def ssd_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     if alpha <= 1.0 or lam <= 0.0:
         raise ConfigError("ssd needs alpha > 1 and lambda > 0")
     margin = _param(cfg, "margin", 1.0)
-    npp = int(_param(cfg, "negatives_per_positive", 4))
+    npp = _negatives_per_positive(cfg)
 
     rng = np.random.default_rng(cfg.seed)
     negatives = hinge_negatives(split.train, split.train.samples)

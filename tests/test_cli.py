@@ -223,6 +223,30 @@ def test_method_params_with_all_methods(workdir, tmp_path, capsys, params, code)
         assert set(run_config["method_params"]) == keys
 
 
+@pytest.mark.parametrize("method", ["cf", "amnesiac", "neggrad", "ssd"])
+@pytest.mark.parametrize("params", [
+    *({"negatives_per_positive": value} for value in (0, -1, 2.7, "x")),
+    {"margin": "x"}, {"margin": None}, {"margin": float("nan")},
+], ids=repr)
+def test_bad_method_param_values_are_config_errors(workdir, tmp_path, capsys, method, params):
+    runs = tmp_path / "runs"
+    shutil.copytree(workdir / "runs", runs)
+    shutil.rmtree(runs / "unlearn")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**SMALL_CONFIG, "unlearn": {
+        **SMALL_CONFIG["unlearn"], "method_params": params}}), encoding="utf-8")
+    assert main(["--config", str(config), "--out", str(runs), "unlearn", "--spec",
+                 "spec_document_25", "--method", method, "--delta", "0.001"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:config:") and repr(next(iter(params))) in err, err
+    assert not (runs / "unlearn").exists()
+
+
+@pytest.mark.parametrize("params", [{"alpha": None}, {"lambda": "x"}, {"alpha": True}])
+def test_bad_ssd_param_values_are_config_errors(workdir, tmp_path, capsys, params):
+    test_bad_method_param_values_are_config_errors(workdir, tmp_path, capsys, "ssd", params)
+
+
 class TestMalformedArtifacts:
     """A damaged run artifact ends in ERROR:data and exit 1, never a traceback."""
 
