@@ -32,7 +32,7 @@ from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
 from .partition import (ForgetSpec, RemovalKind, load_forget_spec, partition,
                         sample_forget_spec, save_forget_spec)
 from .ranker import (TrainConfig, check_model_fits, load_model, retrain, save_model,
-                     train)
+                     split_doc_vectors, train)
 from .unlearn_engine import (PARAM_KEYS, Method, UnlearnConfig, compute_destinations,
                              unlearn)
 
@@ -384,18 +384,19 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -
     eval_dir = out / "eval" / f"{model_tag}_{name}"
     sets = [("forget", part.forget), ("entangled", part.entangled),
             ("disjoint", part.disjoint), ("test", split.test.samples)]
+    dvec, test_dvec = split_doc_vectors(model, split)
     _write_json(eval_dir / "report.json", {
         "model": str(model_path), "spec": name,
-        "mrr_forget": mrr_forget(model, split.train, part, spec).value,
-        "mrr_entangled": mrr_set(model, split.train, part.entangled).value,
-        "mrr_disjoint": mrr_set(model, split.train, part.disjoint).value,
-        "mrr_test": mrr_set(model, split.test, split.test.samples).value,
+        "mrr_forget": mrr_forget(model, split.train, part, spec, dvec).value,
+        "mrr_entangled": mrr_set(model, split.train, part.entangled, dvec).value,
+        "mrr_disjoint": mrr_set(model, split.train, part.disjoint, dvec).value,
+        "mrr_test": mrr_set(model, split.test, split.test.samples, test_dvec).value,
     })
     dists = score_distribution(
         [(model_tag, model)],
-        split.train, [(n, s) for n, s in sets if n != "test"])
+        split.train, [(n, s) for n, s in sets if n != "test"], dvec)
     dists += score_distribution([(model_tag, model)], split.test,
-                                [("test", split.test.samples)])
+                                [("test", split.test.samples)], test_dvec)
     rows = [[d.model_name, d.set_name, d.count, d.min, d.max, d.mean,
              *d.deciles] for d in dists]
     _write_csv(eval_dir / "distributions.csv",

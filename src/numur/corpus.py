@@ -159,6 +159,11 @@ class Dataset:
         except KeyError:
             raise DataError(f"unknown doc id {doc_id!r}") from None
 
+    def token_rows(self) -> tuple[TokenRows, TokenRows]:
+        """The token lists of the queries by ``index.query_row`` and of the
+        docs by ``index.doc_row``."""
+        return self._query_rows, self._doc_rows
+
     def positives_of(self, query_id: str) -> list[str]:
         """Positive-labelled doc ids of a query, in sample order."""
         return list(self.index.positives.get(query_id, ()))

@@ -196,15 +196,20 @@ def timing_metrics(train_epoch_times: list[float], unlearn_epoch_times: list[flo
 
 
 def score_distribution(models: list[tuple[str, ScoreModel]], dataset: Dataset,
-                       sets: list[tuple[str, list[Sample]]]) -> list[ScoreDistribution]:
+                       sets: list[tuple[str, list[Sample]]],
+                       dvec: np.ndarray | None = None) -> list[ScoreDistribution]:
     """Per (model, sample set): min/max/mean and deciles of pair scores.
 
     The pairs of every set are scored in one ``sample_scores`` pass per
-    model, bitwise the scores ``forward`` gives them.
+    model, bitwise the scores ``forward`` gives them. ``dvec`` is
+    ``doc_vectors(model, dataset)`` of the one model in ``models``.
     """
+    if dvec is not None and len(models) != 1:
+        raise ConfigError("score_distribution takes dvec only for a single model")
     out: list[ScoreDistribution] = []
     for model_name, model in models:
-        every = sample_scores(model, dataset, [s for _, samples in sets for s in samples])
+        every = sample_scores(model, dataset, [s for _, samples in sets for s in samples],
+                              dvec)
         end = 0
         for set_name, samples in sets:
             start, end = end, end + len(samples)

@@ -172,6 +172,12 @@ def _sigmoid(z: float) -> float:
     return float(e / (1.0 + e))
 
 
+def _sigmoids(z: np.ndarray) -> np.ndarray:
+    """``_sigmoid`` of each entry, bitwise."""
+    e = np.exp(np.where(z >= 0, -z, z))  # NaN takes the second branch, as in _sigmoid
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _mean_rows(x: np.ndarray) -> np.ndarray:
     # The arithmetic of x.mean(axis=0), a sum over rows then one division,
     # without mean's Python-level bookkeeping: bitwise the same result.
@@ -287,6 +293,16 @@ def doc_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
     return _pooled(model.embed_d, index.groups, len(index.doc_row))
 
 
+def split_doc_vectors(model: ScoreModel, split: CorpusSplit) -> tuple[np.ndarray, np.ndarray]:
+    """``doc_vectors`` of the train split and of the test split. A test split
+    loaded with ``docs_from`` indexes the train split's doc rows, so the
+    docs are pooled once for both."""
+    train = doc_vectors(model, split.train)
+    if split.test.index.doc_row is split.train.index.doc_row:
+        return train, train
+    return train, doc_vectors(model, split.test)
+
+
 def query_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
     """Mean-pooled vector of every query, one row per ``dataset.index.query_row``;
     pooled as ``doc_vectors`` pools docs, so bitwise each query pooled alone."""
@@ -343,21 +359,32 @@ def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
     return out
 
 
-def sample_scores(model: ScoreModel, dataset: Dataset,
-                  samples: Sequence[Sample]) -> list[float]:
-    """``forward`` of every sample, with each doc and each query pooled once.
+def pair_scores(qvec: np.ndarray, dvec: np.ndarray, query_rows,
+                doc_rows) -> tuple[np.ndarray, np.ndarray]:
+    """The logit ``u . v`` and the score ``softplus(u . v)`` of each pair of
+    a ``query_vectors`` row and a ``doc_vectors`` row.
 
-    A pair's score is one dot product of its rows of ``query_vectors``
-    and ``doc_vectors`` and a softplus: bitwise the score ``forward`` gives.
+    One ``np.matmul`` of (pairs, 1, dim) by (pairs, dim, 1) runs one dot
+    product per pair, the one ``float(u @ v)`` runs, so each score is
+    bitwise the score ``forward`` gives.
     """
+    logits = np.matmul(qvec[query_rows][:, None, :], dvec[doc_rows][:, :, None])[:, 0, 0]
+    return logits, np.logaddexp(0.0, logits)
+
+
+def sample_scores(model: ScoreModel, dataset: Dataset, samples: Sequence[Sample],
+                  dvec: np.ndarray | None = None) -> list[float]:
+    """``forward`` of every sample, with each doc and each query pooled once
+    (``pair_scores``); ``dvec`` is as for ``score_pool``."""
     index = dataset.index
-    dvec, qvec = doc_vectors(model, dataset), query_vectors(model, dataset)
     try:
-        logits = [float(qvec[index.query_row[s.query_id]] @ dvec[index.doc_row[s.doc_id]])
-                  for s in samples]
+        rows = [(index.query_row[s.query_id], index.doc_row[s.doc_id]) for s in samples]
     except KeyError as exc:
         raise DataError(f"sample references unknown id {exc.args[0]!r}") from None
-    return np.logaddexp(0.0, logits).tolist()
+    rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    if dvec is None:
+        dvec = doc_vectors(model, dataset)
+    return pair_scores(query_vectors(model, dataset), dvec, rows[:, 0], rows[:, 1])[1].tolist()
 
 
 def backward_score(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str,
@@ -412,11 +439,6 @@ class HingeDraws:
     positive to the next, so a run whose draws are all active makes the
     steps of the per-draw loop and no more.
 
-    Without a learning rate the parameters never move: each positive's
-    draws are one step whose pairs repeat the positive before each
-    negative, with one ``backward``, so ``np.add.at`` adds in the order
-    of the per-draw loop.
-
     ``total`` sums the losses in draw order, inactive draws as 0.0;
     ``draws`` counts the draws.
     """
@@ -445,9 +467,6 @@ class HingeDraws:
         if not pairs:
             return
         self.draws += len(pairs)
-        if self.buf.lr is None:
-            self._accumulate(pos_pair, pairs)
-            return
         model, dataset, margin, buf = self.model, self.dataset, self.margin, self.buf
         at, n = 0, len(pairs)
         while at < n:
@@ -476,18 +495,71 @@ class HingeDraws:
                 self.wide = False
                 break  # the parameters moved: score the rest again
 
-    def _accumulate(self, pos_pair: tuple[str, str], pairs: list[tuple[str, str]]) -> None:
-        step = PairStep(self.model, self.dataset, [p for pair in pairs for p in (pos_pair, pair)])
-        scores = step.scores
-        upstream = []
-        for k in range(0, len(scores), 2):
-            loss = self.margin - scores[k] + scores[k + 1]
-            if loss <= 0.0:
-                upstream += (0.0, 0.0)
-            else:
-                upstream += (-1.0, 1.0)
-                self.total += loss
-        step.backward(upstream, self.buf)
+
+# Positives per block of hinge_grad_squares. A block's largest temporary
+# holds four vectors per active draw: 64 KB at dim 16 and 4 draws each.
+GRAD_BLOCK = 32
+
+
+def hinge_grad_squares(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
+                       pos_rows: np.ndarray, neg_rows: np.ndarray, margin: float,
+                       sq: np.ndarray) -> None:
+    """For each positive, in order, add ``(grad / n) ** 2`` into ``sq`` on the
+    stacked rows its draws touch, where ``grad`` is the hinge gradient of its
+    n draws: the doc rows ``neg_rows[i]`` against ``pos_rows[i]`` for the
+    query row ``query_rows[i]``.
+
+    Bitwise the per-draw loop under parameters that never move: one
+    ``hinge_loss_and_grad`` call per draw into a buffer without a learning
+    rate, then ``sq[rows] += (grad[rows] / n) ** 2`` over the rows touched
+    and those rows zeroed, once per positive. A draw is active unless its
+    loss is ``<= 0.0``, so a NaN loss is active. Each active draw adds, as
+    ``PairStep.backward`` does: the query rows ``v_pos * g_pos / lq``, the
+    positive's rows ``u * g_pos / lp``, the query rows ``v_neg * g_neg / lq``
+    and the negative's rows ``u * g_neg / ln``. Each (positive, row)
+    gradient is summed in that order from 0.0 by ``np.bincount``, and
+    ``np.add.at`` adds the squares into ``sq`` in positive order.
+    Positives go ``GRAD_BLOCK`` at a time.
+    """
+    n, draws = neg_rows.shape
+    dim, stacked = model.dim, 2 * model.vocab_size
+    qvec, dvec = query_vectors(model, dataset), doc_vectors(model, dataset)
+    # token rows of the stacked table: query row r is entry r, doc row r entry n_q + r
+    qtok, dtok = dataset.token_rows()
+    n_q = len(qtok.starts) - 1
+    flat = np.concatenate((qtok.flat, dtok.flat + model.vocab_size))
+    starts = np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat)))
+    lengths = np.diff(starts)
+    for at in range(0, n, GRAD_BLOCK):
+        q, p, negs = query_rows[at:at + GRAD_BLOCK], pos_rows[at:at + GRAD_BLOCK], \
+            neg_rows[at:at + GRAD_BLOCK]
+        logits, scores = pair_scores(qvec, dvec, np.concatenate((q, q.repeat(draws))),
+                                     np.concatenate((p, negs.ravel())))
+        m = len(q)
+        loss = margin - scores[:m, None] + scores[m:].reshape(m, draws)
+        s, k = np.nonzero(~(loss <= 0.0))  # the active draws, in draw order
+        if not len(s):
+            continue
+        g_pos = (_sigmoids(logits[:m]) * -1.0)[s, None]
+        g_neg = _sigmoids(logits[m:].reshape(m, draws)[s, k])[:, None]
+        qe, pe, ne = q[s], n_q + p[s], n_q + negs[s, k]
+        lq, lp, ln = (lengths[e][:, None] for e in (qe, pe, ne))
+        u, v_pos, v_neg = qvec[q[s]], dvec[p[s]], dvec[negs[s, k]]
+        # each active draw's four terms, each spread over its entry's token rows
+        terms = np.stack((v_pos * g_pos / lq, u * g_pos / lp, v_neg * g_neg / lq,
+                          u * g_neg / ln), axis=1).reshape(-1, dim)
+        entries = np.stack((qe, pe, qe, ne), axis=1).ravel()
+        spans = lengths[entries]
+        ends = np.cumsum(spans)
+        rows = flat[np.arange(ends[-1]) + (starts[entries] - ends + spans).repeat(spans)]
+        # one group per (positive, row); its key orders the groups by positive
+        groups, slot = np.unique(s.repeat(4).repeat(spans) * stacked + rows,
+                                 return_inverse=True)
+        group_rows = groups % stacked
+        for col in range(dim):  # column by column, so no temporary holds a vector per entry
+            grad = np.bincount(slot, terms[:, col].repeat(spans), len(groups))
+            grad /= draws
+            np.add.at(sq[:, col], group_rows, np.square(grad, out=grad))
 
 
 HARD_NEGATIVES_PER_QUERY = 8

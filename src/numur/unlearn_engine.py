@@ -34,8 +34,8 @@ from .corpus import CorpusSplit, Label, Sample
 from .errors import ConfigError
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (HingeDraws, ScoreModel, clone_model, doc_vectors, hinge_negatives,
-                     init_model, new_buffer, pairwise_epoch, snapshot)
+from .ranker import (HingeDraws, ScoreModel, clone_model, hinge_grad_squares, hinge_negatives,
+                     init_model, new_buffer, pairwise_epoch, snapshot, split_doc_vectors)
 from .unlearn_losses import (abs_delta_loss, build_min_cache, consistent_loss,
                              contrastive_loss)
 
@@ -138,6 +138,14 @@ def _param(cfg: UnlearnConfig, key: str, default: float) -> float:
     return number
 
 
+def _switch(cfg: UnlearnConfig, key: str) -> bool:
+    """An on/off switch from method_params, on by default; ConfigError unless a bool."""
+    value = cfg.method_params.get(key, True)
+    if type(value) is not bool:
+        raise ConfigError(f"method_params {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _negatives_per_positive(cfg: UnlearnConfig) -> int:
     value = cfg.method_params.get("negatives_per_positive", 4)
     if type(value) is not int or value < 1:
@@ -148,13 +156,13 @@ def _negatives_per_positive(cfg: UnlearnConfig) -> int:
 
 def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
               epoch: int, wall: float) -> EpochRecord:
-    dvec = doc_vectors(student, split.train)  # pooled once for the three train-split MRRs
+    dvec, test_dvec = split_doc_vectors(student, split)
     return EpochRecord(
         epoch=epoch,
         mrr_forget=mrr_forget(student, split.train, part, part.spec, dvec).value,
         mrr_entangled=mrr_set(student, split.train, part.entangled, dvec).value,
         mrr_disjoint=mrr_set(student, split.train, part.disjoint, dvec).value,
-        mrr_test=mrr_set(student, split.test, split.test.samples).value,
+        mrr_test=mrr_set(student, split.test, split.test.samples, test_dvec).value,
         epoch_wall_time=wall,
     )
 
@@ -193,14 +201,14 @@ def cocol_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
                   cfg: UnlearnConfig) -> UnlearnRun:
     """Contrastive pass over the forget set, consistency pass over the disjoint set.
 
-    method_params: entangled_term / phase2 (bools) switch the partner
-    term and the consistency pass off for ablation runs.
+    method_params: entangled_term / phase2 (JSON booleans, true by default)
+    switch the partner term and the consistency pass off for ablation runs.
     """
     _require(cfg, Method.COCOL)
     if not part.forget:
         raise ConfigError("forget set is empty")
-    use_entangled = bool(cfg.method_params.get("entangled_term", True))
-    use_phase2 = bool(cfg.method_params.get("phase2", True))
+    use_entangled = _switch(cfg, "entangled_term")
+    use_phase2 = _switch(cfg, "phase2")
 
     teacher = snapshot(m_train)
     cache = build_min_cache(teacher, split.train)
@@ -380,27 +388,26 @@ def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
                 negatives: dict[str, list[str]], margin: float, npp: int,
                 rng: np.random.Generator) -> np.ndarray:
     """Mean squared per-sample gradient of the pairwise loss, per parameter
-    of the stacked table; ``negatives`` is ``hinge_negatives`` of the train set."""
+    of the stacked table; ``negatives`` is ``hinge_negatives`` of the train set.
+
+    Every negative is drawn first, ``npp`` per positive in sample order;
+    the parameters never move, so ``hinge_grad_squares`` then scores and
+    differentiates all the draws in one batched pass.
+    """
+    index = split.train.index
+    drawn = [s for s in samples if s.label is Label.POSITIVE and negatives[s.query_id]]
     sq = np.zeros_like(model.params)
-    buf = new_buffer(model)  # no learning rate: the draws accumulate
-    draws = HingeDraws(model, split.train, margin, buf)
-    count = 0
-    for s in samples:
-        if s.label is not Label.POSITIVE:
-            continue
-        negs = negatives[s.query_id]
-        if not negs:
-            continue
-        draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
-        if buf.rows:
-            # a row listed twice is gathered before the scatter, so it adds once
-            rows = np.concatenate(buf.rows)
-            sq[rows] += (buf.grad[rows] / npp) ** 2
-            buf.grad[rows] = 0.0
-            buf.rows.clear()
-        count += 1
-    if count:
-        sq /= count
+    if not drawn:
+        return sq
+    # one call with an array of bounds makes the draws of one
+    # rng.integers(len(negs)) call per draw, in the same order
+    picks = rng.integers(np.repeat([len(negatives[s.query_id]) for s in drawn], npp))
+    neg_rows = [[index.doc_row[negatives[s.query_id][j]] for j in row]
+                for s, row in zip(drawn, picks.reshape(-1, npp).tolist())]
+    hinge_grad_squares(model, split.train, np.array([index.query_row[s.query_id] for s in drawn]),
+                       np.array([index.doc_row[s.doc_id] for s in drawn]), np.array(neg_rows),
+                       margin, sq)
+    sq /= len(drawn)
     return sq
 
 
@@ -413,6 +420,9 @@ def badt_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     bad_teacher = snapshot(init_model(m_train.vocab_size, m_train.dim, cfg.seed))
     good_teacher = snapshot(m_train)
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
+    # every pair a teacher scores, scored in one pass each
+    bad_teacher.score_samples(split.train, part.forget)
+    good_teacher.score_samples(split.train, retained)
 
     student = clone_model(m_train)
     sgd = new_buffer(student, cfg.learning_rate)
@@ -452,6 +462,7 @@ def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
 def compute_destinations(m_retrain: ScoreModel, split: CorpusSplit,
                          part: Partition) -> Destinations:
     """Stopping targets derived from the retrained model."""
-    d1 = mrr_forget(m_retrain, split.train, part, part.spec).value
-    d2 = mrr_set(m_retrain, split.test, split.test.samples).value
+    dvec, test_dvec = split_doc_vectors(m_retrain, split)
+    d1 = mrr_forget(m_retrain, split.train, part, part.spec, dvec).value
+    d2 = mrr_set(m_retrain, split.test, split.test.samples, test_dvec).value
     return Destinations(d1=d1, d2=d2, d3=d2 / 2.0)

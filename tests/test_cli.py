@@ -1,14 +1,17 @@
 import json
 import shutil
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from numur import (ForgetSpec, RemovalKind, ScoreModel, init_model, load_model,
-                   save_forget_spec, save_model)
-from numur.cli import _write_csv, _write_json, main
+from numur import (CorpusSplit, ForgetSpec, RemovalKind, ScoreModel, compute_destinations,
+                   init_model, load_forget_spec, load_model, mrr_forget, mrr_set, partition,
+                   ranker, save_forget_spec, save_model)
+from numur.cli import _load_split, _write_csv, _write_json, main
 from numur.corpus import atomic_write
+from numur.unlearn_engine import _evaluate
 
 SMALL_CONFIG = {
     "corpus": {"n_queries": 12, "n_docs": 48, "vocab_size": 128,
@@ -245,6 +248,64 @@ def test_bad_method_param_values_are_config_errors(workdir, tmp_path, capsys, me
 @pytest.mark.parametrize("params", [{"alpha": None}, {"lambda": "x"}, {"alpha": True}])
 def test_bad_ssd_param_values_are_config_errors(workdir, tmp_path, capsys, params):
     test_bad_method_param_values_are_config_errors(workdir, tmp_path, capsys, "ssd", params)
+
+
+# cocol's ablation switches are JSON booleans: "false" would read as true
+@pytest.mark.parametrize("params", [{key: value} for key in ("entangled_term", "phase2")
+                                    for value in ("false", 0, None)], ids=repr)
+def test_bad_cocol_switch_values_are_config_errors(workdir, tmp_path, capsys, params):
+    test_bad_method_param_values_are_config_errors(workdir, tmp_path, capsys, "cocol", params)
+
+
+class TestDocPooling:
+    """Docs are pooled once per model state when the splits share doc rows."""
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        calls = []
+        real = ranker.doc_vectors
+
+        def counted(model, dataset):
+            calls.append(dataset)
+            return real(model, dataset)
+
+        monkeypatch.setattr(ranker, "doc_vectors", counted)
+        return calls
+
+    @staticmethod
+    def world(workdir):
+        runs = workdir / "runs"
+        split = _load_split(runs)
+        part = partition(split.train, load_forget_spec(runs / "specs" / "spec_document_25.json"))
+        return split, part, load_model(runs / "train" / "model.bin")
+
+    def test_eval_pools_once(self, workdir, tmp_path, pooled):
+        runs = tmp_path / "runs"
+        shutil.copytree(workdir / "runs", runs)
+        assert main(["--out", str(runs), "eval", "--spec", "spec_document_25",
+                     "--model", str(runs / "train" / "model.bin")]) == 0
+        assert len(pooled) == 1
+        report = json.loads((runs / "eval" / "train_model_spec_document_25" / "report.json")
+                            .read_text())
+        split, part, model = self.world(workdir)
+        assert report["mrr_test"] == mrr_set(model, split.test, split.test.samples).value
+        assert report["mrr_forget"] == mrr_forget(model, split.train, part, part.spec).value
+
+    def test_checkpoints_and_destinations_pool_once_on_loaded_splits(self, workdir, pooled):
+        split, part, model = self.world(workdir)
+        assert split.test.index.doc_row is split.train.index.doc_row
+        record = _evaluate(model, split, part, 0, 0.0)
+        assert len(pooled) == 1
+        dest = compute_destinations(model, split, part)
+        assert len(pooled) == 2
+        # a hand-assembled test split indexes its own docs, and pools them
+        own = CorpusSplit(train=split.train, test=replace(split.test))
+        assert own.test.index.doc_row is not own.train.index.doc_row
+        assert _evaluate(model, own, part, 0, 0.0) == record
+        assert len(pooled) == 4
+        assert compute_destinations(model, own, part) == dest
+        assert len(pooled) == 6
+        assert pooled[-2:] == [own.train, own.test]
 
 
 class TestMalformedArtifacts:

@@ -1,22 +1,27 @@
 """Property tests: hinge draws scored ahead against the per-draw loop.
 
 ``HingeDraws`` scores the draws of a positive ahead while the parameters
-cannot move. Every caller must leave the parameters, the gradient buffer
-and the mean loss bit for bit where one ``hinge_loss_and_grad`` call per
-draw, in draw order, leaves them. Each test runs in four regimes of the
-model and margin: every hinge of the pools closed at the start, every
-one open, a mix, and a model with a NaN doc row, whose NaN losses count
-as active.
+cannot move, and ssd's importance pass scores and differentiates all of
+its draws in one batched pass. Every caller must leave the parameters,
+the gradient buffer, the mean loss and the importance bit for bit where
+one ``hinge_loss_and_grad`` call per draw, in draw order, leaves them.
+Each test runs in four regimes of the model and margin: every hinge of
+the pools closed at the start, every one open, a mix, and a model with a
+NaN doc row, whose NaN losses count as active.
 """
 
+from unittest.mock import patch
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_roundtrip_properties import specs
-from test_scoring_properties import VOCAB, datasets, models
+from test_scoring_properties import VOCAB, datasets, models, wide_models
 
-from numur import (ConfigError, CorpusSplit, Label, Method, UnlearnConfig, new_buffer,
-                   partition, score_pool, unlearn)
+from numur import (ConfigError, CorpusSplit, Label, Method, SyntheticConfig, UnlearnConfig,
+                   generate_synthetic, init_model, new_buffer, partition, ranker, score_pool,
+                   unlearn)
 from numur.ranker import HingeDraws, hinge_loss_and_grad, pairwise_epoch
 from numur.unlearn_engine import _importance
 
@@ -79,14 +84,13 @@ def draw_tasks(data, ds):
 
 
 @settings(max_examples=150, deadline=None)
-@given(datasets(), models, st.sampled_from(REGIMES), st.sampled_from([1.0, -1.0, None]),
+@given(datasets(), models, st.sampled_from(REGIMES), st.sampled_from([1.0, -1.0]),
        st.floats(0.01, 2.0), st.data())
 def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     margin = apply_regime(model, ds, regime, data)
     tasks = draw_tasks(data, ds)
     ref_model = type(model)(model.params.copy())
-    rate = None if sign is None else sign * lr
-    buf, ref_buf = new_buffer(model, rate), new_buffer(ref_model, rate)
+    buf, ref_buf = new_buffer(model, sign * lr), new_buffer(ref_model, sign * lr)
     draws, loop = HingeDraws(model, ds, margin, buf), Loop(ref_model, ds, margin, ref_buf)
     with np.errstate(all="ignore"):
         for qid, pos, negs in tasks:
@@ -96,9 +100,6 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     assert same(model.params, ref_model.params)
     assert same(draws.total, loop.total) and draws.draws == loop.draws
     assert same(buf.grad, ref_buf.grad)
-    rows = np.concatenate(buf.rows) if buf.rows else np.zeros(0, dtype=int)
-    ref_rows = np.concatenate(ref_buf.rows) if ref_buf.rows else np.zeros(0, dtype=int)
-    assert rows.tolist() == ref_rows.tolist()
 
 
 def loop_pairwise_epoch(ds, samples, rng, margin, npp, loop):
@@ -226,3 +227,78 @@ def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
             sq /= count
     assert same(got, sq)
     assert same(model.params, ref_model.params)
+
+
+def loop_importance(model, ds, samples, negatives, margin, npp, rng):
+    """_importance with one hinge_loss_and_grad call per draw into a buffer
+    without a learning rate; each positive's gradient is squared once."""
+    sq, count = np.zeros_like(model.params), 0
+    buf = new_buffer(model)
+    loop = Loop(model, ds, margin, buf)
+    for s in samples:
+        if s.label is not Label.POSITIVE or not negatives[s.query_id]:
+            continue
+        negs = negatives[s.query_id]
+        for _ in range(npp):
+            loop.step(s.query_id, s.doc_id, negs[int(rng.integers(len(negs)))])
+        if buf.rows:
+            rows = np.concatenate(buf.rows)
+            sq[rows] += (buf.grad[rows] / npp) ** 2
+            buf.grad[rows] = 0.0
+            buf.rows.clear()
+        count += 1
+    return sq / count if count else sq
+
+
+# Blocks of 1 and 2 positives carry sq from block to block; the default
+# block holds all the positives of almost every such small dataset. Up to
+# 8 draws per positive make query rows with 16 or more terms to sum.
+@settings(max_examples=150, deadline=None)
+@given(datasets(), st.one_of(models, wide_models), st.sampled_from(REGIMES),
+       st.integers(0, 2**31 - 1), st.integers(1, 8), st.sampled_from([1, 2, ranker.GRAD_BLOCK]),
+       st.data())
+def test_forget_and_full_importance_are_the_per_draw_loop(ds, model, regime, seed, npp,
+                                                          block, data):
+    spec = data.draw(specs(ds))
+    try:
+        part = partition(ds, spec)
+    except ConfigError:
+        assume(False)
+    margin = apply_regime(model, ds, regime, data)
+    negatives = query_negatives(ds)
+    split = CorpusSplit(train=ds, test=ds)
+    ref_model = type(model)(model.params.copy())
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(all="ignore"), patch.object(ranker, "GRAD_BLOCK", block):
+        # as ssd runs them: the forget pass, then the full pass, on one generator
+        for samples in (part.forget, ds.samples):
+            got = _importance(model, split, samples, negatives, margin, npp, rng)
+            want = loop_importance(ref_model, ds, samples, negatives, margin, npp, ref_rng)
+            assert same(got, want)
+    assert same(model.params, ref_model.params)
+    assert rng.random() == ref_rng.random()  # the same number of draws
+
+
+# A generated corpus: positives of one query and topic tokens shared by
+# many docs put the same rows in many positives, so sq sums many squares
+# per row, across blocks and inside them.
+@pytest.mark.parametrize("block", [1, 2, ranker.GRAD_BLOCK])
+@pytest.mark.parametrize("margin", [1.0, 0.05])
+def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
+    split = generate_synthetic(SyntheticConfig(n_queries=24, n_docs=96, vocab_size=192,
+                                               positives_per_query=4, pool_size=16, seed=4))
+    ds = split.train
+    model = init_model(ds.vocab_size, 16, 4)
+    model.params *= 12.0  # logits of a few units, so some draws are inactive at margin 0.05
+    negatives = query_negatives(ds)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    with patch.object(ranker, "GRAD_BLOCK", block):
+        got = _importance(model, split, ds.samples, negatives, margin, 4, rng)
+    want = loop_importance(model, ds, ds.samples, negatives, margin, 4, ref_rng)
+    assert same(got, want) and np.count_nonzero(got)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
+def test_vector_sigmoid_is_the_scalar_sigmoid(zs):
+    want = np.array([ranker._sigmoid(z) for z in zs], dtype=float)
+    assert same(ranker._sigmoids(np.array(zs, dtype=float)), want)

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method,
                    compute_destinations, init_model, models_equal, mrr_forget,
                    neggrad_unlearn, partition, snapshot, ssd_unlearn, swap_labels,
                    train, unlearn)
+from numur import ranker
+from numur.ranker import TeacherSnapshot
 
 from conftest import ACCEPT_UNLEARN_LR, build_dataset
 
@@ -271,6 +275,24 @@ class TestBadT:
         run = badt_unlearn(model, split, part, ucfg(Method.BADT, delta_target=0.6))
         if run.stopped_early:
             assert run.trajectory[-1].mrr_forget <= 0.6
+
+    def test_teachers_are_scored_in_one_pass_each(self):
+        split, part, model = small_unlearn_world()
+        cfg = ucfg(Method.BADT, delta_target=1e-9, max_epochs=3)
+        real, calls = ranker.forward, []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        with patch.object(ranker, "forward", counted):
+            run = badt_unlearn(model, split, part, cfg)
+            assert not calls
+            # teachers left to score each pair on first use, one forward call each
+            with patch.object(TeacherSnapshot, "score_samples", lambda *args: None):
+                lazy = badt_unlearn(model, split, part, cfg)
+        assert len(calls) == len(split.train.samples)
+        assert run.final_model.params.tobytes() == lazy.final_model.params.tobytes()
 
 
 class TestDestinations:
