@@ -11,22 +11,15 @@ from .corpus import (CorpusSplit, Dataset, Document, Label, Query, Sample,
                      StatsRecord, SyntheticConfig, dataset_stats,
                      generate_synthetic, load_dataset, save_dataset)
 from .errors import ConfigError, DataError, DivergedError, NumurError
-from .evaluation import (MetricsReport, MrrResult, RankedList, ScoreDistribution,
-                         mrr_forget, mrr_set, normalized_forget,
-                         normalized_forget_score, rank, score_distribution,
-                         timing_metrics)
+from .evaluation import (MrrResult, RankedList, ScoreDistribution, mrr_forget, mrr_set,
+                         normalized_forget_score, rank, score_distribution, timing_metrics)
 from .partition import (ForgetSpec, Partition, RemovalKind, entangled_partners,
                         load_forget_spec, partition, save_forget_spec)
-from .ranker import (GradientBuffer, ScoreModel, TeacherSnapshot, TrainConfig,
-                     TrainResult, backward_score, clone_model, forward, init_model,
-                     load_model, models_equal, new_buffer, retrain, save_model,
-                     score_pool, snapshot, train)
-from .unlearn_engine import (Destinations, EpochRecord, Method, UnlearnConfig,
-                             UnlearnRun, amnesiac_unlearn, badt_unlearn, cf_unlearn,
-                             cocol_unlearn, compute_destinations, neggrad_unlearn,
-                             ssd_unlearn, swap_labels, unlearn)
-from .unlearn_losses import (DeltaValue, TeacherMinCache, abs_delta_loss,
-                             build_min_cache, consistent_loss, contrastive_loss,
-                             delta, delta_min)
+from .ranker import (GradientBuffer, ScoreModel, TrainConfig, TrainResult, clone_model,
+                     forward, init_model, load_model, new_buffer, retrain, save_model,
+                     score_pool, train)
+from .unlearn_engine import (Destinations, EpochRecord, Method, UnlearnConfig, UnlearnRun,
+                             compute_destinations, unlearn)
+from .unlearn_losses import build_min_cache, consistent_loss, contrastive_loss, delta_min
 
 __version__ = "0.1.0"

@@ -273,11 +273,12 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
             enumerate(zip(result.epoch_losses, result.epoch_mrr, result.epoch_times))]
     _write_csv(dest_dir / "trajectory.csv",
                ["epoch", "loss", "mrr_retained", "wall_time_s"], rows)
-    dest = compute_destinations(result.model, split, part)
+    dvecs = split_doc_vectors(result.model, split)
+    dest = compute_destinations(result.model, split, part, dvecs)
     _write_json(dest_dir / "report.json", {
         "mrr_forget": dest.d1,
-        "mrr_entangled": mrr_set(result.model, split.train, part.entangled).value,
-        "mrr_disjoint": mrr_set(result.model, split.train, part.disjoint).value,
+        "mrr_entangled": mrr_set(result.model, split.train, part.entangled, dvecs[0]).value,
+        "mrr_disjoint": mrr_set(result.model, split.train, part.disjoint, dvecs[0]).value,
         "mrr_test": dest.d2,
         "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3},
     })

@@ -50,21 +50,6 @@ class MrrResult:
         return self.value
 
 
-@dataclass
-class MetricsReport:
-    mrr_forget: float
-    mrr_entangled: float
-    mrr_disjoint: float
-    mrr_test: float
-    normalized_forget: float | None = None
-    normalized_epoch_duration: float | None = None
-    total_unlearn_time: float | None = None
-    epochs_run: int = 0
-    stopped_early: bool = False
-    edited_params: int = 0
-    skipped_forget_queries: int = 0
-
-
 @dataclass(frozen=True)
 class ScoreDistribution:
     model_name: str
@@ -174,12 +159,6 @@ def mrr_set(model: ScoreModel, dataset: Dataset, samples: list[Sample],
 def normalized_forget_score(mrr_forget_unlearn: float, mrr_test_retrain: float) -> float:
     """1 - |forget MRR of the unlearned model - test MRR of the retrained model|."""
     return 1.0 - abs(mrr_forget_unlearn - mrr_test_retrain)
-
-
-def normalized_forget(run, retrain_report: MetricsReport) -> float:
-    """Closeness of an unlearning run's final forget MRR to the retrained test MRR."""
-    final = run.trajectory[-1].mrr_forget
-    return normalized_forget_score(final, retrain_report.mrr_test)
 
 
 def timing_metrics(train_epoch_times: list[float], unlearn_epoch_times: list[float],

@@ -57,46 +57,6 @@ class ScoreModel:
                                 "lower the learning rate")
 
 
-class TeacherSnapshot(ScoreModel):
-    """Frozen deep copy of a ScoreModel; the arrays are read-only.
-
-    A pair's score never changes, so ``score`` computes each pair once per
-    dataset and then looks it up.
-    """
-
-    def __init__(self, params: np.ndarray):
-        super().__init__(params)
-        # the dataset scored on, and its scores by query id, then doc id
-        self._scored: tuple[Dataset | None, dict[str, dict[str, float]]] = (None, {})
-
-    def _table(self, dataset: Dataset) -> dict[str, dict[str, float]]:
-        scored_on, scores = self._scored
-        if scored_on is not dataset:
-            scores = {}
-            self._scored = (dataset, scores)
-        return scores
-
-    def score(self, dataset: Dataset, query_id: str, doc_id: str) -> float:
-        """``forward(self, dataset, query_id, doc_id)``, computed on first use."""
-        scores = self._table(dataset)
-        of_query = scores.get(query_id)
-        if of_query is None:
-            of_query = scores[query_id] = {}
-        value = of_query.get(doc_id)
-        if value is None:
-            value = of_query[doc_id] = forward(self, dataset, query_id, doc_id)
-        return value
-
-    def score_samples(self, dataset: Dataset, samples: Sequence[Sample]) -> list[float]:
-        """``score`` of every sample, computed in one pass (``sample_scores``)
-        and kept for later lookups."""
-        table = self._table(dataset)
-        values = sample_scores(self, dataset, samples)
-        for s, value in zip(samples, values):
-            table.setdefault(s.query_id, {})[s.doc_id] = value
-        return values
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.05
@@ -151,13 +111,6 @@ def init_model(vocab_size: int, dim: int, seed: int) -> ScoreModel:
 
 def clone_model(model: ScoreModel) -> ScoreModel:
     return ScoreModel(model.params.copy())
-
-
-def snapshot(model: ScoreModel) -> TeacherSnapshot:
-    """Deep copy whose parameters cannot be mutated afterwards."""
-    params = model.params.copy()
-    params.setflags(write=False)  # before the views are taken, so they are read-only too
-    return TeacherSnapshot(params)
 
 
 def new_buffer(model: ScoreModel, lr: float | None = None) -> GradientBuffer:
@@ -387,12 +340,6 @@ def sample_scores(model: ScoreModel, dataset: Dataset, samples: Sequence[Sample]
     return pair_scores(query_vectors(model, dataset), dvec, rows[:, 0], rows[:, 1])[1].tolist()
 
 
-def backward_score(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str,
-                   upstream: float, buf: GradientBuffer) -> None:
-    """Accumulate upstream * d(score)/d(params) into buf (a step when buf has an lr)."""
-    PairStep(model, dataset, ((query_id, doc_id),)).backward([upstream], buf)
-
-
 def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
                         pos_id: str, neg_id: str, margin: float,
                         buf: GradientBuffer | None) -> float:
@@ -501,9 +448,9 @@ class HingeDraws:
 GRAD_BLOCK = 32
 
 
-def hinge_grad_squares(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
-                       pos_rows: np.ndarray, neg_rows: np.ndarray, margin: float,
-                       sq: np.ndarray) -> None:
+def hinge_grad_squares(model: ScoreModel, dataset: Dataset, qvec: np.ndarray,
+                       dvec: np.ndarray, query_rows: np.ndarray, pos_rows: np.ndarray,
+                       neg_rows: np.ndarray, margin: float, sq: np.ndarray) -> None:
     """For each positive, in order, add ``(grad / n) ** 2`` into ``sq`` on the
     stacked rows its draws touch, where ``grad`` is the hinge gradient of its
     n draws: the doc rows ``neg_rows[i]`` against ``pos_rows[i]`` for the
@@ -519,11 +466,11 @@ def hinge_grad_squares(model: ScoreModel, dataset: Dataset, query_rows: np.ndarr
     and the negative's rows ``u * g_neg / ln``. Each (positive, row)
     gradient is summed in that order from 0.0 by ``np.bincount``, and
     ``np.add.at`` adds the squares into ``sq`` in positive order.
-    Positives go ``GRAD_BLOCK`` at a time.
+    Positives go ``GRAD_BLOCK`` at a time. ``qvec`` and ``dvec`` are
+    ``query_vectors`` and ``doc_vectors`` of ``model``.
     """
     n, draws = neg_rows.shape
     dim, stacked = model.dim, 2 * model.vocab_size
-    qvec, dvec = query_vectors(model, dataset), doc_vectors(model, dataset)
     # token rows of the stacked table: query row r is entry r, doc row r entry n_q + r
     qtok, dtok = dataset.token_rows()
     n_q = len(qtok.starts) - 1
@@ -693,6 +640,3 @@ def check_model_fits(model: ScoreModel, dataset: Dataset, path) -> None:
     if not np.isfinite(model.params).all():
         raise DataError(f"{path}: model has a NaN or infinite parameter")
 
-
-def models_equal(a: ScoreModel, b: ScoreModel) -> bool:
-    return a.dim == b.dim and np.array_equal(a.params, b.params)

@@ -1,9 +1,13 @@
 """Unlearning strategies with a shared rank-targeted stopping rule.
 
-Every iterative strategy starts from a copy of the trained model and
-runs epochs until the forget-set mean reciprocal rank drops to the
-target, or the epoch budget runs out. The target is checked before the
-first epoch too, so an already-satisfied request costs zero epochs.
+``unlearn`` is the one entry point. It checks the request, copies the
+trained model into the student and runs the setup plan of the strategy
+that ``cfg.method`` names. A plan validates the strategy's method_params,
+computes what stays fixed for the whole run (teacher scores, partners,
+negatives) and returns the epoch function that the driver repeats until
+the forget-set mean reciprocal rank drops to the target, or the epoch
+budget runs out. The target is checked before the first epoch too, so an
+already-satisfied request costs zero epochs.
 
 Strategies:
 
@@ -16,7 +20,8 @@ Strategies:
   above it; keep ordinary training on the entangled set.
 - neggrad: gradient ascent of the training loss on the forget samples.
 - ssd: one-shot dampening of parameters far more important to the
-  forget set than to the full training set.
+  forget set than to the full training set; its plan edits the student
+  and runs no epoch.
 - badt: distill the forget set toward a randomly initialised teacher
   and everything else toward the trained teacher.
 """
@@ -34,10 +39,10 @@ from .corpus import CorpusSplit, Label, Sample
 from .errors import ConfigError
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (HingeDraws, ScoreModel, clone_model, hinge_grad_squares, hinge_negatives,
-                     init_model, new_buffer, pairwise_epoch, snapshot, split_doc_vectors)
-from .unlearn_losses import (abs_delta_loss, build_min_cache, consistent_loss,
-                             contrastive_loss)
+from .ranker import (HingeDraws, ScoreModel, clone_model, doc_vectors, hinge_grad_squares,
+                     hinge_negatives, init_model, new_buffer, pairwise_epoch, query_vectors,
+                     sample_scores, split_doc_vectors)
+from .unlearn_losses import _abs_delta_loss, build_min_cache, consistent_loss, contrastive_loss
 
 
 class Method(enum.Enum):
@@ -100,12 +105,6 @@ class Destinations:
     d3: float  # half of d2
 
 
-def swap_labels(samples: list[Sample]) -> list[Sample]:
-    """Positive becomes negative and vice versa; applying twice restores the input."""
-    flip = {Label.POSITIVE: Label.NEGATIVE, Label.NEGATIVE: Label.POSITIVE}
-    return [Sample(s.query_id, s.doc_id, flip[s.label]) for s in samples]
-
-
 # The method_params keys each strategy reads; any other key is rejected.
 PARAM_KEYS = {
     Method.COCOL: {"entangled_term", "phase2"},
@@ -115,15 +114,6 @@ PARAM_KEYS = {
     Method.SSD: {"alpha", "lambda", "margin", "negatives_per_positive"},
     Method.BADT: set(),
 }
-
-
-def _require(cfg: UnlearnConfig, method: Method) -> None:
-    if cfg.method is not method:
-        raise ConfigError(f"config method is {cfg.method.value!r}, expected {method.value!r}")
-    unknown = set(cfg.method_params) - PARAM_KEYS[method]
-    if unknown:
-        raise ConfigError(f"unknown method_params for {method.value}: {sorted(unknown)}; "
-                          f"it reads {sorted(PARAM_KEYS[method])}")
 
 
 def _param(cfg: UnlearnConfig, key: str, default: float) -> float:
@@ -167,116 +157,113 @@ def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
     )
 
 
-def _drive(student: ScoreModel, split: CorpusSplit, part: Partition, cfg: UnlearnConfig,
-           epoch_fn, touched: list[tuple[str, str, str]]) -> UnlearnRun:
+def _drive(run: UnlearnRun, split: CorpusSplit, part: Partition, cfg: UnlearnConfig,
+           epoch_fn) -> UnlearnRun:
     """Run epoch_fn until the forget MRR reaches the target or the budget ends.
 
+    The first checkpoint scores the student as its plan left it, with the
+    plan's edit time if it timed one (ssd, whose ``epoch_fn`` is None).
     An epoch that leaves a parameter NaN or infinite ends the run with a
     DivergedError.
     """
+    student = run.final_model
     rng = np.random.default_rng(cfg.seed)
-    records = [_evaluate(student, split, part, 0, 0.0)]
-    epoch_times: list[float] = []
-    stopped = records[0].mrr_forget <= cfg.delta_target
-    epochs_run = 0
-    if not stopped:
-        for epoch in range(1, cfg.max_epochs + 1):
-            t0 = time.perf_counter()
-            epoch_fn(student, rng)
-            epoch_times.append(time.perf_counter() - t0)
-            student.check_finite(f"{cfg.method.value} unlearning epoch {epoch}")
-            epochs_run = epoch
-            if epoch % cfg.check_every == 0 or epoch == cfg.max_epochs:
-                record = _evaluate(student, split, part, epoch, epoch_times[-1])
-                records.append(record)
-                if record.mrr_forget <= cfg.delta_target:
-                    stopped = True
-                    break
-    return UnlearnRun(final_model=student, epochs_run=epochs_run, stopped_early=stopped,
-                      trajectory=records, method=cfg.method, epoch_times=epoch_times,
-                      touched=touched)
+    record = _evaluate(student, split, part, 0, run.epoch_times[-1] if run.epoch_times else 0.0)
+    run.trajectory.append(record)
+    run.stopped_early = record.mrr_forget <= cfg.delta_target
+    if run.stopped_early or epoch_fn is None:
+        return run
+    for epoch in range(1, cfg.max_epochs + 1):
+        t0 = time.perf_counter()
+        epoch_fn(rng)
+        run.epoch_times.append(time.perf_counter() - t0)
+        student.check_finite(f"{cfg.method.value} unlearning epoch {epoch}")
+        run.epochs_run = epoch
+        if epoch % cfg.check_every == 0 or epoch == cfg.max_epochs:
+            record = _evaluate(student, split, part, epoch, run.epoch_times[-1])
+            run.trajectory.append(record)
+            if record.mrr_forget <= cfg.delta_target:
+                run.stopped_early = True
+                break
+    return run
 
 
-def cocol_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
-                  cfg: UnlearnConfig) -> UnlearnRun:
+# Each plan takes (m_train, run, split, part, cfg), where run.final_model is
+# the student, and returns the epoch function ``epoch(rng)`` for the driver,
+# or None once it has edited the student itself (ssd).
+
+
+def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+           cfg: UnlearnConfig):
     """Contrastive pass over the forget set, consistency pass over the disjoint set.
 
     method_params: entangled_term / phase2 (JSON booleans, true by default)
     switch the partner term and the consistency pass off for ablation runs.
     """
-    _require(cfg, Method.COCOL)
-    if not part.forget:
-        raise ConfigError("forget set is empty")
     use_entangled = _switch(cfg, "entangled_term")
     use_phase2 = _switch(cfg, "phase2")
 
-    teacher = snapshot(m_train)
-    cache = build_min_cache(teacher, split.train)
-    partners = [entangled_partners(part, x) for x in part.forget]
-    d_pos = [s for s in part.disjoint if s.label is Label.POSITIVE]
-    d_neg = [s for s in part.disjoint if s.label is Label.NEGATIVE]
+    # every pair the teacher scores is a train sample: score them all once
+    train = split.train
+    teacher = sample_scores(m_train, train, train.samples)
+    floors = build_min_cache(train.samples, teacher)
+    score_of = dict(zip(train.samples, teacher))
+    partners = [[(e, score_of[e]) for e in entangled_partners(part, x)] for x in part.forget]
+    disjoint = [(s, score_of[s]) for s in part.disjoint]
+    d_pos = [d for d in disjoint if d[0].label is Label.POSITIVE]
+    d_neg = [d for d in disjoint if d[0].label is Label.NEGATIVE]
     if use_phase2 and (not d_pos or not d_neg):
         raise ConfigError("disjoint set lacks positives or negatives for the "
                           "consistency pass")
 
-    student = clone_model(m_train)
+    student = run.final_model
     sgd = new_buffer(student, cfg.learning_rate)
-    touched: list[tuple[str, str, str]] = []
 
-    def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
+    def epoch(rng: np.random.Generator) -> None:
         for i in rng.permutation(len(part.forget)):
             x = part.forget[int(i)]
             options = partners[int(i)]
             partner = None
             if options and use_entangled:
                 partner = options[int(rng.integers(len(options)))]
-            contrastive_loss(cache, teacher, model, split.train, x, partner, sgd)
+            contrastive_loss(floors[x.query_id], student, train, x, partner, sgd)
             if cfg.log_touched:
-                touched.append(("phase1", x.query_id, x.doc_id))
+                run.touched.append(("phase1", x.query_id, x.doc_id))
         if not use_phase2:
             return
-        for i in rng.permutation(len(part.disjoint)):
-            s = part.disjoint[int(i)]
-            if s.label is Label.POSITIVE:
-                pos, neg = s, d_neg[int(rng.integers(len(d_neg)))]
+        for i in rng.permutation(len(disjoint)):
+            d = disjoint[int(i)]
+            if d[0].label is Label.POSITIVE:
+                pos, neg = d, d_neg[int(rng.integers(len(d_neg)))]
             else:
-                pos, neg = d_pos[int(rng.integers(len(d_pos)))], s
-            consistent_loss(teacher, model, split.train, pos, neg, sgd)
+                pos, neg = d_pos[int(rng.integers(len(d_pos)))], d
+            consistent_loss(student, train, pos, neg, sgd)
             if cfg.log_touched:
-                touched.append(("phase2", s.query_id, s.doc_id))
+                run.touched.append(("phase2", d[0].query_id, d[0].doc_id))
 
-    return _drive(student, split, part, cfg, epoch, touched)
+    return epoch
 
 
-def cf_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
-               cfg: UnlearnConfig) -> UnlearnRun:
+def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+        cfg: UnlearnConfig):
     """Keep training on retained samples; forgetting happens only by drift."""
-    _require(cfg, Method.CF)
-    if not part.forget:
-        raise ConfigError("forget set is empty")
     margin = _param(cfg, "margin", 1.0)
     npp = _negatives_per_positive(cfg)
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
 
-    student = clone_model(m_train)
-    touched: list[tuple[str, str, str]] = []
-
-    def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
+    def epoch(rng: np.random.Generator) -> None:
         raw: list[tuple[str, str]] | None = [] if cfg.log_touched else None
-        pairwise_epoch(model, split.train, retained, rng, cfg.learning_rate,
+        pairwise_epoch(run.final_model, split.train, retained, rng, cfg.learning_rate,
                        margin, npp, raw)
         if raw is not None:
-            touched.extend(("retain", q, d) for q, d in raw)
+            run.touched.extend(("retain", q, d) for q, d in raw)
 
-    return _drive(student, split, part, cfg, epoch, touched)
+    return epoch
 
 
-def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
-                     cfg: UnlearnConfig) -> UnlearnRun:
+def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+              cfg: UnlearnConfig):
     """Push sampled pool negatives above each forget positive; train the entangled set."""
-    _require(cfg, Method.AMNESIAC)
-    if not part.forget:
-        raise ConfigError("forget set is empty")
     margin = _param(cfg, "margin", 1.0)
     npp = _negatives_per_positive(cfg)
 
@@ -289,12 +276,10 @@ def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
                               "to promote")
 
     tasks = [("forget", s) for s in forget_pos] + [("retain", s) for s in ent_pos]
-    student = clone_model(m_train)
-    sgd = new_buffer(student, cfg.learning_rate)
-    touched: list[tuple[str, str, str]] = []
+    sgd = new_buffer(run.final_model, cfg.learning_rate)
 
-    def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
-        draws = HingeDraws(model, split.train, margin, sgd)
+    def epoch(rng: np.random.Generator) -> None:
+        draws = HingeDraws(run.final_model, split.train, margin, sgd)
         for i in rng.permutation(len(tasks)):
             tag, s = tasks[int(i)]
             negs = negatives[s.query_id]
@@ -304,29 +289,23 @@ def amnesiac_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
             else:
                 draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
             if cfg.log_touched:
-                touched.append((tag, s.query_id, s.doc_id))
+                run.touched.append((tag, s.query_id, s.doc_id))
 
-    return _drive(student, split, part, cfg, epoch, touched)
+    return epoch
 
 
-def neggrad_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
-                    cfg: UnlearnConfig) -> UnlearnRun:
+def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+             cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
-    _require(cfg, Method.NEGGRAD)
-    if not part.forget:
-        raise ConfigError("forget set is empty")
     margin = _param(cfg, "margin", 1.0)
     npp = _negatives_per_positive(cfg)
 
     negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
+    ascent = new_buffer(run.final_model, -cfg.learning_rate)
 
-    student = clone_model(m_train)
-    ascent = new_buffer(student, -cfg.learning_rate)
-    touched: list[tuple[str, str, str]] = []
-
-    def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
-        draws = HingeDraws(model, split.train, margin, ascent)
+    def epoch(rng: np.random.Generator) -> None:
+        draws = HingeDraws(run.final_model, split.train, margin, ascent)
         for i in rng.permutation(len(forget_pos)):
             s = forget_pos[int(i)]
             negs = negatives[s.query_id]
@@ -334,22 +313,20 @@ def neggrad_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
                 continue
             draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
             if cfg.log_touched:
-                touched.append(("ascent", s.query_id, s.doc_id))
+                run.touched.append(("ascent", s.query_id, s.doc_id))
 
-    return _drive(student, split, part, cfg, epoch, touched)
+    return epoch
 
 
-def ssd_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
-                cfg: UnlearnConfig) -> UnlearnRun:
+def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+         cfg: UnlearnConfig) -> None:
     """One-shot dampening of parameters whose forget-set importance dominates.
 
     Importance is the mean squared training-loss gradient per parameter.
     Where the forget importance exceeds alpha times the full-set
-    importance, the parameter is scaled by min(lambda * ratio, 1).
+    importance, the parameter is scaled by min(lambda * ratio, 1). The
+    edit's time is the run's one epoch time; no epoch runs.
     """
-    _require(cfg, Method.SSD)
-    if not part.forget:
-        raise ConfigError("forget set is empty")
     alpha = _param(cfg, "alpha", 10.0)
     lam = _param(cfg, "lambda", 1.0)
     if alpha <= 1.0 or lam <= 0.0:
@@ -359,36 +336,32 @@ def ssd_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
 
     rng = np.random.default_rng(cfg.seed)
     negatives = hinge_negatives(split.train, split.train.samples)
-    imp_f = _importance(m_train, split, part.forget, negatives, margin, npp, rng)
-    imp_s = _importance(m_train, split, split.train.samples, negatives, margin, npp, rng)
+    # the trained model pooled once for both passes
+    vectors = query_vectors(m_train, split.train), doc_vectors(m_train, split.train)
+    imp_f = _importance(m_train, split, part.forget, negatives, margin, npp, rng, vectors)
+    imp_s = _importance(m_train, split, split.train.samples, negatives, margin, npp, rng,
+                        vectors)
 
-    student = clone_model(m_train)
-    edited = 0
     t0 = time.perf_counter()
     # one table at a time, which halves the temporaries
-    for table, f_table, s_table in zip(np.split(student.params, 2), np.split(imp_f, 2),
-                                       np.split(imp_s, 2)):
+    for table, f_table, s_table in zip(np.split(run.final_model.params, 2),
+                                       np.split(imp_f, 2), np.split(imp_s, 2)):
         # Zero full-set importance gives no evidence for a ratio; leave
         # those parameters alone so a huge lambda is exactly the identity.
         mask = (f_table > alpha * s_table) & (s_table > 0.0)
         factors = np.ones_like(table)
         factors[mask] = np.minimum(lam * s_table[mask] / f_table[mask], 1.0)
         table *= factors
-        edited += int(mask.sum())
-    wall = time.perf_counter() - t0
-
-    record = _evaluate(student, split, part, 0, wall)
-    return UnlearnRun(final_model=student, epochs_run=0,
-                      stopped_early=record.mrr_forget <= cfg.delta_target,
-                      trajectory=[record], method=cfg.method, epoch_times=[wall],
-                      edited_params=edited)
+        run.edited_params += int(mask.sum())
+    run.epoch_times.append(time.perf_counter() - t0)
 
 
 def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
                 negatives: dict[str, list[str]], margin: float, npp: int,
-                rng: np.random.Generator) -> np.ndarray:
+                rng: np.random.Generator, vectors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Mean squared per-sample gradient of the pairwise loss, per parameter
-    of the stacked table; ``negatives`` is ``hinge_negatives`` of the train set.
+    of the stacked table; ``negatives`` is ``hinge_negatives`` of the train
+    set and ``vectors`` is ``query_vectors`` and ``doc_vectors`` of ``model``.
 
     Every negative is drawn first, ``npp`` per positive in sample order;
     the parameters never move, so ``hinge_grad_squares`` then scores and
@@ -404,65 +377,65 @@ def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
     picks = rng.integers(np.repeat([len(negatives[s.query_id]) for s in drawn], npp))
     neg_rows = [[index.doc_row[negatives[s.query_id][j]] for j in row]
                 for s, row in zip(drawn, picks.reshape(-1, npp).tolist())]
-    hinge_grad_squares(model, split.train, np.array([index.query_row[s.query_id] for s in drawn]),
+    hinge_grad_squares(model, split.train, *vectors,
+                       np.array([index.query_row[s.query_id] for s in drawn]),
                        np.array([index.doc_row[s.doc_id] for s in drawn]), np.array(neg_rows),
                        margin, sq)
     sq /= len(drawn)
     return sq
 
 
-def badt_unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
-                 cfg: UnlearnConfig) -> UnlearnRun:
+def _badt(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+          cfg: UnlearnConfig):
     """Distill the forget set toward a random teacher, the rest toward the trained one."""
-    _require(cfg, Method.BADT)
-    if not part.forget:
-        raise ConfigError("forget set is empty")
-    bad_teacher = snapshot(init_model(m_train.vocab_size, m_train.dim, cfg.seed))
-    good_teacher = snapshot(m_train)
+    bad_teacher = init_model(m_train.vocab_size, m_train.dim, cfg.seed)
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
-    # every pair a teacher scores, scored in one pass each
-    bad_teacher.score_samples(split.train, part.forget)
-    good_teacher.score_samples(split.train, retained)
+    # each teacher scores the pairs it teaches in one pass
+    bad = list(zip(part.forget, sample_scores(bad_teacher, split.train, part.forget)))
+    good = list(zip(retained, sample_scores(m_train, split.train, retained)))
+    sgd = new_buffer(run.final_model, cfg.learning_rate)
 
-    student = clone_model(m_train)
-    sgd = new_buffer(student, cfg.learning_rate)
-    touched: list[tuple[str, str, str]] = []
+    def epoch(rng: np.random.Generator) -> None:
+        for tag, pairs in (("bad", bad), ("good", good)):
+            for i in rng.permutation(len(pairs)):
+                pair = pairs[int(i)]
+                _abs_delta_loss(run.final_model, split.train, (pair,), sgd)
+                if cfg.log_touched:
+                    run.touched.append((tag, pair[0].query_id, pair[0].doc_id))
 
-    def epoch(model: ScoreModel, rng: np.random.Generator) -> None:
-        for i in rng.permutation(len(part.forget)):
-            x = part.forget[int(i)]
-            abs_delta_loss(bad_teacher, model, split.train, x, sgd)
-            if cfg.log_touched:
-                touched.append(("bad", x.query_id, x.doc_id))
-        for i in rng.permutation(len(retained)):
-            x = retained[int(i)]
-            abs_delta_loss(good_teacher, model, split.train, x, sgd)
-            if cfg.log_touched:
-                touched.append(("good", x.query_id, x.doc_id))
-
-    return _drive(student, split, part, cfg, epoch, touched)
+    return epoch
 
 
-_DISPATCH = {
-    Method.COCOL: cocol_unlearn,
-    Method.CF: cf_unlearn,
-    Method.AMNESIAC: amnesiac_unlearn,
-    Method.NEGGRAD: neggrad_unlearn,
-    Method.SSD: ssd_unlearn,
-    Method.BADT: badt_unlearn,
+_PLANS = {
+    Method.COCOL: _cocol,
+    Method.CF: _cf,
+    Method.AMNESIAC: _amnesiac,
+    Method.NEGGRAD: _neggrad,
+    Method.SSD: _ssd,
+    Method.BADT: _badt,
 }
 
 
 def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
             cfg: UnlearnConfig) -> UnlearnRun:
-    """Run the strategy named by cfg.method."""
-    return _DISPATCH[cfg.method](m_train, split, part, cfg)
+    """Unlearn ``part.forget`` from ``m_train`` with the strategy named by
+    cfg.method; ``m_train`` itself is left as it is."""
+    unknown = set(cfg.method_params) - PARAM_KEYS[cfg.method]
+    if unknown:
+        raise ConfigError(f"unknown method_params for {cfg.method.value}: {sorted(unknown)}; "
+                          f"it reads {sorted(PARAM_KEYS[cfg.method])}")
+    if not part.forget:
+        raise ConfigError("forget set is empty")
+    run = UnlearnRun(final_model=clone_model(m_train), epochs_run=0, stopped_early=False,
+                     trajectory=[], method=cfg.method)
+    return _drive(run, split, part, cfg, _PLANS[cfg.method](m_train, run, split, part, cfg))
 
 
-def compute_destinations(m_retrain: ScoreModel, split: CorpusSplit,
-                         part: Partition) -> Destinations:
-    """Stopping targets derived from the retrained model."""
-    dvec, test_dvec = split_doc_vectors(m_retrain, split)
+def compute_destinations(m_retrain: ScoreModel, split: CorpusSplit, part: Partition,
+                         dvecs: tuple[np.ndarray, np.ndarray] | None = None) -> Destinations:
+    """Stopping targets derived from the retrained model; ``dvecs`` is
+    ``split_doc_vectors(m_retrain, split)`` when the caller has it."""
+    dvec, test_dvec = split_doc_vectors(m_retrain, split) if dvecs is None else dvecs
     d1 = mrr_forget(m_retrain, split.train, part, part.spec, dvec).value
     d2 = mrr_set(m_retrain, split.test, split.test.samples, test_dvec).value
     return Destinations(d1=d1, d2=d2, d3=d2 / 2.0)

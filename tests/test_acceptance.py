@@ -11,20 +11,19 @@ import time
 import numpy as np
 import pytest
 
-from numur import (ConfigError, ForgetSpec, Label, Method, RemovalKind,
-                   UnlearnConfig, amnesiac_unlearn, badt_unlearn, build_min_cache,
-                   cf_unlearn, cocol_unlearn, compute_destinations, consistent_loss,
-                   contrastive_loss, delta, delta_min, forward, init_model,
-                   mrr_forget, mrr_set, neggrad_unlearn, partition,
-                   score_distribution, snapshot)
+from numur import (ConfigError, ForgetSpec, Label, Method, RemovalKind, UnlearnConfig,
+                   build_min_cache, compute_destinations, consistent_loss, contrastive_loss,
+                   delta_min, forward, init_model, mrr_forget, mrr_set, partition,
+                   score_distribution, unlearn)
 from numur.cli import main as cli_main
-from numur.ranker import hinge_loss_and_grad, new_buffer
+from numur.ranker import PairStep, hinge_loss_and_grad, new_buffer, sample_scores
 
 from conftest import ACCEPT_MAX_EPOCHS, ACCEPT_UNLEARN_LR, build_dataset
 from test_evaluation import brute_force_first_rank, set_scores
 from test_partition import brute_force_partition, keyset, random_dataset_and_spec
 from test_ranker import assert_close_grads, finite_difference, tiny_dataset
 from test_unlearn_engine import small_unlearn_world
+from test_unlearn_losses import gap, score
 
 MATCHED_DELTA = 0.2     # matched forgetting level for the baseline contrast
 ABLATION_DELTA = 0.03   # deep target where loss-term ablations separate
@@ -81,8 +80,7 @@ def test_c02_gradient_suite():
         if abs(upstream) < 1e-3:
             continue
         buf = new_buffer(m)
-        from numur import backward_score
-        backward_score(m, ds, s.query_id, s.doc_id, upstream, buf)
+        PairStep(m, ds, ((s.query_id, s.doc_id),)).backward([upstream], buf)
         num_q, num_d = finite_difference(
             lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
         assert_close_grads(buf.grad_q, num_q)
@@ -110,20 +108,21 @@ def test_c02_gradient_suite():
     checked = 0
     while checked < 100:  # contrastive loss
         ds = tiny_dataset(rng)
-        teacher = snapshot(init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31))))
+        teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
         student = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
-        cache = build_min_cache(teacher, ds)
         x = ds.samples[0]
+        floor = build_min_cache(ds.samples, sample_scores(teacher, ds, ds.samples))[x.query_id]
         partner = next((s for s in ds.samples[1:]
                         if s.query_id == x.query_id or s.doc_id == x.doc_id), None)
-        adjusted = delta_min(cache, student, ds, x)
-        gap = 1.0 if partner is None else delta(teacher, student, ds, partner).value
-        if abs(adjusted) < 1e-3 or abs(gap) < 1e-3:
+        adjusted = delta_min(floor, score(student, ds, x))
+        partner_gap = 1.0 if partner is None else gap(teacher, student, ds, partner)
+        if abs(adjusted) < 1e-3 or abs(partner_gap) < 1e-3:
             continue
+        partner = None if partner is None else (partner, score(teacher, ds, partner))
         buf = new_buffer(student)
-        contrastive_loss(cache, teacher, student, ds, x, partner, buf)
+        contrastive_loss(floor, student, ds, x, partner, buf)
         num_q, num_d = finite_difference(
-            lambda: contrastive_loss(cache, teacher, student, ds, x, partner), student)
+            lambda: contrastive_loss(floor, student, ds, x, partner), student)
         assert_close_grads(buf.grad_q, num_q)
         assert_close_grads(buf.grad_d, num_d)
         checked += 1
@@ -135,16 +134,16 @@ def test_c02_gradient_suite():
         neg = next((s for s in ds.samples if s.label is Label.NEGATIVE), None)
         if pos is None or neg is None:
             continue
-        teacher = snapshot(init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31))))
+        teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
         student = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
-        gaps = (delta(teacher, student, ds, pos).value,
-                delta(teacher, student, ds, neg).value)
+        gaps = (gap(teacher, student, ds, pos), gap(teacher, student, ds, neg))
         if min(abs(g) for g in gaps) < 1e-3:
             continue
+        pos, neg = (pos, score(teacher, ds, pos)), (neg, score(teacher, ds, neg))
         buf = new_buffer(student)
-        consistent_loss(teacher, student, ds, pos, neg, buf)
+        consistent_loss(student, ds, pos, neg, buf)
         num_q, num_d = finite_difference(
-            lambda: consistent_loss(teacher, student, ds, pos, neg), student)
+            lambda: consistent_loss(student, ds, pos, neg), student)
         assert_close_grads(buf.grad_q, num_q)
         assert_close_grads(buf.grad_d, num_d)
         checked += 1
@@ -211,7 +210,7 @@ def test_c04_end_to_end_cocol(accept_split, accept_partition, accept_spec,
     pre_d = mrr_set(model, accept_split.train, accept_partition.disjoint).value
 
     t0 = time.perf_counter()
-    run = cocol_unlearn(model, accept_split, accept_partition, _ucfg(delta_target=0.5))
+    run = unlearn(model, accept_split, accept_partition, _ucfg(delta_target=0.5))
     elapsed = time.perf_counter() - t0
     last = run.trajectory[-1]
 
@@ -228,26 +227,24 @@ def test_c04_end_to_end_cocol(accept_split, accept_partition, accept_spec,
 
 
 def test_c05_baseline_contrast(accept_split, accept_partition, accept_model):
-    ref = cocol_unlearn(accept_model, accept_split, accept_partition,
-                        _ucfg(delta_target=MATCHED_DELTA))
+    ref = unlearn(accept_model, accept_split, accept_partition,
+                  _ucfg(delta_target=MATCHED_DELTA))
     assert ref.stopped_early
     ref_disjoint = ref.trajectory[-1].mrr_disjoint
 
     finals = {}
-    for method, fn in ((Method.AMNESIAC, amnesiac_unlearn),
-                       (Method.NEGGRAD, neggrad_unlearn),
-                       (Method.BADT, badt_unlearn)):
-        run = fn(accept_model, accept_split, accept_partition,
-                 _ucfg(method=method, delta_target=MATCHED_DELTA))
+    for method in (Method.AMNESIAC, Method.NEGGRAD, Method.BADT):
+        run = unlearn(accept_model, accept_split, accept_partition,
+                      _ucfg(method=method, delta_target=MATCHED_DELTA))
         last = run.trajectory[-1]
         assert run.stopped_early and last.mrr_forget <= 0.5, method
         assert last.mrr_disjoint < ref_disjoint, \
             f"{method.value} disjoint {last.mrr_disjoint} vs {ref_disjoint}"
         finals[method.value] = last.mrr_disjoint
 
-    cf = cf_unlearn(accept_model, accept_split, accept_partition,
-                    _ucfg(method=Method.CF, delta_target=MATCHED_DELTA,
-                          learning_rate=0.05, max_epochs=max(1, ref.epochs_run)))
+    cf = unlearn(accept_model, accept_split, accept_partition,
+                 _ucfg(method=Method.CF, delta_target=MATCHED_DELTA,
+                       learning_rate=0.05, max_epochs=max(1, ref.epochs_run)))
     assert cf.trajectory[-1].mrr_forget > MATCHED_DELTA
     assert not cf.stopped_early
     print(f"acceptance 5: PASS - at matched forget level {MATCHED_DELTA} the "
@@ -265,8 +262,8 @@ def test_c06_controllable_forgetting(accept_split, accept_partition,
 
     epochs, disjoints = [], []
     for target in (dest.d1, dest.d2, dest.d3):
-        run = cocol_unlearn(accept_model, accept_split, accept_partition,
-                            _ucfg(delta_target=target))
+        run = unlearn(accept_model, accept_split, accept_partition,
+                      _ucfg(delta_target=target))
         assert run.stopped_early
         assert run.trajectory[-1].mrr_forget <= target
         epochs.append(run.epochs_run)
@@ -286,10 +283,10 @@ def test_c07_stopping_rule_soundness():
     for _ in range(50):
         delta_target = float(rng.uniform(0.02, 1.0))
         seed = int(rng.integers(1 << 16))
-        run = cocol_unlearn(model, split, part,
-                            UnlearnConfig(delta_target=delta_target, max_epochs=12,
-                                          learning_rate=0.3, seed=seed,
-                                          method=Method.COCOL))
+        run = unlearn(model, split, part,
+                      UnlearnConfig(delta_target=delta_target, max_epochs=12,
+                                    learning_rate=0.3, seed=seed,
+                                    method=Method.COCOL))
         if run.stopped_early:
             stopped += 1
             assert run.trajectory[-1].mrr_forget <= delta_target
@@ -360,9 +357,9 @@ def test_c09_ablation_switches(accept_split, accept_partition, accept_model):
     for tag, params in (("full", {}),
                         ("no_entangled", {"entangled_term": False}),
                         ("no_phase2", {"phase2": False})):
-        runs[tag] = cocol_unlearn(accept_model, accept_split, accept_partition,
-                                  _ucfg(delta_target=ABLATION_DELTA,
-                                        method_params=params))
+        runs[tag] = unlearn(accept_model, accept_split, accept_partition,
+                            _ucfg(delta_target=ABLATION_DELTA,
+                                  method_params=params))
     full = runs["full"].trajectory[-1]
     no_ent = runs["no_entangled"].trajectory[-1]
     no_ph2 = runs["no_phase2"].trajectory[-1]

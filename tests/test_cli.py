@@ -6,9 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from numur import (CorpusSplit, ForgetSpec, RemovalKind, ScoreModel, compute_destinations,
-                   init_model, load_forget_spec, load_model, mrr_forget, mrr_set, partition,
-                   ranker, save_forget_spec, save_model)
+from numur import (CorpusSplit, ForgetSpec, Method, RemovalKind, ScoreModel, UnlearnConfig,
+                   compute_destinations, init_model, load_forget_spec, load_model, mrr_forget,
+                   mrr_set, partition, ranker, save_forget_spec, save_model, unlearn,
+                   unlearn_engine)
 from numur.cli import _load_split, _write_csv, _write_json, main
 from numur.corpus import atomic_write
 from numur.unlearn_engine import _evaluate
@@ -270,6 +271,7 @@ class TestDocPooling:
             return real(model, dataset)
 
         monkeypatch.setattr(ranker, "doc_vectors", counted)
+        monkeypatch.setattr(unlearn_engine, "doc_vectors", counted)
         return calls
 
     @staticmethod
@@ -306,6 +308,32 @@ class TestDocPooling:
         assert compute_destinations(model, own, part) == dest
         assert len(pooled) == 6
         assert pooled[-2:] == [own.train, own.test]
+
+    def test_retrain_pools_the_final_model_once(self, workdir, tmp_path, pooled):
+        runs = tmp_path / "runs"
+        shutil.copytree(workdir / "runs", runs)
+        assert main(["--config", str(workdir / "config.json"), "--out", str(runs), "retrain",
+                     "--spec", "spec_document_25"]) == 0
+        # each training epoch pools for its hard negatives and its MRR
+        assert len(pooled) == 2 * SMALL_CONFIG["train"]["epochs"] + 1
+        report = json.loads((runs / "retrain" / "spec_document_25" / "report.json")
+                            .read_text())
+        split, part, _ = self.world(workdir)
+        model = load_model(runs / "retrain" / "spec_document_25" / "model.bin")
+        dest = compute_destinations(model, split, part)
+        assert report == {
+            "mrr_forget": dest.d1,
+            "mrr_entangled": mrr_set(model, split.train, part.entangled).value,
+            "mrr_disjoint": mrr_set(model, split.train, part.disjoint).value,
+            "mrr_test": dest.d2,
+            "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3},
+        }
+
+    def test_ssd_pools_the_trained_model_once(self, workdir, pooled):
+        split, part, model = self.world(workdir)
+        unlearn(model, split, part, UnlearnConfig(method=Method.SSD))
+        # once for both importance passes, once for the edited model's checkpoint
+        assert len(pooled) == 2
 
 
 class TestMalformedArtifacts:

@@ -4,7 +4,6 @@ import pytest
 from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
                    SyntheticConfig, forward, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
                    partition, rank, score_distribution, timing_metrics)
-from numur.evaluation import MetricsReport, normalized_forget
 
 from conftest import build_dataset
 from test_ranker import tiny_dataset
@@ -249,15 +248,11 @@ class TestNormalizedForget:
         assert normalized_forget_score(1.9, 0.1) == pytest.approx(-0.8)
 
     def test_reads_run_and_report(self):
-        class FakeRecord:
-            mrr_forget = 0.42
-
-        class FakeRun:
-            trajectory = [FakeRecord()]
-
-        report = MetricsReport(mrr_forget=0.0, mrr_entangled=0.0, mrr_disjoint=0.0,
-                               mrr_test=0.44)
-        assert normalized_forget(FakeRun(), report) == pytest.approx(0.98)
+        # as cmd_unlearn calls it: the last forget MRR of the run's trajectory
+        # against the test MRR of the retrained model's report
+        forget_mrrs, retrain_report = [0.9, 0.42], {"mrr_test": 0.44}
+        assert normalized_forget_score(forget_mrrs[-1], retrain_report["mrr_test"]) == \
+            pytest.approx(0.98)
 
 
 class TestTimingMetrics:

@@ -22,7 +22,8 @@ from test_scoring_properties import VOCAB, datasets, models, wide_models
 from numur import (ConfigError, CorpusSplit, Label, Method, SyntheticConfig, UnlearnConfig,
                    generate_synthetic, init_model, new_buffer, partition, ranker, score_pool,
                    unlearn)
-from numur.ranker import HingeDraws, hinge_loss_and_grad, pairwise_epoch
+from numur.ranker import (HingeDraws, doc_vectors, hinge_loss_and_grad, pairwise_epoch,
+                          query_vectors)
 from numur.unlearn_engine import _importance
 
 REGIMES = ("none", "all", "some", "nan")
@@ -59,6 +60,11 @@ def query_negatives(ds):
         if s.label is Label.POSITIVE:
             pos.setdefault(s.query_id, set()).add(s.doc_id)
     return {q: [d for d in ds.pools.get(q, ()) if d not in p] for q, p in pos.items()}
+
+
+def pooled(model, ds):
+    """The vectors ``_importance`` takes: every query and every doc pooled."""
+    return query_vectors(model, ds), doc_vectors(model, ds)
 
 
 class Loop:
@@ -205,7 +211,7 @@ def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
     ref_model = type(model)(model.params.copy())
     with np.errstate(all="ignore"):
         got = _importance(model, split, ds.samples, negatives, margin, npp,
-                          np.random.default_rng(seed))
+                          np.random.default_rng(seed), pooled(model, ds))
         # the per-draw loop: each positive's gradient accumulates, then is squared
         rng = np.random.default_rng(seed)
         sq, count = np.zeros_like(ref_model.params), 0
@@ -272,7 +278,8 @@ def test_forget_and_full_importance_are_the_per_draw_loop(ds, model, regime, see
     with np.errstate(all="ignore"), patch.object(ranker, "GRAD_BLOCK", block):
         # as ssd runs them: the forget pass, then the full pass, on one generator
         for samples in (part.forget, ds.samples):
-            got = _importance(model, split, samples, negatives, margin, npp, rng)
+            got = _importance(model, split, samples, negatives, margin, npp, rng,
+                              pooled(model, ds))
             want = loop_importance(ref_model, ds, samples, negatives, margin, npp, ref_rng)
             assert same(got, want)
     assert same(model.params, ref_model.params)
@@ -293,7 +300,8 @@ def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
     negatives = query_negatives(ds)
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     with patch.object(ranker, "GRAD_BLOCK", block):
-        got = _importance(model, split, ds.samples, negatives, margin, 4, rng)
+        got = _importance(model, split, ds.samples, negatives, margin, 4, rng,
+                          pooled(model, ds))
     want = loop_importance(model, ds, ds.samples, negatives, margin, 4, ref_rng)
     assert same(got, want) and np.count_nonzero(got)
 

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from numur import (DataError, ForgetSpec, RemovalKind, TrainConfig,
-                   backward_score, forward, init_model, load_model, models_equal,
-                   new_buffer, partition, retrain, save_model, score_pool, snapshot,
-                   train)
-from numur.ranker import hinge_loss_and_grad
+from numur import (DataError, ForgetSpec, Method, RemovalKind, ScoreModel, TrainConfig,
+                   UnlearnConfig, forward, init_model, load_model, new_buffer, partition, retrain,
+                   save_model, score_pool, train, unlearn)
+from numur.ranker import PairStep, hinge_loss_and_grad, sample_scores
 
 from conftest import build_dataset
 
@@ -109,7 +108,7 @@ class TestBackwardScore:
         ds = tiny_dataset(rng)
         m = random_model(rng, ds.vocab_size)
         buf = new_buffer(m)
-        backward_score(m, ds, "q0", "d0", 0.0, buf)
+        PairStep(m, ds, (("q0", "d0"),)).backward([0.0], buf)
         assert not buf.rows
         assert np.all(buf.grad_q == 0) and np.all(buf.grad_d == 0)
 
@@ -121,7 +120,7 @@ class TestBackwardScore:
             s = ds.samples[int(rng.integers(len(ds.samples)))]
             upstream = float(rng.normal())
             buf = new_buffer(m)
-            backward_score(m, ds, s.query_id, s.doc_id, upstream, buf)
+            PairStep(m, ds, ((s.query_id, s.doc_id),)).backward([upstream], buf)
             num_q, num_d = finite_difference(
                 lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
             assert_close_grads(buf.grad_q, num_q)
@@ -133,7 +132,7 @@ class TestBackwardScore:
                            {"q0": ["d0"], "q1": ["d1"]}, vocab_size=16)
         m = random_model(rng, 16)
         buf = new_buffer(m)
-        backward_score(m, ds, "q1", "d1", 1.0, buf)
+        PairStep(m, ds, (("q1", "d1"),)).backward([1.0], buf)
         for t in ds.query_tokens("q0"):
             assert np.all(buf.grad_q[t] == 0)
         for t in ds.doc_tokens("d0"):
@@ -185,14 +184,14 @@ class TestTrain:
                           negatives_per_positive=4, dim=16)
         result = train(accept_split, cfg)
         fresh = init_model(accept_split.train.vocab_size, 16, seed=7)
-        assert models_equal(result.model, fresh)
+        assert result.model.params.tobytes() == fresh.params.tobytes()
 
     def test_same_seed_bitwise_identical(self, accept_split):
         cfg = TrainConfig(learning_rate=0.05, epochs=3, margin=1.0, seed=11,
                           negatives_per_positive=2, dim=8)
         a = train(accept_split, cfg)
         b = train(accept_split, cfg)
-        assert models_equal(a.model, b.model)
+        assert a.model.params.tobytes() == b.model.params.tobytes()
         assert a.epoch_losses == b.epoch_losses
         assert a.epoch_mrr == b.epoch_mrr
 
@@ -234,7 +233,7 @@ class TestRetrain:
         assert part.forget == []
         a = train(accept_split, cfg)
         b = retrain(accept_split, cfg, part)
-        assert models_equal(a.model, b.model)
+        assert a.model.params.tobytes() == b.model.params.tobytes()
 
     @staticmethod
     def figure_split_with_fillers():
@@ -269,29 +268,36 @@ class TestRetrain:
 
 
 class TestSnapshot:
+    """An unlearning teacher is a list of the trained model's scores, taken once."""
+
     def test_snapshot_unaffected_by_mutation(self, accept_split):
         m = init_model(accept_split.train.vocab_size, 8, seed=2)
         ds = accept_split.train
         s = ds.samples[0]
-        frozen = snapshot(m)
-        before = forward(frozen, ds, s.query_id, s.doc_id)
+        teacher = sample_scores(m, ds, [s])
+        before = forward(m, ds, s.query_id, s.doc_id)
         m.embed_q += 1.0
-        assert forward(frozen, ds, s.query_id, s.doc_id) == pytest.approx(before)
+        assert teacher == [before]
         assert forward(m, ds, s.query_id, s.doc_id) != pytest.approx(before)
 
     def test_snapshot_scores_match_at_creation(self, accept_split):
         ds = accept_split.train
         m = init_model(ds.vocab_size, 8, seed=3)
-        frozen = snapshot(m)
-        for s in ds.samples[:10]:
-            assert forward(frozen, ds, s.query_id, s.doc_id) == pytest.approx(
-                forward(m, ds, s.query_id, s.doc_id))
+        assert sample_scores(m, ds, ds.samples[:10]) == [
+            forward(m, ds, s.query_id, s.doc_id) for s in ds.samples[:10]]
 
-    def test_snapshot_is_read_only(self, accept_split):
-        m = init_model(accept_split.train.vocab_size, 8, seed=4)
-        frozen = snapshot(m)
-        with pytest.raises(ValueError):
-            frozen.embed_q[0, 0] = 1.0
+    def test_snapshot_is_read_only(self):
+        # the trained model, which teaches cocol and badt, is only ever read
+        from test_unlearn_engine import small_unlearn_world
+        split, part, model = small_unlearn_world()
+        params = model.params.copy()
+        params.setflags(write=False)  # before ScoreModel takes its views
+        frozen = ScoreModel(params)
+        for method in Method:
+            run = unlearn(frozen, split, part, UnlearnConfig(delta_target=1e-9, max_epochs=2,
+                                                             method=method))
+            assert run.method is method and run.final_model.params.flags.writeable
+        assert frozen.params.tobytes() == model.params.tobytes()
 
 
 class TestModelIO:
@@ -300,7 +306,7 @@ class TestModelIO:
         path = tmp_path / "model.bin"
         save_model(m, path)
         loaded = load_model(path)
-        assert models_equal(m, loaded)
+        assert m.params.tobytes() == loaded.params.tobytes()
 
     def test_header_layout(self, tmp_path):
         m = init_model(8, 2, seed=0)

@@ -1,0 +1,16 @@
+"""The README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_use_example_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    namespace: dict = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    run = namespace["run"]
+    assert capsys.readouterr().out.split() == [str(run.epochs_run),
+                                               str(run.trajectory[-1].mrr_forget)]

@@ -13,12 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
-                   RemovalKind, Sample, abs_delta_loss, build_min_cache,
-                   consistent_loss, contrastive_loss, forward, init_model, mrr_forget,
-                   mrr_set, new_buffer, partition, rank, score_distribution, score_pool,
-                   snapshot)
+                   RemovalKind, Sample, build_min_cache, consistent_loss, contrastive_loss,
+                   forward, init_model, mrr_forget, mrr_set, new_buffer, partition, rank,
+                   score_distribution, score_pool)
 from numur.ranker import (doc_vectors, hinge_loss_and_grad, pairwise_epoch,
-                          query_vectors, score_pools)
+                          query_vectors, sample_scores, score_pools)
+from numur.unlearn_losses import _abs_delta_loss
 
 VOCAB = 10
 
@@ -186,15 +186,13 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
 @settings(max_examples=150, deadline=None)
 @given(datasets(), st.one_of(models, wide_models))
 def test_stored_teacher_scores_are_bitwise_forward(ds, model):
-    teacher = snapshot(model)
-    cache = build_min_cache(teacher, ds)
-    scored_on, table = teacher._scored  # filled by build_min_cache's one pass
-    assert scored_on is ds
-    assert sum(map(len, table.values())) == len(ds.samples)
-    for s in ds.samples:
-        want = forward(teacher, ds, s.query_id, s.doc_id)
-        assert table[s.query_id][s.doc_id] == want
-        assert cache.score_floor(s.query_id) <= want
+    teacher = sample_scores(model, ds, ds.samples)
+    floors = build_min_cache(ds.samples, teacher)
+    assert len(teacher) == len(ds.samples)
+    for s, score in zip(ds.samples, teacher):
+        want = forward(model, ds, s.query_id, s.doc_id)
+        assert score == want
+        assert floors[s.query_id] <= want
 
 
 @settings(max_examples=150, deadline=None)
@@ -300,8 +298,9 @@ def ref_abs_delta(ref, teacher, ds, pair):
     return abs(d)
 
 
-def ref_contrastive(ref, cache, teacher, ds, x, partner):
-    floor = cache.score_floor(x.query_id)
+def ref_contrastive(ref, teacher, ds, x, partner):
+    floor = min(Ref(teacher).forward(ds, s.query_id, s.doc_id) for s in ds.samples
+                if s.query_id == x.query_id)
     f_w = ref.forward(ds, x.query_id, x.doc_id)
     adjusted = (f_w - floor) / (f_w + floor)
     value = max(0.0, adjusted)
@@ -315,6 +314,11 @@ def ref_contrastive(ref, cache, teacher, ds, x, partner):
 
 def ref_consistent(ref, teacher, ds, pos, neg):
     return ref_abs_delta(ref, teacher, ds, pos) + ref_abs_delta(ref, teacher, ds, neg)
+
+
+def scored(teacher, ds, pair):
+    """``pair`` with its teacher score, as the losses take it."""
+    return None if pair is None else (pair, forward(teacher, ds, pair.query_id, pair.doc_id))
 
 
 def ref_pairwise_epoch(ref, ds, samples, rng, lr, margin, npp):
@@ -380,12 +384,13 @@ def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
     assert_same_gradients(fused, ref)
 
     assume(ds.samples)
-    teacher = snapshot(init_model(VOCAB, student.dim, teacher_seed))
-    cache = build_min_cache(teacher, ds)
+    teacher = init_model(VOCAB, student.dim, teacher_seed)
+    floors = build_min_cache(ds.samples, sample_scores(teacher, ds, ds.samples))
     x, partner = draw_contrastive_case(data, ds)
     fused, ref = new_buffer(student), Ref(student)
-    assert (contrastive_loss(cache, teacher, student, ds, x, partner, fused)
-            == ref_contrastive(ref, cache, teacher, ds, x, partner))
+    assert (contrastive_loss(floors[x.query_id], student, ds, x, scored(teacher, ds, partner),
+                             fused)
+            == ref_contrastive(ref, teacher, ds, x, partner))
     assert_same_gradients(fused, ref)
 
 
@@ -406,16 +411,17 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
     assert_same_params(student, ref)
 
     assume(ds.samples)
-    teacher = snapshot(init_model(VOCAB, student.dim, teacher_seed))
-    cache = build_min_cache(teacher, ds)
+    teacher = init_model(VOCAB, student.dim, teacher_seed)
+    floors = build_min_cache(ds.samples, sample_scores(teacher, ds, ds.samples))
     x, partner = draw_contrastive_case(data, ds)
-    assert (contrastive_loss(cache, teacher, student, ds, x, partner, sgd)
-            == ref_contrastive(ref, cache, teacher, ds, x, partner))
+    assert (contrastive_loss(floors[x.query_id], student, ds, x, scored(teacher, ds, partner),
+                             sgd)
+            == ref_contrastive(ref, teacher, ds, x, partner))
     ref.apply(lr)
     assert_same_params(student, ref)
 
     pair = data.draw(st.sampled_from(ds.samples))
-    assert (abs_delta_loss(teacher, student, ds, pair, sgd)
+    assert (_abs_delta_loss(student, ds, [scored(teacher, ds, pair)], sgd)
             == ref_abs_delta(ref, teacher, ds, pair))
     ref.apply(lr)
     assert_same_params(student, ref)
@@ -424,7 +430,7 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
     neg_pairs = [s for s in ds.samples if s.label is Label.NEGATIVE]
     if pos_pairs and neg_pairs:
         p, n = data.draw(st.sampled_from(pos_pairs)), data.draw(st.sampled_from(neg_pairs))
-        assert (consistent_loss(teacher, student, ds, p, n, sgd)
+        assert (consistent_loss(student, ds, scored(teacher, ds, p), scored(teacher, ds, n), sgd)
                 == ref_consistent(ref, teacher, ds, p, n))
         ref.apply(lr)
         assert_same_params(student, ref)

@@ -3,14 +3,12 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method,
-                   RemovalKind, Sample, TrainConfig, UnlearnConfig, amnesiac_unlearn,
-                   badt_unlearn, cf_unlearn, clone_model, cocol_unlearn,
-                   compute_destinations, init_model, models_equal, mrr_forget,
-                   neggrad_unlearn, partition, snapshot, ssd_unlearn, swap_labels,
-                   train, unlearn)
-from numur import ranker
-from numur.ranker import TeacherSnapshot
+from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Method, RemovalKind,
+                   TrainConfig, UnlearnConfig, clone_model, compute_destinations, init_model,
+                   mrr_forget, partition, train, unlearn)
+from numur import ranker, unlearn_engine
+from numur.ranker import sample_scores
+from numur.unlearn_losses import _abs_delta_loss
 
 from conftest import ACCEPT_UNLEARN_LR, build_dataset
 
@@ -41,22 +39,22 @@ class TestDriver:
     def test_target_already_met_stops_at_zero_epochs(self):
         split, part, model = small_unlearn_world()
         current = mrr_forget(model, split.train, part, part.spec).value
-        run = cocol_unlearn(model, split, part, ucfg(Method.COCOL,
-                                                     delta_target=min(1.0, current)))
+        run = unlearn(model, split, part,
+                      ucfg(Method.COCOL, delta_target=min(1.0, current)))
         assert run.epochs_run <= 1
         assert run.stopped_early
         assert run.trajectory[0].epoch == 0
 
     def test_budget_exhaustion(self):
         split, part, model = small_unlearn_world()
-        run = cocol_unlearn(model, split, part,
-                            ucfg(Method.COCOL, delta_target=1e-9, max_epochs=2))
+        run = unlearn(model, split, part,
+                      ucfg(Method.COCOL, delta_target=1e-9, max_epochs=2))
         assert run.epochs_run == 2
         assert not run.stopped_early
 
     def test_stopping_soundness(self):
         split, part, model = small_unlearn_world()
-        run = cocol_unlearn(model, split, part, ucfg(Method.COCOL, delta_target=0.4))
+        run = unlearn(model, split, part, ucfg(Method.COCOL, delta_target=0.4))
         if run.stopped_early:
             assert run.trajectory[-1].mrr_forget <= 0.4
         else:
@@ -64,9 +62,9 @@ class TestDriver:
 
     def test_determinism_including_trajectory(self):
         split, part, model = small_unlearn_world()
-        a = cocol_unlearn(model, split, part, ucfg(Method.COCOL))
-        b = cocol_unlearn(model, split, part, ucfg(Method.COCOL))
-        assert models_equal(a.final_model, b.final_model)
+        a = unlearn(model, split, part, ucfg(Method.COCOL))
+        b = unlearn(model, split, part, ucfg(Method.COCOL))
+        assert a.final_model.params.tobytes() == b.final_model.params.tobytes()
         assert [(r.epoch, r.mrr_forget, r.mrr_entangled, r.mrr_disjoint, r.mrr_test)
                 for r in a.trajectory] == \
                [(r.epoch, r.mrr_forget, r.mrr_entangled, r.mrr_disjoint, r.mrr_test)
@@ -74,16 +72,16 @@ class TestDriver:
 
     def test_check_every_skips_intermediate_evaluations(self):
         split, part, model = small_unlearn_world()
-        run = cocol_unlearn(model, split, part,
-                            ucfg(Method.COCOL, delta_target=1e-9, max_epochs=5,
-                                 check_every=2))
+        run = unlearn(model, split, part,
+                      ucfg(Method.COCOL, delta_target=1e-9, max_epochs=5,
+                           check_every=2))
         assert [r.epoch for r in run.trajectory] == [0, 2, 4, 5]
 
     def test_input_model_not_mutated(self):
         split, part, model = small_unlearn_world()
         before = clone_model(model)
-        cocol_unlearn(model, split, part, ucfg(Method.COCOL, max_epochs=2))
-        assert models_equal(model, before)
+        unlearn(model, split, part, ucfg(Method.COCOL, max_epochs=2))
+        assert model.params.tobytes() == before.params.tobytes()
 
     def test_dispatch_routes_by_method(self):
         split, part, model = small_unlearn_world()
@@ -91,17 +89,18 @@ class TestDriver:
         assert run.method is Method.SSD
 
     def test_method_mismatch_rejected(self):
+        # a key another strategy reads is not one this strategy reads
         split, part, model = small_unlearn_world()
-        with pytest.raises(ConfigError):
-            cocol_unlearn(model, split, part, ucfg(Method.CF))
+        with pytest.raises(ConfigError, match="phase2"):
+            unlearn(model, split, part, ucfg(Method.CF, method_params={"phase2": False}))
 
 
 class TestCocol:
     def test_phase_separation(self):
         split, part, model = small_unlearn_world()
-        run = cocol_unlearn(model, split, part,
-                            ucfg(Method.COCOL, delta_target=1e-9, max_epochs=2,
-                                 log_touched=True))
+        run = unlearn(model, split, part,
+                      ucfg(Method.COCOL, delta_target=1e-9, max_epochs=2,
+                           log_touched=True))
         forget_keys = {(s.query_id, s.doc_id) for s in part.forget}
         disjoint_keys = {(s.query_id, s.doc_id) for s in part.disjoint}
         for phase, qid, did in run.touched:
@@ -129,9 +128,9 @@ class TestCocol:
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d0"}))
         part = partition(ds, spec)
         before = clone_model(model)
-        run = cocol_unlearn(model, split, part,
-                            ucfg(Method.COCOL, delta_target=1e-9, max_epochs=3))
-        assert models_equal(run.final_model, before)
+        run = unlearn(model, split, part,
+                      ucfg(Method.COCOL, delta_target=1e-9, max_epochs=3))
+        assert run.final_model.params.tobytes() == before.params.tobytes()
 
     def test_requires_disjoint_positives_and_negatives(self):
         triples = [("q0", "d0", 1), ("q0", "d1", 0), ("q1", "d2", 1)]
@@ -143,21 +142,21 @@ class TestCocol:
         part = partition(ds, spec)  # disjoint = q1's single positive, no negative
         model = init_model(32, 2, seed=0)
         with pytest.raises(ConfigError, match="disjoint"):
-            cocol_unlearn(model, split, part, ucfg(Method.COCOL))
+            unlearn(model, split, part, ucfg(Method.COCOL))
 
     def test_empty_forget_rejected(self):
         split, part, model = small_unlearn_world()
         part.forget = []
         with pytest.raises(ConfigError, match="forget"):
-            cocol_unlearn(model, split, part, ucfg(Method.COCOL))
+            unlearn(model, split, part, ucfg(Method.COCOL))
 
 
 class TestCf:
     def test_touches_no_forget_sample(self):
         split, part, model = small_unlearn_world()
-        run = cf_unlearn(model, split, part,
-                         ucfg(Method.CF, delta_target=1e-9, max_epochs=2,
-                              learning_rate=0.05, log_touched=True))
+        run = unlearn(model, split, part,
+                      ucfg(Method.CF, delta_target=1e-9, max_epochs=2,
+                           learning_rate=0.05, log_touched=True))
         forget_keys = {(s.query_id, s.doc_id) for s in part.forget}
         assert run.touched
         assert all((qid, did) not in forget_keys for _, qid, did in run.touched)
@@ -165,29 +164,24 @@ class TestCf:
     def test_same_seed_determinism(self):
         split, part, model = small_unlearn_world()
         cfg = ucfg(Method.CF, learning_rate=0.05, max_epochs=3, delta_target=1e-9)
-        a = cf_unlearn(model, split, part, cfg)
-        b = cf_unlearn(model, split, part, cfg)
-        assert models_equal(a.final_model, b.final_model)
+        a = unlearn(model, split, part, cfg)
+        b = unlearn(model, split, part, cfg)
+        assert a.final_model.params.tobytes() == b.final_model.params.tobytes()
 
 
 class TestAmnesiac:
-    def test_label_swap_is_involution(self):
-        samples = [Sample("q", "a", Label.POSITIVE), Sample("q", "b", Label.NEGATIVE)]
-        assert swap_labels(swap_labels(samples)) == samples
-        assert swap_labels(samples)[0].label is Label.NEGATIVE
-
     def test_forget_mrr_decreases(self):
         split, part, model = small_unlearn_world()
         before = mrr_forget(model, split.train, part, part.spec).value
-        run = amnesiac_unlearn(model, split, part,
-                               ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=5))
+        run = unlearn(model, split, part,
+                      ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=5))
         assert run.trajectory[-1].mrr_forget < before
 
     def test_touches_forget_and_entangled_only(self):
         split, part, model = small_unlearn_world()
-        run = amnesiac_unlearn(model, split, part,
-                               ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=1,
-                                    log_touched=True))
+        run = unlearn(model, split, part,
+                      ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=1,
+                           log_touched=True))
         allowed = {(s.query_id, s.doc_id) for s in part.forget + part.entangled}
         assert all((qid, did) in allowed for _, qid, did in run.touched)
 
@@ -197,16 +191,16 @@ class TestNegGrad:
         split, part, model = small_unlearn_world()
         with pytest.raises(ConfigError):
             ucfg(Method.NEGGRAD, learning_rate=0.0)
-        tiny = neggrad_unlearn(model, split, part,
-                               ucfg(Method.NEGGRAD, delta_target=1e-9, max_epochs=1,
-                                    learning_rate=1e-12))
+        tiny = unlearn(model, split, part,
+                       ucfg(Method.NEGGRAD, delta_target=1e-9, max_epochs=1,
+                            learning_rate=1e-12))
         assert np.allclose(tiny.final_model.embed_q, model.embed_q, atol=1e-9)
 
     def test_forget_mrr_trends_down(self):
         split, part, model = small_unlearn_world()
-        run = neggrad_unlearn(model, split, part,
-                              ucfg(Method.NEGGRAD, delta_target=1e-9, max_epochs=6,
-                                   learning_rate=0.5))
+        run = unlearn(model, split, part,
+                      ucfg(Method.NEGGRAD, delta_target=1e-9, max_epochs=6,
+                           learning_rate=0.5))
         series = [r.mrr_forget for r in run.trajectory]
         violations = sum(1 for a, b in zip(series, series[1:]) if b > a + 1e-9)
         assert violations <= 1
@@ -216,63 +210,62 @@ class TestNegGrad:
 class TestSsd:
     def test_one_shot_runs_zero_epochs(self):
         split, part, model = small_unlearn_world()
-        run = ssd_unlearn(model, split, part, ucfg(Method.SSD))
+        run = unlearn(model, split, part, ucfg(Method.SSD))
         assert run.epochs_run == 0
         assert len(run.trajectory) == 1
 
     def test_huge_lambda_changes_nothing(self):
         split, part, model = small_unlearn_world()
-        run = ssd_unlearn(model, split, part,
-                          ucfg(Method.SSD, method_params={"lambda": 1e12}))
-        assert models_equal(run.final_model, model)
+        run = unlearn(model, split, part,
+                      ucfg(Method.SSD, method_params={"lambda": 1e12}))
+        assert run.final_model.params.tobytes() == model.params.tobytes()
 
     def test_huge_alpha_changes_nothing(self):
         split, part, model = small_unlearn_world()
-        run = ssd_unlearn(model, split, part,
-                          ucfg(Method.SSD, method_params={"alpha": 1e12}))
-        assert models_equal(run.final_model, model)
+        run = unlearn(model, split, part,
+                      ucfg(Method.SSD, method_params={"alpha": 1e12}))
+        assert run.final_model.params.tobytes() == model.params.tobytes()
         assert run.edited_params == 0
 
     def test_acceptance_corpus_edits_parameters(self, accept_split, accept_partition,
                                                  accept_model):
-        run = ssd_unlearn(accept_model, accept_split, accept_partition,
-                          UnlearnConfig(delta_target=0.5, max_epochs=1,
-                                        learning_rate=ACCEPT_UNLEARN_LR, seed=7,
-                                        method=Method.SSD))
+        run = unlearn(accept_model, accept_split, accept_partition,
+                      UnlearnConfig(delta_target=0.5, max_epochs=1,
+                                    learning_rate=ACCEPT_UNLEARN_LR, seed=7,
+                                    method=Method.SSD))
         assert run.edited_params > 0
 
     def test_parameters_never_grow(self):
         split, part, model = small_unlearn_world()
-        run = ssd_unlearn(model, split, part, ucfg(Method.SSD))
+        run = unlearn(model, split, part, ucfg(Method.SSD))
         assert np.all(np.abs(run.final_model.embed_q) <= np.abs(model.embed_q) + 1e-15)
         assert np.all(np.abs(run.final_model.embed_d) <= np.abs(model.embed_d) + 1e-15)
 
     def test_bad_params_rejected(self):
         split, part, model = small_unlearn_world()
         with pytest.raises(ConfigError):
-            ssd_unlearn(model, split, part,
-                        ucfg(Method.SSD, method_params={"alpha": 0.5}))
+            unlearn(model, split, part,
+                    ucfg(Method.SSD, method_params={"alpha": 0.5}))
 
 
 class TestBadT:
     def test_student_at_bad_teacher_has_zero_forget_loss(self):
         split, part, model = small_unlearn_world()
-        from numur import abs_delta_loss
-        bad = snapshot(init_model(model.vocab_size, model.dim, seed=3))
+        bad = init_model(model.vocab_size, model.dim, seed=3)
         student = clone_model(bad)
-        for s in part.forget[:5]:
-            assert abs_delta_loss(bad, student, split.train, s) == pytest.approx(0.0)
+        forget = part.forget[:5]
+        for pair in zip(forget, sample_scores(bad, split.train, forget)):
+            assert _abs_delta_loss(student, split.train, [pair], None) == pytest.approx(0.0)
 
     def test_student_at_trained_model_has_zero_retain_loss(self):
         split, part, model = small_unlearn_world()
-        from numur import abs_delta_loss
-        good = snapshot(model)
-        for s in (part.entangled + part.disjoint)[:5]:
-            assert abs_delta_loss(good, model, split.train, s) == pytest.approx(0.0)
+        retained = (part.entangled + part.disjoint)[:5]
+        for pair in zip(retained, sample_scores(model, split.train, retained)):
+            assert _abs_delta_loss(model, split.train, [pair], None) == pytest.approx(0.0)
 
     def test_runs_and_stops(self):
         split, part, model = small_unlearn_world()
-        run = badt_unlearn(model, split, part, ucfg(Method.BADT, delta_target=0.6))
+        run = unlearn(model, split, part, ucfg(Method.BADT, delta_target=0.6))
         if run.stopped_early:
             assert run.trajectory[-1].mrr_forget <= 0.6
 
@@ -285,12 +278,15 @@ class TestBadT:
             calls.append(args)
             return real(*args)
 
+        def per_pair(model, dataset, samples):
+            return [ranker.forward(model, dataset, s.query_id, s.doc_id) for s in samples]
+
         with patch.object(ranker, "forward", counted):
-            run = badt_unlearn(model, split, part, cfg)
+            run = unlearn(model, split, part, cfg)
             assert not calls
-            # teachers left to score each pair on first use, one forward call each
-            with patch.object(TeacherSnapshot, "score_samples", lambda *args: None):
-                lazy = badt_unlearn(model, split, part, cfg)
+            # teachers that score each pair with its own forward call
+            with patch.object(unlearn_engine, "sample_scores", per_pair):
+                lazy = unlearn(model, split, part, cfg)
         assert len(calls) == len(split.train.samples)
         assert run.final_model.params.tobytes() == lazy.final_model.params.tobytes()
 
