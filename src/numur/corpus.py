@@ -164,6 +164,11 @@ class Dataset:
         docs by ``index.doc_row``."""
         return self._query_rows, self._doc_rows
 
+    @cached_property
+    def _offset_tables(self) -> dict:
+        """The ranker's per-model-shape token offset tables, filled on first use."""
+        return {}
+
     def positives_of(self, query_id: str) -> list[str]:
         """Positive-labelled doc ids of a query, in sample order."""
         return list(self.index.positives.get(query_id, ()))

@@ -41,6 +41,7 @@ class ScoreModel:
     def __init__(self, params: np.ndarray):
         self.params = np.ascontiguousarray(params)  # so flat views share its memory
         self.embed_q, self.embed_d = np.split(self.params, 2)
+        self.flat = self.params.reshape(-1)  # the offsets of a PairStep index it
 
     @property
     def vocab_size(self) -> int:
@@ -89,9 +90,9 @@ class GradientBuffer:
     def __init__(self, shape: tuple[int, int], lr: float | None = None):
         self.grad = np.zeros(shape)
         self.grad_q, self.grad_d = np.split(self.grad, 2)
+        self.flat = self.grad.reshape(-1)  # the offsets of a PairStep index it
         self.lr = lr
         self.rows: list[np.ndarray] = []
-        self.cols = np.arange(shape[1])  # a row's offsets in the flattened table
 
 
 @dataclass
@@ -118,98 +119,155 @@ def new_buffer(model: ScoreModel, lr: float | None = None) -> GradientBuffer:
     return GradientBuffer(model.params.shape, lr)
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    e = np.exp(z)
-    return float(e / (1.0 + e))
-
-
 def _sigmoids(z: np.ndarray) -> np.ndarray:
-    """``_sigmoid`` of each entry, bitwise."""
-    e = np.exp(np.where(z >= 0, -z, z))  # NaN takes the second branch, as in _sigmoid
+    """The logistic function of each entry, bitwise the scalar form of
+    ``PairStep.backward``: ``1 / (1 + exp(-z))`` where ``z >= 0``, else
+    ``e / (1 + e)`` with ``e = exp(z)``."""
+    e = np.exp(np.where(z >= 0, -z, z))  # NaN takes the second branch, as in backward
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _mean_rows(x: np.ndarray) -> np.ndarray:
-    # The arithmetic of x.mean(axis=0), a sum over rows then one division,
-    # without mean's Python-level bookkeeping: bitwise the same result.
-    return np.add.reduce(x) / len(x)
+def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[dict, dict]:
+    """Each query's and each doc's flat offsets into a stacked parameter
+    table of ``shape``, ``dim`` offsets per token, by id; stored on
+    ``dataset`` for the next step under a model of that shape.
+
+    Token ``t`` is row ``t`` of the query half and row ``vocab_size + t``
+    of the doc half, with the model's ``vocab_size``, not the corpus's,
+    and row ``r`` covers the flat offsets ``r * dim`` to ``r * dim + dim - 1``.
+    """
+    vocab_size, dim = shape[0] // 2, shape[1]
+    qtok, dtok = dataset.token_rows()
+    offsets = (np.concatenate((qtok.flat, dtok.flat + vocab_size))[:, None] * dim
+               + np.arange(dim)).ravel()
+    offsets.flags.writeable = False  # steps hold views of it
+    bounds = (np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat))) * dim).tolist()
+    spans = list(map(offsets.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+    n_q = len(qtok.starts) - 1
+    table = dict(zip(dataset.queries, spans[:n_q])), dict(zip(dataset.documents, spans[n_q:]))
+    dataset._offset_tables[shape] = table
+    return table
 
 
 class PairStep:
     """Scores of a few (query, doc) pairs under one model, and their gradient.
 
-    Every parameter row the pairs touch is gathered with one ``take``
-    from the stacked table, pair by pair: the query's token rows, then
-    the doc's token rows offset by ``vocab_size``. Each pooled vector is
-    the mean of its slice of that gather; a pair with the same query as
-    the pair before it reuses that pair's query vector. The parameters
-    must not change between the constructor and ``backward``.
+    The dataset's offset table holds, per query and per doc, the flat
+    offsets of its token rows in the stacked table, ``dim`` offsets per
+    token, doc rows shifted by the model's ``vocab_size``. The constructor
+    concatenates the offsets of every pair, its query's then its doc's,
+    and gathers them with one ``take``. Each pooled vector is the mean of
+    its slice of that gather; a pair with the same query as the pair
+    before it reuses that pair's query vector. ``backward`` scatters
+    through the same offsets. The parameters must not change between the
+    constructor and ``backward``.
+
+    Per part (a pair's query, then its doc) the step keeps its offsets,
+    its token count and the vector its gradient runs along: the doc's
+    vector for the query part, the query's for the doc part.
     """
 
-    __slots__ = ("params", "rows", "x", "terms", "scores")
+    __slots__ = ("shape", "flat", "offsets", "counts", "along", "logits", "index", "x",
+                 "scores")
 
     def __init__(self, model: ScoreModel, dataset: Dataset,
                  pairs: Sequence[tuple[str, str]]):
-        offset = model.vocab_size
-        segments = []
-        for query_id, doc_id in pairs:
-            segments += (dataset.query_tokens(query_id), dataset.doc_tokens(doc_id) + offset)
-        self.params = model.params
-        self.rows = np.concatenate(segments)
-        self.x = x = self.params.take(self.rows, axis=0)
-        self.terms = []  # (start, mid, end, u, v, z) per pair
-        end, last_query, u = 0, None, None
-        for i, (query_id, _) in enumerate(pairs):
-            start = end
-            mid = start + len(segments[2 * i])
-            end = mid + len(segments[2 * i + 1])
-            if query_id != last_query:
-                u, last_query = _mean_rows(x[start:mid]), query_id
-            v = _mean_rows(x[mid:end])
-            self.terms.append((start, mid, end, u, v, float(u @ v)))
+        self.shape, self.flat = model.params.shape, model.flat
+        self.offsets, self.counts, self.along, self.logits = [], [], [], []
+        self._pool(dataset, pairs, None, None)
         # softplus, elementwise: the same values as one logaddexp call per pair
-        self.scores = np.logaddexp(0.0, [term[5] for term in self.terms]).tolist()
+        self.scores = np.logaddexp(0.0, self.logits).tolist()
 
-    def backward(self, upstream: list[float], buf: GradientBuffer) -> None:
+    def _pool(self, dataset: Dataset, pairs: Sequence[tuple[str, str]],
+              query_id: str | None, u: np.ndarray | None) -> None:
+        """Gather ``pairs`` with one ``take``, and append their parts and
+        logits; ``u`` is the pooled vector of ``query_id`` when the caller
+        has it."""
+        queries, docs = dataset._offset_tables.get(self.shape) \
+            or _offset_table(dataset, self.shape)
+        try:
+            offsets = [o for q, d in pairs for o in (queries[q], docs[d])]
+        except KeyError:
+            for q, d in pairs:
+                if q not in queries:
+                    raise DataError(f"unknown query id {q!r}") from None
+                if d not in docs:
+                    raise DataError(f"unknown doc id {d!r}") from None
+            raise
+        self.index = index = np.concatenate(offsets)
+        self.x = x = self.flat.take(index)
+        dim = self.shape[1]
+        rows = x.reshape(-1, dim)
+        counts, along, logits = self.counts, self.along, self.logits
+        end = 0
+        each = iter(offsets)
+        for (q, _), qo, do in zip(pairs, each, each):
+            nq, nd = len(qo) // dim, len(do) // dim
+            mid = end + nq
+            if q != query_id:  # the arithmetic of mean(axis=0), bitwise
+                u, query_id = np.add.reduce(rows[end:mid]) / nq, q
+            end = mid + nd
+            v = np.add.reduce(rows[mid:end]) / nd
+            counts += (nq, nd)
+            along += (v, u)
+            logits.append(float(u @ v))
+        self.offsets += offsets
+
+    def _widened(self, dataset: Dataset, pairs: Sequence[tuple[str, str]]) -> "PairStep":
+        """One step over this step's first pair, then ``pairs``, which share
+        its query, under the parameters this step was made with. The first
+        pair keeps its parts and score; only ``pairs`` are gathered and
+        pooled, against the first pair's query vector."""
+        step = object.__new__(PairStep)
+        step.shape, step.flat = self.shape, self.flat
+        step.offsets, step.counts, step.along = \
+            self.offsets[:2], self.counts[:2], self.along[:2]
+        step.logits = self.logits[:1]
+        step._pool(dataset, pairs, pairs[0][0], self.along[1])
+        step.index = step.x = None  # the gather misses the first pair
+        step.scores = self.scores[:1] + np.logaddexp(0.0, step.logits[1:]).tolist()
+        return step
+
+    def backward(self, upstream: Sequence[float], buf: GradientBuffer) -> None:
         """Add each ``upstream[i] * d(score_i)/d(params)`` into ``buf``.
 
-        The rows of the pairs with a nonzero upstream are accumulated with
-        one ``np.add.at`` in pair order, each pair's query rows before its
-        doc rows. With ``buf.lr`` set, the step is then applied to those
-        rows and they are zeroed; otherwise they are appended to ``buf.rows``.
+        The offsets of the pairs with a nonzero upstream are accumulated
+        with one ``np.add.at`` in pair order, each pair's query offsets
+        before its doc offsets. With ``buf.lr`` set, the step is then
+        applied to those offsets and they are zeroed; otherwise their
+        stacked rows are appended to ``buf.rows``.
         """
-        active = [(term, up) for term, up in zip(self.terms, upstream) if up != 0.0]
-        if not active:
+        gs, parts = [], []
+        for i, (z, up) in enumerate(zip(self.logits, upstream)):
+            if up == 0.0:
+                continue
+            if z >= 0:  # the logistic function of z, in the form that cannot overflow
+                g = 1.0 / (1.0 + float(np.exp(-z))) * up
+            else:
+                e = float(np.exp(z))
+                g = e / (1.0 + e) * up
+            gs += (g, g)
+            parts += (2 * i, 2 * i + 1)
+        if not gs:
             return
-        rows, x = self.rows, self.x
-        if len(active) < len(self.terms):
-            rows = np.concatenate([rows[term[0]:term[2]] for term, _ in active])
-            x = None
-        vectors, scales, counts = [], [], []
-        for (start, mid, end, u, v, z), up in active:
-            g = _sigmoid(z) * up
-            vectors += (v, u)
-            scales += ((g, mid - start), (g, end - mid))
-            counts += (mid - start, end - mid)
-        # (g * vector) / length, the arithmetic of one backward pass per pair
-        grads = np.array(vectors)
-        scales = np.array(scales)
-        grads *= scales[:, :1]
-        grads /= scales[:, 1:]
-        # one index per parameter, row by row: np.add.at is fastest on a flat array
-        index = (rows[:, None] * len(buf.cols) + buf.cols).ravel()
-        grad = buf.grad.reshape(-1)
-        np.add.at(grad, index, grads.repeat(counts, axis=0).ravel())
+        counts, along, index, x = self.counts, self.along, self.index, self.x
+        if index is None or len(parts) < len(counts):
+            counts, along = [counts[k] for k in parts], [along[k] for k in parts]
+            index, x = np.concatenate([self.offsets[k] for k in parts]), None
+        # (g * vector) / count, the arithmetic of one backward pass per pair
+        grads = np.array(along)
+        grads *= np.array(gs)[:, None]
+        grads /= np.array(counts, dtype=float)[:, None]
+        np.add.at(buf.flat, index, grads.repeat(counts, axis=0).ravel())
         if buf.lr is None:
-            buf.rows.append(rows)
+            dim = self.shape[1]
+            buf.rows.append(index[::dim] // dim)
             return
-        # a row listed twice is gathered before the scatter, so it steps once
-        stepped = (self.params.take(rows, axis=0) if x is None else x).ravel()
-        stepped -= buf.lr * grad[index]
-        self.params.reshape(-1)[index] = stepped
-        grad[index] = 0.0
+        # an offset listed twice is gathered before the scatter, so it steps once
+        stepped = self.flat.take(index) if x is None else x
+        stepped -= buf.lr * buf.flat[index]
+        self.flat[index] = stepped
+        buf.flat[index] = 0.0
 
 
 # Rows pooled per gather in doc_vectors and query_vectors; keeps the
@@ -278,7 +336,8 @@ def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
     rows = dataset.index.pool_rows.get(query_id)
     if rows is None or not len(rows):
         raise DataError(f"query {query_id!r} has no pool")
-    u = _mean_rows(model.embed_q[dataset.query_tokens(query_id)])
+    tokens = model.embed_q[dataset.query_tokens(query_id)]
+    u = np.add.reduce(tokens) / len(tokens)  # the arithmetic of mean(axis=0), bitwise
     if dvec is None:
         dvec = doc_vectors(model, dataset)
     return np.logaddexp(0.0, dvec[rows] @ u)
@@ -379,12 +438,14 @@ class HingeDraws:
     A draw whose hinge is not positive leaves the parameters as they
     are, so the draws after it can be scored under the same parameters.
     After such an inactive draw, every remaining draw of the positive is
-    scored in one ``PairStep``; after an active draw (a NaN loss counts
-    as active), only the next one is, which is ``hinge_loss_and_grad``'s
-    two-pair step. An active draw steps through ``backward`` with a zero
-    upstream on the other pairs. The window carries over from one
-    positive to the next, so a run whose draws are all active makes the
-    steps of the per-draw loop and no more.
+    scored in one ``PairStep``, which takes the query vector, the
+    positive's vector and its score from the inactive draw's step when
+    that step was of the same positive. After an active draw (a NaN loss
+    counts as active), only the next one is scored, in
+    ``hinge_loss_and_grad``'s two-pair step. An active draw steps through
+    ``backward`` with a zero upstream on the other pairs. The window
+    carries over from one positive to the next, so a run whose draws are
+    all active makes the steps of the per-draw loop and no more.
 
     ``total`` sums the losses in draw order, inactive draws as 0.0;
     ``draws`` counts the draws.
@@ -415,7 +476,7 @@ class HingeDraws:
             return
         self.draws += len(pairs)
         model, dataset, margin, buf = self.model, self.dataset, self.margin, self.buf
-        at, n = 0, len(pairs)
+        at, n, closed = 0, len(pairs), None
         while at < n:
             if not self.wide:  # hinge_loss_and_grad's step
                 step = PairStep(model, dataset, (pos_pair, pairs[at]))
@@ -423,12 +484,16 @@ class HingeDraws:
                 loss = margin - pos_score + neg_score
                 at += 1
                 if loss <= 0.0:
-                    self.wide = True
+                    self.wide, closed = True, step
                 else:
                     step.backward([-1.0, 1.0], buf)
                     self.total += loss
                 continue
-            step = PairStep(model, dataset, [pos_pair, *pairs[at:]])
+            # after a closed draw of this positive, its query, positive and
+            # score are still those of the parameters
+            step = PairStep(model, dataset, [pos_pair, *pairs[at:]]) if closed is None \
+                else closed._widened(dataset, pairs[at:])
+            closed = None
             scores = step.scores
             for k in range(1, len(scores)):
                 loss = margin - scores[0] + scores[k]

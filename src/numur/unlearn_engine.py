@@ -74,6 +74,8 @@ class UnlearnConfig:
             raise ConfigError("learning_rate must be positive")
         if self.check_every < 1:
             raise ConfigError("check_every must be at least 1")
+        if not isinstance(self.method, Method):
+            raise ConfigError(f"method must be a Method, got {self.method!r}")
 
 
 @dataclass(frozen=True)

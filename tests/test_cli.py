@@ -336,6 +336,45 @@ class TestDocPooling:
         assert len(pooled) == 2
 
 
+class TestOffsetTables:
+    """An SGD command builds the train split's step offset table once for
+    its model shape, and a read-only command builds none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        real = ranker._offset_table
+
+        def counted(dataset, shape):
+            calls.append(shape)
+            return real(dataset, shape)
+
+        monkeypatch.setattr(ranker, "_offset_table", counted)
+        return calls
+
+    @pytest.mark.parametrize("command", [
+        ["train"],
+        ["retrain", "--spec", "spec_document_25"],
+        ["unlearn", "--spec", "spec_document_25", "--method", "cocol", "--delta", "0.001"],
+    ], ids=lambda command: command[0])
+    def test_sgd_command_builds_one_table(self, workdir, tmp_path, built, command):
+        runs = tmp_path / "runs"
+        shutil.copytree(workdir / "runs", runs)
+        config = tmp_path / "c.json"  # two unlearning epochs, so steps are taken
+        config.write_text(json.dumps({**SMALL_CONFIG, "unlearn": {
+            **SMALL_CONFIG["unlearn"], "max_epochs": 2}}), encoding="utf-8")
+        assert main(["--config", str(config), "--out", str(runs), *command]) == 0
+        vocab, dim = SMALL_CONFIG["corpus"]["vocab_size"], SMALL_CONFIG["train"]["dim"]
+        assert built == [(2 * vocab, dim)]
+
+    def test_eval_builds_none(self, workdir, tmp_path, built):
+        runs = tmp_path / "runs"
+        shutil.copytree(workdir / "runs", runs)
+        assert main(["--out", str(runs), "eval", "--spec", "spec_document_25",
+                     "--model", str(runs / "train" / "model.bin")]) == 0
+        assert built == []
+
+
 class TestMalformedArtifacts:
     """A damaged run artifact ends in ERROR:data and exit 1, never a traceback."""
 

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_roundtrip_properties import specs
-from test_scoring_properties import VOCAB, datasets, models, wide_models
+from test_scoring_properties import VOCAB, _sigmoid, datasets, models, wide_models
 
 from numur import (ConfigError, CorpusSplit, Label, Method, SyntheticConfig, UnlearnConfig,
                    generate_synthetic, init_model, new_buffer, partition, ranker, score_pool,
                    unlearn)
-from numur.ranker import (HingeDraws, doc_vectors, hinge_loss_and_grad, pairwise_epoch,
-                          query_vectors)
+from numur.ranker import (HingeDraws, PairStep, doc_vectors, hinge_loss_and_grad,
+                          pairwise_epoch, query_vectors)
 from numur.unlearn_engine import _importance
 
 REGIMES = ("none", "all", "some", "nan")
@@ -106,6 +106,28 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     assert same(model.params, ref_model.params)
     assert same(draws.total, loop.total) and draws.draws == loop.draws
     assert same(buf.grad, ref_buf.grad)
+
+
+@settings(max_examples=50, deadline=None)
+@given(datasets(), models, st.data())
+def test_wide_step_after_a_closed_draw_pools_only_the_rest(ds, model, data):
+    # Every hinge closed: a positive's first draw is hinge_loss_and_grad's
+    # two-pair step, and the step for its other draws gathers and pools only
+    # their negatives, taking the query and the positive from the first.
+    margin = apply_regime(model, ds, "none", data)
+    qid = data.draw(st.sampled_from(sorted(ds.pools)))
+    pos = data.draw(st.sampled_from(ds.pools[qid]))
+    negs = data.draw(st.lists(st.sampled_from(ds.pools[qid]), min_size=2, max_size=5))
+    gathered = []
+    real = PairStep._pool
+
+    def spy(step, dataset, pairs, *rest):
+        gathered.append(list(pairs))
+        return real(step, dataset, pairs, *rest)
+
+    with patch.object(PairStep, "_pool", spy):
+        HingeDraws(model, ds, margin, new_buffer(model, 1.0)).run(qid, pos, negs)
+    assert gathered == [[(qid, pos), (qid, negs[0])], [(qid, neg) for neg in negs[1:]]]
 
 
 def loop_pairwise_epoch(ds, samples, rng, margin, npp, loop):
@@ -308,5 +330,5 @@ def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
 
 @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40))
 def test_vector_sigmoid_is_the_scalar_sigmoid(zs):
-    want = np.array([ranker._sigmoid(z) for z in zs], dtype=float)
+    want = np.array([_sigmoid(z) for z in zs], dtype=float)
     assert same(ranker._sigmoids(np.array(zs, dtype=float)), want)

@@ -30,15 +30,15 @@ def token_lists(draw, max_len):
 
 
 @st.composite
-def datasets(draw):
-    templates = draw(st.lists(token_lists(9), min_size=1, max_size=5))
+def datasets(draw, doc_len=9, query_len=5):
+    templates = draw(st.lists(token_lists(doc_len), min_size=1, max_size=5))
     n_docs = draw(st.integers(2, 12))
     doc_ids = [f"d{i}" for i in range(n_docs)]
     documents = {did: Document(did, draw(st.sampled_from(templates))) for did in doc_ids}
     queries, pools, samples = {}, {}, []
     for qi in range(draw(st.integers(1, 3))):
         qid = f"q{qi}"
-        queries[qid] = Query(qid, draw(token_lists(5)))
+        queries[qid] = Query(qid, draw(token_lists(query_len)))
         pool = draw(st.permutations(doc_ids))[:draw(st.integers(1, n_docs))]
         pools[qid] = tuple(pool)
         for did in pool:
@@ -101,6 +101,19 @@ def test_score_pool_is_bitwise_the_per_doc_loop(ds, model):
 # can differ from the same pool scored alone.
 wide_models = st.builds(init_model, st.just(VOCAB), st.integers(6, 64),
                         st.integers(0, 2**31 - 1))
+
+# Models with more tokens than the corpus, which check_model_fits allows:
+# a doc token's row lies past the model's query table, not the corpus's.
+roomy_models = st.builds(init_model, st.integers(VOCAB + 1, 4 * VOCAB), st.integers(1, 64),
+                         st.integers(0, 2**31 - 1))
+
+# Queries and docs of up to 24 tokens: numpy sums a (tokens, 1) slice
+# pairwise from 8 tokens on, and a wider one token by token.
+long_datasets = datasets(24, 24)
+
+# Every input the SGD step properties run on.
+sgd_datasets = st.one_of(datasets(), long_datasets)
+sgd_models = st.one_of(models, wide_models, roomy_models)
 
 
 @settings(max_examples=150, deadline=None)
@@ -395,7 +408,7 @@ def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
 
 
 @settings(max_examples=150, deadline=None)
-@given(datasets(), models, st.integers(0, 2**31 - 1), st.floats(0.0, 2.0),
+@given(sgd_datasets, sgd_models, st.integers(0, 2**31 - 1), st.floats(0.0, 2.0),
        st.floats(0.01, 5.0), st.data())
 def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, margin, lr,
                                                  data):
@@ -438,7 +451,7 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
 
 
 @settings(max_examples=60, deadline=None)
-@given(datasets(), models, st.integers(0, 2**31 - 1), st.floats(0.01, 2.0),
+@given(sgd_datasets, sgd_models, st.integers(0, 2**31 - 1), st.floats(0.01, 2.0),
        st.floats(0.1, 2.0), st.integers(1, 4))
 def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, npp):
     positives = {}

@@ -313,3 +313,10 @@ def test_unknown_method_param_rejected(method):
     split, part, model = small_unlearn_world()
     with pytest.raises(ConfigError, match="entangeld_term"):
         unlearn(model, split, part, ucfg(method, method_params={"entangeld_term": False}))
+
+
+@pytest.mark.parametrize("method", ["cf", None])
+def test_method_that_is_not_a_method_rejected(method):
+    # a library caller may pass the name; the CLI parses it into a Method first
+    with pytest.raises(ConfigError, match="method"):
+        UnlearnConfig(method=method)
