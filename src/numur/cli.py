@@ -26,7 +26,7 @@ from pathlib import Path
 from . import charts
 from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, generate_synthetic,
                      load_dataset, save_dataset, write_lines)
-from .errors import ConfigError, DataError, NumurError
+from .errors import ConfigError, DataError, NumurError, checked
 from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
 from .partition import (ForgetSpec, RemovalKind, load_forget_spec, partition,
@@ -43,11 +43,23 @@ DEFAULT_FRACTIONS = (0.05, 0.15, 0.25)
 # Configuration
 
 
-def _take(section: dict, cls, name: str, **extra):
-    known = {f for f in cls.__dataclass_fields__}
-    unknown = set(section) - known
+# Config field annotations, as types or as strings, that _take checks.
+_KINDS = {"int": int, "float": float, "bool": bool, "dict": dict}
+
+
+def _take(section, cls, name: str, **extra):
+    """``cls`` built from a config ``section``, a JSON object whose keys are
+    fields of ``cls``; each int, float, bool or dict field must hold a
+    value of that kind (``checked``)."""
+    checked(f"config section {name!r}", section, dict)
+    fields = cls.__dataclass_fields__
+    unknown = set(section) - set(fields)
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
+    for key, value in section.items():
+        kind = _KINDS.get(getattr(fields[key].type, "__name__", fields[key].type))
+        if kind is not None:
+            checked(f"{name} {key!r}", value, kind)
     merged = dict(section)
     merged.update(extra)
     return cls(**merged)
@@ -71,14 +83,17 @@ class ExperimentConfig:
                 raise ConfigError(f"config file not found: {path}") from None
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
+        checked("the config", raw, dict)
         unknown = set(raw) - {"corpus", "train", "unlearn", "removal_fractions", "seed"}
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        if raw.get("seed") is not None:
+            checked("seed", raw["seed"], int)
         seed = seed_override if seed_override is not None else raw.get("seed")
 
         corpus = _take(raw.get("corpus", {}), SyntheticConfig, "corpus")
         train_cfg = _take(raw.get("train", {}), TrainConfig, "train")
-        unlearn_raw = dict(raw.get("unlearn", {}))
+        unlearn_raw = dict(checked("config section 'unlearn'", raw.get("unlearn", {}), dict))
         if "method" in unlearn_raw:
             unlearn_raw["method"] = _parse_method(unlearn_raw["method"])
         if "learning_rate" not in unlearn_raw:
@@ -91,7 +106,10 @@ class ExperimentConfig:
             train_cfg = replace(train_cfg, seed=int(seed))
             unlearn_cfg = replace(unlearn_cfg, seed=int(seed))
 
-        fractions = tuple(raw.get("removal_fractions", DEFAULT_FRACTIONS))
+        fractions = raw.get("removal_fractions", list(DEFAULT_FRACTIONS))
+        if type(fractions) is not list:
+            raise ConfigError(f"removal_fractions must be a list, got {fractions!r}")
+        fractions = tuple(checked("removal_fractions entry", f, float) for f in fractions)
         if not fractions or not all(0.0 < f < 1.0 for f in fractions):
             raise ConfigError("removal_fractions must be a non-empty list inside (0, 1)")
         return cls(corpus, train_cfg, unlearn_cfg, fractions)

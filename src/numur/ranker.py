@@ -127,6 +127,27 @@ def _sigmoids(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
+class _Spans(dict):
+    """Each id's slice of a flat offset array, made on first use and kept:
+    id ``k`` at row ``rows[k]`` covers ``offsets[bounds[r]:bounds[r + 1]]``.
+    A lookup of a made slice is a plain dict lookup; an unknown id is a
+    ``KeyError``, and ``in`` tells known ids, made or not."""
+
+    __slots__ = ("offsets", "bounds", "rows")
+
+    def __init__(self, offsets: np.ndarray, bounds: list[int], rows: dict[str, int]):
+        super().__init__()
+        self.offsets, self.bounds, self.rows = offsets, bounds, rows
+
+    def __missing__(self, key: str) -> np.ndarray:
+        r = self.rows[key]
+        span = self[key] = self.offsets[self.bounds[r]:self.bounds[r + 1]]
+        return span
+
+    def __contains__(self, key) -> bool:
+        return key in self.rows
+
+
 def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[dict, dict]:
     """Each query's and each doc's flat offsets into a stacked parameter
     table of ``shape``, ``dim`` offsets per token, by id; stored on
@@ -135,16 +156,19 @@ def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[dict, dict]
     Token ``t`` is row ``t`` of the query half and row ``vocab_size + t``
     of the doc half, with the model's ``vocab_size``, not the corpus's,
     and row ``r`` covers the flat offsets ``r * dim`` to ``r * dim + dim - 1``.
+    The offsets of all ids are one array; an id's view of it is made on
+    its first lookup.
     """
     vocab_size, dim = shape[0] // 2, shape[1]
     qtok, dtok = dataset.token_rows()
     offsets = (np.concatenate((qtok.flat, dtok.flat + vocab_size))[:, None] * dim
                + np.arange(dim)).ravel()
     offsets.flags.writeable = False  # steps hold views of it
-    bounds = (np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat))) * dim).tolist()
-    spans = list(map(offsets.__getitem__, map(slice, bounds[:-1], bounds[1:])))
     n_q = len(qtok.starts) - 1
-    table = dict(zip(dataset.queries, spans[:n_q])), dict(zip(dataset.documents, spans[n_q:]))
+    bounds = (np.concatenate((qtok.starts, dtok.starts[1:] + len(qtok.flat))) * dim).tolist()
+    index = dataset.index
+    table = _Spans(offsets, bounds, index.query_row), \
+        _Spans(offsets, bounds[n_q:], index.doc_row)
     dataset._offset_tables[shape] = table
     return table
 
@@ -435,6 +459,8 @@ class HingeDraws:
     """Hinge draws served one positive at a time, each bitwise one
     ``hinge_loss_and_grad`` call, in draw order.
 
+    ``run`` takes a positive and the negatives already drawn for it; the
+    caller draws them, every draw of a pass in one ``rng.integers`` call.
     A draw whose hinge is not positive leaves the parameters as they
     are, so the draws after it can be scored under the same parameters.
     After such an inactive draw, every remaining draw of the positive is
@@ -457,23 +483,11 @@ class HingeDraws:
         self.wide = False  # the last draw was inactive
         self.total, self.draws = 0.0, 0
 
-    def draw(self, rng: np.random.Generator, query_id: str, pos_id: str,
-             sources: Sequence[Sequence[str]], n: int) -> None:
-        """``n`` draws against ``pos_id``, draw d a uniform pick from
-        ``sources[d % len(sources)]``, all taken from ``rng`` up front."""
-        pairs = []
-        for d in range(n):
-            source = sources[d % len(sources)]
-            pairs.append((query_id, source[int(rng.integers(len(source)))]))
-        self._serve((query_id, pos_id), pairs)
-
     def run(self, query_id: str, pos_id: str, neg_ids: Sequence[str]) -> None:
         """One draw of ``(pos_id, neg)`` for each of ``neg_ids`` in order."""
-        self._serve((query_id, pos_id), [(query_id, neg) for neg in neg_ids])
-
-    def _serve(self, pos_pair: tuple[str, str], pairs: list[tuple[str, str]]) -> None:
-        if not pairs:
+        if not neg_ids:
             return
+        pos_pair, pairs = (query_id, pos_id), [(query_id, neg) for neg in neg_ids]
         self.draws += len(pairs)
         model, dataset, margin, buf = self.model, self.dataset, self.margin, self.buf
         at, n, closed = 0, len(pairs), None
@@ -577,43 +591,107 @@ def hinge_grad_squares(model: ScoreModel, dataset: Dataset, qvec: np.ndarray,
 HARD_NEGATIVES_PER_QUERY = 8
 
 
-def pairwise_epoch(model: ScoreModel, dataset: Dataset, samples: list[Sample],
-                   rng: np.random.Generator, lr: float, margin: float,
-                   negatives_per_positive: int,
-                   touched: list[tuple[str, str]] | None = None) -> float:
-    """One SGD epoch of pairwise hinge over the positives in `samples`.
+class HingeSet:
+    """The queries with a positive in ``samples``, and what every hinge
+    epoch over them reads; built once per fit.
 
-    Negatives come from the query's pool, excluding docs positive for
-    that query within `samples`: half of each positive's draws are
-    uniform, half are mined from the pool docs the current model scores
-    highest, so high-scoring irrelevant docs get corrected instead of
-    lingering above rarely-sampled positives. Returns the mean hinge loss.
+    ``qids`` are those queries sorted by id, ``positives[i]`` and
+    ``negatives[i]`` the positives of ``qids[i]`` in sample order and its
+    hinge negatives (``hinge_negatives``). One row per query, over the
+    columns of its pool in ``DatasetIndex.pool_matrix``: ``ids`` orders
+    score ties by doc id, ``not_negative`` marks the positives (found by
+    ``DatasetIndex.pool_columns``) and the padding past the pool, and
+    ``position`` is a negative column's position in ``negatives[i]``.
+    ``n_pos``, ``n_neg`` and ``n_hard`` count each query's positives, its
+    negatives and the negatives it mines; ``all_negatives`` chains every
+    ``negatives[i]``, which starts at ``neg_start[i]``. ``bare`` is the
+    first query without a negative, if any, and then the arrays are unset.
     """
-    positives = _positives_by_query(samples)
-    negatives = hinge_negatives(dataset, samples)
-    qids = sorted(positives)
 
-    index = dataset.index
-    dvec = doc_vectors(model, dataset)
-    sources: dict[str, tuple[list[str], list[str]]] = {}  # uniform, hard
-    for qid in qids:
-        uniform = negatives[qid]
-        if not uniform:
-            raise DataError(f"query {qid!r} has no pool negatives to train against")
-        scores = score_pool(model, dataset, qid, dvec)
-        pos_set = set(positives[qid])
-        is_neg = np.array([did not in pos_set for did in dataset.pools[qid]])
-        ids = index.id_order[index.pool_rows[qid][is_neg]]
-        top = np.lexsort((ids, -scores[is_neg]))[:HARD_NEGATIVES_PER_QUERY]
-        sources[qid] = (uniform, [uniform[i] for i in top])
+    def __init__(self, dataset: Dataset, samples: list[Sample]):
+        by_query, negatives = _positives_by_query(samples), hinge_negatives(dataset, samples)
+        self.dataset = dataset
+        self.qids = sorted(by_query)
+        self.positives = [by_query[q] for q in self.qids]
+        self.negatives = [negatives[q] for q in self.qids]
+        self.bare = next((q for q, negs in zip(self.qids, self.negatives) if not negs), None)
+        if self.bare is not None or not self.qids:
+            return
+        index = dataset.index
+        try:
+            self.rows = np.array([index.query_row[q] for q in self.qids], dtype=np.intp)
+            pos_rows = np.array([index.doc_row[d] for pos in self.positives for d in pos],
+                                dtype=np.intp)
+        except KeyError as exc:
+            raise DataError(f"sample references unknown id {exc.args[0]!r}") from None
+        self.n_pos = np.array([len(pos) for pos in self.positives], dtype=np.intp)
+        at = np.arange(len(self.qids)).repeat(self.n_pos)
+        cols = index.pool_columns(self.rows[at], pos_rows)
+        found = cols >= 0
+        self.not_negative = np.arange(index.pool_matrix.shape[1]) \
+            >= index.pool_len[self.rows][:, None]
+        self.not_negative[at[found], cols[found]] = True
+        self.position = np.cumsum(~self.not_negative, axis=1) - 1
+        self.ids = index.pool_ids[self.rows]
+        self.n_neg = np.array([len(negs) for negs in self.negatives], dtype=np.intp)
+        self.n_hard = np.minimum(self.n_neg, HARD_NEGATIVES_PER_QUERY)
+        self.neg_start = np.concatenate(([0], np.cumsum(self.n_neg)[:-1]))
+        self.all_negatives = [d for negs in self.negatives for d in negs]
 
-    draws = HingeDraws(model, dataset, margin, new_buffer(model, lr))
-    for qi in rng.permutation(len(qids)):
-        qid = qids[int(qi)]
-        for pos_id in positives[qid]:
+    def hard(self, model: ScoreModel, dvec: np.ndarray) -> np.ndarray:
+        """Row i: the positions in ``negatives[i]`` of its negatives that
+        ``model`` scores highest, best first, ties to the smaller doc id
+        and NaN scores last; only the first ``n_hard[i]`` are negatives.
+
+        All pools are scored in one ``score_pools`` call (the bits of
+        ``score_pool``) and sorted row by row in one ``np.lexsort``,
+        whose first key puts every column that is not a negative last.
+        """
+        scores = score_pools(model, self.dataset, self.rows, dvec)
+        order = np.lexsort((self.ids, -scores, self.not_negative), axis=-1)
+        return np.take_along_axis(self.position, order[:, :HARD_NEGATIVES_PER_QUERY], axis=1)
+
+
+def pairwise_epoch(model: ScoreModel, queries: HingeSet, rng: np.random.Generator,
+                   lr: float, margin: float, negatives_per_positive: int,
+                   touched: list[tuple[str, str]] | None = None) -> float:
+    """One SGD epoch of pairwise hinge over the positives of ``queries``.
+
+    Negatives come from the query's pool, excluding docs positive for it
+    among the samples ``queries`` was built from. A positive's draws
+    alternate between uniform picks from all its query's negatives and
+    uniform picks from the query's ``HARD_NEGATIVES_PER_QUERY`` negatives
+    that the model, as the epoch starts, scores highest, so high-scoring
+    irrelevant docs get corrected instead of lingering above
+    rarely-sampled positives. The queries go in the order of one
+    ``rng.permutation``, each with its positives in sample order; every
+    pick of the epoch then comes from one ``rng.integers`` call with one
+    bound per draw, the stream of one call per draw. ``HingeDraws``
+    serves the draws. Returns the mean hinge loss.
+    """
+    if queries.bare is not None:
+        raise DataError(f"query {queries.bare!r} has no pool negatives to train against")
+    order = rng.permutation(len(queries.qids))
+    if not len(order):
+        return 0.0
+    hard = queries.hard(model, doc_vectors(model, queries.dataset))
+    # one row per positive in draw order, one column per draw; odd draws are hard
+    at = order.repeat(queries.n_pos[order])
+    odd = np.arange(negatives_per_positive) % 2 == 1
+    picks = rng.integers(np.where(odd, queries.n_hard[at, None], queries.n_neg[at, None]))
+    chosen = np.where(odd, hard[at[:, None], np.minimum(picks, hard.shape[1] - 1)], picks)
+    negs = list(map(queries.all_negatives.__getitem__,
+                    (chosen + queries.neg_start[at, None]).ravel().tolist()))
+
+    draws = HingeDraws(model, queries.dataset, margin, new_buffer(model, lr))
+    k = 0
+    for qi in order.tolist():
+        qid = queries.qids[qi]
+        for pos_id in queries.positives[qi]:
             if touched is not None:
                 touched.append((qid, pos_id))
-            draws.draw(rng, qid, pos_id, sources[qid], negatives_per_positive)
+            draws.run(qid, pos_id, negs[k:k + negatives_per_positive])
+            k += negatives_per_positive
     return draws.total / draws.draws if draws.draws else 0.0
 
 
@@ -621,10 +699,11 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
          require_positives: bool) -> TrainResult:
     from .evaluation import mrr_set  # local import: evaluation depends on this module
 
+    queries = HingeSet(dataset, samples)
     if require_positives:
-        positives = _positives_by_query(samples)
+        trained = set(queries.qids)
         for s in samples:
-            if s.query_id not in positives:
+            if s.query_id not in trained:
                 raise DataError(f"query {s.query_id!r} has samples but no positive")
 
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
@@ -635,8 +714,8 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
     times: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        loss = pairwise_epoch(model, dataset, samples, rng, cfg.learning_rate,
-                              cfg.margin, cfg.negatives_per_positive,
+        loss = pairwise_epoch(model, queries, rng, cfg.learning_rate, cfg.margin,
+                              cfg.negatives_per_positive,
                               touched if cfg.log_touched else None)
         times.append(time.perf_counter() - t0)
         model.check_finite(f"training epoch {epoch}")

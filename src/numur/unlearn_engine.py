@@ -29,19 +29,18 @@ Strategies:
 from __future__ import annotations
 
 import enum
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import CorpusSplit, Label, Sample
-from .errors import ConfigError
+from .errors import ConfigError, checked
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (HingeDraws, ScoreModel, clone_model, doc_vectors, hinge_grad_squares,
-                     hinge_negatives, init_model, new_buffer, pairwise_epoch, query_vectors,
-                     sample_scores, split_doc_vectors)
+from .ranker import (HingeDraws, HingeSet, ScoreModel, clone_model, doc_vectors,
+                     hinge_grad_squares, hinge_negatives, init_model, new_buffer,
+                     pairwise_epoch, query_vectors, sample_scores, split_doc_vectors)
 from .unlearn_losses import _abs_delta_loss, build_min_cache, consistent_loss, contrastive_loss
 
 
@@ -120,28 +119,18 @@ PARAM_KEYS = {
 
 def _param(cfg: UnlearnConfig, key: str, default: float) -> float:
     """A number from method_params; ConfigError unless it is a finite int or float."""
-    value = cfg.method_params.get(key, default)
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:  # an integer past the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"method_params {key!r} must be a finite number, got {value!r}")
-    return number
+    return float(checked(f"method_params {key!r}", cfg.method_params.get(key, default), float))
 
 
 def _switch(cfg: UnlearnConfig, key: str) -> bool:
     """An on/off switch from method_params, on by default; ConfigError unless a bool."""
-    value = cfg.method_params.get(key, True)
-    if type(value) is not bool:
-        raise ConfigError(f"method_params {key!r} must be true or false, got {value!r}")
-    return value
+    return checked(f"method_params {key!r}", cfg.method_params.get(key, True), bool)
 
 
 def _negatives_per_positive(cfg: UnlearnConfig) -> int:
     value = cfg.method_params.get("negatives_per_positive", 4)
-    if type(value) is not int or value < 1:
-        raise ConfigError("method_params 'negatives_per_positive' must be an integer >= 1, "
+    if checked("method_params 'negatives_per_positive'", value, int) < 1:
+        raise ConfigError("method_params 'negatives_per_positive' must be at least 1, "
                           f"got {value!r}")
     return value
 
@@ -210,7 +199,8 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
     teacher = sample_scores(m_train, train, train.samples)
     floors = build_min_cache(train.samples, teacher)
     score_of = dict(zip(train.samples, teacher))
-    partners = [[(e, score_of[e]) for e in entangled_partners(part, x)] for x in part.forget]
+    partners = [[(e, score_of[e]) for e in entangled_partners(part, x)] if use_entangled
+                else [] for x in part.forget]
     disjoint = [(s, score_of[s]) for s in part.disjoint]
     d_pos = [d for d in disjoint if d[0].label is Label.POSITIVE]
     d_neg = [d for d in disjoint if d[0].label is Label.NEGATIVE]
@@ -218,27 +208,34 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
         raise ConfigError("disjoint set lacks positives or negatives for the "
                           "consistency pass")
 
+    # the bound of each item's pick: its partners, and for a disjoint pair
+    # the pairs of the other label; 0 where an item picks nothing
+    n_partners = np.array([len(options) for options in partners], dtype=np.intp)
+    n_others = np.array([len(d_neg) if s.label is Label.POSITIVE else len(d_pos)
+                         for s, _ in disjoint], dtype=np.intp)
     student = run.final_model
     sgd = new_buffer(student, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
-        for i in rng.permutation(len(part.forget)):
-            x = part.forget[int(i)]
-            options = partners[int(i)]
-            partner = None
-            if options and use_entangled:
-                partner = options[int(rng.integers(len(options)))]
+        # each phase: one permutation, then every pick of the phase in one call
+        order = rng.permutation(len(part.forget))
+        bounds = n_partners[order]
+        picks = iter(rng.integers(bounds[bounds > 0]).tolist())
+        for i in order.tolist():
+            x, options = part.forget[i], partners[i]
+            partner = options[next(picks)] if options else None
             contrastive_loss(floors[x.query_id], student, train, x, partner, sgd)
             if cfg.log_touched:
                 run.touched.append(("phase1", x.query_id, x.doc_id))
         if not use_phase2:
             return
-        for i in rng.permutation(len(disjoint)):
-            d = disjoint[int(i)]
+        order = rng.permutation(len(disjoint))
+        for i, pick in zip(order.tolist(), rng.integers(n_others[order]).tolist()):
+            d = disjoint[i]
             if d[0].label is Label.POSITIVE:
-                pos, neg = d, d_neg[int(rng.integers(len(d_neg)))]
+                pos, neg = d, d_neg[pick]
             else:
-                pos, neg = d_pos[int(rng.integers(len(d_pos)))], d
+                pos, neg = d_pos[pick], d
             consistent_loss(student, train, pos, neg, sgd)
             if cfg.log_touched:
                 run.touched.append(("phase2", d[0].query_id, d[0].doc_id))
@@ -251,12 +248,12 @@ def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partitio
     """Keep training on retained samples; forgetting happens only by drift."""
     margin = _param(cfg, "margin", 1.0)
     npp = _negatives_per_positive(cfg)
-    retained = [s for s in split.train.samples if not part.is_forgotten(s)]
+    queries = HingeSet(split.train, [s for s in split.train.samples
+                                     if not part.is_forgotten(s)])
 
     def epoch(rng: np.random.Generator) -> None:
         raw: list[tuple[str, str]] | None = [] if cfg.log_touched else None
-        pairwise_epoch(run.final_model, split.train, retained, rng, cfg.learning_rate,
-                       margin, npp, raw)
+        pairwise_epoch(run.final_model, queries, rng, cfg.learning_rate, margin, npp, raw)
         if raw is not None:
             run.touched.extend(("retain", q, d) for q, d in raw)
 
@@ -278,18 +275,25 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
                               "to promote")
 
     tasks = [("forget", s) for s in forget_pos] + [("retain", s) for s in ent_pos]
+    # a forget task draws the one negative it promotes, a retain task npp
+    n_draws = np.array([1] * len(forget_pos) + [npp] * len(ent_pos), dtype=np.intp)
+    n_negs = np.array([len(negatives[s.query_id]) for _, s in tasks], dtype=np.intp)
     sgd = new_buffer(run.final_model, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         draws = HingeDraws(run.final_model, split.train, margin, sgd)
-        for i in rng.permutation(len(tasks)):
-            tag, s = tasks[int(i)]
+        order = rng.permutation(len(tasks))
+        picks = rng.integers(n_negs[order].repeat(n_draws[order])).tolist()
+        at = 0
+        for i in order.tolist():
+            tag, s = tasks[i]
             negs = negatives[s.query_id]
             if tag == "forget":
-                promoted = negs[int(rng.integers(len(negs)))]
-                draws.run(s.query_id, promoted, [s.doc_id])
+                draws.run(s.query_id, negs[picks[at]], [s.doc_id])
+                at += 1
             else:
-                draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
+                draws.run(s.query_id, s.doc_id, [negs[p] for p in picks[at:at + npp]])
+                at += npp
             if cfg.log_touched:
                 run.touched.append((tag, s.query_id, s.doc_id))
 
@@ -304,16 +308,23 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
 
     negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
+    n_negs = np.array([len(negatives[s.query_id]) for s in forget_pos], dtype=np.intp)
     ascent = new_buffer(run.final_model, -cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         draws = HingeDraws(run.final_model, split.train, margin, ascent)
-        for i in rng.permutation(len(forget_pos)):
-            s = forget_pos[int(i)]
+        order = rng.permutation(len(forget_pos))
+        # npp draws for each positive that has negatives, none for the rest
+        bounds = n_negs[order]
+        picks = rng.integers(bounds[bounds > 0].repeat(npp)).tolist()
+        at = 0
+        for i in order.tolist():
+            s = forget_pos[i]
             negs = negatives[s.query_id]
             if not negs:
                 continue
-            draws.draw(rng, s.query_id, s.doc_id, (negs,), npp)
+            draws.run(s.query_id, s.doc_id, [negs[p] for p in picks[at:at + npp]])
+            at += npp
             if cfg.log_touched:
                 run.touched.append(("ascent", s.query_id, s.doc_id))
 

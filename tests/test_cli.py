@@ -258,6 +258,30 @@ def test_bad_cocol_switch_values_are_config_errors(workdir, tmp_path, capsys, pa
     test_bad_method_param_values_are_config_errors(workdir, tmp_path, capsys, "cocol", params)
 
 
+# Config values of the wrong type. Each once ended in a traceback, except
+# two that passed the check: epochs true trained "True" epochs, and a NaN
+# learning rate failed only later, as ERROR:diverged.
+@pytest.mark.parametrize("config", [
+    {"train": {"epochs": "5"}},
+    {"train": {"negatives_per_positive": 2.5}},
+    5,
+    {"seed": "abc"},
+    {"removal_fractions": 0.5},
+    {"corpus": {"n_queries": "64"}},
+    {"train": {"dim": 2.5}},
+    {"train": {"epochs": True}},
+    {"train": {"learning_rate": float("nan")}},
+], ids=repr)
+def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, config):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    runs = tmp_path / "runs"
+    assert main(["--config", str(path), "--out", str(runs), "gen"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR:config:") and "Traceback" not in err, err
+    assert not runs.exists()
+
+
 class TestDocPooling:
     """Docs are pooled once per model state when the splits share doc rows."""
 

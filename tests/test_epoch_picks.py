@@ -1,0 +1,188 @@
+"""Property tests: each SGD epoch's picks, made in whole-array passes,
+against the per-query and per-draw loops they replace.
+
+A hinge epoch mines every query's hard negatives from one batched
+scoring and one row-wise sort, and every pass draws all of its picks
+with one ``rng.integers`` call over an array of bounds. The mining must
+pick what sorting each pool on its own picks, and every pass must leave
+the model bit for bit where one scalar ``rng.integers`` call per pick
+leaves it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_roundtrip_properties import specs
+from test_scoring_properties import datasets, models
+
+from numur import (ConfigError, CorpusSplit, Dataset, Document, Label, Method, Query,
+                   RemovalKind, Sample, SyntheticConfig, UnlearnConfig, build_min_cache,
+                   consistent_loss, contrastive_loss, entangled_partners, generate_synthetic,
+                   init_model, new_buffer, partition, score_pool, unlearn)
+from numur.partition import sample_forget_spec
+from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, doc_vectors, sample_scores
+
+# Bounds of one draw each: 1 (a pick that can only be 0), small bounds, and
+# bounds at and past 2**32, where numpy draws from 64 bits instead of 32.
+BOUNDS = {
+    "ones": [1] * 7,
+    "small": [2, 3, 5, 7, 1, 9, 100, 4, 2, 2],
+    "wide": [2**32, 2**32 + 1, 2**40, 2**63 - 1, 3, 2**33, 1],
+    "mixed": [1, 2**32, 5, 1, 2**35 + 7, 6, 1, 1, 2**32 - 1, 17, 2**62],
+}
+
+
+@pytest.mark.parametrize("bounds", BOUNDS.values(), ids=BOUNDS.keys())
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**31 - 1])
+def test_integers_over_an_array_of_bounds_is_one_call_per_draw(bounds, seed):
+    # Every batched pass relies on this numpy behaviour; a numpy release
+    # that changes it would change every trained model.
+    batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = batched.integers(np.array(bounds, dtype=np.int64))
+    want = [int(scalar.integers(b)) for b in bounds]
+    assert got.tolist() == want
+    assert batched.bit_generator.state == scalar.bit_generator.state
+    assert batched.random() == scalar.random()
+    # a 2-d array of bounds draws in row-major order
+    got = batched.integers(np.array(bounds[:6], dtype=np.int64).reshape(2, 3))
+    assert got.ravel().tolist() == [int(scalar.integers(b)) for b in bounds[:6]]
+    # an empty array draws nothing
+    assert not len(batched.integers(np.zeros(0, dtype=np.int64)))
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@st.composite
+def mining_datasets(draw):
+    """Up to 5 queries over up to 24 docs: pools of mixed lengths, so some
+    queries have fewer than 8 negatives and some more, and doc ids that sort
+    differently as strings than as numbers; docs share token lists so
+    scores tie exactly."""
+    n_docs = draw(st.integers(2, 24))
+    doc_ids = [f"d{i}" for i in range(n_docs)]
+    templates = draw(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6)
+                              .map(tuple), min_size=1, max_size=4))
+    documents = {d: Document(d, draw(st.sampled_from(templates))) for d in doc_ids}
+    queries, pools, samples = {}, {}, []
+    for qi in range(draw(st.integers(1, 5))):
+        qid = f"q{qi}"
+        queries[qid] = Query(qid, tuple(draw(st.lists(st.integers(0, 9), min_size=1,
+                                                      max_size=4))))
+        pool = draw(st.permutations(doc_ids))[:draw(st.integers(2, n_docs))]
+        pools[qid] = tuple(pool)
+        n_pos = draw(st.integers(1, len(pool) - 1))  # at least one negative
+        for did in pool[:n_pos]:
+            samples.append(Sample(qid, did, Label.POSITIVE))
+        for did in pool[n_pos:]:
+            if draw(st.booleans()):
+                samples.append(Sample(qid, did, Label.NEGATIVE))
+    samples = draw(st.permutations(samples))
+    ds = Dataset(queries=queries, documents=documents, samples=samples, pools=pools,
+                 vocab_size=10)
+    ds.validate()
+    return ds
+
+
+def loop_hard_negatives(model, ds, samples):
+    """Per query, as mining once did it: score its pool alone, then sort its
+    negatives by descending score, NaN last, ties to the smaller doc id."""
+    positives = {}
+    for s in samples:
+        if s.label is Label.POSITIVE:
+            positives.setdefault(s.query_id, set()).add(s.doc_id)
+    out = {}
+    for qid in sorted(positives):
+        scored = [(float(score), did) for score, did in zip(score_pool(model, ds, qid),
+                                                            ds.pools[qid])
+                  if did not in positives[qid]]
+        ranked = sorted(scored, key=lambda t: (True, 0.0, t[1]) if math.isnan(t[0])
+                        else (False, -t[0], t[1]))
+        out[qid] = [did for _, did in ranked[:HARD_NEGATIVES_PER_QUERY]]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(mining_datasets(), models, st.sampled_from([1.0, 40.0]),
+       st.lists(st.integers(0, 9), max_size=2), st.booleans(), st.data())
+def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subset, data):
+    model.params *= scale
+    model.embed_d[nan_tokens] = np.nan  # every doc with one of these tokens scores NaN
+    samples = ds.samples
+    if subset:  # a retained subset, as retrain and cf mine from
+        samples = data.draw(st.lists(st.sampled_from(ds.samples), unique=True))
+    queries = HingeSet(ds, samples)
+    with np.errstate(invalid="ignore"):
+        want = loop_hard_negatives(model, ds, samples)
+        assert queries.qids == sorted(want)
+        if not queries.qids:
+            return
+        hard = queries.hard(model, doc_vectors(model, ds))
+    for i, qid in enumerate(queries.qids):
+        n = queries.n_hard[i]
+        assert [queries.negatives[i][p] for p in hard[i, :n]] == want[qid]
+
+
+def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2):
+    """cocol's epochs with one scalar ``rng.integers`` call per pick, and the
+    losses called on each item in turn."""
+    teacher = dict(zip(ds.samples, sample_scores(student, ds, ds.samples)))
+    floors = build_min_cache(ds.samples, [teacher[s] for s in ds.samples])
+    disjoint = [(s, teacher[s]) for s in part.disjoint]
+    d_pos = [d for d in disjoint if d[0].label is Label.POSITIVE]
+    d_neg = [d for d in disjoint if d[0].label is Label.NEGATIVE]
+    sgd = new_buffer(student, UnlearnConfig().learning_rate)
+    for _ in range(epochs):
+        for i in rng.permutation(len(part.forget)):
+            x = part.forget[int(i)]
+            options = [(e, teacher[e]) for e in entangled_partners(part, x)]
+            partner = None
+            if options and use_entangled:
+                partner = options[int(rng.integers(len(options)))]
+            contrastive_loss(floors[x.query_id], student, ds, x, partner, sgd)
+        if not use_phase2:
+            continue
+        for i in rng.permutation(len(disjoint)):
+            d = disjoint[int(i)]
+            if d[0].label is Label.POSITIVE:
+                consistent_loss(student, ds, d, d_neg[int(rng.integers(len(d_neg)))], sgd)
+            else:
+                consistent_loss(student, ds, d_pos[int(rng.integers(len(d_pos)))], d, sgd)
+
+
+@settings(max_examples=80, deadline=None)
+@given(datasets(), models, st.booleans(), st.booleans(), st.integers(0, 2**31 - 1),
+       st.data())
+def test_cocol_epochs_are_the_per_item_loop(ds, model, use_entangled, use_phase2, seed, data):
+    spec = data.draw(specs(ds))
+    try:
+        part = partition(ds, spec)
+    except ConfigError:
+        assume(False)
+    cfg = UnlearnConfig(method=Method.COCOL, max_epochs=3, delta_target=1e-9, seed=seed,
+                        method_params={"entangled_term": use_entangled,
+                                       "phase2": use_phase2})
+    ref = type(model)(model.params.copy())
+    try:
+        run = unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)
+    except ConfigError:  # an empty F, or a disjoint set without both labels
+        assume(False)
+    loop_cocol_epochs(ref, ds, part, np.random.default_rng(seed), run.epochs_run,
+                      use_entangled, use_phase2)
+    assert np.array_equal(run.final_model.params, ref.params)
+
+
+def test_cocol_epochs_of_a_generated_corpus_are_the_per_item_loop():
+    # many partners per forget pair and both labels in the disjoint set
+    split = generate_synthetic(SyntheticConfig(n_queries=24, n_docs=96, vocab_size=192,
+                                               positives_per_query=4, pool_size=16, seed=4))
+    ds = split.train
+    part = partition(ds, sample_forget_spec(ds, RemovalKind.DOCUMENT, 0.25, seed=3))
+    model = init_model(ds.vocab_size, 8, 3)
+    ref = type(model)(model.params.copy())
+    cfg = UnlearnConfig(method=Method.COCOL, max_epochs=2, delta_target=1e-9, seed=3)
+    run = unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)
+    assert run.epochs_run == 2
+    loop_cocol_epochs(ref, ds, part, np.random.default_rng(3), 2, True, True)
+    assert np.array_equal(run.final_model.params, ref.params)

@@ -93,6 +93,22 @@ class TestForward:
         with pytest.raises(DataError):
             forward(m, ds, "q0", "nope")
 
+    def test_offset_views_are_made_on_first_use(self):
+        ds = tiny_dataset(np.random.default_rng(0))
+        m = init_model(ds.vocab_size, 4, seed=0)
+        forward(m, ds, "q1", "d2")
+        queries, docs = ds._offset_tables[m.params.shape]
+        assert list(queries) == ["q1"] and list(docs) == ["d2"]
+        assert "q0" in queries and "d3" in docs and "nope" not in docs
+        with pytest.raises(DataError, match="^unknown query id 'nope'$"):
+            forward(m, ds, "nope", "d0")
+        with pytest.raises(DataError, match="^unknown doc id 'nope'$"):
+            forward(m, ds, "q0", "nope")
+        # each view: dim offsets per token, doc rows past the query table
+        rows = np.concatenate((ds.query_tokens("q0"), ds.doc_tokens("d3") + ds.vocab_size))
+        assert np.array_equal(np.concatenate((queries["q0"], docs["d3"])),
+                              (rows[:, None] * m.dim + np.arange(m.dim)).ravel())
+
     def test_score_pool_matches_forward(self):
         rng = np.random.default_rng(3)
         ds = tiny_dataset(rng)

@@ -16,7 +16,7 @@ from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
                    RemovalKind, Sample, build_min_cache, consistent_loss, contrastive_loss,
                    forward, init_model, mrr_forget, mrr_set, new_buffer, partition, rank,
                    score_distribution, score_pool)
-from numur.ranker import (doc_vectors, hinge_loss_and_grad, pairwise_epoch,
+from numur.ranker import (HingeSet, doc_vectors, hinge_loss_and_grad, pairwise_epoch,
                           query_vectors, sample_scores, score_pools)
 from numur.unlearn_losses import _abs_delta_loss
 
@@ -463,6 +463,6 @@ def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, n
     ref = Ref(model)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert (pairwise_epoch(model, ds, ds.samples, rng, lr, margin, npp)
+        assert (pairwise_epoch(model, HingeSet(ds, ds.samples), rng, lr, margin, npp)
                 == ref_pairwise_epoch(ref, ds, ds.samples, ref_rng, lr, margin, npp))
         assert_same_params(model, ref)
