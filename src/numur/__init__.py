@@ -11,13 +11,12 @@ from .corpus import (CorpusSplit, Dataset, Document, Label, Query, Sample,
                      StatsRecord, SyntheticConfig, dataset_stats,
                      generate_synthetic, load_dataset, save_dataset)
 from .errors import ConfigError, DataError, DivergedError, NumurError
-from .evaluation import (MrrResult, RankedList, ScoreDistribution, mrr_forget, mrr_set,
-                         normalized_forget_score, rank, score_distribution, timing_metrics)
+from .evaluation import (MrrResult, ScoreDistribution, mrr_forget, mrr_set,
+                         normalized_forget_score, score_distribution, timing_metrics)
 from .partition import (ForgetSpec, Partition, RemovalKind, entangled_partners,
                         load_forget_spec, partition, save_forget_spec)
 from .ranker import (GradientBuffer, ScoreModel, TrainConfig, TrainResult, clone_model,
-                     forward, init_model, load_model, new_buffer, retrain, save_model,
-                     score_pool, train)
+                     init_model, load_model, new_buffer, retrain, save_model, train)
 from .unlearn_engine import (Destinations, EpochRecord, Method, UnlearnConfig, UnlearnRun,
                              compute_destinations, unlearn)
 from .unlearn_losses import build_min_cache, consistent_loss, contrastive_loss, delta_min

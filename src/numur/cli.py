@@ -190,10 +190,9 @@ def _load_split(out: Path) -> CorpusSplit:
         # undershoot it when the highest ids happen never to be drawn
         recorded = _read_json(stats_path).get("vocab_size")
         if recorded is not None:
-            try:
-                vocab = max(vocab, int(recorded))
-            except (TypeError, ValueError):
-                raise DataError(f"{stats_path}: vocab_size {recorded!r} is not an integer") from None
+            if type(recorded) is not int:  # not "600", 2900.0 or true
+                raise DataError(f"{stats_path}: vocab_size {recorded!r} is not an integer")
+            vocab = max(vocab, recorded)
     # load_dataset validated both; a larger vocabulary keeps every token in range
     train_ds.vocab_size = test_ds.vocab_size = vocab
     split = CorpusSplit(train=train_ds, test=test_ds)
@@ -304,29 +303,40 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
           f"d3={dest.d3:.4f}")
 
 
-def _resolve_delta(out: Path, spec_name: str, delta: float | None,
-                   dest: str | None, fallback: float) -> tuple[float, str]:
+def _resolve_delta(out: Path, spec_name: str, delta: float | None, dest: str | None,
+                   fallback: float) -> tuple[float, str, dict | None]:
+    """The target, its tag, and the retrain report of ``spec_name`` if there
+    is one; DataError unless its mrr_test and destinations are numbers."""
     if delta is not None and dest is not None:
         raise ConfigError("give either --delta or --dest, not both")
+    report_path, report = out / "retrain" / spec_name / "report.json", None
+    if report_path.exists():
+        report = _read_json(report_path, ("mrr_test", "destinations"))
+        try:
+            checked("mrr_test", report["mrr_test"], float)
+            dests = checked("destinations", report["destinations"], dict)
+            for key in ("d1", "d2", "d3"):
+                checked(f"destination {key}", dests.get(key), float)
+        except ConfigError as exc:
+            raise DataError(f"{report_path}: {exc}") from None
     if delta is not None:
-        return float(delta), f"delta{delta:g}"
+        return float(delta), f"delta{delta:g}", report
     if dest is not None:
-        report_path = out / "retrain" / spec_name / "report.json"
-        if not report_path.exists():
+        if report is None:
             raise ConfigError(
                 f"destination mode needs {report_path}; run `numur retrain` first")
-        report = _read_json(report_path, ("destinations",))
         try:
             value = report["destinations"][dest]
         except KeyError:
             raise ConfigError(f"unknown destination {dest!r}") from None
-        return float(value), dest
-    return fallback, f"delta{fallback:g}"
+        return float(value), dest, report
+    return fallback, f"delta{fallback:g}", report
 
 
 def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, name: str,
                  spec: ForgetSpec, method: Method, delta: float, tag: str,
-                 method_params: dict) -> None:
+                 method_params: dict, retrain_report: dict | None,
+                 train_times: list[float]) -> None:
     part = partition(split.train, spec)
     model_path = _train_model_path(out)
     m_train = load_model(model_path)
@@ -360,12 +370,9 @@ def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, name: str
         "normalized_forget": None, "normalized_epoch_duration": None,
         "total_unlearn_time": None,
     }
-    retrain_report = out / "retrain" / name / "report.json"
-    if retrain_report.exists():
-        retrain_test = _read_json(retrain_report, ("mrr_test",))["mrr_test"]
+    if retrain_report is not None:
         report["normalized_forget"] = normalized_forget_score(last.mrr_forget,
-                                                              retrain_test)
-    train_times = _train_epoch_times(out)
+                                                              retrain_report["mrr_test"])
     if run.epoch_times and train_times:
         report.update(timing_metrics(train_times, run.epoch_times, run.epochs_run))
     _write_json(run_dir / "report.json", report)
@@ -377,19 +384,23 @@ def cmd_unlearn(cfg: ExperimentConfig, out: Path, spec_arg: str, method_arg: str
                 delta: float | None, dest: str | None) -> None:
     split = _load_split(out)
     name, spec = _resolve_spec(out, spec_arg)
-    resolved, tag = _resolve_delta(out, name, delta, dest, cfg.unlearn.delta_target)
+    resolved, tag, retrain_report = _resolve_delta(out, name, delta, dest,
+                                                   cfg.unlearn.delta_target)
     params = cfg.unlearn.method_params
     if method_arg != "all":
-        _unlearn_one(cfg, out, split, name, spec, _parse_method(method_arg), resolved, tag,
-                     params)
-        return
-    # each method gets the keys it reads; a key that no method reads is a typo
-    unknown = set(params) - set().union(*PARAM_KEYS.values())
-    if unknown:
-        raise ConfigError(f"unknown method_params: {sorted(unknown)}")
-    for method in Method:
-        _unlearn_one(cfg, out, split, name, spec, method, resolved, tag,
-                     {k: v for k, v in params.items() if k in PARAM_KEYS[method]})
+        runs = [(_parse_method(method_arg), params)]
+    else:
+        # each method gets the keys it reads; a key that no method reads is a typo
+        unknown = set(params) - set().union(*PARAM_KEYS.values())
+        if unknown:
+            raise ConfigError(f"unknown method_params: {sorted(unknown)}")
+        runs = [(method, {k: v for k, v in params.items() if k in PARAM_KEYS[method]})
+                for method in Method]
+    # read before the first run, so a damaged file leaves no run directory behind
+    train_times = _train_epoch_times(out)
+    for method, method_params in runs:
+        _unlearn_one(cfg, out, split, name, spec, method, resolved, tag, method_params,
+                     retrain_report, train_times)
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -> None:

@@ -88,7 +88,7 @@ class TokenRows:
     starts: np.ndarray
 
     def __post_init__(self) -> None:
-        self.flat.flags.writeable = False  # rows() hands out views of it
+        self.flat.flags.writeable = False  # datasets loaded with docs_from share it
 
     @classmethod
     def of(cls, lists: list) -> "TokenRows":
@@ -96,11 +96,6 @@ class TokenRows:
         np.cumsum(np.fromiter(map(len, lists), np.intp, len(lists)), out=starts[1:])
         flat = np.fromiter(chain.from_iterable(lists), np.int64, int(starts[-1]))
         return cls(flat, starts)
-
-    def rows(self) -> list[np.ndarray]:
-        """Each list as a view of ``flat``."""
-        bounds = self.starts.tolist()
-        return list(map(self.flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
 
     def length_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per token count, ascending: the rows with that many tokens, and
@@ -136,29 +131,6 @@ class Dataset:
     def _doc_rows(self) -> TokenRows:
         return TokenRows.of([d.tokens for d in self.documents.values()])
 
-    @cached_property
-    def _qtok(self) -> dict[str, np.ndarray]:
-        return dict(zip(self.queries, self._query_rows.rows()))
-
-    @cached_property
-    def _dtok(self) -> dict[str, np.ndarray]:
-        source = self._docs_indexed_by
-        if source is not None:
-            return source._dtok
-        return dict(zip(self.documents, self._doc_rows.rows()))
-
-    def query_tokens(self, query_id: str) -> np.ndarray:
-        try:
-            return self._qtok[query_id]
-        except KeyError:
-            raise DataError(f"unknown query id {query_id!r}") from None
-
-    def doc_tokens(self, doc_id: str) -> np.ndarray:
-        try:
-            return self._dtok[doc_id]
-        except KeyError:
-            raise DataError(f"unknown doc id {doc_id!r}") from None
-
     def token_rows(self) -> tuple[TokenRows, TokenRows]:
         """The token lists of the queries by ``index.query_row`` and of the
         docs by ``index.doc_row``."""
@@ -168,10 +140,6 @@ class Dataset:
     def _offset_tables(self) -> dict:
         """The ranker's per-model-shape token offset tables, filled on first use."""
         return {}
-
-    def positives_of(self, query_id: str) -> list[str]:
-        """Positive-labelled doc ids of a query, in sample order."""
-        return list(self.index.positives.get(query_id, ()))
 
     @cached_property
     def index(self) -> "DatasetIndex":

@@ -29,15 +29,9 @@ import numpy as np
 from .corpus import Dataset, Label, Sample
 from .errors import ConfigError, DataError
 from .partition import ForgetSpec, Partition, RemovalKind
-from .ranker import ScoreModel, sample_scores, score_pool, score_pools
+from .ranker import ScoreModel, sample_scores, score_pools
 
 MRR_EMPTY = 0.0
-
-
-@dataclass(frozen=True)
-class RankedList:
-    query_id: str
-    doc_ids: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -45,9 +39,6 @@ class MrrResult:
     value: float
     evaluated: int
     skipped: int
-
-    def __float__(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -67,15 +58,6 @@ def _pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
     if not dataset.pools.get(query_id):
         raise DataError(f"query {query_id!r} has an empty pool")
     return dataset.index.pool_rows[query_id]
-
-
-def rank(model: ScoreModel, dataset: Dataset, query_id: str) -> RankedList:
-    """The query's pool sorted by descending score, ties by ascending doc id."""
-    rows = _pool_rows(dataset, query_id)
-    scores = score_pool(model, dataset, query_id)
-    order = np.lexsort((dataset.index.id_order[rows], -scores))
-    pool = dataset.pools[query_id]
-    return RankedList(query_id=query_id, doc_ids=tuple(pool[i] for i in order))
 
 
 def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
@@ -104,7 +86,7 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped)
     query_rows, hit = query_rows[found], hit[found]
     scores = score_pools(model, dataset, query_rows, dvec)
-    # NaN ranks after every number, as in rank's sort; softplus is never -inf,
+    # NaN ranks after every number, as in a sort of the pool; softplus is never -inf,
     # so -inf does the same, and padding (-inf, id past every doc) is never ahead
     np.fmax(scores, -np.inf, out=scores)
     ids, pad = index.pool_ids[query_rows], len(index.doc_row)
@@ -122,7 +104,8 @@ def mrr_forget(model: ScoreModel, dataset: Dataset, part: Partition,
 
     Query removal targets the first positive document of the query;
     document removal targets the first document named for removal.
-    ``dvec`` is ``doc_vectors(model, dataset)``, as ``score_pool`` takes it.
+    ``dvec`` is ``doc_vectors(model, dataset)``. Each reciprocal rank is
+    that of the pool sorted by ``rank`` in ``tests/scoring_reference.py``.
     """
     if not part.forget_queries:
         raise ConfigError("forget set contains no queries")
@@ -131,7 +114,7 @@ def mrr_forget(model: ScoreModel, dataset: Dataset, part: Partition,
         if spec.kind is RemovalKind.DOCUMENT:
             targets[qid] = spec.ids.intersection(dataset.pools.get(qid, ()))
         else:
-            targets[qid] = set(dataset.positives_of(qid))
+            targets[qid] = set(dataset.index.positives.get(qid, ()))
     return _mean_reciprocal(targets, model, dataset, dvec)
 
 
@@ -180,7 +163,7 @@ def score_distribution(models: list[tuple[str, ScoreModel]], dataset: Dataset,
     """Per (model, sample set): min/max/mean and deciles of pair scores.
 
     The pairs of every set are scored in one ``sample_scores`` pass per
-    model, bitwise the scores ``forward`` gives them. ``dvec`` is
+    model, bitwise the scores a ``PairStep`` of each pair gives. ``dvec`` is
     ``doc_vectors(model, dataset)`` of the one model in ``models``.
     """
     if dvec is not None and len(models) != 1:

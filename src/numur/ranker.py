@@ -69,7 +69,7 @@ class TrainConfig:
     log_touched: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.margin <= 0:
+        if not (self.learning_rate > 0 and self.margin > 0):  # NaN too
             raise ConfigError("learning_rate and margin must be positive")
         if self.epochs < 0:
             raise ConfigError("epochs must be non-negative")
@@ -89,7 +89,6 @@ class GradientBuffer:
 
     def __init__(self, shape: tuple[int, int], lr: float | None = None):
         self.grad = np.zeros(shape)
-        self.grad_q, self.grad_d = np.split(self.grad, 2)
         self.flat = self.grad.reshape(-1)  # the offsets of a PairStep index it
         self.lr = lr
         self.rows: list[np.ndarray] = []
@@ -345,33 +344,11 @@ def query_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
     return _pooled(model.embed_q, index.query_groups, len(index.query_row))
 
 
-def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
-    """Relevance score of one pair; always > 0."""
-    return PairStep(model, dataset, ((query_id, doc_id),)).scores[0]
-
-
-def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
-               dvec: np.ndarray | None = None) -> np.ndarray:
-    """Scores for every doc in the query's pool, in pool order.
-
-    ``dvec`` is ``doc_vectors(model, dataset)``; callers scoring many
-    pools under one model pass it in so the docs are pooled once.
-    """
-    rows = dataset.index.pool_rows.get(query_id)
-    if rows is None or not len(rows):
-        raise DataError(f"query {query_id!r} has no pool")
-    tokens = model.embed_q[dataset.query_tokens(query_id)]
-    u = np.add.reduce(tokens) / len(tokens)  # the arithmetic of mean(axis=0), bitwise
-    if dvec is None:
-        dvec = doc_vectors(model, dataset)
-    return np.logaddexp(0.0, dvec[rows] @ u)
-
-
 def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
                 dvec: np.ndarray | None = None) -> np.ndarray:
-    """``score_pool`` of many queries: row i scores the pool of query row
-    ``query_rows[i]`` in pool order, padded with -inf past its end;
-    ``dvec`` is as for ``score_pool``.
+    """``score_pool`` (``tests/scoring_reference.py``) of many queries: row i
+    scores the pool of query row ``query_rows[i]`` in pool order, padded
+    with -inf past its end; ``dvec`` is ``doc_vectors(model, dataset)``.
 
     Pools of one length are scored with one ``np.matmul`` over a
     (queries, length, dim) gather of the doc vectors, which runs the same
@@ -401,8 +378,8 @@ def pair_scores(qvec: np.ndarray, dvec: np.ndarray, query_rows,
     a ``query_vectors`` row and a ``doc_vectors`` row.
 
     One ``np.matmul`` of (pairs, 1, dim) by (pairs, dim, 1) runs one dot
-    product per pair, the one ``float(u @ v)`` runs, so each score is
-    bitwise the score ``forward`` gives.
+    product per pair, the one ``float(u @ v)`` of ``PairStep`` runs, so
+    each score is bitwise the score a ``PairStep`` of the pair gives.
     """
     logits = np.matmul(qvec[query_rows][:, None, :], dvec[doc_rows][:, :, None])[:, 0, 0]
     return logits, np.logaddexp(0.0, logits)
@@ -410,8 +387,8 @@ def pair_scores(qvec: np.ndarray, dvec: np.ndarray, query_rows,
 
 def sample_scores(model: ScoreModel, dataset: Dataset, samples: Sequence[Sample],
                   dvec: np.ndarray | None = None) -> list[float]:
-    """``forward`` of every sample, with each doc and each query pooled once
-    (``pair_scores``); ``dvec`` is as for ``score_pool``."""
+    """The ``PairStep`` score of every sample, with each doc and each query
+    pooled once (``pair_scores``); ``dvec`` is as for ``score_pools``."""
     index = dataset.index
     try:
         rows = [(index.query_row[s.query_id], index.doc_row[s.doc_id]) for s in samples]
@@ -421,20 +398,6 @@ def sample_scores(model: ScoreModel, dataset: Dataset, samples: Sequence[Sample]
     if dvec is None:
         dvec = doc_vectors(model, dataset)
     return pair_scores(query_vectors(model, dataset), dvec, rows[:, 0], rows[:, 1])[1].tolist()
-
-
-def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
-                        pos_id: str, neg_id: str, margin: float,
-                        buf: GradientBuffer | None) -> float:
-    """max(0, margin - f(q, pos) + f(q, neg)); its gradient goes to buf if given."""
-    step = PairStep(model, dataset, ((query_id, pos_id), (query_id, neg_id)))
-    pos_score, neg_score = step.scores
-    loss = margin - pos_score + neg_score
-    if loss <= 0.0:
-        return 0.0
-    if buf is not None:
-        step.backward([-1.0, 1.0], buf)
-    return loss
 
 
 def _positives_by_query(samples: list[Sample]) -> dict[str, list[str]]:
@@ -457,7 +420,7 @@ def hinge_negatives(dataset: Dataset, samples: list[Sample]) -> dict[str, list[s
 
 class HingeDraws:
     """Hinge draws served one positive at a time, each bitwise one
-    ``hinge_loss_and_grad`` call, in draw order.
+    ``hinge_loss_and_grad`` (``tests/scoring_reference.py``), in draw order.
 
     ``run`` takes a positive and the negatives already drawn for it; the
     caller draws them, every draw of a pass in one ``rng.integers`` call.
@@ -467,8 +430,8 @@ class HingeDraws:
     scored in one ``PairStep``, which takes the query vector, the
     positive's vector and its score from the inactive draw's step when
     that step was of the same positive. After an active draw (a NaN loss
-    counts as active), only the next one is scored, in
-    ``hinge_loss_and_grad``'s two-pair step. An active draw steps through
+    counts as active), only the next one is scored, in a two-pair step of
+    the positive and that draw. An active draw steps through
     ``backward`` with a zero upstream on the other pairs. The window
     carries over from one positive to the next, so a run whose draws are
     all active makes the steps of the per-draw loop and no more.
@@ -492,7 +455,7 @@ class HingeDraws:
         model, dataset, margin, buf = self.model, self.dataset, self.margin, self.buf
         at, n, closed = 0, len(pairs), None
         while at < n:
-            if not self.wide:  # hinge_loss_and_grad's step
+            if not self.wide:  # the per-draw step
                 step = PairStep(model, dataset, (pos_pair, pairs[at]))
                 pos_score, neg_score = step.scores
                 loss = margin - pos_score + neg_score
@@ -536,10 +499,11 @@ def hinge_grad_squares(model: ScoreModel, dataset: Dataset, qvec: np.ndarray,
     query row ``query_rows[i]``.
 
     Bitwise the per-draw loop under parameters that never move: one
-    ``hinge_loss_and_grad`` call per draw into a buffer without a learning
-    rate, then ``sq[rows] += (grad[rows] / n) ** 2`` over the rows touched
-    and those rows zeroed, once per positive. A draw is active unless its
-    loss is ``<= 0.0``, so a NaN loss is active. Each active draw adds, as
+    ``hinge_loss_and_grad`` (``tests/scoring_reference.py``) per draw
+    into a buffer without a learning rate, then ``sq[rows] +=
+    (grad[rows] / n) ** 2`` over the rows touched and those rows zeroed,
+    once per positive. A draw is active unless its loss is ``<= 0.0``,
+    so a NaN loss is active. Each active draw adds, as
     ``PairStep.backward`` does: the query rows ``v_pos * g_pos / lq``, the
     positive's rows ``u * g_pos / lp``, the query rows ``v_neg * g_neg / lq``
     and the negative's rows ``u * g_neg / ln``. Each (positive, row)
@@ -643,9 +607,9 @@ class HingeSet:
         ``model`` scores highest, best first, ties to the smaller doc id
         and NaN scores last; only the first ``n_hard[i]`` are negatives.
 
-        All pools are scored in one ``score_pools`` call (the bits of
-        ``score_pool``) and sorted row by row in one ``np.lexsort``,
-        whose first key puts every column that is not a negative last.
+        All pools are scored in one ``score_pools`` call and sorted row by
+        row in one ``np.lexsort``, whose first key puts every column that
+        is not a negative last.
         """
         scores = score_pools(model, self.dataset, self.rows, dvec)
         order = np.lexsort((self.ids, -scores, self.not_negative), axis=-1)

@@ -69,7 +69,7 @@ class UnlearnConfig:
             raise ConfigError("delta_target must lie in (0, 1]")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs must be at least 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN too
             raise ConfigError("learning_rate must be positive")
         if self.check_every < 1:
             raise ConfigError("check_every must be at least 1")
@@ -127,12 +127,15 @@ def _switch(cfg: UnlearnConfig, key: str) -> bool:
     return checked(f"method_params {key!r}", cfg.method_params.get(key, True), bool)
 
 
-def _negatives_per_positive(cfg: UnlearnConfig) -> int:
-    value = cfg.method_params.get("negatives_per_positive", 4)
-    if checked("method_params 'negatives_per_positive'", value, int) < 1:
+def _hinge(cfg: UnlearnConfig) -> tuple[float, int]:
+    """The margin and negatives_per_positive of a hinge strategy (cf,
+    amnesiac, neggrad, ssd), checked in that order."""
+    margin = _param(cfg, "margin", 1.0)
+    npp = cfg.method_params.get("negatives_per_positive", 4)
+    if checked("method_params 'negatives_per_positive'", npp, int) < 1:
         raise ConfigError("method_params 'negatives_per_positive' must be at least 1, "
-                          f"got {value!r}")
-    return value
+                          f"got {npp!r}")
+    return margin, npp
 
 
 def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
@@ -246,8 +249,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
 def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
         cfg: UnlearnConfig):
     """Keep training on retained samples; forgetting happens only by drift."""
-    margin = _param(cfg, "margin", 1.0)
-    npp = _negatives_per_positive(cfg)
+    margin, npp = _hinge(cfg)
     queries = HingeSet(split.train, [s for s in split.train.samples
                                      if not part.is_forgotten(s)])
 
@@ -263,9 +265,7 @@ def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partitio
 def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
               cfg: UnlearnConfig):
     """Push sampled pool negatives above each forget positive; train the entangled set."""
-    margin = _param(cfg, "margin", 1.0)
-    npp = _negatives_per_positive(cfg)
-
+    margin, npp = _hinge(cfg)
     negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
     ent_pos = [s for s in part.entangled if s.label is Label.POSITIVE]
@@ -303,9 +303,7 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
 def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
              cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
-    margin = _param(cfg, "margin", 1.0)
-    npp = _negatives_per_positive(cfg)
-
+    margin, npp = _hinge(cfg)
     negatives = hinge_negatives(split.train, split.train.samples)
     forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
     n_negs = np.array([len(negatives[s.query_id]) for s in forget_pos], dtype=np.intp)
@@ -344,8 +342,7 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     lam = _param(cfg, "lambda", 1.0)
     if alpha <= 1.0 or lam <= 0.0:
         raise ConfigError("ssd needs alpha > 1 and lambda > 0")
-    margin = _param(cfg, "margin", 1.0)
-    npp = _negatives_per_positive(cfg)
+    margin, npp = _hinge(cfg)
 
     rng = np.random.default_rng(cfg.seed)
     negatives = hinge_negatives(split.train, split.train.samples)

@@ -1,0 +1,88 @@
+"""The per-pair and per-query scoring entries that ``numur`` replaced with
+batched passes, kept as the references the runtime paths are compared
+against.
+
+``forward`` scores one pair and ``hinge_loss_and_grad`` takes one hinge
+draw, each with its own ``PairStep``; ``score_pool`` scores one query's
+pool and ``rank`` sorts it. ``query_tokens`` and ``doc_tokens`` are one
+item's token row.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from numur.corpus import Dataset
+from numur.errors import DataError
+from numur.evaluation import _pool_rows
+from numur.ranker import GradientBuffer, PairStep, ScoreModel, doc_vectors
+
+
+def _token_row(table, row_of: dict[str, int], kind: str, ident: str) -> np.ndarray:
+    row = row_of.get(ident)
+    if row is None:
+        raise DataError(f"unknown {kind} id {ident!r}")
+    return table.flat[table.starts[row]:table.starts[row + 1]]
+
+
+def query_tokens(dataset: Dataset, query_id: str) -> np.ndarray:
+    """The query's tokens, a view of the dataset's query token table."""
+    return _token_row(dataset.token_rows()[0], dataset.index.query_row, "query", query_id)
+
+
+def doc_tokens(dataset: Dataset, doc_id: str) -> np.ndarray:
+    """The doc's tokens, a view of the dataset's doc token table."""
+    return _token_row(dataset.token_rows()[1], dataset.index.doc_row, "doc", doc_id)
+
+
+def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
+    """Relevance score of one pair; always > 0."""
+    return PairStep(model, dataset, ((query_id, doc_id),)).scores[0]
+
+
+def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
+               dvec: np.ndarray | None = None) -> np.ndarray:
+    """Scores for every doc in the query's pool, in pool order.
+
+    ``dvec`` is ``doc_vectors(model, dataset)``; callers scoring many
+    pools under one model pass it in so the docs are pooled once.
+    """
+    rows = dataset.index.pool_rows.get(query_id)
+    if rows is None or not len(rows):
+        raise DataError(f"query {query_id!r} has no pool")
+    tokens = model.embed_q[query_tokens(dataset, query_id)]
+    u = np.add.reduce(tokens) / len(tokens)  # the arithmetic of mean(axis=0), bitwise
+    if dvec is None:
+        dvec = doc_vectors(model, dataset)
+    return np.logaddexp(0.0, dvec[rows] @ u)
+
+
+def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
+                        pos_id: str, neg_id: str, margin: float,
+                        buf: GradientBuffer | None) -> float:
+    """max(0, margin - f(q, pos) + f(q, neg)); its gradient goes to buf if given."""
+    step = PairStep(model, dataset, ((query_id, pos_id), (query_id, neg_id)))
+    pos_score, neg_score = step.scores
+    loss = margin - pos_score + neg_score
+    if loss <= 0.0:
+        return 0.0
+    if buf is not None:
+        step.backward([-1.0, 1.0], buf)
+    return loss
+
+
+@dataclass(frozen=True)
+class RankedList:
+    query_id: str
+    doc_ids: tuple[str, ...]
+
+
+def rank(model: ScoreModel, dataset: Dataset, query_id: str) -> RankedList:
+    """The query's pool sorted by descending score, ties by ascending doc id."""
+    rows = _pool_rows(dataset, query_id)
+    scores = score_pool(model, dataset, query_id)
+    order = np.lexsort((dataset.index.id_order[rows], -scores))
+    pool = dataset.pools[query_id]
+    return RankedList(query_id=query_id, doc_ids=tuple(pool[i] for i in order))

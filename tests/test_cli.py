@@ -423,8 +423,10 @@ class TestMalformedArtifacts:
     def test_short_row_in_train_trajectory(self, runs, capsys):
         path = runs / "train" / "trajectory.csv"
         path.write_text(path.read_text() + "9,0.5\n")
+        shutil.rmtree(runs / "unlearn")
         err = self.unlearn(capsys, runs)
         assert f"trajectory.csv:{1 + SMALL_CONFIG['train']['epochs'] + 1}:" in err
+        assert not (runs / "unlearn").exists()
 
     def test_bad_json_in_retrain_report(self, runs, capsys):
         (runs / "retrain" / "spec_document_25" / "report.json").write_text("{\"mrr_test\": ")
@@ -484,9 +486,30 @@ class TestMalformedArtifacts:
         assert not (runs / "eval").exists() and not (runs / "unlearn").exists()
 
     def test_non_integer_vocab_in_corpus_stats(self, runs, capsys):
-        (runs / "corpus" / "stats.json").write_text('{"vocab_size": "large"}')
-        assert "vocab_size" in self.fails_with_data_error(
-            capsys, runs, "partition", "--spec", "spec_document_25")
+        for value in ('"large"', '"600"', "2900.0", "true"):
+            (runs / "corpus" / "stats.json").write_text(f'{{"vocab_size": {value}}}')
+            assert "vocab_size" in self.fails_with_data_error(
+                capsys, runs, "partition", "--spec", "spec_document_25")
+
+    @pytest.mark.parametrize("damage", [
+        lambda r: r["destinations"].update(d1="x"),
+        lambda r: r["destinations"].update(d1=None),
+        lambda r: r["destinations"].update(d3=[1]),
+        lambda r: r.update(destinations=list(r["destinations"].values())),
+        lambda r: r.update(mrr_test="bad"),
+    ], ids=["d1 text", "d1 null", "d3 list", "destinations list", "mrr_test text"])
+    @pytest.mark.parametrize("target", [["--dest", "d1"], ["--delta", "0.4"]],
+                             ids=["dest", "delta"])
+    def test_bad_values_in_retrain_report(self, runs, capsys, damage, target):
+        path = runs / "retrain" / "spec_document_25" / "report.json"
+        report = json.loads(path.read_text())
+        damage(report)
+        path.write_text(json.dumps(report))
+        shutil.rmtree(runs / "unlearn")
+        err = self.fails_with_data_error(capsys, runs, "unlearn", "--spec", "spec_document_25",
+                                         "--method", "cocol", *target)
+        assert str(path) in err
+        assert not (runs / "unlearn").exists()
 
 
 def test_docs_file_is_read_once_per_command(workdir, monkeypatch):

@@ -15,13 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scoring_reference import score_pool
 from test_roundtrip_properties import specs
 from test_scoring_properties import datasets, models
 
 from numur import (ConfigError, CorpusSplit, Dataset, Document, Label, Method, Query,
                    RemovalKind, Sample, SyntheticConfig, UnlearnConfig, build_min_cache,
                    consistent_loss, contrastive_loss, entangled_partners, generate_synthetic,
-                   init_model, new_buffer, partition, score_pool, unlearn)
+                   init_model, new_buffer, partition, unlearn)
 from numur.partition import sample_forget_spec
 from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, doc_vectors, sample_scores
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
-                   SyntheticConfig, forward, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
-                   partition, rank, score_distribution, timing_metrics)
+                   SyntheticConfig, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
+                   partition, score_distribution, timing_metrics)
 
 from conftest import build_dataset
+from scoring_reference import doc_tokens, forward, query_tokens, rank
 from test_ranker import tiny_dataset
 
 
@@ -13,9 +14,9 @@ def set_scores(ds, model, qid, scores_by_doc):
     """Pin per-doc logits so softplus scores are ordered exactly as requested."""
     model.embed_q[:] = 0.0
     model.embed_d[:] = 0.0
-    model.embed_q[ds.query_tokens(qid)] = [1.0, 0.0]
+    model.embed_q[query_tokens(ds, qid)] = [1.0, 0.0]
     for did, z in scores_by_doc.items():
-        model.embed_d[ds.doc_tokens(did)] = [z, 0.0]
+        model.embed_d[doc_tokens(ds, did)] = [z, 0.0]
 
 
 def brute_force_first_rank(model, ds, qid, targets):
@@ -110,9 +111,9 @@ class TestMrrForget:
         m.embed_q[:] = 0.0
         m.embed_d[:] = 0.0
         for qi, table in tables.items():
-            m.embed_q[ds.query_tokens(qi)] = [1.0, 0.0]
+            m.embed_q[query_tokens(ds, qi)] = [1.0, 0.0]
             for did, z in table.items():
-                m.embed_d[ds.doc_tokens(did)] = [z, 0.0]
+                m.embed_d[doc_tokens(ds, did)] = [z, 0.0]
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset(tables))
         part = partition(ds, spec)
         result = mrr_forget(m, ds, part, spec)

@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scoring_reference import hinge_loss_and_grad, score_pool
 from test_epoch_picks import mining_datasets
 from test_roundtrip_properties import specs
 from test_scoring_properties import VOCAB, _sigmoid, datasets, models, wide_models
 
 from numur import (ConfigError, CorpusSplit, Label, Method, SyntheticConfig, UnlearnConfig,
-                   generate_synthetic, init_model, new_buffer, partition, ranker, score_pool,
-                   unlearn)
-from numur.ranker import (HingeDraws, HingeSet, PairStep, doc_vectors, hinge_loss_and_grad,
-                          pairwise_epoch, query_vectors)
+                   generate_synthetic, init_model, new_buffer, partition, ranker, unlearn)
+from numur.ranker import (HingeDraws, HingeSet, PairStep, doc_vectors, pairwise_epoch,
+                          query_vectors)
 from numur.unlearn_engine import _importance
 
 REGIMES = ("none", "all", "some", "nan")

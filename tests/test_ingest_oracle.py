@@ -25,6 +25,7 @@ import ingest_reference as reference
 from numur import DataError, Dataset, Document, Query, load_dataset
 from numur import corpus
 from numur.corpus import POOLS_HEADER, QRELS_HEADER, DatasetIndex
+from scoring_reference import doc_tokens, query_tokens
 
 from test_ingest import ERROR_CASES, saved_figure_case
 
@@ -129,9 +130,9 @@ def assert_same_dataset(got, want):
     assert list(got.pools.items()) == list(want.pools.items())
     assert got.vocab_size == want.vocab_size
     for qid, query in got.queries.items():
-        assert np.array_equal(got.query_tokens(qid), np.asarray(query.tokens, dtype=np.int64))
+        assert np.array_equal(query_tokens(got, qid), np.asarray(query.tokens, dtype=np.int64))
     for did, doc in got.documents.items():
-        assert np.array_equal(got.doc_tokens(did), np.asarray(doc.tokens, dtype=np.int64))
+        assert np.array_equal(doc_tokens(got, did), np.asarray(doc.tokens, dtype=np.int64))
 
 
 def assert_same_array(got, want):

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
                    RemovalKind, Sample, build_min_cache, consistent_loss, contrastive_loss,
-                   forward, init_model, mrr_forget, mrr_set, new_buffer, partition, rank,
-                   score_distribution, score_pool)
-from numur.ranker import (HingeSet, doc_vectors, hinge_loss_and_grad, pairwise_epoch,
-                          query_vectors, sample_scores, score_pools)
+                   init_model, mrr_forget, mrr_set, new_buffer, partition, score_distribution)
+from numur.ranker import (HingeSet, doc_vectors, pairwise_epoch, query_vectors, sample_scores,
+                          score_pools)
 from numur.unlearn_losses import _abs_delta_loss
+from scoring_reference import (doc_tokens, forward, hinge_loss_and_grad, query_tokens, rank,
+                               score_pool)
 
 VOCAB = 10
 
@@ -56,8 +57,8 @@ models = st.builds(init_model, st.just(VOCAB), st.integers(1, 5),
 
 
 def ref_score_pool(model, ds, qid):
-    u = model.embed_q[ds.query_tokens(qid)].mean(axis=0)
-    mat = np.stack([model.embed_d[ds.doc_tokens(did)].mean(axis=0) for did in ds.pools[qid]])
+    u = model.embed_q[query_tokens(ds, qid)].mean(axis=0)
+    mat = np.stack([model.embed_d[doc_tokens(ds, did)].mean(axis=0) for did in ds.pools[qid]])
     return np.logaddexp(0.0, mat @ u)
 
 
@@ -91,7 +92,7 @@ def test_score_pool_is_bitwise_the_per_doc_loop(ds, model):
     # rows are compared too.
     dvec = doc_vectors(model, ds)
     for did, row in ds.index.doc_row.items():
-        assert np.array_equal(dvec[row], model.embed_d[ds.doc_tokens(did)].mean(axis=0))
+        assert np.array_equal(dvec[row], model.embed_d[doc_tokens(ds, did)].mean(axis=0))
     for qid in ds.pools:
         assert np.array_equal(score_pool(model, ds, qid), ref_score_pool(model, ds, qid))
 
@@ -124,7 +125,7 @@ def test_batched_query_vectors_and_scores_are_bitwise_score_pool(ds, model, scal
     index = ds.index
     qvec = query_vectors(model, ds)
     for qid, row in index.query_row.items():
-        tokens = model.embed_q[ds.query_tokens(qid)]
+        tokens = model.embed_q[query_tokens(ds, qid)]
         assert np.array_equal(qvec[row], np.add.reduce(tokens) / len(tokens))
     qids = sorted(ds.pools, reverse=True)  # any order of query rows
     scores = score_pools(model, ds, np.array([index.query_row[q] for q in qids]))
@@ -146,16 +147,16 @@ def test_pool_columns_find_each_doc_in_each_pool(ds):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(token_lists(24), min_size=1, max_size=12), st.one_of(models, wide_models))
-def test_long_docs_pool_bitwise_at_every_dim(doc_tokens, model):
+def test_long_docs_pool_bitwise_at_every_dim(doc_lists, model):
     # numpy sums a (tokens, 1) slice pairwise from 8 tokens on, and a wider
     # one token by token; the grouped pooling must follow both.
-    documents = {f"d{i}": Document(f"d{i}", toks) for i, toks in enumerate(doc_tokens)}
-    ds = Dataset(queries={"q": Query("q", doc_tokens[0])}, documents=documents,
+    documents = {f"d{i}": Document(f"d{i}", toks) for i, toks in enumerate(doc_lists)}
+    ds = Dataset(queries={"q": Query("q", doc_lists[0])}, documents=documents,
                  samples=[], pools={"q": tuple(documents)}, vocab_size=VOCAB)
     dvec, qvec = doc_vectors(model, ds), query_vectors(model, ds)
     for did, row in ds.index.doc_row.items():
-        assert np.array_equal(dvec[row], model.embed_d[ds.doc_tokens(did)].mean(axis=0))
-    assert np.array_equal(qvec[0], model.embed_q[ds.query_tokens("q")].mean(axis=0))
+        assert np.array_equal(dvec[row], model.embed_d[doc_tokens(ds, did)].mean(axis=0))
+    assert np.array_equal(qvec[0], model.embed_q[query_tokens(ds, "q")].mean(axis=0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,7 +265,7 @@ class Ref:
         self.rows_q, self.rows_d = [], []
 
     def pooled(self, ds, qid, did):
-        qt, dt = ds.query_tokens(qid), ds.doc_tokens(did)
+        qt, dt = query_tokens(ds, qid), doc_tokens(ds, did)
         return qt, dt, self.embed_q[qt].mean(axis=0), self.embed_d[dt].mean(axis=0)
 
     def forward(self, ds, qid, did):
@@ -360,9 +361,10 @@ def ref_pairwise_epoch(ref, ds, samples, rng, lr, margin, npp):
 
 
 def assert_same_gradients(buf, ref):
-    assert np.array_equal(buf.grad_q, ref.grad_q) and np.array_equal(buf.grad_d, ref.grad_d)
+    grad_q, grad_d = np.split(buf.grad, 2)
+    assert np.array_equal(grad_q, ref.grad_q) and np.array_equal(grad_d, ref.grad_d)
     rows = np.concatenate(buf.rows) if buf.rows else np.zeros(0, dtype=int)
-    vocab = len(buf.grad_q)
+    vocab = len(grad_q)
     want_q = np.concatenate(ref.rows_q) if ref.rows_q else []
     want_d = np.concatenate(ref.rows_d) if ref.rows_d else []
     assert rows[rows < vocab].tolist() == list(want_q)

@@ -6,11 +6,13 @@ import pytest
 from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Method, RemovalKind,
                    TrainConfig, UnlearnConfig, clone_model, compute_destinations, init_model,
                    mrr_forget, partition, train, unlearn)
-from numur import ranker, unlearn_engine
+from numur import unlearn_engine
 from numur.ranker import sample_scores
 from numur.unlearn_losses import _abs_delta_loss
 
 from conftest import ACCEPT_UNLEARN_LR, build_dataset
+import scoring_reference
+from scoring_reference import doc_tokens, query_tokens
 
 
 def small_unlearn_world(seed=0):
@@ -119,9 +121,9 @@ class TestCocol:
         model.embed_q[:] = 0.0
         model.embed_d[:] = 0.0
         for qid in ("q0", "q1"):
-            model.embed_q[ds.query_tokens(qid)] = [1.0, 0.0]
+            model.embed_q[query_tokens(ds, qid)] = [1.0, 0.0]
         for did, z in (("d0", -3.0), ("d1", 2.0), ("d2", 3.0), ("d3", 4.0)):
-            model.embed_d[ds.doc_tokens(did)] = [z, 0.0]
+            model.embed_d[doc_tokens(ds, did)] = [z, 0.0]
         # q0's forget pair (d0) scores below its labelled negative d1: at floor
         split = CorpusSplit(train=ds, test=Dataset(queries={}, documents={},
                                                    samples=[], pools={}, vocab_size=32))
@@ -272,16 +274,17 @@ class TestBadT:
     def test_teachers_are_scored_in_one_pass_each(self):
         split, part, model = small_unlearn_world()
         cfg = ucfg(Method.BADT, delta_target=1e-9, max_epochs=3)
-        real, calls = ranker.forward, []
+        real, calls = scoring_reference.forward, []
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
         def per_pair(model, dataset, samples):
-            return [ranker.forward(model, dataset, s.query_id, s.doc_id) for s in samples]
+            return [scoring_reference.forward(model, dataset, s.query_id, s.doc_id)
+                    for s in samples]
 
-        with patch.object(ranker, "forward", counted):
+        with patch.object(scoring_reference, "forward", counted):
             run = unlearn(model, split, part, cfg)
             assert not calls
             # teachers that score each pair with its own forward call
@@ -320,3 +323,13 @@ def test_method_that_is_not_a_method_rejected(method):
     # a library caller may pass the name; the CLI parses it into a Method first
     with pytest.raises(ConfigError, match="method"):
         UnlearnConfig(method=method)
+
+
+@pytest.mark.parametrize("make", [lambda: TrainConfig(learning_rate=float("nan")),
+                                  lambda: TrainConfig(margin=float("nan")),
+                                  lambda: UnlearnConfig(learning_rate=float("nan"))],
+                         ids=["train learning_rate", "train margin", "unlearn learning_rate"])
+def test_nan_config_values_rejected(make):
+    # nan <= 0 is false, so a check written that way lets NaN through
+    with pytest.raises(ConfigError, match="must be positive"):
+        make()
