@@ -29,10 +29,10 @@ from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, generate_synth
 from .errors import ConfigError, DataError, NumurError, checked
 from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
-from .partition import (ForgetSpec, RemovalKind, load_forget_spec, partition,
+from .partition import (ForgetSpec, Partition, RemovalKind, load_forget_spec, partition,
                         sample_forget_spec, save_forget_spec)
-from .ranker import (TrainConfig, check_model_fits, load_model, retrain, save_model,
-                     split_doc_vectors, train)
+from .ranker import (ScoreModel, TrainConfig, check_model_fits, load_model, retrain,
+                     save_model, split_doc_vectors, train)
 from .unlearn_engine import (PARAM_KEYS, Method, UnlearnConfig, compute_destinations,
                              unlearn)
 
@@ -333,14 +333,10 @@ def _resolve_delta(out: Path, spec_name: str, delta: float | None, dest: str | N
     return fallback, f"delta{fallback:g}", report
 
 
-def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, name: str,
-                 spec: ForgetSpec, method: Method, delta: float, tag: str,
+def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, part: Partition,
+                 m_train: ScoreModel, name: str, method: Method, delta: float, tag: str,
                  method_params: dict, retrain_report: dict | None,
                  train_times: list[float]) -> None:
-    part = partition(split.train, spec)
-    model_path = _train_model_path(out)
-    m_train = load_model(model_path)
-    check_model_fits(m_train, split.train, model_path)
     run_cfg = replace(cfg.unlearn, method=method, delta_target=delta,
                       method_params=method_params)
     run = unlearn(m_train, split, part, run_cfg)
@@ -396,11 +392,16 @@ def cmd_unlearn(cfg: ExperimentConfig, out: Path, spec_arg: str, method_arg: str
             raise ConfigError(f"unknown method_params: {sorted(unknown)}")
         runs = [(method, {k: v for k, v in params.items() if k in PARAM_KEYS[method]})
                 for method in Method]
-    # read before the first run, so a damaged file leaves no run directory behind
+    # read before the first run, so a damaged file leaves no run directory
+    # behind; every run unlearns from the same model and partition
     train_times = _train_epoch_times(out)
+    part = partition(split.train, spec)
+    model_path = _train_model_path(out)
+    m_train = load_model(model_path)
+    check_model_fits(m_train, split.train, model_path)
     for method, method_params in runs:
-        _unlearn_one(cfg, out, split, name, spec, method, resolved, tag, method_params,
-                     retrain_report, train_times)
+        _unlearn_one(cfg, out, split, part, m_train, name, method, resolved, tag,
+                     method_params, retrain_report, train_times)
 
 
 def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -> None:
@@ -452,6 +453,13 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         if not report_path.exists():
             raise ConfigError(f"missing report.json in {run_dir}")
         r = _read_json(report_path, keys)
+        try:  # the values the charts draw
+            for key in ("mrr_forget", "mrr_entangled", "mrr_disjoint", "mrr_test"):
+                checked(key, r[key], float)
+            if r["normalized_forget"] is not None:
+                checked("normalized_forget", r["normalized_forget"], float)
+        except ConfigError as exc:
+            raise DataError(f"{report_path}: {exc}") from None
         rows.append([run_dir.name, *(r[key] for key in keys)])
         f_axis = r["normalized_forget"] if r["normalized_forget"] is not None \
             else r["mrr_forget"]

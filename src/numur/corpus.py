@@ -208,7 +208,6 @@ class DatasetIndex:
     id_order: np.ndarray
     query_row: dict[str, int]
     query_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    pool_rows: dict[str, np.ndarray]
     pool_matrix: np.ndarray
     pool_ids: np.ndarray
     pool_len: np.ndarray
@@ -239,8 +238,6 @@ class DatasetIndex:
         pool_query = np.fromiter(map(query_row.get, pools, repeat(-1)), np.intp, len(pools))
         if (flat < 0).any() or (pool_query < 0).any():
             _raise_unknown_pool_id(pools, doc_row, query_row)
-        bounds = starts.tolist()
-        pool_rows = dict(zip(pools, map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:]))))
         lengths = np.diff(starts)
         pad = len(doc_row)
         pool_len = np.zeros(len(query_row), dtype=np.intp)
@@ -259,7 +256,7 @@ class DatasetIndex:
         return cls(doc_row=doc_row, groups=groups, id_order=id_order,
                    query_row=query_row,
                    query_groups=dataset._query_rows.length_groups(),
-                   pool_rows=pool_rows, pool_matrix=pool_matrix,
+                   pool_matrix=pool_matrix,
                    pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
                    pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
                    positives={q: tuple(dids) for q, dids in positives.items()})

@@ -52,12 +52,12 @@ class ScoreDistribution:
     deciles: tuple[float, ...]  # 10th through 90th percentile
 
 
-def _pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
+def _check_pool(dataset: Dataset, query_id: str) -> None:
+    """DataError unless ``query_id`` is a query of ``dataset`` with a non-empty pool."""
     if query_id not in dataset.queries:
         raise DataError(f"unknown query id {query_id!r}")
     if not dataset.pools.get(query_id):
         raise DataError(f"query {query_id!r} has an empty pool")
-    return dataset.index.pool_rows[query_id]
 
 
 def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
@@ -67,7 +67,7 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
     query_rows = np.array([index.query_row.get(qid, -1) for qid in qids], dtype=np.intp)
     bad = (query_rows < 0) | (index.pool_len[query_rows] == 0)
     if bad.any():
-        _pool_rows(dataset, qids[int(bad.argmax())])  # raises for the query
+        _check_pool(dataset, qids[int(bad.argmax())])  # raises for the query
     # which pool entries are targets, found by looking each target up in its pool
     at_query, at_doc = [], []
     for i, qid in enumerate(qids):

@@ -66,7 +66,6 @@ class TrainConfig:
     seed: int = 7
     negatives_per_positive: int = 4
     dim: int = 16
-    log_touched: bool = False
 
     def __post_init__(self) -> None:
         if not (self.learning_rate > 0 and self.margin > 0):  # NaN too
@@ -100,7 +99,6 @@ class TrainResult:
     epoch_losses: list[float]
     epoch_mrr: list[float]
     epoch_times: list[float]
-    touched: list[tuple[str, str]]
 
 
 def init_model(vocab_size: int, dim: int, seed: int) -> ScoreModel:
@@ -617,8 +615,7 @@ class HingeSet:
 
 
 def pairwise_epoch(model: ScoreModel, queries: HingeSet, rng: np.random.Generator,
-                   lr: float, margin: float, negatives_per_positive: int,
-                   touched: list[tuple[str, str]] | None = None) -> float:
+                   lr: float, margin: float, negatives_per_positive: int) -> float:
     """One SGD epoch of pairwise hinge over the positives of ``queries``.
 
     Negatives come from the query's pool, excluding docs positive for it
@@ -652,8 +649,6 @@ def pairwise_epoch(model: ScoreModel, queries: HingeSet, rng: np.random.Generato
     for qi in order.tolist():
         qid = queries.qids[qi]
         for pos_id in queries.positives[qi]:
-            if touched is not None:
-                touched.append((qid, pos_id))
             draws.run(qid, pos_id, negs[k:k + negatives_per_positive])
             k += negatives_per_positive
     return draws.total / draws.draws if draws.draws else 0.0
@@ -672,21 +667,19 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
 
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    touched: list[tuple[str, str]] = []
     losses: list[float] = []
     mrrs: list[float] = []
     times: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         loss = pairwise_epoch(model, queries, rng, cfg.learning_rate, cfg.margin,
-                              cfg.negatives_per_positive,
-                              touched if cfg.log_touched else None)
+                              cfg.negatives_per_positive)
         times.append(time.perf_counter() - t0)
         model.check_finite(f"training epoch {epoch}")
         losses.append(loss)
         mrrs.append(mrr_set(model, dataset, samples).value)
     return TrainResult(model=model, epoch_losses=losses, epoch_mrr=mrrs,
-                       epoch_times=times, touched=touched)
+                       epoch_times=times)
 
 
 def train(split: CorpusSplit, cfg: TrainConfig) -> TrainResult:

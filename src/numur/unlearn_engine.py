@@ -62,7 +62,6 @@ class UnlearnConfig:
     check_every: int = 1
     method: Method = Method.COCOL
     method_params: dict = field(default_factory=dict)
-    log_touched: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta_target <= 1.0:
@@ -96,7 +95,6 @@ class UnlearnRun:
     method: Method
     epoch_times: list[float] = field(default_factory=list)
     edited_params: int = 0
-    touched: list[tuple[str, str, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -228,8 +226,6 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
             x, options = part.forget[i], partners[i]
             partner = options[next(picks)] if options else None
             contrastive_loss(floors[x.query_id], student, train, x, partner, sgd)
-            if cfg.log_touched:
-                run.touched.append(("phase1", x.query_id, x.doc_id))
         if not use_phase2:
             return
         order = rng.permutation(len(disjoint))
@@ -240,8 +236,6 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
             else:
                 pos, neg = d_pos[pick], d
             consistent_loss(student, train, pos, neg, sgd)
-            if cfg.log_touched:
-                run.touched.append(("phase2", d[0].query_id, d[0].doc_id))
 
     return epoch
 
@@ -254,10 +248,7 @@ def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partitio
                                      if not part.is_forgotten(s)])
 
     def epoch(rng: np.random.Generator) -> None:
-        raw: list[tuple[str, str]] | None = [] if cfg.log_touched else None
-        pairwise_epoch(run.final_model, queries, rng, cfg.learning_rate, margin, npp, raw)
-        if raw is not None:
-            run.touched.extend(("retain", q, d) for q, d in raw)
+        pairwise_epoch(run.final_model, queries, rng, cfg.learning_rate, margin, npp)
 
     return epoch
 
@@ -294,8 +285,6 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
             else:
                 draws.run(s.query_id, s.doc_id, [negs[p] for p in picks[at:at + npp]])
                 at += npp
-            if cfg.log_touched:
-                run.touched.append((tag, s.query_id, s.doc_id))
 
     return epoch
 
@@ -323,8 +312,6 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
                 continue
             draws.run(s.query_id, s.doc_id, [negs[p] for p in picks[at:at + npp]])
             at += npp
-            if cfg.log_touched:
-                run.touched.append(("ascent", s.query_id, s.doc_id))
 
     return epoch
 
@@ -406,12 +393,9 @@ def _badt(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partit
     sgd = new_buffer(run.final_model, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
-        for tag, pairs in (("bad", bad), ("good", good)):
+        for pairs in (bad, good):
             for i in rng.permutation(len(pairs)):
-                pair = pairs[int(i)]
-                _abs_delta_loss(run.final_model, split.train, (pair,), sgd)
-                if cfg.log_touched:
-                    run.touched.append((tag, pair[0].query_id, pair[0].doc_id))
+                _abs_delta_loss(run.final_model, split.train, (pairs[int(i)],), sgd)
 
     return epoch
 

@@ -62,7 +62,7 @@ def _pair_keys(samples) -> tuple[tuple[str, str], ...]:
 
 def contrastive_loss(floor: float, student: ScoreModel, dataset: Dataset,
                      forget_pair: Sample, partner: Scored | None,
-                     buf: GradientBuffer | None = None) -> float:
+                     buf: GradientBuffer) -> float:
     """relu(delta_min(floor, f(forget_pair))) + |delta(partner)|, partner term 0
     when absent.
 
@@ -87,13 +87,12 @@ def contrastive_loss(floor: float, student: ScoreModel, dataset: Dataset,
         upstream[0] = 2.0 * floor / (denom * denom)
     partner_value, partner_upstream = (0.0, []) if partner is None else \
         _abs_delta_terms((partner[1],), step.scores[1:])
-    if buf is not None:
-        step.backward(upstream + partner_upstream, buf)
+    step.backward(upstream + partner_upstream, buf)
     return value + partner_value
 
 
 def consistent_loss(student: ScoreModel, dataset: Dataset, pos_pair: Scored,
-                    neg_pair: Scored, buf: GradientBuffer | None = None) -> float:
+                    neg_pair: Scored, buf: GradientBuffer) -> float:
     """|delta(pos_pair)| + |delta(neg_pair)|: pins both pairs to the teacher."""
     if pos_pair[0].label is not Label.POSITIVE:
         raise ConfigError(
@@ -105,11 +104,10 @@ def consistent_loss(student: ScoreModel, dataset: Dataset, pos_pair: Scored,
 
 
 def _abs_delta_loss(student: ScoreModel, dataset: Dataset, pairs: Sequence[Scored],
-                    buf: GradientBuffer | None) -> float:
-    """Sum of |delta| over ``pairs``, with its gradient into ``buf`` if given:
-    the distillation term of the consistent loss and of Bad Teacher."""
+                    buf: GradientBuffer) -> float:
+    """Sum of |delta| over ``pairs``, with its gradient into ``buf``: the
+    distillation term of the consistent loss and of Bad Teacher."""
     step = PairStep(student, dataset, _pair_keys(s for s, _ in pairs))
     value, upstream = _abs_delta_terms([t for _, t in pairs], step.scores)
-    if buf is not None:
-        step.backward(upstream, buf)
+    step.backward(upstream, buf)
     return value

@@ -53,6 +53,18 @@ def build_dataset(samples, pools, vocab_size=32, extra_docs=()):
     return ds
 
 
+def spy(monkeypatch, owner, name):
+    """Record the arguments of every later call of ``owner.name`` and let it run."""
+    calls, real = [], getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
 def figure_case_dataset():
     """Seven samples over five queries and five docs; d2 is relevant to three queries."""
     triples = [("q1", "d1", 1), ("q1", "d2", 1), ("q2", "d2", 1), ("q3", "d2", 1),

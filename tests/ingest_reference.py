@@ -211,7 +211,7 @@ def build_index(dataset: Dataset, docs: DatasetIndex | None = None) -> DatasetIn
     return DatasetIndex(doc_row=doc_row, groups=groups, id_order=id_order,
                         query_row=query_row,
                         query_groups=_length_groups(list(qtok.values())),
-                        pool_rows=pool_rows, pool_matrix=pool_matrix,
+                        pool_matrix=pool_matrix,
                         pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
                         pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
                         positives={q: tuple(dids) for q, dids in positives.items()})

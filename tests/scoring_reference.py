@@ -5,7 +5,7 @@ against.
 ``forward`` scores one pair and ``hinge_loss_and_grad`` takes one hinge
 draw, each with its own ``PairStep``; ``score_pool`` scores one query's
 pool and ``rank`` sorts it. ``query_tokens`` and ``doc_tokens`` are one
-item's token row.
+item's token row, and ``pool_rows`` one query's pool as doc rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from numur.corpus import Dataset
 from numur.errors import DataError
-from numur.evaluation import _pool_rows
+from numur.evaluation import _check_pool
 from numur.ranker import GradientBuffer, PairStep, ScoreModel, doc_vectors
 
 
@@ -37,6 +37,12 @@ def doc_tokens(dataset: Dataset, doc_id: str) -> np.ndarray:
     return _token_row(dataset.token_rows()[1], dataset.index.doc_row, "doc", doc_id)
 
 
+def pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
+    """The doc rows of the query's pool, in pool order, mapped id by id."""
+    return np.array([dataset.index.doc_row[did] for did in dataset.pools[query_id]],
+                    dtype=np.intp)
+
+
 def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
     """Relevance score of one pair; always > 0."""
     return PairStep(model, dataset, ((query_id, doc_id),)).scores[0]
@@ -49,9 +55,9 @@ def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
     ``dvec`` is ``doc_vectors(model, dataset)``; callers scoring many
     pools under one model pass it in so the docs are pooled once.
     """
-    rows = dataset.index.pool_rows.get(query_id)
-    if rows is None or not len(rows):
+    if not dataset.pools.get(query_id):
         raise DataError(f"query {query_id!r} has no pool")
+    rows = pool_rows(dataset, query_id)
     tokens = model.embed_q[query_tokens(dataset, query_id)]
     u = np.add.reduce(tokens) / len(tokens)  # the arithmetic of mean(axis=0), bitwise
     if dvec is None:
@@ -81,7 +87,8 @@ class RankedList:
 
 def rank(model: ScoreModel, dataset: Dataset, query_id: str) -> RankedList:
     """The query's pool sorted by descending score, ties by ascending doc id."""
-    rows = _pool_rows(dataset, query_id)
+    _check_pool(dataset, query_id)
+    rows = pool_rows(dataset, query_id)
     scores = score_pool(model, dataset, query_id)
     order = np.lexsort((dataset.index.id_order[rows], -scores))
     pool = dataset.pools[query_id]

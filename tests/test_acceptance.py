@@ -125,7 +125,8 @@ def test_c02_gradient_suite():
         buf = new_buffer(student)
         contrastive_loss(floor, student, ds, x, partner, buf)
         num_q, num_d = finite_difference(
-            lambda: contrastive_loss(floor, student, ds, x, partner), student)
+            lambda: contrastive_loss(floor, student, ds, x, partner, new_buffer(student)),
+            student)
         grad_q, grad_d = np.split(buf.grad, 2)
         assert_close_grads(grad_q, num_q)
         assert_close_grads(grad_d, num_d)
@@ -147,7 +148,7 @@ def test_c02_gradient_suite():
         buf = new_buffer(student)
         consistent_loss(student, ds, pos, neg, buf)
         num_q, num_d = finite_difference(
-            lambda: consistent_loss(student, ds, pos, neg), student)
+            lambda: consistent_loss(student, ds, pos, neg, new_buffer(student)), student)
         grad_q, grad_d = np.split(buf.grad, 2)
         assert_close_grads(grad_q, num_q)
         assert_close_grads(grad_d, num_d)

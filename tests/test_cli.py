@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from numur import (CorpusSplit, ForgetSpec, Method, RemovalKind, ScoreModel, UnlearnConfig,
-                   compute_destinations, init_model, load_forget_spec, load_model, mrr_forget,
-                   mrr_set, partition, ranker, save_forget_spec, save_model, unlearn,
-                   unlearn_engine)
+                   cli, compute_destinations, init_model, load_forget_spec, load_model,
+                   mrr_forget, mrr_set, partition, ranker, save_forget_spec, save_model,
+                   unlearn, unlearn_engine)
 from numur.cli import _load_split, _write_csv, _write_json, main
 from numur.corpus import atomic_write
 from numur.unlearn_engine import _evaluate
+
+from conftest import spy
 
 SMALL_CONFIG = {
     "corpus": {"n_queries": 12, "n_docs": 48, "vocab_size": 128,
@@ -200,6 +202,18 @@ class TestErrors:
         assert code == 1
         assert "n_quieries" in capsys.readouterr().err
 
+    # log_touched, once a key of both sections, is gone
+    @pytest.mark.parametrize("section", ["train", "unlearn"])
+    def test_log_touched_is_an_unknown_key(self, tmp_path, capsys, section):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({section: {"log_touched": True}}), encoding="utf-8")
+        code = main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:config: unknown {section} config keys") and \
+            "log_touched" in err, err
+        assert not (tmp_path / "o").exists()
+
     def test_delta_and_dest_conflict(self, workdir, capsys):
         out = workdir / "runs"
         code = main(["--out", str(out), "unlearn", "--spec", "spec_document_25",
@@ -225,6 +239,17 @@ def test_method_params_with_all_methods(workdir, tmp_path, capsys, params, code)
         run_config = json.loads((runs / "unlearn" / f"{method}_spec_document_25_delta1"
                                  / "run_config.json").read_text())
         assert set(run_config["method_params"]) == keys
+
+
+def test_all_methods_load_the_model_and_partition_once(workdir, tmp_path, monkeypatch):
+    runs = tmp_path / "runs"
+    shutil.copytree(workdir / "runs", runs)
+    shutil.rmtree(runs / "unlearn")
+    loads, parts = spy(monkeypatch, cli, "load_model"), spy(monkeypatch, cli, "partition")
+    assert main(["--out", str(runs), "unlearn", "--spec", "spec_document_25",
+                 "--method", "all", "--delta", "0.001"]) == 0
+    assert len(loads) == len(parts) == 1
+    assert len(list((runs / "unlearn").iterdir())) == len(Method)
 
 
 @pytest.mark.parametrize("method", ["cf", "amnesiac", "neggrad", "ssd"])
@@ -454,6 +479,21 @@ class TestMalformedArtifacts:
         (runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json").write_text("[1, 2]")
         self.fails_with_data_error(capsys, runs, "report")
 
+    # each of these once ended in a traceback from the charts
+    @pytest.mark.parametrize("changes", [
+        {"mrr_test": "bad"},
+        {"mrr_forget": None, "normalized_forget": None},
+        {"mrr_disjoint": float("nan")},
+        {"normalized_forget": "x"},
+    ], ids=repr)
+    def test_bad_values_in_run_report(self, runs, capsys, changes):
+        path = runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), **changes}))
+        shutil.rmtree(runs / "report")
+        err = self.fails_with_data_error(capsys, runs, "report")
+        assert str(path) in err and next(iter(changes)) in err, err
+        assert not (runs / "report").exists()
+
     def test_bad_json_in_corpus_stats(self, runs, capsys):
         (runs / "corpus" / "stats.json").write_text("{vocab_size: 128}")
         assert "stats.json" in self.fails_with_data_error(
@@ -482,6 +522,9 @@ class TestMalformedArtifacts:
                                          "--model", str(model_path))
         assert str(model_path) in err and "NaN or infinite" in err
         err = self.unlearn(capsys, runs)
+        assert str(model_path) in err and "NaN or infinite" in err
+        err = self.fails_with_data_error(capsys, runs, "unlearn", "--spec", "spec_document_25",
+                                         "--method", "all", "--delta", "0.4")
         assert str(model_path) in err and "NaN or infinite" in err
         assert not (runs / "eval").exists() and not (runs / "unlearn").exists()
 
@@ -537,8 +580,8 @@ def test_both_splits_map_every_doc_to_the_same_row(workdir):
     assert alone.doc_row == test.doc_row and np.array_equal(alone.id_order, test.id_order)
     for (rows, toks), (want_rows, want_toks) in zip(test.groups, alone.groups, strict=True):
         assert np.array_equal(rows, want_rows) and np.array_equal(toks, want_toks)
-    for qid, rows in test.pool_rows.items():
-        assert np.array_equal(rows, alone.pool_rows[qid])
+    assert np.array_equal(test.pool_matrix, alone.pool_matrix)
+    assert np.array_equal(test.pool_len, alone.pool_len)
 
 class _Unprintable:
     def __str__(self):

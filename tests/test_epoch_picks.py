@@ -16,11 +16,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scoring_reference import score_pool
-from test_roundtrip_properties import specs
 from test_scoring_properties import datasets, models
 
-from numur import (ConfigError, CorpusSplit, Dataset, Document, Label, Method, Query,
-                   RemovalKind, Sample, SyntheticConfig, UnlearnConfig, build_min_cache,
+from numur import (ConfigError, CorpusSplit, Dataset, Document, ForgetSpec, Label, Method,
+                   Query, RemovalKind, Sample, SyntheticConfig, UnlearnConfig, build_min_cache,
                    consistent_loss, contrastive_loss, entangled_partners, generate_synthetic,
                    init_model, new_buffer, partition, unlearn)
 from numur.partition import sample_forget_spec
@@ -152,23 +151,35 @@ def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2)
                 consistent_loss(student, ds, d_pos[int(rng.integers(len(d_pos)))], d, sgd)
 
 
+@st.composite
+def forgettable_specs(draw, ds):
+    """A removal spec naming some, but not all, of the ids of its kind that
+    have samples: its forget set is neither empty nor every sample."""
+    ids = {RemovalKind.QUERY: sorted({s.query_id for s in ds.samples}),
+           RemovalKind.DOCUMENT: sorted({s.doc_id for s in ds.samples})}
+    kinds = [kind for kind in RemovalKind if len(ids[kind]) > 1]
+    assume(kinds)
+    kind = draw(st.sampled_from(kinds))
+    named = draw(st.lists(st.sampled_from(ids[kind]), min_size=1,
+                          max_size=len(ids[kind]) - 1, unique=True))
+    return ForgetSpec(kind=kind, ids=frozenset(named))
+
+
 @settings(max_examples=80, deadline=None)
 @given(datasets(), models, st.booleans(), st.booleans(), st.integers(0, 2**31 - 1),
        st.data())
 def test_cocol_epochs_are_the_per_item_loop(ds, model, use_entangled, use_phase2, seed, data):
-    spec = data.draw(specs(ds))
-    try:
-        part = partition(ds, spec)
-    except ConfigError:
-        assume(False)
+    part = partition(ds, data.draw(forgettable_specs(ds)))
     cfg = UnlearnConfig(method=Method.COCOL, max_epochs=3, delta_target=1e-9, seed=seed,
                         method_params={"entangled_term": use_entangled,
                                        "phase2": use_phase2})
     ref = type(model)(model.params.copy())
-    try:
-        run = unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)
-    except ConfigError:  # an empty F, or a disjoint set without both labels
-        assume(False)
+    labels = {s.label for s in part.disjoint}
+    if use_phase2 and labels != {Label.POSITIVE, Label.NEGATIVE}:
+        with pytest.raises(ConfigError, match="disjoint set lacks"):
+            unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)
+        return
+    run = unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)
     loop_cocol_epochs(ref, ds, part, np.random.default_rng(seed), run.epochs_run,
                       use_entangled, use_phase2)
     assert np.array_equal(run.final_model.params, ref.params)

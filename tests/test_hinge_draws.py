@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scoring_reference import hinge_loss_and_grad, score_pool
+from scoring_reference import hinge_loss_and_grad, pool_rows, score_pool
 from test_epoch_picks import mining_datasets
 from test_roundtrip_properties import specs
 from test_scoring_properties import VOCAB, _sigmoid, datasets, models, wide_models
@@ -144,7 +144,7 @@ def loop_pairwise_epoch(ds, samples, rng, margin, npp, loop):
         is_neg = np.array([d not in positives[qid] for d in ds.pools[qid]])
         uniform[qid] = [d for d in ds.pools[qid] if d not in positives[qid]]
         scores = score_pool(loop.model, ds, qid)[is_neg]
-        ids = ds.index.id_order[ds.index.pool_rows[qid][is_neg]]
+        ids = ds.index.id_order[pool_rows(ds, qid)[is_neg]]
         hard[qid] = [uniform[qid][i] for i in np.lexsort((ids, -scores))[:8]]
     total, steps = 0.0, 0
     for qi in rng.permutation(len(qids)):

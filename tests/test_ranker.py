@@ -6,9 +6,9 @@ import pytest
 from numur import (DataError, ForgetSpec, Method, RemovalKind, ScoreModel, TrainConfig,
                    UnlearnConfig, init_model, load_model, new_buffer, partition, retrain,
                    save_model, train, unlearn)
-from numur.ranker import PairStep, sample_scores
+from numur.ranker import HingeDraws, PairStep, sample_scores
 
-from conftest import build_dataset
+from conftest import build_dataset, spy
 from scoring_reference import doc_tokens, forward, hinge_loss_and_grad, query_tokens, score_pool
 
 FD_STEP = 1e-5
@@ -267,25 +267,30 @@ class TestRetrain:
         return CorpusSplit(train=ds, test=Dataset(queries={}, documents={}, samples=[],
                                                   pools={}, vocab_size=32))
 
-    def test_touches_only_retained_samples(self):
+    @staticmethod
+    def trained_positives(monkeypatch, split, spec):
+        """The (query, positive) of every hinge draw that retraining under
+        ``spec`` makes, and the partition."""
+        part = partition(split.train, spec)
+        draws = spy(monkeypatch, HingeDraws, "run")
+        retrain(split, TrainConfig(learning_rate=0.05, epochs=2, margin=1.0, seed=1,
+                                   negatives_per_positive=1, dim=4), part)
+        return [(qid, pos) for _, qid, pos, _ in draws], part
+
+    def test_touches_only_retained_samples(self, monkeypatch):
         split = self.figure_split_with_fillers()
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
-        part = partition(split.train, spec)
-        cfg = TrainConfig(learning_rate=0.05, epochs=2, margin=1.0, seed=1,
-                          negatives_per_positive=1, dim=4, log_touched=True)
-        result = retrain(split, cfg, part)
+        touched, part = self.trained_positives(monkeypatch, split, spec)
         retained = {(s.query_id, s.doc_id) for s in part.entangled + part.disjoint}
-        assert set(result.touched) <= retained
-        assert result.touched  # something was trained
+        assert set(touched) <= retained
+        assert touched  # something was trained
 
-    def test_fully_forgotten_query_untouched(self):
+    def test_fully_forgotten_query_untouched(self, monkeypatch):
         split = self.figure_split_with_fillers()
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset({"q3"}))
-        part = partition(split.train, spec)
-        cfg = TrainConfig(learning_rate=0.05, epochs=2, margin=1.0, seed=1,
-                          negatives_per_positive=1, dim=4, log_touched=True)
-        result = retrain(split, cfg, part)
-        assert all(q != "q3" for q, _ in result.touched)
+        touched, _ = self.trained_positives(monkeypatch, split, spec)
+        assert touched
+        assert all(q != "q3" for q, _ in touched)
 
 
 class TestSnapshot:

@@ -18,8 +18,8 @@ from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
 from numur.ranker import (HingeSet, doc_vectors, pairwise_epoch, query_vectors, sample_scores,
                           score_pools)
 from numur.unlearn_losses import _abs_delta_loss
-from scoring_reference import (doc_tokens, forward, hinge_loss_and_grad, query_tokens, rank,
-                               score_pool)
+from scoring_reference import (doc_tokens, forward, hinge_loss_and_grad, pool_rows,
+                               query_tokens, rank, score_pool)
 
 VOCAB = 10
 
@@ -140,7 +140,7 @@ def test_pool_columns_find_each_doc_in_each_pool(ds):
     index = ds.index
     docs = np.arange(len(index.doc_row))
     for qid, row in index.query_row.items():
-        pool = index.pool_rows.get(qid, np.array([], dtype=np.intp)).tolist()
+        pool = pool_rows(ds, qid).tolist() if qid in ds.pools else []
         cols = index.pool_columns(np.full(len(docs), row), docs)
         assert cols.tolist() == [pool.index(d) if d in pool else -1 for d in docs.tolist()]
 

@@ -3,14 +3,14 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Method, RemovalKind,
+from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method, RemovalKind,
                    TrainConfig, UnlearnConfig, clone_model, compute_destinations, init_model,
                    mrr_forget, partition, train, unlearn)
-from numur import unlearn_engine
-from numur.ranker import sample_scores
+from numur import ranker, unlearn_engine
+from numur.ranker import new_buffer, sample_scores
 from numur.unlearn_losses import _abs_delta_loss
 
-from conftest import ACCEPT_UNLEARN_LR, build_dataset
+from conftest import ACCEPT_UNLEARN_LR, build_dataset, spy
 import scoring_reference
 from scoring_reference import doc_tokens, query_tokens
 
@@ -28,6 +28,10 @@ def small_unlearn_world(seed=0):
     spec = sample_forget_spec(split.train, RemovalKind.DOCUMENT, 0.25, seed=seed)
     part = partition(split.train, spec)
     return split, part, result.model
+
+
+def keys(samples):
+    return {(s.query_id, s.doc_id) for s in samples}
 
 
 def ucfg(method, **kw):
@@ -98,18 +102,18 @@ class TestDriver:
 
 
 class TestCocol:
-    def test_phase_separation(self):
+    def test_phase_separation(self, monkeypatch):
+        # phase 1 suppresses forget pairs only; phase 2 pins disjoint pairs only
         split, part, model = small_unlearn_world()
-        run = unlearn(model, split, part,
-                      ucfg(Method.COCOL, delta_target=1e-9, max_epochs=2,
-                           log_touched=True))
-        forget_keys = {(s.query_id, s.doc_id) for s in part.forget}
-        disjoint_keys = {(s.query_id, s.doc_id) for s in part.disjoint}
-        for phase, qid, did in run.touched:
-            if phase == "phase1":
-                assert (qid, did) in forget_keys
-            else:
-                assert (qid, did) in disjoint_keys
+        phase1 = spy(monkeypatch, unlearn_engine, "contrastive_loss")
+        phase2 = spy(monkeypatch, unlearn_engine, "consistent_loss")
+        unlearn(model, split, part, ucfg(Method.COCOL, delta_target=1e-9, max_epochs=2))
+        assert len(phase1) == 2 * len(part.forget)
+        assert len(phase2) == 2 * len(part.disjoint)
+        forget_keys, disjoint_keys = keys(part.forget), keys(part.disjoint)
+        assert all((x.query_id, x.doc_id) in forget_keys for _, _, _, x, _, _ in phase1)
+        assert all((s.query_id, s.doc_id) in disjoint_keys
+                   for _, _, (pos, _), (neg, _), _ in phase2 for s in (pos, neg))
 
     def test_fixed_point_when_already_unlearned(self):
         # Forget pairs at each query's teacher floor and a student equal to
@@ -154,14 +158,14 @@ class TestCocol:
 
 
 class TestCf:
-    def test_touches_no_forget_sample(self):
+    def test_touches_no_forget_sample(self, monkeypatch):
         split, part, model = small_unlearn_world()
-        run = unlearn(model, split, part,
-                      ucfg(Method.CF, delta_target=1e-9, max_epochs=2,
-                           learning_rate=0.05, log_touched=True))
-        forget_keys = {(s.query_id, s.doc_id) for s in part.forget}
-        assert run.touched
-        assert all((qid, did) not in forget_keys for _, qid, did in run.touched)
+        draws = spy(monkeypatch, ranker.HingeDraws, "run")
+        unlearn(model, split, part, ucfg(Method.CF, delta_target=1e-9, max_epochs=2,
+                                         learning_rate=0.05))
+        forget_keys = keys(part.forget)
+        assert draws
+        assert all((qid, pos) not in forget_keys for _, qid, pos, _ in draws)
 
     def test_same_seed_determinism(self):
         split, part, model = small_unlearn_world()
@@ -179,13 +183,19 @@ class TestAmnesiac:
                       ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=5))
         assert run.trajectory[-1].mrr_forget < before
 
-    def test_touches_forget_and_entangled_only(self):
+    def test_touches_forget_and_entangled_only(self, monkeypatch):
+        # a forget task promotes one pool negative above the forget positive,
+        # which it passes as the draw's negative; a retain task trains an
+        # entangled positive against npp negatives
         split, part, model = small_unlearn_world()
-        run = unlearn(model, split, part,
-                      ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=1,
-                           log_touched=True))
-        allowed = {(s.query_id, s.doc_id) for s in part.forget + part.entangled}
-        assert all((qid, did) in allowed for _, qid, did in run.touched)
+        draws = spy(monkeypatch, ranker.HingeDraws, "run")
+        unlearn(model, split, part, ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=1))
+        forget_pos = keys(s for s in part.forget if s.label is Label.POSITIVE)
+        entangled_pos = keys(s for s in part.entangled if s.label is Label.POSITIVE)
+        forgets = [c for c in draws if len(c[3]) == 1 and (c[1], c[3][0]) in forget_pos]
+        retains = [c for c in draws if (c[1], c[2]) in entangled_pos]
+        assert len(forgets) == len(forget_pos) and len(retains) == len(entangled_pos)
+        assert len(forgets) + len(retains) == len(draws)
 
 
 class TestNegGrad:
@@ -257,13 +267,15 @@ class TestBadT:
         student = clone_model(bad)
         forget = part.forget[:5]
         for pair in zip(forget, sample_scores(bad, split.train, forget)):
-            assert _abs_delta_loss(student, split.train, [pair], None) == pytest.approx(0.0)
+            assert _abs_delta_loss(student, split.train, [pair], new_buffer(student)) \
+                == pytest.approx(0.0)
 
     def test_student_at_trained_model_has_zero_retain_loss(self):
         split, part, model = small_unlearn_world()
         retained = (part.entangled + part.disjoint)[:5]
         for pair in zip(retained, sample_scores(model, split.train, retained)):
-            assert _abs_delta_loss(model, split.train, [pair], None) == pytest.approx(0.0)
+            assert _abs_delta_loss(model, split.train, [pair], new_buffer(model)) \
+                == pytest.approx(0.0)
 
     def test_runs_and_stops(self):
         split, part, model = small_unlearn_world()

@@ -160,7 +160,8 @@ class TestContrastiveLoss:
     def test_forget_term_formula(self):
         # teacher floor 2, student score 5: relu((5-2)/(5+2)) = 3/7
         ds, teacher, student = rigged_pair(score_setter(2.0), score_setter(5.0))
-        value = contrastive_loss(floors(teacher, ds)["q0"], student, ds, ds.samples[0], None)
+        value = contrastive_loss(floors(teacher, ds)["q0"], student, ds, ds.samples[0], None,
+                                 new_buffer(student))
         assert value == pytest.approx(3 / 7, rel=1e-8)
 
     def test_partner_must_be_entangled(self):
@@ -169,7 +170,7 @@ class TestContrastiveLoss:
         m = init_model(8, 2, seed=0)
         with pytest.raises(ConfigError):
             contrastive_loss(floors(m, ds)["q0"], m, ds, ds.samples[0],
-                             (ds.samples[1], score(m, ds, ds.samples[1])))
+                             (ds.samples[1], score(m, ds, ds.samples[1])), new_buffer(m))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -190,7 +191,7 @@ class TestContrastiveLoss:
             contrastive_loss(floor, student, ds, x, partner, buf)
 
             def value():
-                return contrastive_loss(floor, student, ds, x, partner)
+                return contrastive_loss(floor, student, ds, x, partner, new_buffer(student))
 
             num_q, num_d = finite_difference(value, student)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -205,7 +206,7 @@ class TestConsistentLoss:
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 3, seed=4)
         pos, neg = ((s, score(m, ds, s)) for s in ds.samples)
-        assert consistent_loss(m, ds, pos, neg) == pytest.approx(0.0)
+        assert consistent_loss(m, ds, pos, neg, new_buffer(m)) == pytest.approx(0.0)
 
     def test_sum_of_absolute_gaps(self):
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
@@ -220,7 +221,8 @@ class TestConsistentLoss:
             model.embed_d[doc_tokens(ds, "d1")] = [score_setter(s1), 0.0]
         # delta(pos) = .5, delta(neg) = -.5 -> loss 1.0
         pos, neg = ((s, score(teacher_model, ds, s)) for s in ds.samples)
-        assert consistent_loss(student, ds, pos, neg) == pytest.approx(1.0, rel=1e-8)
+        assert consistent_loss(student, ds, pos, neg, new_buffer(student)) \
+            == pytest.approx(1.0, rel=1e-8)
 
     def test_label_validation(self):
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
@@ -228,7 +230,7 @@ class TestConsistentLoss:
         m = init_model(8, 2, seed=0)
         pos, neg = ((s, score(m, ds, s)) for s in ds.samples)
         with pytest.raises(ConfigError):
-            consistent_loss(m, ds, neg, pos)
+            consistent_loss(m, ds, neg, pos, new_buffer(m))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -249,7 +251,7 @@ class TestConsistentLoss:
             consistent_loss(student, ds, pos_pair, neg_pair, buf)
 
             def value():
-                return consistent_loss(student, ds, pos_pair, neg_pair)
+                return consistent_loss(student, ds, pos_pair, neg_pair, new_buffer(student))
 
             num_q, num_d = finite_difference(value, student)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -262,7 +264,8 @@ class TestAbsDelta:
     def test_matches_delta_magnitude(self):
         ds, teacher, student = rigged_pair(score_setter(30.0), score_setter(10.0))
         pair = (ds.samples[0], score(teacher, ds, ds.samples[0]))
-        assert _abs_delta_loss(student, ds, [pair], None) == pytest.approx(0.5, rel=1e-8)
+        assert _abs_delta_loss(student, ds, [pair], new_buffer(student)) \
+            == pytest.approx(0.5, rel=1e-8)
 
     def test_zero_gap_accumulates_nothing(self):
         ds = build_dataset([("q0", "d0", 1)], {"q0": ["d0"]}, vocab_size=4)
