@@ -31,8 +31,8 @@ from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
 from .partition import (ForgetSpec, Partition, RemovalKind, load_forget_spec, partition,
                         sample_forget_spec, save_forget_spec)
-from .ranker import (ScoreModel, TrainConfig, check_model_fits, load_model, retrain,
-                     save_model, split_doc_vectors, train)
+from .ranker import (ScoreModel, TrainConfig, check_model_fits, load_model, pool_split,
+                     retrain, save_model, train)
 from .unlearn_engine import (PARAM_KEYS, Method, UnlearnConfig, compute_destinations,
                              unlearn)
 
@@ -154,14 +154,15 @@ def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
 
 
 def _read_csv_column(path: Path, col: int) -> list[float]:
-    """One numeric column of a CSV written by _write_csv, header skipped."""
+    """One column of finite numbers of a CSV written by _write_csv, header skipped."""
     values = []
     lines = path.read_text(encoding="utf-8").strip().splitlines()
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            values.append(float(line.split(",")[col]))
-        except (IndexError, ValueError):
-            raise DataError(f"{path}:{lineno}: expected a number in column {col + 1}") from None
+            values.append(checked("a cell", float(line.split(",")[col]), float))
+        except (IndexError, ValueError, ConfigError):
+            raise DataError(f"{path}:{lineno}: expected a finite number in column {col + 1}") \
+                from None
     return values
 
 
@@ -290,12 +291,12 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
             enumerate(zip(result.epoch_losses, result.epoch_mrr, result.epoch_times))]
     _write_csv(dest_dir / "trajectory.csv",
                ["epoch", "loss", "mrr_retained", "wall_time_s"], rows)
-    dvecs = split_doc_vectors(result.model, split)
-    dest = compute_destinations(result.model, split, part, dvecs)
+    train_pool, test_pool = pool_split(result.model, split)
+    dest = compute_destinations(train_pool, test_pool, part)
     _write_json(dest_dir / "report.json", {
         "mrr_forget": dest.d1,
-        "mrr_entangled": mrr_set(result.model, split.train, part.entangled, dvecs[0]).value,
-        "mrr_disjoint": mrr_set(result.model, split.train, part.disjoint, dvecs[0]).value,
+        "mrr_entangled": mrr_set(train_pool, part.entangled).value,
+        "mrr_disjoint": mrr_set(train_pool, part.disjoint).value,
         "mrr_test": dest.d2,
         "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3},
     })
@@ -413,27 +414,31 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -
     # include the parent directory so train/ and retrain/ models do not collide
     model_tag = f"{Path(model_path).parent.name}_{Path(model_path).stem}"
     eval_dir = out / "eval" / f"{model_tag}_{name}"
-    sets = [("forget", part.forget), ("entangled", part.entangled),
-            ("disjoint", part.disjoint), ("test", split.test.samples)]
-    dvec, test_dvec = split_doc_vectors(model, split)
+    train_pool, test_pool = pool_split(model, split)
     _write_json(eval_dir / "report.json", {
         "model": str(model_path), "spec": name,
-        "mrr_forget": mrr_forget(model, split.train, part, spec, dvec).value,
-        "mrr_entangled": mrr_set(model, split.train, part.entangled, dvec).value,
-        "mrr_disjoint": mrr_set(model, split.train, part.disjoint, dvec).value,
-        "mrr_test": mrr_set(model, split.test, split.test.samples, test_dvec).value,
+        "mrr_forget": mrr_forget(train_pool, part).value,
+        "mrr_entangled": mrr_set(train_pool, part.entangled).value,
+        "mrr_disjoint": mrr_set(train_pool, part.disjoint).value,
+        "mrr_test": mrr_set(test_pool, split.test.samples).value,
     })
-    dists = score_distribution(
-        [(model_tag, model)],
-        split.train, [(n, s) for n, s in sets if n != "test"], dvec)
-    dists += score_distribution([(model_tag, model)], split.test,
-                                [("test", split.test.samples)], test_dvec)
-    rows = [[d.model_name, d.set_name, d.count, d.min, d.max, d.mean,
-             *d.deciles] for d in dists]
+    dists = score_distribution(model_tag, train_pool, [
+        ("forget", part.forget), ("entangled", part.entangled), ("disjoint", part.disjoint)])
+    dists += score_distribution(model_tag, test_pool, [("test", split.test.samples)])
+    rows = [[d.model_name, d.set_name, d.count, d.min, d.max, d.mean, *d.deciles]
+            for d in dists]
     _write_csv(eval_dir / "distributions.csv",
                ["model", "set", "count", "min", "max", "mean",
                 *[f"p{p}" for p in range(10, 100, 10)]], rows)
     print(f"evaluated {model_path} on {name} -> {eval_dir}")
+
+
+# The columns report copies from each run's report.json, in order, and the
+# kind of value each must hold (``checked``); None is a number or null.
+_REPORT_COLUMNS = {"method": str, "spec": str, "delta_target": float, "epochs_run": int,
+                   "stopped_early": bool, "mrr_forget": float, "mrr_entangled": float,
+                   "mrr_disjoint": float, "mrr_test": float, "normalized_forget": None,
+                   "normalized_epoch_duration": None, "total_unlearn_time": None}
 
 
 def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
@@ -441,10 +446,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         if (out / "unlearn").exists() else []
     if not run_dirs:
         raise ConfigError(f"no unlearning runs under {out / 'unlearn'}")
-    header = ["run", "method", "spec", "delta_target", "epochs_run", "stopped_early",
-              "mrr_forget", "mrr_entangled", "mrr_disjoint", "mrr_test",
-              "normalized_forget", "normalized_epoch_duration", "total_unlearn_time"]
-    keys = tuple(header[1:])
+    keys = tuple(_REPORT_COLUMNS)
     rows = []
     radar_rows: dict[str, list[float]] = {}
     forget_series: dict[str, list[float]] = {}
@@ -453,11 +455,10 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         if not report_path.exists():
             raise ConfigError(f"missing report.json in {run_dir}")
         r = _read_json(report_path, keys)
-        try:  # the values the charts draw
-            for key in ("mrr_forget", "mrr_entangled", "mrr_disjoint", "mrr_test"):
-                checked(key, r[key], float)
-            if r["normalized_forget"] is not None:
-                checked("normalized_forget", r["normalized_forget"], float)
+        try:
+            for key, kind in _REPORT_COLUMNS.items():
+                if kind is not None or r[key] is not None:
+                    checked(key, r[key], kind or float)
         except ConfigError as exc:
             raise DataError(f"{report_path}: {exc}") from None
         rows.append([run_dir.name, *(r[key] for key in keys)])
@@ -468,7 +469,7 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         forget_series[run_dir.name] = _read_csv_column(run_dir / "trajectory.csv", 1)
     report_dir = out / "report"
     (report_dir / "charts").mkdir(parents=True, exist_ok=True)
-    _write_csv(report_dir / "report.csv", header, rows)
+    _write_csv(report_dir / "report.csv", ["run", *keys], rows)
     charts.radar_chart(report_dir / "charts" / "methods_radar.svg",
                        "Per-method final metrics", ["F", "E", "D", "T"], radar_rows)
     charts.line_chart(report_dir / "charts" / "forget_trajectories.svg",

@@ -37,7 +37,7 @@ def checked(name: str, value, kind: type):
 
     An ``int`` must be a JSON integer, not a boolean; a ``float`` any
     finite integer or float, not a boolean; a ``bool`` a JSON boolean;
-    a ``dict`` a JSON object.
+    a ``str`` a JSON string; a ``dict`` a JSON object.
     """
     if kind is float:
         try:
@@ -49,6 +49,8 @@ def checked(name: str, value, kind: type):
         ok, what = type(value) is int, "an integer"
     elif kind is bool:
         ok, what = type(value) is bool, "true or false"
+    elif kind is str:
+        ok, what = type(value) is str, "a string"
     else:
         ok, what = type(value) is dict, "a JSON object"
     if not ok:

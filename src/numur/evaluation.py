@@ -7,14 +7,16 @@ under document removal it is the first document named for removal,
 whatever its label. Queries whose target never appears in their pool
 are excluded from the mean and counted separately.
 
-An MRR call ranks all of its queries in one batched pass. It pools
-every doc and every query once, scores every pool with one matrix
-product per pool length (``score_pools``), and then finds each query's
-best-placed target with whole-matrix operations: the target with the
-highest score, ties to the smaller doc id, NaN after every number. Its
-rank is 1 plus the number of pool entries placed before it, which is
-the rank sorting the pool gives. The reciprocal ranks are summed in
-query-id order, so the mean is the same float as a per-query loop's.
+An MRR call ranks all of its queries in one batched pass over the
+vectors of one model state, pooled once by its caller (``ranker.pool``)
+and shared by every MRR and score summary of that state. It scores
+every pool with one matrix product per pool length (``score_pools``),
+and then finds each query's best-placed target with whole-matrix
+operations: the target with the highest score, ties to the smaller doc
+id, NaN after every number. Its rank is 1 plus the number of pool
+entries placed before it, which is the rank sorting the pool gives. The
+reciprocal ranks are summed in query-id order, so the mean is the same
+float as a per-query loop's.
 Targets are looked up among the pool entries' sorted keys
 (``DatasetIndex.pool_columns``), so no step grows with the number of
 docs outside the pools.
@@ -22,14 +24,14 @@ docs outside the pools.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .corpus import Dataset, Label, Sample
 from .errors import ConfigError, DataError
-from .partition import ForgetSpec, Partition, RemovalKind
-from .ranker import ScoreModel, sample_scores, score_pools
+from .partition import Partition, RemovalKind
+from .ranker import Pooled, sample_scores, score_pools
 
 MRR_EMPTY = 0.0
 
@@ -60,8 +62,8 @@ def _check_pool(dataset: Dataset, query_id: str) -> None:
         raise DataError(f"query {query_id!r} has an empty pool")
 
 
-def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
-                     dataset: Dataset, dvec: np.ndarray | None) -> MrrResult:
+def _mean_reciprocal(per_query_targets: dict[str, set[str]], pooled: Pooled) -> MrrResult:
+    dataset = pooled.dataset
     index = dataset.index
     qids = sorted(per_query_targets)
     query_rows = np.array([index.query_row.get(qid, -1) for qid in qids], dtype=np.intp)
@@ -85,7 +87,7 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
     if skipped == len(qids):
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped)
     query_rows, hit = query_rows[found], hit[found]
-    scores = score_pools(model, dataset, query_rows, dvec)
+    scores = score_pools(pooled, query_rows)
     # NaN ranks after every number, as in a sort of the pool; softplus is never -inf,
     # so -inf does the same, and padding (-inf, id past every doc) is never ahead
     np.fmax(scores, -np.inf, out=scores)
@@ -98,33 +100,32 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], model: ScoreModel,
                      evaluated=len(reciprocals), skipped=skipped)
 
 
-def mrr_forget(model: ScoreModel, dataset: Dataset, part: Partition,
-               spec: ForgetSpec, dvec: np.ndarray | None = None) -> MrrResult:
-    """Mean reciprocal rank over the distinct queries of the forget set.
+def mrr_forget(pooled: Pooled, part: Partition) -> MrrResult:
+    """Mean reciprocal rank over the distinct queries of the forget set,
+    under the pooled model state of the dataset ``part`` splits.
 
     Query removal targets the first positive document of the query;
-    document removal targets the first document named for removal.
-    ``dvec`` is ``doc_vectors(model, dataset)``. Each reciprocal rank is
-    that of the pool sorted by ``rank`` in ``tests/scoring_reference.py``.
+    document removal targets the first document named for removal
+    (``part.spec``). Each reciprocal rank is that of the pool sorted by
+    ``rank`` in ``tests/scoring_reference.py``.
     """
     if not part.forget_queries:
         raise ConfigError("forget set contains no queries")
-    targets: dict[str, set[str]] = {}
-    for qid in part.forget_queries:
-        if spec.kind is RemovalKind.DOCUMENT:
-            targets[qid] = spec.ids.intersection(dataset.pools.get(qid, ()))
-        else:
-            targets[qid] = set(dataset.index.positives.get(qid, ()))
-    return _mean_reciprocal(targets, model, dataset, dvec)
+    dataset, spec, qids = pooled.dataset, part.spec, part.forget_queries
+    if spec.kind is RemovalKind.DOCUMENT:
+        targets = {q: spec.ids.intersection(dataset.pools.get(q, ())) for q in qids}
+    else:
+        targets = {q: set(dataset.index.positives.get(q, ())) for q in qids}
+    return _mean_reciprocal(targets, pooled)
 
 
-def mrr_set(model: ScoreModel, dataset: Dataset, samples: list[Sample],
-            dvec: np.ndarray | None = None) -> MrrResult:
-    """Mean reciprocal rank of the first positive doc, per query, within `samples`.
+def mrr_set(pooled: Pooled, samples: list[Sample]) -> MrrResult:
+    """Mean reciprocal rank of the first positive doc, per query, within `samples`,
+    under the pooled model state.
 
     Relevance is restricted to the positive-labelled docs a query has in
     `samples`; the ranking is over the query's full pool. Queries with
-    no positive in `samples` are skipped. ``dvec`` is as for ``mrr_forget``.
+    no positive in `samples` are skipped.
     """
     positives: dict[str, set[str]] = {}
     for s in samples:
@@ -134,9 +135,8 @@ def mrr_set(model: ScoreModel, dataset: Dataset, samples: list[Sample],
     skipped_no_positive = len(queries_seen - set(positives))
     if not positives:
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped_no_positive)
-    result = _mean_reciprocal(positives, model, dataset, dvec)
-    return MrrResult(value=result.value, evaluated=result.evaluated,
-                     skipped=result.skipped + skipped_no_positive)
+    result = _mean_reciprocal(positives, pooled)
+    return replace(result, skipped=result.skipped + skipped_no_positive)
 
 
 def normalized_forget_score(mrr_forget_unlearn: float, mrr_test_retrain: float) -> float:
@@ -157,32 +157,27 @@ def timing_metrics(train_epoch_times: list[float], unlearn_epoch_times: list[flo
     }
 
 
-def score_distribution(models: list[tuple[str, ScoreModel]], dataset: Dataset,
-                       sets: list[tuple[str, list[Sample]]],
-                       dvec: np.ndarray | None = None) -> list[ScoreDistribution]:
-    """Per (model, sample set): min/max/mean and deciles of pair scores.
+def score_distribution(model_name: str, pooled: Pooled,
+                       sets: list[tuple[str, list[Sample]]]) -> list[ScoreDistribution]:
+    """Per sample set: min/max/mean and deciles of the pair scores of the
+    pooled model state, named ``model_name``.
 
-    The pairs of every set are scored in one ``sample_scores`` pass per
-    model, bitwise the scores a ``PairStep`` of each pair gives. ``dvec`` is
-    ``doc_vectors(model, dataset)`` of the one model in ``models``.
+    The pairs of every set are scored in one ``sample_scores`` pass,
+    bitwise the scores a ``PairStep`` of each pair gives.
     """
-    if dvec is not None and len(models) != 1:
-        raise ConfigError("score_distribution takes dvec only for a single model")
+    every = sample_scores(pooled, [s for _, samples in sets for s in samples])
     out: list[ScoreDistribution] = []
-    for model_name, model in models:
-        every = sample_scores(model, dataset, [s for _, samples in sets for s in samples],
-                              dvec)
-        end = 0
-        for set_name, samples in sets:
-            start, end = end, end + len(samples)
-            scores = np.array(every[start:end])
-            if scores.size == 0:
-                out.append(ScoreDistribution(model_name, set_name, 0, 0.0, 0.0, 0.0,
-                                             tuple(0.0 for _ in range(9))))
-                continue
-            deciles = np.percentile(scores, np.arange(10, 100, 10))
-            out.append(ScoreDistribution(
-                model_name=model_name, set_name=set_name, count=int(scores.size),
-                min=float(scores.min()), max=float(scores.max()),
-                mean=float(scores.mean()), deciles=tuple(float(x) for x in deciles)))
+    end = 0
+    for set_name, samples in sets:
+        start, end = end, end + len(samples)
+        scores = np.array(every[start:end])
+        if scores.size == 0:
+            out.append(ScoreDistribution(model_name, set_name, 0, 0.0, 0.0, 0.0,
+                                         tuple(0.0 for _ in range(9))))
+            continue
+        deciles = np.percentile(scores, np.arange(10, 100, 10))
+        out.append(ScoreDistribution(
+            model_name=model_name, set_name=set_name, count=int(scores.size),
+            min=float(scores.min()), max=float(scores.max()),
+            mean=float(scores.mean()), deciles=tuple(float(x) for x in deciles)))
     return out

@@ -80,20 +80,16 @@ def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
 
     forget_queries = frozenset(s.query_id for s in forget)
     forget_docs = frozenset(s.doc_id for s in forget)
-    forget_keys = {(s.query_id, s.doc_id) for s in forget}
-
-    entangled: list[Sample] = []
-    disjoint: list[Sample] = []
+    part = Partition(forget=forget, entangled=[], disjoint=[], forget_queries=forget_queries,
+                     forget_docs=forget_docs, spec=spec)
     for s in dataset.samples:
-        if (s.query_id, s.doc_id) in forget_keys:
+        if part.is_forgotten(s):
             continue
         if s.query_id in forget_queries or s.doc_id in forget_docs:
-            entangled.append(s)
+            part.entangled.append(s)
         else:
-            disjoint.append(s)
-
-    return Partition(forget=forget, entangled=entangled, disjoint=disjoint,
-                     forget_queries=forget_queries, forget_docs=forget_docs, spec=spec)
+            part.disjoint.append(s)
+    return part
 
 
 def entangled_partners(part: Partition, sample: Sample) -> list[Sample]:

@@ -321,32 +321,45 @@ def _pooled(table: np.ndarray, groups, n: int) -> np.ndarray:
 def doc_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
     """Mean-pooled vector of every doc, one row per ``dataset.index.doc_row``;
     bitwise each doc pooled on its own."""
-    index = dataset.index
-    return _pooled(model.embed_d, index.groups, len(index.doc_row))
-
-
-def split_doc_vectors(model: ScoreModel, split: CorpusSplit) -> tuple[np.ndarray, np.ndarray]:
-    """``doc_vectors`` of the train split and of the test split. A test split
-    loaded with ``docs_from`` indexes the train split's doc rows, so the
-    docs are pooled once for both."""
-    train = doc_vectors(model, split.train)
-    if split.test.index.doc_row is split.train.index.doc_row:
-        return train, train
-    return train, doc_vectors(model, split.test)
+    return _pooled(model.embed_d, dataset.index.groups, len(dataset.index.doc_row))
 
 
 def query_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
     """Mean-pooled vector of every query, one row per ``dataset.index.query_row``;
     pooled as ``doc_vectors`` pools docs, so bitwise each query pooled alone."""
-    index = dataset.index
-    return _pooled(model.embed_q, index.query_groups, len(index.query_row))
+    return _pooled(model.embed_q, dataset.index.query_groups, len(dataset.index.query_row))
 
 
-def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
-                dvec: np.ndarray | None = None) -> np.ndarray:
+@dataclass(frozen=True)
+class Pooled:
+    """The mean-pooled vectors of one model state over one dataset, built
+    once and passed to every reader of that state: ``query_vecs`` has one
+    row per ``dataset.index.query_row`` and ``doc_vecs`` one per ``doc_row``."""
+
+    dataset: Dataset
+    query_vecs: np.ndarray
+    doc_vecs: np.ndarray
+
+
+def pool(model: ScoreModel, dataset: Dataset) -> Pooled:
+    """Every query and every doc of ``dataset`` pooled under ``model``."""
+    return Pooled(dataset, query_vectors(model, dataset), doc_vectors(model, dataset))
+
+
+def pool_split(model: ScoreModel, split: CorpusSplit) -> tuple[Pooled, Pooled]:
+    """``pool`` of the train split and of the test split. A test split loaded
+    with ``docs_from`` indexes the train split's doc rows, so its value
+    shares the train doc vectors and the docs are pooled once for both."""
+    train, test = pool(model, split.train), split.test
+    docs = train.doc_vecs if test.index.doc_row is split.train.index.doc_row \
+        else doc_vectors(model, test)
+    return train, Pooled(test, query_vectors(model, test), docs)
+
+
+def score_pools(pooled: Pooled, query_rows: np.ndarray) -> np.ndarray:
     """``score_pool`` (``tests/scoring_reference.py``) of many queries: row i
     scores the pool of query row ``query_rows[i]`` in pool order, padded
-    with -inf past its end; ``dvec`` is ``doc_vectors(model, dataset)``.
+    with -inf past its end.
 
     Pools of one length are scored with one ``np.matmul`` over a
     (queries, length, dim) gather of the doc vectors, which runs the same
@@ -354,10 +367,8 @@ def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
     bits. A gather padded to the longest pool would not: BLAS sums a row
     in an order that depends on the height of the matrix.
     """
-    index = dataset.index
-    if dvec is None:
-        dvec = doc_vectors(model, dataset)
-    qvec = query_vectors(model, dataset)[query_rows]
+    index = pooled.dataset.index
+    qvec = pooled.query_vecs[query_rows]
     lengths = index.pool_len[query_rows]
     out = np.full((len(query_rows), index.pool_matrix.shape[1]), -np.inf)
     # the queries grouped by pool length with one stable sort
@@ -365,37 +376,34 @@ def score_pools(model: ScoreModel, dataset: Dataset, query_rows: np.ndarray,
     starts = np.flatnonzero(np.diff(lengths[order])) + 1
     for at in np.split(order, starts) if len(order) else ():
         length = int(lengths[at[0]])
-        docs = dvec.take(index.pool_matrix[query_rows[at], :length], axis=0)
+        docs = pooled.doc_vecs.take(index.pool_matrix[query_rows[at], :length], axis=0)
         out[at, :length] = np.logaddexp(0.0, np.matmul(docs, qvec[at, :, None])[:, :, 0])
     return out
 
 
-def pair_scores(qvec: np.ndarray, dvec: np.ndarray, query_rows,
-                doc_rows) -> tuple[np.ndarray, np.ndarray]:
+def pair_scores(pooled: Pooled, query_rows, doc_rows) -> tuple[np.ndarray, np.ndarray]:
     """The logit ``u . v`` and the score ``softplus(u . v)`` of each pair of
-    a ``query_vectors`` row and a ``doc_vectors`` row.
+    a pooled query row and a pooled doc row.
 
     One ``np.matmul`` of (pairs, 1, dim) by (pairs, dim, 1) runs one dot
     product per pair, the one ``float(u @ v)`` of ``PairStep`` runs, so
     each score is bitwise the score a ``PairStep`` of the pair gives.
     """
-    logits = np.matmul(qvec[query_rows][:, None, :], dvec[doc_rows][:, :, None])[:, 0, 0]
+    logits = np.matmul(pooled.query_vecs[query_rows][:, None, :],
+                       pooled.doc_vecs[doc_rows][:, :, None])[:, 0, 0]
     return logits, np.logaddexp(0.0, logits)
 
 
-def sample_scores(model: ScoreModel, dataset: Dataset, samples: Sequence[Sample],
-                  dvec: np.ndarray | None = None) -> list[float]:
-    """The ``PairStep`` score of every sample, with each doc and each query
-    pooled once (``pair_scores``); ``dvec`` is as for ``score_pools``."""
-    index = dataset.index
+def sample_scores(pooled: Pooled, samples: Sequence[Sample]) -> list[float]:
+    """The ``PairStep`` score of every sample under the pooled model state
+    (``pair_scores``)."""
+    index = pooled.dataset.index
     try:
         rows = [(index.query_row[s.query_id], index.doc_row[s.doc_id]) for s in samples]
     except KeyError as exc:
         raise DataError(f"sample references unknown id {exc.args[0]!r}") from None
     rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
-    if dvec is None:
-        dvec = doc_vectors(model, dataset)
-    return pair_scores(query_vectors(model, dataset), dvec, rows[:, 0], rows[:, 1])[1].tolist()
+    return pair_scores(pooled, rows[:, 0], rows[:, 1])[1].tolist()
 
 
 def _positives_by_query(samples: list[Sample]) -> dict[str, list[str]]:
@@ -488,8 +496,7 @@ class HingeDraws:
 GRAD_BLOCK = 32
 
 
-def hinge_grad_squares(model: ScoreModel, dataset: Dataset, qvec: np.ndarray,
-                       dvec: np.ndarray, query_rows: np.ndarray, pos_rows: np.ndarray,
+def hinge_grad_squares(pooled: Pooled, query_rows: np.ndarray, pos_rows: np.ndarray,
                        neg_rows: np.ndarray, margin: float, sq: np.ndarray) -> None:
     """For each positive, in order, add ``(grad / n) ** 2`` into ``sq`` on the
     stacked rows its draws touch, where ``grad`` is the hinge gradient of its
@@ -507,21 +514,20 @@ def hinge_grad_squares(model: ScoreModel, dataset: Dataset, qvec: np.ndarray,
     and the negative's rows ``u * g_neg / ln``. Each (positive, row)
     gradient is summed in that order from 0.0 by ``np.bincount``, and
     ``np.add.at`` adds the squares into ``sq`` in positive order.
-    Positives go ``GRAD_BLOCK`` at a time. ``qvec`` and ``dvec`` are
-    ``query_vectors`` and ``doc_vectors`` of ``model``.
+    Positives go ``GRAD_BLOCK`` at a time; ``sq`` is of the stacked table's shape.
     """
     n, draws = neg_rows.shape
-    dim, stacked = model.dim, 2 * model.vocab_size
+    stacked, dim = sq.shape
     # token rows of the stacked table: query row r is entry r, doc row r entry n_q + r
-    qtok, dtok = dataset.token_rows()
+    qtok, dtok = pooled.dataset.token_rows()
     n_q = len(qtok.starts) - 1
-    flat = np.concatenate((qtok.flat, dtok.flat + model.vocab_size))
+    flat = np.concatenate((qtok.flat, dtok.flat + stacked // 2))
     starts = np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat)))
     lengths = np.diff(starts)
     for at in range(0, n, GRAD_BLOCK):
         q, p, negs = query_rows[at:at + GRAD_BLOCK], pos_rows[at:at + GRAD_BLOCK], \
             neg_rows[at:at + GRAD_BLOCK]
-        logits, scores = pair_scores(qvec, dvec, np.concatenate((q, q.repeat(draws))),
+        logits, scores = pair_scores(pooled, np.concatenate((q, q.repeat(draws))),
                                      np.concatenate((p, negs.ravel())))
         m = len(q)
         loss = margin - scores[:m, None] + scores[m:].reshape(m, draws)
@@ -532,7 +538,8 @@ def hinge_grad_squares(model: ScoreModel, dataset: Dataset, qvec: np.ndarray,
         g_neg = _sigmoids(logits[m:].reshape(m, draws)[s, k])[:, None]
         qe, pe, ne = q[s], n_q + p[s], n_q + negs[s, k]
         lq, lp, ln = (lengths[e][:, None] for e in (qe, pe, ne))
-        u, v_pos, v_neg = qvec[q[s]], dvec[p[s]], dvec[negs[s, k]]
+        u = pooled.query_vecs[q[s]]
+        v_pos, v_neg = pooled.doc_vecs[p[s]], pooled.doc_vecs[negs[s, k]]
         # each active draw's four terms, each spread over its entry's token rows
         terms = np.stack((v_pos * g_pos / lq, u * g_pos / lp, v_neg * g_neg / lq,
                           u * g_neg / ln), axis=1).reshape(-1, dim)
@@ -600,31 +607,32 @@ class HingeSet:
         self.neg_start = np.concatenate(([0], np.cumsum(self.n_neg)[:-1]))
         self.all_negatives = [d for negs in self.negatives for d in negs]
 
-    def hard(self, model: ScoreModel, dvec: np.ndarray) -> np.ndarray:
-        """Row i: the positions in ``negatives[i]`` of its negatives that
-        ``model`` scores highest, best first, ties to the smaller doc id
-        and NaN scores last; only the first ``n_hard[i]`` are negatives.
+    def hard(self, pooled: Pooled) -> np.ndarray:
+        """Row i: the positions in ``negatives[i]`` of its negatives that the
+        pooled model state scores highest, best first, ties to the smaller
+        doc id and NaN scores last; only the first ``n_hard[i]`` are negatives.
 
         All pools are scored in one ``score_pools`` call and sorted row by
         row in one ``np.lexsort``, whose first key puts every column that
         is not a negative last.
         """
-        scores = score_pools(model, self.dataset, self.rows, dvec)
+        scores = score_pools(pooled, self.rows)
         order = np.lexsort((self.ids, -scores, self.not_negative), axis=-1)
         return np.take_along_axis(self.position, order[:, :HARD_NEGATIVES_PER_QUERY], axis=1)
 
 
-def pairwise_epoch(model: ScoreModel, queries: HingeSet, rng: np.random.Generator,
-                   lr: float, margin: float, negatives_per_positive: int) -> float:
+def pairwise_epoch(model: ScoreModel, queries: HingeSet, pooled: Pooled,
+                   rng: np.random.Generator, lr: float, margin: float,
+                   negatives_per_positive: int) -> float:
     """One SGD epoch of pairwise hinge over the positives of ``queries``.
 
     Negatives come from the query's pool, excluding docs positive for it
     among the samples ``queries`` was built from. A positive's draws
     alternate between uniform picks from all its query's negatives and
     uniform picks from the query's ``HARD_NEGATIVES_PER_QUERY`` negatives
-    that the model, as the epoch starts, scores highest, so high-scoring
-    irrelevant docs get corrected instead of lingering above
-    rarely-sampled positives. The queries go in the order of one
+    that the model as the epoch starts, pooled in ``pooled``, scores
+    highest, so high-scoring irrelevant docs get corrected instead of
+    lingering above rarely-sampled positives. The queries go in the order of one
     ``rng.permutation``, each with its positives in sample order; every
     pick of the epoch then comes from one ``rng.integers`` call with one
     bound per draw, the stream of one call per draw. ``HingeDraws``
@@ -635,7 +643,7 @@ def pairwise_epoch(model: ScoreModel, queries: HingeSet, rng: np.random.Generato
     order = rng.permutation(len(queries.qids))
     if not len(order):
         return 0.0
-    hard = queries.hard(model, doc_vectors(model, queries.dataset))
+    hard = queries.hard(pooled)
     # one row per positive in draw order, one column per draw; odd draws are hard
     at = order.repeat(queries.n_pos[order])
     odd = np.arange(negatives_per_positive) % 2 == 1
@@ -667,19 +675,18 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
 
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    losses: list[float] = []
-    mrrs: list[float] = []
-    times: list[float] = []
+    result = TrainResult(model=model, epoch_losses=[], epoch_mrr=[], epoch_times=[])
+    pooled = pool(model, dataset)
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        loss = pairwise_epoch(model, queries, rng, cfg.learning_rate, cfg.margin,
+        loss = pairwise_epoch(model, queries, pooled, rng, cfg.learning_rate, cfg.margin,
                               cfg.negatives_per_positive)
-        times.append(time.perf_counter() - t0)
+        pooled = pool(model, dataset)  # for this epoch's MRR and the next epoch's mining
+        result.epoch_times.append(time.perf_counter() - t0)
         model.check_finite(f"training epoch {epoch}")
-        losses.append(loss)
-        mrrs.append(mrr_set(model, dataset, samples).value)
-    return TrainResult(model=model, epoch_losses=losses, epoch_mrr=mrrs,
-                       epoch_times=times)
+        result.epoch_losses.append(loss)
+        result.epoch_mrr.append(mrr_set(pooled, samples).value)
+    return result
 
 
 def train(split: CorpusSplit, cfg: TrainConfig) -> TrainResult:

@@ -38,9 +38,9 @@ from .corpus import CorpusSplit, Label, Sample
 from .errors import ConfigError, checked
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (HingeDraws, HingeSet, ScoreModel, clone_model, doc_vectors,
+from .ranker import (HingeDraws, HingeSet, Pooled, ScoreModel, clone_model,
                      hinge_grad_squares, hinge_negatives, init_model, new_buffer,
-                     pairwise_epoch, query_vectors, sample_scores, split_doc_vectors)
+                     pairwise_epoch, pool, pool_split, sample_scores)
 from .unlearn_losses import _abs_delta_loss, build_min_cache, consistent_loss, contrastive_loss
 
 
@@ -138,13 +138,13 @@ def _hinge(cfg: UnlearnConfig) -> tuple[float, int]:
 
 def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
               epoch: int, wall: float) -> EpochRecord:
-    dvec, test_dvec = split_doc_vectors(student, split)
+    train, test = pool_split(student, split)
     return EpochRecord(
         epoch=epoch,
-        mrr_forget=mrr_forget(student, split.train, part, part.spec, dvec).value,
-        mrr_entangled=mrr_set(student, split.train, part.entangled, dvec).value,
-        mrr_disjoint=mrr_set(student, split.train, part.disjoint, dvec).value,
-        mrr_test=mrr_set(student, split.test, split.test.samples, test_dvec).value,
+        mrr_forget=mrr_forget(train, part).value,
+        mrr_entangled=mrr_set(train, part.entangled).value,
+        mrr_disjoint=mrr_set(train, part.disjoint).value,
+        mrr_test=mrr_set(test, split.test.samples).value,
         epoch_wall_time=wall,
     )
 
@@ -197,7 +197,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
 
     # every pair the teacher scores is a train sample: score them all once
     train = split.train
-    teacher = sample_scores(m_train, train, train.samples)
+    teacher = sample_scores(pool(m_train, train), train.samples)
     floors = build_min_cache(train.samples, teacher)
     score_of = dict(zip(train.samples, teacher))
     partners = [[(e, score_of[e]) for e in entangled_partners(part, x)] if use_entangled
@@ -248,7 +248,8 @@ def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partitio
                                      if not part.is_forgotten(s)])
 
     def epoch(rng: np.random.Generator) -> None:
-        pairwise_epoch(run.final_model, queries, rng, cfg.learning_rate, margin, npp)
+        pairwise_epoch(run.final_model, queries, pool(run.final_model, split.train), rng,
+                       cfg.learning_rate, margin, npp)
 
     return epoch
 
@@ -333,11 +334,9 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
 
     rng = np.random.default_rng(cfg.seed)
     negatives = hinge_negatives(split.train, split.train.samples)
-    # the trained model pooled once for both passes
-    vectors = query_vectors(m_train, split.train), doc_vectors(m_train, split.train)
-    imp_f = _importance(m_train, split, part.forget, negatives, margin, npp, rng, vectors)
-    imp_s = _importance(m_train, split, split.train.samples, negatives, margin, npp, rng,
-                        vectors)
+    pooled = pool(m_train, split.train)  # once for both passes
+    imp_f = _importance(m_train, pooled, part.forget, negatives, margin, npp, rng)
+    imp_s = _importance(m_train, pooled, split.train.samples, negatives, margin, npp, rng)
 
     t0 = time.perf_counter()
     # one table at a time, which halves the temporaries
@@ -353,18 +352,18 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     run.epoch_times.append(time.perf_counter() - t0)
 
 
-def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
+def _importance(model: ScoreModel, pooled: Pooled, samples: list[Sample],
                 negatives: dict[str, list[str]], margin: float, npp: int,
-                rng: np.random.Generator, vectors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """Mean squared per-sample gradient of the pairwise loss, per parameter
-    of the stacked table; ``negatives`` is ``hinge_negatives`` of the train
-    set and ``vectors`` is ``query_vectors`` and ``doc_vectors`` of ``model``.
+    of the stacked table; ``pooled`` is ``model`` pooled over the train set
+    and ``negatives`` is ``hinge_negatives`` of it.
 
     Every negative is drawn first, ``npp`` per positive in sample order;
     the parameters never move, so ``hinge_grad_squares`` then scores and
     differentiates all the draws in one batched pass.
     """
-    index = split.train.index
+    index = pooled.dataset.index
     drawn = [s for s in samples if s.label is Label.POSITIVE and negatives[s.query_id]]
     sq = np.zeros_like(model.params)
     if not drawn:
@@ -374,8 +373,7 @@ def _importance(model: ScoreModel, split: CorpusSplit, samples: list[Sample],
     picks = rng.integers(np.repeat([len(negatives[s.query_id]) for s in drawn], npp))
     neg_rows = [[index.doc_row[negatives[s.query_id][j]] for j in row]
                 for s, row in zip(drawn, picks.reshape(-1, npp).tolist())]
-    hinge_grad_squares(model, split.train, *vectors,
-                       np.array([index.query_row[s.query_id] for s in drawn]),
+    hinge_grad_squares(pooled, np.array([index.query_row[s.query_id] for s in drawn]),
                        np.array([index.doc_row[s.doc_id] for s in drawn]), np.array(neg_rows),
                        margin, sq)
     sq /= len(drawn)
@@ -388,8 +386,8 @@ def _badt(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partit
     bad_teacher = init_model(m_train.vocab_size, m_train.dim, cfg.seed)
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
     # each teacher scores the pairs it teaches in one pass
-    bad = list(zip(part.forget, sample_scores(bad_teacher, split.train, part.forget)))
-    good = list(zip(retained, sample_scores(m_train, split.train, retained)))
+    bad = list(zip(part.forget, sample_scores(pool(bad_teacher, split.train), part.forget)))
+    good = list(zip(retained, sample_scores(pool(m_train, split.train), retained)))
     sgd = new_buffer(run.final_model, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
@@ -425,11 +423,8 @@ def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     return _drive(run, split, part, cfg, _PLANS[cfg.method](m_train, run, split, part, cfg))
 
 
-def compute_destinations(m_retrain: ScoreModel, split: CorpusSplit, part: Partition,
-                         dvecs: tuple[np.ndarray, np.ndarray] | None = None) -> Destinations:
-    """Stopping targets derived from the retrained model; ``dvecs`` is
-    ``split_doc_vectors(m_retrain, split)`` when the caller has it."""
-    dvec, test_dvec = split_doc_vectors(m_retrain, split) if dvecs is None else dvecs
-    d1 = mrr_forget(m_retrain, split.train, part, part.spec, dvec).value
-    d2 = mrr_set(m_retrain, split.test, split.test.samples, test_dvec).value
-    return Destinations(d1=d1, d2=d2, d3=d2 / 2.0)
+def compute_destinations(train: Pooled, test: Pooled, part: Partition) -> Destinations:
+    """Stopping targets derived from the retrained model, pooled over the
+    train split and the test split (``pool_split``)."""
+    d2 = mrr_set(test, test.dataset.samples).value
+    return Destinations(d1=mrr_forget(train, part).value, d2=d2, d3=d2 / 2.0)

@@ -48,21 +48,14 @@ def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> 
     return PairStep(model, dataset, ((query_id, doc_id),)).scores[0]
 
 
-def score_pool(model: ScoreModel, dataset: Dataset, query_id: str,
-               dvec: np.ndarray | None = None) -> np.ndarray:
-    """Scores for every doc in the query's pool, in pool order.
-
-    ``dvec`` is ``doc_vectors(model, dataset)``; callers scoring many
-    pools under one model pass it in so the docs are pooled once.
-    """
+def score_pool(model: ScoreModel, dataset: Dataset, query_id: str) -> np.ndarray:
+    """Scores for every doc in the query's pool, in pool order."""
     if not dataset.pools.get(query_id):
         raise DataError(f"query {query_id!r} has no pool")
     rows = pool_rows(dataset, query_id)
     tokens = model.embed_q[query_tokens(dataset, query_id)]
     u = np.add.reduce(tokens) / len(tokens)  # the arithmetic of mean(axis=0), bitwise
-    if dvec is None:
-        dvec = doc_vectors(model, dataset)
-    return np.logaddexp(0.0, dvec[rows] @ u)
+    return np.logaddexp(0.0, doc_vectors(model, dataset)[rows] @ u)
 
 
 def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,

@@ -13,7 +13,7 @@ import pytest
 
 from numur import (ConfigError, ForgetSpec, Label, Method, RemovalKind, UnlearnConfig,
                    build_min_cache, compute_destinations, consistent_loss, contrastive_loss,
-                   delta_min, init_model, mrr_forget, mrr_set, partition,
+                   delta_min, init_model, mrr_forget, mrr_set, partition, pool, pool_split,
                    score_distribution, unlearn)
 from numur.cli import main as cli_main
 from numur.ranker import PairStep, new_buffer, sample_scores
@@ -114,7 +114,8 @@ def test_c02_gradient_suite():
         teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
         student = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
         x = ds.samples[0]
-        floor = build_min_cache(ds.samples, sample_scores(teacher, ds, ds.samples))[x.query_id]
+        teacher_scores = sample_scores(pool(teacher, ds), ds.samples)
+        floor = build_min_cache(ds.samples, teacher_scores)[x.query_id]
         partner = next((s for s in ds.samples[1:]
                         if s.query_id == x.query_id or s.doc_id == x.doc_id), None)
         adjusted = delta_min(floor, score(student, ds, x))
@@ -175,7 +176,7 @@ def test_c03_mrr_oracle():
                 continue
             if not part.forget_queries:
                 continue
-            got = mrr_forget(m, ds, part, spec).value
+            got = mrr_forget(pool(m, ds), part).value
             recips = [1.0 / r for r in
                       (brute_force_first_rank(m, ds, qid,
                                               {d for d in ds.pools[qid] if d in marked})
@@ -183,7 +184,7 @@ def test_c03_mrr_oracle():
         else:
             k = int(rng.integers(1, len(ds.samples) + 1))
             subset = [ds.samples[int(i)] for i in rng.permutation(len(ds.samples))[:k]]
-            got = mrr_set(m, ds, subset).value
+            got = mrr_set(pool(m, ds), subset).value
             positives = {}
             for s in subset:
                 if s.label is Label.POSITIVE:
@@ -202,7 +203,7 @@ def test_c03_mrr_oracle():
     set_scores(ds, m, "q0", {"d1": 5.0, "d3": 4.0, "d4": 3.0, "d2": 2.0, "d5": 1.0})
     spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2"}))
     part = partition(ds, spec)
-    assert mrr_forget(m, ds, part, spec).value == pytest.approx(0.25)
+    assert mrr_forget(pool(m, ds), part).value == pytest.approx(0.25)
     print("acceptance 3: PASS - reciprocal ranks match the exhaustive oracle on "
           "200 instances and the worked removal example scores 0.25")
 
@@ -212,8 +213,8 @@ def test_c04_end_to_end_cocol(accept_split, accept_partition, accept_spec,
     model = accept_train_result.model
     assert accept_train_result.epoch_mrr[-1] >= 0.9
 
-    pre_e = mrr_set(model, accept_split.train, accept_partition.entangled).value
-    pre_d = mrr_set(model, accept_split.train, accept_partition.disjoint).value
+    pre_e = mrr_set(pool(model, accept_split.train), accept_partition.entangled).value
+    pre_d = mrr_set(pool(model, accept_split.train), accept_partition.disjoint).value
 
     t0 = time.perf_counter()
     run = unlearn(model, accept_split, accept_partition, _ucfg(delta_target=0.5))
@@ -262,7 +263,7 @@ def test_c05_baseline_contrast(accept_split, accept_partition, accept_model):
 
 def test_c06_controllable_forgetting(accept_split, accept_partition,
                                      accept_retrain_result, accept_model):
-    dest = compute_destinations(accept_retrain_result.model, accept_split,
+    dest = compute_destinations(*pool_split(accept_retrain_result.model, accept_split),
                                 accept_partition)
     assert dest.d1 > dest.d2 > dest.d3
 
@@ -380,8 +381,8 @@ def test_c09_ablation_switches(accept_split, accept_partition, accept_model):
 def test_c10_score_interval_diagnostic(accept_split, accept_model):
     ds = accept_split.train
     fresh = init_model(ds.vocab_size, 16, seed=7)
-    dists = score_distribution([("init", fresh), ("trained", accept_model)],
-                               ds, [("train", ds.samples)])
+    dists = [d for name, model in (("init", fresh), ("trained", accept_model))
+             for d in score_distribution(name, pool(model, ds), [("train", ds.samples)])]
     by_name = {d.model_name: d for d in dists}
     init_spread = by_name["init"].max - by_name["init"].min
     trained_spread = by_name["trained"].max - by_name["trained"].min

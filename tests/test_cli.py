@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from numur import (CorpusSplit, ForgetSpec, Method, RemovalKind, ScoreModel, UnlearnConfig,
-                   cli, compute_destinations, init_model, load_forget_spec, load_model,
-                   mrr_forget, mrr_set, partition, ranker, save_forget_spec, save_model,
-                   unlearn, unlearn_engine)
+from numur import (CorpusSplit, ForgetSpec, Method, RemovalKind, ScoreModel, TrainConfig,
+                   UnlearnConfig, cli, compute_destinations, init_model, load_forget_spec,
+                   load_model, mrr_forget, mrr_set, partition, pool_split, ranker,
+                   save_forget_spec, save_model, train, unlearn)
 from numur.cli import _load_split, _write_csv, _write_json, main
 from numur.corpus import atomic_write
 from numur.unlearn_engine import _evaluate
@@ -308,20 +308,22 @@ def test_config_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, con
 
 
 class TestDocPooling:
-    """Docs are pooled once per model state when the splits share doc rows."""
+    """Each model state is pooled once and passed on. On a loaded split the
+    test index borrows the train split's doc rows, so the docs of a state
+    are pooled once for both splits and only the test queries are pooled
+    apart."""
 
     @pytest.fixture
     def pooled(self, monkeypatch):
-        calls = []
-        real = ranker.doc_vectors
+        """The datasets of every later doc pooling and of every query pooling."""
+        return (spy(monkeypatch, ranker, "doc_vectors"),
+                spy(monkeypatch, ranker, "query_vectors"))
 
-        def counted(model, dataset):
-            calls.append(dataset)
-            return real(model, dataset)
-
-        monkeypatch.setattr(ranker, "doc_vectors", counted)
-        monkeypatch.setattr(unlearn_engine, "doc_vectors", counted)
-        return calls
+    @staticmethod
+    def counts(calls, split):
+        """How many of ``calls`` pooled the train split and the test split."""
+        return (sum(args[1] is split.train for args in calls),
+                sum(args[1] is split.test for args in calls))
 
     @staticmethod
     def world(workdir):
@@ -335,54 +337,89 @@ class TestDocPooling:
         shutil.copytree(workdir / "runs", runs)
         assert main(["--out", str(runs), "eval", "--spec", "spec_document_25",
                      "--model", str(runs / "train" / "model.bin")]) == 0
-        assert len(pooled) == 1
+        docs, queries = pooled
+        assert len(docs) == 1 and len(queries) == 2
+        assert queries[0][1] is docs[0][1] and queries[1][1] is not docs[0][1]
         report = json.loads((runs / "eval" / "train_model_spec_document_25" / "report.json")
                             .read_text())
         split, part, model = self.world(workdir)
-        assert report["mrr_test"] == mrr_set(model, split.test, split.test.samples).value
-        assert report["mrr_forget"] == mrr_forget(model, split.train, part, part.spec).value
+        train, test = pool_split(model, split)
+        assert report["mrr_test"] == mrr_set(test, split.test.samples).value
+        assert report["mrr_forget"] == mrr_forget(train, part).value
 
     def test_checkpoints_and_destinations_pool_once_on_loaded_splits(self, workdir, pooled):
+        docs, queries = pooled
         split, part, model = self.world(workdir)
         assert split.test.index.doc_row is split.train.index.doc_row
         record = _evaluate(model, split, part, 0, 0.0)
-        assert len(pooled) == 1
-        dest = compute_destinations(model, split, part)
-        assert len(pooled) == 2
+        assert len(docs) == 1
+        assert self.counts(queries, split) == (1, 1)
+        dest = compute_destinations(*pool_split(model, split), part)
+        assert len(docs) == 2
+        assert self.counts(queries, split) == (2, 2)
         # a hand-assembled test split indexes its own docs, and pools them
         own = CorpusSplit(train=split.train, test=replace(split.test))
         assert own.test.index.doc_row is not own.train.index.doc_row
         assert _evaluate(model, own, part, 0, 0.0) == record
-        assert len(pooled) == 4
-        assert compute_destinations(model, own, part) == dest
-        assert len(pooled) == 6
-        assert pooled[-2:] == [own.train, own.test]
+        assert len(docs) == 4
+        assert compute_destinations(*pool_split(model, own), part) == dest
+        assert len(docs) == 6
+        assert [args[1] for args in docs[-2:]] == [own.train, own.test]
+        assert self.counts(queries, own) == (4, 2)
 
     def test_retrain_pools_the_final_model_once(self, workdir, tmp_path, pooled):
         runs = tmp_path / "runs"
         shutil.copytree(workdir / "runs", runs)
         assert main(["--config", str(workdir / "config.json"), "--out", str(runs), "retrain",
                      "--spec", "spec_document_25"]) == 0
-        # each training epoch pools for its hard negatives and its MRR
-        assert len(pooled) == 2 * SMALL_CONFIG["train"]["epochs"] + 1
+        # the fresh model, each epoch's end (its MRR, the next epoch's mining),
+        # and the final model's destinations
+        epochs = SMALL_CONFIG["train"]["epochs"]
+        docs, queries = pooled
+        assert len(docs) == epochs + 2
+        assert len(queries) == epochs + 3
+        assert queries[-1][1] is not docs[-1][1]  # the test queries, last
         report = json.loads((runs / "retrain" / "spec_document_25" / "report.json")
                             .read_text())
         split, part, _ = self.world(workdir)
         model = load_model(runs / "retrain" / "spec_document_25" / "model.bin")
-        dest = compute_destinations(model, split, part)
+        train, test = pool_split(model, split)
+        dest = compute_destinations(train, test, part)
         assert report == {
             "mrr_forget": dest.d1,
-            "mrr_entangled": mrr_set(model, split.train, part.entangled).value,
-            "mrr_disjoint": mrr_set(model, split.train, part.disjoint).value,
+            "mrr_entangled": mrr_set(train, part.entangled).value,
+            "mrr_disjoint": mrr_set(train, part.disjoint).value,
             "mrr_test": dest.d2,
             "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3},
         }
+
+    def test_fit_pools_once_per_epoch_and_once_more(self, workdir, pooled):
+        split, _, _ = self.world(workdir)
+        epochs = 3
+        train(split, TrainConfig(**{**SMALL_CONFIG["train"], "epochs": epochs}))
+        docs, queries = pooled
+        assert self.counts(docs, split) == (epochs + 1, 0)
+        assert self.counts(queries, split) == (epochs + 1, 0)
+
+    def test_cocol_pools_the_train_split_once_more_than_its_checkpoints(self, workdir,
+                                                                          pooled):
+        split, part, model = self.world(workdir)
+        run = unlearn(model, split, part, UnlearnConfig(method=Method.COCOL, max_epochs=4,
+                                                        check_every=2, delta_target=0.001))
+        checkpoints = len(run.trajectory)
+        assert checkpoints == 3
+        # the teacher's scores, then one pooling of the student per checkpoint
+        docs, queries = pooled
+        assert self.counts(docs, split) == (1 + checkpoints, 0)
+        assert self.counts(queries, split) == (1 + checkpoints, checkpoints)
 
     def test_ssd_pools_the_trained_model_once(self, workdir, pooled):
         split, part, model = self.world(workdir)
         unlearn(model, split, part, UnlearnConfig(method=Method.SSD))
         # once for both importance passes, once for the edited model's checkpoint
-        assert len(pooled) == 2
+        docs, queries = pooled
+        assert len(docs) == 2
+        assert self.counts(queries, split) == (2, 1)
 
 
 class TestOffsetTables:
@@ -479,12 +516,23 @@ class TestMalformedArtifacts:
         (runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json").write_text("[1, 2]")
         self.fails_with_data_error(capsys, runs, "report")
 
-    # each of these once ended in a traceback from the charts
+    # the first four once ended in a traceback from the charts, the rest
+    # in a report.csv that copied the bad value
     @pytest.mark.parametrize("changes", [
         {"mrr_test": "bad"},
         {"mrr_forget": None, "normalized_forget": None},
         {"mrr_disjoint": float("nan")},
         {"normalized_forget": "x"},
+        {"epochs_run": "x"},
+        {"epochs_run": 2.0},
+        {"stopped_early": [1]},
+        {"stopped_early": 1},
+        {"delta_target": None},
+        {"delta_target": float("inf")},
+        {"normalized_epoch_duration": "fast"},
+        {"total_unlearn_time": "slow"},
+        {"method": 3},
+        {"spec": ["spec_document_25"]},
     ], ids=repr)
     def test_bad_values_in_run_report(self, runs, capsys, changes):
         path = runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json"
@@ -492,6 +540,29 @@ class TestMalformedArtifacts:
         shutil.rmtree(runs / "report")
         err = self.fails_with_data_error(capsys, runs, "report")
         assert str(path) in err and next(iter(changes)) in err, err
+        assert not (runs / "report").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_wall_time_in_train_trajectory(self, runs, capsys, value):
+        path = runs / "train" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:3] + [value])
+        path.write_text("\n".join(lines) + "\n")
+        shutil.rmtree(runs / "unlearn")
+        err = self.unlearn(capsys, runs)
+        assert f"{path}:2: expected a finite number in column 4" in err
+        assert not (runs / "unlearn").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_forget_mrr_in_run_trajectory(self, runs, capsys, value):
+        path = runs / "unlearn" / "cocol_spec_document_25_d2" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")
+        lines[1] = ",".join([cells[0], value, *cells[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        shutil.rmtree(runs / "report")
+        err = self.fails_with_data_error(capsys, runs, "report")
+        assert f"{path}:2: expected a finite number in column 2" in err
         assert not (runs / "report").exists()
 
     def test_bad_json_in_corpus_stats(self, runs, capsys):

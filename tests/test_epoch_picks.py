@@ -23,7 +23,7 @@ from numur import (ConfigError, CorpusSplit, Dataset, Document, ForgetSpec, Labe
                    consistent_loss, contrastive_loss, entangled_partners, generate_synthetic,
                    init_model, new_buffer, partition, unlearn)
 from numur.partition import sample_forget_spec
-from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, doc_vectors, sample_scores
+from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, pool, sample_scores
 
 # Bounds of one draw each: 1 (a pick that can only be 0), small bounds, and
 # bounds at and past 2**32, where numpy draws from 64 bits instead of 32.
@@ -118,7 +118,7 @@ def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subs
         assert queries.qids == sorted(want)
         if not queries.qids:
             return
-        hard = queries.hard(model, doc_vectors(model, ds))
+        hard = queries.hard(pool(model, ds))
     for i, qid in enumerate(queries.qids):
         n = queries.n_hard[i]
         assert [queries.negatives[i][p] for p in hard[i, :n]] == want[qid]
@@ -127,7 +127,7 @@ def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subs
 def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2):
     """cocol's epochs with one scalar ``rng.integers`` call per pick, and the
     losses called on each item in turn."""
-    teacher = dict(zip(ds.samples, sample_scores(student, ds, ds.samples)))
+    teacher = dict(zip(ds.samples, sample_scores(pool(student, ds), ds.samples)))
     floors = build_min_cache(ds.samples, [teacher[s] for s in ds.samples])
     disjoint = [(s, teacher[s]) for s in part.disjoint]
     d_pos = [d for d in disjoint if d[0].label is Label.POSITIVE]

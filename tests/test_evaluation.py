@@ -3,7 +3,7 @@ import pytest
 
 from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
                    SyntheticConfig, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
-                   partition, score_distribution, timing_metrics)
+                   partition, pool, score_distribution, timing_metrics)
 
 from conftest import build_dataset
 from scoring_reference import doc_tokens, forward, query_tokens, rank
@@ -84,7 +84,7 @@ class TestMrrForget:
         ds, m = self.make_marked_ranking_case()
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2"}))
         part = partition(ds, spec)
-        result = mrr_forget(m, ds, part, spec)
+        result = mrr_forget(pool(m, ds), part)
         assert result.value == pytest.approx(0.25)
         assert result.evaluated == 1
 
@@ -96,7 +96,7 @@ class TestMrrForget:
         set_scores(ds, m, "q0", {"d1": 5.0, "d2": 3.0, "d3": 1.0})
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset({"q0"}))
         part = partition(ds, spec)
-        assert mrr_forget(m, ds, part, spec).value == pytest.approx(1.0)
+        assert mrr_forget(pool(m, ds), part).value == pytest.approx(1.0)
 
     def test_three_queries_mixed_ranks(self):
         # positives land at ranks 1, 2, and 4 of their pools
@@ -116,7 +116,7 @@ class TestMrrForget:
                 m.embed_d[doc_tokens(ds, did)] = [z, 0.0]
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset(tables))
         part = partition(ds, spec)
-        result = mrr_forget(m, ds, part, spec)
+        result = mrr_forget(pool(m, ds), part)
         assert result.value == pytest.approx((1 + 0.5 + 0.25) / 3)
 
     def test_target_missing_from_pool_is_skipped(self):
@@ -128,7 +128,7 @@ class TestMrrForget:
         # pool lacks any marked doc by marking d2 instead for q1 only
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d1"}))
         part = partition(ds, spec)
-        result = mrr_forget(m, ds, part, spec)
+        result = mrr_forget(pool(m, ds), part)
         assert result.evaluated == 1
         assert result.skipped == 0
 
@@ -139,7 +139,7 @@ class TestMrrForget:
         part = partition(ds, spec)
         part.forget_queries = frozenset()
         with pytest.raises(ConfigError):
-            mrr_forget(init_model(8, 2, seed=0), ds, part, spec)
+            mrr_forget(pool(init_model(8, 2, seed=0), ds), part)
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(23)
@@ -155,7 +155,7 @@ class TestMrrForget:
                 continue
             if not part.forget_queries:
                 continue
-            result = mrr_forget(m, ds, part, spec)
+            result = mrr_forget(pool(m, ds), part)
             recips = []
             for qid in part.forget_queries:
                 r = brute_force_first_rank(m, ds, qid,
@@ -172,13 +172,13 @@ class TestMrrSet:
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
         set_scores(ds, m, "q0", {"d0": 5.0, "d1": 1.0})
-        assert mrr_set(m, ds, ds.samples).value == pytest.approx(1.0)
+        assert mrr_set(pool(m, ds), ds.samples).value == pytest.approx(1.0)
 
     def test_all_negative_samples_skipped(self):
         ds = build_dataset([("q0", "d0", 0), ("q0", "d1", 0)],
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
-        result = mrr_set(m, ds, ds.samples)
+        result = mrr_set(pool(m, ds), ds.samples)
         assert result.value == 0.0
         assert result.evaluated == 0
         assert result.skipped == 1
@@ -190,7 +190,7 @@ class TestMrrSet:
             m = init_model(24, 3, seed=int(rng.integers(1 << 31)))
             k = int(rng.integers(1, len(ds.samples) + 1))
             subset = [ds.samples[int(i)] for i in rng.permutation(len(ds.samples))[:k]]
-            result = mrr_set(m, ds, subset)
+            result = mrr_set(pool(m, ds), subset)
             positives = {}
             for s in subset:
                 if s.label is Label.POSITIVE:
@@ -223,19 +223,19 @@ class TestMrrSet:
                 recips.append(1.0 / next(p for p, did in enumerate(ranking, 1) if did in targets))
             want = sum(recips) / len(recips)
             assert want < 1.0
-            assert mrr_set(m, ds, ds.samples).value == want
+            assert mrr_set(pool(m, ds), ds.samples).value == want
 
     def test_relabelling_nontargets_is_irrelevant_for_document_removal(self):
         ds, m = TestMrrForget().make_marked_ranking_case()
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2"}))
-        base = mrr_forget(m, ds, partition(ds, spec), spec).value
+        base = mrr_forget(pool(m, ds), partition(ds, spec)).value
         flipped = build_dataset([("q0", "d1", 0), ("q0", "d2", 1)],
                                 {"q0": ["d1", "d2", "d3", "d4", "d5"]}, vocab_size=32)
         m2 = init_model(32, 2, seed=0)
         set_scores(flipped, m2, "q0", {"d1": 5.0, "d3": 4.0, "d4": 3.0,
                                        "d2": 2.0, "d5": 1.0})
         part2 = partition(flipped, spec)
-        assert mrr_forget(m2, flipped, part2, spec).value == pytest.approx(base)
+        assert mrr_forget(pool(m2, flipped), part2).value == pytest.approx(base)
 
 
 class TestNormalizedForget:
@@ -283,7 +283,7 @@ class TestScoreDistribution:
         m = init_model(8, 2, seed=0)
         m.embed_q[:] = 0.0
         m.embed_d[:] = 0.0
-        dist, = score_distribution([("init", m)], ds, [("all", ds.samples)])
+        dist, = score_distribution("init", pool(m, ds), [("all", ds.samples)])
         assert dist.max - dist.min == pytest.approx(0.0)
         assert dist.mean == pytest.approx(np.log(2))
 
@@ -291,7 +291,7 @@ class TestScoreDistribution:
         rng = np.random.default_rng(31)
         ds = tiny_dataset(rng, vocab=24, n_queries=3, n_docs=6)
         m = init_model(24, 3, seed=1)
-        dist, = score_distribution([("m", m)], ds, [("all", ds.samples)])
+        dist, = score_distribution("m", pool(m, ds), [("all", ds.samples)])
         assert list(dist.deciles) == sorted(dist.deciles)
         assert dist.min <= dist.deciles[0]
         assert dist.deciles[-1] <= dist.max
@@ -299,8 +299,8 @@ class TestScoreDistribution:
     def test_trained_spread_exceeds_init(self, accept_split, accept_model):
         ds = accept_split.train
         init = init_model(ds.vocab_size, 16, seed=7)
-        dists = score_distribution([("init", init), ("trained", accept_model)],
-                                   ds, [("train", ds.samples)])
+        dists = [d for name, model in (("init", init), ("trained", accept_model))
+                 for d in score_distribution(name, pool(model, ds), [("train", ds.samples)])]
         by_name = {d.model_name: d for d in dists}
         assert (by_name["trained"].max - by_name["trained"].min) > \
             (by_name["init"].max - by_name["init"].min)
@@ -308,5 +308,5 @@ class TestScoreDistribution:
     def test_empty_set(self):
         ds = build_dataset([("q0", "d0", 1)], {"q0": ["d0"]}, vocab_size=4)
         m = init_model(4, 2, seed=0)
-        dist, = score_distribution([("m", m)], ds, [("none", [])])
+        dist, = score_distribution("m", pool(m, ds), [("none", [])])
         assert dist.count == 0

@@ -23,8 +23,7 @@ from test_scoring_properties import VOCAB, _sigmoid, datasets, models, wide_mode
 
 from numur import (ConfigError, CorpusSplit, Label, Method, SyntheticConfig, UnlearnConfig,
                    generate_synthetic, init_model, new_buffer, partition, ranker, unlearn)
-from numur.ranker import (HingeDraws, HingeSet, PairStep, doc_vectors, pairwise_epoch,
-                          query_vectors)
+from numur.ranker import HingeDraws, HingeSet, PairStep, pairwise_epoch, pool
 from numur.unlearn_engine import _importance
 
 REGIMES = ("none", "all", "some", "nan")
@@ -61,11 +60,6 @@ def query_negatives(ds):
         if s.label is Label.POSITIVE:
             pos.setdefault(s.query_id, set()).add(s.doc_id)
     return {q: [d for d in ds.pools.get(q, ()) if d not in p] for q, p in pos.items()}
-
-
-def pooled(model, ds):
-    """The vectors ``_importance`` takes: every query and every doc pooled."""
-    return query_vectors(model, ds), doc_vectors(model, ds)
 
 
 class Loop:
@@ -172,8 +166,9 @@ def test_pairwise_epochs_are_the_per_draw_loop(ds, model, regime, seed, lr, npp,
     with np.errstate(all="ignore"):
         for _ in range(3):
             want = loop_pairwise_epoch(ds, ds.samples, ref_rng, margin, npp, loop)
-            assert same(pairwise_epoch(model, HingeSet(ds, ds.samples), rng, lr, margin, npp),
-                        want)
+            got = pairwise_epoch(model, HingeSet(ds, ds.samples), pool(model, ds), rng, lr,
+                                 margin, npp)
+            assert same(got, want)
             assert same(model.params, ref_model.params)
 
 
@@ -233,11 +228,10 @@ def test_amnesiac_and_neggrad_are_the_per_draw_loop(ds, model, method, regime, l
 def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
     margin = apply_regime(model, ds, regime, data)
     negatives = query_negatives(ds)
-    split = CorpusSplit(train=ds, test=ds)
     ref_model = type(model)(model.params.copy())
     with np.errstate(all="ignore"):
-        got = _importance(model, split, ds.samples, negatives, margin, npp,
-                          np.random.default_rng(seed), pooled(model, ds))
+        got = _importance(model, pool(model, ds), ds.samples, negatives, margin, npp,
+                          np.random.default_rng(seed))
         # the per-draw loop: each positive's gradient accumulates, then is squared
         rng = np.random.default_rng(seed)
         sq, count = np.zeros_like(ref_model.params), 0
@@ -298,14 +292,12 @@ def test_forget_and_full_importance_are_the_per_draw_loop(ds, model, regime, see
         assume(False)
     margin = apply_regime(model, ds, regime, data)
     negatives = query_negatives(ds)
-    split = CorpusSplit(train=ds, test=ds)
     ref_model = type(model)(model.params.copy())
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with np.errstate(all="ignore"), patch.object(ranker, "GRAD_BLOCK", block):
         # as ssd runs them: the forget pass, then the full pass, on one generator
         for samples in (part.forget, ds.samples):
-            got = _importance(model, split, samples, negatives, margin, npp, rng,
-                              pooled(model, ds))
+            got = _importance(model, pool(model, ds), samples, negatives, margin, npp, rng)
             want = loop_importance(ref_model, ds, samples, negatives, margin, npp, ref_rng)
             assert same(got, want)
     assert same(model.params, ref_model.params)
@@ -326,8 +318,7 @@ def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
     negatives = query_negatives(ds)
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     with patch.object(ranker, "GRAD_BLOCK", block):
-        got = _importance(model, split, ds.samples, negatives, margin, 4, rng,
-                          pooled(model, ds))
+        got = _importance(model, pool(model, ds), ds.samples, negatives, margin, 4, rng)
     want = loop_importance(model, ds, ds.samples, negatives, margin, 4, ref_rng)
     assert same(got, want) and np.count_nonzero(got)
 

@@ -6,7 +6,7 @@ import pytest
 from numur import (DataError, ForgetSpec, Method, RemovalKind, ScoreModel, TrainConfig,
                    UnlearnConfig, init_model, load_model, new_buffer, partition, retrain,
                    save_model, train, unlearn)
-from numur.ranker import HingeDraws, PairStep, sample_scores
+from numur.ranker import HingeDraws, PairStep, pool, sample_scores
 
 from conftest import build_dataset, spy
 from scoring_reference import doc_tokens, forward, hinge_loss_and_grad, query_tokens, score_pool
@@ -300,7 +300,7 @@ class TestSnapshot:
         m = init_model(accept_split.train.vocab_size, 8, seed=2)
         ds = accept_split.train
         s = ds.samples[0]
-        teacher = sample_scores(m, ds, [s])
+        teacher = sample_scores(pool(m, ds), [s])
         before = forward(m, ds, s.query_id, s.doc_id)
         m.embed_q += 1.0
         assert teacher == [before]
@@ -309,7 +309,7 @@ class TestSnapshot:
     def test_snapshot_scores_match_at_creation(self, accept_split):
         ds = accept_split.train
         m = init_model(ds.vocab_size, 8, seed=3)
-        assert sample_scores(m, ds, ds.samples[:10]) == [
+        assert sample_scores(pool(m, ds), ds.samples[:10]) == [
             forward(m, ds, s.query_id, s.doc_id) for s in ds.samples[:10]]
 
     def test_snapshot_is_read_only(self):

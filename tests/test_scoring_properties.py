@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
                    RemovalKind, Sample, build_min_cache, consistent_loss, contrastive_loss,
                    init_model, mrr_forget, mrr_set, new_buffer, partition, score_distribution)
-from numur.ranker import (HingeSet, doc_vectors, pairwise_epoch, query_vectors, sample_scores,
-                          score_pools)
+from numur.ranker import (HingeSet, doc_vectors, pairwise_epoch, pool, query_vectors,
+                          sample_scores, score_pools)
 from numur.unlearn_losses import _abs_delta_loss
 from scoring_reference import (doc_tokens, forward, hinge_loss_and_grad, pool_rows,
                                query_tokens, rank, score_pool)
@@ -128,11 +128,11 @@ def test_batched_query_vectors_and_scores_are_bitwise_score_pool(ds, model, scal
         tokens = model.embed_q[query_tokens(ds, qid)]
         assert np.array_equal(qvec[row], np.add.reduce(tokens) / len(tokens))
     qids = sorted(ds.pools, reverse=True)  # any order of query rows
-    scores = score_pools(model, ds, np.array([index.query_row[q] for q in qids]))
+    scores = score_pools(pool(model, ds), np.array([index.query_row[q] for q in qids]))
     for qid, row in zip(qids, scores):
-        pool = score_pool(model, ds, qid)
-        assert np.array_equal(row[:len(pool)], pool)
-        assert (row[len(pool):] == -np.inf).all()
+        want = score_pool(model, ds, qid)
+        assert np.array_equal(row[:len(want)], want)
+        assert (row[len(want):] == -np.inf).all()
 
 
 @given(datasets())
@@ -163,7 +163,7 @@ def test_long_docs_pool_bitwise_at_every_dim(doc_lists, model):
 @given(datasets(), models)
 def test_score_distribution_is_bitwise_the_per_pair_forward(ds, model):
     assume(ds.samples)
-    dist, = score_distribution([("m", model)], ds, [("all", ds.samples)])
+    dist, = score_distribution("m", pool(model, ds), [("all", ds.samples)])
     scores = np.array([forward(model, ds, s.query_id, s.doc_id) for s in ds.samples])
     assert (dist.min, dist.max, dist.mean) == (scores.min(), scores.max(), scores.mean())
     assert dist.deciles == tuple(np.percentile(scores, np.arange(10, 100, 10)))
@@ -177,7 +177,8 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
     for qid in ds.pools:
         assert list(rank(model, ds, qid).doc_ids) == oracle_ranking(model, ds, qid)
 
-    assert mrr_set(model, ds, ds.samples).value == oracle_mrr(model, ds, positives(ds.samples))
+    assert mrr_set(pool(model, ds), ds.samples).value == \
+        oracle_mrr(model, ds, positives(ds.samples))
 
     forget_docs = sorted({s.doc_id for s in ds.samples})[:2]
     forget_queries = sorted({s.query_id for s in ds.samples})[:1]
@@ -194,13 +195,13 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
         else:
             pos = positives(ds.samples)
             targets = {q: pos.get(q, set()) for q in part.forget_queries}
-        assert mrr_forget(model, ds, part, spec).value == oracle_mrr(model, ds, targets)
+        assert mrr_forget(pool(model, ds), part).value == oracle_mrr(model, ds, targets)
 
 
 @settings(max_examples=150, deadline=None)
 @given(datasets(), st.one_of(models, wide_models))
 def test_stored_teacher_scores_are_bitwise_forward(ds, model):
-    teacher = sample_scores(model, ds, ds.samples)
+    teacher = sample_scores(pool(model, ds), ds.samples)
     floors = build_min_cache(ds.samples, teacher)
     assert len(teacher) == len(ds.samples)
     for s, score in zip(ds.samples, teacher):
@@ -212,7 +213,8 @@ def test_stored_teacher_scores_are_bitwise_forward(ds, model):
 @settings(max_examples=150, deadline=None)
 @given(datasets(), wide_models)
 def test_mrrs_match_the_sorting_oracle_at_wide_dims(ds, model):
-    assert mrr_set(model, ds, ds.samples).value == oracle_mrr(model, ds, positives(ds.samples))
+    assert mrr_set(pool(model, ds), ds.samples).value == \
+        oracle_mrr(model, ds, positives(ds.samples))
 
 
 def nan_last_oracle_mrr(model, ds, targets):
@@ -236,7 +238,7 @@ def test_nan_scores_rank_after_numbers(ds, model, nan_tokens):
     targets = positives(ds.samples)
     with np.errstate(invalid="ignore"):
         want = nan_last_oracle_mrr(model, ds, targets)
-        assert mrr_set(model, ds, ds.samples).value == want
+        assert mrr_set(pool(model, ds), ds.samples).value == want
         for qid in targets:
             ranked = list(rank(model, ds, qid).doc_ids)
             first = next(p for p, did in enumerate(ranked, start=1) if did in targets[qid])
@@ -400,7 +402,7 @@ def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
 
     assume(ds.samples)
     teacher = init_model(VOCAB, student.dim, teacher_seed)
-    floors = build_min_cache(ds.samples, sample_scores(teacher, ds, ds.samples))
+    floors = build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
     x, partner = draw_contrastive_case(data, ds)
     fused, ref = new_buffer(student), Ref(student)
     assert (contrastive_loss(floors[x.query_id], student, ds, x, scored(teacher, ds, partner),
@@ -427,7 +429,7 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
 
     assume(ds.samples)
     teacher = init_model(VOCAB, student.dim, teacher_seed)
-    floors = build_min_cache(ds.samples, sample_scores(teacher, ds, ds.samples))
+    floors = build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
     x, partner = draw_contrastive_case(data, ds)
     assert (contrastive_loss(floors[x.query_id], student, ds, x, scored(teacher, ds, partner),
                              sgd)
@@ -465,6 +467,7 @@ def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, n
     ref = Ref(model)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert (pairwise_epoch(model, HingeSet(ds, ds.samples), rng, lr, margin, npp)
+        assert (pairwise_epoch(model, HingeSet(ds, ds.samples), pool(model, ds), rng, lr,
+                               margin, npp)
                 == ref_pairwise_epoch(ref, ds, ds.samples, ref_rng, lr, margin, npp))
         assert_same_params(model, ref)

@@ -7,7 +7,7 @@ from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method,
                    TrainConfig, UnlearnConfig, clone_model, compute_destinations, init_model,
                    mrr_forget, partition, train, unlearn)
 from numur import ranker, unlearn_engine
-from numur.ranker import new_buffer, sample_scores
+from numur.ranker import new_buffer, pool, pool_split, sample_scores
 from numur.unlearn_losses import _abs_delta_loss
 
 from conftest import ACCEPT_UNLEARN_LR, build_dataset, spy
@@ -44,7 +44,7 @@ def ucfg(method, **kw):
 class TestDriver:
     def test_target_already_met_stops_at_zero_epochs(self):
         split, part, model = small_unlearn_world()
-        current = mrr_forget(model, split.train, part, part.spec).value
+        current = mrr_forget(pool(model, split.train), part).value
         run = unlearn(model, split, part,
                       ucfg(Method.COCOL, delta_target=min(1.0, current)))
         assert run.epochs_run <= 1
@@ -178,7 +178,7 @@ class TestCf:
 class TestAmnesiac:
     def test_forget_mrr_decreases(self):
         split, part, model = small_unlearn_world()
-        before = mrr_forget(model, split.train, part, part.spec).value
+        before = mrr_forget(pool(model, split.train), part).value
         run = unlearn(model, split, part,
                       ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=5))
         assert run.trajectory[-1].mrr_forget < before
@@ -266,14 +266,14 @@ class TestBadT:
         bad = init_model(model.vocab_size, model.dim, seed=3)
         student = clone_model(bad)
         forget = part.forget[:5]
-        for pair in zip(forget, sample_scores(bad, split.train, forget)):
+        for pair in zip(forget, sample_scores(pool(bad, split.train), forget)):
             assert _abs_delta_loss(student, split.train, [pair], new_buffer(student)) \
                 == pytest.approx(0.0)
 
     def test_student_at_trained_model_has_zero_retain_loss(self):
         split, part, model = small_unlearn_world()
         retained = (part.entangled + part.disjoint)[:5]
-        for pair in zip(retained, sample_scores(model, split.train, retained)):
+        for pair in zip(retained, sample_scores(pool(model, split.train), retained)):
             assert _abs_delta_loss(model, split.train, [pair], new_buffer(model)) \
                 == pytest.approx(0.0)
 
@@ -292,15 +292,19 @@ class TestBadT:
             calls.append(args)
             return real(*args)
 
-        def per_pair(model, dataset, samples):
-            return [scoring_reference.forward(model, dataset, s.query_id, s.doc_id)
+        def per_pair(teacher, samples):  # teacher: what unpooled() returned
+            return [scoring_reference.forward(*teacher, s.query_id, s.doc_id)
                     for s in samples]
+
+        def unpooled(model, dataset):
+            return model, dataset
 
         with patch.object(scoring_reference, "forward", counted):
             run = unlearn(model, split, part, cfg)
             assert not calls
             # teachers that score each pair with its own forward call
-            with patch.object(unlearn_engine, "sample_scores", per_pair):
+            with patch.object(unlearn_engine, "pool", unpooled), \
+                    patch.object(unlearn_engine, "sample_scores", per_pair):
                 lazy = unlearn(model, split, part, cfg)
         assert len(calls) == len(split.train.samples)
         assert run.final_model.params.tobytes() == lazy.final_model.params.tobytes()
@@ -308,14 +312,14 @@ class TestBadT:
 
 class TestDestinations:
     def test_d3_is_half_d2(self, accept_split, accept_partition, accept_retrain_result):
-        dest = compute_destinations(accept_retrain_result.model, accept_split,
+        dest = compute_destinations(*pool_split(accept_retrain_result.model, accept_split),
                                     accept_partition)
         assert dest.d3 == pytest.approx(dest.d2 / 2)
 
     def test_document_removal_semantics_used_for_d1(self):
         split, part, model = small_unlearn_world()
-        dest = compute_destinations(model, split, part)
-        want = mrr_forget(model, split.train, part, part.spec).value
+        dest = compute_destinations(*pool_split(model, split), part)
+        want = mrr_forget(pool(model, split.train), part).value
         assert dest.d1 == pytest.approx(want)
 
     def test_arithmetic_on_reference_magnitude(self):

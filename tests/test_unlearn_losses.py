@@ -3,7 +3,7 @@ import pytest
 
 from numur import (ConfigError, Label, build_min_cache, clone_model, consistent_loss,
                    contrastive_loss, delta_min, init_model, new_buffer)
-from numur.ranker import sample_scores
+from numur.ranker import pool, sample_scores
 from numur.unlearn_losses import _abs_delta_loss, _abs_delta_terms
 
 from conftest import build_dataset
@@ -35,7 +35,7 @@ def score(model, ds, pair):
 
 def floors(teacher, ds):
     """The teacher's per-query floors over every sample of ds."""
-    return build_min_cache(ds.samples, sample_scores(teacher, ds, ds.samples))
+    return build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
 
 
 def gap(teacher, student, ds, pair):
@@ -51,7 +51,8 @@ class TestDelta:
         ds = accept_split.train
         m = init_model(ds.vocab_size, 8, seed=1)
         pair = ds.samples[0]
-        assert _abs_delta_terms(sample_scores(m, ds, [pair]), [score(m, ds, pair)]) == (0.0, [0.0])
+        assert _abs_delta_terms(sample_scores(pool(m, ds), [pair]),
+                                [score(m, ds, pair)]) == (0.0, [0.0])
 
     def test_formula_thirty_vs_ten(self):
         ds, teacher, student = rigged_pair(score_setter(30.0), score_setter(10.0))
@@ -75,8 +76,9 @@ class TestDelta:
         rng = np.random.default_rng(0)
         ds = tiny_dataset(rng)
         for seed in range(20):
-            teacher = sample_scores(init_model(ds.vocab_size, 3, seed=seed), ds, ds.samples)
-            student = sample_scores(init_model(ds.vocab_size, 3, seed=seed + 100), ds,
+            teacher = sample_scores(pool(init_model(ds.vocab_size, 3, seed=seed), ds),
+                                    ds.samples)
+            student = sample_scores(pool(init_model(ds.vocab_size, 3, seed=seed + 100), ds),
                                     ds.samples)
             for f_m, f_w in zip(teacher, student):
                 assert 0.0 <= _abs_delta_terms([f_m], [f_w])[0] < 1.0
