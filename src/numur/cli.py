@@ -83,6 +83,8 @@ class ExperimentConfig:
                 raise ConfigError(f"config file not found: {path}") from None
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
         checked("the config", raw, dict)
         unknown = set(raw) - {"corpus", "train", "unlearn", "removal_fractions", "seed"}
         if unknown:
@@ -105,6 +107,9 @@ class ExperimentConfig:
             corpus = replace(corpus, seed=int(seed))
             train_cfg = replace(train_cfg, seed=int(seed))
             unlearn_cfg = replace(unlearn_cfg, seed=int(seed))
+        for name, section in (("corpus", corpus), ("train", train_cfg), ("unlearn", unlearn_cfg)):
+            if section.seed < 0:  # numpy's generators take none
+                raise ConfigError(f"{name} seed must be non-negative, got {section.seed}")
 
         fractions = raw.get("removal_fractions", list(DEFAULT_FRACTIONS))
         if type(fractions) is not list:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -267,6 +268,20 @@ class DatasetIndex:
         keys = _pool_key(query_rows, doc_rows, len(self.doc_row))
         at = np.minimum(np.searchsorted(self.pool_keys, keys), len(self.pool_keys) - 1)
         return np.where(self.pool_keys[at] == keys, self.pool_cols[at], -1)
+
+    def sample_rows(self, samples: Sequence[Sample]) -> list[tuple[int, int]]:
+        """Each sample's (query row, doc row); DataError naming the first unknown id."""
+        query_row, doc_row = self.query_row, self.doc_row
+        try:
+            return [(query_row[s.query_id], doc_row[s.doc_id]) for s in samples]
+        except KeyError:
+            for s in samples:
+                if s.query_id not in query_row:
+                    raise DataError(f"sample references unknown query id {s.query_id!r}") \
+                        from None
+                if s.doc_id not in doc_row:
+                    raise DataError(f"sample references unknown doc id {s.doc_id!r}") from None
+            raise
 
 
 def _raise_unknown_pool_id(pools: dict[str, tuple[str, ...]], doc_row: dict[str, int],

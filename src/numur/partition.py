@@ -166,6 +166,8 @@ def load_forget_spec(path: str | Path) -> ForgetSpec:
         obj = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
     if not isinstance(obj, dict) or "kind" not in obj or "ids" not in obj:
         raise DataError(f"{path}: expected object with 'kind' and 'ids'")
     try:

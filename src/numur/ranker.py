@@ -19,6 +19,7 @@ import struct
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -124,56 +125,42 @@ def _sigmoids(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-class _Spans(dict):
-    """Each id's slice of a flat offset array, made on first use and kept:
-    id ``k`` at row ``rows[k]`` covers ``offsets[bounds[r]:bounds[r + 1]]``.
-    A lookup of a made slice is a plain dict lookup; an unknown id is a
-    ``KeyError``, and ``in`` tells known ids, made or not."""
-
-    __slots__ = ("offsets", "bounds", "rows")
-
-    def __init__(self, offsets: np.ndarray, bounds: list[int], rows: dict[str, int]):
-        super().__init__()
-        self.offsets, self.bounds, self.rows = offsets, bounds, rows
-
-    def __missing__(self, key: str) -> np.ndarray:
-        r = self.rows[key]
-        span = self[key] = self.offsets[self.bounds[r]:self.bounds[r + 1]]
-        return span
-
-    def __contains__(self, key) -> bool:
-        return key in self.rows
+def _stacked_token_rows(dataset: Dataset, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The token rows of every query, then of every doc, in the stacked table
+    of a model with ``vocab_size``: one flat array, and where each entry
+    starts in it, plus its end. Query row r is entry r and doc row r entry
+    ``len(dataset.queries) + r``; doc tokens are shifted by ``vocab_size``."""
+    qtok, dtok = dataset.token_rows()
+    return (np.concatenate((qtok.flat, dtok.flat + vocab_size)),
+            np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat))))
 
 
-def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[dict, dict]:
-    """Each query's and each doc's flat offsets into a stacked parameter
-    table of ``shape``, ``dim`` offsets per token, by id; stored on
+def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[list, list]:
+    """Each query row's and each doc row's flat offsets into a stacked
+    parameter table of ``shape``, ``dim`` offsets per token; stored on
     ``dataset`` for the next step under a model of that shape.
 
     Token ``t`` is row ``t`` of the query half and row ``vocab_size + t``
     of the doc half, with the model's ``vocab_size``, not the corpus's,
     and row ``r`` covers the flat offsets ``r * dim`` to ``r * dim + dim - 1``.
-    The offsets of all ids are one array; an id's view of it is made on
-    its first lookup.
+    Every entry is a view of one array of the offsets of all entries.
     """
-    vocab_size, dim = shape[0] // 2, shape[1]
-    qtok, dtok = dataset.token_rows()
-    offsets = (np.concatenate((qtok.flat, dtok.flat + vocab_size))[:, None] * dim
-               + np.arange(dim)).ravel()
+    dim = shape[1]
+    flat, starts = _stacked_token_rows(dataset, shape[0] // 2)
+    offsets = (flat[:, None] * dim + np.arange(dim)).ravel()
     offsets.flags.writeable = False  # steps hold views of it
-    n_q = len(qtok.starts) - 1
-    bounds = (np.concatenate((qtok.starts, dtok.starts[1:] + len(qtok.flat))) * dim).tolist()
-    index = dataset.index
-    table = _Spans(offsets, bounds, index.query_row), \
-        _Spans(offsets, bounds[n_q:], index.doc_row)
-    dataset._offset_tables[shape] = table
+    bounds = (starts * dim).tolist()
+    views = [offsets[a:b] for a, b in zip(bounds, bounds[1:])]
+    n_q = len(dataset.queries)
+    table = dataset._offset_tables[shape] = views[:n_q], views[n_q:]
     return table
 
 
 class PairStep:
-    """Scores of a few (query, doc) pairs under one model, and their gradient.
+    """Scores of a few (query row, doc row) pairs under one model, and their
+    gradient.
 
-    The dataset's offset table holds, per query and per doc, the flat
+    The dataset's offset table holds, per query row and per doc row, the flat
     offsets of its token rows in the stacked table, ``dim`` offsets per
     token, doc rows shifted by the model's ``vocab_size``. The constructor
     concatenates the offsets of every pair, its query's then its doc's,
@@ -192,29 +179,21 @@ class PairStep:
                  "scores")
 
     def __init__(self, model: ScoreModel, dataset: Dataset,
-                 pairs: Sequence[tuple[str, str]]):
+                 pairs: Sequence[tuple[int, int]]):
         self.shape, self.flat = model.params.shape, model.flat
         self.offsets, self.counts, self.along, self.logits = [], [], [], []
         self._pool(dataset, pairs, None, None)
         # softplus, elementwise: the same values as one logaddexp call per pair
         self.scores = np.logaddexp(0.0, self.logits).tolist()
 
-    def _pool(self, dataset: Dataset, pairs: Sequence[tuple[str, str]],
-              query_id: str | None, u: np.ndarray | None) -> None:
+    def _pool(self, dataset: Dataset, pairs: Sequence[tuple[int, int]],
+              query_row: int | None, u: np.ndarray | None) -> None:
         """Gather ``pairs`` with one ``take``, and append their parts and
-        logits; ``u`` is the pooled vector of ``query_id`` when the caller
+        logits; ``u`` is the pooled vector of ``query_row`` when the caller
         has it."""
         queries, docs = dataset._offset_tables.get(self.shape) \
             or _offset_table(dataset, self.shape)
-        try:
-            offsets = [o for q, d in pairs for o in (queries[q], docs[d])]
-        except KeyError:
-            for q, d in pairs:
-                if q not in queries:
-                    raise DataError(f"unknown query id {q!r}") from None
-                if d not in docs:
-                    raise DataError(f"unknown doc id {d!r}") from None
-            raise
+        offsets = [o for q, d in pairs for o in (queries[q], docs[d])]
         self.index = index = np.concatenate(offsets)
         self.x = x = self.flat.take(index)
         dim = self.shape[1]
@@ -225,8 +204,8 @@ class PairStep:
         for (q, _), qo, do in zip(pairs, each, each):
             nq, nd = len(qo) // dim, len(do) // dim
             mid = end + nq
-            if q != query_id:  # the arithmetic of mean(axis=0), bitwise
-                u, query_id = np.add.reduce(rows[end:mid]) / nq, q
+            if q != query_row:  # the arithmetic of mean(axis=0), bitwise
+                u, query_row = np.add.reduce(rows[end:mid]) / nq, q
             end = mid + nd
             v = np.add.reduce(rows[mid:end]) / nd
             counts += (nq, nd)
@@ -234,7 +213,7 @@ class PairStep:
             logits.append(float(u @ v))
         self.offsets += offsets
 
-    def _widened(self, dataset: Dataset, pairs: Sequence[tuple[str, str]]) -> "PairStep":
+    def _widened(self, dataset: Dataset, pairs: Sequence[tuple[int, int]]) -> "PairStep":
         """One step over this step's first pair, then ``pairs``, which share
         its query, under the parameters this step was made with. The first
         pair keeps its parts and score; only ``pairs`` are gathered and
@@ -397,31 +376,8 @@ def pair_scores(pooled: Pooled, query_rows, doc_rows) -> tuple[np.ndarray, np.nd
 def sample_scores(pooled: Pooled, samples: Sequence[Sample]) -> list[float]:
     """The ``PairStep`` score of every sample under the pooled model state
     (``pair_scores``)."""
-    index = pooled.dataset.index
-    try:
-        rows = [(index.query_row[s.query_id], index.doc_row[s.doc_id]) for s in samples]
-    except KeyError as exc:
-        raise DataError(f"sample references unknown id {exc.args[0]!r}") from None
-    rows = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    rows = np.array(pooled.dataset.index.sample_rows(samples), dtype=np.intp).reshape(-1, 2)
     return pair_scores(pooled, rows[:, 0], rows[:, 1])[1].tolist()
-
-
-def _positives_by_query(samples: list[Sample]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for s in samples:
-        if s.label is Label.POSITIVE:
-            out.setdefault(s.query_id, []).append(s.doc_id)
-    return out
-
-
-def hinge_negatives(dataset: Dataset, samples: list[Sample]) -> dict[str, list[str]]:
-    """Hinge negatives of every query with a positive in ``samples``: its
-    pool docs, in pool order, that ``samples`` does not mark positive for it."""
-    out = {}
-    for qid, pos in _positives_by_query(samples).items():
-        pos_set = set(pos)
-        out[qid] = [did for did in dataset.pools.get(qid, ()) if did not in pos_set]
-    return out
 
 
 class HingeDraws:
@@ -452,11 +408,11 @@ class HingeDraws:
         self.wide = False  # the last draw was inactive
         self.total, self.draws = 0.0, 0
 
-    def run(self, query_id: str, pos_id: str, neg_ids: Sequence[str]) -> None:
-        """One draw of ``(pos_id, neg)`` for each of ``neg_ids`` in order."""
-        if not neg_ids:
+    def run(self, query_row: int, pos_row: int, neg_rows: Sequence[int]) -> None:
+        """One draw of ``(pos_row, neg)`` for each doc row of ``neg_rows`` in order."""
+        if not neg_rows:
             return
-        pos_pair, pairs = (query_id, pos_id), [(query_id, neg) for neg in neg_ids]
+        pos_pair, pairs = (query_row, pos_row), [(query_row, neg) for neg in neg_rows]
         self.draws += len(pairs)
         model, dataset, margin, buf = self.model, self.dataset, self.margin, self.buf
         at, n, closed = 0, len(pairs), None
@@ -518,12 +474,9 @@ def hinge_grad_squares(pooled: Pooled, query_rows: np.ndarray, pos_rows: np.ndar
     """
     n, draws = neg_rows.shape
     stacked, dim = sq.shape
-    # token rows of the stacked table: query row r is entry r, doc row r entry n_q + r
-    qtok, dtok = pooled.dataset.token_rows()
-    n_q = len(qtok.starts) - 1
-    flat = np.concatenate((qtok.flat, dtok.flat + stacked // 2))
-    starts = np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat)))
-    lengths = np.diff(starts)
+    # query row r is entry r, doc row r entry n_q + r
+    flat, starts = _stacked_token_rows(pooled.dataset, stacked // 2)
+    n_q, lengths = len(pooled.query_vecs), np.diff(starts)
     for at in range(0, n, GRAD_BLOCK):
         q, p, negs = query_rows[at:at + GRAD_BLOCK], pos_rows[at:at + GRAD_BLOCK], \
             neg_rows[at:at + GRAD_BLOCK]
@@ -564,51 +517,48 @@ class HingeSet:
     """The queries with a positive in ``samples``, and what every hinge
     epoch over them reads; built once per fit.
 
-    ``qids`` are those queries sorted by id, ``positives[i]`` and
-    ``negatives[i]`` the positives of ``qids[i]`` in sample order and its
-    hinge negatives (``hinge_negatives``). One row per query, over the
-    columns of its pool in ``DatasetIndex.pool_matrix``: ``ids`` orders
-    score ties by doc id, ``not_negative`` marks the positives (found by
-    ``DatasetIndex.pool_columns``) and the padding past the pool, and
-    ``position`` is a negative column's position in ``negatives[i]``.
-    ``n_pos``, ``n_neg`` and ``n_hard`` count each query's positives, its
-    negatives and the negatives it mines; ``all_negatives`` chains every
-    ``negatives[i]``, which starts at ``neg_start[i]``. ``bare`` is the
-    first query without a negative, if any, and then the arrays are unset.
+    ``qids`` are those queries sorted by id, ``rows`` their query rows and
+    ``positives[i]`` the doc rows of the positives of ``qids[i]`` in sample
+    order. A query's hinge negatives are the docs of its pool, in pool
+    order, that ``samples`` does not mark positive for it. One row per
+    query, over the columns of its pool in ``DatasetIndex.pool_matrix``:
+    ``ids`` orders score ties by doc id, ``not_negative`` marks the
+    positives (found by ``DatasetIndex.pool_columns``) and the padding past
+    the pool, and ``position`` is a negative column's position among the
+    query's negatives. ``n_pos``, ``n_neg`` and ``n_hard`` count each
+    query's positives, its negatives and the negatives it mines;
+    ``all_negatives`` holds the doc rows of every query's negatives in
+    turn, those of query i from ``neg_start[i]``. ``bare`` is the first
+    query without a negative, if any.
     """
 
     def __init__(self, dataset: Dataset, samples: list[Sample]):
-        by_query, negatives = _positives_by_query(samples), hinge_negatives(dataset, samples)
+        index, by_query = dataset.index, {}
+        positive = [s for s in samples if s.label is Label.POSITIVE]
+        for s, (_, doc) in zip(positive, index.sample_rows(positive)):
+            by_query.setdefault(s.query_id, []).append(doc)
         self.dataset = dataset
         self.qids = sorted(by_query)
+        self.rows = np.array([index.query_row[q] for q in self.qids], dtype=np.intp)
         self.positives = [by_query[q] for q in self.qids]
-        self.negatives = [negatives[q] for q in self.qids]
-        self.bare = next((q for q, negs in zip(self.qids, self.negatives) if not negs), None)
-        if self.bare is not None or not self.qids:
-            return
-        index = dataset.index
-        try:
-            self.rows = np.array([index.query_row[q] for q in self.qids], dtype=np.intp)
-            pos_rows = np.array([index.doc_row[d] for pos in self.positives for d in pos],
-                                dtype=np.intp)
-        except KeyError as exc:
-            raise DataError(f"sample references unknown id {exc.args[0]!r}") from None
         self.n_pos = np.array([len(pos) for pos in self.positives], dtype=np.intp)
-        at = np.arange(len(self.qids)).repeat(self.n_pos)
-        cols = index.pool_columns(self.rows[at], pos_rows)
-        found = cols >= 0
         self.not_negative = np.arange(index.pool_matrix.shape[1]) \
             >= index.pool_len[self.rows][:, None]
+        at = np.arange(len(self.qids)).repeat(self.n_pos)
+        cols = index.pool_columns(self.rows[at], np.fromiter(chain(*self.positives), np.intp))
+        found = cols >= 0
         self.not_negative[at[found], cols[found]] = True
-        self.position = np.cumsum(~self.not_negative, axis=1) - 1
+        is_negative = ~self.not_negative
+        self.n_neg = np.count_nonzero(is_negative, axis=1)
+        self.bare = next((q for q, n in zip(self.qids, self.n_neg.tolist()) if not n), None)
+        self.position = np.cumsum(is_negative, axis=1) - 1
         self.ids = index.pool_ids[self.rows]
-        self.n_neg = np.array([len(negs) for negs in self.negatives], dtype=np.intp)
         self.n_hard = np.minimum(self.n_neg, HARD_NEGATIVES_PER_QUERY)
         self.neg_start = np.concatenate(([0], np.cumsum(self.n_neg)[:-1]))
-        self.all_negatives = [d for negs in self.negatives for d in negs]
+        self.all_negatives = index.pool_matrix[self.rows][is_negative]
 
     def hard(self, pooled: Pooled) -> np.ndarray:
-        """Row i: the positions in ``negatives[i]`` of its negatives that the
+        """Row i: the positions among query i's hinge negatives of those the
         pooled model state scores highest, best first, ties to the smaller
         doc id and NaN scores last; only the first ``n_hard[i]`` are negatives.
 
@@ -619,6 +569,14 @@ class HingeSet:
         scores = score_pools(pooled, self.rows)
         order = np.lexsort((self.ids, -scores, self.not_negative), axis=-1)
         return np.take_along_axis(self.position, order[:, :HARD_NEGATIVES_PER_QUERY], axis=1)
+
+
+def hinge_negatives(dataset: Dataset, samples: list[Sample]) -> dict[str, list[int]]:
+    """The doc rows of the hinge negatives (``HingeSet``) of every query with
+    a positive in ``samples``, by query id."""
+    queries = HingeSet(dataset, samples)
+    return dict(zip(queries.qids, map(np.ndarray.tolist,
+                                      np.split(queries.all_negatives, queries.neg_start[1:]))))
 
 
 def pairwise_epoch(model: ScoreModel, queries: HingeSet, pooled: Pooled,
@@ -649,15 +607,13 @@ def pairwise_epoch(model: ScoreModel, queries: HingeSet, pooled: Pooled,
     odd = np.arange(negatives_per_positive) % 2 == 1
     picks = rng.integers(np.where(odd, queries.n_hard[at, None], queries.n_neg[at, None]))
     chosen = np.where(odd, hard[at[:, None], np.minimum(picks, hard.shape[1] - 1)], picks)
-    negs = list(map(queries.all_negatives.__getitem__,
-                    (chosen + queries.neg_start[at, None]).ravel().tolist()))
+    negs = queries.all_negatives[chosen + queries.neg_start[at, None]].ravel().tolist()
 
     draws = HingeDraws(model, queries.dataset, margin, new_buffer(model, lr))
-    k = 0
+    rows, k = queries.rows.tolist(), 0
     for qi in order.tolist():
-        qid = queries.qids[qi]
-        for pos_id in queries.positives[qi]:
-            draws.run(qid, pos_id, negs[k:k + negatives_per_positive])
+        for pos in queries.positives[qi]:
+            draws.run(rows[qi], pos, negs[k:k + negatives_per_positive])
             k += negatives_per_positive
     return draws.total / draws.draws if draws.draws else 0.0
 

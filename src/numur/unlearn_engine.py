@@ -258,18 +258,18 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
               cfg: UnlearnConfig):
     """Push sampled pool negatives above each forget positive; train the entangled set."""
     margin, npp = _hinge(cfg)
-    negatives = hinge_negatives(split.train, split.train.samples)
-    forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
-    ent_pos = [s for s in part.entangled if s.label is Label.POSITIVE]
-    for s in forget_pos + ent_pos:
-        if not negatives[s.query_id]:
+    positives = [s for s in part.forget if s.label is Label.POSITIVE]
+    n_forget = len(positives)
+    positives += [s for s in part.entangled if s.label is Label.POSITIVE]
+    tasks = _hinge_tasks(split, positives)
+    for s, (_, _, negs) in zip(positives, tasks):
+        if not negs:
             raise ConfigError(f"forget query {s.query_id!r} has no pool negatives "
                               "to promote")
 
-    tasks = [("forget", s) for s in forget_pos] + [("retain", s) for s in ent_pos]
-    # a forget task draws the one negative it promotes, a retain task npp
-    n_draws = np.array([1] * len(forget_pos) + [npp] * len(ent_pos), dtype=np.intp)
-    n_negs = np.array([len(negatives[s.query_id]) for _, s in tasks], dtype=np.intp)
+    # the first n_forget tasks draw the one negative they promote, the rest npp
+    n_draws = np.array([1] * n_forget + [npp] * (len(tasks) - n_forget), dtype=np.intp)
+    n_negs = np.array([len(negs) for _, _, negs in tasks], dtype=np.intp)
     sgd = new_buffer(run.final_model, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
@@ -278,13 +278,12 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
         picks = rng.integers(n_negs[order].repeat(n_draws[order])).tolist()
         at = 0
         for i in order.tolist():
-            tag, s = tasks[i]
-            negs = negatives[s.query_id]
-            if tag == "forget":
-                draws.run(s.query_id, negs[picks[at]], [s.doc_id])
+            query, doc, negs = tasks[i]
+            if i < n_forget:
+                draws.run(query, negs[picks[at]], [doc])
                 at += 1
             else:
-                draws.run(s.query_id, s.doc_id, [negs[p] for p in picks[at:at + npp]])
+                draws.run(query, doc, [negs[p] for p in picks[at:at + npp]])
                 at += npp
 
     return epoch
@@ -294,27 +293,33 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
              cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
     margin, npp = _hinge(cfg)
-    negatives = hinge_negatives(split.train, split.train.samples)
-    forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
-    n_negs = np.array([len(negatives[s.query_id]) for s in forget_pos], dtype=np.intp)
+    tasks = _hinge_tasks(split, [s for s in part.forget if s.label is Label.POSITIVE])
+    n_negs = np.array([len(negs) for _, _, negs in tasks], dtype=np.intp)
     ascent = new_buffer(run.final_model, -cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         draws = HingeDraws(run.final_model, split.train, margin, ascent)
-        order = rng.permutation(len(forget_pos))
+        order = rng.permutation(len(tasks))
         # npp draws for each positive that has negatives, none for the rest
         bounds = n_negs[order]
         picks = rng.integers(bounds[bounds > 0].repeat(npp)).tolist()
         at = 0
         for i in order.tolist():
-            s = forget_pos[i]
-            negs = negatives[s.query_id]
+            query, doc, negs = tasks[i]
             if not negs:
                 continue
-            draws.run(s.query_id, s.doc_id, [negs[p] for p in picks[at:at + npp]])
+            draws.run(query, doc, [negs[p] for p in picks[at:at + npp]])
             at += npp
 
     return epoch
+
+
+def _hinge_tasks(split: CorpusSplit, positives: list[Sample]) -> list[tuple[int, int, list]]:
+    """The query row, doc row and hinge negatives (``hinge_negatives`` of
+    the train set) of each of ``positives``, a list of train samples."""
+    negatives = hinge_negatives(split.train, split.train.samples)
+    return [(query, doc, negatives[s.query_id])
+            for s, (query, doc) in zip(positives, split.train.index.sample_rows(positives))]
 
 
 def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
@@ -363,7 +368,6 @@ def _importance(model: ScoreModel, pooled: Pooled, samples: list[Sample],
     the parameters never move, so ``hinge_grad_squares`` then scores and
     differentiates all the draws in one batched pass.
     """
-    index = pooled.dataset.index
     drawn = [s for s in samples if s.label is Label.POSITIVE and negatives[s.query_id]]
     sq = np.zeros_like(model.params)
     if not drawn:
@@ -371,11 +375,10 @@ def _importance(model: ScoreModel, pooled: Pooled, samples: list[Sample],
     # one call with an array of bounds makes the draws of one
     # rng.integers(len(negs)) call per draw, in the same order
     picks = rng.integers(np.repeat([len(negatives[s.query_id]) for s in drawn], npp))
-    neg_rows = [[index.doc_row[negatives[s.query_id][j]] for j in row]
+    neg_rows = [[negatives[s.query_id][j] for j in row]
                 for s, row in zip(drawn, picks.reshape(-1, npp).tolist())]
-    hinge_grad_squares(pooled, np.array([index.query_row[s.query_id] for s in drawn]),
-                       np.array([index.doc_row[s.doc_id] for s in drawn]), np.array(neg_rows),
-                       margin, sq)
+    rows = np.array(pooled.dataset.index.sample_rows(drawn))
+    hinge_grad_squares(pooled, rows[:, 0], rows[:, 1], np.array(neg_rows), margin, sq)
     sq /= len(drawn)
     return sq
 

@@ -56,10 +56,6 @@ def _abs_delta_terms(teacher_scores: Sequence[float],
     return total, upstream
 
 
-def _pair_keys(samples) -> tuple[tuple[str, str], ...]:
-    return tuple((s.query_id, s.doc_id) for s in samples)
-
-
 def contrastive_loss(floor: float, student: ScoreModel, dataset: Dataset,
                      forget_pair: Sample, partner: Scored | None,
                      buf: GradientBuffer) -> float:
@@ -77,7 +73,7 @@ def contrastive_loss(floor: float, student: ScoreModel, dataset: Dataset,
             f"the forget pair ({forget_pair.query_id!r}, {forget_pair.doc_id!r})")
 
     pairs = [forget_pair] if partner is None else [forget_pair, partner[0]]
-    step = PairStep(student, dataset, _pair_keys(pairs))
+    step = PairStep(student, dataset, dataset.index.sample_rows(pairs))
     f_w = step.scores[0]
     adjusted = delta_min(floor, f_w)
     value = max(0.0, adjusted)
@@ -107,7 +103,7 @@ def _abs_delta_loss(student: ScoreModel, dataset: Dataset, pairs: Sequence[Score
                     buf: GradientBuffer) -> float:
     """Sum of |delta| over ``pairs``, with its gradient into ``buf``: the
     distillation term of the consistent loss and of Bad Teacher."""
-    step = PairStep(student, dataset, _pair_keys(s for s, _ in pairs))
+    step = PairStep(student, dataset, dataset.index.sample_rows([s for s, _ in pairs]))
     value, upstream = _abs_delta_terms([t for _, t in pairs], step.scores)
     step.backward(upstream, buf)
     return value

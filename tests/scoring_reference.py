@@ -3,9 +3,10 @@ batched passes, kept as the references the runtime paths are compared
 against.
 
 ``forward`` scores one pair and ``hinge_loss_and_grad`` takes one hinge
-draw, each with its own ``PairStep``; ``score_pool`` scores one query's
-pool and ``rank`` sorts it. ``query_tokens`` and ``doc_tokens`` are one
-item's token row, and ``pool_rows`` one query's pool as doc rows.
+draw, each with its own ``PairStep``, and map their ids to rows
+themselves; ``score_pool`` scores one query's pool and ``rank`` sorts
+it. ``query_tokens`` and ``doc_tokens`` are one item's token row, and
+``pool_rows`` one query's pool as doc rows.
 """
 
 from __future__ import annotations
@@ -20,21 +21,33 @@ from numur.evaluation import _check_pool
 from numur.ranker import GradientBuffer, PairStep, ScoreModel, doc_vectors
 
 
-def _token_row(table, row_of: dict[str, int], kind: str, ident: str) -> np.ndarray:
+def _row(row_of: dict[str, int], kind: str, ident: str) -> int:
     row = row_of.get(ident)
     if row is None:
         raise DataError(f"unknown {kind} id {ident!r}")
+    return row
+
+
+def _query_row(dataset: Dataset, query_id: str) -> int:
+    return _row(dataset.index.query_row, "query", query_id)
+
+
+def _doc_row(dataset: Dataset, doc_id: str) -> int:
+    return _row(dataset.index.doc_row, "doc", doc_id)
+
+
+def _token_row(table, row: int) -> np.ndarray:
     return table.flat[table.starts[row]:table.starts[row + 1]]
 
 
 def query_tokens(dataset: Dataset, query_id: str) -> np.ndarray:
     """The query's tokens, a view of the dataset's query token table."""
-    return _token_row(dataset.token_rows()[0], dataset.index.query_row, "query", query_id)
+    return _token_row(dataset.token_rows()[0], _query_row(dataset, query_id))
 
 
 def doc_tokens(dataset: Dataset, doc_id: str) -> np.ndarray:
     """The doc's tokens, a view of the dataset's doc token table."""
-    return _token_row(dataset.token_rows()[1], dataset.index.doc_row, "doc", doc_id)
+    return _token_row(dataset.token_rows()[1], _doc_row(dataset, doc_id))
 
 
 def pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
@@ -45,7 +58,8 @@ def pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
 
 def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
     """Relevance score of one pair; always > 0."""
-    return PairStep(model, dataset, ((query_id, doc_id),)).scores[0]
+    pair = (_query_row(dataset, query_id), _doc_row(dataset, doc_id))
+    return PairStep(model, dataset, (pair,)).scores[0]
 
 
 def score_pool(model: ScoreModel, dataset: Dataset, query_id: str) -> np.ndarray:
@@ -62,7 +76,9 @@ def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
                         pos_id: str, neg_id: str, margin: float,
                         buf: GradientBuffer | None) -> float:
     """max(0, margin - f(q, pos) + f(q, neg)); its gradient goes to buf if given."""
-    step = PairStep(model, dataset, ((query_id, pos_id), (query_id, neg_id)))
+    query = _query_row(dataset, query_id)
+    step = PairStep(model, dataset, ((query, _doc_row(dataset, pos_id)),
+                                     (query, _doc_row(dataset, neg_id))))
     pos_score, neg_score = step.scores
     loss = margin - pos_score + neg_score
     if loss <= 0.0:

@@ -81,7 +81,7 @@ def test_c02_gradient_suite():
         if abs(upstream) < 1e-3:
             continue
         buf = new_buffer(m)
-        PairStep(m, ds, ((s.query_id, s.doc_id),)).backward([upstream], buf)
+        PairStep(m, ds, ds.index.sample_rows([s])).backward([upstream], buf)
         num_q, num_d = finite_difference(
             lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
         grad_q, grad_d = np.split(buf.grad, 2)

@@ -214,6 +214,37 @@ class TestErrors:
             "log_touched" in err, err
         assert not (tmp_path / "o").exists()
 
+    # numpy's generators take no negative seed; each place a seed is set
+    # refuses one before anything is written
+    @pytest.mark.parametrize("config, args", [
+        ({}, ["--seed", "-1"]), ({"seed": -5}, []), ({"corpus": {"seed": -5}}, []),
+        ({"train": {"seed": -5}}, []), ({"unlearn": {"seed": -5}}, []),
+    ], ids=["--seed", "seed", "corpus", "train", "unlearn"])
+    def test_negative_seed(self, tmp_path, capsys, config, args):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["--config", str(path), *args, "--out", str(tmp_path / "o"), "gen"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:config:") and "seed must be non-negative" in err, err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_bytes(b'{"seed": 3, "x\xff": 1}')
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == 1
+        assert capsys.readouterr().err == \
+            f"ERROR:data: {config}: not UTF-8 (invalid start byte at byte 14)\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_forget_spec_not_utf8(self, workdir, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"kind": "query", "ids": ["q\xff"]}')
+        code = main(["--out", str(workdir / "runs"), "partition", "--spec", str(spec)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"ERROR:data: {spec}: not UTF-8 (invalid start byte at byte 28)\n"
+
     def test_delta_and_dest_conflict(self, workdir, capsys):
         out = workdir / "runs"
         code = main(["--out", str(out), "unlearn", "--spec", "spec_document_25",

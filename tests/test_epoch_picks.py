@@ -119,9 +119,10 @@ def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subs
         if not queries.qids:
             return
         hard = queries.hard(pool(model, ds))
+    doc_ids = list(ds.documents)
     for i, qid in enumerate(queries.qids):
-        n = queries.n_hard[i]
-        assert [queries.negatives[i][p] for p in hard[i, :n]] == want[qid]
+        negatives = queries.all_negatives[queries.neg_start[i]:][:queries.n_neg[i]]
+        assert [doc_ids[negatives[p]] for p in hard[i, :queries.n_hard[i]]] == want[qid]
 
 
 def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2):

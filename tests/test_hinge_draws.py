@@ -62,6 +62,15 @@ def query_negatives(ds):
     return {q: [d for d in ds.pools.get(q, ()) if d not in p] for q, p in pos.items()}
 
 
+def doc_rows(ds, doc_ids):
+    return [ds.index.doc_row[d] for d in doc_ids]
+
+
+def row_negatives(ds, negatives):
+    """``query_negatives`` as ``hinge_negatives`` gives them: doc rows."""
+    return {q: doc_rows(ds, negs) for q, negs in negatives.items()}
+
+
 class Loop:
     """One ``hinge_loss_and_grad`` call per draw."""
 
@@ -95,7 +104,7 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     draws, loop = HingeDraws(model, ds, margin, buf), Loop(ref_model, ds, margin, ref_buf)
     with np.errstate(all="ignore"):
         for qid, pos, negs in tasks:
-            draws.run(qid, pos, negs)
+            draws.run(ds.index.query_row[qid], ds.index.doc_row[pos], doc_rows(ds, negs))
             for neg in negs:
                 loop.step(qid, pos, neg)
     assert same(model.params, ref_model.params)
@@ -120,9 +129,10 @@ def test_wide_step_after_a_closed_draw_pools_only_the_rest(ds, model, data):
         gathered.append(list(pairs))
         return real(step, dataset, pairs, *rest)
 
+    q, p, negs = ds.index.query_row[qid], ds.index.doc_row[pos], doc_rows(ds, negs)
     with patch.object(PairStep, "_pool", spy):
-        HingeDraws(model, ds, margin, new_buffer(model, 1.0)).run(qid, pos, negs)
-    assert gathered == [[(qid, pos), (qid, negs[0])], [(qid, neg) for neg in negs[1:]]]
+        HingeDraws(model, ds, margin, new_buffer(model, 1.0)).run(q, p, negs)
+    assert gathered == [[(q, p), (q, negs[0])], [(q, neg) for neg in negs[1:]]]
 
 
 def loop_pairwise_epoch(ds, samples, rng, margin, npp, loop):
@@ -230,8 +240,8 @@ def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
     negatives = query_negatives(ds)
     ref_model = type(model)(model.params.copy())
     with np.errstate(all="ignore"):
-        got = _importance(model, pool(model, ds), ds.samples, negatives, margin, npp,
-                          np.random.default_rng(seed))
+        got = _importance(model, pool(model, ds), ds.samples, row_negatives(ds, negatives),
+                          margin, npp, np.random.default_rng(seed))
         # the per-draw loop: each positive's gradient accumulates, then is squared
         rng = np.random.default_rng(seed)
         sq, count = np.zeros_like(ref_model.params), 0
@@ -297,7 +307,8 @@ def test_forget_and_full_importance_are_the_per_draw_loop(ds, model, regime, see
     with np.errstate(all="ignore"), patch.object(ranker, "GRAD_BLOCK", block):
         # as ssd runs them: the forget pass, then the full pass, on one generator
         for samples in (part.forget, ds.samples):
-            got = _importance(model, pool(model, ds), samples, negatives, margin, npp, rng)
+            got = _importance(model, pool(model, ds), samples, row_negatives(ds, negatives),
+                              margin, npp, rng)
             want = loop_importance(ref_model, ds, samples, negatives, margin, npp, ref_rng)
             assert same(got, want)
     assert same(model.params, ref_model.params)
@@ -318,7 +329,8 @@ def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
     negatives = query_negatives(ds)
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     with patch.object(ranker, "GRAD_BLOCK", block):
-        got = _importance(model, pool(model, ds), ds.samples, negatives, margin, 4, rng)
+        got = _importance(model, pool(model, ds), ds.samples, row_negatives(ds, negatives),
+                          margin, 4, rng)
     want = loop_importance(model, ds, ds.samples, negatives, margin, 4, ref_rng)
     assert same(got, want) and np.count_nonzero(got)
 

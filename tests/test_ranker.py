@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from numur import (DataError, ForgetSpec, Method, RemovalKind, ScoreModel, TrainConfig,
-                   UnlearnConfig, init_model, load_model, new_buffer, partition, retrain,
-                   save_model, train, unlearn)
-from numur.ranker import HingeDraws, PairStep, pool, sample_scores
+from numur import (DataError, ForgetSpec, Label, Method, RemovalKind, Sample, ScoreModel,
+                   TrainConfig, UnlearnConfig, consistent_loss, contrastive_loss, init_model,
+                   load_model, new_buffer, partition, retrain, save_model, train, unlearn)
+from numur.ranker import HingeDraws, HingeSet, PairStep, pool, sample_scores
 
 from conftest import build_dataset, spy
 from scoring_reference import doc_tokens, forward, hinge_loss_and_grad, query_tokens, score_pool
@@ -91,24 +91,25 @@ class TestForward:
     def test_unknown_id(self):
         ds = tiny_dataset(np.random.default_rng(0))
         m = init_model(ds.vocab_size, 4, seed=0)
-        with pytest.raises(DataError):
-            forward(m, ds, "q0", "nope")
-
-    def test_offset_views_are_made_on_first_use(self):
-        ds = tiny_dataset(np.random.default_rng(0))
-        m = init_model(ds.vocab_size, 4, seed=0)
-        forward(m, ds, "q1", "d2")
-        queries, docs = ds._offset_tables[m.params.shape]
-        assert list(queries) == ["q1"] and list(docs) == ["d2"]
-        assert "q0" in queries and "d3" in docs and "nope" not in docs
         with pytest.raises(DataError, match="^unknown query id 'nope'$"):
             forward(m, ds, "nope", "d0")
         with pytest.raises(DataError, match="^unknown doc id 'nope'$"):
             forward(m, ds, "q0", "nope")
-        # each view: dim offsets per token, doc rows past the query table
-        rows = np.concatenate((query_tokens(ds, "q0"), doc_tokens(ds, "d3") + ds.vocab_size))
-        assert np.array_equal(np.concatenate((queries["q0"], docs["d3"])),
-                              (rows[:, None] * m.dim + np.arange(m.dim)).ravel())
+
+    @pytest.mark.parametrize("vocab", [12, 20])  # the corpus's, and a larger model's
+    def test_offset_table_is_indexed_by_row(self, vocab):
+        ds = tiny_dataset(np.random.default_rng(0))
+        m = init_model(vocab, 4, seed=0)
+        forward(m, ds, "q1", "d2")
+        queries, docs = ds._offset_tables[m.params.shape]
+        assert len(queries) == len(ds.queries) and len(docs) == len(ds.documents)
+        # each entry: dim offsets per token, doc rows past the model's query table
+        for qid, row in ds.index.query_row.items():
+            want = query_tokens(ds, qid)[:, None] * m.dim + np.arange(m.dim)
+            assert np.array_equal(queries[row], want.ravel())
+        for did, row in ds.index.doc_row.items():
+            want = (doc_tokens(ds, did) + vocab)[:, None] * m.dim + np.arange(m.dim)
+            assert np.array_equal(docs[row], want.ravel())
 
     def test_score_pool_matches_forward(self):
         rng = np.random.default_rng(3)
@@ -125,7 +126,7 @@ class TestBackwardScore:
         ds = tiny_dataset(rng)
         m = random_model(rng, ds.vocab_size)
         buf = new_buffer(m)
-        PairStep(m, ds, (("q0", "d0"),)).backward([0.0], buf)
+        PairStep(m, ds, ds.index.sample_rows(ds.samples[:1])).backward([0.0], buf)
         assert not buf.rows
         grad_q, grad_d = np.split(buf.grad, 2)
         assert np.all(grad_q == 0) and np.all(grad_d == 0)
@@ -138,7 +139,7 @@ class TestBackwardScore:
             s = ds.samples[int(rng.integers(len(ds.samples)))]
             upstream = float(rng.normal())
             buf = new_buffer(m)
-            PairStep(m, ds, ((s.query_id, s.doc_id),)).backward([upstream], buf)
+            PairStep(m, ds, ds.index.sample_rows([s])).backward([upstream], buf)
             num_q, num_d = finite_difference(
                 lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -151,7 +152,7 @@ class TestBackwardScore:
                            {"q0": ["d0"], "q1": ["d1"]}, vocab_size=16)
         m = random_model(rng, 16)
         buf = new_buffer(m)
-        PairStep(m, ds, (("q1", "d1"),)).backward([1.0], buf)
+        PairStep(m, ds, ds.index.sample_rows(ds.samples[1:])).backward([1.0], buf)
         grad_q, grad_d = np.split(buf.grad, 2)
         for t in query_tokens(ds, "q0"):
             assert np.all(grad_q[t] == 0)
@@ -269,13 +270,14 @@ class TestRetrain:
 
     @staticmethod
     def trained_positives(monkeypatch, split, spec):
-        """The (query, positive) of every hinge draw that retraining under
-        ``spec`` makes, and the partition."""
+        """The (query id, positive id) of every hinge draw that retraining
+        under ``spec`` makes, and the partition."""
         part = partition(split.train, spec)
         draws = spy(monkeypatch, HingeDraws, "run")
         retrain(split, TrainConfig(learning_rate=0.05, epochs=2, margin=1.0, seed=1,
                                    negatives_per_positive=1, dim=4), part)
-        return [(qid, pos) for _, qid, pos, _ in draws], part
+        qids, dids = list(split.train.queries), list(split.train.documents)
+        return [(qids[q], dids[pos]) for _, q, pos, _ in draws], part
 
     def test_touches_only_retained_samples(self, monkeypatch):
         split = self.figure_split_with_fillers()
@@ -324,6 +326,29 @@ class TestSnapshot:
                                                              method=method))
             assert run.method is method and run.final_model.params.flags.writeable
         assert frozen.params.tobytes() == model.params.tobytes()
+
+
+# Every entry that takes samples maps their ids to rows through
+# DatasetIndex.sample_rows, which names the first unknown id.
+UNKNOWN_ID_CALLS = {
+    "sample_scores": lambda m, ds, s, neg: sample_scores(pool(m, ds), [s]),
+    "HingeSet": lambda m, ds, s, neg: HingeSet(ds, [s]),
+    "contrastive_loss": lambda m, ds, s, neg: contrastive_loss(1.0, m, ds, s, None,
+                                                               new_buffer(m, 0.1)),
+    "consistent_loss": lambda m, ds, s, neg: consistent_loss(m, ds, (s, 1.0), (neg, 1.0),
+                                                             new_buffer(m, 0.1)),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_ID_CALLS.values(), ids=UNKNOWN_ID_CALLS.keys())
+@pytest.mark.parametrize("pair, kind", [(("nope", "d0"), "query"), (("q0", "nope"), "doc")])
+def test_unknown_sample_id_is_a_data_error(call, pair, kind):
+    ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)], {"q0": ["d0", "d1"]})
+    m = init_model(ds.vocab_size, 3, seed=0)
+    params = m.params.copy()
+    with pytest.raises(DataError, match=f"^sample references unknown {kind} id 'nope'$"):
+        call(m, ds, Sample(*pair, Label.POSITIVE), ds.samples[1])
+    assert np.array_equal(m.params, params)
 
 
 class TestModelIO:

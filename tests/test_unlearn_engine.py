@@ -34,6 +34,11 @@ def keys(samples):
     return {(s.query_id, s.doc_id) for s in samples}
 
 
+def row_keys(ds, samples):
+    """The (query row, doc row) of each of ``samples``, as hinge draws see them."""
+    return set(ds.index.sample_rows(list(samples)))
+
+
 def ucfg(method, **kw):
     base = dict(delta_target=0.5, max_epochs=30, learning_rate=0.3, seed=3,
                 check_every=1, method=method)
@@ -163,7 +168,7 @@ class TestCf:
         draws = spy(monkeypatch, ranker.HingeDraws, "run")
         unlearn(model, split, part, ucfg(Method.CF, delta_target=1e-9, max_epochs=2,
                                          learning_rate=0.05))
-        forget_keys = keys(part.forget)
+        forget_keys = row_keys(split.train, part.forget)
         assert draws
         assert all((qid, pos) not in forget_keys for _, qid, pos, _ in draws)
 
@@ -190,8 +195,10 @@ class TestAmnesiac:
         split, part, model = small_unlearn_world()
         draws = spy(monkeypatch, ranker.HingeDraws, "run")
         unlearn(model, split, part, ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=1))
-        forget_pos = keys(s for s in part.forget if s.label is Label.POSITIVE)
-        entangled_pos = keys(s for s in part.entangled if s.label is Label.POSITIVE)
+        forget_pos = row_keys(split.train, (s for s in part.forget
+                                            if s.label is Label.POSITIVE))
+        entangled_pos = row_keys(split.train, (s for s in part.entangled
+                                               if s.label is Label.POSITIVE))
         forgets = [c for c in draws if len(c[3]) == 1 and (c[1], c[3][0]) in forget_pos]
         retains = [c for c in draws if (c[1], c[2]) in entangled_pos]
         assert len(forgets) == len(forget_pos) and len(retains) == len(entangled_pos)

@@ -9,7 +9,9 @@ tree, one subprocess with that tree on ``PYTHONPATH`` runs, on the
 config of every benchmark workload in ``perfbench/workloads.py``: gen,
 train, retrain and partition on the workload's spec, eval of the trained
 model on each of its eval specs, unlearn with all six methods at
-``--delta 0.001`` and at ``--dest d2``, and report.
+``--delta 0.001`` and at ``--dest d2``, and report. Each cocol ablation
+of ``ABLATIONS`` then runs at ``--delta 0.001`` in an output directory
+of its own, on a copy of the workload's corpus, specs and trained model.
 
 Model files, corpus and spec files, SVG charts and every other file that
 is not a JSON or CSV artifact must be byte-identical between the trees.
@@ -36,18 +38,26 @@ REPO = Path(__file__).resolve().parents[1]
 WALL_TIME_FIELDS = frozenset({"wall_time_s", "normalized_epoch_duration",
                               "total_unlearn_time"})
 BYTE_EXACT_DIRS = ("corpus", "specs")  # their JSON is compared byte for byte
+# cocol's method_params switched off one at a time: the contrastive loss
+# without a partner, and no consistency pass
+ABLATIONS = {"cocol-no-entangled": {"entangled_term": False},
+             "cocol-no-phase2": {"phase2": False}}
 
-# Runs every (out, config, commands) job in one process and stops at the
-# first command that fails. The package must come from the tree under test.
+# Runs every (out, config, commands, inputs) job in one process and stops at
+# the first command that fails; a job with inputs first copies the corpus,
+# specs and trained model of that output directory into its own. The
+# package must come from the tree under test.
 RUNNER = """
-import json, sys
+import json, shutil, sys
 from pathlib import Path
 import numur
 from numur.cli import main
 tree, seed, jobs = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
 if not Path(numur.__file__).resolve().is_relative_to(Path(tree).resolve()):
     sys.exit(f"numur was imported from {numur.__file__}, not from {tree}")
-for out, config, commands in jobs:
+for out, config, commands, inputs in jobs:
+    for part in ("corpus", "specs", "train") if inputs else ():
+        shutil.copytree(Path(inputs) / part, Path(out) / part)
     for args in commands:
         if main(["--config", config, "--seed", seed, "--out", out, *args]):
             sys.exit(f"{out}: numur {' '.join(args)} failed")
@@ -64,20 +74,34 @@ def _commands(workload, delta: str, out: Path) -> list[list[str]]:
             ["report"]]
 
 
-def run_tree(src: Path, work: Path, workloads: dict, delta: str, seed: int) -> None:
-    """Run each workload's pipeline on the package in ``src``; workload
-    ``name`` writes its artifacts to ``work / name / "runs"``."""
-    jobs = []
+def _job(base: Path, config: dict, commands: list, inputs: Path | None = None) -> tuple:
+    """A RUNNER job writing to ``base / "runs"``, its config in ``base``."""
+    base.mkdir(parents=True)
+    path = base / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(base / "runs"), str(path), commands, inputs and str(inputs)
+
+
+def run_tree(src: Path, work: Path, workloads: dict, delta: str, seed: int) -> list[Path]:
+    """Run each workload's pipeline, then its cocol ablations, on the package
+    in ``src``; returns the output directories, relative to ``work``.
+    Workload ``name`` writes to ``name/runs`` and its ablation ``a`` to
+    ``name/a/runs``."""
+    jobs, outs = [], []
     for name, workload in workloads.items():
-        base = work / name
-        base.mkdir(parents=True)
-        config = base / "config.json"
-        config.write_text(json.dumps(workload.config), encoding="utf-8")
-        out = base / "runs"
-        jobs.append((str(out), str(config), _commands(workload, delta, out)))
+        runs = work / name / "runs"
+        jobs.append(_job(work / name, workload.config, _commands(workload, delta, runs)))
+        outs.append(Path(name, "runs"))
+        cocol = [["unlearn", "--spec", workload.spec, "--method", "cocol", "--delta", delta]]
+        for ablation, params in ABLATIONS.items():
+            unlearn = {**workload.config.get("unlearn", {}), "method_params": params}
+            jobs.append(_job(work / name / ablation, {**workload.config, "unlearn": unlearn},
+                             cocol, runs))
+            outs.append(Path(name, ablation, "runs"))
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", RUNNER, str(src), str(seed), json.dumps(jobs)],
                    env=env, check=True, stdout=subprocess.DEVNULL)
+    return outs
 
 
 def _without_wall_times(value):
@@ -138,13 +162,15 @@ def main(argv=None) -> int:
         work = Path(tmp)
         for label, src in (("parent", args.parent_src), ("change", args.change_src)):
             try:
-                run_tree(src.resolve(), work / label, WORKLOADS, UNREACHABLE_DELTA, args.seed)
+                outs = run_tree(src.resolve(), work / label, WORKLOADS, UNREACHABLE_DELTA,
+                                args.seed)
             except subprocess.CalledProcessError:
                 print(f"the pipeline failed on {src}", file=sys.stderr)
                 return 2
         differing = 0
-        for name in WORKLOADS:
-            a, b = work / "parent" / name / "runs", work / "change" / name / "runs"
+        for out in outs:
+            a, b = work / "parent" / out, work / "change" / out
+            name = out.parent.as_posix()
             lines = diff_trees(a, b)
             for line in lines:
                 print(f"{name}: {line}")
