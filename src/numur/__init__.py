@@ -15,9 +15,8 @@ from .evaluation import (MrrResult, ScoreDistribution, mrr_forget, mrr_set,
                          normalized_forget_score, score_distribution, timing_metrics)
 from .partition import (ForgetSpec, Partition, RemovalKind, entangled_partners,
                         load_forget_spec, partition, save_forget_spec)
-from .ranker import (GradientBuffer, Pooled, ScoreModel, TrainConfig, TrainResult,
-                     clone_model, init_model, load_model, new_buffer, pool, pool_split,
-                     retrain, save_model, train)
+from .ranker import (Pooled, ScoreModel, Sgd, TrainConfig, TrainResult, clone_model,
+                     init_model, load_model, pool, pool_split, retrain, save_model, train)
 from .unlearn_engine import (Destinations, EpochRecord, Method, UnlearnConfig, UnlearnRun,
                              compute_destinations, unlearn)
 from .unlearn_losses import build_min_cache, consistent_loss, contrastive_loss, delta_min

@@ -117,7 +117,19 @@ class ExperimentConfig:
         fractions = tuple(checked("removal_fractions entry", f, float) for f in fractions)
         if not fractions or not all(0.0 < f < 1.0 for f in fractions):
             raise ConfigError("removal_fractions must be a non-empty list inside (0, 1)")
+        named: dict[str, float] = {}
+        for f in fractions:
+            suffix = _spec_suffix(f)
+            if suffix in named:
+                raise ConfigError(f"removal_fractions {named[suffix]!r} and {f!r} both name "
+                                  f"spec_document_{suffix}.json and spec_query_{suffix}.json")
+            named[suffix] = f
         return cls(corpus, train_cfg, unlearn_cfg, fractions)
+
+
+def _spec_suffix(fraction: float) -> str:
+    """The end of the names of the forget specs gen writes for ``fraction``."""
+    return f"{int(round(fraction * 100)):02d}"
 
 
 def _parse_method(name) -> Method:
@@ -226,10 +238,16 @@ def _train_model_path(out: Path) -> Path:
 
 
 def _train_epoch_times(out: Path) -> list[float]:
+    """The training epoch wall times, each > 0: the unit of the timing metrics."""
     path = out / "train" / "trajectory.csv"
     if not path.exists():
         raise ConfigError(f"training trajectory not found at {path}")
-    return _read_csv_column(path, 3)
+    times = _read_csv_column(path, 3)
+    for lineno, wall in enumerate(times, start=2):
+        if not wall > 0.0:
+            raise DataError(f"{path}:{lineno}: expected a wall time above 0 in column 4, "
+                            f"got {wall!r}")
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +269,7 @@ def cmd_gen(cfg: ExperimentConfig, out: Path) -> None:
     for kind in (RemovalKind.DOCUMENT, RemovalKind.QUERY):
         for fraction in cfg.fractions:
             spec = sample_forget_spec(split.train, kind, fraction, seed=cfg.corpus.seed)
-            name = f"spec_{kind.value}_{int(round(fraction * 100)):02d}.json"
+            name = f"spec_{kind.value}_{_spec_suffix(fraction)}.json"
             save_forget_spec(spec, out / "specs" / name)
     print(f"wrote corpus and {2 * len(cfg.fractions)} forget specs under {out}")
 

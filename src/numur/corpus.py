@@ -138,11 +138,6 @@ class Dataset:
         return self._query_rows, self._doc_rows
 
     @cached_property
-    def _offset_tables(self) -> dict:
-        """The ranker's per-model-shape token offset tables, filled on first use."""
-        return {}
-
-    @cached_property
     def index(self) -> "DatasetIndex":
         """Integer arrays for whole-pool scoring, built on first use.
 

@@ -77,23 +77,6 @@ class TrainConfig:
             raise ConfigError("negatives_per_positive and dim must be positive")
 
 
-class GradientBuffer:
-    """Gradient of the stacked parameter table, and what a backward pass does with it.
-
-    With a learning rate ``lr``, every backward pass is one SGD step: its
-    gradient is added here, subtracted (times ``lr``) from the rows it
-    touched, and those rows are zeroed again, so the buffer is all zeros
-    between steps. Without one, gradients accumulate and ``rows`` lists
-    the stacked rows each pass touched, for the caller to read and zero.
-    """
-
-    def __init__(self, shape: tuple[int, int], lr: float | None = None):
-        self.grad = np.zeros(shape)
-        self.flat = self.grad.reshape(-1)  # the offsets of a PairStep index it
-        self.lr = lr
-        self.rows: list[np.ndarray] = []
-
-
 @dataclass
 class TrainResult:
     model: ScoreModel
@@ -112,16 +95,11 @@ def clone_model(model: ScoreModel) -> ScoreModel:
     return ScoreModel(model.params.copy())
 
 
-def new_buffer(model: ScoreModel, lr: float | None = None) -> GradientBuffer:
-    """A zeroed buffer for ``model``; with ``lr``, each backward pass is an SGD step."""
-    return GradientBuffer(model.params.shape, lr)
-
-
 def _sigmoids(z: np.ndarray) -> np.ndarray:
     """The logistic function of each entry, bitwise the scalar form of
-    ``PairStep.backward``: ``1 / (1 + exp(-z))`` where ``z >= 0``, else
+    ``PairStep.gradient``: ``1 / (1 + exp(-z))`` where ``z >= 0``, else
     ``e / (1 + e)`` with ``e = exp(z)``."""
-    e = np.exp(np.where(z >= 0, -z, z))  # NaN takes the second branch, as in backward
+    e = np.exp(np.where(z >= 0, -z, z))  # NaN takes the second branch, as in gradient
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -137,8 +115,7 @@ def _stacked_token_rows(dataset: Dataset, vocab_size: int) -> tuple[np.ndarray, 
 
 def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[list, list]:
     """Each query row's and each doc row's flat offsets into a stacked
-    parameter table of ``shape``, ``dim`` offsets per token; stored on
-    ``dataset`` for the next step under a model of that shape.
+    parameter table of ``shape``, ``dim`` offsets per token.
 
     Token ``t`` is row ``t`` of the query half and row ``vocab_size + t``
     of the doc half, with the model's ``vocab_size``, not the corpus's,
@@ -152,52 +129,80 @@ def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[list, list]
     bounds = (starts * dim).tolist()
     views = [offsets[a:b] for a, b in zip(bounds, bounds[1:])]
     n_q = len(dataset.queries)
-    table = dataset._offset_tables[shape] = views[:n_q], views[n_q:]
-    return table
+    return views[:n_q], views[n_q:]
+
+
+class Sgd:
+    """Plain SGD on ``model`` over the pairs of ``dataset``: one per fit or
+    unlearning plan, holding all that its steps read and write.
+
+    ``queries`` and ``docs`` are the dataset's offset table under the
+    model's shape (``_offset_table``), built once here. ``apply`` adds a
+    step's gradient into ``scratch``, a flat gradient of the stacked table
+    that is all zeros between steps, moves the offsets it touched by
+    ``-lr`` times it and zeroes them again.
+    """
+
+    def __init__(self, model: ScoreModel, dataset: Dataset, lr: float):
+        self.model, self.dataset, self.lr = model, dataset, lr
+        self.shape, self.flat = model.params.shape, model.flat
+        self.scratch = np.zeros(model.params.size)
+        self.queries, self.docs = _offset_table(dataset, self.shape)
+
+    def apply(self, step: "PairStep", upstream: Sequence[float]) -> None:
+        """One SGD step along ``step.gradient(upstream)``, summed with one
+        ``np.add.at``; nothing when every upstream is 0."""
+        grad = step.gradient(upstream)
+        if grad is None:
+            return
+        index, terms = grad
+        np.add.at(self.scratch, index, terms)
+        # an offset listed twice is gathered before the scatter, so it steps once
+        stepped = self.flat.take(index)
+        stepped -= self.lr * self.scratch[index]
+        self.flat[index] = stepped
+        self.scratch[index] = 0.0
 
 
 class PairStep:
-    """Scores of a few (query row, doc row) pairs under one model, and their
-    gradient.
+    """Scores of a few (query row, doc row) pairs under the model of an
+    ``Sgd``, and their gradient.
 
-    The dataset's offset table holds, per query row and per doc row, the flat
-    offsets of its token rows in the stacked table, ``dim`` offsets per
-    token, doc rows shifted by the model's ``vocab_size``. The constructor
-    concatenates the offsets of every pair, its query's then its doc's,
-    and gathers them with one ``take``. Each pooled vector is the mean of
-    its slice of that gather; a pair with the same query as the pair
-    before it reuses that pair's query vector. ``backward`` scatters
-    through the same offsets. The parameters must not change between the
-    constructor and ``backward``.
+    The stepper's offset table holds, per query row and per doc row, the
+    flat offsets of its token rows in the stacked table, ``dim`` offsets
+    per token, doc rows shifted by the model's ``vocab_size``. The
+    constructor concatenates the offsets of every pair, its query's then
+    its doc's, and gathers them with one ``take``. Each pooled vector is
+    the mean of its slice of that gather; a pair with the same query as
+    the pair before it reuses that pair's query vector. ``gradient`` spans
+    the same offsets. The parameters must not change between the
+    constructor and the ``Sgd.apply`` of the step.
 
     Per part (a pair's query, then its doc) the step keeps its offsets,
     its token count and the vector its gradient runs along: the doc's
     vector for the query part, the query's for the doc part.
     """
 
-    __slots__ = ("shape", "flat", "offsets", "counts", "along", "logits", "index", "x",
-                 "scores")
+    __slots__ = ("sgd", "offsets", "counts", "along", "logits", "index", "scores")
 
-    def __init__(self, model: ScoreModel, dataset: Dataset,
-                 pairs: Sequence[tuple[int, int]]):
-        self.shape, self.flat = model.params.shape, model.flat
+    def __init__(self, sgd: Sgd, pairs: Sequence[tuple[int, int]]):
+        self.sgd = sgd
         self.offsets, self.counts, self.along, self.logits = [], [], [], []
-        self._pool(dataset, pairs, None, None)
+        self._pool(pairs, None, None)
         # softplus, elementwise: the same values as one logaddexp call per pair
         self.scores = np.logaddexp(0.0, self.logits).tolist()
 
-    def _pool(self, dataset: Dataset, pairs: Sequence[tuple[int, int]],
-              query_row: int | None, u: np.ndarray | None) -> None:
+    def _pool(self, pairs: Sequence[tuple[int, int]], query_row: int | None,
+              u: np.ndarray | None) -> None:
         """Gather ``pairs`` with one ``take``, and append their parts and
         logits; ``u`` is the pooled vector of ``query_row`` when the caller
         has it."""
-        queries, docs = dataset._offset_tables.get(self.shape) \
-            or _offset_table(dataset, self.shape)
+        sgd = self.sgd
+        queries, docs = sgd.queries, sgd.docs
         offsets = [o for q, d in pairs for o in (queries[q], docs[d])]
         self.index = index = np.concatenate(offsets)
-        self.x = x = self.flat.take(index)
-        dim = self.shape[1]
-        rows = x.reshape(-1, dim)
+        dim = sgd.shape[1]
+        rows = sgd.flat.take(index).reshape(-1, dim)
         counts, along, logits = self.counts, self.along, self.logits
         end = 0
         each = iter(offsets)
@@ -213,30 +218,27 @@ class PairStep:
             logits.append(float(u @ v))
         self.offsets += offsets
 
-    def _widened(self, dataset: Dataset, pairs: Sequence[tuple[int, int]]) -> "PairStep":
+    def _widened(self, pairs: Sequence[tuple[int, int]]) -> "PairStep":
         """One step over this step's first pair, then ``pairs``, which share
         its query, under the parameters this step was made with. The first
         pair keeps its parts and score; only ``pairs`` are gathered and
         pooled, against the first pair's query vector."""
         step = object.__new__(PairStep)
-        step.shape, step.flat = self.shape, self.flat
+        step.sgd = self.sgd
         step.offsets, step.counts, step.along = \
             self.offsets[:2], self.counts[:2], self.along[:2]
         step.logits = self.logits[:1]
-        step._pool(dataset, pairs, pairs[0][0], self.along[1])
-        step.index = step.x = None  # the gather misses the first pair
+        step._pool(pairs, pairs[0][0], self.along[1])
+        step.index = None  # the gather misses the first pair
         step.scores = self.scores[:1] + np.logaddexp(0.0, step.logits[1:]).tolist()
         return step
 
-    def backward(self, upstream: Sequence[float], buf: GradientBuffer) -> None:
-        """Add each ``upstream[i] * d(score_i)/d(params)`` into ``buf``.
-
-        The offsets of the pairs with a nonzero upstream are accumulated
-        with one ``np.add.at`` in pair order, each pair's query offsets
-        before its doc offsets. With ``buf.lr`` set, the step is then
-        applied to those offsets and they are zeroed; otherwise their
-        stacked rows are appended to ``buf.rows``.
-        """
+    def gradient(self, upstream: Sequence[float]) -> tuple[np.ndarray, np.ndarray] | None:
+        """The flat offsets of the parts of the pairs with a nonzero
+        upstream, in pair order, each pair's query offsets before its doc
+        offsets, and each offset's term of ``upstream[i] * d(score_i)/d(params)``;
+        None when every upstream is 0. An offset listed twice has a term
+        per listing, for the caller to sum."""
         gs, parts = [], []
         for i, (z, up) in enumerate(zip(self.logits, upstream)):
             if up == 0.0:
@@ -249,25 +251,16 @@ class PairStep:
             gs += (g, g)
             parts += (2 * i, 2 * i + 1)
         if not gs:
-            return
-        counts, along, index, x = self.counts, self.along, self.index, self.x
+            return None
+        counts, along, index = self.counts, self.along, self.index
         if index is None or len(parts) < len(counts):
             counts, along = [counts[k] for k in parts], [along[k] for k in parts]
-            index, x = np.concatenate([self.offsets[k] for k in parts]), None
+            index = np.concatenate([self.offsets[k] for k in parts])
         # (g * vector) / count, the arithmetic of one backward pass per pair
         grads = np.array(along)
         grads *= np.array(gs)[:, None]
         grads /= np.array(counts, dtype=float)[:, None]
-        np.add.at(buf.flat, index, grads.repeat(counts, axis=0).ravel())
-        if buf.lr is None:
-            dim = self.shape[1]
-            buf.rows.append(index[::dim] // dim)
-            return
-        # an offset listed twice is gathered before the scatter, so it steps once
-        stepped = self.flat.take(index) if x is None else x
-        stepped -= buf.lr * buf.flat[index]
-        self.flat[index] = stepped
-        buf.flat[index] = 0.0
+        return index, grads.repeat(counts, axis=0).ravel()
 
 
 # Rows pooled per gather in doc_vectors and query_vectors; keeps the
@@ -394,7 +387,7 @@ class HingeDraws:
     that step was of the same positive. After an active draw (a NaN loss
     counts as active), only the next one is scored, in a two-pair step of
     the positive and that draw. An active draw steps through
-    ``backward`` with a zero upstream on the other pairs. The window
+    ``sgd.apply`` with a zero upstream on the other pairs. The window
     carries over from one positive to the next, so a run whose draws are
     all active makes the steps of the per-draw loop and no more.
 
@@ -402,9 +395,8 @@ class HingeDraws:
     ``draws`` counts the draws.
     """
 
-    def __init__(self, model: ScoreModel, dataset: Dataset, margin: float,
-                 buf: GradientBuffer):
-        self.model, self.dataset, self.margin, self.buf = model, dataset, margin, buf
+    def __init__(self, sgd: Sgd, margin: float):
+        self.sgd, self.margin = sgd, margin
         self.wide = False  # the last draw was inactive
         self.total, self.draws = 0.0, 0
 
@@ -414,24 +406,24 @@ class HingeDraws:
             return
         pos_pair, pairs = (query_row, pos_row), [(query_row, neg) for neg in neg_rows]
         self.draws += len(pairs)
-        model, dataset, margin, buf = self.model, self.dataset, self.margin, self.buf
+        sgd, margin = self.sgd, self.margin
         at, n, closed = 0, len(pairs), None
         while at < n:
             if not self.wide:  # the per-draw step
-                step = PairStep(model, dataset, (pos_pair, pairs[at]))
+                step = PairStep(sgd, (pos_pair, pairs[at]))
                 pos_score, neg_score = step.scores
                 loss = margin - pos_score + neg_score
                 at += 1
                 if loss <= 0.0:
                     self.wide, closed = True, step
                 else:
-                    step.backward([-1.0, 1.0], buf)
+                    sgd.apply(step, [-1.0, 1.0])
                     self.total += loss
                 continue
             # after a closed draw of this positive, its query, positive and
             # score are still those of the parameters
-            step = PairStep(model, dataset, [pos_pair, *pairs[at:]]) if closed is None \
-                else closed._widened(dataset, pairs[at:])
+            step = PairStep(sgd, [pos_pair, *pairs[at:]]) if closed is None \
+                else closed._widened(pairs[at:])
             closed = None
             scores = step.scores
             for k in range(1, len(scores)):
@@ -441,7 +433,7 @@ class HingeDraws:
                     continue
                 upstream = [0.0] * len(scores)
                 upstream[0], upstream[k] = -1.0, 1.0
-                step.backward(upstream, buf)
+                sgd.apply(step, upstream)
                 self.total += loss
                 self.wide = False
                 break  # the parameters moved: score the rest again
@@ -461,11 +453,11 @@ def hinge_grad_squares(pooled: Pooled, query_rows: np.ndarray, pos_rows: np.ndar
 
     Bitwise the per-draw loop under parameters that never move: one
     ``hinge_loss_and_grad`` (``tests/scoring_reference.py``) per draw
-    into a buffer without a learning rate, then ``sq[rows] +=
+    into a stepper that only accumulates, then ``sq[rows] +=
     (grad[rows] / n) ** 2`` over the rows touched and those rows zeroed,
     once per positive. A draw is active unless its loss is ``<= 0.0``,
     so a NaN loss is active. Each active draw adds, as
-    ``PairStep.backward`` does: the query rows ``v_pos * g_pos / lq``, the
+    ``PairStep.gradient`` does: the query rows ``v_pos * g_pos / lq``, the
     positive's rows ``u * g_pos / lp``, the query rows ``v_neg * g_neg / lq``
     and the negative's rows ``u * g_neg / ln``. Each (positive, row)
     gradient is summed in that order from 0.0 by ``np.bincount``, and
@@ -571,18 +563,10 @@ class HingeSet:
         return np.take_along_axis(self.position, order[:, :HARD_NEGATIVES_PER_QUERY], axis=1)
 
 
-def hinge_negatives(dataset: Dataset, samples: list[Sample]) -> dict[str, list[int]]:
-    """The doc rows of the hinge negatives (``HingeSet``) of every query with
-    a positive in ``samples``, by query id."""
-    queries = HingeSet(dataset, samples)
-    return dict(zip(queries.qids, map(np.ndarray.tolist,
-                                      np.split(queries.all_negatives, queries.neg_start[1:]))))
-
-
-def pairwise_epoch(model: ScoreModel, queries: HingeSet, pooled: Pooled,
-                   rng: np.random.Generator, lr: float, margin: float,
-                   negatives_per_positive: int) -> float:
-    """One SGD epoch of pairwise hinge over the positives of ``queries``.
+def pairwise_epoch(sgd: Sgd, queries: HingeSet, pooled: Pooled, rng: np.random.Generator,
+                   margin: float, negatives_per_positive: int) -> float:
+    """One epoch of pairwise hinge over the positives of ``queries``, each
+    step taken by ``sgd``.
 
     Negatives come from the query's pool, excluding docs positive for it
     among the samples ``queries`` was built from. A positive's draws
@@ -609,7 +593,7 @@ def pairwise_epoch(model: ScoreModel, queries: HingeSet, pooled: Pooled,
     chosen = np.where(odd, hard[at[:, None], np.minimum(picks, hard.shape[1] - 1)], picks)
     negs = queries.all_negatives[chosen + queries.neg_start[at, None]].ravel().tolist()
 
-    draws = HingeDraws(model, queries.dataset, margin, new_buffer(model, lr))
+    draws = HingeDraws(sgd, margin)
     rows, k = queries.rows.tolist(), 0
     for qi in order.tolist():
         for pos in queries.positives[qi]:
@@ -632,10 +616,10 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     result = TrainResult(model=model, epoch_losses=[], epoch_mrr=[], epoch_times=[])
-    pooled = pool(model, dataset)
+    sgd, pooled = Sgd(model, dataset, cfg.learning_rate), pool(model, dataset)
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        loss = pairwise_epoch(model, queries, pooled, rng, cfg.learning_rate, cfg.margin,
+        loss = pairwise_epoch(sgd, queries, pooled, rng, cfg.margin,
                               cfg.negatives_per_positive)
         pooled = pool(model, dataset)  # for this epoch's MRR and the next epoch's mining
         result.epoch_times.append(time.perf_counter() - t0)

@@ -38,9 +38,9 @@ from .corpus import CorpusSplit, Label, Sample
 from .errors import ConfigError, checked
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (HingeDraws, HingeSet, Pooled, ScoreModel, clone_model,
-                     hinge_grad_squares, hinge_negatives, init_model, new_buffer,
-                     pairwise_epoch, pool, pool_split, sample_scores)
+from .ranker import (HingeDraws, HingeSet, Pooled, ScoreModel, Sgd, clone_model,
+                     hinge_grad_squares, init_model, pairwise_epoch, pool, pool_split,
+                     sample_scores)
 from .unlearn_losses import _abs_delta_loss, build_min_cache, consistent_loss, contrastive_loss
 
 
@@ -214,8 +214,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
     n_partners = np.array([len(options) for options in partners], dtype=np.intp)
     n_others = np.array([len(d_neg) if s.label is Label.POSITIVE else len(d_pos)
                          for s, _ in disjoint], dtype=np.intp)
-    student = run.final_model
-    sgd = new_buffer(student, cfg.learning_rate)
+    sgd = Sgd(run.final_model, train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         # each phase: one permutation, then every pick of the phase in one call
@@ -225,7 +224,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
         for i in order.tolist():
             x, options = part.forget[i], partners[i]
             partner = options[next(picks)] if options else None
-            contrastive_loss(floors[x.query_id], student, train, x, partner, sgd)
+            contrastive_loss(floors[x.query_id], sgd, x, partner)
         if not use_phase2:
             return
         order = rng.permutation(len(disjoint))
@@ -235,7 +234,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
                 pos, neg = d, d_neg[pick]
             else:
                 pos, neg = d_pos[pick], d
-            consistent_loss(student, train, pos, neg, sgd)
+            consistent_loss(sgd, pos, neg)
 
     return epoch
 
@@ -246,10 +245,10 @@ def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partitio
     margin, npp = _hinge(cfg)
     queries = HingeSet(split.train, [s for s in split.train.samples
                                      if not part.is_forgotten(s)])
+    sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
-        pairwise_epoch(run.final_model, queries, pool(run.final_model, split.train), rng,
-                       cfg.learning_rate, margin, npp)
+        pairwise_epoch(sgd, queries, pool(run.final_model, split.train), rng, margin, npp)
 
     return epoch
 
@@ -261,30 +260,30 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
     positives = [s for s in part.forget if s.label is Label.POSITIVE]
     n_forget = len(positives)
     positives += [s for s in part.entangled if s.label is Label.POSITIVE]
-    tasks = _hinge_tasks(split, positives)
-    for s, (_, _, negs) in zip(positives, tasks):
-        if not negs:
+    queries = HingeSet(split.train, split.train.samples)
+    query, doc, n_negs, starts = _hinge_rows(queries, positives)
+    for s, n in zip(positives, n_negs.tolist()):
+        if not n:
             raise ConfigError(f"forget query {s.query_id!r} has no pool negatives "
                               "to promote")
 
-    # the first n_forget tasks draw the one negative they promote, the rest npp
-    n_draws = np.array([1] * n_forget + [npp] * (len(tasks) - n_forget), dtype=np.intp)
-    n_negs = np.array([len(negs) for _, _, negs in tasks], dtype=np.intp)
-    sgd = new_buffer(run.final_model, cfg.learning_rate)
+    # the first n_forget positives draw the one negative they promote, the rest npp
+    n_draws = np.array([1] * n_forget + [npp] * (len(positives) - n_forget), dtype=np.intp)
+    sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
-        draws = HingeDraws(run.final_model, split.train, margin, sgd)
-        order = rng.permutation(len(tasks))
-        picks = rng.integers(n_negs[order].repeat(n_draws[order])).tolist()
-        at = 0
+        draws = HingeDraws(sgd, margin)
+        order = rng.permutation(len(positives))
+        picks = rng.integers(n_negs[order].repeat(n_draws[order]))
+        negs = queries.all_negatives[starts[order].repeat(n_draws[order]) + picks].tolist()
+        k = 0
         for i in order.tolist():
-            query, doc, negs = tasks[i]
             if i < n_forget:
-                draws.run(query, negs[picks[at]], [doc])
-                at += 1
+                draws.run(query[i], negs[k], [doc[i]])
+                k += 1
             else:
-                draws.run(query, doc, [negs[p] for p in picks[at:at + npp]])
-                at += npp
+                draws.run(query[i], doc[i], negs[k:k + npp])
+                k += npp
 
     return epoch
 
@@ -293,33 +292,33 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
              cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
     margin, npp = _hinge(cfg)
-    tasks = _hinge_tasks(split, [s for s in part.forget if s.label is Label.POSITIVE])
-    n_negs = np.array([len(negs) for _, _, negs in tasks], dtype=np.intp)
-    ascent = new_buffer(run.final_model, -cfg.learning_rate)
+    positives = [s for s in part.forget if s.label is Label.POSITIVE]
+    queries = HingeSet(split.train, split.train.samples)
+    query, doc, n_negs, starts = _hinge_rows(queries, positives)
+    ascent = Sgd(run.final_model, split.train, -cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
-        draws = HingeDraws(run.final_model, split.train, margin, ascent)
-        order = rng.permutation(len(tasks))
+        draws = HingeDraws(ascent, margin)
+        order = rng.permutation(len(positives))
         # npp draws for each positive that has negatives, none for the rest
-        bounds = n_negs[order]
-        picks = rng.integers(bounds[bounds > 0].repeat(npp)).tolist()
-        at = 0
-        for i in order.tolist():
-            query, doc, negs = tasks[i]
-            if not negs:
-                continue
-            draws.run(query, doc, [negs[p] for p in picks[at:at + npp]])
-            at += npp
+        order = order[n_negs[order] > 0]
+        picks = rng.integers(n_negs[order].repeat(npp))
+        negs = queries.all_negatives[starts[order].repeat(npp) + picks].tolist()
+        for k, i in enumerate(order.tolist()):
+            draws.run(query[i], doc[i], negs[k * npp:(k + 1) * npp])
 
     return epoch
 
 
-def _hinge_tasks(split: CorpusSplit, positives: list[Sample]) -> list[tuple[int, int, list]]:
-    """The query row, doc row and hinge negatives (``hinge_negatives`` of
-    the train set) of each of ``positives``, a list of train samples."""
-    negatives = hinge_negatives(split.train, split.train.samples)
-    return [(query, doc, negatives[s.query_id])
-            for s, (query, doc) in zip(positives, split.train.index.sample_rows(positives))]
+def _hinge_rows(queries: HingeSet,
+                positives: list[Sample]) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """The query row and doc row of each of ``positives``, samples of
+    ``queries.dataset`` whose queries ``queries`` holds, and the count of
+    its query's hinge negatives and where they start in ``all_negatives``."""
+    slot = dict(zip(queries.qids, range(len(queries.qids))))
+    at = np.array([slot[s.query_id] for s in positives], dtype=np.intp)
+    rows = queries.dataset.index.sample_rows(positives)
+    return [q for q, _ in rows], [d for _, d in rows], queries.n_neg[at], queries.neg_start[at]
 
 
 def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
@@ -338,10 +337,10 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     margin, npp = _hinge(cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    negatives = hinge_negatives(split.train, split.train.samples)
+    queries = HingeSet(split.train, split.train.samples)
     pooled = pool(m_train, split.train)  # once for both passes
-    imp_f = _importance(m_train, pooled, part.forget, negatives, margin, npp, rng)
-    imp_s = _importance(m_train, pooled, split.train.samples, negatives, margin, npp, rng)
+    imp_f = _importance(m_train, pooled, part.forget, queries, margin, npp, rng)
+    imp_s = _importance(m_train, pooled, split.train.samples, queries, margin, npp, rng)
 
     t0 = time.perf_counter()
     # one table at a time, which halves the temporaries
@@ -358,28 +357,29 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
 
 
 def _importance(model: ScoreModel, pooled: Pooled, samples: list[Sample],
-                negatives: dict[str, list[str]], margin: float, npp: int,
+                queries: HingeSet, margin: float, npp: int,
                 rng: np.random.Generator) -> np.ndarray:
     """Mean squared per-sample gradient of the pairwise loss, per parameter
     of the stacked table; ``pooled`` is ``model`` pooled over the train set
-    and ``negatives`` is ``hinge_negatives`` of it.
+    and ``queries`` the ``HingeSet`` of all its samples.
 
     Every negative is drawn first, ``npp`` per positive in sample order;
     the parameters never move, so ``hinge_grad_squares`` then scores and
     differentiates all the draws in one batched pass.
     """
-    drawn = [s for s in samples if s.label is Label.POSITIVE and negatives[s.query_id]]
+    positives = [s for s in samples if s.label is Label.POSITIVE]
+    query, doc, n_negs, starts = _hinge_rows(queries, positives)
+    drawn = n_negs > 0
     sq = np.zeros_like(model.params)
-    if not drawn:
+    if not drawn.any():
         return sq
     # one call with an array of bounds makes the draws of one
-    # rng.integers(len(negs)) call per draw, in the same order
-    picks = rng.integers(np.repeat([len(negatives[s.query_id]) for s in drawn], npp))
-    neg_rows = [[negatives[s.query_id][j] for j in row]
-                for s, row in zip(drawn, picks.reshape(-1, npp).tolist())]
-    rows = np.array(pooled.dataset.index.sample_rows(drawn))
-    hinge_grad_squares(pooled, rows[:, 0], rows[:, 1], np.array(neg_rows), margin, sq)
-    sq /= len(drawn)
+    # rng.integers(n_neg) call per draw, in the same order
+    picks = rng.integers(n_negs[drawn].repeat(npp))
+    neg_rows = queries.all_negatives[starts[drawn].repeat(npp) + picks].reshape(-1, npp)
+    hinge_grad_squares(pooled, np.array(query)[drawn], np.array(doc)[drawn], neg_rows,
+                       margin, sq)
+    sq /= np.count_nonzero(drawn)
     return sq
 
 
@@ -391,12 +391,12 @@ def _badt(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partit
     # each teacher scores the pairs it teaches in one pass
     bad = list(zip(part.forget, sample_scores(pool(bad_teacher, split.train), part.forget)))
     good = list(zip(retained, sample_scores(pool(m_train, split.train), retained)))
-    sgd = new_buffer(run.final_model, cfg.learning_rate)
+    sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         for pairs in (bad, good):
             for i in rng.permutation(len(pairs)):
-                _abs_delta_loss(run.final_model, split.train, (pairs[int(i)],), sgd)
+                _abs_delta_loss(sgd, (pairs[int(i)],))
 
     return epoch
 

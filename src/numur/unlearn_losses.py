@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .corpus import Dataset, Label, Sample
+from .corpus import Label, Sample
 from .errors import ConfigError
-from .ranker import GradientBuffer, PairStep, ScoreModel
+from .ranker import PairStep, Sgd
 
 Scored = tuple[Sample, float]  # a sample and its teacher's score
 
@@ -56,11 +56,10 @@ def _abs_delta_terms(teacher_scores: Sequence[float],
     return total, upstream
 
 
-def contrastive_loss(floor: float, student: ScoreModel, dataset: Dataset,
-                     forget_pair: Sample, partner: Scored | None,
-                     buf: GradientBuffer) -> float:
+def contrastive_loss(floor: float, sgd: Sgd, forget_pair: Sample,
+                     partner: Scored | None) -> float:
     """relu(delta_min(floor, f(forget_pair))) + |delta(partner)|, partner term 0
-    when absent.
+    when absent; ``sgd`` steps the student along its gradient.
 
     ``floor`` is the teacher's minimum score over the forget pair's query
     (``build_min_cache``). Suppresses the forget pair toward that floor
@@ -73,7 +72,7 @@ def contrastive_loss(floor: float, student: ScoreModel, dataset: Dataset,
             f"the forget pair ({forget_pair.query_id!r}, {forget_pair.doc_id!r})")
 
     pairs = [forget_pair] if partner is None else [forget_pair, partner[0]]
-    step = PairStep(student, dataset, dataset.index.sample_rows(pairs))
+    step = PairStep(sgd, sgd.dataset.index.sample_rows(pairs))
     f_w = step.scores[0]
     adjusted = delta_min(floor, f_w)
     value = max(0.0, adjusted)
@@ -83,12 +82,11 @@ def contrastive_loss(floor: float, student: ScoreModel, dataset: Dataset,
         upstream[0] = 2.0 * floor / (denom * denom)
     partner_value, partner_upstream = (0.0, []) if partner is None else \
         _abs_delta_terms((partner[1],), step.scores[1:])
-    step.backward(upstream + partner_upstream, buf)
+    sgd.apply(step, upstream + partner_upstream)
     return value + partner_value
 
 
-def consistent_loss(student: ScoreModel, dataset: Dataset, pos_pair: Scored,
-                    neg_pair: Scored, buf: GradientBuffer) -> float:
+def consistent_loss(sgd: Sgd, pos_pair: Scored, neg_pair: Scored) -> float:
     """|delta(pos_pair)| + |delta(neg_pair)|: pins both pairs to the teacher."""
     if pos_pair[0].label is not Label.POSITIVE:
         raise ConfigError(
@@ -96,14 +94,13 @@ def consistent_loss(student: ScoreModel, dataset: Dataset, pos_pair: Scored,
     if neg_pair[0].label is not Label.NEGATIVE:
         raise ConfigError(
             f"neg_pair ({neg_pair[0].query_id!r}, {neg_pair[0].doc_id!r}) is not negative")
-    return _abs_delta_loss(student, dataset, (pos_pair, neg_pair), buf)
+    return _abs_delta_loss(sgd, (pos_pair, neg_pair))
 
 
-def _abs_delta_loss(student: ScoreModel, dataset: Dataset, pairs: Sequence[Scored],
-                    buf: GradientBuffer) -> float:
-    """Sum of |delta| over ``pairs``, with its gradient into ``buf``: the
-    distillation term of the consistent loss and of Bad Teacher."""
-    step = PairStep(student, dataset, dataset.index.sample_rows([s for s, _ in pairs]))
+def _abs_delta_loss(sgd: Sgd, pairs: Sequence[Scored]) -> float:
+    """Sum of |delta| over ``pairs``, with one step of ``sgd`` along its
+    gradient: the distillation term of the consistent loss and of Bad Teacher."""
+    step = PairStep(sgd, sgd.dataset.index.sample_rows([s for s, _ in pairs]))
     value, upstream = _abs_delta_terms([t for _, t in pairs], step.scores)
-    step.backward(upstream, buf)
+    sgd.apply(step, upstream)
     return value

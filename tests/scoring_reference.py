@@ -6,7 +6,8 @@ against.
 draw, each with its own ``PairStep``, and map their ids to rows
 themselves; ``score_pool`` scores one query's pool and ``rank`` sorts
 it. ``query_tokens`` and ``doc_tokens`` are one item's token row, and
-``pool_rows`` one query's pool as doc rows.
+``pool_rows`` one query's pool as doc rows. ``Accumulate`` is a stepper
+that sums gradients instead of stepping, for the tests that read them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from numur.corpus import Dataset
 from numur.errors import DataError
 from numur.evaluation import _check_pool
-from numur.ranker import GradientBuffer, PairStep, ScoreModel, doc_vectors
+from numur.ranker import PairStep, ScoreModel, Sgd, doc_vectors
 
 
 def _row(row_of: dict[str, int], kind: str, ident: str) -> int:
@@ -56,10 +57,31 @@ def pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
                     dtype=np.intp)
 
 
+class Accumulate(Sgd):
+    """An ``Sgd`` whose ``apply`` adds a step's gradient into ``grad``, of
+    the model's shape, with the one ``np.add.at`` of ``Sgd.apply``, and
+    appends the stacked rows it touched to ``rows``; the parameters never
+    move, and the caller reads and zeroes ``grad``."""
+
+    def __init__(self, model: ScoreModel, dataset: Dataset):
+        super().__init__(model, dataset, float("nan"))
+        self.grad = np.zeros(model.params.shape)
+        self.rows: list[np.ndarray] = []
+
+    def apply(self, step: PairStep, upstream) -> None:
+        grad = step.gradient(upstream)
+        if grad is None:
+            return
+        index, terms = grad
+        np.add.at(self.grad.reshape(-1), index, terms)
+        dim = self.shape[1]
+        self.rows.append(index[::dim] // dim)
+
+
 def forward(model: ScoreModel, dataset: Dataset, query_id: str, doc_id: str) -> float:
     """Relevance score of one pair; always > 0."""
     pair = (_query_row(dataset, query_id), _doc_row(dataset, doc_id))
-    return PairStep(model, dataset, (pair,)).scores[0]
+    return PairStep(Accumulate(model, dataset), (pair,)).scores[0]
 
 
 def score_pool(model: ScoreModel, dataset: Dataset, query_id: str) -> np.ndarray:
@@ -72,19 +94,18 @@ def score_pool(model: ScoreModel, dataset: Dataset, query_id: str) -> np.ndarray
     return np.logaddexp(0.0, doc_vectors(model, dataset)[rows] @ u)
 
 
-def hinge_loss_and_grad(model: ScoreModel, dataset: Dataset, query_id: str,
-                        pos_id: str, neg_id: str, margin: float,
-                        buf: GradientBuffer | None) -> float:
-    """max(0, margin - f(q, pos) + f(q, neg)); its gradient goes to buf if given."""
-    query = _query_row(dataset, query_id)
-    step = PairStep(model, dataset, ((query, _doc_row(dataset, pos_id)),
-                                     (query, _doc_row(dataset, neg_id))))
+def hinge_loss_and_grad(sgd: Sgd, query_id: str, pos_id: str, neg_id: str,
+                        margin: float) -> float:
+    """max(0, margin - f(q, pos) + f(q, neg)) under ``sgd``'s model, which
+    ``sgd`` steps along its gradient while the hinge is open."""
+    dataset, query = sgd.dataset, _query_row(sgd.dataset, query_id)
+    step = PairStep(sgd, ((query, _doc_row(dataset, pos_id)),
+                          (query, _doc_row(dataset, neg_id))))
     pos_score, neg_score = step.scores
     loss = margin - pos_score + neg_score
     if loss <= 0.0:
         return 0.0
-    if buf is not None:
-        step.backward([-1.0, 1.0], buf)
+    sgd.apply(step, [-1.0, 1.0])
     return loss
 
 

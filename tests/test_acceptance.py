@@ -16,10 +16,10 @@ from numur import (ConfigError, ForgetSpec, Label, Method, RemovalKind, UnlearnC
                    delta_min, init_model, mrr_forget, mrr_set, partition, pool, pool_split,
                    score_distribution, unlearn)
 from numur.cli import main as cli_main
-from numur.ranker import PairStep, new_buffer, sample_scores
+from numur.ranker import PairStep, sample_scores
 
 from conftest import ACCEPT_MAX_EPOCHS, ACCEPT_UNLEARN_LR, build_dataset
-from scoring_reference import forward, hinge_loss_and_grad
+from scoring_reference import Accumulate, forward, hinge_loss_and_grad
 from test_evaluation import brute_force_first_rank, set_scores
 from test_partition import brute_force_partition, keyset, random_dataset_and_spec
 from test_ranker import assert_close_grads, finite_difference, tiny_dataset
@@ -80,8 +80,8 @@ def test_c02_gradient_suite():
         upstream = float(rng.normal())
         if abs(upstream) < 1e-3:
             continue
-        buf = new_buffer(m)
-        PairStep(m, ds, ds.index.sample_rows([s])).backward([upstream], buf)
+        buf = Accumulate(m, ds)
+        buf.apply(PairStep(buf, ds.index.sample_rows([s])), [upstream])
         num_q, num_d = finite_difference(
             lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
         grad_q, grad_d = np.split(buf.grad, 2)
@@ -98,8 +98,8 @@ def test_c02_gradient_suite():
         raw = margin - forward(m, ds, "q0", pos) + forward(m, ds, "q0", neg)
         if abs(raw) < 1e-3:
             continue
-        buf = new_buffer(m)
-        hinge_loss_and_grad(m, ds, "q0", pos, neg, margin, buf)
+        buf = Accumulate(m, ds)
+        hinge_loss_and_grad(buf, "q0", pos, neg, margin)
         num_q, num_d = finite_difference(
             lambda: max(0.0, margin - forward(m, ds, "q0", pos)
                         + forward(m, ds, "q0", neg)), m)
@@ -123,11 +123,10 @@ def test_c02_gradient_suite():
         if abs(adjusted) < 1e-3 or abs(partner_gap) < 1e-3:
             continue
         partner = None if partner is None else (partner, score(teacher, ds, partner))
-        buf = new_buffer(student)
-        contrastive_loss(floor, student, ds, x, partner, buf)
+        buf = Accumulate(student, ds)
+        contrastive_loss(floor, buf, x, partner)
         num_q, num_d = finite_difference(
-            lambda: contrastive_loss(floor, student, ds, x, partner, new_buffer(student)),
-            student)
+            lambda: contrastive_loss(floor, Accumulate(student, ds), x, partner), student)
         grad_q, grad_d = np.split(buf.grad, 2)
         assert_close_grads(grad_q, num_q)
         assert_close_grads(grad_d, num_d)
@@ -146,10 +145,10 @@ def test_c02_gradient_suite():
         if min(abs(g) for g in gaps) < 1e-3:
             continue
         pos, neg = (pos, score(teacher, ds, pos)), (neg, score(teacher, ds, neg))
-        buf = new_buffer(student)
-        consistent_loss(student, ds, pos, neg, buf)
+        buf = Accumulate(student, ds)
+        consistent_loss(buf, pos, neg)
         num_q, num_d = finite_difference(
-            lambda: consistent_loss(student, ds, pos, neg, new_buffer(student)), student)
+            lambda: consistent_loss(Accumulate(student, ds), pos, neg), student)
         grad_q, grad_d = np.split(buf.grad, 2)
         assert_close_grads(grad_q, num_q)
         assert_close_grads(grad_d, num_d)

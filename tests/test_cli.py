@@ -252,8 +252,39 @@ class TestErrors:
         assert code == 1
         assert "ERROR:config:" in capsys.readouterr().err
 
+    # A wall time of 0 once ended in a ZeroDivisionError after the run
+    # directory was made, and a negative one wrote negative timing metrics.
+    @pytest.mark.parametrize("wall", ["0.0", "-1.0"])
+    def test_train_wall_time_not_above_zero(self, workdir, tmp_path, capsys, wall):
+        runs = tmp_path / "runs"
+        shutil.copytree(workdir / "runs", runs)
+        shutil.rmtree(runs / "unlearn")
+        path = runs / "train" / "trajectory.csv"
+        lines = path.read_text().splitlines()
+        lines[1:] = [",".join(line.split(",")[:3] + [wall]) for line in lines[1:]]
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["--out", str(runs), "unlearn", "--spec", "spec_document_25",
+                     "--method", "cocol", "--delta", "0.001"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ERROR:data: {path}:2: expected a wall time above 0 in column 4, got {wall}\n")
+        assert not (runs / "unlearn").exists()
 
-@pytest.mark.parametrize("params, code", [({"margin": 2.0, "phase2": False}, 0),
+    # 0.051 and 0.049 both round to 5 percent, and gen once wrote the
+    # second pair of specs over the first
+    @pytest.mark.parametrize("fractions", [[0.051, 0.049], [0.25, 0.25]], ids=repr)
+    def test_removal_fractions_naming_one_spec(self, tmp_path, capsys, fractions):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"removal_fractions": fractions}), encoding="utf-8")
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == 1
+        suffix = f"{round(fractions[0] * 100):02d}"
+        assert capsys.readouterr().err == (
+            f"ERROR:config: removal_fractions {fractions[0]!r} and {fractions[1]!r} both name "
+            f"spec_document_{suffix}.json and spec_query_{suffix}.json\n")
+        assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("params, code",[({"margin": 2.0, "phase2": False}, 0),
                                            ({"entangeld_term": False}, 1)])
 def test_method_params_with_all_methods(workdir, tmp_path, capsys, params, code):
     runs = tmp_path / "runs"

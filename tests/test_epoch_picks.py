@@ -21,9 +21,9 @@ from test_scoring_properties import datasets, models
 from numur import (ConfigError, CorpusSplit, Dataset, Document, ForgetSpec, Label, Method,
                    Query, RemovalKind, Sample, SyntheticConfig, UnlearnConfig, build_min_cache,
                    consistent_loss, contrastive_loss, entangled_partners, generate_synthetic,
-                   init_model, new_buffer, partition, unlearn)
+                   init_model, partition, unlearn)
 from numur.partition import sample_forget_spec
-from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, pool, sample_scores
+from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, Sgd, pool, sample_scores
 
 # Bounds of one draw each: 1 (a pick that can only be 0), small bounds, and
 # bounds at and past 2**32, where numpy draws from 64 bits instead of 32.
@@ -133,7 +133,7 @@ def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2)
     disjoint = [(s, teacher[s]) for s in part.disjoint]
     d_pos = [d for d in disjoint if d[0].label is Label.POSITIVE]
     d_neg = [d for d in disjoint if d[0].label is Label.NEGATIVE]
-    sgd = new_buffer(student, UnlearnConfig().learning_rate)
+    sgd = Sgd(student, ds, UnlearnConfig().learning_rate)
     for _ in range(epochs):
         for i in rng.permutation(len(part.forget)):
             x = part.forget[int(i)]
@@ -141,15 +141,15 @@ def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2)
             partner = None
             if options and use_entangled:
                 partner = options[int(rng.integers(len(options)))]
-            contrastive_loss(floors[x.query_id], student, ds, x, partner, sgd)
+            contrastive_loss(floors[x.query_id], sgd, x, partner)
         if not use_phase2:
             continue
         for i in rng.permutation(len(disjoint)):
             d = disjoint[int(i)]
             if d[0].label is Label.POSITIVE:
-                consistent_loss(student, ds, d, d_neg[int(rng.integers(len(d_neg)))], sgd)
+                consistent_loss(sgd, d, d_neg[int(rng.integers(len(d_neg)))])
             else:
-                consistent_loss(student, ds, d_pos[int(rng.integers(len(d_pos)))], d, sgd)
+                consistent_loss(sgd, d_pos[int(rng.integers(len(d_pos)))], d)
 
 
 @st.composite

@@ -70,3 +70,13 @@ def test_bytes_must_match_for_models_and_specs_and_files_in_one_tree(trees):
         f"{Path('report') / 'chart.svg'}: only in {a}",
         f"{Path('specs') / 'spec.json'}: bytes differ",
         f"{run / 'model.bin'}: bytes differ"]
+
+
+def test_every_variant_reads_only_keys_of_its_method():
+    from numur.unlearn_engine import PARAM_KEYS, Method
+
+    for method, params in golden_diff.VARIANTS.values():
+        assert set(params) <= PARAM_KEYS[Method(method)]
+    hinge = {method for method, params in golden_diff.VARIANTS.values()
+             if params is golden_diff.HINGE_PARAMS}
+    assert hinge == {"cf", "amnesiac", "neggrad", "ssd"}

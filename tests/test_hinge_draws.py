@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scoring_reference import hinge_loss_and_grad, pool_rows, score_pool
+from scoring_reference import Accumulate, hinge_loss_and_grad, pool_rows, score_pool
 from test_epoch_picks import mining_datasets
 from test_roundtrip_properties import specs
 from test_scoring_properties import VOCAB, _sigmoid, datasets, models, wide_models
 
 from numur import (ConfigError, CorpusSplit, Label, Method, SyntheticConfig, UnlearnConfig,
-                   generate_synthetic, init_model, new_buffer, partition, ranker, unlearn)
-from numur.ranker import HingeDraws, HingeSet, PairStep, pairwise_epoch, pool
+                   generate_synthetic, init_model, partition, ranker, unlearn)
+from numur.ranker import HingeDraws, HingeSet, PairStep, Sgd, pairwise_epoch, pool
 from numur.unlearn_engine import _importance
 
 REGIMES = ("none", "all", "some", "nan")
@@ -66,20 +66,15 @@ def doc_rows(ds, doc_ids):
     return [ds.index.doc_row[d] for d in doc_ids]
 
 
-def row_negatives(ds, negatives):
-    """``query_negatives`` as ``hinge_negatives`` gives them: doc rows."""
-    return {q: doc_rows(ds, negs) for q, negs in negatives.items()}
-
-
 class Loop:
-    """One ``hinge_loss_and_grad`` call per draw."""
+    """One ``hinge_loss_and_grad`` call per draw, each stepped by ``sgd``."""
 
-    def __init__(self, model, ds, margin, buf):
-        self.model, self.ds, self.margin, self.buf = model, ds, margin, buf
+    def __init__(self, sgd, margin):
+        self.sgd, self.model, self.margin = sgd, sgd.model, margin
         self.total, self.draws = 0.0, 0
 
     def step(self, qid, pos, neg):
-        loss = hinge_loss_and_grad(self.model, self.ds, qid, pos, neg, self.margin, self.buf)
+        loss = hinge_loss_and_grad(self.sgd, qid, pos, neg, self.margin)
         self.total += loss
         self.draws += 1
         return loss
@@ -100,8 +95,8 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     margin = apply_regime(model, ds, regime, data)
     tasks = draw_tasks(data, ds)
     ref_model = type(model)(model.params.copy())
-    buf, ref_buf = new_buffer(model, sign * lr), new_buffer(ref_model, sign * lr)
-    draws, loop = HingeDraws(model, ds, margin, buf), Loop(ref_model, ds, margin, ref_buf)
+    sgd, ref_sgd = Sgd(model, ds, sign * lr), Sgd(ref_model, ds, sign * lr)
+    draws, loop = HingeDraws(sgd, margin), Loop(ref_sgd, margin)
     with np.errstate(all="ignore"):
         for qid, pos, negs in tasks:
             draws.run(ds.index.query_row[qid], ds.index.doc_row[pos], doc_rows(ds, negs))
@@ -109,7 +104,7 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
                 loop.step(qid, pos, neg)
     assert same(model.params, ref_model.params)
     assert same(draws.total, loop.total) and draws.draws == loop.draws
-    assert same(buf.grad, ref_buf.grad)
+    assert not sgd.scratch.any() and not ref_sgd.scratch.any()
 
 
 @settings(max_examples=50, deadline=None)
@@ -125,13 +120,13 @@ def test_wide_step_after_a_closed_draw_pools_only_the_rest(ds, model, data):
     gathered = []
     real = PairStep._pool
 
-    def spy(step, dataset, pairs, *rest):
+    def spy(step, pairs, *rest):
         gathered.append(list(pairs))
-        return real(step, dataset, pairs, *rest)
+        return real(step, pairs, *rest)
 
     q, p, negs = ds.index.query_row[qid], ds.index.doc_row[pos], doc_rows(ds, negs)
     with patch.object(PairStep, "_pool", spy):
-        HingeDraws(model, ds, margin, new_buffer(model, 1.0)).run(q, p, negs)
+        HingeDraws(Sgd(model, ds, 1.0), margin).run(q, p, negs)
     assert gathered == [[(q, p), (q, negs[0])], [(q, neg) for neg in negs[1:]]]
 
 
@@ -171,13 +166,13 @@ def test_pairwise_epochs_are_the_per_draw_loop(ds, model, regime, seed, lr, npp,
     assume(negatives and all(negatives.values()))
     margin = apply_regime(model, ds, regime, data)
     ref_model = type(model)(model.params.copy())
-    loop = Loop(ref_model, ds, margin, new_buffer(ref_model, lr))
+    loop, sgd = Loop(Sgd(ref_model, ds, lr), margin), Sgd(model, ds, lr)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         for _ in range(3):
             want = loop_pairwise_epoch(ds, ds.samples, ref_rng, margin, npp, loop)
-            got = pairwise_epoch(model, HingeSet(ds, ds.samples), pool(model, ds), rng, lr,
-                                 margin, npp)
+            got = pairwise_epoch(sgd, HingeSet(ds, ds.samples), pool(model, ds), rng, margin,
+                                 npp)
             assert same(got, want)
             assert same(model.params, ref_model.params)
 
@@ -226,7 +221,7 @@ def test_amnesiac_and_neggrad_are_the_per_draw_loop(ds, model, method, regime, l
             assume(False)
         # the driver draws from its generator only inside the epochs
         rate = lr if method is Method.AMNESIAC else -lr
-        loop = Loop(ref_model, ds, margin, new_buffer(ref_model, rate))
+        loop = Loop(Sgd(ref_model, ds, rate), margin)
         loop_unlearn_epochs(method, ds, part, np.random.default_rng(cfg.seed), npp,
                             run.epochs_run, loop)
     assert same(run.final_model.params, ref_model.params)
@@ -240,13 +235,13 @@ def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
     negatives = query_negatives(ds)
     ref_model = type(model)(model.params.copy())
     with np.errstate(all="ignore"):
-        got = _importance(model, pool(model, ds), ds.samples, row_negatives(ds, negatives),
+        got = _importance(model, pool(model, ds), ds.samples, HingeSet(ds, ds.samples),
                           margin, npp, np.random.default_rng(seed))
         # the per-draw loop: each positive's gradient accumulates, then is squared
         rng = np.random.default_rng(seed)
         sq, count = np.zeros_like(ref_model.params), 0
-        buf = new_buffer(ref_model)
-        loop = Loop(ref_model, ds, margin, buf)
+        buf = Accumulate(ref_model, ds)
+        loop = Loop(buf, margin)
         for s in ds.samples:
             if s.label is not Label.POSITIVE or not negatives[s.query_id]:
                 continue
@@ -266,11 +261,11 @@ def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
 
 
 def loop_importance(model, ds, samples, negatives, margin, npp, rng):
-    """_importance with one hinge_loss_and_grad call per draw into a buffer
-    without a learning rate; each positive's gradient is squared once."""
+    """_importance with one hinge_loss_and_grad call per draw into a stepper
+    that only accumulates; each positive's gradient is squared once."""
     sq, count = np.zeros_like(model.params), 0
-    buf = new_buffer(model)
-    loop = Loop(model, ds, margin, buf)
+    buf = Accumulate(model, ds)
+    loop = Loop(buf, margin)
     for s in samples:
         if s.label is not Label.POSITIVE or not negatives[s.query_id]:
             continue
@@ -307,7 +302,7 @@ def test_forget_and_full_importance_are_the_per_draw_loop(ds, model, regime, see
     with np.errstate(all="ignore"), patch.object(ranker, "GRAD_BLOCK", block):
         # as ssd runs them: the forget pass, then the full pass, on one generator
         for samples in (part.forget, ds.samples):
-            got = _importance(model, pool(model, ds), samples, row_negatives(ds, negatives),
+            got = _importance(model, pool(model, ds), samples, HingeSet(ds, ds.samples),
                               margin, npp, rng)
             want = loop_importance(ref_model, ds, samples, negatives, margin, npp, ref_rng)
             assert same(got, want)
@@ -329,7 +324,7 @@ def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
     negatives = query_negatives(ds)
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     with patch.object(ranker, "GRAD_BLOCK", block):
-        got = _importance(model, pool(model, ds), ds.samples, row_negatives(ds, negatives),
+        got = _importance(model, pool(model, ds), ds.samples, HingeSet(ds, ds.samples),
                           margin, 4, rng)
     want = loop_importance(model, ds, ds.samples, negatives, margin, 4, ref_rng)
     assert same(got, want) and np.count_nonzero(got)

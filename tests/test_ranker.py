@@ -5,11 +5,12 @@ import pytest
 
 from numur import (DataError, ForgetSpec, Label, Method, RemovalKind, Sample, ScoreModel,
                    TrainConfig, UnlearnConfig, consistent_loss, contrastive_loss, init_model,
-                   load_model, new_buffer, partition, retrain, save_model, train, unlearn)
-from numur.ranker import HingeDraws, HingeSet, PairStep, pool, sample_scores
+                   load_model, partition, retrain, save_model, train, unlearn)
+from numur.ranker import HingeDraws, HingeSet, PairStep, Sgd, pool, sample_scores
 
 from conftest import build_dataset, spy
-from scoring_reference import doc_tokens, forward, hinge_loss_and_grad, query_tokens, score_pool
+from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
+                               query_tokens, score_pool)
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-4
@@ -100,8 +101,8 @@ class TestForward:
     def test_offset_table_is_indexed_by_row(self, vocab):
         ds = tiny_dataset(np.random.default_rng(0))
         m = init_model(vocab, 4, seed=0)
-        forward(m, ds, "q1", "d2")
-        queries, docs = ds._offset_tables[m.params.shape]
+        sgd = Sgd(m, ds, 0.1)
+        queries, docs = sgd.queries, sgd.docs
         assert len(queries) == len(ds.queries) and len(docs) == len(ds.documents)
         # each entry: dim offsets per token, doc rows past the model's query table
         for qid, row in ds.index.query_row.items():
@@ -125,8 +126,8 @@ class TestBackwardScore:
         rng = np.random.default_rng(1)
         ds = tiny_dataset(rng)
         m = random_model(rng, ds.vocab_size)
-        buf = new_buffer(m)
-        PairStep(m, ds, ds.index.sample_rows(ds.samples[:1])).backward([0.0], buf)
+        buf = Accumulate(m, ds)
+        buf.apply(PairStep(buf, ds.index.sample_rows(ds.samples[:1])), [0.0])
         assert not buf.rows
         grad_q, grad_d = np.split(buf.grad, 2)
         assert np.all(grad_q == 0) and np.all(grad_d == 0)
@@ -138,8 +139,8 @@ class TestBackwardScore:
             m = random_model(rng, ds.vocab_size)
             s = ds.samples[int(rng.integers(len(ds.samples)))]
             upstream = float(rng.normal())
-            buf = new_buffer(m)
-            PairStep(m, ds, ds.index.sample_rows([s])).backward([upstream], buf)
+            buf = Accumulate(m, ds)
+            buf.apply(PairStep(buf, ds.index.sample_rows([s])), [upstream])
             num_q, num_d = finite_difference(
                 lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -151,8 +152,8 @@ class TestBackwardScore:
         ds = build_dataset([("q0", "d0", 1), ("q1", "d1", 1)],
                            {"q0": ["d0"], "q1": ["d1"]}, vocab_size=16)
         m = random_model(rng, 16)
-        buf = new_buffer(m)
-        PairStep(m, ds, ds.index.sample_rows(ds.samples[1:])).backward([1.0], buf)
+        buf = Accumulate(m, ds)
+        buf.apply(PairStep(buf, ds.index.sample_rows(ds.samples[1:])), [1.0])
         grad_q, grad_d = np.split(buf.grad, 2)
         for t in query_tokens(ds, "q0"):
             assert np.all(grad_q[t] == 0)
@@ -170,8 +171,8 @@ class TestHinge:
         m.embed_q[query_tokens(ds, "q0")] = [1.0, 0.0]
         m.embed_d[doc_tokens(ds, "d0")] = [9.0, 0.0]
         m.embed_d[doc_tokens(ds, "d1")] = [-9.0, 0.0]
-        buf = new_buffer(m)
-        loss = hinge_loss_and_grad(m, ds, "q0", "d0", "d1", 1.0, buf)
+        buf = Accumulate(m, ds)
+        loss = hinge_loss_and_grad(buf, "q0", "d0", "d1", 1.0)
         assert loss == 0.0
         assert not buf.rows
 
@@ -186,8 +187,8 @@ class TestHinge:
             raw = margin - forward(m, ds, "q0", pos) + forward(m, ds, "q0", neg)
             if abs(raw) < 1e-3:  # keep clear of the hinge kink
                 continue
-            buf = new_buffer(m)
-            hinge_loss_and_grad(m, ds, "q0", pos, neg, margin, buf)
+            buf = Accumulate(m, ds)
+            hinge_loss_and_grad(buf, "q0", pos, neg, margin)
             num_q, num_d = finite_difference(
                 lambda: max(0.0, margin - forward(m, ds, "q0", pos)
                             + forward(m, ds, "q0", neg)), m)
@@ -333,10 +334,9 @@ class TestSnapshot:
 UNKNOWN_ID_CALLS = {
     "sample_scores": lambda m, ds, s, neg: sample_scores(pool(m, ds), [s]),
     "HingeSet": lambda m, ds, s, neg: HingeSet(ds, [s]),
-    "contrastive_loss": lambda m, ds, s, neg: contrastive_loss(1.0, m, ds, s, None,
-                                                               new_buffer(m, 0.1)),
-    "consistent_loss": lambda m, ds, s, neg: consistent_loss(m, ds, (s, 1.0), (neg, 1.0),
-                                                             new_buffer(m, 0.1)),
+    "contrastive_loss": lambda m, ds, s, neg: contrastive_loss(1.0, Sgd(m, ds, 0.1), s, None),
+    "consistent_loss": lambda m, ds, s, neg: consistent_loss(Sgd(m, ds, 0.1), (s, 1.0),
+                                                             (neg, 1.0)),
 }
 
 

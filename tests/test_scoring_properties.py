@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 
 from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
                    RemovalKind, Sample, build_min_cache, consistent_loss, contrastive_loss,
-                   init_model, mrr_forget, mrr_set, new_buffer, partition, score_distribution)
-from numur.ranker import (HingeSet, doc_vectors, pairwise_epoch, pool, query_vectors,
-                          sample_scores, score_pools)
+                   init_model, mrr_forget, mrr_set, partition, score_distribution)
+from numur.ranker import (HingeSet, PairStep, Sgd, doc_vectors, pairwise_epoch, pool,
+                          query_vectors, sample_scores, score_pools)
 from numur.unlearn_losses import _abs_delta_loss
-from scoring_reference import (doc_tokens, forward, hinge_loss_and_grad, pool_rows,
-                               query_tokens, rank, score_pool)
+from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
+                               pool_rows, query_tokens, rank, score_pool)
 
 VOCAB = 10
 
@@ -390,13 +390,13 @@ def draw_contrastive_case(data, ds):
 @given(datasets(), models, st.integers(0, 2**31 - 1), st.floats(0.0, 2.0), st.data())
 def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
                                                       margin, data):
-    # Without a learning rate the buffer accumulates: the gradients and the
-    # touched rows must be those of one backward pass per pair.
+    # A stepper that accumulates: the gradients and the touched rows must be
+    # those of one backward pass per pair.
     qid = data.draw(st.sampled_from(sorted(ds.pools)))
     pos = data.draw(st.sampled_from(ds.pools[qid]))
     neg = data.draw(st.sampled_from(ds.pools[qid]))
-    fused, ref = new_buffer(student), Ref(student)
-    assert (hinge_loss_and_grad(student, ds, qid, pos, neg, margin, fused)
+    fused, ref = Accumulate(student, ds), Ref(student)
+    assert (hinge_loss_and_grad(fused, qid, pos, neg, margin)
             == ref_hinge(ref, ds, qid, pos, neg, margin))
     assert_same_gradients(fused, ref)
 
@@ -404,11 +404,35 @@ def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
     teacher = init_model(VOCAB, student.dim, teacher_seed)
     floors = build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
     x, partner = draw_contrastive_case(data, ds)
-    fused, ref = new_buffer(student), Ref(student)
-    assert (contrastive_loss(floors[x.query_id], student, ds, x, scored(teacher, ds, partner),
-                             fused)
+    fused, ref = Accumulate(student, ds), Ref(student)
+    assert (contrastive_loss(floors[x.query_id], fused, x, scored(teacher, ds, partner))
             == ref_contrastive(ref, teacher, ds, x, partner))
     assert_same_gradients(fused, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sgd_datasets, sgd_models, st.floats(-5.0, 5.0), st.data())
+def test_sgd_apply_is_the_accumulated_gradient_times_lr(ds, model, lr, data):
+    # The runtime stepper and the accumulating one of the tests add a step's
+    # gradient alike: where the step touches, Sgd.apply leaves exactly
+    # params - lr * grad; it leaves every other parameter as it was, and
+    # its scratch zero.
+    rows = st.tuples(st.integers(0, len(ds.queries) - 1), st.integers(0, len(ds.documents) - 1))
+    pairs = data.draw(st.lists(rows, min_size=1, max_size=4))
+    upstream = data.draw(st.lists(st.just(0.0) | st.floats(-3.0, 3.0),
+                                  min_size=len(pairs), max_size=len(pairs)))
+    before = model.params.copy()
+    acc = Accumulate(type(model)(before.copy()), ds)
+    acc.apply(PairStep(acc, pairs), upstream)
+    sgd = Sgd(model, ds, lr)
+    sgd.apply(PairStep(sgd, pairs), upstream)
+    want = before.copy()
+    if acc.rows:
+        touched = np.concatenate(acc.rows)
+        want[touched] = before[touched] - lr * acc.grad[touched]
+    assert np.array_equal(model.params, want)
+    assert not sgd.scratch.any()
+    assert np.array_equal(acc.model.params, before)
 
 
 @settings(max_examples=150, deadline=None)
@@ -416,13 +440,13 @@ def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
        st.floats(0.01, 5.0), st.data())
 def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, margin, lr,
                                                  data):
-    # One step of each loss with a learning rate: the parameters must equal
-    # the per-table reference bit for bit, and the buffer is zero again.
-    sgd, ref = new_buffer(student, lr), Ref(student)
+    # One step of each loss: the parameters must equal the per-table
+    # reference bit for bit, and the stepper's scratch is zero again.
+    sgd, ref = Sgd(student, ds, lr), Ref(student)
     qid = data.draw(st.sampled_from(sorted(ds.pools)))
     pos = data.draw(st.sampled_from(ds.pools[qid]))
     neg = data.draw(st.sampled_from(ds.pools[qid]))
-    assert (hinge_loss_and_grad(student, ds, qid, pos, neg, margin, sgd)
+    assert (hinge_loss_and_grad(sgd, qid, pos, neg, margin)
             == ref_hinge(ref, ds, qid, pos, neg, margin))
     ref.apply(lr)
     assert_same_params(student, ref)
@@ -431,14 +455,13 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
     teacher = init_model(VOCAB, student.dim, teacher_seed)
     floors = build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
     x, partner = draw_contrastive_case(data, ds)
-    assert (contrastive_loss(floors[x.query_id], student, ds, x, scored(teacher, ds, partner),
-                             sgd)
+    assert (contrastive_loss(floors[x.query_id], sgd, x, scored(teacher, ds, partner))
             == ref_contrastive(ref, teacher, ds, x, partner))
     ref.apply(lr)
     assert_same_params(student, ref)
 
     pair = data.draw(st.sampled_from(ds.samples))
-    assert (_abs_delta_loss(student, ds, [scored(teacher, ds, pair)], sgd)
+    assert (_abs_delta_loss(sgd, [scored(teacher, ds, pair)])
             == ref_abs_delta(ref, teacher, ds, pair))
     ref.apply(lr)
     assert_same_params(student, ref)
@@ -447,11 +470,11 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
     neg_pairs = [s for s in ds.samples if s.label is Label.NEGATIVE]
     if pos_pairs and neg_pairs:
         p, n = data.draw(st.sampled_from(pos_pairs)), data.draw(st.sampled_from(neg_pairs))
-        assert (consistent_loss(student, ds, scored(teacher, ds, p), scored(teacher, ds, n), sgd)
+        assert (consistent_loss(sgd, scored(teacher, ds, p), scored(teacher, ds, n))
                 == ref_consistent(ref, teacher, ds, p, n))
         ref.apply(lr)
         assert_same_params(student, ref)
-    assert not sgd.grad.any() and not sgd.rows
+    assert not sgd.scratch.any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -464,10 +487,10 @@ def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, n
             positives.setdefault(s.query_id, set()).add(s.doc_id)
     assume(positives)
     assume(all(set(ds.pools[q]) - p for q, p in positives.items()))
-    ref = Ref(model)
+    ref, sgd = Ref(model), Sgd(model, ds, lr)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert (pairwise_epoch(model, HingeSet(ds, ds.samples), pool(model, ds), rng, lr,
-                               margin, npp)
+        assert (pairwise_epoch(sgd, HingeSet(ds, ds.samples), pool(model, ds), rng, margin,
+                               npp)
                 == ref_pairwise_epoch(ref, ds, ds.samples, ref_rng, lr, margin, npp))
         assert_same_params(model, ref)

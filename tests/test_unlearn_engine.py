@@ -1,3 +1,4 @@
+from dataclasses import fields
 from unittest.mock import patch
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 
 from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method, RemovalKind,
                    TrainConfig, UnlearnConfig, clone_model, compute_destinations, init_model,
-                   mrr_forget, partition, train, unlearn)
+                   mrr_forget, partition, retrain, train, unlearn)
 from numur import ranker, unlearn_engine
-from numur.ranker import new_buffer, pool, pool_split, sample_scores
+from numur.ranker import Sgd, pool, pool_split, sample_scores
 from numur.unlearn_losses import _abs_delta_loss
 
 from conftest import ACCEPT_UNLEARN_LR, build_dataset, spy
@@ -116,9 +117,9 @@ class TestCocol:
         assert len(phase1) == 2 * len(part.forget)
         assert len(phase2) == 2 * len(part.disjoint)
         forget_keys, disjoint_keys = keys(part.forget), keys(part.disjoint)
-        assert all((x.query_id, x.doc_id) in forget_keys for _, _, _, x, _, _ in phase1)
+        assert all((x.query_id, x.doc_id) in forget_keys for _, _, x, _ in phase1)
         assert all((s.query_id, s.doc_id) in disjoint_keys
-                   for _, _, (pos, _), (neg, _), _ in phase2 for s in (pos, neg))
+                   for _, (pos, _), (neg, _) in phase2 for s in (pos, neg))
 
     def test_fixed_point_when_already_unlearned(self):
         # Forget pairs at each query's teacher floor and a student equal to
@@ -274,14 +275,14 @@ class TestBadT:
         student = clone_model(bad)
         forget = part.forget[:5]
         for pair in zip(forget, sample_scores(pool(bad, split.train), forget)):
-            assert _abs_delta_loss(student, split.train, [pair], new_buffer(student)) \
+            assert _abs_delta_loss(Sgd(student, split.train, 0.5), [pair]) \
                 == pytest.approx(0.0)
 
     def test_student_at_trained_model_has_zero_retain_loss(self):
         split, part, model = small_unlearn_world()
         retained = (part.entangled + part.disjoint)[:5]
         for pair in zip(retained, sample_scores(pool(model, split.train), retained)):
-            assert _abs_delta_loss(model, split.train, [pair], new_buffer(model)) \
+            assert _abs_delta_loss(Sgd(model, split.train, 0.5), [pair]) \
                 == pytest.approx(0.0)
 
     def test_runs_and_stops(self):
@@ -356,3 +357,15 @@ def test_nan_config_values_rejected(make):
     # nan <= 0 is false, so a check written that way lets NaN through
     with pytest.raises(ConfigError, match="must be positive"):
         make()
+
+
+def test_fits_and_plans_leave_no_step_state_on_the_dataset():
+    # Each fit's and plan's offset table lives on its Sgd; a dataset holds
+    # its fields, its token tables and its index, and nothing of the ranker's.
+    split, part, model = small_unlearn_world()
+    retrain(split, TrainConfig(epochs=1, dim=8, seed=0), part)
+    for method in Method:
+        unlearn(model, split, part, ucfg(method, delta_target=1e-9, max_epochs=1))
+    own = {f.name for f in fields(Dataset)} | {"_query_rows", "_doc_rows", "index"}
+    for ds in (split.train, split.test):
+        assert set(vars(ds)) <= own

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from numur import (ConfigError, Label, build_min_cache, clone_model, consistent_loss,
-                   contrastive_loss, delta_min, init_model, new_buffer)
+                   contrastive_loss, delta_min, init_model)
 from numur.ranker import pool, sample_scores
 from numur.unlearn_losses import _abs_delta_loss, _abs_delta_terms
 
 from conftest import build_dataset
-from scoring_reference import doc_tokens, forward, query_tokens
+from scoring_reference import Accumulate, doc_tokens, forward, query_tokens
 from test_ranker import assert_close_grads, finite_difference, tiny_dataset
 
 
@@ -152,18 +152,17 @@ class TestContrastiveLoss:
         model.embed_d[doc_tokens(ds, "d0")] = [score_setter(1.0), 0.0]
         model.embed_d[doc_tokens(ds, "d1")] = [score_setter(4.0), 0.0]
         student = clone_model(model)
-        buf = new_buffer(student)
+        buf = Accumulate(student, ds)
         partner = (ds.samples[1], score(model, ds, ds.samples[1]))
-        value = contrastive_loss(floors(model, ds)["q0"], student, ds, ds.samples[0],
-                                 partner, buf)
+        value = contrastive_loss(floors(model, ds)["q0"], buf, ds.samples[0], partner)
         assert value == pytest.approx(0.0)
         assert not buf.rows
 
     def test_forget_term_formula(self):
         # teacher floor 2, student score 5: relu((5-2)/(5+2)) = 3/7
         ds, teacher, student = rigged_pair(score_setter(2.0), score_setter(5.0))
-        value = contrastive_loss(floors(teacher, ds)["q0"], student, ds, ds.samples[0], None,
-                                 new_buffer(student))
+        value = contrastive_loss(floors(teacher, ds)["q0"], Accumulate(student, ds),
+                                 ds.samples[0], None)
         assert value == pytest.approx(3 / 7, rel=1e-8)
 
     def test_partner_must_be_entangled(self):
@@ -171,8 +170,8 @@ class TestContrastiveLoss:
                            {"q0": ["d0"], "q1": ["d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
         with pytest.raises(ConfigError):
-            contrastive_loss(floors(m, ds)["q0"], m, ds, ds.samples[0],
-                             (ds.samples[1], score(m, ds, ds.samples[1])), new_buffer(m))
+            contrastive_loss(floors(m, ds)["q0"], Accumulate(m, ds), ds.samples[0],
+                             (ds.samples[1], score(m, ds, ds.samples[1])))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -189,11 +188,11 @@ class TestContrastiveLoss:
             partner_gap = 0.0 if partner is None else gap(teacher, student, ds, partner[0])
             if abs(adjusted) < 1e-3 or (partner is not None and abs(partner_gap) < 1e-3):
                 continue
-            buf = new_buffer(student)
-            contrastive_loss(floor, student, ds, x, partner, buf)
+            buf = Accumulate(student, ds)
+            contrastive_loss(floor, buf, x, partner)
 
             def value():
-                return contrastive_loss(floor, student, ds, x, partner, new_buffer(student))
+                return contrastive_loss(floor, Accumulate(student, ds), x, partner)
 
             num_q, num_d = finite_difference(value, student)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -208,7 +207,7 @@ class TestConsistentLoss:
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 3, seed=4)
         pos, neg = ((s, score(m, ds, s)) for s in ds.samples)
-        assert consistent_loss(m, ds, pos, neg, new_buffer(m)) == pytest.approx(0.0)
+        assert consistent_loss(Accumulate(m, ds), pos, neg) == pytest.approx(0.0)
 
     def test_sum_of_absolute_gaps(self):
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
@@ -223,7 +222,7 @@ class TestConsistentLoss:
             model.embed_d[doc_tokens(ds, "d1")] = [score_setter(s1), 0.0]
         # delta(pos) = .5, delta(neg) = -.5 -> loss 1.0
         pos, neg = ((s, score(teacher_model, ds, s)) for s in ds.samples)
-        assert consistent_loss(student, ds, pos, neg, new_buffer(student)) \
+        assert consistent_loss(Accumulate(student, ds), pos, neg) \
             == pytest.approx(1.0, rel=1e-8)
 
     def test_label_validation(self):
@@ -232,7 +231,7 @@ class TestConsistentLoss:
         m = init_model(8, 2, seed=0)
         pos, neg = ((s, score(m, ds, s)) for s in ds.samples)
         with pytest.raises(ConfigError):
-            consistent_loss(m, ds, neg, pos, new_buffer(m))
+            consistent_loss(Accumulate(m, ds), neg, pos)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -249,11 +248,11 @@ class TestConsistentLoss:
             if min(abs(g) for g in gaps) < 1e-3:
                 continue
             pos_pair, neg_pair = (pos, score(teacher, ds, pos)), (neg, score(teacher, ds, neg))
-            buf = new_buffer(student)
-            consistent_loss(student, ds, pos_pair, neg_pair, buf)
+            buf = Accumulate(student, ds)
+            consistent_loss(buf, pos_pair, neg_pair)
 
             def value():
-                return consistent_loss(student, ds, pos_pair, neg_pair, new_buffer(student))
+                return consistent_loss(Accumulate(student, ds), pos_pair, neg_pair)
 
             num_q, num_d = finite_difference(value, student)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -266,13 +265,13 @@ class TestAbsDelta:
     def test_matches_delta_magnitude(self):
         ds, teacher, student = rigged_pair(score_setter(30.0), score_setter(10.0))
         pair = (ds.samples[0], score(teacher, ds, ds.samples[0]))
-        assert _abs_delta_loss(student, ds, [pair], new_buffer(student)) \
+        assert _abs_delta_loss(Accumulate(student, ds), [pair]) \
             == pytest.approx(0.5, rel=1e-8)
 
     def test_zero_gap_accumulates_nothing(self):
         ds = build_dataset([("q0", "d0", 1)], {"q0": ["d0"]}, vocab_size=4)
         m = init_model(4, 2, seed=5)
-        buf = new_buffer(m)
+        buf = Accumulate(m, ds)
         pair = (ds.samples[0], score(m, ds, ds.samples[0]))
-        assert _abs_delta_loss(m, ds, [pair], buf) == 0.0
+        assert _abs_delta_loss(buf, [pair]) == 0.0
         assert not buf.rows

@@ -9,9 +9,10 @@ tree, one subprocess with that tree on ``PYTHONPATH`` runs, on the
 config of every benchmark workload in ``perfbench/workloads.py``: gen,
 train, retrain and partition on the workload's spec, eval of the trained
 model on each of its eval specs, unlearn with all six methods at
-``--delta 0.001`` and at ``--dest d2``, and report. Each cocol ablation
-of ``ABLATIONS`` then runs at ``--delta 0.001`` in an output directory
-of its own, on a copy of the workload's corpus, specs and trained model.
+``--delta 0.001`` and at ``--dest d2``, and report. Each run of
+``VARIANTS`` then unlearns at ``--delta 0.001`` with its method and
+method_params, in an output directory of its own, on a copy of the
+workload's corpus, specs and trained model.
 
 Model files, corpus and spec files, SVG charts and every other file that
 is not a JSON or CSV artifact must be byte-identical between the trees.
@@ -38,10 +39,16 @@ REPO = Path(__file__).resolve().parents[1]
 WALL_TIME_FIELDS = frozenset({"wall_time_s", "normalized_epoch_duration",
                               "total_unlearn_time"})
 BYTE_EXACT_DIRS = ("corpus", "specs")  # their JSON is compared byte for byte
-# cocol's method_params switched off one at a time: the contrastive loss
-# without a partner, and no consistency pass
-ABLATIONS = {"cocol-no-entangled": {"entangled_term": False},
-             "cocol-no-phase2": {"phase2": False}}
+# Runs with method_params other than the defaults, by output directory:
+# cocol's switches off one at a time (the contrastive loss without a
+# partner, and no consistency pass), and each hinge strategy with another
+# margin and an odd negatives_per_positive, which ends a positive on a
+# uniform draw.
+HINGE_PARAMS = {"margin": 0.5, "negatives_per_positive": 3}
+VARIANTS = {"cocol-no-entangled": ("cocol", {"entangled_term": False}),
+            "cocol-no-phase2": ("cocol", {"phase2": False}),
+            **{f"{method}-hinge": (method, HINGE_PARAMS)
+               for method in ("cf", "amnesiac", "neggrad", "ssd")}}
 
 # Runs every (out, config, commands, inputs) job in one process and stops at
 # the first command that fails; a job with inputs first copies the corpus,
@@ -83,21 +90,21 @@ def _job(base: Path, config: dict, commands: list, inputs: Path | None = None) -
 
 
 def run_tree(src: Path, work: Path, workloads: dict, delta: str, seed: int) -> list[Path]:
-    """Run each workload's pipeline, then its cocol ablations, on the package
+    """Run each workload's pipeline, then its ``VARIANTS``, on the package
     in ``src``; returns the output directories, relative to ``work``.
-    Workload ``name`` writes to ``name/runs`` and its ablation ``a`` to
-    ``name/a/runs``."""
+    Workload ``name`` writes to ``name/runs`` and its variant ``v`` to
+    ``name/v/runs``."""
     jobs, outs = [], []
     for name, workload in workloads.items():
         runs = work / name / "runs"
         jobs.append(_job(work / name, workload.config, _commands(workload, delta, runs)))
         outs.append(Path(name, "runs"))
-        cocol = [["unlearn", "--spec", workload.spec, "--method", "cocol", "--delta", delta]]
-        for ablation, params in ABLATIONS.items():
+        for variant, (method, params) in VARIANTS.items():
             unlearn = {**workload.config.get("unlearn", {}), "method_params": params}
-            jobs.append(_job(work / name / ablation, {**workload.config, "unlearn": unlearn},
-                             cocol, runs))
-            outs.append(Path(name, ablation, "runs"))
+            command = ["unlearn", "--spec", workload.spec, "--method", method, "--delta", delta]
+            jobs.append(_job(work / name / variant, {**workload.config, "unlearn": unlearn},
+                             [command], runs))
+            outs.append(Path(name, variant, "runs"))
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", RUNNER, str(src), str(seed), json.dumps(jobs)],
                    env=env, check=True, stdout=subprocess.DEVNULL)
