@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import charts
 from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, generate_synthetic,
-                     load_dataset, save_dataset, write_lines)
+                     load_dataset, read_json, read_utf8, save_dataset, write_lines)
 from .errors import ConfigError, DataError, NumurError, checked
 from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
@@ -78,13 +78,9 @@ class ExperimentConfig:
         raw = {}
         if path is not None:
             try:
-                raw = json.loads(Path(path).read_text(encoding="utf-8"))
+                raw = read_json(Path(path))
             except FileNotFoundError:
                 raise ConfigError(f"config file not found: {path}") from None
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
         checked("the config", raw, dict)
         unknown = set(raw) - {"corpus", "train", "unlearn", "removal_fractions", "seed"}
         if unknown:
@@ -142,6 +138,24 @@ def _parse_method(name) -> Method:
 
 
 # ---------------------------------------------------------------------------
+# Artifacts that a later command reads back, each declared once: its JSON
+# keys or CSV columns in written order, each with the kind of value it holds
+# (``checked``). None is a number or null; a dict is a nested declaration.
+
+TRAIN_TRAJECTORY = {"epoch": int, "loss": float, "mrr_train": float, "wall_time_s": float}
+UNLEARN_TRAJECTORY = {"epoch": int, "mrr_forget": float, "mrr_entangled": float,
+                      "mrr_disjoint": float, "mrr_test": float, "wall_time_s": float}
+CORPUS_STATS = {"vocab_size": int, "train": dict, "test": dict}
+RETRAIN_REPORT = {"mrr_forget": float, "mrr_entangled": float, "mrr_disjoint": float,
+                  "mrr_test": float, "destinations": {"d1": float, "d2": float, "d3": float}}
+RUN_REPORT = {"method": str, "spec": str, "delta_target": float, "epochs_run": int,
+              "stopped_early": bool, "edited_params": int, "mrr_forget": float,
+              "mrr_entangled": float, "mrr_disjoint": float, "mrr_test": float,
+              "normalized_forget": None, "normalized_epoch_duration": None,
+              "total_unlearn_time": None}
+
+
+# ---------------------------------------------------------------------------
 # Output layout and serialisation helpers
 
 
@@ -156,30 +170,42 @@ def _write_json(path: Path, payload) -> None:
     write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-def _read_json(path: Path, keys: tuple[str, ...] = ()) -> dict:
-    """A JSON object written by _write_json; DataError when malformed or lacking a key."""
+def _check(name: str, value, kind) -> None:
+    """ConfigError unless ``value`` is of ``kind``; a declaration key by key."""
+    if isinstance(kind, dict):
+        checked(name, value, dict)
+        for key, field in kind.items():
+            if key not in value:
+                raise ConfigError(f"{name} lacks the key {key!r}")
+            _check(key, value[key], field)
+    elif kind is not None or value is not None:
+        checked(name, value, kind or float)
+
+
+def _read_artifact(path: Path, fields: dict) -> dict:
+    """The JSON object in ``path``, checked against the declaration ``fields``."""
+    payload = read_json(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed JSON ({exc})") from None
-    if not isinstance(payload, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    missing = [key for key in keys if key not in payload]
-    if missing:
-        raise DataError(f"{path}: missing keys {missing}")
+        _check("the file", payload, fields)
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return payload
 
 
-def _read_csv_column(path: Path, col: int) -> list[float]:
-    """One column of finite numbers of a CSV written by _write_csv, header skipped."""
+def _read_column(path: Path, columns: dict, name: str) -> list:
+    """Column ``name`` of a CSV that _write_csv wrote with the declared
+    ``columns`` as its header: a value of the column's kind per row."""
+    col, kind = list(columns).index(name), columns[name]
+    header, *lines = read_utf8(path).strip().splitlines() or [""]
+    if header != ",".join(columns):
+        raise DataError(f"{path}:1: expected the header {','.join(columns)}")
     values = []
-    lines = path.read_text(encoding="utf-8").strip().splitlines()
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         try:
-            values.append(checked("a cell", float(line.split(",")[col]), float))
+            values.append(checked(name, kind(line.split(",")[col]), kind))
         except (IndexError, ValueError, ConfigError):
-            raise DataError(f"{path}:{lineno}: expected a finite number in column {col + 1}") \
-                from None
+            what = "an integer" if kind is int else "a finite number"
+            raise DataError(f"{path}:{lineno}: expected {what} in column {col + 1}") from None
     return values
 
 
@@ -206,11 +232,7 @@ def _load_split(out: Path) -> CorpusSplit:
     if stats_path.exists():
         # the generator records its vocabulary size; token inference can
         # undershoot it when the highest ids happen never to be drawn
-        recorded = _read_json(stats_path).get("vocab_size")
-        if recorded is not None:
-            if type(recorded) is not int:  # not "600", 2900.0 or true
-                raise DataError(f"{stats_path}: vocab_size {recorded!r} is not an integer")
-            vocab = max(vocab, recorded)
+        vocab = max(vocab, _read_artifact(stats_path, CORPUS_STATS)["vocab_size"])
     # load_dataset validated both; a larger vocabulary keeps every token in range
     train_ds.vocab_size = test_ds.vocab_size = vocab
     split = CorpusSplit(train=train_ds, test=test_ds)
@@ -242,11 +264,11 @@ def _train_epoch_times(out: Path) -> list[float]:
     path = out / "train" / "trajectory.csv"
     if not path.exists():
         raise ConfigError(f"training trajectory not found at {path}")
-    times = _read_csv_column(path, 3)
+    times = _read_column(path, TRAIN_TRAJECTORY, "wall_time_s")
     for lineno, wall in enumerate(times, start=2):
         if not wall > 0.0:
-            raise DataError(f"{path}:{lineno}: expected a wall time above 0 in column 4, "
-                            f"got {wall!r}")
+            raise DataError(f"{path}:{lineno}: expected a wall time above 0 in column "
+                            f"{list(TRAIN_TRAJECTORY).index('wall_time_s') + 1}, got {wall!r}")
     return times
 
 
@@ -281,8 +303,7 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
     save_model(result.model, out / "train" / "model.bin")
     rows = [[e + 1, loss, mrr, wall] for e, (loss, mrr, wall) in
             enumerate(zip(result.epoch_losses, result.epoch_mrr, result.epoch_times))]
-    _write_csv(out / "train" / "trajectory.csv",
-               ["epoch", "loss", "mrr_train", "wall_time_s"], rows)
+    _write_csv(out / "train" / "trajectory.csv", TRAIN_TRAJECTORY, rows)
     final = result.epoch_mrr[-1] if result.epoch_mrr else float("nan")
     print(f"trained {cfg.train.epochs} epochs; final train MRR {final:.4f}")
 
@@ -330,30 +351,18 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
 def _resolve_delta(out: Path, spec_name: str, delta: float | None, dest: str | None,
                    fallback: float) -> tuple[float, str, dict | None]:
     """The target, its tag, and the retrain report of ``spec_name`` if there
-    is one; DataError unless its mrr_test and destinations are numbers."""
+    is one (``RETRAIN_REPORT``)."""
     if delta is not None and dest is not None:
         raise ConfigError("give either --delta or --dest, not both")
-    report_path, report = out / "retrain" / spec_name / "report.json", None
-    if report_path.exists():
-        report = _read_json(report_path, ("mrr_test", "destinations"))
-        try:
-            checked("mrr_test", report["mrr_test"], float)
-            dests = checked("destinations", report["destinations"], dict)
-            for key in ("d1", "d2", "d3"):
-                checked(f"destination {key}", dests.get(key), float)
-        except ConfigError as exc:
-            raise DataError(f"{report_path}: {exc}") from None
+    report_path = out / "retrain" / spec_name / "report.json"
+    report = _read_artifact(report_path, RETRAIN_REPORT) if report_path.exists() else None
     if delta is not None:
         return float(delta), f"delta{delta:g}", report
     if dest is not None:
         if report is None:
             raise ConfigError(
                 f"destination mode needs {report_path}; run `numur retrain` first")
-        try:
-            value = report["destinations"][dest]
-        except KeyError:
-            raise ConfigError(f"unknown destination {dest!r}") from None
-        return float(value), dest, report
+        return float(report["destinations"][dest]), dest, report
     return fallback, f"delta{fallback:g}", report
 
 
@@ -368,9 +377,7 @@ def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, part: Par
     run_dir = out / "unlearn" / f"{method.value}_{name}_{tag}"
     run_dir.mkdir(parents=True, exist_ok=True)
     save_model(run.final_model, run_dir / "model.bin")
-    _write_csv(run_dir / "trajectory.csv",
-               ["epoch", "mrr_forget", "mrr_entangled", "mrr_disjoint", "mrr_test",
-                "wall_time_s"],
+    _write_csv(run_dir / "trajectory.csv", UNLEARN_TRAJECTORY,
                [[r.epoch, r.mrr_forget, r.mrr_entangled, r.mrr_disjoint, r.mrr_test,
                  r.epoch_wall_time] for r in run.trajectory])
     _write_json(run_dir / "run_config.json", {
@@ -456,20 +463,12 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -
     print(f"evaluated {model_path} on {name} -> {eval_dir}")
 
 
-# The columns report copies from each run's report.json, in order, and the
-# kind of value each must hold (``checked``); None is a number or null.
-_REPORT_COLUMNS = {"method": str, "spec": str, "delta_target": float, "epochs_run": int,
-                   "stopped_early": bool, "mrr_forget": float, "mrr_entangled": float,
-                   "mrr_disjoint": float, "mrr_test": float, "normalized_forget": None,
-                   "normalized_epoch_duration": None, "total_unlearn_time": None}
-
-
 def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
     run_dirs = sorted(p for p in (out / "unlearn").glob("*") if p.is_dir()) \
         if (out / "unlearn").exists() else []
     if not run_dirs:
         raise ConfigError(f"no unlearning runs under {out / 'unlearn'}")
-    keys = tuple(_REPORT_COLUMNS)
+    keys = [key for key in RUN_REPORT if key != "edited_params"]
     rows = []
     radar_rows: dict[str, list[float]] = {}
     forget_series: dict[str, list[float]] = {}
@@ -477,19 +476,14 @@ def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
         report_path = run_dir / "report.json"
         if not report_path.exists():
             raise ConfigError(f"missing report.json in {run_dir}")
-        r = _read_json(report_path, keys)
-        try:
-            for key, kind in _REPORT_COLUMNS.items():
-                if kind is not None or r[key] is not None:
-                    checked(key, r[key], kind or float)
-        except ConfigError as exc:
-            raise DataError(f"{report_path}: {exc}") from None
+        r = _read_artifact(report_path, RUN_REPORT)
         rows.append([run_dir.name, *(r[key] for key in keys)])
         f_axis = r["normalized_forget"] if r["normalized_forget"] is not None \
             else r["mrr_forget"]
         radar_rows[run_dir.name] = [f_axis, r["mrr_entangled"], r["mrr_disjoint"],
                                     r["mrr_test"]]
-        forget_series[run_dir.name] = _read_csv_column(run_dir / "trajectory.csv", 1)
+        forget_series[run_dir.name] = _read_column(run_dir / "trajectory.csv",
+                                                   UNLEARN_TRAJECTORY, "mrr_forget")
     report_dir = out / "report"
     (report_dir / "charts").mkdir(parents=True, exist_ok=True)
     _write_csv(report_dir / "report.csv", ["run", *keys], rows)
@@ -526,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="cocol",
                    help="cocol|cf|amnesiac|neggrad|ssd|badt|all")
     p.add_argument("--delta", type=float, help="explicit forget-MRR target")
-    p.add_argument("--dest", choices=["d1", "d2", "d3"],
+    p.add_argument("--dest", choices=list(RETRAIN_REPORT["destinations"]),
                    help="stopping target taken from the retrained model")
 
     p = sub.add_parser("eval", help="evaluate a stored model on a forget spec")

@@ -346,13 +346,28 @@ def _check_tokens(kind: str, ident: str, tokens: tuple[int, ...], vocab_size: in
 # File ingestion
 
 
+def read_utf8(path: Path) -> str:
+    """The text of ``path``; DataError naming its first byte that is not UTF-8."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def read_json(path: Path):
+    """The JSON value held in ``path`` (``read_utf8``); DataError when malformed."""
+    try:
+        return json.loads(read_utf8(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: malformed JSON ({exc})") from None
+    except RecursionError:
+        raise DataError(f"{path}: JSON nested too deeply") from None
+
+
 def _lines(path: Path) -> list[str]:
     # read_text turns \r\n and \r into \n, as iterating over the file does;
     # str.splitlines would also split at \x0b, \x85 and \u2028.
-    try:
-        return path.read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    return read_utf8(path).split("\n")
 
 
 # Lines parsed at a time; bounds the JSON objects and TSV fields alive at once.

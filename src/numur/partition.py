@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Label, Sample, write_lines
+from .corpus import Dataset, Label, Sample, read_json, write_lines
 from .errors import ConfigError, DataError
 
 
@@ -162,12 +162,7 @@ def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,
 def load_forget_spec(path: str | Path) -> ForgetSpec:
     """Read a removal request from JSON: {"kind": "query"|"document", "ids": [...]}."""
     path = Path(path)
-    try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: malformed JSON ({exc.msg})") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+    obj = read_json(path)
     if not isinstance(obj, dict) or "kind" not in obj or "ids" not in obj:
         raise DataError(f"{path}: expected object with 'kind' and 'ids'")
     try:

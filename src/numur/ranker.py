@@ -187,24 +187,13 @@ class PairStep:
 
     def __init__(self, sgd: Sgd, pairs: Sequence[tuple[int, int]]):
         self.sgd = sgd
-        self.offsets, self.counts, self.along, self.logits = [], [], [], []
-        self._pool(pairs, None, None)
-        # softplus, elementwise: the same values as one logaddexp call per pair
-        self.scores = np.logaddexp(0.0, self.logits).tolist()
-
-    def _pool(self, pairs: Sequence[tuple[int, int]], query_row: int | None,
-              u: np.ndarray | None) -> None:
-        """Gather ``pairs`` with one ``take``, and append their parts and
-        logits; ``u`` is the pooled vector of ``query_row`` when the caller
-        has it."""
-        sgd = self.sgd
         queries, docs = sgd.queries, sgd.docs
-        offsets = [o for q, d in pairs for o in (queries[q], docs[d])]
+        self.offsets = offsets = [o for q, d in pairs for o in (queries[q], docs[d])]
         self.index = index = np.concatenate(offsets)
         dim = sgd.shape[1]
         rows = sgd.flat.take(index).reshape(-1, dim)
-        counts, along, logits = self.counts, self.along, self.logits
-        end = 0
+        self.counts, self.along, self.logits = counts, along, logits = [], [], []
+        end, query_row = 0, None
         each = iter(offsets)
         for (q, _), qo, do in zip(pairs, each, each):
             nq, nd = len(qo) // dim, len(do) // dim
@@ -216,22 +205,8 @@ class PairStep:
             counts += (nq, nd)
             along += (v, u)
             logits.append(float(u @ v))
-        self.offsets += offsets
-
-    def _widened(self, pairs: Sequence[tuple[int, int]]) -> "PairStep":
-        """One step over this step's first pair, then ``pairs``, which share
-        its query, under the parameters this step was made with. The first
-        pair keeps its parts and score; only ``pairs`` are gathered and
-        pooled, against the first pair's query vector."""
-        step = object.__new__(PairStep)
-        step.sgd = self.sgd
-        step.offsets, step.counts, step.along = \
-            self.offsets[:2], self.counts[:2], self.along[:2]
-        step.logits = self.logits[:1]
-        step._pool(pairs, pairs[0][0], self.along[1])
-        step.index = None  # the gather misses the first pair
-        step.scores = self.scores[:1] + np.logaddexp(0.0, step.logits[1:]).tolist()
-        return step
+        # softplus, elementwise: the same values as one logaddexp call per pair
+        self.scores = np.logaddexp(0.0, logits).tolist()
 
     def gradient(self, upstream: Sequence[float]) -> tuple[np.ndarray, np.ndarray] | None:
         """The flat offsets of the parts of the pairs with a nonzero
@@ -253,7 +228,7 @@ class PairStep:
         if not gs:
             return None
         counts, along, index = self.counts, self.along, self.index
-        if index is None or len(parts) < len(counts):
+        if len(parts) < len(counts):
             counts, along = [counts[k] for k in parts], [along[k] for k in parts]
             index = np.concatenate([self.offsets[k] for k in parts])
         # (g * vector) / count, the arithmetic of one backward pass per pair
@@ -382,14 +357,13 @@ class HingeDraws:
     A draw whose hinge is not positive leaves the parameters as they
     are, so the draws after it can be scored under the same parameters.
     After such an inactive draw, every remaining draw of the positive is
-    scored in one ``PairStep``, which takes the query vector, the
-    positive's vector and its score from the inactive draw's step when
-    that step was of the same positive. After an active draw (a NaN loss
-    counts as active), only the next one is scored, in a two-pair step of
-    the positive and that draw. An active draw steps through
-    ``sgd.apply`` with a zero upstream on the other pairs. The window
-    carries over from one positive to the next, so a run whose draws are
-    all active makes the steps of the per-draw loop and no more.
+    scored in one ``PairStep`` of the positive and those draws. After an
+    active draw (a NaN loss counts as active), only the next one is
+    scored, in a two-pair step of the positive and that draw. An active
+    draw steps through ``sgd.apply`` with a zero upstream on the other
+    pairs. The window carries over from one positive to the next, so a
+    run whose draws are all active makes the steps of the per-draw loop
+    and no more.
 
     ``total`` sums the losses in draw order, inactive draws as 0.0;
     ``draws`` counts the draws.
@@ -407,7 +381,7 @@ class HingeDraws:
         pos_pair, pairs = (query_row, pos_row), [(query_row, neg) for neg in neg_rows]
         self.draws += len(pairs)
         sgd, margin = self.sgd, self.margin
-        at, n, closed = 0, len(pairs), None
+        at, n = 0, len(pairs)
         while at < n:
             if not self.wide:  # the per-draw step
                 step = PairStep(sgd, (pos_pair, pairs[at]))
@@ -415,16 +389,12 @@ class HingeDraws:
                 loss = margin - pos_score + neg_score
                 at += 1
                 if loss <= 0.0:
-                    self.wide, closed = True, step
+                    self.wide = True
                 else:
                     sgd.apply(step, [-1.0, 1.0])
                     self.total += loss
                 continue
-            # after a closed draw of this positive, its query, positive and
-            # score are still those of the parameters
-            step = PairStep(sgd, [pos_pair, *pairs[at:]]) if closed is None \
-                else closed._widened(pairs[at:])
-            closed = None
+            step = PairStep(sgd, [pos_pair, *pairs[at:]])
             scores = step.scores
             for k in range(1, len(scores)):
                 loss = margin - scores[0] + scores[k]

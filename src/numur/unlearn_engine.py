@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import CorpusSplit, Label, Sample
-from .errors import ConfigError, checked
+from .errors import ConfigError, DataError, checked
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
 from .ranker import (HingeDraws, HingeSet, Pooled, ScoreModel, Sgd, clone_model,
@@ -262,10 +262,11 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
     positives += [s for s in part.entangled if s.label is Label.POSITIVE]
     queries = HingeSet(split.train, split.train.samples)
     query, doc, n_negs, starts = _hinge_rows(queries, positives)
-    for s, n in zip(positives, n_negs.tolist()):
-        if not n:
-            raise ConfigError(f"forget query {s.query_id!r} has no pool negatives "
-                              "to promote")
+    for i, (s, n) in enumerate(zip(positives, n_negs.tolist())):
+        if not n and i < n_forget:
+            raise ConfigError(f"forget query {s.query_id!r} has no pool negatives to promote")
+        if not n:  # an entangled positive trains as in pairwise_epoch, and fails as there
+            raise DataError(f"query {s.query_id!r} has no pool negatives to train against")
 
     # the first n_forget positives draw the one negative they promote, the rest npp
     n_draws = np.array([1] * n_forget + [npp] * (len(positives) - n_forget), dtype=np.intp)

@@ -53,3 +53,14 @@ def test_directions_are_read_from_the_benchmark(tmp_path):
     assert ab_bench.end_to_end_directions(path) == {"setup_s": "lower", "mrr": "higher"}
     repo = ab_bench.end_to_end_directions(ab_bench.REPO / "BENCHMARK.json")
     assert repo["retrain_s"] == "lower" and "peak_rss_mb" in repo
+
+
+def test_src_lines_counts_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "numur"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "b.py").write_text("y = 2\nz = 3")  # no final newline
+    (package / "notes.txt").write_text("not code\n")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    assert ab_bench.src_lines(tmp_path) == 5
+    assert ab_bench.src_lines(ab_bench.REPO) > 0

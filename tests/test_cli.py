@@ -237,6 +237,14 @@ class TestErrors:
             f"ERROR:data: {config}: not UTF-8 (invalid start byte at byte 14)\n"
         assert not (tmp_path / "o").exists()
 
+    def test_config_nested_too_deep(self, tmp_path, capsys):
+        # json.loads raises RecursionError here, which once ended in a traceback
+        config = tmp_path / "c.json"
+        config.write_text("[" * 100_000)
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == 1
+        assert capsys.readouterr().err == f"ERROR:data: {config}: JSON nested too deeply\n"
+        assert not (tmp_path / "o").exists()
+
     def test_forget_spec_not_utf8(self, workdir, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_bytes(b'{"kind": "query", "ids": ["q\xff"]}')
@@ -523,6 +531,9 @@ class TestOffsetTables:
         assert built == []
 
 
+UNLEARN_SSD = ["unlearn", "--spec", "spec_document_25", "--method", "ssd", "--delta", "0.4"]
+
+
 class TestMalformedArtifacts:
     """A damaged run artifact ends in ERROR:data and exit 1, never a traceback."""
 
@@ -595,6 +606,7 @@ class TestMalformedArtifacts:
         {"total_unlearn_time": "slow"},
         {"method": 3},
         {"spec": ["spec_document_25"]},
+        {"edited_params": 1.5},
     ], ids=repr)
     def test_bad_values_in_run_report(self, runs, capsys, changes):
         path = runs / "unlearn" / "cocol_spec_document_25_d2" / "report.json"
@@ -666,6 +678,44 @@ class TestMalformedArtifacts:
             (runs / "corpus" / "stats.json").write_text(f'{{"vocab_size": {value}}}')
             assert "vocab_size" in self.fails_with_data_error(
                 capsys, runs, "partition", "--spec", "spec_document_25")
+        (runs / "corpus" / "stats.json").write_text('{"vocab_size": 128, "train": [], "test": {}}')
+        assert "train must be a JSON object" in self.fails_with_data_error(
+            capsys, runs, "partition", "--spec", "spec_document_25")
+
+    # a column is found by its declared name, so a header that does not
+    # declare it is refused rather than read by position
+    @pytest.mark.parametrize("artifact, args, header", [
+        ("train/trajectory.csv", UNLEARN_SSD, "epoch,loss,mrr_train,wall_s"),
+        ("unlearn/cocol_spec_document_25_d2/trajectory.csv", ["report"],
+         "epoch,mrr_entangled,mrr_forget,mrr_disjoint,mrr_test,wall_time_s"),
+    ], ids=["train", "run"])
+    def test_trajectory_with_another_header(self, runs, capsys, artifact, args, header):
+        path = runs / artifact
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([header, *lines[1:]]) + "\n")
+        shutil.rmtree(runs / args[0])
+        err = self.fails_with_data_error(capsys, runs, *args)
+        assert err == f"ERROR:data: {path}:1: expected the header {lines[0]}\n"
+        assert not (runs / args[0]).exists()
+
+    # the CSV files once ended in a UnicodeDecodeError traceback, the JSON
+    # files in "malformed JSON"
+    @pytest.mark.parametrize("artifact, args", [
+        ("train/trajectory.csv", UNLEARN_SSD),
+        ("retrain/spec_document_25/report.json", UNLEARN_SSD),
+        ("unlearn/cocol_spec_document_25_d2/trajectory.csv", ["report"]),
+        ("unlearn/cocol_spec_document_25_d2/report.json", ["report"]),
+        ("corpus/stats.json", ["partition", "--spec", "spec_document_25"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_artifact_not_utf8(self, runs, capsys, artifact, args):
+        path = runs / artifact
+        data = path.read_bytes()
+        path.write_bytes(data[:10] + b"\xff" + data[10:])
+        shutil.rmtree(runs / args[0])
+        assert main(["--out", str(runs), *args]) == 1
+        assert capsys.readouterr().err == \
+            f"ERROR:data: {path}: not UTF-8 (invalid start byte at byte 10)\n"
+        assert not (runs / args[0]).exists()
 
     @pytest.mark.parametrize("damage", [
         lambda r: r["destinations"].update(d1="x"),
@@ -673,7 +723,9 @@ class TestMalformedArtifacts:
         lambda r: r["destinations"].update(d3=[1]),
         lambda r: r.update(destinations=list(r["destinations"].values())),
         lambda r: r.update(mrr_test="bad"),
-    ], ids=["d1 text", "d1 null", "d3 list", "destinations list", "mrr_test text"])
+        lambda r: r.update(mrr_entangled="0.5"),
+    ], ids=["d1 text", "d1 null", "d3 list", "destinations list", "mrr_test text",
+            "mrr_entangled text"])
     @pytest.mark.parametrize("target", [["--dest", "d1"], ["--delta", "0.4"]],
                              ids=["dest", "delta"])
     def test_bad_values_in_retrain_report(self, runs, capsys, damage, target):
@@ -686,6 +738,30 @@ class TestMalformedArtifacts:
                                          "--method", "cocol", *target)
         assert str(path) in err
         assert not (runs / "unlearn").exists()
+
+
+def _declared(payload, fields) -> bool:
+    """Whether ``payload`` has exactly the keys of the declaration ``fields``."""
+    return sorted(payload) == sorted(fields) and all(
+        _declared(payload[key], kind) for key, kind in fields.items() if isinstance(kind, dict))
+
+
+def test_every_declared_artifact_reads_back_through_its_declaration(workdir):
+    runs = workdir / "runs"
+    run_dirs = sorted((runs / "unlearn").iterdir())
+    for path, fields in [(runs / "corpus" / "stats.json", cli.CORPUS_STATS),
+                         (runs / "retrain" / "spec_document_25" / "report.json",
+                          cli.RETRAIN_REPORT),
+                         *((d / "report.json", cli.RUN_REPORT) for d in run_dirs)]:
+        assert _declared(cli._read_artifact(path, fields), fields), path
+    for path, columns in [(runs / "train" / "trajectory.csv", cli.TRAIN_TRAJECTORY),
+                          *((d / "trajectory.csv", cli.UNLEARN_TRAJECTORY) for d in run_dirs)]:
+        header, *rows = path.read_text().splitlines()
+        assert header == ",".join(columns)
+        table = {name: cli._read_column(path, columns, name) for name in columns}
+        assert list(zip(*table.values())) == [tuple(kind(cell) for kind, cell in
+                                                    zip(columns.values(), row.split(",")))
+                                              for row in rows]
 
 
 def test_docs_file_is_read_once_per_command(workdir, monkeypatch):

@@ -21,9 +21,9 @@ from test_epoch_picks import mining_datasets
 from test_roundtrip_properties import specs
 from test_scoring_properties import VOCAB, _sigmoid, datasets, models, wide_models
 
-from numur import (ConfigError, CorpusSplit, Label, Method, SyntheticConfig, UnlearnConfig,
-                   generate_synthetic, init_model, partition, ranker, unlearn)
-from numur.ranker import HingeDraws, HingeSet, PairStep, Sgd, pairwise_epoch, pool
+from numur import (ConfigError, CorpusSplit, DataError, Label, Method, SyntheticConfig,
+                   UnlearnConfig, generate_synthetic, init_model, partition, ranker, unlearn)
+from numur.ranker import HingeDraws, HingeSet, Sgd, pairwise_epoch, pool
 from numur.unlearn_engine import _importance
 
 REGIMES = ("none", "all", "some", "nan")
@@ -105,29 +105,6 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     assert same(model.params, ref_model.params)
     assert same(draws.total, loop.total) and draws.draws == loop.draws
     assert not sgd.scratch.any() and not ref_sgd.scratch.any()
-
-
-@settings(max_examples=50, deadline=None)
-@given(datasets(), models, st.data())
-def test_wide_step_after_a_closed_draw_pools_only_the_rest(ds, model, data):
-    # Every hinge closed: a positive's first draw is hinge_loss_and_grad's
-    # two-pair step, and the step for its other draws gathers and pools only
-    # their negatives, taking the query and the positive from the first.
-    margin = apply_regime(model, ds, "none", data)
-    qid = data.draw(st.sampled_from(sorted(ds.pools)))
-    pos = data.draw(st.sampled_from(ds.pools[qid]))
-    negs = data.draw(st.lists(st.sampled_from(ds.pools[qid]), min_size=2, max_size=5))
-    gathered = []
-    real = PairStep._pool
-
-    def spy(step, pairs, *rest):
-        gathered.append(list(pairs))
-        return real(step, pairs, *rest)
-
-    q, p, negs = ds.index.query_row[qid], ds.index.doc_row[pos], doc_rows(ds, negs)
-    with patch.object(PairStep, "_pool", spy):
-        HingeDraws(Sgd(model, ds, 1.0), margin).run(q, p, negs)
-    assert gathered == [[(q, p), (q, negs[0])], [(q, neg) for neg in negs[1:]]]
 
 
 def loop_pairwise_epoch(ds, samples, rng, margin, npp, loop):
@@ -217,7 +194,7 @@ def test_amnesiac_and_neggrad_are_the_per_draw_loop(ds, model, method, regime, l
     with np.errstate(all="ignore"):
         try:
             run = unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)
-        except ConfigError:  # a forget query with no pool negatives, or an empty F
+        except (ConfigError, DataError):  # a query without pool negatives, or an empty F
             assume(False)
         # the driver draws from its generator only inside the epochs
         rate = lr if method is Method.AMNESIAC else -lr

@@ -4,9 +4,9 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method, RemovalKind,
-                   TrainConfig, UnlearnConfig, clone_model, compute_destinations, init_model,
-                   mrr_forget, partition, retrain, train, unlearn)
+from numur import (ConfigError, CorpusSplit, DataError, Dataset, ForgetSpec, Label, Method,
+                   RemovalKind, TrainConfig, UnlearnConfig, clone_model, compute_destinations,
+                   init_model, mrr_forget, partition, retrain, train, unlearn)
 from numur import ranker, unlearn_engine
 from numur.ranker import Sgd, pool, pool_split, sample_scores
 from numur.unlearn_losses import _abs_delta_loss
@@ -204,6 +204,23 @@ class TestAmnesiac:
         retains = [c for c in draws if (c[1], c[2]) in entangled_pos]
         assert len(forgets) == len(forget_pos) and len(retains) == len(entangled_pos)
         assert len(forgets) + len(retains) == len(draws)
+
+    def test_a_query_without_pool_negatives(self):
+        # q1 shares d0 with q0, and every doc of its pool is positive for it
+        ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0), ("q1", "d0", 1), ("q1", "d2", 1)],
+                           {"q0": ["d0", "d1"], "q1": ["d0", "d2"]})
+        split, model = CorpusSplit(train=ds, test=ds), init_model(ds.vocab_size, 4, seed=0)
+        # removing q0 leaves q1 retained and entangled: amnesiac trains it, as cf does
+        part = partition(ds, ForgetSpec(RemovalKind.QUERY, frozenset({"q0"})))
+        assert keys(part.entangled) == {("q1", "d0")}
+        for method in (Method.AMNESIAC, Method.CF):
+            with pytest.raises(DataError) as info:
+                unlearn(model, split, part, ucfg(method, delta_target=1e-9, max_epochs=1))
+            assert str(info.value) == "query 'q1' has no pool negatives to train against"
+        # removing q1 leaves amnesiac no negative to promote above its positives
+        part = partition(ds, ForgetSpec(RemovalKind.QUERY, frozenset({"q1"})))
+        with pytest.raises(ConfigError, match="forget query 'q1' has no pool negatives"):
+            unlearn(model, split, part, ucfg(Method.AMNESIAC, delta_target=1e-9))
 
 
 class TestNegGrad:

@@ -13,9 +13,10 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the change of the median, how many pairs the
 change won (ties count for neither side) and whether the medians differ
 by more than the distance between the parent's quartiles. Any run that
-is not correct, or that failed an operation, is printed too. The last
-line of standard output is one JSON object with the pairs and the
-summary.
+is not correct, or that failed an operation, is printed too. The header
+line gives each checkout's ``src/numur/*.py`` line count. The last line
+of standard output is one JSON object with the pairs, the summary and
+both line counts.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     result = json.loads(lines[-1])
     return {"correct": result["correct"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def src_lines(checkout: Path) -> int:
+    """The lines of ``src/numur/*.py`` in ``checkout``, counted as perfbench counts them."""
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in (checkout / "src" / "numur").glob("*.py"))
 
 
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -126,12 +133,15 @@ def main(argv=None) -> int:
         print(f"pair {i + 1}/{args.pairs} done (seed {seed})", file=sys.stderr, flush=True)
 
     summary = summarize(pairs, end_to_end_directions(REPO / "BENCHMARK.json"))
+    lines = {side: src_lines(checkouts[side]) for side in SIDES}
     print(f"{args.workload}: {args.pairs} pairs at {args.seconds:g} s, seeds "
-          f"{args.seed}-{args.seed + args.pairs - 1}, medians in reference seconds")
+          f"{args.seed}-{args.seed + args.pairs - 1}, medians in reference seconds; "
+          f"src/numur lines: parent {lines['parent']}, change {lines['change']}")
     for line in format_summary(summary) + bad:
         print(line)
     print(json.dumps({"workload": args.workload, "seconds": args.seconds, "seed": args.seed,
-                      "pairs": pairs, "summary": summary, "bad_runs": bad}))
+                      "pairs": pairs, "summary": summary, "bad_runs": bad,
+                      "src_lines": lines}))
     return 1 if bad else 0
 
 
