@@ -408,7 +408,7 @@ def _parse_jsonl(items: list[str]) -> tuple[list[str], list[tuple[int, ...]], To
         # with no JSON value it raises StopIteration, which ends the list early
         try:
             decoded = list(map(_decoder.scan_once, block, repeat(0)))
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, RecursionError):
             return None
         if list(map(itemgetter(1), decoded)) != list(map(len, block)):
             return None
@@ -440,6 +440,8 @@ def _jsonl_check():
             obj = _json_line(line)
         except json.JSONDecodeError as exc:
             return f"malformed JSON ({exc.msg})"
+        except RecursionError:
+            return "JSON nested too deeply"
         if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
             return "expected object with 'id' and 'tokens'"
         ident = str(obj["id"])

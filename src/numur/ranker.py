@@ -608,8 +608,11 @@ def retrain(split: CorpusSplit, cfg: TrainConfig, part) -> TrainResult:
     """Fit a fresh model on the retained samples only (entangled + disjoint).
 
     Queries whose positives all fell into the forget set simply
-    contribute no gradient steps.
+    contribute no gradient steps. An empty forget set is a ConfigError,
+    raised before any fitting.
     """
+    if not part.forget:
+        raise ConfigError("forget set is empty")
     retained = [s for s in split.train.samples if not part.is_forgotten(s)]
     return _fit(split.train, retained, cfg, require_positives=False)
 

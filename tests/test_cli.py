@@ -245,6 +245,36 @@ class TestErrors:
         assert capsys.readouterr().err == f"ERROR:data: {config}: JSON nested too deeply\n"
         assert not (tmp_path / "o").exists()
 
+    # the per-line decoder raised RecursionError, which once ended in a traceback
+    @pytest.mark.parametrize("corpus_file, args", [
+        ("train_queries.jsonl", ["partition", "--spec", "spec_document_25"]),
+        ("docs.jsonl", ["train"]),
+    ], ids=["queries", "docs"])
+    def test_corpus_line_nested_too_deep(self, workdir, tmp_path, capsys, corpus_file, args):
+        runs = tmp_path / "runs"
+        for part in ("corpus", "specs"):
+            shutil.copytree(workdir / "runs" / part, runs / part)
+        path = runs / "corpus" / corpus_file
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join([lines[0], "[" * 100_000, *lines[2:]]))
+        assert main(["--out", str(runs), *args]) == 1
+        assert capsys.readouterr().err == f"ERROR:data: {path}:2: JSON nested too deeply\n"
+        assert not (runs / args[0]).exists()
+
+    def test_retrain_on_an_empty_forget_set_writes_nothing(self, workdir, tmp_path, capsys):
+        # a pooled doc with no sample: the spec is valid, but forgets no sample
+        split = _load_split(workdir / "runs")
+        sampled = {s.doc_id for s in split.train.samples}
+        unsampled = next(d for pool in split.train.pools.values() for d in pool
+                         if d not in sampled)
+        spec = tmp_path / "spec.json"
+        save_forget_spec(ForgetSpec(RemovalKind.DOCUMENT, frozenset({unsampled})), spec)
+        runs = tmp_path / "runs"
+        shutil.copytree(workdir / "runs" / "corpus", runs / "corpus")
+        assert main(["--out", str(runs), "retrain", "--spec", str(spec)]) == 1
+        assert capsys.readouterr().err == "ERROR:config: forget set is empty\n"
+        assert not (runs / "retrain").exists()
+
     def test_forget_spec_not_utf8(self, workdir, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_bytes(b'{"kind": "query", "ids": ["q\xff"]}')

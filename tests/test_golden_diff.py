@@ -80,3 +80,13 @@ def test_every_variant_reads_only_keys_of_its_method():
     hinge = {method for method, params in golden_diff.VARIANTS.values()
              if params is golden_diff.HINGE_PARAMS}
     assert hinge == {"cf", "amnesiac", "neggrad", "ssd"}
+
+
+def test_every_workload_unlearns_with_every_method_under_both_removal_kinds():
+    from perfbench.workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        commands = golden_diff._commands(workload, "0.001", Path("runs"))
+        specs = [args[2] for args in commands
+                 if args[0] == "unlearn" and args[3:] == ["--method", "all", "--delta", "0.001"]]
+        assert sorted(golden_diff._kind(s) for s in specs) == ["document", "query"]

@@ -9,7 +9,9 @@ tree, one subprocess with that tree on ``PYTHONPATH`` runs, on the
 config of every benchmark workload in ``perfbench/workloads.py``: gen,
 train, retrain and partition on the workload's spec, eval of the trained
 model on each of its eval specs, unlearn with all six methods at
-``--delta 0.001`` and at ``--dest d2``, and report. Each run of
+``--delta 0.001`` and at ``--dest d2``, unlearn with all six methods at
+``--delta 0.001`` on the eval spec of the other removal kind, so every
+strategy runs under both kinds, and report. Each run of
 ``VARIANTS`` then unlearns at ``--delta 0.001`` with its method and
 method_params, in an output directory of its own, on a copy of the
 workload's corpus, specs and trained model.
@@ -71,13 +73,20 @@ for out, config, commands, inputs in jobs:
 """
 
 
+def _kind(spec: str) -> str:
+    """The removal kind of a spec that gen names ``spec_<kind>_<percent>``."""
+    return spec.split("_")[1]
+
+
 def _commands(workload, delta: str, out: Path) -> list[list[str]]:
     spec = workload.spec
+    other, = (s for s in workload.eval_specs if _kind(s) != _kind(spec))
     return [["gen"], ["train"], ["retrain", "--spec", spec], ["partition", "--spec", spec],
             *[["eval", "--spec", s, "--model", str(out / "train" / "model.bin")]
               for s in workload.eval_specs],
             ["unlearn", "--spec", spec, "--method", "all", "--delta", delta],
             ["unlearn", "--spec", spec, "--method", "all", "--dest", "d2"],
+            ["unlearn", "--spec", other, "--method", "all", "--delta", delta],
             ["report"]]
 
 
