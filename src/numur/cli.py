@@ -23,6 +23,8 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import charts
 from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, generate_synthetic,
                      load_dataset, read_json, read_utf8, save_dataset, write_lines)
@@ -316,8 +318,8 @@ def cmd_partition(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
         "spec": {"kind": spec.kind.value, "ids": sorted(spec.ids)},
         "sizes": {"forget": len(part.forget), "entangled": len(part.entangled),
                   "disjoint": len(part.disjoint)},
-        "forget_queries": sorted(part.forget_queries),
-        "forget_docs": sorted(part.forget_docs),
+        "forget_queries": sorted({split.train.samples[i].query_id for i in part.forget}),
+        "forget_docs": sorted({split.train.samples[i].doc_id for i in part.forget}),
     })
     print(f"partition {name}: |F|={len(part.forget)} |E|={len(part.entangled)} "
           f"|D|={len(part.disjoint)}")
@@ -327,6 +329,8 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
     split = _load_split(out)
     name, spec = _resolve_spec(out, spec_arg)
     part = partition(split.train, spec)
+    if not len(part.forget):  # before fitting, so nothing is written
+        raise ConfigError("forget set is empty")
     result = retrain(split, cfg.train, part)
     dest_dir = out / "retrain" / name
     dest_dir.mkdir(parents=True, exist_ok=True)
@@ -445,16 +449,17 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -
     model_tag = f"{Path(model_path).parent.name}_{Path(model_path).stem}"
     eval_dir = out / "eval" / f"{model_tag}_{name}"
     train_pool, test_pool = pool_split(model, split)
+    test = np.arange(len(split.test.samples))
     _write_json(eval_dir / "report.json", {
         "model": str(model_path), "spec": name,
         "mrr_forget": mrr_forget(train_pool, part).value,
         "mrr_entangled": mrr_set(train_pool, part.entangled).value,
         "mrr_disjoint": mrr_set(train_pool, part.disjoint).value,
-        "mrr_test": mrr_set(test_pool, split.test.samples).value,
+        "mrr_test": mrr_set(test_pool, test).value,
     })
     dists = score_distribution(model_tag, train_pool, [
         ("forget", part.forget), ("entangled", part.entangled), ("disjoint", part.disjoint)])
-    dists += score_distribution(model_tag, test_pool, [("test", split.test.samples)])
+    dists += score_distribution(model_tag, test_pool, [("test", test)])
     rows = [[d.model_name, d.set_name, d.count, d.min, d.max, d.mean, *d.deciles]
             for d in dists]
     _write_csv(eval_dir / "distributions.csv",

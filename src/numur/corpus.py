@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import json
 import os
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -189,14 +188,17 @@ class DatasetIndex:
     hold, per token count, the rows with that many tokens and their
     tokens as one (count, rows) array, so vectors are pooled a whole group
     at a time. ``id_order`` is each doc row's position among the sorted
-    doc ids: comparing it compares ids, which breaks score ties.
+    doc ids: comparing it compares ids, which breaks score ties;
+    ``query_id_order`` is the same for query rows.
 
     ``pool_matrix`` holds each query's pool as one row of doc rows, padded
     past ``pool_len`` with ``len(doc_row)``, a row no doc has; ``pool_ids``
     is the ``id_order`` of those entries, padded with the same value, so a
     padding entry sorts after every doc. ``pool_keys`` holds every pool
     entry as one sorted integer key, and ``pool_cols`` its position in the
-    pool; ``pool_columns`` looks (query, doc) pairs up in them.
+    pool; ``pool_columns`` looks (query, doc) pairs up in them. Per sample,
+    by position in ``Dataset.samples``: ``sample_query`` and ``sample_doc``
+    hold its query row and doc row, and ``positive`` marks it positive.
     """
 
     doc_row: dict[str, int]
@@ -209,19 +211,19 @@ class DatasetIndex:
     pool_len: np.ndarray
     pool_keys: np.ndarray
     pool_cols: np.ndarray
-    positives: dict[str, tuple[str, ...]]
+    query_id_order: np.ndarray
+    sample_query: np.ndarray
+    sample_doc: np.ndarray
+    positive: np.ndarray
 
     @classmethod
     def build(cls, dataset: "Dataset", docs: "DatasetIndex | None" = None) -> "DatasetIndex":
         """The index of ``dataset``; the doc half is taken from ``docs`` when given,
         which must index the same documents dict."""
         if docs is None:
-            doc_ids = list(dataset.documents)
-            doc_row = dict(zip(doc_ids, range(len(doc_ids))))
+            doc_row = dict(zip(dataset.documents, range(len(dataset.documents))))
             groups = dataset._doc_rows.length_groups()
-            id_order = np.empty(len(doc_ids), dtype=np.intp)
-            id_order[sorted(range(len(doc_ids)), key=doc_ids.__getitem__)] = \
-                np.arange(len(doc_ids))
+            id_order = _id_order(list(dataset.documents))
         else:
             doc_row, groups, id_order = docs.doc_row, docs.groups, docs.id_order
         query_row = dict(zip(dataset.queries, range(len(dataset.queries))))
@@ -245,17 +247,24 @@ class DatasetIndex:
         in_pool = pool_matrix < pad
         keys = _pool_key(np.arange(len(query_row))[:, None], pool_matrix, pad)[in_pool]
         order = np.argsort(keys, kind="stable")
-        positives: dict[str, list[str]] = {}
-        for s in dataset.samples:
-            if s.label is Label.POSITIVE:
-                positives.setdefault(s.query_id, []).append(s.doc_id)
+        samples = dataset.samples
+        sample_query = _rows_of([s.query_id for s in samples], query_row)
+        sample_doc = _rows_of([s.doc_id for s in samples], doc_row)
+        unknown = np.flatnonzero((sample_query < 0) | (sample_doc < 0))
+        if len(unknown):
+            s = samples[unknown[0]]
+            kind, ident = ("query", s.query_id) if s.query_id not in query_row \
+                else ("doc", s.doc_id)
+            raise DataError(f"sample references unknown {kind} id {ident!r}")
         return cls(doc_row=doc_row, groups=groups, id_order=id_order,
                    query_row=query_row,
                    query_groups=dataset._query_rows.length_groups(),
                    pool_matrix=pool_matrix,
                    pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
                    pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
-                   positives={q: tuple(dids) for q, dids in positives.items()})
+                   query_id_order=_id_order(list(dataset.queries)),
+                   sample_query=sample_query, sample_doc=sample_doc,
+                   positive=np.array([s.label is Label.POSITIVE for s in samples], dtype=bool))
 
     def pool_columns(self, query_rows: np.ndarray, doc_rows: np.ndarray) -> np.ndarray:
         """Where each doc row stands in the pool of the matching query row;
@@ -264,19 +273,12 @@ class DatasetIndex:
         at = np.minimum(np.searchsorted(self.pool_keys, keys), len(self.pool_keys) - 1)
         return np.where(self.pool_keys[at] == keys, self.pool_cols[at], -1)
 
-    def sample_rows(self, samples: Sequence[Sample]) -> list[tuple[int, int]]:
-        """Each sample's (query row, doc row); DataError naming the first unknown id."""
-        query_row, doc_row = self.query_row, self.doc_row
-        try:
-            return [(query_row[s.query_id], doc_row[s.doc_id]) for s in samples]
-        except KeyError:
-            for s in samples:
-                if s.query_id not in query_row:
-                    raise DataError(f"sample references unknown query id {s.query_id!r}") \
-                        from None
-                if s.doc_id not in doc_row:
-                    raise DataError(f"sample references unknown doc id {s.doc_id!r}") from None
-            raise
+
+
+def _id_order(ids: list[str]) -> np.ndarray:
+    """Each row's position among the sorted ``ids``: the inverse of the
+    permutation that sorts them."""
+    return np.argsort(np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp))
 
 
 def _raise_unknown_pool_id(pools: dict[str, tuple[str, ...]], doc_row: dict[str, int],

@@ -17,7 +17,7 @@ id, NaN after every number. Its rank is 1 plus the number of pool
 entries placed before it, which is the rank sorting the pool gives. The
 reciprocal ranks are summed in query-id order, so the mean is the same
 float as a per-query loop's.
-Targets are looked up among the pool entries' sorted keys
+Sample targets are looked up among the pool entries' sorted keys
 (``DatasetIndex.pool_columns``), so no step grows with the number of
 docs outside the pools.
 """
@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .corpus import Dataset, Label, Sample
 from .errors import ConfigError, DataError
 from .partition import Partition, RemovalKind
 from .ranker import Pooled, sample_scores, score_pools
@@ -54,39 +53,33 @@ class ScoreDistribution:
     deciles: tuple[float, ...]  # 10th through 90th percentile
 
 
-def _check_pool(dataset: Dataset, query_id: str) -> None:
-    """DataError unless ``query_id`` is a query of ``dataset`` with a non-empty pool."""
-    if query_id not in dataset.queries:
-        raise DataError(f"unknown query id {query_id!r}")
-    if not dataset.pools.get(query_id):
+def _queries(pooled: Pooled, query_rows: np.ndarray) -> np.ndarray:
+    """The distinct ``query_rows``, ascending; DataError for the first by id with an empty pool."""
+    queries, index = np.unique(query_rows), pooled.dataset.index
+    empty = queries[index.pool_len[queries] == 0]
+    if len(empty):
+        query_id = list(pooled.dataset.queries)[empty[index.query_id_order[empty].argmin()]]
         raise DataError(f"query {query_id!r} has an empty pool")
+    return queries
 
 
-def _mean_reciprocal(per_query_targets: dict[str, set[str]], pooled: Pooled) -> MrrResult:
-    dataset = pooled.dataset
-    index = dataset.index
-    qids = sorted(per_query_targets)
-    query_rows = np.array([index.query_row.get(qid, -1) for qid in qids], dtype=np.intp)
-    bad = (query_rows < 0) | (index.pool_len[query_rows] == 0)
-    if bad.any():
-        _check_pool(dataset, qids[int(bad.argmax())])  # raises for the query
-    # which pool entries are targets, found by looking each target up in its pool
-    at_query, at_doc = [], []
-    for i, qid in enumerate(qids):
-        for did in per_query_targets[qid]:
-            row = index.doc_row.get(did)
-            if row is not None:
-                at_query.append(i)
-                at_doc.append(row)
-    at_query = np.asarray(at_query, dtype=np.intp)
-    cols = index.pool_columns(query_rows[at_query], np.asarray(at_doc, dtype=np.intp))
-    hit = np.zeros((len(qids), index.pool_matrix.shape[1]), dtype=bool)
-    hit[at_query[cols >= 0], cols[cols >= 0]] = True
+def _sample_hits(pooled: Pooled, queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Row i marks the columns of the pool of ``queries[i]`` holding a sample of ``targets``."""
+    index = pooled.dataset.index
+    query, doc = index.sample_query[targets], index.sample_doc[targets]
+    cols = index.pool_columns(query, doc)
+    hit = np.zeros((len(queries), index.pool_matrix.shape[1]), dtype=bool)
+    hit[np.searchsorted(queries, query[cols >= 0]), cols[cols >= 0]] = True
+    return hit
+
+
+def _mean_reciprocal(pooled: Pooled, queries: np.ndarray, hit: np.ndarray) -> MrrResult:
+    index = pooled.dataset.index
     found = hit.any(axis=1)
-    skipped = len(qids) - int(found.sum())
-    if skipped == len(qids):
+    skipped = len(queries) - int(found.sum())
+    if skipped == len(queries):
         return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped)
-    query_rows, hit = query_rows[found], hit[found]
+    query_rows, hit = queries[found], hit[found]
     scores = score_pools(pooled, query_rows)
     # NaN ranks after every number, as in a sort of the pool; softplus is never -inf,
     # so -inf does the same, and padding (-inf, id past every doc) is never ahead
@@ -95,7 +88,8 @@ def _mean_reciprocal(per_query_targets: dict[str, set[str]], pooled: Pooled) -> 
     best = np.where(hit, scores, -np.inf).max(axis=1, keepdims=True)
     best_id = np.where(hit & (scores == best), ids, pad).min(axis=1, keepdims=True)
     ahead = (scores > best) | ((scores == best) & (ids < best_id))
-    reciprocals = [1.0 / (1 + n) for n in ahead.sum(axis=1).tolist()]
+    by_id = np.argsort(index.query_id_order[query_rows])
+    reciprocals = [1.0 / (1 + n) for n in ahead.sum(axis=1)[by_id].tolist()]
     return MrrResult(value=sum(reciprocals) / len(reciprocals),
                      evaluated=len(reciprocals), skipped=skipped)
 
@@ -109,33 +103,31 @@ def mrr_forget(pooled: Pooled, part: Partition) -> MrrResult:
     (``part.spec``). Each reciprocal rank is that of the pool sorted by
     ``rank`` in ``tests/scoring_reference.py``.
     """
-    if not part.forget_queries:
+    if not len(part.forget):
         raise ConfigError("forget set contains no queries")
-    dataset, spec, qids = pooled.dataset, part.spec, part.forget_queries
-    if spec.kind is RemovalKind.DOCUMENT:
-        targets = {q: spec.ids.intersection(dataset.pools.get(q, ())) for q in qids}
+    index = pooled.dataset.index
+    queries = _queries(pooled, index.sample_query[part.forget])
+    if part.spec.kind is RemovalKind.DOCUMENT:
+        hit = np.isin(index.pool_matrix[queries], part.named)
     else:
-        targets = {q: set(dataset.index.positives.get(q, ())) for q in qids}
-    return _mean_reciprocal(targets, pooled)
+        positives = index.positive & np.isin(index.sample_query, queries)
+        hit = _sample_hits(pooled, queries, np.flatnonzero(positives))
+    return _mean_reciprocal(pooled, queries, hit)
 
 
-def mrr_set(pooled: Pooled, samples: list[Sample]) -> MrrResult:
-    """Mean reciprocal rank of the first positive doc, per query, within `samples`,
-    under the pooled model state.
+def mrr_set(pooled: Pooled, samples: np.ndarray) -> MrrResult:
+    """Mean reciprocal rank of the first positive doc, per query, within the
+    samples at positions ``samples``, under the pooled model state.
 
     Relevance is restricted to the positive-labelled docs a query has in
     `samples`; the ranking is over the query's full pool. Queries with
     no positive in `samples` are skipped.
     """
-    positives: dict[str, set[str]] = {}
-    for s in samples:
-        if s.label is Label.POSITIVE:
-            positives.setdefault(s.query_id, set()).add(s.doc_id)
-    queries_seen = {s.query_id for s in samples}
-    skipped_no_positive = len(queries_seen - set(positives))
-    if not positives:
-        return MrrResult(value=MRR_EMPTY, evaluated=0, skipped=skipped_no_positive)
-    result = _mean_reciprocal(positives, pooled)
+    index = pooled.dataset.index
+    positives = samples[index.positive[samples]]
+    queries = _queries(pooled, index.sample_query[positives])
+    skipped_no_positive = len(np.unique(index.sample_query[samples])) - len(queries)
+    result = _mean_reciprocal(pooled, queries, _sample_hits(pooled, queries, positives))
     return replace(result, skipped=result.skipped + skipped_no_positive)
 
 
@@ -158,14 +150,14 @@ def timing_metrics(train_epoch_times: list[float], unlearn_epoch_times: list[flo
 
 
 def score_distribution(model_name: str, pooled: Pooled,
-                       sets: list[tuple[str, list[Sample]]]) -> list[ScoreDistribution]:
-    """Per sample set: min/max/mean and deciles of the pair scores of the
-    pooled model state, named ``model_name``.
+                       sets: list[tuple[str, np.ndarray]]) -> list[ScoreDistribution]:
+    """Per sample set, given as positions: min/max/mean and deciles of the
+    pair scores of the pooled model state, named ``model_name``.
 
     The pairs of every set are scored in one ``sample_scores`` pass,
     bitwise the scores a ``PairStep`` of each pair gives.
     """
-    every = sample_scores(pooled, [s for _, samples in sets for s in samples])
+    every = sample_scores(pooled, np.concatenate([samples for _, samples in sets]))
     out: list[ScoreDistribution] = []
     end = 0
     for set_name, samples in sets:

@@ -3,21 +3,20 @@
 A removal request names either queries or documents. The forget set F
 holds every sample touching a named id; the entangled set E holds the
 retained samples that still share a query id or a doc id with some
-forget sample; the disjoint set D is everything else. Output order
-follows dataset sample order so downstream sampling is reproducible.
+forget sample; the disjoint set D is everything else. Each set holds
+sample positions, ascending, so downstream sampling is reproducible.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Label, Sample, read_json, write_lines
+from .corpus import Dataset, Label, read_json, write_lines
 from .errors import ConfigError, DataError
 
 
@@ -37,70 +36,53 @@ class ForgetSpec:
         object.__setattr__(self, "ids", frozenset(self.ids))
 
 
-@dataclass
+@dataclass(eq=False)
 class Partition:
-    forget: list[Sample]
-    entangled: list[Sample]
-    disjoint: list[Sample]
-    forget_queries: frozenset[str]
-    forget_docs: frozenset[str]
+    """``dataset``'s samples split under ``spec``, as ascending positions in
+    ``dataset.samples``; ``retained`` is E and D together, and ``named``
+    holds the rows of the ids the spec names."""
+
+    dataset: Dataset
+    forget: np.ndarray
+    entangled: np.ndarray
+    disjoint: np.ndarray
+    retained: np.ndarray
+    named: np.ndarray
     spec: ForgetSpec
-    _forget_keys: set[tuple[str, str]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._forget_keys = {(s.query_id, s.doc_id) for s in self.forget}
-
-    def is_forgotten(self, sample: Sample) -> bool:
-        return (sample.query_id, sample.doc_id) in self._forget_keys
-
-    @cached_property
-    def _entangled_at(self) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
-        """Positions in ``entangled`` of each query id's samples and of each doc id's."""
-        by_query: dict[str, list[int]] = {}
-        by_doc: dict[str, list[int]] = {}
-        for i, e in enumerate(self.entangled):
-            by_query.setdefault(e.query_id, []).append(i)
-            by_doc.setdefault(e.doc_id, []).append(i)
-        return by_query, by_doc
 
 
 def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
     """Split dataset samples into (forget, entangled, disjoint) under spec."""
-    known = dataset.queries if spec.kind is RemovalKind.QUERY else dataset.documents
-    missing = sorted(spec.ids - set(known))
+    by_query = spec.kind is RemovalKind.QUERY
+    known = dataset.queries if by_query else dataset.documents
+    missing = sorted(i for i in spec.ids if i not in known)
     if missing:
         raise DataError(f"{spec.kind.value} removal spec names unknown ids: {missing}")
 
-    if spec.kind is RemovalKind.QUERY:
-        forget = [s for s in dataset.samples if s.query_id in spec.ids]
-    else:
-        forget = [s for s in dataset.samples if s.doc_id in spec.ids]
+    index = dataset.index
+    rows = index.query_row if by_query else index.doc_row
+    named = np.fromiter(map(rows.__getitem__, spec.ids), np.intp, len(spec.ids))
+    query, doc = index.sample_query, index.sample_doc
+    forgotten = np.isin(query if by_query else doc, named)
+    forget = np.flatnonzero(forgotten)
     if len(forget) == len(dataset.samples) and dataset.samples:
         raise ConfigError("removal spec covers every sample; nothing would be retained")
 
-    forget_queries = frozenset(s.query_id for s in forget)
-    forget_docs = frozenset(s.doc_id for s in forget)
-    part = Partition(forget=forget, entangled=[], disjoint=[], forget_queries=forget_queries,
-                     forget_docs=forget_docs, spec=spec)
-    for s in dataset.samples:
-        if part.is_forgotten(s):
-            continue
-        if s.query_id in forget_queries or s.doc_id in forget_docs:
-            part.entangled.append(s)
-        else:
-            part.disjoint.append(s)
-    return part
+    shares = ~forgotten & (np.isin(query, query[forget]) | np.isin(doc, doc[forget]))
+    return Partition(dataset=dataset, forget=forget, entangled=np.flatnonzero(shares),
+                     disjoint=np.flatnonzero(~(forgotten | shares)),
+                     retained=np.flatnonzero(~forgotten), named=named, spec=spec)
 
 
-def entangled_partners(part: Partition, sample: Sample) -> list[Sample]:
-    """Entangled samples sharing a query id or doc id with a forget sample,
-    in ``part.entangled`` order."""
-    if not part.is_forgotten(sample):
-        raise ConfigError(
-            f"pair ({sample.query_id!r}, {sample.doc_id!r}) is not in the forget set")
-    by_query, by_doc = part._entangled_at
-    at = set(by_query.get(sample.query_id, ())).union(by_doc.get(sample.doc_id, ()))
-    return [part.entangled[i] for i in sorted(at)]
+def entangled_partners(part: Partition, x: int) -> np.ndarray:
+    """The entangled samples sharing a query id or doc id with the forget
+    sample at position ``x``, as positions in ``part.entangled`` order."""
+    if x not in part.forget:
+        s = part.dataset.samples[x]
+        raise ConfigError(f"pair ({s.query_id!r}, {s.doc_id!r}) is not in the forget set")
+    index, entangled = part.dataset.index, part.entangled
+    query, doc = index.sample_query, index.sample_doc
+    return entangled[(query[entangled] == query[x]) | (doc[entangled] == doc[x])]
 
 
 def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,

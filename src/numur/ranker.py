@@ -19,11 +19,10 @@ import struct
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .corpus import CorpusSplit, Dataset, Label, Sample, atomic_write
+from .corpus import CorpusSplit, Dataset, atomic_write
 from .errors import ConfigError, DataError, DivergedError
 
 MODEL_MAGIC = b"NUMR"
@@ -140,7 +139,8 @@ class Sgd:
     model's shape (``_offset_table``), built once here. ``apply`` adds a
     step's gradient into ``scratch``, a flat gradient of the stacked table
     that is all zeros between steps, moves the offsets it touched by
-    ``-lr`` times it and zeroes them again.
+    ``-lr`` times it and zeroes them again. ``pairs`` holds the (query row,
+    doc row) of each sample of ``dataset``, by position.
     """
 
     def __init__(self, model: ScoreModel, dataset: Dataset, lr: float):
@@ -148,6 +148,8 @@ class Sgd:
         self.shape, self.flat = model.params.shape, model.flat
         self.scratch = np.zeros(model.params.size)
         self.queries, self.docs = _offset_table(dataset, self.shape)
+        index = dataset.index
+        self.pairs = list(zip(index.sample_query.tolist(), index.sample_doc.tolist()))
 
     def apply(self, step: "PairStep", upstream: Sequence[float]) -> None:
         """One SGD step along ``step.gradient(upstream)``, summed with one
@@ -341,11 +343,11 @@ def pair_scores(pooled: Pooled, query_rows, doc_rows) -> tuple[np.ndarray, np.nd
     return logits, np.logaddexp(0.0, logits)
 
 
-def sample_scores(pooled: Pooled, samples: Sequence[Sample]) -> list[float]:
-    """The ``PairStep`` score of every sample under the pooled model state
-    (``pair_scores``)."""
-    rows = np.array(pooled.dataset.index.sample_rows(samples), dtype=np.intp).reshape(-1, 2)
-    return pair_scores(pooled, rows[:, 0], rows[:, 1])[1].tolist()
+def sample_scores(pooled: Pooled, samples: np.ndarray) -> list[float]:
+    """The ``PairStep`` score of the sample at each position of ``samples``
+    under the pooled model state (``pair_scores``)."""
+    index = pooled.dataset.index
+    return pair_scores(pooled, index.sample_query[samples], index.sample_doc[samples])[1].tolist()
 
 
 class HingeDraws:
@@ -476,11 +478,12 @@ HARD_NEGATIVES_PER_QUERY = 8
 
 
 class HingeSet:
-    """The queries with a positive in ``samples``, and what every hinge
-    epoch over them reads; built once per fit.
+    """The queries with a positive among the samples at positions
+    ``samples``, and what every hinge epoch over them reads; built once per fit.
 
-    ``qids`` are those queries sorted by id, ``rows`` their query rows and
-    ``positives[i]`` the doc rows of the positives of ``qids[i]`` in sample
+    ``rows`` are those queries' rows, sorted by query id, ``slot`` each
+    query row's place in ``rows`` (-1 for a query not held) and
+    ``positives[i]`` the doc rows of the positives of ``rows[i]`` in sample
     order. A query's hinge negatives are the docs of its pool, in pool
     order, that ``samples`` does not mark positive for it. One row per
     query, over the columns of its pool in ``DatasetIndex.pool_matrix``:
@@ -490,29 +493,32 @@ class HingeSet:
     query's negatives. ``n_pos``, ``n_neg`` and ``n_hard`` count each
     query's positives, its negatives and the negatives it mines;
     ``all_negatives`` holds the doc rows of every query's negatives in
-    turn, those of query i from ``neg_start[i]``. ``bare`` is the first
-    query without a negative, if any.
+    turn, those of query i from ``neg_start[i]``. ``bare`` is the id of
+    the first query without a negative, if any.
     """
 
-    def __init__(self, dataset: Dataset, samples: list[Sample]):
-        index, by_query = dataset.index, {}
-        positive = [s for s in samples if s.label is Label.POSITIVE]
-        for s, (_, doc) in zip(positive, index.sample_rows(positive)):
-            by_query.setdefault(s.query_id, []).append(doc)
-        self.dataset = dataset
-        self.qids = sorted(by_query)
-        self.rows = np.array([index.query_row[q] for q in self.qids], dtype=np.intp)
-        self.positives = [by_query[q] for q in self.qids]
-        self.n_pos = np.array([len(pos) for pos in self.positives], dtype=np.intp)
+    def __init__(self, dataset: Dataset, samples: np.ndarray):
+        index = dataset.index
+        positive = samples[index.positive[samples]]
+        query, doc = index.sample_query[positive], index.sample_doc[positive]
+        # the positives by query, queries in id order, each query's in sample order
+        by_id = np.argsort(index.query_id_order[query], kind="stable")
+        query, doc = query[by_id], doc[by_id]
+        _, first, self.n_pos = np.unique(index.query_id_order[query], return_index=True,
+                                         return_counts=True)
+        self.rows = query[first]
+        self.slot = np.full(len(index.query_row), -1, dtype=np.intp)
+        self.slot[self.rows] = np.arange(len(self.rows))
+        self.positives = [d.tolist() for d in np.split(doc, first[1:])] if len(doc) else []
         self.not_negative = np.arange(index.pool_matrix.shape[1]) \
             >= index.pool_len[self.rows][:, None]
-        at = np.arange(len(self.qids)).repeat(self.n_pos)
-        cols = index.pool_columns(self.rows[at], np.fromiter(chain(*self.positives), np.intp))
+        at = np.arange(len(self.rows)).repeat(self.n_pos)
+        cols = index.pool_columns(query, doc)
         found = cols >= 0
         self.not_negative[at[found], cols[found]] = True
         is_negative = ~self.not_negative
         self.n_neg = np.count_nonzero(is_negative, axis=1)
-        self.bare = next((q for q, n in zip(self.qids, self.n_neg.tolist()) if not n), None)
+        self.bare = next((list(dataset.queries)[r] for r in self.rows[self.n_neg == 0]), None)
         self.position = np.cumsum(is_negative, axis=1) - 1
         self.ids = index.pool_ids[self.rows]
         self.n_hard = np.minimum(self.n_neg, HARD_NEGATIVES_PER_QUERY)
@@ -552,7 +558,7 @@ def pairwise_epoch(sgd: Sgd, queries: HingeSet, pooled: Pooled, rng: np.random.G
     """
     if queries.bare is not None:
         raise DataError(f"query {queries.bare!r} has no pool negatives to train against")
-    order = rng.permutation(len(queries.qids))
+    order = rng.permutation(len(queries.rows))
     if not len(order):
         return 0.0
     hard = queries.hard(pooled)
@@ -572,16 +578,16 @@ def pairwise_epoch(sgd: Sgd, queries: HingeSet, pooled: Pooled, rng: np.random.G
     return draws.total / draws.draws if draws.draws else 0.0
 
 
-def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
+def _fit(dataset: Dataset, samples: np.ndarray, cfg: TrainConfig,
          require_positives: bool) -> TrainResult:
     from .evaluation import mrr_set  # local import: evaluation depends on this module
 
     queries = HingeSet(dataset, samples)
     if require_positives:
-        trained = set(queries.qids)
-        for s in samples:
-            if s.query_id not in trained:
-                raise DataError(f"query {s.query_id!r} has samples but no positive")
+        untrained = samples[queries.slot[dataset.index.sample_query[samples]] < 0]
+        if len(untrained):
+            query_id = dataset.samples[untrained[0]].query_id
+            raise DataError(f"query {query_id!r} has samples but no positive")
 
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -601,20 +607,16 @@ def _fit(dataset: Dataset, samples: list[Sample], cfg: TrainConfig,
 
 def train(split: CorpusSplit, cfg: TrainConfig) -> TrainResult:
     """Fit a fresh model on the full training set."""
-    return _fit(split.train, split.train.samples, cfg, require_positives=True)
+    return _fit(split.train, np.arange(len(split.train.samples)), cfg, require_positives=True)
 
 
 def retrain(split: CorpusSplit, cfg: TrainConfig, part) -> TrainResult:
     """Fit a fresh model on the retained samples only (entangled + disjoint).
 
     Queries whose positives all fell into the forget set simply
-    contribute no gradient steps. An empty forget set is a ConfigError,
-    raised before any fitting.
+    contribute no gradient steps.
     """
-    if not part.forget:
-        raise ConfigError("forget set is empty")
-    retained = [s for s in split.train.samples if not part.is_forgotten(s)]
-    return _fit(split.train, retained, cfg, require_positives=False)
+    return _fit(split.train, part.retained, cfg, require_positives=False)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import CorpusSplit, Label, Sample
+from .corpus import CorpusSplit
 from .errors import ConfigError, DataError, checked
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
@@ -144,7 +144,7 @@ def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
         mrr_forget=mrr_forget(train, part).value,
         mrr_entangled=mrr_set(train, part.entangled).value,
         mrr_disjoint=mrr_set(train, part.disjoint).value,
-        mrr_test=mrr_set(test, split.test.samples).value,
+        mrr_test=mrr_set(test, np.arange(len(split.test.samples))).value,
         epoch_wall_time=wall,
     )
 
@@ -197,14 +197,15 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
 
     # every pair the teacher scores is a train sample: score them all once
     train = split.train
-    teacher = sample_scores(pool(m_train, train), train.samples)
-    floors = build_min_cache(train.samples, teacher)
-    score_of = dict(zip(train.samples, teacher))
-    partners = [[(e, score_of[e]) for e in entangled_partners(part, x)] if use_entangled
-                else [] for x in part.forget]
-    disjoint = [(s, score_of[s]) for s in part.disjoint]
-    d_pos = [d for d in disjoint if d[0].label is Label.POSITIVE]
-    d_neg = [d for d in disjoint if d[0].label is Label.NEGATIVE]
+    teacher = sample_scores(pool(m_train, train), np.arange(len(train.samples)))
+    forget = part.forget.tolist()
+    floors = build_min_cache(train, teacher)[train.index.sample_query[part.forget]].tolist()
+    partners = [[(e, teacher[e]) for e in entangled_partners(part, x).tolist()]
+                if use_entangled else [] for x in forget]
+    positive = train.index.positive[part.disjoint].tolist()
+    disjoint = [(d, teacher[d]) for d in part.disjoint.tolist()]
+    d_pos = [d for d, p in zip(disjoint, positive) if p]
+    d_neg = [d for d, p in zip(disjoint, positive) if not p]
     if use_phase2 and (not d_pos or not d_neg):
         raise ConfigError("disjoint set lacks positives or negatives for the "
                           "consistency pass")
@@ -212,25 +213,24 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
     # the bound of each item's pick: its partners, and for a disjoint pair
     # the pairs of the other label; 0 where an item picks nothing
     n_partners = np.array([len(options) for options in partners], dtype=np.intp)
-    n_others = np.array([len(d_neg) if s.label is Label.POSITIVE else len(d_pos)
-                         for s, _ in disjoint], dtype=np.intp)
+    n_others = np.where(positive, len(d_neg), len(d_pos))
     sgd = Sgd(run.final_model, train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         # each phase: one permutation, then every pick of the phase in one call
-        order = rng.permutation(len(part.forget))
+        order = rng.permutation(len(forget))
         bounds = n_partners[order]
         picks = iter(rng.integers(bounds[bounds > 0]).tolist())
         for i in order.tolist():
-            x, options = part.forget[i], partners[i]
+            options = partners[i]
             partner = options[next(picks)] if options else None
-            contrastive_loss(floors[x.query_id], sgd, x, partner)
+            contrastive_loss(floors[i], sgd, forget[i], partner)
         if not use_phase2:
             return
         order = rng.permutation(len(disjoint))
         for i, pick in zip(order.tolist(), rng.integers(n_others[order]).tolist()):
             d = disjoint[i]
-            if d[0].label is Label.POSITIVE:
+            if positive[i]:
                 pos, neg = d, d_neg[pick]
             else:
                 pos, neg = d_pos[pick], d
@@ -243,8 +243,7 @@ def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partitio
         cfg: UnlearnConfig):
     """Keep training on retained samples; forgetting happens only by drift."""
     margin, npp = _hinge(cfg)
-    queries = HingeSet(split.train, [s for s in split.train.samples
-                                     if not part.is_forgotten(s)])
+    queries = HingeSet(split.train, part.retained)
     sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
@@ -257,16 +256,21 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
               cfg: UnlearnConfig):
     """Push sampled pool negatives above each forget positive; train the entangled set."""
     margin, npp = _hinge(cfg)
-    positives = [s for s in part.forget if s.label is Label.POSITIVE]
-    n_forget = len(positives)
-    positives += [s for s in part.entangled if s.label is Label.POSITIVE]
-    queries = HingeSet(split.train, split.train.samples)
-    query, doc, n_negs, starts = _hinge_rows(queries, positives)
-    for i, (s, n) in enumerate(zip(positives, n_negs.tolist())):
-        if not n and i < n_forget:
-            raise ConfigError(f"forget query {s.query_id!r} has no pool negatives to promote")
-        if not n:  # an entangled positive trains as in pairwise_epoch, and fails as there
-            raise DataError(f"query {s.query_id!r} has no pool negatives to train against")
+    index = split.train.index
+    forget = part.forget[index.positive[part.forget]]
+    n_forget = len(forget)
+    positives = np.concatenate((forget, part.entangled[index.positive[part.entangled]]))
+    queries = HingeSet(split.train, np.arange(len(split.train.samples)))
+    at = queries.slot[index.sample_query[positives]]
+    n_negs, starts = queries.n_neg[at], queries.neg_start[at]
+    bare = np.flatnonzero(n_negs == 0)
+    if len(bare):
+        query_id = split.train.samples[positives[bare[0]]].query_id
+        if bare[0] < n_forget:
+            raise ConfigError(f"forget query {query_id!r} has no pool negatives to promote")
+        # an entangled positive trains as in pairwise_epoch, and fails as there
+        raise DataError(f"query {query_id!r} has no pool negatives to train against")
+    query, doc = index.sample_query[positives].tolist(), index.sample_doc[positives].tolist()
 
     # the first n_forget positives draw the one negative they promote, the rest npp
     n_draws = np.array([1] * n_forget + [npp] * (len(positives) - n_forget), dtype=np.intp)
@@ -293,9 +297,12 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
              cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
     margin, npp = _hinge(cfg)
-    positives = [s for s in part.forget if s.label is Label.POSITIVE]
-    queries = HingeSet(split.train, split.train.samples)
-    query, doc, n_negs, starts = _hinge_rows(queries, positives)
+    index = split.train.index
+    positives = part.forget[index.positive[part.forget]]
+    queries = HingeSet(split.train, np.arange(len(split.train.samples)))
+    at = queries.slot[index.sample_query[positives]]
+    n_negs, starts = queries.n_neg[at], queries.neg_start[at]
+    query, doc = index.sample_query[positives].tolist(), index.sample_doc[positives].tolist()
     ascent = Sgd(run.final_model, split.train, -cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
@@ -309,17 +316,6 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
             draws.run(query[i], doc[i], negs[k * npp:(k + 1) * npp])
 
     return epoch
-
-
-def _hinge_rows(queries: HingeSet,
-                positives: list[Sample]) -> tuple[list, list, np.ndarray, np.ndarray]:
-    """The query row and doc row of each of ``positives``, samples of
-    ``queries.dataset`` whose queries ``queries`` holds, and the count of
-    its query's hinge negatives and where they start in ``all_negatives``."""
-    slot = dict(zip(queries.qids, range(len(queries.qids))))
-    at = np.array([slot[s.query_id] for s in positives], dtype=np.intp)
-    rows = queries.dataset.index.sample_rows(positives)
-    return [q for q, _ in rows], [d for _, d in rows], queries.n_neg[at], queries.neg_start[at]
 
 
 def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
@@ -338,10 +334,11 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     margin, npp = _hinge(cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    queries = HingeSet(split.train, split.train.samples)
+    every = np.arange(len(split.train.samples))
+    queries = HingeSet(split.train, every)
     pooled = pool(m_train, split.train)  # once for both passes
     imp_f = _importance(m_train, pooled, part.forget, queries, margin, npp, rng)
-    imp_s = _importance(m_train, pooled, split.train.samples, queries, margin, npp, rng)
+    imp_s = _importance(m_train, pooled, every, queries, margin, npp, rng)
 
     t0 = time.perf_counter()
     # one table at a time, which halves the temporaries
@@ -357,19 +354,22 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     run.epoch_times.append(time.perf_counter() - t0)
 
 
-def _importance(model: ScoreModel, pooled: Pooled, samples: list[Sample],
+def _importance(model: ScoreModel, pooled: Pooled, samples: np.ndarray,
                 queries: HingeSet, margin: float, npp: int,
                 rng: np.random.Generator) -> np.ndarray:
-    """Mean squared per-sample gradient of the pairwise loss, per parameter
-    of the stacked table; ``pooled`` is ``model`` pooled over the train set
-    and ``queries`` the ``HingeSet`` of all its samples.
+    """Mean squared per-sample gradient of the pairwise loss over the samples
+    at positions ``samples``, per parameter of the stacked table; ``pooled``
+    is ``model`` pooled over the train set and ``queries`` the ``HingeSet``
+    of all its samples.
 
     Every negative is drawn first, ``npp`` per positive in sample order;
     the parameters never move, so ``hinge_grad_squares`` then scores and
     differentiates all the draws in one batched pass.
     """
-    positives = [s for s in samples if s.label is Label.POSITIVE]
-    query, doc, n_negs, starts = _hinge_rows(queries, positives)
+    index = pooled.dataset.index
+    positives = samples[index.positive[samples]]
+    at = queries.slot[index.sample_query[positives]]
+    n_negs, starts = queries.n_neg[at], queries.neg_start[at]
     drawn = n_negs > 0
     sq = np.zeros_like(model.params)
     if not drawn.any():
@@ -378,8 +378,8 @@ def _importance(model: ScoreModel, pooled: Pooled, samples: list[Sample],
     # rng.integers(n_neg) call per draw, in the same order
     picks = rng.integers(n_negs[drawn].repeat(npp))
     neg_rows = queries.all_negatives[starts[drawn].repeat(npp) + picks].reshape(-1, npp)
-    hinge_grad_squares(pooled, np.array(query)[drawn], np.array(doc)[drawn], neg_rows,
-                       margin, sq)
+    hinge_grad_squares(pooled, index.sample_query[positives[drawn]],
+                       index.sample_doc[positives[drawn]], neg_rows, margin, sq)
     sq /= np.count_nonzero(drawn)
     return sq
 
@@ -388,10 +388,11 @@ def _badt(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partit
           cfg: UnlearnConfig):
     """Distill the forget set toward a random teacher, the rest toward the trained one."""
     bad_teacher = init_model(m_train.vocab_size, m_train.dim, cfg.seed)
-    retained = [s for s in split.train.samples if not part.is_forgotten(s)]
+    retained = part.retained
     # each teacher scores the pairs it teaches in one pass
-    bad = list(zip(part.forget, sample_scores(pool(bad_teacher, split.train), part.forget)))
-    good = list(zip(retained, sample_scores(pool(m_train, split.train), retained)))
+    bad = list(zip(part.forget.tolist(),
+                   sample_scores(pool(bad_teacher, split.train), part.forget)))
+    good = list(zip(retained.tolist(), sample_scores(pool(m_train, split.train), retained)))
     sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
@@ -420,7 +421,7 @@ def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
     if unknown:
         raise ConfigError(f"unknown method_params for {cfg.method.value}: {sorted(unknown)}; "
                           f"it reads {sorted(PARAM_KEYS[cfg.method])}")
-    if not part.forget:
+    if not len(part.forget):
         raise ConfigError("forget set is empty")
     run = UnlearnRun(final_model=clone_model(m_train), epochs_run=0, stopped_early=False,
                      trajectory=[], method=cfg.method)
@@ -430,5 +431,5 @@ def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
 def compute_destinations(train: Pooled, test: Pooled, part: Partition) -> Destinations:
     """Stopping targets derived from the retrained model, pooled over the
     train split and the test split (``pool_split``)."""
-    d2 = mrr_set(test, test.dataset.samples).value
+    d2 = mrr_set(test, np.arange(len(test.dataset.samples))).value
     return Destinations(d1=mrr_forget(train, part).value, d2=d2, d3=d2 / 2.0)

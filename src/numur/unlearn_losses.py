@@ -8,7 +8,7 @@ student's through the bounded discrepancy
 which is well defined because the scorer is strictly positive. The
 teacher's scores never change during a run, so they are computed once
 before it starts (``sample_scores``) and every loss takes them as floats:
-a ``Scored`` pair is a sample with its teacher's score. The contrastive
+a pair is a sample's position with its teacher's score. The contrastive
 loss pushes a forget pair's score down toward the teacher's per-query
 minimum while pinning one entangled partner to the teacher; the
 consistent loss pins a (positive, negative) pair of untouched samples.
@@ -20,21 +20,25 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .corpus import Label, Sample
+import numpy as np
+
+from .corpus import Dataset
 from .errors import ConfigError
 from .ranker import PairStep, Sgd
 
-Scored = tuple[Sample, float]  # a sample and its teacher's score
 
-
-def build_min_cache(samples: Sequence[Sample], scores: Sequence[float]) -> dict[str, float]:
-    """Minimum teacher score per query over all of the query's samples;
-    ``scores[i]`` is the teacher's score of ``samples[i]``."""
-    mins: dict[str, float] = {}
-    for s, score in zip(samples, scores, strict=True):
-        if s.query_id not in mins or score < mins[s.query_id]:
-            mins[s.query_id] = score
-    return mins
+def build_min_cache(dataset: Dataset, scores: Sequence[float]) -> np.ndarray:
+    """Minimum teacher score per query row over all of the query's samples,
+    inf for a query without one; ``scores[i]`` is the teacher's score of
+    ``dataset.samples[i]``. As in a running minimum taken with ``<`` in
+    sample order, a NaN score is passed over unless it is the query's first."""
+    query = dataset.index.sample_query
+    scores = np.asarray(scores, dtype=float).reshape(len(query))  # ValueError unless one each
+    floors = np.full(len(dataset.queries), np.inf)
+    np.fmin.at(floors, query, scores)
+    rows, first = np.unique(query, return_index=True)
+    floors[rows[np.isnan(scores[first])]] = np.nan
+    return floors
 
 
 def delta_min(floor: float, student_score: float) -> float:
@@ -56,8 +60,14 @@ def _abs_delta_terms(teacher_scores: Sequence[float],
     return total, upstream
 
 
-def contrastive_loss(floor: float, sgd: Sgd, forget_pair: Sample,
-                     partner: Scored | None) -> float:
+def _ids(sgd: Sgd, pair: int) -> str:
+    """The ids of the sample at position ``pair``, for an error message."""
+    s = sgd.dataset.samples[pair]
+    return f"({s.query_id!r}, {s.doc_id!r})"
+
+
+def contrastive_loss(floor: float, sgd: Sgd, forget_pair: int,
+                     partner: tuple[int, float] | None) -> float:
     """relu(delta_min(floor, f(forget_pair))) + |delta(partner)|, partner term 0
     when absent; ``sgd`` steps the student along its gradient.
 
@@ -65,14 +75,14 @@ def contrastive_loss(floor: float, sgd: Sgd, forget_pair: Sample,
     (``build_min_cache``). Suppresses the forget pair toward that floor
     while keeping the sampled entangled partner at its teacher score.
     """
-    if partner is not None and not (partner[0].query_id == forget_pair.query_id
-                                    or partner[0].doc_id == forget_pair.doc_id):
-        raise ConfigError(
-            f"partner ({partner[0].query_id!r}, {partner[0].doc_id!r}) shares no id with "
-            f"the forget pair ({forget_pair.query_id!r}, {forget_pair.doc_id!r})")
+    rows = [sgd.pairs[forget_pair]]
+    if partner is not None:
+        rows.append(sgd.pairs[partner[0]])
+        if not (rows[1][0] == rows[0][0] or rows[1][1] == rows[0][1]):
+            raise ConfigError(f"partner {_ids(sgd, partner[0])} shares no id with "
+                              f"the forget pair {_ids(sgd, forget_pair)}")
 
-    pairs = [forget_pair] if partner is None else [forget_pair, partner[0]]
-    step = PairStep(sgd, sgd.dataset.index.sample_rows(pairs))
+    step = PairStep(sgd, rows)
     f_w = step.scores[0]
     adjusted = delta_min(floor, f_w)
     value = max(0.0, adjusted)
@@ -86,21 +96,20 @@ def contrastive_loss(floor: float, sgd: Sgd, forget_pair: Sample,
     return value + partner_value
 
 
-def consistent_loss(sgd: Sgd, pos_pair: Scored, neg_pair: Scored) -> float:
+def consistent_loss(sgd: Sgd, pos_pair: tuple[int, float], neg_pair: tuple[int, float]) -> float:
     """|delta(pos_pair)| + |delta(neg_pair)|: pins both pairs to the teacher."""
-    if pos_pair[0].label is not Label.POSITIVE:
-        raise ConfigError(
-            f"pos_pair ({pos_pair[0].query_id!r}, {pos_pair[0].doc_id!r}) is not positive")
-    if neg_pair[0].label is not Label.NEGATIVE:
-        raise ConfigError(
-            f"neg_pair ({neg_pair[0].query_id!r}, {neg_pair[0].doc_id!r}) is not negative")
+    positive = sgd.dataset.index.positive
+    if not positive[pos_pair[0]]:
+        raise ConfigError(f"pos_pair {_ids(sgd, pos_pair[0])} is not positive")
+    if positive[neg_pair[0]]:
+        raise ConfigError(f"neg_pair {_ids(sgd, neg_pair[0])} is not negative")
     return _abs_delta_loss(sgd, (pos_pair, neg_pair))
 
 
-def _abs_delta_loss(sgd: Sgd, pairs: Sequence[Scored]) -> float:
+def _abs_delta_loss(sgd: Sgd, pairs: Sequence[tuple[int, float]]) -> float:
     """Sum of |delta| over ``pairs``, with one step of ``sgd`` along its
     gradient: the distillation term of the consistent loss and of Bad Teacher."""
-    step = PairStep(sgd, sgd.dataset.index.sample_rows([s for s, _ in pairs]))
+    step = PairStep(sgd, [sgd.pairs[p] for p, _ in pairs])
     value, upstream = _abs_delta_terms([t for _, t in pairs], step.scores)
     sgd.apply(step, upstream)
     return value

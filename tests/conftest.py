@@ -5,6 +5,7 @@ unlearning runs are session-scoped; they are the expensive artifacts
 that several test modules compare against.
 """
 
+import numpy as np
 import pytest
 
 from numur import (CorpusSplit, Dataset, Document, ForgetSpec, Label, Query,
@@ -51,6 +52,34 @@ def build_dataset(samples, pools, vocab_size=32, extra_docs=()):
                  pools={q: tuple(p) for q, p in pools.items()}, vocab_size=vocab_size)
     ds.validate()
     return ds
+
+
+def every(dataset):
+    """The positions of all samples of ``dataset``."""
+    return np.arange(len(dataset.samples))
+
+
+def samples_at(dataset, positions):
+    """The samples of ``dataset`` at ``positions``, in that order."""
+    return [dataset.samples[i] for i in positions]
+
+
+def forget_query_ids(dataset, part):
+    """The ids of the queries of ``part``'s forget samples."""
+    return {dataset.samples[i].query_id for i in part.forget}
+
+
+def pair_rows(dataset, positions):
+    """The (query row, doc row) of the sample at each of ``positions``."""
+    index = dataset.index
+    return list(zip(index.sample_query[positions].tolist(),
+                    index.sample_doc[positions].tolist()))
+
+
+def position_of(dataset, query_id, doc_id):
+    """The position of the (query_id, doc_id) sample in ``dataset.samples``."""
+    return next(i for i, s in enumerate(dataset.samples)
+                if (s.query_id, s.doc_id) == (query_id, doc_id))
 
 
 def spy(monkeypatch, owner, name):

@@ -204,14 +204,25 @@ def build_index(dataset: Dataset, docs: DatasetIndex | None = None) -> DatasetIn
     in_pool = pool_matrix < pad
     keys = _pool_key(np.arange(len(query_row))[:, None], pool_matrix, pad)[in_pool]
     order = np.argsort(keys, kind="stable")
-    positives: dict[str, list[str]] = {}
+    query_id_order = np.empty(len(query_row), dtype=np.intp)
+    for pos, qid in enumerate(sorted(query_row)):
+        query_id_order[query_row[qid]] = pos
+    sample_query, sample_doc = [], []
     for s in dataset.samples:
-        if s.label is Label.POSITIVE:
-            positives.setdefault(s.query_id, []).append(s.doc_id)
+        if s.query_id not in query_row:
+            raise DataError(f"sample references unknown query id {s.query_id!r}")
+        if s.doc_id not in doc_row:
+            raise DataError(f"sample references unknown doc id {s.doc_id!r}")
+        sample_query.append(query_row[s.query_id])
+        sample_doc.append(doc_row[s.doc_id])
     return DatasetIndex(doc_row=doc_row, groups=groups, id_order=id_order,
                         query_row=query_row,
                         query_groups=_length_groups(list(qtok.values())),
                         pool_matrix=pool_matrix,
                         pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
                         pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
-                        positives={q: tuple(dids) for q, dids in positives.items()})
+                        query_id_order=query_id_order,
+                        sample_query=np.asarray(sample_query, dtype=np.intp),
+                        sample_doc=np.asarray(sample_doc, dtype=np.intp),
+                        positive=np.asarray([s.label is Label.POSITIVE for s in dataset.samples],
+                                            dtype=bool))

@@ -18,7 +18,6 @@ import numpy as np
 
 from numur.corpus import Dataset
 from numur.errors import DataError
-from numur.evaluation import _check_pool
 from numur.ranker import PairStep, ScoreModel, Sgd, doc_vectors
 
 
@@ -35,6 +34,14 @@ def _query_row(dataset: Dataset, query_id: str) -> int:
 
 def _doc_row(dataset: Dataset, doc_id: str) -> int:
     return _row(dataset.index.doc_row, "doc", doc_id)
+
+
+def _check_pool(dataset: Dataset, query_id: str) -> None:
+    """DataError unless ``query_id`` is a query of ``dataset`` with a non-empty pool."""
+    if query_id not in dataset.queries:
+        raise DataError(f"unknown query id {query_id!r}")
+    if not dataset.pools.get(query_id):
+        raise DataError(f"query {query_id!r} has an empty pool")
 
 
 def _token_row(table, row: int) -> np.ndarray:

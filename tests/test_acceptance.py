@@ -18,10 +18,11 @@ from numur import (ConfigError, ForgetSpec, Label, Method, RemovalKind, UnlearnC
 from numur.cli import main as cli_main
 from numur.ranker import PairStep, sample_scores
 
-from conftest import ACCEPT_MAX_EPOCHS, ACCEPT_UNLEARN_LR, build_dataset
+from conftest import (ACCEPT_MAX_EPOCHS, ACCEPT_UNLEARN_LR, build_dataset, every,
+                      forget_query_ids, pair_rows, samples_at)
 from scoring_reference import Accumulate, forward, hinge_loss_and_grad
 from test_evaluation import brute_force_first_rank, set_scores
-from test_partition import brute_force_partition, keyset, random_dataset_and_spec
+from test_partition import brute_force_partition, keys_at, keyset, random_dataset_and_spec
 from test_ranker import assert_close_grads, finite_difference, tiny_dataset
 from test_unlearn_engine import small_unlearn_world
 from test_unlearn_losses import gap, score
@@ -50,17 +51,17 @@ def test_c01_partition_oracle():
             assert len(forget) == len(dataset.samples)
             continue
         forget, entangled, disjoint = brute_force_partition(dataset, spec)
-        assert keyset(part.forget) == keyset(forget)
-        assert keyset(part.entangled) == keyset(entangled)
-        assert keyset(part.disjoint) == keyset(disjoint)
+        assert keys_at(dataset, part.forget) == keyset(forget)
+        assert keys_at(dataset, part.entangled) == keyset(entangled)
+        assert keys_at(dataset, part.disjoint) == keyset(disjoint)
         checked += 1
 
     from conftest import figure_case_dataset
     ds = figure_case_dataset()
     part = partition(ds, ForgetSpec(kind=RemovalKind.DOCUMENT,
                                     ids=frozenset({"d2", "d3"})))
-    assert keyset(part.entangled) == [("q1", "d1"), ("q4", "d4")]
-    assert keyset(part.disjoint) == [("q5", "d5")]
+    assert keys_at(ds, part.entangled) == [("q1", "d1"), ("q4", "d4")]
+    assert keys_at(ds, part.disjoint) == [("q5", "d5")]
 
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -76,12 +77,13 @@ def test_c02_gradient_suite():
     while checked < 100:  # forward scores
         ds = tiny_dataset(rng)
         m = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
-        s = ds.samples[int(rng.integers(len(ds.samples)))]
+        at = int(rng.integers(len(ds.samples)))
+        s = ds.samples[at]
         upstream = float(rng.normal())
         if abs(upstream) < 1e-3:
             continue
         buf = Accumulate(m, ds)
-        buf.apply(PairStep(buf, ds.index.sample_rows([s])), [upstream])
+        buf.apply(PairStep(buf, pair_rows(ds, [at])), [upstream])
         num_q, num_d = finite_difference(
             lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
         grad_q, grad_d = np.split(buf.grad, 2)
@@ -114,19 +116,21 @@ def test_c02_gradient_suite():
         teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
         student = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
         x = ds.samples[0]
-        teacher_scores = sample_scores(pool(teacher, ds), ds.samples)
-        floor = build_min_cache(ds.samples, teacher_scores)[x.query_id]
-        partner = next((s for s in ds.samples[1:]
-                        if s.query_id == x.query_id or s.doc_id == x.doc_id), None)
+        teacher_scores = sample_scores(pool(teacher, ds), every(ds))
+        floor = build_min_cache(ds, teacher_scores)[ds.index.query_row[x.query_id]]
+        partner = next((i for i, s in enumerate(ds.samples)
+                        if i and (s.query_id == x.query_id or s.doc_id == x.doc_id)), None)
         adjusted = delta_min(floor, score(student, ds, x))
-        partner_gap = 1.0 if partner is None else gap(teacher, student, ds, partner)
+        partner_gap = 1.0 if partner is None else \
+            gap(teacher, student, ds, ds.samples[partner])
         if abs(adjusted) < 1e-3 or abs(partner_gap) < 1e-3:
             continue
-        partner = None if partner is None else (partner, score(teacher, ds, partner))
+        partner = None if partner is None else \
+            (partner, score(teacher, ds, ds.samples[partner]))
         buf = Accumulate(student, ds)
-        contrastive_loss(floor, buf, x, partner)
+        contrastive_loss(floor, buf, 0, partner)
         num_q, num_d = finite_difference(
-            lambda: contrastive_loss(floor, Accumulate(student, ds), x, partner), student)
+            lambda: contrastive_loss(floor, Accumulate(student, ds), 0, partner), student)
         grad_q, grad_d = np.split(buf.grad, 2)
         assert_close_grads(grad_q, num_q)
         assert_close_grads(grad_d, num_d)
@@ -144,7 +148,7 @@ def test_c02_gradient_suite():
         gaps = (gap(teacher, student, ds, pos), gap(teacher, student, ds, neg))
         if min(abs(g) for g in gaps) < 1e-3:
             continue
-        pos, neg = (pos, score(teacher, ds, pos)), (neg, score(teacher, ds, neg))
+        pos, neg = ((ds.samples.index(s), score(teacher, ds, s)) for s in (pos, neg))
         buf = Accumulate(student, ds)
         consistent_loss(buf, pos, neg)
         num_q, num_d = finite_difference(
@@ -173,19 +177,19 @@ def test_c03_mrr_oracle():
                 part = partition(ds, spec)
             except ConfigError:
                 continue
-            if not part.forget_queries:
+            if not len(part.forget):
                 continue
             got = mrr_forget(pool(m, ds), part).value
             recips = [1.0 / r for r in
                       (brute_force_first_rank(m, ds, qid,
                                               {d for d in ds.pools[qid] if d in marked})
-                       for qid in part.forget_queries) if r is not None]
+                       for qid in forget_query_ids(ds, part)) if r is not None]
         else:
             k = int(rng.integers(1, len(ds.samples) + 1))
-            subset = [ds.samples[int(i)] for i in rng.permutation(len(ds.samples))[:k]]
+            subset = rng.permutation(len(ds.samples))[:k]
             got = mrr_set(pool(m, ds), subset).value
             positives = {}
-            for s in subset:
+            for s in samples_at(ds, subset):
                 if s.label is Label.POSITIVE:
                     positives.setdefault(s.query_id, set()).add(s.doc_id)
             recips = [1.0 / r for r in
@@ -381,7 +385,7 @@ def test_c10_score_interval_diagnostic(accept_split, accept_model):
     ds = accept_split.train
     fresh = init_model(ds.vocab_size, 16, seed=7)
     dists = [d for name, model in (("init", fresh), ("trained", accept_model))
-             for d in score_distribution(name, pool(model, ds), [("train", ds.samples)])]
+             for d in score_distribution(name, pool(model, ds), [("train", every(ds))])]
     by_name = {d.model_name: d for d in dists}
     init_spread = by_name["init"].max - by_name["init"].min
     trained_spread = by_name["trained"].max - by_name["trained"].min

@@ -14,7 +14,7 @@ from numur.cli import _load_split, _write_csv, _write_json, main
 from numur.corpus import atomic_write
 from numur.unlearn_engine import _evaluate
 
-from conftest import spy
+from conftest import every, spy
 
 SMALL_CONFIG = {
     "corpus": {"n_queries": 12, "n_docs": 48, "vocab_size": 128,
@@ -444,7 +444,7 @@ class TestDocPooling:
                             .read_text())
         split, part, model = self.world(workdir)
         train, test = pool_split(model, split)
-        assert report["mrr_test"] == mrr_set(test, split.test.samples).value
+        assert report["mrr_test"] == mrr_set(test, every(split.test)).value
         assert report["mrr_forget"] == mrr_forget(train, part).value
 
     def test_checkpoints_and_destinations_pool_once_on_loaded_splits(self, workdir, pooled):

@@ -25,6 +25,8 @@ from numur import (ConfigError, CorpusSplit, Dataset, Document, ForgetSpec, Labe
 from numur.partition import sample_forget_spec
 from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, Sgd, pool, sample_scores
 
+from conftest import every
+
 # Bounds of one draw each: 1 (a pick that can only be 0), small bounds, and
 # bounds at and past 2**32, where numpy draws from 64 bits instead of 32.
 BOUNDS = {
@@ -109,18 +111,22 @@ def loop_hard_negatives(model, ds, samples):
 def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subset, data):
     model.params *= scale
     model.embed_d[nan_tokens] = np.nan  # every doc with one of these tokens scores NaN
-    samples = ds.samples
+    positions = every(ds)
     if subset:  # a retained subset, as retrain and cf mine from
-        samples = data.draw(st.lists(st.sampled_from(ds.samples), unique=True))
-    queries = HingeSet(ds, samples)
+        positions = np.array(sorted(data.draw(st.lists(st.sampled_from(range(len(ds.samples))),
+                                                       unique=True))), dtype=np.intp)
+    samples = [ds.samples[i] for i in positions]
+    queries = HingeSet(ds, positions)
+    query_ids = list(ds.queries)
+    qids = [query_ids[row] for row in queries.rows]
     with np.errstate(invalid="ignore"):
         want = loop_hard_negatives(model, ds, samples)
-        assert queries.qids == sorted(want)
-        if not queries.qids:
+        assert qids == sorted(want)
+        if not qids:
             return
         hard = queries.hard(pool(model, ds))
     doc_ids = list(ds.documents)
-    for i, qid in enumerate(queries.qids):
+    for i, qid in enumerate(qids):
         negatives = queries.all_negatives[queries.neg_start[i]:][:queries.n_neg[i]]
         assert [doc_ids[negatives[p]] for p in hard[i, :queries.n_hard[i]]] == want[qid]
 
@@ -128,25 +134,26 @@ def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subs
 def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2):
     """cocol's epochs with one scalar ``rng.integers`` call per pick, and the
     losses called on each item in turn."""
-    teacher = dict(zip(ds.samples, sample_scores(pool(student, ds), ds.samples)))
-    floors = build_min_cache(ds.samples, [teacher[s] for s in ds.samples])
-    disjoint = [(s, teacher[s]) for s in part.disjoint]
-    d_pos = [d for d in disjoint if d[0].label is Label.POSITIVE]
-    d_neg = [d for d in disjoint if d[0].label is Label.NEGATIVE]
+    teacher = sample_scores(pool(student, ds), every(ds))
+    floors = build_min_cache(ds, teacher)
+    disjoint = [(int(s), teacher[s]) for s in part.disjoint]
+    d_pos = [d for d in disjoint if ds.samples[d[0]].label is Label.POSITIVE]
+    d_neg = [d for d in disjoint if ds.samples[d[0]].label is Label.NEGATIVE]
     sgd = Sgd(student, ds, UnlearnConfig().learning_rate)
     for _ in range(epochs):
         for i in rng.permutation(len(part.forget)):
-            x = part.forget[int(i)]
-            options = [(e, teacher[e]) for e in entangled_partners(part, x)]
+            x = int(part.forget[int(i)])
+            options = [(int(e), teacher[e]) for e in entangled_partners(part, x)]
             partner = None
             if options and use_entangled:
                 partner = options[int(rng.integers(len(options)))]
-            contrastive_loss(floors[x.query_id], sgd, x, partner)
+            floor = float(floors[ds.index.query_row[ds.samples[x].query_id]])
+            contrastive_loss(floor, sgd, x, partner)
         if not use_phase2:
             continue
         for i in rng.permutation(len(disjoint)):
             d = disjoint[int(i)]
-            if d[0].label is Label.POSITIVE:
+            if ds.samples[d[0]].label is Label.POSITIVE:
                 consistent_loss(sgd, d, d_neg[int(rng.integers(len(d_neg)))])
             else:
                 consistent_loss(sgd, d_pos[int(rng.integers(len(d_pos)))], d)
@@ -175,7 +182,7 @@ def test_cocol_epochs_are_the_per_item_loop(ds, model, use_entangled, use_phase2
                         method_params={"entangled_term": use_entangled,
                                        "phase2": use_phase2})
     ref = type(model)(model.params.copy())
-    labels = {s.label for s in part.disjoint}
+    labels = {ds.samples[i].label for i in part.disjoint}
     if use_phase2 and labels != {Label.POSITIVE, Label.NEGATIVE}:
         with pytest.raises(ConfigError, match="disjoint set lacks"):
             unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)

@@ -5,7 +5,7 @@ from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
                    SyntheticConfig, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
                    partition, pool, score_distribution, timing_metrics)
 
-from conftest import build_dataset
+from conftest import build_dataset, every, forget_query_ids, samples_at
 from scoring_reference import doc_tokens, forward, query_tokens, rank
 from test_ranker import tiny_dataset
 
@@ -137,8 +137,8 @@ class TestMrrForget:
                            {"q0": ["d0"], "q1": ["d1"]}, vocab_size=8)
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d0"}))
         part = partition(ds, spec)
-        part.forget_queries = frozenset()
-        with pytest.raises(ConfigError):
+        part.forget = part.forget[:0]
+        with pytest.raises(ConfigError, match="^forget set contains no queries$"):
             mrr_forget(pool(init_model(8, 2, seed=0), ds), part)
 
     def test_matches_oracle_on_random_instances(self):
@@ -153,11 +153,11 @@ class TestMrrForget:
                 part = partition(ds, spec)
             except ConfigError:
                 continue
-            if not part.forget_queries:
+            if not len(part.forget):
                 continue
             result = mrr_forget(pool(m, ds), part)
             recips = []
-            for qid in part.forget_queries:
+            for qid in forget_query_ids(ds, part):
                 r = brute_force_first_rank(m, ds, qid,
                                            {d for d in ds.pools[qid] if d in marked})
                 if r is not None:
@@ -172,13 +172,13 @@ class TestMrrSet:
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
         set_scores(ds, m, "q0", {"d0": 5.0, "d1": 1.0})
-        assert mrr_set(pool(m, ds), ds.samples).value == pytest.approx(1.0)
+        assert mrr_set(pool(m, ds), every(ds)).value == pytest.approx(1.0)
 
     def test_all_negative_samples_skipped(self):
         ds = build_dataset([("q0", "d0", 0), ("q0", "d1", 0)],
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
-        result = mrr_set(pool(m, ds), ds.samples)
+        result = mrr_set(pool(m, ds), every(ds))
         assert result.value == 0.0
         assert result.evaluated == 0
         assert result.skipped == 1
@@ -189,10 +189,10 @@ class TestMrrSet:
             ds = tiny_dataset(rng, vocab=24, n_queries=3, n_docs=6)
             m = init_model(24, 3, seed=int(rng.integers(1 << 31)))
             k = int(rng.integers(1, len(ds.samples) + 1))
-            subset = [ds.samples[int(i)] for i in rng.permutation(len(ds.samples))[:k]]
+            subset = rng.permutation(len(ds.samples))[:k]
             result = mrr_set(pool(m, ds), subset)
             positives = {}
-            for s in subset:
+            for s in samples_at(ds, subset):
                 if s.label is Label.POSITIVE:
                     positives.setdefault(s.query_id, set()).add(s.doc_id)
             recips = []
@@ -223,7 +223,7 @@ class TestMrrSet:
                 recips.append(1.0 / next(p for p, did in enumerate(ranking, 1) if did in targets))
             want = sum(recips) / len(recips)
             assert want < 1.0
-            assert mrr_set(pool(m, ds), ds.samples).value == want
+            assert mrr_set(pool(m, ds), every(ds)).value == want
 
     def test_relabelling_nontargets_is_irrelevant_for_document_removal(self):
         ds, m = TestMrrForget().make_marked_ranking_case()
@@ -283,7 +283,7 @@ class TestScoreDistribution:
         m = init_model(8, 2, seed=0)
         m.embed_q[:] = 0.0
         m.embed_d[:] = 0.0
-        dist, = score_distribution("init", pool(m, ds), [("all", ds.samples)])
+        dist, = score_distribution("init", pool(m, ds), [("all", every(ds))])
         assert dist.max - dist.min == pytest.approx(0.0)
         assert dist.mean == pytest.approx(np.log(2))
 
@@ -291,7 +291,7 @@ class TestScoreDistribution:
         rng = np.random.default_rng(31)
         ds = tiny_dataset(rng, vocab=24, n_queries=3, n_docs=6)
         m = init_model(24, 3, seed=1)
-        dist, = score_distribution("m", pool(m, ds), [("all", ds.samples)])
+        dist, = score_distribution("m", pool(m, ds), [("all", every(ds))])
         assert list(dist.deciles) == sorted(dist.deciles)
         assert dist.min <= dist.deciles[0]
         assert dist.deciles[-1] <= dist.max
@@ -300,7 +300,7 @@ class TestScoreDistribution:
         ds = accept_split.train
         init = init_model(ds.vocab_size, 16, seed=7)
         dists = [d for name, model in (("init", init), ("trained", accept_model))
-                 for d in score_distribution(name, pool(model, ds), [("train", ds.samples)])]
+                 for d in score_distribution(name, pool(model, ds), [("train", every(ds))])]
         by_name = {d.model_name: d for d in dists}
         assert (by_name["trained"].max - by_name["trained"].min) > \
             (by_name["init"].max - by_name["init"].min)
@@ -308,5 +308,5 @@ class TestScoreDistribution:
     def test_empty_set(self):
         ds = build_dataset([("q0", "d0", 1)], {"q0": ["d0"]}, vocab_size=4)
         m = init_model(4, 2, seed=0)
-        dist, = score_distribution("m", pool(m, ds), [("none", [])])
+        dist, = score_distribution("m", pool(m, ds), [("none", every(ds)[:0])])
         assert dist.count == 0

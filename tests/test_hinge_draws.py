@@ -26,6 +26,8 @@ from numur import (ConfigError, CorpusSplit, DataError, Label, Method, Synthetic
 from numur.ranker import HingeDraws, HingeSet, Sgd, pairwise_epoch, pool
 from numur.unlearn_engine import _importance
 
+from conftest import every, samples_at
+
 REGIMES = ("none", "all", "some", "nan")
 
 
@@ -148,7 +150,7 @@ def test_pairwise_epochs_are_the_per_draw_loop(ds, model, regime, seed, lr, npp,
     with np.errstate(all="ignore"):
         for _ in range(3):
             want = loop_pairwise_epoch(ds, ds.samples, ref_rng, margin, npp, loop)
-            got = pairwise_epoch(sgd, HingeSet(ds, ds.samples), pool(model, ds), rng, margin,
+            got = pairwise_epoch(sgd, HingeSet(ds, every(ds)), pool(model, ds), rng, margin,
                                  npp)
             assert same(got, want)
             assert same(model.params, ref_model.params)
@@ -157,11 +159,11 @@ def test_pairwise_epochs_are_the_per_draw_loop(ds, model, regime, seed, lr, npp,
 def loop_unlearn_epochs(method, ds, part, rng, npp, epochs, loop):
     """amnesiac's or neggrad's epochs with one hinge_loss_and_grad call per draw."""
     negatives = query_negatives(ds)
-    forget_pos = [s for s in part.forget if s.label is Label.POSITIVE]
+    forget_pos = [s for s in samples_at(ds, part.forget) if s.label is Label.POSITIVE]
     tasks = [(False, s) for s in forget_pos]  # (promote a negative above s?, s)
     if method is Method.AMNESIAC:
         tasks = [(True, s) for s in forget_pos] + [
-            (False, s) for s in part.entangled if s.label is Label.POSITIVE]
+            (False, s) for s in samples_at(ds, part.entangled) if s.label is Label.POSITIVE]
     for _ in range(epochs):
         for i in rng.permutation(len(tasks)):
             promote, s = tasks[int(i)]
@@ -212,7 +214,7 @@ def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
     negatives = query_negatives(ds)
     ref_model = type(model)(model.params.copy())
     with np.errstate(all="ignore"):
-        got = _importance(model, pool(model, ds), ds.samples, HingeSet(ds, ds.samples),
+        got = _importance(model, pool(model, ds), every(ds), HingeSet(ds, every(ds)),
                           margin, npp, np.random.default_rng(seed))
         # the per-draw loop: each positive's gradient accumulates, then is squared
         rng = np.random.default_rng(seed)
@@ -278,10 +280,11 @@ def test_forget_and_full_importance_are_the_per_draw_loop(ds, model, regime, see
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with np.errstate(all="ignore"), patch.object(ranker, "GRAD_BLOCK", block):
         # as ssd runs them: the forget pass, then the full pass, on one generator
-        for samples in (part.forget, ds.samples):
-            got = _importance(model, pool(model, ds), samples, HingeSet(ds, ds.samples),
+        for samples in (part.forget, every(ds)):
+            got = _importance(model, pool(model, ds), samples, HingeSet(ds, every(ds)),
                               margin, npp, rng)
-            want = loop_importance(ref_model, ds, samples, negatives, margin, npp, ref_rng)
+            want = loop_importance(ref_model, ds, samples_at(ds, samples), negatives, margin,
+                                   npp, ref_rng)
             assert same(got, want)
     assert same(model.params, ref_model.params)
     assert rng.random() == ref_rng.random()  # the same number of draws
@@ -301,7 +304,7 @@ def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
     negatives = query_negatives(ds)
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     with patch.object(ranker, "GRAD_BLOCK", block):
-        got = _importance(model, pool(model, ds), ds.samples, HingeSet(ds, ds.samples),
+        got = _importance(model, pool(model, ds), every(ds), HingeSet(ds, every(ds)),
                           margin, 4, rng)
     want = loop_importance(model, ds, ds.samples, negatives, margin, 4, ref_rng)
     assert same(got, want) and np.count_nonzero(got)

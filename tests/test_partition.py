@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind, Sample,
+from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
                    entangled_partners, partition)
 from numur.partition import load_forget_spec, sample_forget_spec, save_forget_spec
 
-from conftest import build_dataset
+from conftest import build_dataset, forget_query_ids, position_of, samples_at
 
 
 def brute_force_partition(dataset, spec):
@@ -26,6 +26,10 @@ def brute_force_partition(dataset, spec):
 
 def keyset(samples):
     return [(s.query_id, s.doc_id) for s in samples]
+
+
+def keys_at(dataset, positions):
+    return keyset(samples_at(dataset, positions))
 
 
 def random_dataset_and_spec(rng):
@@ -58,23 +62,23 @@ class TestPartition:
     def test_document_removal_worked_example(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
-        assert keyset(part.forget) == [("q1", "d2"), ("q2", "d2"), ("q3", "d2"),
-                                       ("q4", "d3")]
-        assert keyset(part.entangled) == [("q1", "d1"), ("q4", "d4")]
-        assert keyset(part.disjoint) == [("q5", "d5")]
+        assert keys_at(figure_case, part.forget) == [("q1", "d2"), ("q2", "d2"),
+                                                     ("q3", "d2"), ("q4", "d3")]
+        assert keys_at(figure_case, part.entangled) == [("q1", "d1"), ("q4", "d4")]
+        assert keys_at(figure_case, part.disjoint) == [("q5", "d5")]
 
     def test_query_removal_worked_example(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset({"q1", "q2"}))
         part = partition(figure_case, spec)
-        assert keyset(part.forget) == [("q1", "d1"), ("q1", "d2"), ("q2", "d2")]
-        assert keyset(part.entangled) == [("q3", "d2")]
-        assert keyset(part.disjoint) == [("q4", "d3"), ("q4", "d4"), ("q5", "d5")]
+        assert keys_at(figure_case, part.forget) == [("q1", "d1"), ("q1", "d2"), ("q2", "d2")]
+        assert keys_at(figure_case, part.entangled) == [("q3", "d2")]
+        assert keys_at(figure_case, part.disjoint) == [("q4", "d3"), ("q4", "d4"), ("q5", "d5")]
 
     def test_isolated_query_stays_disjoint(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset({"q1", "q2", "q3", "q4"}))
         part = partition(figure_case, spec)
-        assert keyset(part.disjoint) == [("q5", "d5")]
-        assert part.entangled == []
+        assert keys_at(figure_case, part.disjoint) == [("q5", "d5")]
+        assert not len(part.entangled)
 
     def test_unknown_id_rejected(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset({"q9"}))
@@ -104,16 +108,16 @@ class TestPartition:
                 assert len(f) == len(dataset.samples)
                 continue
             f, e, d = brute_force_partition(dataset, spec)
-            assert keyset(part.forget) == keyset(f)
-            assert keyset(part.entangled) == keyset(e)
-            assert keyset(part.disjoint) == keyset(d)
-            assert not (set(keyset(part.forget)) & set(keyset(part.entangled)))
+            assert keys_at(dataset, part.forget) == keyset(f)
+            assert keys_at(dataset, part.entangled) == keyset(e)
+            assert keys_at(dataset, part.disjoint) == keyset(d)
+            assert not (set(keys_at(dataset, part.forget))
+                        & set(keys_at(dataset, part.entangled)))
+            retained = samples_at(dataset, [*part.entangled, *part.disjoint])
             if spec.kind is RemovalKind.QUERY:
-                assert all(s.query_id not in spec.ids
-                           for s in part.entangled + part.disjoint)
+                assert all(s.query_id not in spec.ids for s in retained)
             else:
-                assert all(s.doc_id not in spec.ids
-                           for s in part.entangled + part.disjoint)
+                assert all(s.doc_id not in spec.ids for s in retained)
 
 
 class TestEntangledPartners:
@@ -121,19 +125,19 @@ class TestEntangledPartners:
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
         x = part.forget[0]  # (q1, d2)
-        assert keyset(entangled_partners(part, x)) == [("q1", "d1")]
+        assert keys_at(figure_case, entangled_partners(part, x)) == [("q1", "d1")]
 
     def test_fully_forgotten_doc_has_no_partner(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
-        x = next(s for s in part.forget if s.query_id == "q3")
-        assert entangled_partners(part, x) == []
+        x = next(i for i in part.forget if figure_case.samples[i].query_id == "q3")
+        assert not len(entangled_partners(part, x))
 
     def test_non_forget_sample_rejected(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
-        with pytest.raises(ConfigError):
-            entangled_partners(part, Sample("q5", "d5", Label.POSITIVE))
+        with pytest.raises(ConfigError, match=r"^pair \('q5', 'd5'\) is not in the forget set$"):
+            entangled_partners(part, position_of(figure_case, "q5", "d5"))
 
     def test_partners_match_linear_scan(self):
         rng = np.random.default_rng(9)
@@ -143,9 +147,10 @@ class TestEntangledPartners:
                 part = partition(dataset, spec)
             except ConfigError:
                 continue
-            for x in part.forget:
-                got = entangled_partners(part, x)
-                want = [e for e in part.entangled
+            for i in part.forget:
+                x = dataset.samples[i]
+                got = samples_at(dataset, entangled_partners(part, i))
+                want = [e for e in samples_at(dataset, part.entangled)
                         if e.query_id == x.query_id or e.doc_id == x.doc_id]
                 assert got == want
 
@@ -186,8 +191,8 @@ class TestSampleForgetSpec:
     def test_keeps_a_sibling_when_possible(self, accept_split):
         spec = sample_forget_spec(accept_split.train, RemovalKind.DOCUMENT, 0.25, seed=7)
         part = partition(accept_split.train, spec)
-        for qid in part.forget_queries:
-            retained_pos = [s for s in part.entangled
+        for qid in forget_query_ids(accept_split.train, part):
+            retained_pos = [s for s in samples_at(accept_split.train, part.entangled)
                             if s.query_id == qid and s.label is Label.POSITIVE]
             assert retained_pos, f"{qid} lost every positive"
 

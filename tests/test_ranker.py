@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numur import (DataError, ForgetSpec, Label, Method, RemovalKind, Sample, Sc
                    load_model, partition, retrain, save_model, train, unlearn)
 from numur.ranker import HingeDraws, HingeSet, PairStep, Sgd, pool, sample_scores
 
-from conftest import build_dataset, spy
+from conftest import build_dataset, every, pair_rows, samples_at, spy
 from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
                                query_tokens, score_pool)
 
@@ -127,7 +128,7 @@ class TestBackwardScore:
         ds = tiny_dataset(rng)
         m = random_model(rng, ds.vocab_size)
         buf = Accumulate(m, ds)
-        buf.apply(PairStep(buf, ds.index.sample_rows(ds.samples[:1])), [0.0])
+        buf.apply(PairStep(buf, pair_rows(ds, [0])), [0.0])
         assert not buf.rows
         grad_q, grad_d = np.split(buf.grad, 2)
         assert np.all(grad_q == 0) and np.all(grad_d == 0)
@@ -137,10 +138,11 @@ class TestBackwardScore:
         for _ in range(100):
             ds = tiny_dataset(rng)
             m = random_model(rng, ds.vocab_size)
-            s = ds.samples[int(rng.integers(len(ds.samples)))]
+            at = int(rng.integers(len(ds.samples)))
+            s = ds.samples[at]
             upstream = float(rng.normal())
             buf = Accumulate(m, ds)
-            buf.apply(PairStep(buf, ds.index.sample_rows([s])), [upstream])
+            buf.apply(PairStep(buf, pair_rows(ds, [at])), [upstream])
             num_q, num_d = finite_difference(
                 lambda: upstream * forward(m, ds, s.query_id, s.doc_id), m)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -153,7 +155,7 @@ class TestBackwardScore:
                            {"q0": ["d0"], "q1": ["d1"]}, vocab_size=16)
         m = random_model(rng, 16)
         buf = Accumulate(m, ds)
-        buf.apply(PairStep(buf, ds.index.sample_rows(ds.samples[1:])), [1.0])
+        buf.apply(PairStep(buf, pair_rows(ds, [1])), [1.0])
         grad_q, grad_d = np.split(buf.grad, 2)
         for t in query_tokens(ds, "q0"):
             assert np.all(grad_q[t] == 0)
@@ -253,7 +255,7 @@ class TestRetrain:
             if all(s.doc_id != d for s in accept_split.train.samples))
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({doc_with_no_samples}))
         part = partition(accept_split.train, spec)
-        assert part.forget == []
+        assert not len(part.forget)
         a = train(accept_split, cfg)
         b = retrain(accept_split, cfg, part)
         assert a.model.params.tobytes() == b.model.params.tobytes()
@@ -284,7 +286,7 @@ class TestRetrain:
         split = self.figure_split_with_fillers()
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         touched, part = self.trained_positives(monkeypatch, split, spec)
-        retained = {(s.query_id, s.doc_id) for s in part.entangled + part.disjoint}
+        retained = {(s.query_id, s.doc_id) for s in samples_at(split.train, part.retained)}
         assert set(touched) <= retained
         assert touched  # something was trained
 
@@ -303,7 +305,7 @@ class TestSnapshot:
         m = init_model(accept_split.train.vocab_size, 8, seed=2)
         ds = accept_split.train
         s = ds.samples[0]
-        teacher = sample_scores(pool(m, ds), [s])
+        teacher = sample_scores(pool(m, ds), every(ds)[:1])
         before = forward(m, ds, s.query_id, s.doc_id)
         m.embed_q += 1.0
         assert teacher == [before]
@@ -312,7 +314,7 @@ class TestSnapshot:
     def test_snapshot_scores_match_at_creation(self, accept_split):
         ds = accept_split.train
         m = init_model(ds.vocab_size, 8, seed=3)
-        assert sample_scores(pool(m, ds), ds.samples[:10]) == [
+        assert sample_scores(pool(m, ds), every(ds)[:10]) == [
             forward(m, ds, s.query_id, s.doc_id) for s in ds.samples[:10]]
 
     def test_snapshot_is_read_only(self):
@@ -329,14 +331,15 @@ class TestSnapshot:
         assert frozen.params.tobytes() == model.params.tobytes()
 
 
-# Every entry that takes samples maps their ids to rows through
-# DatasetIndex.sample_rows, which names the first unknown id.
+# Samples are positions past the loader, so an id enters only where the
+# dataset's index maps each sample's ids to rows; every entry that takes
+# positions builds the index first, which names the first unknown id.
 UNKNOWN_ID_CALLS = {
-    "sample_scores": lambda m, ds, s, neg: sample_scores(pool(m, ds), [s]),
-    "HingeSet": lambda m, ds, s, neg: HingeSet(ds, [s]),
-    "contrastive_loss": lambda m, ds, s, neg: contrastive_loss(1.0, Sgd(m, ds, 0.1), s, None),
-    "consistent_loss": lambda m, ds, s, neg: consistent_loss(Sgd(m, ds, 0.1), (s, 1.0),
-                                                             (neg, 1.0)),
+    "index": lambda m, ds: ds.index,
+    "sample_scores": lambda m, ds: sample_scores(pool(m, ds), every(ds)),
+    "HingeSet": lambda m, ds: HingeSet(ds, every(ds)),
+    "contrastive_loss": lambda m, ds: contrastive_loss(1.0, Sgd(m, ds, 0.1), 1, None),
+    "consistent_loss": lambda m, ds: consistent_loss(Sgd(m, ds, 0.1), (1, 1.0), (2, 1.0)),
 }
 
 
@@ -344,10 +347,12 @@ UNKNOWN_ID_CALLS = {
 @pytest.mark.parametrize("pair, kind", [(("nope", "d0"), "query"), (("q0", "nope"), "doc")])
 def test_unknown_sample_id_is_a_data_error(call, pair, kind):
     ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)], {"q0": ["d0", "d1"]})
+    # a hand-built dataset that skips validate: its second sample names an unknown id
+    ds = replace(ds, samples=[ds.samples[0], Sample(*pair, Label.POSITIVE), ds.samples[1]])
     m = init_model(ds.vocab_size, 3, seed=0)
     params = m.params.copy()
     with pytest.raises(DataError, match=f"^sample references unknown {kind} id 'nope'$"):
-        call(m, ds, Sample(*pair, Label.POSITIVE), ds.samples[1])
+        call(m, ds)
     assert np.array_equal(m.params, params)
 
 

@@ -9,6 +9,8 @@ from test_scoring_properties import datasets
 from numur import (ConfigError, ForgetSpec, RemovalKind, ScoreModel, entangled_partners,
                    load_forget_spec, load_model, partition, save_forget_spec, save_model)
 
+from conftest import samples_at
+
 
 @st.composite
 def specs(draw, ds):
@@ -27,20 +29,21 @@ def test_partition_is_a_disjoint_cover_and_e_shares_an_id_with_f(ds, data):
     except ConfigError:  # the request would forget every sample
         return
     key = lambda s: (s.query_id, s.doc_id)
-    f, e, d = ({key(s) for s in group} for group in (part.forget, part.entangled,
-                                                      part.disjoint))
+    forget, entangled, disjoint = (samples_at(ds, group) for group in
+                                   (part.forget, part.entangled, part.disjoint))
+    f, e, d = ({key(s) for s in group} for group in (forget, entangled, disjoint))
     assert len(part.forget) + len(part.entangled) + len(part.disjoint) == len(ds.samples)
     assert f | e | d == {key(s) for s in ds.samples}
     assert not (f & e or f & d or e & d)
 
     named = (lambda s: s.query_id in spec.ids) if spec.kind is RemovalKind.QUERY \
         else (lambda s: s.doc_id in spec.ids)
-    assert part.forget == [s for s in ds.samples if named(s)]
+    assert forget == [s for s in ds.samples if named(s)]
     shares = lambda s: any(s.query_id == x.query_id or s.doc_id == x.doc_id
-                           for x in part.forget)
+                           for x in forget)
     retained = [s for s in ds.samples if not named(s)]
-    assert part.entangled == [s for s in retained if shares(s)]
-    assert part.disjoint == [s for s in retained if not shares(s)]
+    assert entangled == [s for s in retained if shares(s)]
+    assert disjoint == [s for s in retained if not shares(s)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -51,9 +54,11 @@ def test_entangled_partners_are_the_linear_scan_of_e(ds, data):
         part = partition(ds, spec)
     except ConfigError:  # the request would forget every sample
         return
-    for x in part.forget:
-        assert entangled_partners(part, x) == [
-            e for e in part.entangled if e.query_id == x.query_id or e.doc_id == x.doc_id]
+    for i in part.forget:
+        x = ds.samples[i]
+        assert samples_at(ds, entangled_partners(part, i)) == [
+            e for e in samples_at(ds, part.entangled)
+            if e.query_id == x.query_id or e.doc_id == x.doc_id]
 
 
 finite_or_not = st.floats(allow_nan=True, allow_infinity=True, width=64)

@@ -21,6 +21,8 @@ from numur.unlearn_losses import _abs_delta_loss
 from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
                                pool_rows, query_tokens, rank, score_pool)
 
+from conftest import every, forget_query_ids, position_of
+
 VOCAB = 10
 
 
@@ -163,7 +165,7 @@ def test_long_docs_pool_bitwise_at_every_dim(doc_lists, model):
 @given(datasets(), models)
 def test_score_distribution_is_bitwise_the_per_pair_forward(ds, model):
     assume(ds.samples)
-    dist, = score_distribution("m", pool(model, ds), [("all", ds.samples)])
+    dist, = score_distribution("m", pool(model, ds), [("all", every(ds))])
     scores = np.array([forward(model, ds, s.query_id, s.doc_id) for s in ds.samples])
     assert (dist.min, dist.max, dist.mean) == (scores.min(), scores.max(), scores.mean())
     assert dist.deciles == tuple(np.percentile(scores, np.arange(10, 100, 10)))
@@ -177,7 +179,7 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
     for qid in ds.pools:
         assert list(rank(model, ds, qid).doc_ids) == oracle_ranking(model, ds, qid)
 
-    assert mrr_set(pool(model, ds), ds.samples).value == \
+    assert mrr_set(pool(model, ds), every(ds)).value == \
         oracle_mrr(model, ds, positives(ds.samples))
 
     forget_docs = sorted({s.doc_id for s in ds.samples})[:2]
@@ -191,29 +193,30 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
         except ConfigError:  # the request would forget every sample
             continue
         if kind is RemovalKind.DOCUMENT:
-            targets = {q: {d for d in ds.pools[q] if d in spec.ids} for q in part.forget_queries}
+            targets = {q: {d for d in ds.pools[q] if d in spec.ids}
+                       for q in forget_query_ids(ds, part)}
         else:
             pos = positives(ds.samples)
-            targets = {q: pos.get(q, set()) for q in part.forget_queries}
+            targets = {q: pos.get(q, set()) for q in forget_query_ids(ds, part)}
         assert mrr_forget(pool(model, ds), part).value == oracle_mrr(model, ds, targets)
 
 
 @settings(max_examples=150, deadline=None)
 @given(datasets(), st.one_of(models, wide_models))
 def test_stored_teacher_scores_are_bitwise_forward(ds, model):
-    teacher = sample_scores(pool(model, ds), ds.samples)
-    floors = build_min_cache(ds.samples, teacher)
+    teacher = sample_scores(pool(model, ds), every(ds))
+    floors = build_min_cache(ds, teacher)
     assert len(teacher) == len(ds.samples)
     for s, score in zip(ds.samples, teacher):
         want = forward(model, ds, s.query_id, s.doc_id)
         assert score == want
-        assert floors[s.query_id] <= want
+        assert floors[ds.index.query_row[s.query_id]] <= want
 
 
 @settings(max_examples=150, deadline=None)
 @given(datasets(), wide_models)
 def test_mrrs_match_the_sorting_oracle_at_wide_dims(ds, model):
-    assert mrr_set(pool(model, ds), ds.samples).value == \
+    assert mrr_set(pool(model, ds), every(ds)).value == \
         oracle_mrr(model, ds, positives(ds.samples))
 
 
@@ -238,7 +241,7 @@ def test_nan_scores_rank_after_numbers(ds, model, nan_tokens):
     targets = positives(ds.samples)
     with np.errstate(invalid="ignore"):
         want = nan_last_oracle_mrr(model, ds, targets)
-        assert mrr_set(pool(model, ds), ds.samples).value == want
+        assert mrr_set(pool(model, ds), every(ds)).value == want
         for qid in targets:
             ranked = list(rank(model, ds, qid).doc_ids)
             first = next(p for p, did in enumerate(ranked, start=1) if did in targets[qid])
@@ -333,8 +336,15 @@ def ref_consistent(ref, teacher, ds, pos, neg):
 
 
 def scored(teacher, ds, pair):
-    """``pair`` with its teacher score, as the losses take it."""
-    return None if pair is None else (pair, forward(teacher, ds, pair.query_id, pair.doc_id))
+    """``pair``'s position with its teacher score, as the losses take it."""
+    return None if pair is None else (position_of(ds, pair.query_id, pair.doc_id),
+                                      forward(teacher, ds, pair.query_id, pair.doc_id))
+
+
+def teacher_floor(teacher, ds, x):
+    """The floor of ``x``'s query under ``teacher`` (``build_min_cache``)."""
+    floors = build_min_cache(ds, sample_scores(pool(teacher, ds), every(ds)))
+    return floors[ds.index.query_row[x.query_id]]
 
 
 def ref_pairwise_epoch(ref, ds, samples, rng, lr, margin, npp):
@@ -402,10 +412,10 @@ def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
 
     assume(ds.samples)
     teacher = init_model(VOCAB, student.dim, teacher_seed)
-    floors = build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
     x, partner = draw_contrastive_case(data, ds)
     fused, ref = Accumulate(student, ds), Ref(student)
-    assert (contrastive_loss(floors[x.query_id], fused, x, scored(teacher, ds, partner))
+    assert (contrastive_loss(teacher_floor(teacher, ds, x), fused,
+                             position_of(ds, x.query_id, x.doc_id), scored(teacher, ds, partner))
             == ref_contrastive(ref, teacher, ds, x, partner))
     assert_same_gradients(fused, ref)
 
@@ -453,9 +463,9 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
 
     assume(ds.samples)
     teacher = init_model(VOCAB, student.dim, teacher_seed)
-    floors = build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
     x, partner = draw_contrastive_case(data, ds)
-    assert (contrastive_loss(floors[x.query_id], sgd, x, scored(teacher, ds, partner))
+    assert (contrastive_loss(teacher_floor(teacher, ds, x), sgd,
+                             position_of(ds, x.query_id, x.doc_id), scored(teacher, ds, partner))
             == ref_contrastive(ref, teacher, ds, x, partner))
     ref.apply(lr)
     assert_same_params(student, ref)
@@ -490,7 +500,7 @@ def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, n
     ref, sgd = Ref(model), Sgd(model, ds, lr)
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
-        assert (pairwise_epoch(sgd, HingeSet(ds, ds.samples), pool(model, ds), rng, margin,
+        assert (pairwise_epoch(sgd, HingeSet(ds, every(ds)), pool(model, ds), rng, margin,
                                npp)
                 == ref_pairwise_epoch(ref, ds, ds.samples, ref_rng, lr, margin, npp))
         assert_same_params(model, ref)

@@ -4,14 +4,14 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 
-from numur import (ConfigError, CorpusSplit, DataError, Dataset, ForgetSpec, Label, Method,
+from numur import (ConfigError, CorpusSplit, DataError, Dataset, ForgetSpec, Method,
                    RemovalKind, TrainConfig, UnlearnConfig, clone_model, compute_destinations,
                    init_model, mrr_forget, partition, retrain, train, unlearn)
 from numur import ranker, unlearn_engine
 from numur.ranker import Sgd, pool, pool_split, sample_scores
 from numur.unlearn_losses import _abs_delta_loss
 
-from conftest import ACCEPT_UNLEARN_LR, build_dataset, spy
+from conftest import ACCEPT_UNLEARN_LR, build_dataset, samples_at, spy
 import scoring_reference
 from scoring_reference import doc_tokens, query_tokens
 
@@ -31,13 +31,19 @@ def small_unlearn_world(seed=0):
     return split, part, result.model
 
 
-def keys(samples):
-    return {(s.query_id, s.doc_id) for s in samples}
+def keys(ds, positions):
+    return {(s.query_id, s.doc_id) for s in samples_at(ds, positions)}
 
 
-def row_keys(ds, samples):
-    """The (query row, doc row) of each of ``samples``, as hinge draws see them."""
-    return set(ds.index.sample_rows(list(samples)))
+def row_keys(ds, positions):
+    """The (query row, doc row) of the sample at each of ``positions``, as
+    hinge draws see them."""
+    index = ds.index
+    return set(zip(index.sample_query[positions].tolist(), index.sample_doc[positions].tolist()))
+
+
+def positives(ds, positions):
+    return positions[ds.index.positive[positions]]
 
 
 def ucfg(method, **kw):
@@ -116,10 +122,9 @@ class TestCocol:
         unlearn(model, split, part, ucfg(Method.COCOL, delta_target=1e-9, max_epochs=2))
         assert len(phase1) == 2 * len(part.forget)
         assert len(phase2) == 2 * len(part.disjoint)
-        forget_keys, disjoint_keys = keys(part.forget), keys(part.disjoint)
-        assert all((x.query_id, x.doc_id) in forget_keys for _, _, x, _ in phase1)
-        assert all((s.query_id, s.doc_id) in disjoint_keys
-                   for _, (pos, _), (neg, _) in phase2 for s in (pos, neg))
+        forget, disjoint = set(part.forget.tolist()), set(part.disjoint.tolist())
+        assert all(x in forget for _, _, x, _ in phase1)
+        assert all(d in disjoint for _, (pos, _), (neg, _) in phase2 for d in (pos, neg))
 
     def test_fixed_point_when_already_unlearned(self):
         # Forget pairs at each query's teacher floor and a student equal to
@@ -158,7 +163,7 @@ class TestCocol:
 
     def test_empty_forget_rejected(self):
         split, part, model = small_unlearn_world()
-        part.forget = []
+        part.forget = part.forget[:0]
         with pytest.raises(ConfigError, match="forget"):
             unlearn(model, split, part, ucfg(Method.COCOL))
 
@@ -196,10 +201,8 @@ class TestAmnesiac:
         split, part, model = small_unlearn_world()
         draws = spy(monkeypatch, ranker.HingeDraws, "run")
         unlearn(model, split, part, ucfg(Method.AMNESIAC, delta_target=1e-9, max_epochs=1))
-        forget_pos = row_keys(split.train, (s for s in part.forget
-                                            if s.label is Label.POSITIVE))
-        entangled_pos = row_keys(split.train, (s for s in part.entangled
-                                               if s.label is Label.POSITIVE))
+        forget_pos = row_keys(split.train, positives(split.train, part.forget))
+        entangled_pos = row_keys(split.train, positives(split.train, part.entangled))
         forgets = [c for c in draws if len(c[3]) == 1 and (c[1], c[3][0]) in forget_pos]
         retains = [c for c in draws if (c[1], c[2]) in entangled_pos]
         assert len(forgets) == len(forget_pos) and len(retains) == len(entangled_pos)
@@ -212,7 +215,7 @@ class TestAmnesiac:
         split, model = CorpusSplit(train=ds, test=ds), init_model(ds.vocab_size, 4, seed=0)
         # removing q0 leaves q1 retained and entangled: amnesiac trains it, as cf does
         part = partition(ds, ForgetSpec(RemovalKind.QUERY, frozenset({"q0"})))
-        assert keys(part.entangled) == {("q1", "d0")}
+        assert keys(ds, part.entangled) == {("q1", "d0")}
         for method in (Method.AMNESIAC, Method.CF):
             with pytest.raises(DataError) as info:
                 unlearn(model, split, part, ucfg(method, delta_target=1e-9, max_epochs=1))
@@ -291,14 +294,14 @@ class TestBadT:
         bad = init_model(model.vocab_size, model.dim, seed=3)
         student = clone_model(bad)
         forget = part.forget[:5]
-        for pair in zip(forget, sample_scores(pool(bad, split.train), forget)):
+        for pair in zip(forget.tolist(), sample_scores(pool(bad, split.train), forget)):
             assert _abs_delta_loss(Sgd(student, split.train, 0.5), [pair]) \
                 == pytest.approx(0.0)
 
     def test_student_at_trained_model_has_zero_retain_loss(self):
         split, part, model = small_unlearn_world()
-        retained = (part.entangled + part.disjoint)[:5]
-        for pair in zip(retained, sample_scores(pool(model, split.train), retained)):
+        retained = np.concatenate((part.entangled, part.disjoint))[:5]
+        for pair in zip(retained.tolist(), sample_scores(pool(model, split.train), retained)):
             assert _abs_delta_loss(Sgd(model, split.train, 0.5), [pair]) \
                 == pytest.approx(0.0)
 
@@ -319,7 +322,7 @@ class TestBadT:
 
         def per_pair(teacher, samples):  # teacher: what unpooled() returned
             return [scoring_reference.forward(*teacher, s.query_id, s.doc_id)
-                    for s in samples]
+                    for s in samples_at(teacher[1], samples)]
 
         def unpooled(model, dataset):
             return model, dataset

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_scoring_properties import datasets
 
 from numur import (ConfigError, Label, build_min_cache, clone_model, consistent_loss,
                    contrastive_loss, delta_min, init_model)
 from numur.ranker import pool, sample_scores
 from numur.unlearn_losses import _abs_delta_loss, _abs_delta_terms
 
-from conftest import build_dataset
+from conftest import build_dataset, every
 from scoring_reference import Accumulate, doc_tokens, forward, query_tokens
 from test_ranker import assert_close_grads, finite_difference, tiny_dataset
 
@@ -34,8 +39,9 @@ def score(model, ds, pair):
 
 
 def floors(teacher, ds):
-    """The teacher's per-query floors over every sample of ds."""
-    return build_min_cache(ds.samples, sample_scores(pool(teacher, ds), ds.samples))
+    """The teacher's per-query floors over every sample of ds, by query id."""
+    by_row = build_min_cache(ds, sample_scores(pool(teacher, ds), every(ds)))
+    return {qid: float(by_row[row]) for qid, row in ds.index.query_row.items()}
 
 
 def gap(teacher, student, ds, pair):
@@ -51,7 +57,7 @@ class TestDelta:
         ds = accept_split.train
         m = init_model(ds.vocab_size, 8, seed=1)
         pair = ds.samples[0]
-        assert _abs_delta_terms(sample_scores(pool(m, ds), [pair]),
+        assert _abs_delta_terms(sample_scores(pool(m, ds), np.array([0])),
                                 [score(m, ds, pair)]) == (0.0, [0.0])
 
     def test_formula_thirty_vs_ten(self):
@@ -77,9 +83,9 @@ class TestDelta:
         ds = tiny_dataset(rng)
         for seed in range(20):
             teacher = sample_scores(pool(init_model(ds.vocab_size, 3, seed=seed), ds),
-                                    ds.samples)
+                                    every(ds))
             student = sample_scores(pool(init_model(ds.vocab_size, 3, seed=seed + 100), ds),
-                                    ds.samples)
+                                    every(ds))
             for f_m, f_w in zip(teacher, student):
                 assert 0.0 <= _abs_delta_terms([f_m], [f_w])[0] < 1.0
 
@@ -117,7 +123,23 @@ class TestMinCache:
         ds = build_dataset([("q0", "d0", 1)], {"q0": ["d0"]}, vocab_size=4)
         assert "q9" not in floors(init_model(4, 2, seed=0), ds)
         with pytest.raises(ValueError):  # a sample without a teacher score
-            build_min_cache(ds.samples, [])
+            build_min_cache(ds, [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(datasets(), st.data())
+    def test_floors_are_the_running_minimum_in_sample_order(self, ds, data):
+        # NaN scores included: a running minimum taken with < keeps a NaN
+        # only where it comes first for its query
+        scores = data.draw(st.lists(st.floats(0.0, 10.0) | st.just(math.nan),
+                                    min_size=len(ds.samples), max_size=len(ds.samples)))
+        want = {}
+        for s, score in zip(ds.samples, scores):
+            if s.query_id not in want or score < want[s.query_id]:
+                want[s.query_id] = score
+        floors = build_min_cache(ds, scores)
+        for qid, row in ds.index.query_row.items():
+            w = want.get(qid, math.inf)
+            assert floors[row] == w or (math.isnan(floors[row]) and math.isnan(w))
 
     def test_rebuild_is_bitwise_stable(self, accept_split, accept_model):
         assert floors(accept_model, accept_split.train) == \
@@ -153,25 +175,25 @@ class TestContrastiveLoss:
         model.embed_d[doc_tokens(ds, "d1")] = [score_setter(4.0), 0.0]
         student = clone_model(model)
         buf = Accumulate(student, ds)
-        partner = (ds.samples[1], score(model, ds, ds.samples[1]))
-        value = contrastive_loss(floors(model, ds)["q0"], buf, ds.samples[0], partner)
+        partner = (1, score(model, ds, ds.samples[1]))
+        value = contrastive_loss(floors(model, ds)["q0"], buf, 0, partner)
         assert value == pytest.approx(0.0)
         assert not buf.rows
 
     def test_forget_term_formula(self):
         # teacher floor 2, student score 5: relu((5-2)/(5+2)) = 3/7
         ds, teacher, student = rigged_pair(score_setter(2.0), score_setter(5.0))
-        value = contrastive_loss(floors(teacher, ds)["q0"], Accumulate(student, ds),
-                                 ds.samples[0], None)
+        value = contrastive_loss(floors(teacher, ds)["q0"], Accumulate(student, ds), 0, None)
         assert value == pytest.approx(3 / 7, rel=1e-8)
 
     def test_partner_must_be_entangled(self):
         ds = build_dataset([("q0", "d0", 1), ("q1", "d1", 1)],
                            {"q0": ["d0"], "q1": ["d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
-        with pytest.raises(ConfigError):
-            contrastive_loss(floors(m, ds)["q0"], Accumulate(m, ds), ds.samples[0],
-                             (ds.samples[1], score(m, ds, ds.samples[1])))
+        with pytest.raises(ConfigError, match=r"^partner \('q1', 'd1'\) shares no id with "
+                                              r"the forget pair \('q0', 'd0'\)$"):
+            contrastive_loss(floors(m, ds)["q0"], Accumulate(m, ds), 0,
+                             (1, score(m, ds, ds.samples[1])))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -182,17 +204,18 @@ class TestContrastiveLoss:
             student = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
             x = ds.samples[0]
             floor = floors(teacher, ds)[x.query_id]
-            partner = next(((s, score(teacher, ds, s)) for s in ds.samples[1:]
-                            if s.query_id == x.query_id or s.doc_id == x.doc_id), None)
+            partner = next(((i, score(teacher, ds, s)) for i, s in enumerate(ds.samples)
+                            if i and (s.query_id == x.query_id or s.doc_id == x.doc_id)), None)
             adjusted = delta_min(floor, score(student, ds, x))
-            partner_gap = 0.0 if partner is None else gap(teacher, student, ds, partner[0])
+            partner_gap = 0.0 if partner is None else \
+                gap(teacher, student, ds, ds.samples[partner[0]])
             if abs(adjusted) < 1e-3 or (partner is not None and abs(partner_gap) < 1e-3):
                 continue
             buf = Accumulate(student, ds)
-            contrastive_loss(floor, buf, x, partner)
+            contrastive_loss(floor, buf, 0, partner)
 
             def value():
-                return contrastive_loss(floor, Accumulate(student, ds), x, partner)
+                return contrastive_loss(floor, Accumulate(student, ds), 0, partner)
 
             num_q, num_d = finite_difference(value, student)
             grad_q, grad_d = np.split(buf.grad, 2)
@@ -206,7 +229,7 @@ class TestConsistentLoss:
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 3, seed=4)
-        pos, neg = ((s, score(m, ds, s)) for s in ds.samples)
+        pos, neg = ((i, score(m, ds, s)) for i, s in enumerate(ds.samples))
         assert consistent_loss(Accumulate(m, ds), pos, neg) == pytest.approx(0.0)
 
     def test_sum_of_absolute_gaps(self):
@@ -221,7 +244,7 @@ class TestConsistentLoss:
             model.embed_d[doc_tokens(ds, "d0")] = [score_setter(s0), 0.0]
             model.embed_d[doc_tokens(ds, "d1")] = [score_setter(s1), 0.0]
         # delta(pos) = .5, delta(neg) = -.5 -> loss 1.0
-        pos, neg = ((s, score(teacher_model, ds, s)) for s in ds.samples)
+        pos, neg = ((i, score(teacher_model, ds, s)) for i, s in enumerate(ds.samples))
         assert consistent_loss(Accumulate(student, ds), pos, neg) \
             == pytest.approx(1.0, rel=1e-8)
 
@@ -229,9 +252,11 @@ class TestConsistentLoss:
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
-        pos, neg = ((s, score(m, ds, s)) for s in ds.samples)
-        with pytest.raises(ConfigError):
+        pos, neg = ((i, score(m, ds, s)) for i, s in enumerate(ds.samples))
+        with pytest.raises(ConfigError, match=r"^pos_pair \('q0', 'd1'\) is not positive$"):
             consistent_loss(Accumulate(m, ds), neg, pos)
+        with pytest.raises(ConfigError, match=r"^neg_pair \('q0', 'd0'\) is not negative$"):
+            consistent_loss(Accumulate(m, ds), pos, pos)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -247,7 +272,8 @@ class TestConsistentLoss:
             gaps = (gap(teacher, student, ds, pos), gap(teacher, student, ds, neg))
             if min(abs(g) for g in gaps) < 1e-3:
                 continue
-            pos_pair, neg_pair = (pos, score(teacher, ds, pos)), (neg, score(teacher, ds, neg))
+            pos_pair = (ds.samples.index(pos), score(teacher, ds, pos))
+            neg_pair = (ds.samples.index(neg), score(teacher, ds, neg))
             buf = Accumulate(student, ds)
             consistent_loss(buf, pos_pair, neg_pair)
 
@@ -264,7 +290,7 @@ class TestConsistentLoss:
 class TestAbsDelta:
     def test_matches_delta_magnitude(self):
         ds, teacher, student = rigged_pair(score_setter(30.0), score_setter(10.0))
-        pair = (ds.samples[0], score(teacher, ds, ds.samples[0]))
+        pair = (0, score(teacher, ds, ds.samples[0]))
         assert _abs_delta_loss(Accumulate(student, ds), [pair]) \
             == pytest.approx(0.5, rel=1e-8)
 
@@ -272,6 +298,6 @@ class TestAbsDelta:
         ds = build_dataset([("q0", "d0", 1)], {"q0": ["d0"]}, vocab_size=4)
         m = init_model(4, 2, seed=5)
         buf = Accumulate(m, ds)
-        pair = (ds.samples[0], score(m, ds, ds.samples[0]))
+        pair = (0, score(m, ds, ds.samples[0]))
         assert _abs_delta_loss(buf, [pair]) == 0.0
         assert not buf.rows
