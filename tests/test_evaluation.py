@@ -203,6 +203,25 @@ class TestMrrSet:
             want = sum(recips) / len(recips) if recips else 0.0
             assert result.value == pytest.approx(want)
 
+    def test_reciprocals_are_summed_in_query_id_order(self):
+        # query rows run against id order, and 1 + 1 + 1/3 rounds differently
+        # summed from q0 than from q2
+        tables = {"q2": {"q2_d0": 2.0, "q2_d1": 8.0, "q2_d2": 6.0},
+                  "q1": {"q1_d0": 8.0, "q1_d1": 6.0}, "q0": {"q0_d0": 8.0, "q0_d1": 2.0}}
+        ds = build_dataset([(q, f"{q}_d0", 1) for q in tables],
+                           {q: sorted(t) for q, t in tables.items()}, vocab_size=64)
+        assert list(ds.queries) == ["q2", "q1", "q0"]
+        m = init_model(64, 2, seed=0)
+        m.embed_q[:] = 0.0
+        m.embed_d[:] = 0.0
+        for qid, table in tables.items():
+            m.embed_q[query_tokens(ds, qid)] = [1.0, 0.0]
+            for did, z in table.items():
+                m.embed_d[doc_tokens(ds, did)] = [z, 0.0]
+        got = mrr_set(pool(m, ds), every(ds)).value
+        assert got == ((1.0 + 1.0) + 1 / 3) / 3
+        assert got != ((1 / 3 + 1.0) + 1.0) / 3
+
     def test_nan_model_ranks_by_doc_id_not_perfectly(self):
         # every score is NaN; rank() sorts NaN after every number, so the
         # order is ascending doc id and the first positive is not always first
