@@ -156,14 +156,15 @@ def test_pairwise_epochs_are_the_per_draw_loop(ds, model, regime, seed, lr, npp,
             assert same(model.params, ref_model.params)
 
 
-def loop_unlearn_epochs(method, ds, part, rng, npp, epochs, loop):
-    """amnesiac's or neggrad's epochs with one hinge_loss_and_grad call per draw."""
+def loop_unlearn_epochs(method, ds, forget, entangled, rng, npp, epochs, loop):
+    """amnesiac's or neggrad's epochs with one hinge_loss_and_grad call per
+    draw; ``forget`` and ``entangled`` are F's and E's samples in sample order."""
     negatives = query_negatives(ds)
-    forget_pos = [s for s in samples_at(ds, part.forget) if s.label is Label.POSITIVE]
+    forget_pos = [s for s in forget if s.label is Label.POSITIVE]
     tasks = [(False, s) for s in forget_pos]  # (promote a negative above s?, s)
     if method is Method.AMNESIAC:
         tasks = [(True, s) for s in forget_pos] + [
-            (False, s) for s in samples_at(ds, part.entangled) if s.label is Label.POSITIVE]
+            (False, s) for s in entangled if s.label is Label.POSITIVE]
     for _ in range(epochs):
         for i in rng.permutation(len(tasks)):
             promote, s = tasks[int(i)]
@@ -201,8 +202,9 @@ def test_amnesiac_and_neggrad_are_the_per_draw_loop(ds, model, method, regime, l
         # the driver draws from its generator only inside the epochs
         rate = lr if method is Method.AMNESIAC else -lr
         loop = Loop(Sgd(ref_model, ds, rate), margin)
-        loop_unlearn_epochs(method, ds, part, np.random.default_rng(cfg.seed), npp,
-                            run.epochs_run, loop)
+        loop_unlearn_epochs(method, ds, samples_at(ds, part.forget),
+                            samples_at(ds, part.entangled), np.random.default_rng(cfg.seed),
+                            npp, run.epochs_run, loop)
     assert same(run.final_model.params, ref_model.params)
 
 

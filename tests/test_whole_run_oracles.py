@@ -1,13 +1,17 @@
-"""Whole-run oracles: cocol and badt runs through ``unlearn``, checkpoints
-and stopping rule included, against plain per-pair loops keyed by string id.
+"""Whole-run oracles: runs of every strategy through ``unlearn``,
+checkpoints and stopping rule included, against plain per-pair loops
+keyed by string id.
 
 Each reference derives the forget, entangled and disjoint sets from the
 removal spec by a linear scan of the samples, and a forget pair's
 partners by a scan of the entangled set in sample order. It makes one
 scalar ``rng.integers`` call per pick, in the order the plan makes its
-picks, scores and steps each pair with ``Ref``, and applies each loss's
-step before the next loss. The run's final parameters must equal the
-reference's bit for bit.
+picks. cocol and badt score and step each pair with ``Ref``, applying
+each loss's step before the next loss; cf, amnesiac, neggrad and ssd
+take one ``hinge_loss_and_grad`` per draw through the per-draw loops of
+``test_hinge_draws``. The run's final parameters must equal the
+reference's bit for bit, and so must its epoch count (and ssd's count of
+edited parameters).
 """
 
 import numpy as np
@@ -15,11 +19,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_epoch_picks import forgettable_specs
+from test_hinge_draws import (Loop, loop_importance, loop_pairwise_epoch, loop_unlearn_epochs,
+                              query_negatives)
 from test_scoring_properties import (VOCAB, Ref, datasets, models, ref_abs_delta,
                                      ref_consistent, ref_contrastive, token_lists)
 
-from numur import (ConfigError, CorpusSplit, Dataset, Document, Label, Method, Query,
-                   RemovalKind, Sample, UnlearnConfig, init_model, partition, unlearn)
+from numur import (ConfigError, CorpusSplit, DataError, Dataset, Document, Label, Method,
+                   Query, RemovalKind, Sample, UnlearnConfig, clone_model, init_model,
+                   partition, unlearn)
+from numur.ranker import Sgd
 
 
 @st.composite
@@ -152,3 +160,75 @@ def test_badt_runs_are_the_reference(ds, model, epochs, seed, data):
     due = epochs_due(ds, spec, scan_sets(ds, spec)[0], epochs)
     assert run.epochs_run == due
     assert_params_are(run, ref_badt(model, ds, spec, seed, cfg.learning_rate, due))
+
+
+def has_negatives(ds, samples, query_id):
+    """Whether the pool of ``query_id`` holds a doc that ``samples`` does not
+    mark positive for it."""
+    positive = {s.doc_id for s in samples if s.query_id == query_id and s.label is Label.POSITIVE}
+    return any(d not in positive for d in ds.pools[query_id])
+
+
+def ref_hinge(model, ds, spec, method, seed, lr, epochs, margin, npp):
+    """The final parameters of cf, amnesiac or neggrad; None where the run
+    must fail on a query without pool negatives."""
+    forget, entangled, disjoint = scan_sets(ds, spec)
+    ref, rng = clone_model(model), np.random.default_rng(seed)
+    if method is Method.CF:
+        retained = [s for s in ds.samples if s not in forget]
+        trained = {s.query_id for s in retained if s.label is Label.POSITIVE}
+        if epochs and not all(has_negatives(ds, retained, q) for q in trained):
+            return None
+        loop = Loop(Sgd(ref, ds, lr), margin)
+        for _ in range(epochs):
+            loop_pairwise_epoch(ds, retained, rng, margin, npp, loop)
+        return ref
+    drawn = forget + (entangled if method is Method.AMNESIAC else [])
+    if method is Method.AMNESIAC and not all(
+            has_negatives(ds, ds.samples, s.query_id) for s in drawn
+            if s.label is Label.POSITIVE):
+        return None
+    loop = Loop(Sgd(ref, ds, lr if method is Method.AMNESIAC else -lr), margin)
+    loop_unlearn_epochs(method, ds, forget, entangled, rng, npp, epochs, loop)
+    return ref
+
+
+@settings(max_examples=120, deadline=None)
+@given(corpora, models, st.sampled_from([Method.CF, Method.AMNESIAC, Method.NEGGRAD]),
+       st.sampled_from([0.5, 1.0, 4.0]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**31 - 1), st.data())
+def test_hinge_runs_are_the_reference(ds, model, method, margin, npp, epochs, seed, data):
+    spec = data.draw(forgettable_specs(ds))
+    cfg = UnlearnConfig(method=method, max_epochs=epochs, delta_target=1e-9, seed=seed,
+                        method_params={"margin": margin, "negatives_per_positive": npp})
+    split = CorpusSplit(train=ds, test=ds)
+    due = epochs_due(ds, spec, scan_sets(ds, spec)[0], epochs)
+    ref = ref_hinge(model, ds, spec, method, seed, cfg.learning_rate, due, margin, npp)
+    if ref is None:
+        with pytest.raises((ConfigError, DataError), match="has no pool negatives"):
+            unlearn(model, split, partition(ds, spec), cfg)
+        return
+    run = unlearn(model, split, partition(ds, spec), cfg)
+    assert run.epochs_run == due
+    assert_params_are(run, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpora, models, st.sampled_from([1.5, 3.0, 10.0]), st.sampled_from([0.5, 1.0]),
+       st.sampled_from([0.5, 1.0, 4.0]), st.integers(1, 3), st.integers(0, 2**31 - 1),
+       st.data())
+def test_ssd_runs_are_the_reference(ds, model, alpha, lam, margin, npp, seed, data):
+    spec = data.draw(forgettable_specs(ds))
+    cfg = UnlearnConfig(method=Method.SSD, delta_target=1e-9, seed=seed,
+                        method_params={"alpha": alpha, "lambda": lam, "margin": margin,
+                                       "negatives_per_positive": npp})
+    run = unlearn(model, CorpusSplit(train=ds, test=ds), partition(ds, spec), cfg)
+    # the forget pass, then the full pass, on one generator; then the edit
+    negatives, rng = query_negatives(ds), np.random.default_rng(seed)
+    imp_f = loop_importance(model, ds, scan_sets(ds, spec)[0], negatives, margin, npp, rng)
+    imp_s = loop_importance(model, ds, ds.samples, negatives, margin, npp, rng)
+    ref = clone_model(model)
+    edit = (imp_f > alpha * imp_s) & (imp_s > 0.0)
+    ref.params[edit] *= np.minimum(lam * imp_s[edit] / imp_f[edit], 1.0)
+    assert run.epochs_run == 0 and run.edited_params == np.count_nonzero(edit)
+    assert_params_are(run, ref)
