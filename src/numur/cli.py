@@ -225,8 +225,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _load_split(out: Path) -> CorpusSplit:
-    # both splits share one docs.jsonl: the test split reuses the parsed
-    # documents and the doc half of the train split's index
+    # both splits share one docs.jsonl: the test split holds the train
+    # split's parsed doc side, with its row map, length groups and id order
     train_ds = load_dataset(*_corpus_paths(out, "train"))
     test_ds = load_dataset(*_corpus_paths(out, "test"), docs_from=train_ds)
     vocab = max(train_ds.vocab_size, test_ds.vocab_size)
@@ -313,13 +313,15 @@ def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
 def cmd_partition(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
     split = _load_split(out)
     name, spec = _resolve_spec(out, spec_arg)
-    part = partition(split.train, spec)
+    train = split.train
+    part = partition(train, spec)
     _write_json(out / "partition" / name / "partition.json", {
         "spec": {"kind": spec.kind.value, "ids": sorted(spec.ids)},
         "sizes": {"forget": len(part.forget), "entangled": len(part.entangled),
                   "disjoint": len(part.disjoint)},
-        "forget_queries": sorted({split.train.samples[i].query_id for i in part.forget}),
-        "forget_docs": sorted({split.train.samples[i].doc_id for i in part.forget}),
+        "forget_queries": sorted(train.queries.ids[q]
+                                 for q in np.unique(train.sample_query[part.forget])),
+        "forget_docs": sorted(train.docs.ids[d] for d in np.unique(train.sample_doc[part.forget])),
     })
     print(f"partition {name}: |F|={len(part.forget)} |E|={len(part.entangled)} "
           f"|D|={len(part.disjoint)}")
@@ -449,7 +451,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -
     model_tag = f"{Path(model_path).parent.name}_{Path(model_path).stem}"
     eval_dir = out / "eval" / f"{model_tag}_{name}"
     train_pool, test_pool = pool_split(model, split)
-    test = np.arange(len(split.test.samples))
+    test = np.arange(split.test.n_samples)
     _write_json(eval_dir / "report.json", {
         "model": str(model_path), "spec": name,
         "mrr_forget": mrr_forget(train_pool, part).value,
@@ -515,10 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen", help="generate the synthetic corpus and forget specs")
     sub.add_parser("train", help="train the base ranking model")
 
-    for name, needs_spec in (("retrain", True), ("partition", True)):
+    for name in ("retrain", "partition"):
         p = sub.add_parser(name)
-        p.add_argument("--spec", required=needs_spec,
-                       help="forget spec path or name under <out>/specs")
+        p.add_argument("--spec", required=True, help="forget spec path or name under <out>/specs")
 
     p = sub.add_parser("unlearn", help="run an unlearning method")
     p.add_argument("--spec", required=True)

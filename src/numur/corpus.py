@@ -2,7 +2,10 @@
 
 A corpus holds queries and documents over an integer token vocabulary,
 an ordered list of labelled query-document samples, and a fixed
-candidate pool per query (the documents re-ranked for that query).
+candidate pool per query (the documents re-ranked for that query). A
+``Dataset`` holds one split of it as arrays over query and doc rows;
+string ids are kept only to read and write files and to name items in
+errors.
 
 File formats:
 
@@ -25,8 +28,9 @@ import enum
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -57,33 +61,23 @@ class Label(enum.Enum):
     NEGATIVE = 0
 
 
-LABELS = {"1": Label.POSITIVE, "0": Label.NEGATIVE}  # qrels label field -> Label
+LABELS = frozenset({"0", "1"})  # qrels label fields; "1" marks a positive sample
 
 
-@dataclass(frozen=True)
-class Query:
-    id: str
-    tokens: tuple[int, ...]
+@dataclass(eq=False)
+class Items:
+    """Queries or docs: their ids by row, and their token lists as one flat
+    int64 array and the offset where each list starts (CSR): row i's tokens
+    are ``flat[starts[i]:starts[i + 1]]``.
 
+    Built on first use: ``row`` maps each id to its row; ``groups`` holds,
+    per token count, ascending, the rows with that many tokens and their
+    tokens as one token-major (count, rows) array, so vectors are pooled a
+    whole group at a time; ``id_order`` is each row's position among the
+    sorted ids: comparing it compares ids, which breaks score ties.
+    """
 
-@dataclass(frozen=True)
-class Document:
-    id: str
-    tokens: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Sample:
-    query_id: str
-    doc_id: str
-    label: Label
-
-
-@dataclass(frozen=True)
-class TokenRows:
-    """Token lists as one flat int64 array and the offset where each list
-    starts (CSR): list i is ``flat[starts[i]:starts[i + 1]]``."""
-
+    ids: list[str]
     flat: np.ndarray
     starts: np.ndarray
 
@@ -91,205 +85,150 @@ class TokenRows:
         self.flat.flags.writeable = False  # datasets loaded with docs_from share it
 
     @classmethod
-    def of(cls, lists: list) -> "TokenRows":
+    def of(cls, ids: list[str], lists: list) -> "Items":
         starts = np.zeros(len(lists) + 1, dtype=np.intp)
         np.cumsum(np.fromiter(map(len, lists), np.intp, len(lists)), out=starts[1:])
-        flat = np.fromiter(chain.from_iterable(lists), np.int64, int(starts[-1]))
-        return cls(flat, starts)
+        return cls(ids, np.fromiter(chain.from_iterable(lists), np.int64, int(starts[-1])), starts)
 
-    def length_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per token count, ascending: the rows with that many tokens, and
-        their tokens as one token-major (count, rows) array."""
+    @cached_property
+    def row(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    @cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         lengths = np.diff(self.starts)
         order = np.argsort(lengths, kind="stable")
         groups = np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1) if len(order) else []
         return tuple((rows, self.flat[self.starts[rows] + np.arange(lengths[rows[0]])[:, None]])
                      for rows in groups)
 
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        # the inverse of the permutation that sorts the ids
+        return np.argsort(np.array(sorted(range(len(self.ids)), key=self.ids.__getitem__),
+                                   dtype=np.intp))
 
-@dataclass
+
+@dataclass(eq=False)
 class Dataset:
-    """Immutable-by-convention container; call validate() after hand assembly."""
+    """One split's data as arrays; ids appear only in ``queries.ids`` and
+    ``docs.ids`` (``Items``), whose rows every other field refers to.
 
-    queries: dict[str, Query]
-    documents: dict[str, Document]
-    samples: list[Sample]
-    pools: dict[str, tuple[str, ...]]
+    Per sample, by its position (file order for a loaded split):
+    ``sample_query`` and ``sample_doc`` hold its query row and doc row,
+    and ``positive`` marks it positive. ``pool_matrix`` holds each query
+    row's pool as one row of doc rows in pool order, padded past
+    ``pool_len`` with ``len(docs.ids)``, a row no doc has.
+
+    Derived on first use: ``pool_ids``, the ``docs.id_order`` of each
+    ``pool_matrix`` entry, padded with the same value, so a padding entry
+    sorts after every doc; every pool entry as one sorted integer key
+    (``_pool_key``) with its column, which ``pool_columns`` looks (query,
+    doc) pairs up in; and ``pools``, the doc ids of each pool by query id,
+    which ``save_dataset`` writes.
+
+    Datasets are immutable by convention; ``_load_split`` raises
+    ``vocab_size`` to the generator's before any reader runs.
+    """
+
+    queries: Items
+    docs: Items
+    sample_query: np.ndarray
+    sample_doc: np.ndarray
+    positive: np.ndarray
+    pool_matrix: np.ndarray
+    pool_len: np.ndarray
     vocab_size: int
-    _docs_indexed_by: "Dataset | None" = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._docs_indexed_by = None  # load_dataset's docs_from
-
-    # The token tables are built from the tuples on first use; load_dataset
-    # sets them from the arrays it parsed.
-    @cached_property
-    def _query_rows(self) -> TokenRows:
-        return TokenRows.of([q.tokens for q in self.queries.values()])
-
-    @cached_property
-    def _doc_rows(self) -> TokenRows:
-        return TokenRows.of([d.tokens for d in self.documents.values()])
-
-    def token_rows(self) -> tuple[TokenRows, TokenRows]:
-        """The token lists of the queries by ``index.query_row`` and of the
-        docs by ``index.doc_row``."""
-        return self._query_rows, self._doc_rows
-
-    @cached_property
-    def index(self) -> "DatasetIndex":
-        """Integer arrays for whole-pool scoring, built on first use.
-
-        Datasets are immutable by convention and ``dataclasses.replace``
-        builds a new instance, which indexes its own docs, so the index
-        never goes stale.
-        """
-        source = self._docs_indexed_by
-        return DatasetIndex.build(self, None if source is None else source.index)
-
-    def validate(self) -> None:
-        """Check every structural invariant; raise DataError on the first violation."""
-        for q in self.queries.values():
-            _check_tokens("query", q.id, q.tokens, self.vocab_size)
-        for d in self.documents.values():
-            _check_tokens("document", d.id, d.tokens, self.vocab_size)
+    @classmethod
+    def of(cls, queries: dict[str, Sequence[int]], docs: dict[str, Sequence[int]],
+           samples: Sequence[tuple[str, str, Label]], pools: dict[str, Sequence[str]],
+           vocab_size: int) -> "Dataset":
+        """The dataset of id-keyed values: token lists by query id and by doc
+        id, (query id, doc id, label) samples and pools of doc ids by query
+        id. Rows follow the order of ``queries`` and ``docs``. Raises
+        DataError on the first violated invariant, in the order checked."""
+        for kind, items in (("query", queries), ("document", docs)):
+            for ident, tokens in items.items():
+                _check_tokens(kind, ident, tokens, vocab_size)
         seen_pairs: set[tuple[str, str]] = set()
-        for s in self.samples:
-            if s.query_id not in self.queries:
-                raise DataError(f"sample references unknown query id {s.query_id!r}")
-            if s.doc_id not in self.documents:
-                raise DataError(f"sample references unknown doc id {s.doc_id!r}")
-            pair = (s.query_id, s.doc_id)
-            if pair in seen_pairs:
-                raise DataError(f"duplicate sample for pair {pair!r}")
-            seen_pairs.add(pair)
-            pool = self.pools.get(s.query_id)
+        for qid, did, _ in samples:
+            if qid not in queries:
+                raise DataError(f"sample references unknown query id {qid!r}")
+            if did not in docs:
+                raise DataError(f"sample references unknown doc id {did!r}")
+            if (qid, did) in seen_pairs:
+                raise DataError(f"duplicate sample for pair {(qid, did)!r}")
+            seen_pairs.add((qid, did))
+            pool = pools.get(qid)
             if pool is None:
-                raise DataError(f"query {s.query_id!r} has samples but no pool")
-            if s.doc_id not in pool:
-                raise DataError(
-                    f"sample doc {s.doc_id!r} missing from pool of query {s.query_id!r}")
-        for qid, pool in self.pools.items():
-            if qid not in self.queries:
+                raise DataError(f"query {qid!r} has samples but no pool")
+            if did not in pool:
+                raise DataError(f"sample doc {did!r} missing from pool of query {qid!r}")
+        for qid, pool in pools.items():
+            if qid not in queries:
                 raise DataError(f"pool references unknown query id {qid!r}")
             if len(set(pool)) != len(pool):
                 raise DataError(f"pool of query {qid!r} contains duplicate doc ids")
             for did in pool:
-                if did not in self.documents:
+                if did not in docs:
                     raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
+        query_items = Items.of(list(queries), list(queries.values()))
+        doc_items = Items.of(list(docs), list(docs.values()))
+        lengths = np.fromiter(map(len, pools.values()), np.intp, len(pools))
+        pool_query = _rows_of(list(pools), query_items.row).repeat(lengths)
+        pool_doc = _rows_of(list(chain.from_iterable(pools.values())), doc_items.row)
+        return cls(query_items, doc_items, _rows_of([s[0] for s in samples], query_items.row),
+                   _rows_of([s[1] for s in samples], doc_items.row),
+                   np.array([s[2] is Label.POSITIVE for s in samples], dtype=bool),
+                   *_pool_matrix(pool_query, pool_doc, len(queries), len(docs)), vocab_size)
 
+    @property
+    def n_samples(self) -> int:
+        return len(self.positive)
 
-@dataclass(frozen=True)
-class DatasetIndex:
-    """Documents and queries as rows of matrices, and pools as arrays of doc rows.
+    def sample_ids(self, at: int) -> tuple[str, str]:
+        """The query id and doc id of the sample at position ``at``."""
+        return self.queries.ids[self.sample_query[at]], self.docs.ids[self.sample_doc[at]]
 
-    Doc rows follow the order of ``Dataset.documents`` and query rows the
-    order of ``Dataset.queries``. ``groups`` (docs) and ``query_groups``
-    hold, per token count, the rows with that many tokens and their
-    tokens as one (count, rows) array, so vectors are pooled a whole group
-    at a time. ``id_order`` is each doc row's position among the sorted
-    doc ids: comparing it compares ids, which breaks score ties;
-    ``query_id_order`` is the same for query rows.
+    @cached_property
+    def pool_ids(self) -> np.ndarray:
+        return np.append(self.docs.id_order, len(self.docs.ids))[self.pool_matrix]
 
-    ``pool_matrix`` holds each query's pool as one row of doc rows, padded
-    past ``pool_len`` with ``len(doc_row)``, a row no doc has; ``pool_ids``
-    is the ``id_order`` of those entries, padded with the same value, so a
-    padding entry sorts after every doc. ``pool_keys`` holds every pool
-    entry as one sorted integer key, and ``pool_cols`` its position in the
-    pool; ``pool_columns`` looks (query, doc) pairs up in them. Per sample,
-    by position in ``Dataset.samples``: ``sample_query`` and ``sample_doc``
-    hold its query row and doc row, and ``positive`` marks it positive.
-    """
-
-    doc_row: dict[str, int]
-    groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    id_order: np.ndarray
-    query_row: dict[str, int]
-    query_groups: tuple[tuple[np.ndarray, np.ndarray], ...]
-    pool_matrix: np.ndarray
-    pool_ids: np.ndarray
-    pool_len: np.ndarray
-    pool_keys: np.ndarray
-    pool_cols: np.ndarray
-    query_id_order: np.ndarray
-    sample_query: np.ndarray
-    sample_doc: np.ndarray
-    positive: np.ndarray
-
-    @classmethod
-    def build(cls, dataset: "Dataset", docs: "DatasetIndex | None" = None) -> "DatasetIndex":
-        """The index of ``dataset``; the doc half is taken from ``docs`` when given,
-        which must index the same documents dict."""
-        if docs is None:
-            doc_row = dict(zip(dataset.documents, range(len(dataset.documents))))
-            groups = dataset._doc_rows.length_groups()
-            id_order = _id_order(list(dataset.documents))
-        else:
-            doc_row, groups, id_order = docs.doc_row, docs.groups, docs.id_order
-        query_row = dict(zip(dataset.queries, range(len(dataset.queries))))
-        # every pool entry mapped to its doc row in one pass; -1 marks an unknown id
-        pools = dataset.pools
-        starts = np.zeros(len(pools) + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, pools.values()), np.intp, len(pools)), out=starts[1:])
-        flat = np.fromiter(map(doc_row.get, chain.from_iterable(pools.values()), repeat(-1)),
-                           np.intp, int(starts[-1]))
-        pool_query = np.fromiter(map(query_row.get, pools, repeat(-1)), np.intp, len(pools))
-        if (flat < 0).any() or (pool_query < 0).any():
-            _raise_unknown_pool_id(pools, doc_row, query_row)
-        lengths = np.diff(starts)
-        pad = len(doc_row)
-        pool_len = np.zeros(len(query_row), dtype=np.intp)
-        pool_len[pool_query] = lengths
-        pool_matrix = np.full((len(query_row), int(pool_len.max(initial=0))), pad,
-                              dtype=np.intp)
-        pool_matrix[pool_query.repeat(lengths),
-                    np.arange(len(flat)) - starts[:-1].repeat(lengths)] = flat
-        in_pool = pool_matrix < pad
-        keys = _pool_key(np.arange(len(query_row))[:, None], pool_matrix, pad)[in_pool]
+    @cached_property
+    def _pool_entries(self) -> tuple[np.ndarray, np.ndarray]:
+        pad = len(self.docs.ids)
+        in_pool = self.pool_matrix < pad
+        keys = _pool_key(np.arange(len(self.pool_matrix))[:, None], self.pool_matrix, pad)[in_pool]
         order = np.argsort(keys, kind="stable")
-        samples = dataset.samples
-        sample_query = _rows_of([s.query_id for s in samples], query_row)
-        sample_doc = _rows_of([s.doc_id for s in samples], doc_row)
-        unknown = np.flatnonzero((sample_query < 0) | (sample_doc < 0))
-        if len(unknown):
-            s = samples[unknown[0]]
-            kind, ident = ("query", s.query_id) if s.query_id not in query_row \
-                else ("doc", s.doc_id)
-            raise DataError(f"sample references unknown {kind} id {ident!r}")
-        return cls(doc_row=doc_row, groups=groups, id_order=id_order,
-                   query_row=query_row,
-                   query_groups=dataset._query_rows.length_groups(),
-                   pool_matrix=pool_matrix,
-                   pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
-                   pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
-                   query_id_order=_id_order(list(dataset.queries)),
-                   sample_query=sample_query, sample_doc=sample_doc,
-                   positive=np.array([s.label is Label.POSITIVE for s in samples], dtype=bool))
+        return keys[order], np.nonzero(in_pool)[1][order]
 
     def pool_columns(self, query_rows: np.ndarray, doc_rows: np.ndarray) -> np.ndarray:
         """Where each doc row stands in the pool of the matching query row;
         -1 where that pool does not hold it. Needs at least one pool entry."""
-        keys = _pool_key(query_rows, doc_rows, len(self.doc_row))
-        at = np.minimum(np.searchsorted(self.pool_keys, keys), len(self.pool_keys) - 1)
-        return np.where(self.pool_keys[at] == keys, self.pool_cols[at], -1)
+        keys, cols = self._pool_entries
+        wanted = _pool_key(query_rows, doc_rows, len(self.docs.ids))
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, cols[at], -1)
+
+    @property
+    def pools(self) -> dict[str, tuple[str, ...]]:
+        """The doc ids of each non-empty pool, in pool order, by query id in row order."""
+        doc_ids, query_ids = self.docs.ids, self.queries.ids
+        return {query_ids[q]: tuple(map(doc_ids.__getitem__, self.pool_matrix[q, :n].tolist()))
+                for q, n in enumerate(self.pool_len.tolist()) if n}
 
 
-
-def _id_order(ids: list[str]) -> np.ndarray:
-    """Each row's position among the sorted ``ids``: the inverse of the
-    permutation that sorts them."""
-    return np.argsort(np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp))
-
-
-def _raise_unknown_pool_id(pools: dict[str, tuple[str, ...]], doc_row: dict[str, int],
-                           query_row: dict[str, int]) -> None:
-    """Raise for the first pool, in pool order, naming an unknown doc or query id."""
-    for qid, pool in pools.items():
-        for did in pool:
-            if did not in doc_row:
-                raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
-        if qid not in query_row:
-            raise DataError(f"pool references unknown query id {qid!r}")
+def _pool_matrix(query: np.ndarray, doc: np.ndarray, n_queries: int,
+                 pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pool entries (query row, doc row), each query's in pool order, as
+    one row of doc rows per query row padded with ``pad``, and each pool's length."""
+    order = np.argsort(query, kind="stable")
+    query, doc = query[order], doc[order]
+    pool_len = np.bincount(query, minlength=n_queries)
+    matrix = np.full((n_queries, int(pool_len.max(initial=0))), pad, dtype=np.intp)
+    matrix[query, np.arange(len(query)) - (np.cumsum(pool_len) - pool_len)[query]] = doc
+    return matrix, pool_len
 
 
 def _pool_key(query_rows: np.ndarray, doc_rows: np.ndarray, n_docs: int) -> np.ndarray:
@@ -302,14 +241,9 @@ class CorpusSplit:
     train: Dataset
     test: Dataset
 
-    def validate(self) -> None:
-        self.train.validate()
-        self.test.validate()
-        self.check_disjoint()
-
     def check_disjoint(self) -> None:
         """Raise DataError when a query id belongs to both splits."""
-        overlap = self.train.queries.keys() & self.test.queries.keys()
+        overlap = self.train.queries.row.keys() & self.test.queries.row.keys()
         if overlap:
             raise DataError(f"test queries overlap train queries: {sorted(overlap)[:5]}")
 
@@ -389,9 +323,8 @@ def _json_line(line: str):
     return obj
 
 
-def _read_jsonl_items(path: Path) -> tuple[list[str], list[tuple[int, ...]], TokenRows]:
-    """The ids and token tuples of a JSONL file's objects, in file order, and
-    their tokens as ``TokenRows``."""
+def _read_jsonl_items(path: Path) -> Items:
+    """The ids and token lists of a JSONL file's objects, in file order."""
     lines = _lines(path)
     parsed = _parse_jsonl(list(filter(None, map(str.strip, lines))))
     if parsed is None:
@@ -399,11 +332,11 @@ def _read_jsonl_items(path: Path) -> tuple[list[str], list[tuple[int, ...]], Tok
     return parsed
 
 
-def _parse_jsonl(items: list[str]) -> tuple[list[str], list[tuple[int, ...]], TokenRows] | None:
+def _parse_jsonl(items: list[str]) -> Items | None:
     """``_read_jsonl_items`` of the stripped non-blank lines, checked in
     whole-block passes; None when a line is invalid."""
     ids: list[str] = []
-    tokens: list[tuple[int, ...]] = []
+    tokens: list[list] = []
     for start in range(0, len(items), BLOCK_LINES):
         block = items[start:start + BLOCK_LINES]
         # scan_once is raw_decode without its wrapper: on a line that starts
@@ -424,10 +357,10 @@ def _parse_jsonl(items: list[str]) -> tuple[list[str], list[tuple[int, ...]], To
                 and set(map(type, chain.from_iterable(lists))) <= {int, bool}):
             return None
         ids += map(str, map(itemgetter("id"), objs))
-        tokens += map(tuple, lists)
+        tokens += lists
     if len(set(ids)) != len(ids):
         return None
-    return ids, tokens, TokenRows.of(tokens)
+    return Items.of(ids, tokens)
 
 
 def _jsonl_check():
@@ -511,7 +444,7 @@ def _tsv_check(check_fields):
     return check
 
 
-def _pool_check(queries: dict, documents: dict):
+def _pool_check(queries: dict[str, int], documents: dict[str, int]):
     """The check of one pools.tsv line, lines taken in file order."""
     seen: set[tuple[str, str]] = set()
 
@@ -531,8 +464,10 @@ def _pool_check(queries: dict, documents: dict):
     return _tsv_check(check)
 
 
-def _qrels_check(queries: dict, documents: dict, pools: dict[str, tuple[str, ...]]):
-    """The check of one qrels.tsv line, lines taken in file order."""
+def _qrels_check(queries: dict[str, int], documents: dict[str, int], pool_keys: set[int]):
+    """The check of one qrels.tsv line, lines taken in file order; ``queries``
+    and ``documents`` map ids to rows, and ``pool_keys`` holds the
+    ``_pool_key`` of every pool entry."""
     seen: set[tuple[str, str]] = set()
 
     def check(qid: str, did: str, label: str) -> str | None:
@@ -545,7 +480,7 @@ def _qrels_check(queries: dict, documents: dict, pools: dict[str, tuple[str, ...
         if (qid, did) in seen:
             return f"duplicate pair ({qid!r}, {did!r})"
         seen.add((qid, did))
-        if did not in pools.get(qid, ()):
+        if _pool_key(queries[qid], documents[did], len(documents)) not in pool_keys:
             kind = "positive" if label == "1" else "negative"
             return f"{kind} sample doc {did!r} absent from pool of {qid!r}"
         return None
@@ -563,14 +498,13 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray | None:
     return None if (keys[1:] == keys[:-1]).any() else keys
 
 
-def _reject_negative_tokens(kind: str, ids: list[str], rows: TokenRows,
-                            vocab_size: int) -> None:
-    """Raise, as Dataset.validate would, for the first item with a token below zero."""
-    at = np.flatnonzero(rows.flat < 0)
+def _reject_negative_tokens(kind: str, items: Items, vocab_size: int) -> None:
+    """Raise, as Dataset.of would, for the first item with a token below zero."""
+    at = np.flatnonzero(items.flat < 0)
     if len(at):
-        row = int(np.searchsorted(rows.starts, at[0], side="right")) - 1
-        raise DataError(f"{kind} {ids[row]!r} token {rows.flat[at[0]]} outside vocabulary "
-                        f"of size {vocab_size}")
+        row = int(np.searchsorted(items.starts, at[0], side="right")) - 1
+        raise DataError(f"{kind} {items.ids[row]!r} token {items.flat[at[0]]} outside "
+                        f"vocabulary of size {vocab_size}")
 
 
 def load_dataset(queries_path: str | Path, docs_path: str | Path,
@@ -581,8 +515,9 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     The vocabulary size is inferred as one past the largest token seen.
     Sample order follows qrels file order; pool order follows rank_hint.
     ``docs_from``, a dataset loaded from the same docs file, lends its
-    documents, which stand in for that file (it is not read again), and
-    the doc half of its ``index`` (doc rows, length groups, id order).
+    ``docs``, which stand in for that file (it is not read again); the
+    two datasets then share one doc side, with its row map, length groups
+    and id order.
 
     Each file is parsed and checked in whole-file passes over its lines;
     only when those find an invalid line do the per-line checks run, to
@@ -591,25 +526,17 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     queries_path, docs_path = Path(queries_path), Path(docs_path)
     qrels_path, pools_path = Path(qrels_path), Path(pools_path)
 
-    query_ids, query_tokens, query_rows = _read_jsonl_items(queries_path)
-    queries = dict(zip(query_ids, map(Query, query_ids, query_tokens)))
-    if docs_from is not None:
-        documents, doc_rows = docs_from.documents, docs_from._doc_rows
-        doc_ids = list(documents)
-    else:
-        doc_ids, doc_tokens, doc_rows = _read_jsonl_items(docs_path)
-        documents = dict(zip(doc_ids, map(Document, doc_ids, doc_tokens)))
-
-    for ids, rows in ((query_ids, query_rows), (doc_ids, doc_rows)):
-        empty = np.flatnonzero(np.diff(rows.starts) == 0)
+    queries = _read_jsonl_items(queries_path)
+    docs = docs_from.docs if docs_from is not None else _read_jsonl_items(docs_path)
+    for items in (queries, docs):
+        empty = np.flatnonzero(np.diff(items.starts) == 0)
         if len(empty):
-            raise DataError(f"{ids[empty[0]]!r} has an empty token list")
-    max_token = max(int(query_rows.flat.max(initial=-1)), int(doc_rows.flat.max(initial=-1)))
+            raise DataError(f"{items.ids[empty[0]]!r} has an empty token list")
+    max_token = max(int(queries.flat.max(initial=-1)), int(docs.flat.max(initial=-1)))
     vocab_size = max_token + 1 if max_token >= 0 else 1
 
-    query_row = dict(zip(query_ids, range(len(query_ids))))
-    doc_row = dict(zip(doc_ids, range(len(doc_ids))))
-    n_docs = len(doc_ids)
+    query_row, doc_row = queries.row, docs.row
+    n_docs = len(docs.ids)
 
     columns = _read_tsv(pools_path, POOLS_HEADER, query_row, doc_row, int)
     pool_keys = None
@@ -618,47 +545,35 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
         if (q >= 0).all() and (d >= 0).all():
             pool_keys = _unique_keys(_pool_key(q, d, n_docs))
     if pool_keys is None:
-        _line_error(pools_path, _lines(pools_path)[1:], 2, _pool_check(queries, documents))
+        _line_error(pools_path, _lines(pools_path)[1:], 2, _pool_check(query_row, doc_row))
     try:
         hint_keys = np.array(hints, dtype=np.int64)
     except OverflowError:  # hints past int64 sort as their ranks among the hints
         hint_keys = np.unique(np.array(hints, dtype=object), return_inverse=True)[1]
-    # the pools follow the order in which their queries first appear
-    present, first = np.unique(q, return_index=True)
-    by_appearance = present[np.argsort(first)]
-    appearance = np.empty(len(query_ids), dtype=np.intp)
-    appearance[by_appearance] = np.arange(len(by_appearance))
-    # entries by query, then rank_hint, then file order
-    order = np.lexsort((np.arange(len(q)), hint_keys, appearance[q]))
-    ranked = list(map(doc_ids.__getitem__, d[order].tolist()))
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(appearance[q])))).tolist()
-    pools = {query_ids[row]: tuple(ranked[bounds[i]:bounds[i + 1]])
-             for i, row in enumerate(by_appearance.tolist())}
+    # each pool by rank_hint, then file order
+    order = np.argsort(hint_keys, kind="stable")
+    pool_matrix, pool_len = _pool_matrix(q[order], d[order], len(queries.ids), n_docs)
 
     columns = _read_tsv(qrels_path, QRELS_HEADER, query_row, doc_row, str)
     valid = False
     if columns is not None:
         q, d, labels = columns
-        if set(labels) <= LABELS.keys() and (q >= 0).all() and (d >= 0).all():
+        if set(labels) <= LABELS and (q >= 0).all() and (d >= 0).all():
             keys = _unique_keys(_pool_key(q, d, n_docs))
             if keys is not None:
                 at = np.searchsorted(pool_keys, keys)
                 valid = bool((np.append(pool_keys, -1)[at] == keys).all())
     if not valid:
         _line_error(qrels_path, _lines(qrels_path)[1:], 2,
-                    _qrels_check(queries, documents, pools))
-    samples = list(map(Sample, map(query_ids.__getitem__, q.tolist()),
-                       map(doc_ids.__getitem__, d.tolist()), map(LABELS.__getitem__, labels)))
+                    _qrels_check(query_row, doc_row, set(pool_keys.tolist())))
 
-    # The checks above cover every invariant of Dataset.validate but one:
-    # tokens below zero.
-    _reject_negative_tokens("query", query_ids, query_rows, vocab_size)
-    _reject_negative_tokens("document", doc_ids, doc_rows, vocab_size)
-    dataset = Dataset(queries=queries, documents=documents, samples=samples,
-                      pools=pools, vocab_size=vocab_size)
-    dataset._query_rows, dataset._doc_rows = query_rows, doc_rows
-    dataset._docs_indexed_by = docs_from
-    return dataset
+    # The checks above cover every invariant of Dataset.of but one: tokens
+    # below zero.
+    _reject_negative_tokens("query", queries, vocab_size)
+    _reject_negative_tokens("document", docs, vocab_size)
+    return Dataset(queries, docs, sample_query=q, sample_doc=d,
+                   positive=np.fromiter(map("1".__eq__, labels), bool, len(labels)),
+                   pool_matrix=pool_matrix, pool_len=pool_len, vocab_size=vocab_size)
 
 
 @contextmanager
@@ -687,18 +602,23 @@ def save_dataset(dataset: Dataset, queries_path: str | Path, docs_path: str | Pa
     """Write the four dataset files in the canonical format load_dataset reads,
     each with ``atomic_write``. ``write_docs=False`` leaves ``docs_path``
     alone, for a split whose documents another split's save wrote."""
-    write_lines(queries_path, _item_lines(dataset.queries.values()))
+    write_lines(queries_path, _item_lines(dataset.queries))
     if write_docs:
-        write_lines(docs_path, _item_lines(dataset.documents.values()))
-    write_lines(qrels_path, [QRELS_HEADER] + [f"{s.query_id}\t{s.doc_id}\t{s.label.value}"
-                                               for s in dataset.samples])
+        write_lines(docs_path, _item_lines(dataset.docs))
+    query_ids, doc_ids = dataset.queries.ids, dataset.docs.ids
+    write_lines(qrels_path, [QRELS_HEADER] + [
+        f"{query_ids[q]}\t{doc_ids[d]}\t{int(p)}" for q, d, p in zip(
+            dataset.sample_query.tolist(), dataset.sample_doc.tolist(),
+            dataset.positive.tolist())])
     write_lines(pools_path, [POOLS_HEADER] + [f"{qid}\t{did}\t{rank}"
                                                for qid, pool in dataset.pools.items()
                                                for rank, did in enumerate(pool)])
 
 
-def _item_lines(items) -> list[str]:
-    return [json.dumps({"id": item.id, "tokens": list(item.tokens)}) for item in items]
+def _item_lines(items: Items) -> list[str]:
+    tokens, starts = items.flat.tolist(), items.starts.tolist()
+    return [json.dumps({"id": ident, "tokens": tokens[a:b]})
+            for ident, a, b in zip(items.ids, starts, starts[1:])]
 
 
 def write_lines(path: str | Path, lines: list[str]) -> None:
@@ -775,7 +695,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
         # as the topic pair; that is what separates a query from others
         # sharing one of its topics.
         toks = topic_tokens(pair_of[qid]) + list(eff_sig[qid]) * 2
-        queries[qid] = Query(qid, tuple(toks))
+        queries[qid] = toks
 
     # Positive-document ownership. Adopting an open single-owner document
     # with probability e/(1+e) per slot yields a shared fraction of e
@@ -822,14 +742,13 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
         # query distinguishable for document-level removal.
         pad = max(1, DOC_LEN - len(core))
         core.extend(int(t) for t in rng.choice(noise_region, size=pad, replace=False))
-        documents[dids[idx]] = Document(dids[idx], tuple(core))
+        documents[dids[idx]] = core
     for idx in range(n_pos_docs, cfg.n_docs):
-        toks = rng.choice(noise_region, size=DOC_LEN, replace=False)
-        documents[dids[idx]] = Document(dids[idx], tuple(int(t) for t in toks))
+        documents[dids[idx]] = rng.choice(noise_region, size=DOC_LEN, replace=False).tolist()
 
     all_doc_indices = np.arange(cfg.n_docs)
     pools: dict[str, tuple[str, ...]] = {}
-    samples_of: dict[str, list[Sample]] = {}
+    samples_of: dict[str, list[tuple[str, str, Label]]] = {}
     for qid in qids:
         pos = pos_docs_of[qid]
         # the sorted docs outside pos: np.setdiff1d's result, without its sort
@@ -847,13 +766,13 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
         n_neg_samples = min(cfg.positives_per_query, len(candidates))
         neg_samples = rng.choice(candidates, size=n_neg_samples, replace=False)
         samples_of[qid] = (
-            [Sample(qid, dids[i], Label.POSITIVE) for i in pos]
-            + [Sample(qid, dids[int(i)], Label.NEGATIVE) for i in neg_samples])
+            [(qid, dids[i], Label.POSITIVE) for i in pos]
+            + [(qid, dids[int(i)], Label.NEGATIVE) for i in neg_samples])
 
     def build(split_ids: list[str]) -> Dataset:
-        return Dataset(
+        return Dataset.of(
             queries={qid: queries[qid] for qid in split_ids},
-            documents=dict(documents),
+            docs=documents,
             samples=[s for qid in split_ids for s in samples_of[qid]],
             pools={qid: pools[qid] for qid in split_ids},
             vocab_size=cfg.vocab_size,
@@ -863,7 +782,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
         train=build([qid for qid in qids if qid not in test_ids]),
         test=build([qid for qid in qids if qid in test_ids]),
     )
-    split.validate()
+    split.check_disjoint()
     return split
 
 
@@ -900,19 +819,14 @@ def _check_feasible(cfg: SyntheticConfig) -> None:
 
 def dataset_stats(dataset: Dataset) -> StatsRecord:
     """Summary counts over a dataset; all zeros for an empty one."""
-    pos_counts: dict[str, int] = {}
-    for s in dataset.samples:
-        if s.label is Label.POSITIVE:
-            pos_counts[s.query_id] = pos_counts.get(s.query_id, 0) + 1
-    n_queries = len(dataset.queries)
-    mean_pos = sum(pos_counts.values()) / n_queries if n_queries else 0.0
-    mean_pool = (sum(len(p) for p in dataset.pools.values()) / len(dataset.pools)
-                 if dataset.pools else 0.0)
+    n_queries = len(dataset.queries.ids)
+    pos_counts = np.bincount(dataset.sample_query[dataset.positive], minlength=n_queries)
+    pools = dataset.pool_len[dataset.pool_len > 0]
     return StatsRecord(
         n_queries=n_queries,
-        n_docs=len(dataset.documents),
-        n_samples=len(dataset.samples),
-        queries_with_multiple_positives=sum(1 for c in pos_counts.values() if c >= 2),
-        mean_positives_per_query=mean_pos,
-        mean_pool_size=mean_pool,
+        n_docs=len(dataset.docs.ids),
+        n_samples=dataset.n_samples,
+        queries_with_multiple_positives=int((pos_counts >= 2).sum()),
+        mean_positives_per_query=int(pos_counts.sum()) / n_queries if n_queries else 0.0,
+        mean_pool_size=int(pools.sum()) / len(pools) if len(pools) else 0.0,
     )

@@ -18,8 +18,8 @@ entries placed before it, which is the rank sorting the pool gives. The
 reciprocal ranks are summed in query-id order, so the mean is the same
 float as a per-query loop's.
 Sample targets are looked up among the pool entries' sorted keys
-(``DatasetIndex.pool_columns``), so no step grows with the number of
-docs outside the pools.
+(``Dataset.pool_columns``), so no step grows with the number of docs
+outside the pools.
 """
 
 from __future__ import annotations
@@ -55,26 +55,26 @@ class ScoreDistribution:
 
 def _queries(pooled: Pooled, query_rows: np.ndarray) -> np.ndarray:
     """The distinct ``query_rows``, ascending; DataError for the first by id with an empty pool."""
-    queries, index = np.unique(query_rows), pooled.dataset.index
-    empty = queries[index.pool_len[queries] == 0]
+    queries, items = np.unique(query_rows), pooled.dataset.queries
+    empty = queries[pooled.dataset.pool_len[queries] == 0]
     if len(empty):
-        query_id = list(pooled.dataset.queries)[empty[index.query_id_order[empty].argmin()]]
+        query_id = items.ids[empty[items.id_order[empty].argmin()]]
         raise DataError(f"query {query_id!r} has an empty pool")
     return queries
 
 
 def _sample_hits(pooled: Pooled, queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Row i marks the columns of the pool of ``queries[i]`` holding a sample of ``targets``."""
-    index = pooled.dataset.index
-    query, doc = index.sample_query[targets], index.sample_doc[targets]
-    cols = index.pool_columns(query, doc)
-    hit = np.zeros((len(queries), index.pool_matrix.shape[1]), dtype=bool)
+    dataset = pooled.dataset
+    query, doc = dataset.sample_query[targets], dataset.sample_doc[targets]
+    cols = dataset.pool_columns(query, doc)
+    hit = np.zeros((len(queries), dataset.pool_matrix.shape[1]), dtype=bool)
     hit[np.searchsorted(queries, query[cols >= 0]), cols[cols >= 0]] = True
     return hit
 
 
 def _mean_reciprocal(pooled: Pooled, queries: np.ndarray, hit: np.ndarray) -> MrrResult:
-    index = pooled.dataset.index
+    dataset = pooled.dataset
     found = hit.any(axis=1)
     skipped = len(queries) - int(found.sum())
     if skipped == len(queries):
@@ -84,11 +84,11 @@ def _mean_reciprocal(pooled: Pooled, queries: np.ndarray, hit: np.ndarray) -> Mr
     # NaN ranks after every number, as in a sort of the pool; softplus is never -inf,
     # so -inf does the same, and padding (-inf, id past every doc) is never ahead
     np.fmax(scores, -np.inf, out=scores)
-    ids, pad = index.pool_ids[query_rows], len(index.doc_row)
+    ids, pad = dataset.pool_ids[query_rows], len(dataset.docs.ids)
     best = np.where(hit, scores, -np.inf).max(axis=1, keepdims=True)
     best_id = np.where(hit & (scores == best), ids, pad).min(axis=1, keepdims=True)
     ahead = (scores > best) | ((scores == best) & (ids < best_id))
-    by_id = np.argsort(index.query_id_order[query_rows])
+    by_id = np.argsort(dataset.queries.id_order[query_rows])
     reciprocals = [1.0 / (1 + n) for n in ahead.sum(axis=1)[by_id].tolist()]
     return MrrResult(value=sum(reciprocals) / len(reciprocals),
                      evaluated=len(reciprocals), skipped=skipped)
@@ -105,12 +105,12 @@ def mrr_forget(pooled: Pooled, part: Partition) -> MrrResult:
     """
     if not len(part.forget):
         raise ConfigError("forget set contains no queries")
-    index = pooled.dataset.index
-    queries = _queries(pooled, index.sample_query[part.forget])
+    dataset = pooled.dataset
+    queries = _queries(pooled, dataset.sample_query[part.forget])
     if part.spec.kind is RemovalKind.DOCUMENT:
-        hit = np.isin(index.pool_matrix[queries], part.named)
+        hit = np.isin(dataset.pool_matrix[queries], part.named)
     else:
-        positives = index.positive & np.isin(index.sample_query, queries)
+        positives = dataset.positive & np.isin(dataset.sample_query, queries)
         hit = _sample_hits(pooled, queries, np.flatnonzero(positives))
     return _mean_reciprocal(pooled, queries, hit)
 
@@ -123,10 +123,10 @@ def mrr_set(pooled: Pooled, samples: np.ndarray) -> MrrResult:
     `samples`; the ranking is over the query's full pool. Queries with
     no positive in `samples` are skipped.
     """
-    index = pooled.dataset.index
-    positives = samples[index.positive[samples]]
-    queries = _queries(pooled, index.sample_query[positives])
-    skipped_no_positive = len(np.unique(index.sample_query[samples])) - len(queries)
+    dataset = pooled.dataset
+    positives = samples[dataset.positive[samples]]
+    queries = _queries(pooled, dataset.sample_query[positives])
+    skipped_no_positive = len(np.unique(dataset.sample_query[samples])) - len(queries)
     result = _mean_reciprocal(pooled, queries, _sample_hits(pooled, queries, positives))
     return replace(result, skipped=result.skipped + skipped_no_positive)
 

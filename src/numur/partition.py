@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Dataset, Label, read_json, write_lines
+from .corpus import Dataset, read_json, write_lines
 from .errors import ConfigError, DataError
 
 
@@ -38,9 +38,9 @@ class ForgetSpec:
 
 @dataclass(eq=False)
 class Partition:
-    """``dataset``'s samples split under ``spec``, as ascending positions in
-    ``dataset.samples``; ``retained`` is E and D together, and ``named``
-    holds the rows of the ids the spec names."""
+    """``dataset``'s samples split under ``spec``, as ascending sample
+    positions; ``retained`` is E and D together, and ``named`` holds the
+    rows of the ids the spec names."""
 
     dataset: Dataset
     forget: np.ndarray
@@ -54,18 +54,16 @@ class Partition:
 def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
     """Split dataset samples into (forget, entangled, disjoint) under spec."""
     by_query = spec.kind is RemovalKind.QUERY
-    known = dataset.queries if by_query else dataset.documents
-    missing = sorted(i for i in spec.ids if i not in known)
+    rows = (dataset.queries if by_query else dataset.docs).row
+    missing = sorted(i for i in spec.ids if i not in rows)
     if missing:
         raise DataError(f"{spec.kind.value} removal spec names unknown ids: {missing}")
 
-    index = dataset.index
-    rows = index.query_row if by_query else index.doc_row
     named = np.fromiter(map(rows.__getitem__, spec.ids), np.intp, len(spec.ids))
-    query, doc = index.sample_query, index.sample_doc
+    query, doc = dataset.sample_query, dataset.sample_doc
     forgotten = np.isin(query if by_query else doc, named)
     forget = np.flatnonzero(forgotten)
-    if len(forget) == len(dataset.samples) and dataset.samples:
+    if len(forget) == dataset.n_samples and dataset.n_samples:
         raise ConfigError("removal spec covers every sample; nothing would be retained")
 
     shares = ~forgotten & (np.isin(query, query[forget]) | np.isin(doc, doc[forget]))
@@ -74,15 +72,33 @@ def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
                      retained=np.flatnonzero(~forgotten), named=named, spec=spec)
 
 
-def entangled_partners(part: Partition, x: int) -> np.ndarray:
+def entangled_partners(part: Partition, x):
     """The entangled samples sharing a query id or doc id with the forget
-    sample at position ``x``, as positions in ``part.entangled`` order."""
-    if x not in part.forget:
-        s = part.dataset.samples[x]
-        raise ConfigError(f"pair ({s.query_id!r}, {s.doc_id!r}) is not in the forget set")
-    index, entangled = part.dataset.index, part.entangled
-    query, doc = index.sample_query, index.sample_doc
-    return entangled[(query[entangled] == query[x]) | (doc[entangled] == doc[x])]
+    sample at position ``x``, as ascending positions; for an array ``x``, a
+    list of those of each of its positions.
+
+    E is sorted once by query row and once by doc row; each forget
+    sample's partners are the two runs of its rows (``np.searchsorted``),
+    merged by one ``np.unique`` over (forget sample, E index) keys.
+    """
+    xs = np.atleast_1d(x)
+    outside = np.flatnonzero(~np.isin(xs, part.forget))
+    if len(outside):
+        pair = part.dataset.sample_ids(xs[outside[0]])
+        raise ConfigError(f"pair {pair!r} is not in the forget set")
+    entangled, n = part.entangled, max(len(part.entangled), 1)
+    keys = []
+    for rows in (part.dataset.sample_query, part.dataset.sample_doc):
+        by_row = np.argsort(rows[entangled], kind="stable")
+        sorted_rows = rows[entangled][by_row]
+        lo = np.searchsorted(sorted_rows, rows[xs], "left")
+        counts = np.searchsorted(sorted_rows, rows[xs], "right") - lo
+        # the E indices lo[i], lo[i] + 1, ... of each forget sample i in turn
+        at = np.arange(counts.sum()) + (lo - np.cumsum(counts) + counts).repeat(counts)
+        keys.append(np.arange(len(xs)).repeat(counts) * n + by_row[at])
+    keys = np.unique(np.concatenate(keys))
+    each = np.split(entangled[keys % n], np.searchsorted(keys // n, np.arange(1, len(xs))))
+    return each if np.ndim(x) else each[0]
 
 
 def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,
@@ -97,7 +113,9 @@ def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigError("removal fraction must lie in (0, 1)")
-    positives = [s for s in dataset.samples if s.label is Label.POSITIVE]
+    query_ids, doc_ids, positive = dataset.queries.ids, dataset.docs.ids, dataset.positive
+    positives = [(query_ids[q], doc_ids[d]) for q, d in zip(
+        dataset.sample_query[positive].tolist(), dataset.sample_doc[positive].tolist())]
     if not positives:
         raise ConfigError("dataset has no positive samples to remove")
     target = max(1, round(fraction * len(positives)))
@@ -105,8 +123,8 @@ def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,
 
     if kind is RemovalKind.QUERY:
         per_id: dict[str, int] = {}
-        for s in positives:
-            per_id[s.query_id] = per_id.get(s.query_id, 0) + 1
+        for qid, _ in positives:
+            per_id[qid] = per_id.get(qid, 0) + 1
         ids = sorted(per_id)
         chosen: list[str] = []
         covered = 0
@@ -119,9 +137,9 @@ def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,
 
     owners: dict[str, list[str]] = {}
     remaining: dict[str, int] = {}
-    for s in positives:
-        owners.setdefault(s.doc_id, []).append(s.query_id)
-        remaining[s.query_id] = remaining.get(s.query_id, 0) + 1
+    for qid, did in positives:
+        owners.setdefault(did, []).append(qid)
+        remaining[qid] = remaining.get(qid, 0) + 1
     ids = sorted(owners)
     order = [ids[int(i)] for i in rng.permutation(len(ids))]
     chosen = []

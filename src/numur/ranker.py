@@ -102,12 +102,12 @@ def _sigmoids(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _stacked_token_rows(dataset: Dataset, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_tokens(dataset: Dataset, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The token rows of every query, then of every doc, in the stacked table
     of a model with ``vocab_size``: one flat array, and where each entry
     starts in it, plus its end. Query row r is entry r and doc row r entry
-    ``len(dataset.queries) + r``; doc tokens are shifted by ``vocab_size``."""
-    qtok, dtok = dataset.token_rows()
+    ``len(dataset.queries.ids) + r``; doc tokens are shifted by ``vocab_size``."""
+    qtok, dtok = dataset.queries, dataset.docs
     return (np.concatenate((qtok.flat, dtok.flat + vocab_size)),
             np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat))))
 
@@ -122,12 +122,12 @@ def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[list, list]
     Every entry is a view of one array of the offsets of all entries.
     """
     dim = shape[1]
-    flat, starts = _stacked_token_rows(dataset, shape[0] // 2)
+    flat, starts = _stacked_tokens(dataset, shape[0] // 2)
     offsets = (flat[:, None] * dim + np.arange(dim)).ravel()
     offsets.flags.writeable = False  # steps hold views of it
     bounds = (starts * dim).tolist()
     views = [offsets[a:b] for a, b in zip(bounds, bounds[1:])]
-    n_q = len(dataset.queries)
+    n_q = len(dataset.queries.ids)
     return views[:n_q], views[n_q:]
 
 
@@ -148,8 +148,7 @@ class Sgd:
         self.shape, self.flat = model.params.shape, model.flat
         self.scratch = np.zeros(model.params.size)
         self.queries, self.docs = _offset_table(dataset, self.shape)
-        index = dataset.index
-        self.pairs = list(zip(index.sample_query.tolist(), index.sample_doc.tolist()))
+        self.pairs = list(zip(dataset.sample_query.tolist(), dataset.sample_doc.tolist()))
 
     def apply(self, step: "PairStep", upstream: Sequence[float]) -> None:
         """One SGD step along ``step.gradient(upstream)``, summed with one
@@ -268,22 +267,22 @@ def _pooled(table: np.ndarray, groups, n: int) -> np.ndarray:
 
 
 def doc_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
-    """Mean-pooled vector of every doc, one row per ``dataset.index.doc_row``;
-    bitwise each doc pooled on its own."""
-    return _pooled(model.embed_d, dataset.index.groups, len(dataset.index.doc_row))
+    """Mean-pooled vector of every doc, one row per doc row; bitwise each
+    doc pooled on its own."""
+    return _pooled(model.embed_d, dataset.docs.groups, len(dataset.docs.ids))
 
 
 def query_vectors(model: ScoreModel, dataset: Dataset) -> np.ndarray:
-    """Mean-pooled vector of every query, one row per ``dataset.index.query_row``;
-    pooled as ``doc_vectors`` pools docs, so bitwise each query pooled alone."""
-    return _pooled(model.embed_q, dataset.index.query_groups, len(dataset.index.query_row))
+    """Mean-pooled vector of every query, one row per query row; pooled as
+    ``doc_vectors`` pools docs, so bitwise each query pooled alone."""
+    return _pooled(model.embed_q, dataset.queries.groups, len(dataset.queries.ids))
 
 
 @dataclass(frozen=True)
 class Pooled:
     """The mean-pooled vectors of one model state over one dataset, built
     once and passed to every reader of that state: ``query_vecs`` has one
-    row per ``dataset.index.query_row`` and ``doc_vecs`` one per ``doc_row``."""
+    row per query row of ``dataset`` and ``doc_vecs`` one per doc row."""
 
     dataset: Dataset
     query_vecs: np.ndarray
@@ -297,11 +296,10 @@ def pool(model: ScoreModel, dataset: Dataset) -> Pooled:
 
 def pool_split(model: ScoreModel, split: CorpusSplit) -> tuple[Pooled, Pooled]:
     """``pool`` of the train split and of the test split. A test split loaded
-    with ``docs_from`` indexes the train split's doc rows, so its value
+    with ``docs_from`` holds the train split's doc side, so its value
     shares the train doc vectors and the docs are pooled once for both."""
     train, test = pool(model, split.train), split.test
-    docs = train.doc_vecs if test.index.doc_row is split.train.index.doc_row \
-        else doc_vectors(model, test)
+    docs = train.doc_vecs if test.docs is split.train.docs else doc_vectors(model, test)
     return train, Pooled(test, query_vectors(model, test), docs)
 
 
@@ -316,16 +314,16 @@ def score_pools(pooled: Pooled, query_rows: np.ndarray) -> np.ndarray:
     bits. A gather padded to the longest pool would not: BLAS sums a row
     in an order that depends on the height of the matrix.
     """
-    index = pooled.dataset.index
+    dataset = pooled.dataset
     qvec = pooled.query_vecs[query_rows]
-    lengths = index.pool_len[query_rows]
-    out = np.full((len(query_rows), index.pool_matrix.shape[1]), -np.inf)
+    lengths = dataset.pool_len[query_rows]
+    out = np.full((len(query_rows), dataset.pool_matrix.shape[1]), -np.inf)
     # the queries grouped by pool length with one stable sort
     order = np.argsort(lengths, kind="stable")
     starts = np.flatnonzero(np.diff(lengths[order])) + 1
     for at in np.split(order, starts) if len(order) else ():
         length = int(lengths[at[0]])
-        docs = pooled.doc_vecs.take(index.pool_matrix[query_rows[at], :length], axis=0)
+        docs = pooled.doc_vecs.take(dataset.pool_matrix[query_rows[at], :length], axis=0)
         out[at, :length] = np.logaddexp(0.0, np.matmul(docs, qvec[at, :, None])[:, :, 0])
     return out
 
@@ -346,8 +344,9 @@ def pair_scores(pooled: Pooled, query_rows, doc_rows) -> tuple[np.ndarray, np.nd
 def sample_scores(pooled: Pooled, samples: np.ndarray) -> list[float]:
     """The ``PairStep`` score of the sample at each position of ``samples``
     under the pooled model state (``pair_scores``)."""
-    index = pooled.dataset.index
-    return pair_scores(pooled, index.sample_query[samples], index.sample_doc[samples])[1].tolist()
+    dataset = pooled.dataset
+    return pair_scores(pooled, dataset.sample_query[samples],
+                       dataset.sample_doc[samples])[1].tolist()
 
 
 class HingeDraws:
@@ -439,7 +438,7 @@ def hinge_grad_squares(pooled: Pooled, query_rows: np.ndarray, pos_rows: np.ndar
     n, draws = neg_rows.shape
     stacked, dim = sq.shape
     # query row r is entry r, doc row r entry n_q + r
-    flat, starts = _stacked_token_rows(pooled.dataset, stacked // 2)
+    flat, starts = _stacked_tokens(pooled.dataset, stacked // 2)
     n_q, lengths = len(pooled.query_vecs), np.diff(starts)
     for at in range(0, n, GRAD_BLOCK):
         q, p, negs = query_rows[at:at + GRAD_BLOCK], pos_rows[at:at + GRAD_BLOCK], \
@@ -486,9 +485,9 @@ class HingeSet:
     ``positives[i]`` the doc rows of the positives of ``rows[i]`` in sample
     order. A query's hinge negatives are the docs of its pool, in pool
     order, that ``samples`` does not mark positive for it. One row per
-    query, over the columns of its pool in ``DatasetIndex.pool_matrix``:
+    query, over the columns of its pool in ``Dataset.pool_matrix``:
     ``ids`` orders score ties by doc id, ``not_negative`` marks the
-    positives (found by ``DatasetIndex.pool_columns``) and the padding past
+    positives (found by ``Dataset.pool_columns``) and the padding past
     the pool, and ``position`` is a negative column's position among the
     query's negatives. ``n_pos``, ``n_neg`` and ``n_hard`` count each
     query's positives, its negatives and the negatives it mines;
@@ -498,32 +497,31 @@ class HingeSet:
     """
 
     def __init__(self, dataset: Dataset, samples: np.ndarray):
-        index = dataset.index
-        positive = samples[index.positive[samples]]
-        query, doc = index.sample_query[positive], index.sample_doc[positive]
+        positive = samples[dataset.positive[samples]]
+        query, doc = dataset.sample_query[positive], dataset.sample_doc[positive]
         # the positives by query, queries in id order, each query's in sample order
-        by_id = np.argsort(index.query_id_order[query], kind="stable")
+        id_order = dataset.queries.id_order
+        by_id = np.argsort(id_order[query], kind="stable")
         query, doc = query[by_id], doc[by_id]
-        _, first, self.n_pos = np.unique(index.query_id_order[query], return_index=True,
-                                         return_counts=True)
+        _, first, self.n_pos = np.unique(id_order[query], return_index=True, return_counts=True)
         self.rows = query[first]
-        self.slot = np.full(len(index.query_row), -1, dtype=np.intp)
+        self.slot = np.full(len(dataset.queries.ids), -1, dtype=np.intp)
         self.slot[self.rows] = np.arange(len(self.rows))
         self.positives = [d.tolist() for d in np.split(doc, first[1:])] if len(doc) else []
-        self.not_negative = np.arange(index.pool_matrix.shape[1]) \
-            >= index.pool_len[self.rows][:, None]
+        self.not_negative = np.arange(dataset.pool_matrix.shape[1]) \
+            >= dataset.pool_len[self.rows][:, None]
         at = np.arange(len(self.rows)).repeat(self.n_pos)
-        cols = index.pool_columns(query, doc)
+        cols = dataset.pool_columns(query, doc)
         found = cols >= 0
         self.not_negative[at[found], cols[found]] = True
         is_negative = ~self.not_negative
         self.n_neg = np.count_nonzero(is_negative, axis=1)
-        self.bare = next((list(dataset.queries)[r] for r in self.rows[self.n_neg == 0]), None)
+        self.bare = next((dataset.queries.ids[r] for r in self.rows[self.n_neg == 0]), None)
         self.position = np.cumsum(is_negative, axis=1) - 1
-        self.ids = index.pool_ids[self.rows]
+        self.ids = dataset.pool_ids[self.rows]
         self.n_hard = np.minimum(self.n_neg, HARD_NEGATIVES_PER_QUERY)
         self.neg_start = np.concatenate(([0], np.cumsum(self.n_neg)[:-1]))
-        self.all_negatives = index.pool_matrix[self.rows][is_negative]
+        self.all_negatives = dataset.pool_matrix[self.rows][is_negative]
 
     def hard(self, pooled: Pooled) -> np.ndarray:
         """Row i: the positions among query i's hinge negatives of those the
@@ -584,9 +582,9 @@ def _fit(dataset: Dataset, samples: np.ndarray, cfg: TrainConfig,
 
     queries = HingeSet(dataset, samples)
     if require_positives:
-        untrained = samples[queries.slot[dataset.index.sample_query[samples]] < 0]
+        untrained = samples[queries.slot[dataset.sample_query[samples]] < 0]
         if len(untrained):
-            query_id = dataset.samples[untrained[0]].query_id
+            query_id = dataset.sample_ids(untrained[0])[0]
             raise DataError(f"query {query_id!r} has samples but no positive")
 
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
@@ -607,7 +605,7 @@ def _fit(dataset: Dataset, samples: np.ndarray, cfg: TrainConfig,
 
 def train(split: CorpusSplit, cfg: TrainConfig) -> TrainResult:
     """Fit a fresh model on the full training set."""
-    return _fit(split.train, np.arange(len(split.train.samples)), cfg, require_positives=True)
+    return _fit(split.train, np.arange(split.train.n_samples), cfg, require_positives=True)
 
 
 def retrain(split: CorpusSplit, cfg: TrainConfig, part) -> TrainResult:

@@ -144,7 +144,7 @@ def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
         mrr_forget=mrr_forget(train, part).value,
         mrr_entangled=mrr_set(train, part.entangled).value,
         mrr_disjoint=mrr_set(train, part.disjoint).value,
-        mrr_test=mrr_set(test, np.arange(len(split.test.samples))).value,
+        mrr_test=mrr_set(test, np.arange(split.test.n_samples)).value,
         epoch_wall_time=wall,
     )
 
@@ -197,12 +197,13 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
 
     # every pair the teacher scores is a train sample: score them all once
     train = split.train
-    teacher = sample_scores(pool(m_train, train), np.arange(len(train.samples)))
+    teacher = sample_scores(pool(m_train, train), np.arange(train.n_samples))
     forget = part.forget.tolist()
-    floors = build_min_cache(train, teacher)[train.index.sample_query[part.forget]].tolist()
-    partners = [[(e, teacher[e]) for e in entangled_partners(part, x).tolist()]
-                if use_entangled else [] for x in forget]
-    positive = train.index.positive[part.disjoint].tolist()
+    floors = build_min_cache(train, teacher)[train.sample_query[part.forget]].tolist()
+    partners = [[(e, teacher[e]) for e in each.tolist()]
+                for each in entangled_partners(part, part.forget)] if use_entangled \
+        else [[] for _ in forget]
+    positive = train.positive[part.disjoint].tolist()
     disjoint = [(d, teacher[d]) for d in part.disjoint.tolist()]
     d_pos = [d for d, p in zip(disjoint, positive) if p]
     d_neg = [d for d, p in zip(disjoint, positive) if not p]
@@ -256,25 +257,25 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
               cfg: UnlearnConfig):
     """Push sampled pool negatives above each forget positive; train the entangled set."""
     margin, npp = _hinge(cfg)
-    index = split.train.index
-    forget = part.forget[index.positive[part.forget]]
+    train = split.train
+    forget = part.forget[train.positive[part.forget]]
     n_forget = len(forget)
-    positives = np.concatenate((forget, part.entangled[index.positive[part.entangled]]))
-    queries = HingeSet(split.train, np.arange(len(split.train.samples)))
-    at = queries.slot[index.sample_query[positives]]
+    positives = np.concatenate((forget, part.entangled[train.positive[part.entangled]]))
+    queries = HingeSet(train, np.arange(train.n_samples))
+    at = queries.slot[train.sample_query[positives]]
     n_negs, starts = queries.n_neg[at], queries.neg_start[at]
     bare = np.flatnonzero(n_negs == 0)
     if len(bare):
-        query_id = split.train.samples[positives[bare[0]]].query_id
+        query_id = train.sample_ids(positives[bare[0]])[0]
         if bare[0] < n_forget:
             raise ConfigError(f"forget query {query_id!r} has no pool negatives to promote")
         # an entangled positive trains as in pairwise_epoch, and fails as there
         raise DataError(f"query {query_id!r} has no pool negatives to train against")
-    query, doc = index.sample_query[positives].tolist(), index.sample_doc[positives].tolist()
+    query, doc = train.sample_query[positives].tolist(), train.sample_doc[positives].tolist()
 
     # the first n_forget positives draw the one negative they promote, the rest npp
     n_draws = np.array([1] * n_forget + [npp] * (len(positives) - n_forget), dtype=np.intp)
-    sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
+    sgd = Sgd(run.final_model, train, cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         draws = HingeDraws(sgd, margin)
@@ -297,13 +298,13 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
              cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
     margin, npp = _hinge(cfg)
-    index = split.train.index
-    positives = part.forget[index.positive[part.forget]]
-    queries = HingeSet(split.train, np.arange(len(split.train.samples)))
-    at = queries.slot[index.sample_query[positives]]
+    train = split.train
+    positives = part.forget[train.positive[part.forget]]
+    queries = HingeSet(train, np.arange(train.n_samples))
+    at = queries.slot[train.sample_query[positives]]
     n_negs, starts = queries.n_neg[at], queries.neg_start[at]
-    query, doc = index.sample_query[positives].tolist(), index.sample_doc[positives].tolist()
-    ascent = Sgd(run.final_model, split.train, -cfg.learning_rate)
+    query, doc = train.sample_query[positives].tolist(), train.sample_doc[positives].tolist()
+    ascent = Sgd(run.final_model, train, -cfg.learning_rate)
 
     def epoch(rng: np.random.Generator) -> None:
         draws = HingeDraws(ascent, margin)
@@ -334,7 +335,7 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     margin, npp = _hinge(cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    every = np.arange(len(split.train.samples))
+    every = np.arange(split.train.n_samples)
     queries = HingeSet(split.train, every)
     pooled = pool(m_train, split.train)  # once for both passes
     imp_f = _importance(m_train, pooled, part.forget, queries, margin, npp, rng)
@@ -366,9 +367,9 @@ def _importance(model: ScoreModel, pooled: Pooled, samples: np.ndarray,
     the parameters never move, so ``hinge_grad_squares`` then scores and
     differentiates all the draws in one batched pass.
     """
-    index = pooled.dataset.index
-    positives = samples[index.positive[samples]]
-    at = queries.slot[index.sample_query[positives]]
+    dataset = pooled.dataset
+    positives = samples[dataset.positive[samples]]
+    at = queries.slot[dataset.sample_query[positives]]
     n_negs, starts = queries.n_neg[at], queries.neg_start[at]
     drawn = n_negs > 0
     sq = np.zeros_like(model.params)
@@ -378,8 +379,8 @@ def _importance(model: ScoreModel, pooled: Pooled, samples: np.ndarray,
     # rng.integers(n_neg) call per draw, in the same order
     picks = rng.integers(n_negs[drawn].repeat(npp))
     neg_rows = queries.all_negatives[starts[drawn].repeat(npp) + picks].reshape(-1, npp)
-    hinge_grad_squares(pooled, index.sample_query[positives[drawn]],
-                       index.sample_doc[positives[drawn]], neg_rows, margin, sq)
+    hinge_grad_squares(pooled, dataset.sample_query[positives[drawn]],
+                       dataset.sample_doc[positives[drawn]], neg_rows, margin, sq)
     sq /= np.count_nonzero(drawn)
     return sq
 
@@ -431,5 +432,5 @@ def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
 def compute_destinations(train: Pooled, test: Pooled, part: Partition) -> Destinations:
     """Stopping targets derived from the retrained model, pooled over the
     train split and the test split (``pool_split``)."""
-    d2 = mrr_set(test, np.arange(len(test.dataset.samples))).value
+    d2 = mrr_set(test, np.arange(test.dataset.n_samples)).value
     return Destinations(d1=mrr_forget(train, part).value, d2=d2, d3=d2 / 2.0)

@@ -30,11 +30,11 @@ from .ranker import PairStep, Sgd
 def build_min_cache(dataset: Dataset, scores: Sequence[float]) -> np.ndarray:
     """Minimum teacher score per query row over all of the query's samples,
     inf for a query without one; ``scores[i]`` is the teacher's score of
-    ``dataset.samples[i]``. As in a running minimum taken with ``<`` in
+    the sample at position i. As in a running minimum taken with ``<`` in
     sample order, a NaN score is passed over unless it is the query's first."""
-    query = dataset.index.sample_query
+    query = dataset.sample_query
     scores = np.asarray(scores, dtype=float).reshape(len(query))  # ValueError unless one each
-    floors = np.full(len(dataset.queries), np.inf)
+    floors = np.full(len(dataset.queries.ids), np.inf)
     np.fmin.at(floors, query, scores)
     rows, first = np.unique(query, return_index=True)
     floors[rows[np.isnan(scores[first])]] = np.nan
@@ -60,12 +60,6 @@ def _abs_delta_terms(teacher_scores: Sequence[float],
     return total, upstream
 
 
-def _ids(sgd: Sgd, pair: int) -> str:
-    """The ids of the sample at position ``pair``, for an error message."""
-    s = sgd.dataset.samples[pair]
-    return f"({s.query_id!r}, {s.doc_id!r})"
-
-
 def contrastive_loss(floor: float, sgd: Sgd, forget_pair: int,
                      partner: tuple[int, float] | None) -> float:
     """relu(delta_min(floor, f(forget_pair))) + |delta(partner)|, partner term 0
@@ -79,8 +73,8 @@ def contrastive_loss(floor: float, sgd: Sgd, forget_pair: int,
     if partner is not None:
         rows.append(sgd.pairs[partner[0]])
         if not (rows[1][0] == rows[0][0] or rows[1][1] == rows[0][1]):
-            raise ConfigError(f"partner {_ids(sgd, partner[0])} shares no id with "
-                              f"the forget pair {_ids(sgd, forget_pair)}")
+            raise ConfigError(f"partner {sgd.dataset.sample_ids(partner[0])!r} shares no id "
+                              f"with the forget pair {sgd.dataset.sample_ids(forget_pair)!r}")
 
     step = PairStep(sgd, rows)
     f_w = step.scores[0]
@@ -98,11 +92,11 @@ def contrastive_loss(floor: float, sgd: Sgd, forget_pair: int,
 
 def consistent_loss(sgd: Sgd, pos_pair: tuple[int, float], neg_pair: tuple[int, float]) -> float:
     """|delta(pos_pair)| + |delta(neg_pair)|: pins both pairs to the teacher."""
-    positive = sgd.dataset.index.positive
-    if not positive[pos_pair[0]]:
-        raise ConfigError(f"pos_pair {_ids(sgd, pos_pair[0])} is not positive")
-    if positive[neg_pair[0]]:
-        raise ConfigError(f"neg_pair {_ids(sgd, neg_pair[0])} is not negative")
+    dataset = sgd.dataset
+    if not dataset.positive[pos_pair[0]]:
+        raise ConfigError(f"pos_pair {dataset.sample_ids(pos_pair[0])!r} is not positive")
+    if dataset.positive[neg_pair[0]]:
+        raise ConfigError(f"neg_pair {dataset.sample_ids(neg_pair[0])!r} is not negative")
     return _abs_delta_loss(sgd, (pos_pair, neg_pair))
 
 

@@ -5,12 +5,13 @@ unlearning runs are session-scoped; they are the expensive artifacts
 that several test modules compare against.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from numur import (CorpusSplit, Dataset, Document, ForgetSpec, Label, Query,
-                   RemovalKind, Sample, SyntheticConfig, TrainConfig,
-                   generate_synthetic, partition, retrain, train)
+from numur import (CorpusSplit, Dataset, ForgetSpec, Label, RemovalKind, SyntheticConfig,
+                   TrainConfig, generate_synthetic, partition, retrain, train)
 from numur.partition import sample_forget_spec
 
 ACCEPT_CORPUS = SyntheticConfig(n_queries=64, n_docs=256, vocab_size=512,
@@ -20,6 +21,13 @@ ACCEPT_TRAIN = TrainConfig(learning_rate=0.05, epochs=30, margin=1.0, seed=7,
                            negatives_per_positive=4, dim=16)
 ACCEPT_UNLEARN_LR = 0.5
 ACCEPT_MAX_EPOCHS = 200
+
+
+class Sample(NamedTuple):
+    """A sample by its ids, as ``Dataset.of`` takes it and ``samples_of`` reads it."""
+    query_id: str
+    doc_id: str
+    label: Label
 
 
 def build_dataset(samples, pools, vocab_size=32, extra_docs=()):
@@ -35,50 +43,67 @@ def build_dataset(samples, pools, vocab_size=32, extra_docs=()):
     sample_objs = []
     for qid, did, label in samples:
         if qid not in queries:
-            queries[qid] = Query(qid, (next_token(), next_token()))
+            queries[qid] = (next_token(), next_token())
         if did not in documents:
-            documents[did] = Document(did, (next_token(), next_token()))
+            documents[did] = (next_token(), next_token())
         sample_objs.append(Sample(qid, did, Label.POSITIVE if label else Label.NEGATIVE))
     for did in extra_docs:
         if did not in documents:
-            documents[did] = Document(did, (next_token(), next_token()))
+            documents[did] = (next_token(), next_token())
     for qid, docs in pools.items():
         if qid not in queries:
-            queries[qid] = Query(qid, (next_token(), next_token()))
+            queries[qid] = (next_token(), next_token())
         for did in docs:
             if did not in documents:
-                documents[did] = Document(did, (next_token(), next_token()))
-    ds = Dataset(queries=queries, documents=documents, samples=sample_objs,
-                 pools={q: tuple(p) for q, p in pools.items()}, vocab_size=vocab_size)
-    ds.validate()
-    return ds
+                documents[did] = (next_token(), next_token())
+    return Dataset.of(queries=queries, docs=documents, samples=sample_objs,
+                      pools={q: tuple(p) for q, p in pools.items()}, vocab_size=vocab_size)
+
+
+def empty_dataset(vocab_size):
+    """A dataset without queries, docs, samples or pools."""
+    return Dataset.of(queries={}, docs={}, samples=[], pools={}, vocab_size=vocab_size)
+
+
+def samples_of(dataset):
+    """Every sample of ``dataset`` by its ids, in position order."""
+    query_ids, doc_ids = dataset.queries.ids, dataset.docs.ids
+    return [Sample(query_ids[q], doc_ids[d], Label.POSITIVE if p else Label.NEGATIVE)
+            for q, d, p in zip(dataset.sample_query.tolist(), dataset.sample_doc.tolist(),
+                               dataset.positive.tolist())]
+
+
+def tokens_of(items):
+    """The token tuple of each id of ``items`` (a dataset's queries or docs), by id."""
+    flat, starts = items.flat.tolist(), items.starts.tolist()
+    return {ident: tuple(flat[a:b]) for ident, a, b in zip(items.ids, starts, starts[1:])}
 
 
 def every(dataset):
     """The positions of all samples of ``dataset``."""
-    return np.arange(len(dataset.samples))
+    return np.arange(dataset.n_samples)
 
 
 def samples_at(dataset, positions):
     """The samples of ``dataset`` at ``positions``, in that order."""
-    return [dataset.samples[i] for i in positions]
+    samples = samples_of(dataset)
+    return [samples[i] for i in positions]
 
 
 def forget_query_ids(dataset, part):
     """The ids of the queries of ``part``'s forget samples."""
-    return {dataset.samples[i].query_id for i in part.forget}
+    return {s.query_id for s in samples_at(dataset, part.forget)}
 
 
 def pair_rows(dataset, positions):
     """The (query row, doc row) of the sample at each of ``positions``."""
-    index = dataset.index
-    return list(zip(index.sample_query[positions].tolist(),
-                    index.sample_doc[positions].tolist()))
+    return list(zip(dataset.sample_query[positions].tolist(),
+                    dataset.sample_doc[positions].tolist()))
 
 
 def position_of(dataset, query_id, doc_id):
-    """The position of the (query_id, doc_id) sample in ``dataset.samples``."""
-    return next(i for i, s in enumerate(dataset.samples)
+    """The position of the (query_id, doc_id) sample."""
+    return next(i for i, s in enumerate(samples_of(dataset))
                 if (s.query_id, s.doc_id) == (query_id, doc_id))
 
 

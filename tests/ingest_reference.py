@@ -2,22 +2,37 @@
 ``numur.corpus`` replaced with whole-file array passes, kept as the
 reference the array versions are compared against.
 
-``load_dataset`` reads every line of the four files in turn and raises
-at the first invalid one; ``build_index`` builds a ``DatasetIndex`` one
-pool at a time from per-item token arrays.
+``load_dataset`` reads every line of the four files in turn, raises at
+the first invalid one and returns the corpus as id-keyed values
+(``Corpus``); ``build_index`` builds the arrays of a ``Dataset`` from
+those one pool at a time, from per-item token arrays.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from numur.corpus import (POOLS_HEADER, QRELS_HEADER, Dataset, DatasetIndex, Document, Label,
-                          Query, Sample, _check_tokens, _pool_key)
+from numur.corpus import POOLS_HEADER, QRELS_HEADER, Label, _check_tokens
 from numur.errors import DataError
+
+
+@dataclass
+class Corpus:
+    """One split by ids: token tuples by query id and by doc id, (query id,
+    doc id, label) samples in file order, and each pool's doc ids by query
+    id, pools in the order their queries first appear."""
+
+    queries: dict[str, tuple[int, ...]]
+    docs: dict[str, tuple[int, ...]]
+    samples: list[tuple[str, str, Label]]
+    pools: dict[str, tuple[str, ...]]
+    vocab_size: int
 
 
 def _lines(path: Path) -> list[str]:
@@ -83,30 +98,26 @@ def _read_tsv(path: Path, header: str):
 
 def load_dataset(queries_path: str | Path, docs_path: str | Path,
                  qrels_path: str | Path, pools_path: str | Path, *,
-                 docs_from: Dataset | None = None) -> Dataset:
-    """Load a dataset from its four files, validating every invariant.
+                 docs_from: Corpus | None = None) -> Corpus:
+    """Load a split from its four files, validating every invariant.
 
     The vocabulary size is inferred as one past the largest token seen.
     Sample order follows qrels file order; pool order follows rank_hint.
-    ``docs_from``, a dataset loaded from the same docs file, lends its
-    documents, which stand in for that file (it is not read again), and
-    the doc half of its ``index`` (doc rows, length groups, id order).
+    ``docs_from``, a split loaded from the same docs file, lends its docs,
+    which stand in for that file (it is not read again).
     """
     queries_path, docs_path = Path(queries_path), Path(docs_path)
     qrels_path, pools_path = Path(qrels_path), Path(pools_path)
 
-    queries = {qid: Query(qid, toks) for qid, toks in _read_jsonl_items(queries_path)}
-    if docs_from is not None:
-        documents = docs_from.documents
-    else:
-        documents = {did: Document(did, toks) for did, toks in _read_jsonl_items(docs_path)}
+    queries = dict(_read_jsonl_items(queries_path))
+    documents = docs_from.docs if docs_from is not None else dict(_read_jsonl_items(docs_path))
 
     max_token, min_token = -1, 0
-    for item in (*queries.values(), *documents.values()):
-        if not item.tokens:
-            raise DataError(f"{item.id!r} has an empty token list")
-        max_token = max(max_token, max(item.tokens))
-        min_token = min(min_token, min(item.tokens))
+    for ident, tokens in (*queries.items(), *documents.items()):
+        if not tokens:
+            raise DataError(f"{ident!r} has an empty token list")
+        max_token = max(max_token, max(tokens))
+        min_token = min(min_token, min(tokens))
     vocab_size = max_token + 1 if max_token >= 0 else 1
 
     # rank_hint of each pool entry, per query in file order
@@ -129,7 +140,7 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     # sorted() is stable: equal hints keep their file order
     pools = {qid: tuple(sorted(hints, key=hints.__getitem__)) for qid, hints in hints_of.items()}
 
-    samples: list[Sample] = []
+    samples: list[tuple[str, str, Label]] = []
     seen_pairs: set[tuple[str, str]] = set()
     for lineno, (qid, did, label_text) in _read_tsv(qrels_path, QRELS_HEADER):
         if qid not in queries:
@@ -146,18 +157,16 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
             kind = "positive" if label is Label.POSITIVE else "negative"
             raise DataError(
                 f"{qrels_path}:{lineno}: {kind} sample doc {did!r} absent from pool of {qid!r}")
-        samples.append(Sample(qid, did, label))
+        samples.append((qid, did, label))
 
-    # The line checks above cover every invariant of Dataset.validate but
-    # one: tokens below zero. Report the first, as validate would.
+    # The line checks above cover every invariant of Dataset.of but one:
+    # tokens below zero. Report the first, as Dataset.of would.
     if min_token < 0:
-        for kind, items in (("query", queries.values()), ("document", documents.values())):
-            for item in items:
-                _check_tokens(kind, item.id, item.tokens, vocab_size)
-    dataset = Dataset(queries=queries, documents=documents, samples=samples,
-                      pools=pools, vocab_size=vocab_size)
-    dataset._docs_indexed_by = docs_from
-    return dataset
+        for kind, items in (("query", queries), ("document", documents)):
+            for ident, tokens in items.items():
+                _check_tokens(kind, ident, tokens, vocab_size)
+    return Corpus(queries=queries, docs=documents, samples=samples, pools=pools,
+                  vocab_size=vocab_size)
 
 
 def _length_groups(tokens: list[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -170,11 +179,12 @@ def _length_groups(tokens: list[np.ndarray]) -> tuple[tuple[np.ndarray, np.ndarr
                  for _, rows in sorted(by_len.items()))
 
 
-def build_index(dataset: Dataset, docs: DatasetIndex | None = None) -> DatasetIndex:
-    """The index of ``dataset``; the doc half is taken from ``docs`` when given,
-    which must index the same documents dict."""
-    qtok = {q.id: np.asarray(q.tokens, dtype=np.int64) for q in dataset.queries.values()}
-    dtok = {d.id: np.asarray(d.tokens, dtype=np.int64) for d in dataset.documents.values()}
+def build_index(dataset: Corpus, docs: SimpleNamespace | None = None) -> SimpleNamespace:
+    """The arrays of a ``Dataset`` of ``dataset``, by field name; the doc half
+    (``doc_row``, ``groups``, ``id_order``) is taken from ``docs`` when given,
+    which must index the same docs dict."""
+    qtok = {qid: np.asarray(tokens, dtype=np.int64) for qid, tokens in dataset.queries.items()}
+    dtok = {did: np.asarray(tokens, dtype=np.int64) for did, tokens in dataset.docs.items()}
     if docs is None:
         doc_row = {did: i for i, did in enumerate(dtok)}
         groups = _length_groups(list(dtok.values()))
@@ -186,13 +196,13 @@ def build_index(dataset: Dataset, docs: DatasetIndex | None = None) -> DatasetIn
     query_row = {qid: i for i, qid in enumerate(qtok)}
     pool_rows: dict[str, np.ndarray] = {}
     for qid, pool in dataset.pools.items():
+        if qid not in query_row:
+            raise DataError(f"pool references unknown query id {qid!r}")
         try:
             pool_rows[qid] = np.asarray([doc_row[did] for did in pool], dtype=np.intp)
         except KeyError as exc:
             raise DataError(f"pool of query {qid!r} references unknown doc id "
                             f"{exc.args[0]!r}") from None
-        if qid not in query_row:
-            raise DataError(f"pool references unknown query id {qid!r}")
     pad = len(doc_row)
     pool_len = np.zeros(len(query_row), dtype=np.intp)
     for qid, rows in pool_rows.items():
@@ -201,28 +211,24 @@ def build_index(dataset: Dataset, docs: DatasetIndex | None = None) -> DatasetIn
                           dtype=np.intp)
     for qid, rows in pool_rows.items():
         pool_matrix[query_row[qid], :len(rows)] = rows
-    in_pool = pool_matrix < pad
-    keys = _pool_key(np.arange(len(query_row))[:, None], pool_matrix, pad)[in_pool]
-    order = np.argsort(keys, kind="stable")
     query_id_order = np.empty(len(query_row), dtype=np.intp)
     for pos, qid in enumerate(sorted(query_row)):
         query_id_order[query_row[qid]] = pos
     sample_query, sample_doc = [], []
-    for s in dataset.samples:
-        if s.query_id not in query_row:
-            raise DataError(f"sample references unknown query id {s.query_id!r}")
-        if s.doc_id not in doc_row:
-            raise DataError(f"sample references unknown doc id {s.doc_id!r}")
-        sample_query.append(query_row[s.query_id])
-        sample_doc.append(doc_row[s.doc_id])
-    return DatasetIndex(doc_row=doc_row, groups=groups, id_order=id_order,
-                        query_row=query_row,
-                        query_groups=_length_groups(list(qtok.values())),
-                        pool_matrix=pool_matrix,
-                        pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
-                        pool_keys=keys[order], pool_cols=np.nonzero(in_pool)[1][order],
-                        query_id_order=query_id_order,
-                        sample_query=np.asarray(sample_query, dtype=np.intp),
-                        sample_doc=np.asarray(sample_doc, dtype=np.intp),
-                        positive=np.asarray([s.label is Label.POSITIVE for s in dataset.samples],
-                                            dtype=bool))
+    for qid, did, _ in dataset.samples:
+        if qid not in query_row:
+            raise DataError(f"sample references unknown query id {qid!r}")
+        if did not in doc_row:
+            raise DataError(f"sample references unknown doc id {did!r}")
+        sample_query.append(query_row[qid])
+        sample_doc.append(doc_row[did])
+    return SimpleNamespace(doc_row=doc_row, groups=groups, id_order=id_order,
+                           query_row=query_row,
+                           query_groups=_length_groups(list(qtok.values())),
+                           pool_matrix=pool_matrix,
+                           pool_ids=np.append(id_order, pad)[pool_matrix], pool_len=pool_len,
+                           query_id_order=query_id_order,
+                           sample_query=np.asarray(sample_query, dtype=np.intp),
+                           sample_doc=np.asarray(sample_doc, dtype=np.intp),
+                           positive=np.asarray([label is Label.POSITIVE
+                                                for _, _, label in dataset.samples], dtype=bool))

@@ -29,38 +29,38 @@ def _row(row_of: dict[str, int], kind: str, ident: str) -> int:
 
 
 def _query_row(dataset: Dataset, query_id: str) -> int:
-    return _row(dataset.index.query_row, "query", query_id)
+    return _row(dataset.queries.row, "query", query_id)
 
 
 def _doc_row(dataset: Dataset, doc_id: str) -> int:
-    return _row(dataset.index.doc_row, "doc", doc_id)
+    return _row(dataset.docs.row, "doc", doc_id)
 
 
 def _check_pool(dataset: Dataset, query_id: str) -> None:
     """DataError unless ``query_id`` is a query of ``dataset`` with a non-empty pool."""
-    if query_id not in dataset.queries:
+    if query_id not in dataset.queries.row:
         raise DataError(f"unknown query id {query_id!r}")
     if not dataset.pools.get(query_id):
         raise DataError(f"query {query_id!r} has an empty pool")
 
 
-def _token_row(table, row: int) -> np.ndarray:
-    return table.flat[table.starts[row]:table.starts[row + 1]]
+def _token_row(items, row: int) -> np.ndarray:
+    return items.flat[items.starts[row]:items.starts[row + 1]]
 
 
 def query_tokens(dataset: Dataset, query_id: str) -> np.ndarray:
     """The query's tokens, a view of the dataset's query token table."""
-    return _token_row(dataset.token_rows()[0], _query_row(dataset, query_id))
+    return _token_row(dataset.queries, _query_row(dataset, query_id))
 
 
 def doc_tokens(dataset: Dataset, doc_id: str) -> np.ndarray:
     """The doc's tokens, a view of the dataset's doc token table."""
-    return _token_row(dataset.token_rows()[1], _doc_row(dataset, doc_id))
+    return _token_row(dataset.docs, _doc_row(dataset, doc_id))
 
 
 def pool_rows(dataset: Dataset, query_id: str) -> np.ndarray:
     """The doc rows of the query's pool, in pool order, mapped id by id."""
-    return np.array([dataset.index.doc_row[did] for did in dataset.pools[query_id]],
+    return np.array([dataset.docs.row[did] for did in dataset.pools[query_id]],
                     dtype=np.intp)
 
 
@@ -127,6 +127,6 @@ def rank(model: ScoreModel, dataset: Dataset, query_id: str) -> RankedList:
     _check_pool(dataset, query_id)
     rows = pool_rows(dataset, query_id)
     scores = score_pool(model, dataset, query_id)
-    order = np.lexsort((dataset.index.id_order[rows], -scores))
+    order = np.lexsort((dataset.docs.id_order[rows], -scores))
     pool = dataset.pools[query_id]
     return RankedList(query_id=query_id, doc_ids=tuple(pool[i] for i in order))

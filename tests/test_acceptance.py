@@ -19,7 +19,7 @@ from numur.cli import main as cli_main
 from numur.ranker import PairStep, sample_scores
 
 from conftest import (ACCEPT_MAX_EPOCHS, ACCEPT_UNLEARN_LR, build_dataset, every,
-                      forget_query_ids, pair_rows, samples_at)
+                      forget_query_ids, pair_rows, samples_at, samples_of)
 from scoring_reference import Accumulate, forward, hinge_loss_and_grad
 from test_evaluation import brute_force_first_rank, set_scores
 from test_partition import brute_force_partition, keys_at, keyset, random_dataset_and_spec
@@ -48,7 +48,7 @@ def test_c01_partition_oracle():
             part = partition(dataset, spec)
         except ConfigError:
             forget, _, _ = brute_force_partition(dataset, spec)
-            assert len(forget) == len(dataset.samples)
+            assert len(forget) == dataset.n_samples
             continue
         forget, entangled, disjoint = brute_force_partition(dataset, spec)
         assert keys_at(dataset, part.forget) == keyset(forget)
@@ -77,8 +77,8 @@ def test_c02_gradient_suite():
     while checked < 100:  # forward scores
         ds = tiny_dataset(rng)
         m = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
-        at = int(rng.integers(len(ds.samples)))
-        s = ds.samples[at]
+        at = int(rng.integers(ds.n_samples))
+        s = samples_of(ds)[at]
         upstream = float(rng.normal())
         if abs(upstream) < 1e-3:
             continue
@@ -115,18 +115,19 @@ def test_c02_gradient_suite():
         ds = tiny_dataset(rng)
         teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
         student = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
-        x = ds.samples[0]
+        samples = samples_of(ds)
+        x = samples[0]
         teacher_scores = sample_scores(pool(teacher, ds), every(ds))
-        floor = build_min_cache(ds, teacher_scores)[ds.index.query_row[x.query_id]]
-        partner = next((i for i, s in enumerate(ds.samples)
+        floor = build_min_cache(ds, teacher_scores)[ds.queries.row[x.query_id]]
+        partner = next((i for i, s in enumerate(samples)
                         if i and (s.query_id == x.query_id or s.doc_id == x.doc_id)), None)
         adjusted = delta_min(floor, score(student, ds, x))
         partner_gap = 1.0 if partner is None else \
-            gap(teacher, student, ds, ds.samples[partner])
+            gap(teacher, student, ds, samples[partner])
         if abs(adjusted) < 1e-3 or abs(partner_gap) < 1e-3:
             continue
         partner = None if partner is None else \
-            (partner, score(teacher, ds, ds.samples[partner]))
+            (partner, score(teacher, ds, samples[partner]))
         buf = Accumulate(student, ds)
         contrastive_loss(floor, buf, 0, partner)
         num_q, num_d = finite_difference(
@@ -139,8 +140,8 @@ def test_c02_gradient_suite():
     checked = 0
     while checked < 100:  # consistent loss
         ds = tiny_dataset(rng)
-        pos = next((s for s in ds.samples if s.label is Label.POSITIVE), None)
-        neg = next((s for s in ds.samples if s.label is Label.NEGATIVE), None)
+        pos = next((s for s in samples_of(ds) if s.label is Label.POSITIVE), None)
+        neg = next((s for s in samples_of(ds) if s.label is Label.NEGATIVE), None)
         if pos is None or neg is None:
             continue
         teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
@@ -148,7 +149,7 @@ def test_c02_gradient_suite():
         gaps = (gap(teacher, student, ds, pos), gap(teacher, student, ds, neg))
         if min(abs(g) for g in gaps) < 1e-3:
             continue
-        pos, neg = ((ds.samples.index(s), score(teacher, ds, s)) for s in (pos, neg))
+        pos, neg = ((samples_of(ds).index(s), score(teacher, ds, s)) for s in (pos, neg))
         buf = Accumulate(student, ds)
         consistent_loss(buf, pos, neg)
         num_q, num_d = finite_difference(
@@ -170,7 +171,7 @@ def test_c03_mrr_oracle():
         ds = tiny_dataset(rng, vocab=24, n_queries=3, n_docs=6)
         m = init_model(24, 3, seed=int(rng.integers(1 << 31)))
         if rng.random() < 0.5:
-            docs = sorted({s.doc_id for s in ds.samples})
+            docs = sorted({s.doc_id for s in samples_of(ds)})
             marked = frozenset(docs[:int(rng.integers(1, len(docs)))])
             spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=marked)
             try:
@@ -185,8 +186,8 @@ def test_c03_mrr_oracle():
                                               {d for d in ds.pools[qid] if d in marked})
                        for qid in forget_query_ids(ds, part)) if r is not None]
         else:
-            k = int(rng.integers(1, len(ds.samples) + 1))
-            subset = rng.permutation(len(ds.samples))[:k]
+            k = int(rng.integers(1, ds.n_samples + 1))
+            subset = rng.permutation(ds.n_samples)[:k]
             got = mrr_set(pool(m, ds), subset).value
             positives = {}
             for s in samples_at(ds, subset):

@@ -8,13 +8,13 @@ import pytest
 
 from numur import (CorpusSplit, ForgetSpec, Method, RemovalKind, ScoreModel, TrainConfig,
                    UnlearnConfig, cli, compute_destinations, init_model, load_forget_spec,
-                   load_model, mrr_forget, mrr_set, partition, pool_split, ranker,
+                   load_dataset, load_model, mrr_forget, mrr_set, partition, pool_split, ranker,
                    save_forget_spec, save_model, train, unlearn)
 from numur.cli import _load_split, _write_csv, _write_json, main
 from numur.corpus import atomic_write
 from numur.unlearn_engine import _evaluate
 
-from conftest import every, spy
+from conftest import every, samples_of, spy
 
 SMALL_CONFIG = {
     "corpus": {"n_queries": 12, "n_docs": 48, "vocab_size": 128,
@@ -264,7 +264,7 @@ class TestErrors:
     def test_retrain_on_an_empty_forget_set_writes_nothing(self, workdir, tmp_path, capsys):
         # a pooled doc with no sample: the spec is valid, but forgets no sample
         split = _load_split(workdir / "runs")
-        sampled = {s.doc_id for s in split.train.samples}
+        sampled = {s.doc_id for s in samples_of(split.train)}
         unsampled = next(d for pool in split.train.pools.values() for d in pool
                          if d not in sampled)
         spec = tmp_path / "spec.json"
@@ -450,16 +450,17 @@ class TestDocPooling:
     def test_checkpoints_and_destinations_pool_once_on_loaded_splits(self, workdir, pooled):
         docs, queries = pooled
         split, part, model = self.world(workdir)
-        assert split.test.index.doc_row is split.train.index.doc_row
+        assert split.test.docs is split.train.docs
         record = _evaluate(model, split, part, 0, 0.0)
         assert len(docs) == 1
         assert self.counts(queries, split) == (1, 1)
         dest = compute_destinations(*pool_split(model, split), part)
         assert len(docs) == 2
         assert self.counts(queries, split) == (2, 2)
-        # a hand-assembled test split indexes its own docs, and pools them
-        own = CorpusSplit(train=split.train, test=replace(split.test))
-        assert own.test.index.doc_row is not own.train.index.doc_row
+        # a hand-assembled test split holds a doc side of its own, and pools its docs
+        own = CorpusSplit(train=split.train,
+                          test=replace(split.test, docs=replace(split.test.docs)))
+        assert own.test.docs is not own.train.docs
         assert _evaluate(model, own, part, 0, 0.0) == record
         assert len(docs) == 4
         assert compute_destinations(*pool_split(model, own), part) == dest
@@ -807,20 +808,18 @@ def test_docs_file_is_read_once_per_command(workdir, monkeypatch):
 
 
 def test_both_splits_map_every_doc_to_the_same_row(workdir):
-    from numur.cli import _load_split
-    from numur.corpus import DatasetIndex
+    from numur.cli import _corpus_paths, _load_split
 
     split = _load_split(workdir / "runs")
-    train, test = split.train.index, split.test.index
-    assert test.doc_row is train.doc_row  # built once, for the train split
-    assert test.groups is train.groups and test.id_order is train.id_order
-    # and the shared half is what the test split would build on its own
-    alone = DatasetIndex.build(split.test)
-    assert alone.doc_row == test.doc_row and np.array_equal(alone.id_order, test.id_order)
-    for (rows, toks), (want_rows, want_toks) in zip(test.groups, alone.groups, strict=True):
+    train, test = split.train.docs, split.test.docs
+    assert test is train  # one doc side, with its row map, groups and id order built once
+    # and it is what the test split would load on its own
+    alone = load_dataset(*_corpus_paths(workdir / "runs", "test"))
+    assert alone.docs.row == test.row and np.array_equal(alone.docs.id_order, test.id_order)
+    for (rows, toks), (want_rows, want_toks) in zip(test.groups, alone.docs.groups, strict=True):
         assert np.array_equal(rows, want_rows) and np.array_equal(toks, want_toks)
-    assert np.array_equal(test.pool_matrix, alone.pool_matrix)
-    assert np.array_equal(test.pool_len, alone.pool_len)
+    assert np.array_equal(split.test.pool_matrix, alone.pool_matrix)
+    assert np.array_equal(split.test.pool_len, alone.pool_len)
 
 class _Unprintable:
     def __str__(self):

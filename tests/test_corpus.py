@@ -1,10 +1,10 @@
 import pytest
 
-from numur import (ConfigError, DataError, Label, SyntheticConfig, dataset_stats,
+from numur import (ConfigError, DataError, Dataset, Label, SyntheticConfig, dataset_stats,
                    generate_synthetic, load_dataset, save_dataset)
 from numur.corpus import QRELS_HEADER, POOLS_HEADER
 
-from conftest import figure_case_dataset
+from conftest import empty_dataset, figure_case_dataset, samples_of, tokens_of
 
 
 def write_corpus_files(tmp_path, dataset):
@@ -19,10 +19,10 @@ class TestLoadDataset:
         ds = figure_case_dataset()
         paths = write_corpus_files(tmp_path, ds)
         loaded = load_dataset(*paths)
-        assert len(loaded.samples) == 7
-        assert len(loaded.queries) == 5
-        assert len(loaded.documents) == 5
-        assert [s.query_id for s in loaded.samples] == [s.query_id for s in ds.samples]
+        assert loaded.n_samples == 7
+        assert len(loaded.queries.ids) == 5
+        assert len(loaded.docs.ids) == 5
+        assert [s.query_id for s in samples_of(loaded)] == [s.query_id for s in samples_of(ds)]
         assert loaded.pools == ds.pools
 
     def test_round_trip_bytes(self, tmp_path):
@@ -40,7 +40,7 @@ class TestLoadDataset:
         q, d, qr, po = write_corpus_files(tmp_path, ds)
         qr.write_text(QRELS_HEADER + "\n", encoding="utf-8")
         loaded = load_dataset(q, d, qr, po)
-        assert loaded.samples == []
+        assert samples_of(loaded) == []
 
     def test_dangling_doc_reference(self, tmp_path):
         ds = figure_case_dataset()
@@ -91,25 +91,25 @@ class TestLoadDataset:
 class TestGenerateSynthetic:
     def test_acceptance_counts(self):
         split = generate_synthetic(SyntheticConfig())
-        assert len(split.train.queries) == 51
-        assert len(split.test.queries) == 13
+        assert len(split.train.queries.ids) == 51
+        assert len(split.test.queries.ids) == 13
         assert all(len(p) == 100 for p in split.train.pools.values())
         assert all(len(p) == 100 for p in split.test.pools.values())
 
     def test_determinism(self):
         a = generate_synthetic(SyntheticConfig())
         b = generate_synthetic(SyntheticConfig())
-        assert a.train.samples == b.train.samples
-        assert a.train.queries == b.train.queries
-        assert a.train.documents == b.train.documents
+        assert samples_of(a.train) == samples_of(b.train)
+        assert tokens_of(a.train.queries) == tokens_of(b.train.queries)
+        assert tokens_of(a.train.docs) == tokens_of(b.train.docs)
         assert a.train.pools == b.train.pools
-        assert a.test.samples == b.test.samples
+        assert samples_of(a.test) == samples_of(b.test)
 
     def test_zero_entanglement_no_shared_positives(self):
         split = generate_synthetic(SyntheticConfig(entanglement_rate=0.0))
         owners = {}
         for ds in (split.train, split.test):
-            for s in ds.samples:
+            for s in samples_of(ds):
                 if s.label is Label.POSITIVE:
                     owners.setdefault(s.doc_id, set()).add(s.query_id)
         assert all(len(qs) == 1 for qs in owners.values())
@@ -117,18 +117,21 @@ class TestGenerateSynthetic:
     def test_positive_entanglement_shares_docs(self):
         split = generate_synthetic(SyntheticConfig())
         owners = {}
-        for s in split.train.samples:
+        for s in samples_of(split.train):
             if s.label is Label.POSITIVE:
                 owners.setdefault(s.doc_id, set()).add(s.query_id)
         assert any(len(qs) >= 2 for qs in owners.values())
 
     def test_invariants_hold(self):
         split = generate_synthetic(SyntheticConfig(seed=11))
-        split.validate()
+        for ds in (split.train, split.test):  # Dataset.of checks every invariant again
+            Dataset.of(tokens_of(ds.queries), tokens_of(ds.docs), samples_of(ds), ds.pools,
+                       ds.vocab_size)
+        split.check_disjoint()
 
     def test_test_queries_disjoint(self):
         split = generate_synthetic(SyntheticConfig())
-        assert not set(split.train.queries) & set(split.test.queries)
+        assert not set(split.train.queries.ids) & set(split.test.queries.ids)
 
     def test_infeasible_pool_size(self):
         with pytest.raises(ConfigError):
@@ -148,9 +151,7 @@ class TestDatasetStats:
         assert stats.mean_positives_per_query == pytest.approx(7 / 5)
 
     def test_empty_dataset(self):
-        from numur import Dataset
-        stats = dataset_stats(Dataset(queries={}, documents={}, samples=[],
-                                      pools={}, vocab_size=1))
+        stats = dataset_stats(empty_dataset(1))
         assert stats.n_samples == 0
         assert stats.mean_positives_per_query == 0.0
         assert stats.mean_pool_size == 0.0

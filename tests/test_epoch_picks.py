@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from scoring_reference import score_pool
 from test_scoring_properties import datasets, models
 
-from numur import (ConfigError, CorpusSplit, Dataset, Document, ForgetSpec, Label, Method,
-                   Query, RemovalKind, Sample, SyntheticConfig, UnlearnConfig, build_min_cache,
-                   consistent_loss, contrastive_loss, entangled_partners, generate_synthetic,
-                   init_model, partition, unlearn)
+from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method, RemovalKind,
+                   SyntheticConfig, UnlearnConfig, build_min_cache, consistent_loss,
+                   contrastive_loss, entangled_partners, generate_synthetic, init_model,
+                   partition, unlearn)
 from numur.partition import sample_forget_spec
 from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, Sgd, pool, sample_scores
 
-from conftest import every
+from conftest import Sample, every, samples_at, samples_of
 
 # Bounds of one draw each: 1 (a pick that can only be 0), small bounds, and
 # bounds at and past 2**32, where numpy draws from 64 bits instead of 32.
@@ -66,12 +66,11 @@ def mining_datasets(draw):
     doc_ids = [f"d{i}" for i in range(n_docs)]
     templates = draw(st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=6)
                               .map(tuple), min_size=1, max_size=4))
-    documents = {d: Document(d, draw(st.sampled_from(templates))) for d in doc_ids}
+    documents = {d: draw(st.sampled_from(templates)) for d in doc_ids}
     queries, pools, samples = {}, {}, []
     for qi in range(draw(st.integers(1, 5))):
         qid = f"q{qi}"
-        queries[qid] = Query(qid, tuple(draw(st.lists(st.integers(0, 9), min_size=1,
-                                                      max_size=4))))
+        queries[qid] = tuple(draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)))
         pool = draw(st.permutations(doc_ids))[:draw(st.integers(2, n_docs))]
         pools[qid] = tuple(pool)
         n_pos = draw(st.integers(1, len(pool) - 1))  # at least one negative
@@ -81,10 +80,8 @@ def mining_datasets(draw):
             if draw(st.booleans()):
                 samples.append(Sample(qid, did, Label.NEGATIVE))
     samples = draw(st.permutations(samples))
-    ds = Dataset(queries=queries, documents=documents, samples=samples, pools=pools,
-                 vocab_size=10)
-    ds.validate()
-    return ds
+    return Dataset.of(queries=queries, docs=documents, samples=samples, pools=pools,
+                      vocab_size=10)
 
 
 def loop_hard_negatives(model, ds, samples):
@@ -113,11 +110,11 @@ def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subs
     model.embed_d[nan_tokens] = np.nan  # every doc with one of these tokens scores NaN
     positions = every(ds)
     if subset:  # a retained subset, as retrain and cf mine from
-        positions = np.array(sorted(data.draw(st.lists(st.sampled_from(range(len(ds.samples))),
+        positions = np.array(sorted(data.draw(st.lists(st.sampled_from(range(ds.n_samples)),
                                                        unique=True))), dtype=np.intp)
-    samples = [ds.samples[i] for i in positions]
+    samples = samples_at(ds, positions)
     queries = HingeSet(ds, positions)
-    query_ids = list(ds.queries)
+    query_ids = ds.queries.ids
     qids = [query_ids[row] for row in queries.rows]
     with np.errstate(invalid="ignore"):
         want = loop_hard_negatives(model, ds, samples)
@@ -125,7 +122,7 @@ def test_batched_mining_is_the_per_query_sort(ds, model, scale, nan_tokens, subs
         if not qids:
             return
         hard = queries.hard(pool(model, ds))
-    doc_ids = list(ds.documents)
+    doc_ids = ds.docs.ids
     for i, qid in enumerate(qids):
         negatives = queries.all_negatives[queries.neg_start[i]:][:queries.n_neg[i]]
         assert [doc_ids[negatives[p]] for p in hard[i, :queries.n_hard[i]]] == want[qid]
@@ -137,8 +134,9 @@ def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2)
     teacher = sample_scores(pool(student, ds), every(ds))
     floors = build_min_cache(ds, teacher)
     disjoint = [(int(s), teacher[s]) for s in part.disjoint]
-    d_pos = [d for d in disjoint if ds.samples[d[0]].label is Label.POSITIVE]
-    d_neg = [d for d in disjoint if ds.samples[d[0]].label is Label.NEGATIVE]
+    samples = samples_of(ds)
+    d_pos = [d for d in disjoint if samples[d[0]].label is Label.POSITIVE]
+    d_neg = [d for d in disjoint if samples[d[0]].label is Label.NEGATIVE]
     sgd = Sgd(student, ds, UnlearnConfig().learning_rate)
     for _ in range(epochs):
         for i in rng.permutation(len(part.forget)):
@@ -147,13 +145,13 @@ def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2)
             partner = None
             if options and use_entangled:
                 partner = options[int(rng.integers(len(options)))]
-            floor = float(floors[ds.index.query_row[ds.samples[x].query_id]])
+            floor = float(floors[ds.queries.row[samples[x].query_id]])
             contrastive_loss(floor, sgd, x, partner)
         if not use_phase2:
             continue
         for i in rng.permutation(len(disjoint)):
             d = disjoint[int(i)]
-            if ds.samples[d[0]].label is Label.POSITIVE:
+            if samples[d[0]].label is Label.POSITIVE:
                 consistent_loss(sgd, d, d_neg[int(rng.integers(len(d_neg)))])
             else:
                 consistent_loss(sgd, d_pos[int(rng.integers(len(d_pos)))], d)
@@ -163,8 +161,9 @@ def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2)
 def forgettable_specs(draw, ds):
     """A removal spec naming some, but not all, of the ids of its kind that
     have samples: its forget set is neither empty nor every sample."""
-    ids = {RemovalKind.QUERY: sorted({s.query_id for s in ds.samples}),
-           RemovalKind.DOCUMENT: sorted({s.doc_id for s in ds.samples})}
+    samples = samples_of(ds)
+    ids = {RemovalKind.QUERY: sorted({s.query_id for s in samples}),
+           RemovalKind.DOCUMENT: sorted({s.doc_id for s in samples})}
     kinds = [kind for kind in RemovalKind if len(ids[kind]) > 1]
     assume(kinds)
     kind = draw(st.sampled_from(kinds))
@@ -182,7 +181,7 @@ def test_cocol_epochs_are_the_per_item_loop(ds, model, use_entangled, use_phase2
                         method_params={"entangled_term": use_entangled,
                                        "phase2": use_phase2})
     ref = type(model)(model.params.copy())
-    labels = {ds.samples[i].label for i in part.disjoint}
+    labels = {s.label for s in samples_at(ds, part.disjoint)}
     if use_phase2 and labels != {Label.POSITIVE, Label.NEGATIVE}:
         with pytest.raises(ConfigError, match="disjoint set lacks"):
             unlearn(model, CorpusSplit(train=ds, test=ds), part, cfg)

@@ -5,7 +5,7 @@ from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
                    SyntheticConfig, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
                    partition, pool, score_distribution, timing_metrics)
 
-from conftest import build_dataset, every, forget_query_ids, samples_at
+from conftest import build_dataset, every, forget_query_ids, samples_at, samples_of
 from scoring_reference import doc_tokens, forward, query_tokens, rank
 from test_ranker import tiny_dataset
 
@@ -146,7 +146,7 @@ class TestMrrForget:
         for _ in range(100):
             ds = tiny_dataset(rng, vocab=24, n_queries=3, n_docs=6)
             m = init_model(24, 3, seed=int(rng.integers(1 << 31)))
-            docs = sorted({s.doc_id for s in ds.samples})
+            docs = sorted({s.doc_id for s in samples_of(ds)})
             marked = frozenset(d for d in docs[:int(rng.integers(1, len(docs)))])
             spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=marked)
             try:
@@ -188,8 +188,8 @@ class TestMrrSet:
         for _ in range(100):
             ds = tiny_dataset(rng, vocab=24, n_queries=3, n_docs=6)
             m = init_model(24, 3, seed=int(rng.integers(1 << 31)))
-            k = int(rng.integers(1, len(ds.samples) + 1))
-            subset = rng.permutation(len(ds.samples))[:k]
+            k = int(rng.integers(1, ds.n_samples + 1))
+            subset = rng.permutation(ds.n_samples)[:k]
             result = mrr_set(pool(m, ds), subset)
             positives = {}
             for s in samples_at(ds, subset):
@@ -210,7 +210,7 @@ class TestMrrSet:
                   "q1": {"q1_d0": 8.0, "q1_d1": 6.0}, "q0": {"q0_d0": 8.0, "q0_d1": 2.0}}
         ds = build_dataset([(q, f"{q}_d0", 1) for q in tables],
                            {q: sorted(t) for q, t in tables.items()}, vocab_size=64)
-        assert list(ds.queries) == ["q2", "q1", "q0"]
+        assert ds.queries.ids == ["q2", "q1", "q0"]
         m = init_model(64, 2, seed=0)
         m.embed_q[:] = 0.0
         m.embed_d[:] = 0.0
@@ -231,7 +231,7 @@ class TestMrrSet:
         m = init_model(ds.vocab_size, 4, seed=0)
         m.embed_d[:] = np.nan
         positives = {}
-        for s in ds.samples:
+        for s in samples_of(ds):
             if s.label is Label.POSITIVE:
                 positives.setdefault(s.query_id, set()).add(s.doc_id)
         recips = []

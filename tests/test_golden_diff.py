@@ -90,3 +90,13 @@ def test_every_workload_unlearns_with_every_method_under_both_removal_kinds():
         specs = [args[2] for args in commands
                  if args[0] == "unlearn" and args[3:] == ["--method", "all", "--delta", "0.001"]]
         assert sorted(golden_diff._kind(s) for s in specs) == ["document", "query"]
+
+
+def test_every_workload_partitions_under_both_removal_kinds():
+    from perfbench.workloads import WORKLOADS
+
+    for workload in WORKLOADS.values():
+        commands = golden_diff._commands(workload, "0.001", Path("runs"))
+        specs = [args[2] for args in commands if args[0] == "partition"]
+        assert specs[0] == workload.spec
+        assert sorted(golden_diff._kind(s) for s in specs) == ["document", "query"]

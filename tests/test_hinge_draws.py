@@ -26,7 +26,7 @@ from numur import (ConfigError, CorpusSplit, DataError, Label, Method, Synthetic
 from numur.ranker import HingeDraws, HingeSet, Sgd, pairwise_epoch, pool
 from numur.unlearn_engine import _importance
 
-from conftest import every, samples_at
+from conftest import every, samples_at, samples_of
 
 REGIMES = ("none", "all", "some", "nan")
 
@@ -56,16 +56,16 @@ def same(a, b):
 
 
 def query_negatives(ds):
-    """Pool docs, in pool order, not positive for the query in ds.samples."""
+    """Pool docs, in pool order, not positive for the query among the samples of ds."""
     pos = {}
-    for s in ds.samples:
+    for s in samples_of(ds):
         if s.label is Label.POSITIVE:
             pos.setdefault(s.query_id, set()).add(s.doc_id)
     return {q: [d for d in ds.pools.get(q, ()) if d not in p] for q, p in pos.items()}
 
 
 def doc_rows(ds, doc_ids):
-    return [ds.index.doc_row[d] for d in doc_ids]
+    return [ds.docs.row[d] for d in doc_ids]
 
 
 class Loop:
@@ -101,7 +101,7 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     draws, loop = HingeDraws(sgd, margin), Loop(ref_sgd, margin)
     with np.errstate(all="ignore"):
         for qid, pos, negs in tasks:
-            draws.run(ds.index.query_row[qid], ds.index.doc_row[pos], doc_rows(ds, negs))
+            draws.run(ds.queries.row[qid], ds.docs.row[pos], doc_rows(ds, negs))
             for neg in negs:
                 loop.step(qid, pos, neg)
     assert same(model.params, ref_model.params)
@@ -122,7 +122,7 @@ def loop_pairwise_epoch(ds, samples, rng, margin, npp, loop):
         is_neg = np.array([d not in positives[qid] for d in ds.pools[qid]])
         uniform[qid] = [d for d in ds.pools[qid] if d not in positives[qid]]
         scores = score_pool(loop.model, ds, qid)[is_neg]
-        ids = ds.index.id_order[pool_rows(ds, qid)[is_neg]]
+        ids = ds.docs.id_order[pool_rows(ds, qid)[is_neg]]
         hard[qid] = [uniform[qid][i] for i in np.lexsort((ids, -scores))[:8]]
     total, steps = 0.0, 0
     for qi in rng.permutation(len(qids)):
@@ -149,7 +149,7 @@ def test_pairwise_epochs_are_the_per_draw_loop(ds, model, regime, seed, lr, npp,
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         for _ in range(3):
-            want = loop_pairwise_epoch(ds, ds.samples, ref_rng, margin, npp, loop)
+            want = loop_pairwise_epoch(ds, samples_of(ds), ref_rng, margin, npp, loop)
             got = pairwise_epoch(sgd, HingeSet(ds, every(ds)), pool(model, ds), rng, margin,
                                  npp)
             assert same(got, want)
@@ -223,7 +223,7 @@ def test_importance_is_the_per_draw_loop(ds, model, regime, seed, npp, data):
         sq, count = np.zeros_like(ref_model.params), 0
         buf = Accumulate(ref_model, ds)
         loop = Loop(buf, margin)
-        for s in ds.samples:
+        for s in samples_of(ds):
             if s.label is not Label.POSITIVE or not negatives[s.query_id]:
                 continue
             negs = negatives[s.query_id]
@@ -308,7 +308,7 @@ def test_importance_of_a_generated_corpus_is_the_per_draw_loop(block, margin):
     with patch.object(ranker, "GRAD_BLOCK", block):
         got = _importance(model, pool(model, ds), every(ds), HingeSet(ds, every(ds)),
                           margin, 4, rng)
-    want = loop_importance(model, ds, ds.samples, negatives, margin, 4, ref_rng)
+    want = loop_importance(model, ds, samples_of(ds), negatives, margin, 4, ref_rng)
     assert same(got, want) and np.count_nonzero(got)
 
 

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numur import DataError, Dataset, Document, Label, Query, Sample, load_dataset, save_dataset
+from numur import DataError, Dataset, Label, load_dataset, save_dataset
 from numur.corpus import POOLS_HEADER
 
-from conftest import figure_case_dataset
+from conftest import Sample, figure_case_dataset, samples_of, tokens_of
 
 FILES = ("queries", "docs", "qrels", "pools")
 Q2 = '{"id": "q2", "tokens": [3, 4]}'  # the saved line of q2 in queries.jsonl
@@ -103,8 +103,9 @@ def test_each_load_error_keeps_its_text_and_line(tmp_path, case, name, edit, lin
 
 
 def same_dataset(a: Dataset, b: Dataset) -> bool:
-    return (a.queries == b.queries and a.documents == b.documents and a.samples == b.samples
-            and a.pools == b.pools and a.vocab_size == b.vocab_size)
+    return (tokens_of(a.queries) == tokens_of(b.queries) and tokens_of(a.docs) == tokens_of(b.docs)
+            and samples_of(a) == samples_of(b) and a.pools == b.pools
+            and a.vocab_size == b.vocab_size)
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\r"])
@@ -151,7 +152,7 @@ def test_shared_documents_load_like_parsed_ones(tmp_path):
     paths["docs"].write_text("not json\n", encoding="utf-8")  # must not be read again
     shared = load_dataset(*paths.values(), docs_from=parsed)
     assert same_dataset(shared, parsed)
-    assert shared.documents is parsed.documents
+    assert shared.docs is parsed.docs
 
 
 IDS = st.text(alphabet="abqd019_-é", min_size=1, max_size=4)
@@ -162,8 +163,8 @@ TOKENS = st.lists(st.integers(0, 40), min_size=1, max_size=6).map(tuple)
 def small_datasets(draw):
     qids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
     dids = draw(st.lists(IDS, min_size=1, max_size=8, unique=True))
-    queries = {q: Query(q, draw(TOKENS)) for q in qids}
-    documents = {d: Document(d, draw(TOKENS)) for d in dids}
+    queries = {q: draw(TOKENS) for q in qids}
+    documents = {d: draw(TOKENS) for d in dids}
     pools, samples = {}, []
     for qid in qids:
         if draw(st.booleans()):  # some queries have no pool
@@ -175,9 +176,9 @@ def small_datasets(draw):
             if label is not None:
                 samples.append(Sample(qid, did, label))
     samples = draw(st.permutations(samples))
-    vocab = 1 + max(t for item in [*queries.values(), *documents.values()] for t in item.tokens)
-    return Dataset(queries=queries, documents=documents, samples=list(samples), pools=pools,
-                   vocab_size=vocab)
+    vocab = 1 + max(t for tokens in [*queries.values(), *documents.values()] for t in tokens)
+    return Dataset.of(queries=queries, docs=documents, samples=list(samples), pools=pools,
+                      vocab_size=vocab)
 
 
 @settings(max_examples=100, deadline=None)

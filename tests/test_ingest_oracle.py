@@ -6,11 +6,11 @@ shuffled pool lines, tied, negative, signed and 30-digit rank hints,
 blank lines, CRLF and CR line endings, a test split loaded with
 ``docs_from``, files parsed in blocks of as few as one line) both
 loaders must give the same dataset, in the same order, and the same
-index arrays, without running the per-line error path. On the same
-corpora with one or two lines corrupted, and on every case of
-``test_ingest``'s error table, both must raise the same ``DataError``,
-and so must both index builders on a hand-assembled dataset whose pools
-name unknown ids.
+arrays, without running the per-line error path. On the same corpora
+with one or two lines corrupted, and on every case of ``test_ingest``'s
+error table, both must raise the same ``DataError``, and so must
+``Dataset.of`` and the per-query builder on hand-assembled values whose
+pools name unknown ids.
 """
 
 import json
@@ -22,11 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as reference
-from numur import DataError, Dataset, Document, Query, load_dataset
+from numur import DataError, Dataset, load_dataset
 from numur import corpus
-from numur.corpus import POOLS_HEADER, QRELS_HEADER, DatasetIndex
+from numur.corpus import POOLS_HEADER, QRELS_HEADER
 from scoring_reference import doc_tokens, query_tokens
 
+from conftest import samples_of, tokens_of
 from test_ingest import ERROR_CASES, saved_figure_case
 
 FILES = ("queries", "docs", "qrels", "pools")
@@ -124,15 +125,16 @@ def load_both(loader, paths):
 
 
 def assert_same_dataset(got, want):
-    assert list(got.queries.items()) == list(want.queries.items())
-    assert list(got.documents.items()) == list(want.documents.items())
-    assert got.samples == want.samples
-    assert list(got.pools.items()) == list(want.pools.items())
+    """``got``, a loaded ``Dataset``, holds the values of ``want``, a reference ``Corpus``."""
+    assert list(tokens_of(got.queries).items()) == list(want.queries.items())
+    assert list(tokens_of(got.docs).items()) == list(want.docs.items())
+    assert samples_of(got) == want.samples
+    assert got.pools == want.pools
     assert got.vocab_size == want.vocab_size
-    for qid, query in got.queries.items():
-        assert np.array_equal(query_tokens(got, qid), np.asarray(query.tokens, dtype=np.int64))
-    for did, doc in got.documents.items():
-        assert np.array_equal(doc_tokens(got, did), np.asarray(doc.tokens, dtype=np.int64))
+    for qid, tokens in want.queries.items():
+        assert np.array_equal(query_tokens(got, qid), np.asarray(tokens, dtype=np.int64))
+    for did, tokens in want.docs.items():
+        assert np.array_equal(doc_tokens(got, did), np.asarray(tokens, dtype=np.int64))
 
 
 def assert_same_array(got, want):
@@ -148,13 +150,16 @@ def assert_same_groups(got, want):
 
 
 def assert_same_index(got, want):
-    for name in ("pool_matrix", "pool_ids", "pool_keys", "pool_cols", "pool_len", "id_order",
-                 "query_id_order", "sample_query", "sample_doc", "positive"):
+    """``got``, a ``Dataset``, holds the arrays ``build_index`` gave, ``want``."""
+    for name in ("pool_matrix", "pool_ids", "pool_len", "sample_query", "sample_doc",
+                 "positive"):
         assert_same_array(getattr(got, name), getattr(want, name))
-    assert_same_groups(got.groups, want.groups)
-    assert_same_groups(got.query_groups, want.query_groups)
-    assert list(got.doc_row.items()) == list(want.doc_row.items())
-    assert list(got.query_row.items()) == list(want.query_row.items())
+    assert_same_array(got.docs.id_order, want.id_order)
+    assert_same_array(got.queries.id_order, want.query_id_order)
+    assert_same_groups(got.docs.groups, want.groups)
+    assert_same_groups(got.queries.groups, want.query_groups)
+    assert list(got.docs.row.items()) == list(want.doc_row.items())
+    assert list(got.queries.row.items()) == list(want.query_row.items())
 
 
 def line_error_never_runs(*args):
@@ -172,13 +177,13 @@ def test_valid_corpora_load_like_the_line_by_line_loader(tmp_path_factory, corpu
     with mock.patch.object(corpus, "_line_error", line_error_never_runs), \
             mock.patch.object(corpus, "BLOCK_LINES", block):
         train, test = load_both(load_dataset, paths)
-        train_index, test_index = train.index, test.index
     want_train, want_test = load_both(reference.load_dataset, paths)
     assert_same_dataset(train, want_train)
     assert_same_dataset(test, want_test)
+    assert test.docs is train.docs
     want_train_index = reference.build_index(want_train)
-    assert_same_index(train_index, want_train_index)
-    assert_same_index(test_index, reference.build_index(want_test, want_train_index))
+    assert_same_index(train, want_train_index)
+    assert_same_index(test, reference.build_index(want_test, want_train_index))
 
 
 def corruption(draw, lines, name, data_lines, dids):
@@ -267,11 +272,9 @@ def test_each_error_case_reads_as_in_the_line_by_line_loader(tmp_path, case, nam
     {"q9": ("d1",), "q1": ("d9",)},            # the unknown query's pool first
 ], ids=["doc", "query", "later pool", "query first"])
 def test_unknown_pool_ids_fail_like_the_per_query_builder(pools):
-    dataset = Dataset(queries={"q1": Query("q1", (1,))}, documents={"d1": Document("d1", (2,))},
-                      samples=[], pools=pools, vocab_size=3)
     errors = []
-    for build in (DatasetIndex.build, reference.build_index):
+    for build in (Dataset.of, lambda **values: reference.build_index(reference.Corpus(**values))):
         with pytest.raises(DataError) as info:
-            build(dataset)
+            build(queries={"q1": (1,)}, docs={"d1": (2,)}, samples=[], pools=pools, vocab_size=3)
         errors.append(str(info.value))
     assert errors[0] == errors[1]

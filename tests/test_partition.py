@@ -5,16 +5,16 @@ from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
                    entangled_partners, partition)
 from numur.partition import load_forget_spec, sample_forget_spec, save_forget_spec
 
-from conftest import build_dataset, forget_query_ids, position_of, samples_at
+from conftest import build_dataset, forget_query_ids, position_of, samples_at, samples_of
 
 
 def brute_force_partition(dataset, spec):
     """Independent double-scan oracle: test every sample against every forget sample."""
     if spec.kind is RemovalKind.QUERY:
-        forget = [s for s in dataset.samples if s.query_id in spec.ids]
+        forget = [s for s in samples_of(dataset) if s.query_id in spec.ids]
     else:
-        forget = [s for s in dataset.samples if s.doc_id in spec.ids]
-    retained = [s for s in dataset.samples if s not in forget]
+        forget = [s for s in samples_of(dataset) if s.doc_id in spec.ids]
+    retained = [s for s in samples_of(dataset) if s not in forget]
     entangled, disjoint = [], []
     for s in retained:
         if any(s.query_id == f.query_id or s.doc_id == f.doc_id for f in forget):
@@ -95,7 +95,7 @@ class TestPartition:
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2"}))
         part = partition(figure_case, spec)
         total = len(part.forget) + len(part.entangled) + len(part.disjoint)
-        assert total == len(figure_case.samples)
+        assert total == figure_case.n_samples
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
@@ -105,7 +105,7 @@ class TestPartition:
                 part = partition(dataset, spec)
             except ConfigError:
                 f, _, _ = brute_force_partition(dataset, spec)
-                assert len(f) == len(dataset.samples)
+                assert len(f) == dataset.n_samples
                 continue
             f, e, d = brute_force_partition(dataset, spec)
             assert keys_at(dataset, part.forget) == keyset(f)
@@ -130,7 +130,7 @@ class TestEntangledPartners:
     def test_fully_forgotten_doc_has_no_partner(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
-        x = next(i for i in part.forget if figure_case.samples[i].query_id == "q3")
+        x = next(i for i in part.forget if samples_of(figure_case)[i].query_id == "q3")
         assert not len(entangled_partners(part, x))
 
     def test_non_forget_sample_rejected(self, figure_case):
@@ -148,7 +148,7 @@ class TestEntangledPartners:
             except ConfigError:
                 continue
             for i in part.forget:
-                x = dataset.samples[i]
+                x = samples_of(dataset)[i]
                 got = samples_at(dataset, entangled_partners(part, i))
                 want = [e for e in samples_at(dataset, part.entangled)
                         if e.query_id == x.query_id or e.doc_id == x.doc_id]
@@ -176,14 +176,14 @@ class TestForgetSpecIO:
 class TestSampleForgetSpec:
     def test_document_fraction_coverage(self, accept_split):
         spec = sample_forget_spec(accept_split.train, RemovalKind.DOCUMENT, 0.25, seed=7)
-        positives = [s for s in accept_split.train.samples if s.label is Label.POSITIVE]
+        positives = [s for s in samples_of(accept_split.train) if s.label is Label.POSITIVE]
         covered = sum(1 for s in positives if s.doc_id in spec.ids)
         target = round(0.25 * len(positives))
         assert target <= covered <= target + 2
 
     def test_query_fraction_coverage(self, accept_split):
         spec = sample_forget_spec(accept_split.train, RemovalKind.QUERY, 0.15, seed=3)
-        positives = [s for s in accept_split.train.samples if s.label is Label.POSITIVE]
+        positives = [s for s in samples_of(accept_split.train) if s.label is Label.POSITIVE]
         covered = sum(1 for s in positives if s.query_id in spec.ids)
         target = round(0.15 * len(positives))
         assert target <= covered <= target + 4

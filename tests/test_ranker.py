@@ -1,15 +1,15 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from numur import (DataError, ForgetSpec, Label, Method, RemovalKind, Sample, ScoreModel,
+from numur import (Dataset, DataError, ForgetSpec, Label, Method, RemovalKind, ScoreModel,
                    TrainConfig, UnlearnConfig, consistent_loss, contrastive_loss, init_model,
                    load_model, partition, retrain, save_model, train, unlearn)
 from numur.ranker import HingeDraws, HingeSet, PairStep, Sgd, pool, sample_scores
 
-from conftest import build_dataset, every, pair_rows, samples_at, spy
+from conftest import (build_dataset, empty_dataset, every, pair_rows, samples_at, samples_of,
+                      spy)
 from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
                                query_tokens, score_pool)
 
@@ -87,7 +87,7 @@ class TestForward:
             m = init_model(ds.vocab_size, 4, seed=seed)
             m.embed_q *= 50
             m.embed_d *= 50
-            for s in ds.samples:
+            for s in samples_of(ds):
                 assert forward(m, ds, s.query_id, s.doc_id) > 0
 
     def test_unknown_id(self):
@@ -104,12 +104,12 @@ class TestForward:
         m = init_model(vocab, 4, seed=0)
         sgd = Sgd(m, ds, 0.1)
         queries, docs = sgd.queries, sgd.docs
-        assert len(queries) == len(ds.queries) and len(docs) == len(ds.documents)
+        assert len(queries) == len(ds.queries.ids) and len(docs) == len(ds.docs.ids)
         # each entry: dim offsets per token, doc rows past the model's query table
-        for qid, row in ds.index.query_row.items():
+        for qid, row in ds.queries.row.items():
             want = query_tokens(ds, qid)[:, None] * m.dim + np.arange(m.dim)
             assert np.array_equal(queries[row], want.ravel())
-        for did, row in ds.index.doc_row.items():
+        for did, row in ds.docs.row.items():
             want = (doc_tokens(ds, did) + vocab)[:, None] * m.dim + np.arange(m.dim)
             assert np.array_equal(docs[row], want.ravel())
 
@@ -138,8 +138,8 @@ class TestBackwardScore:
         for _ in range(100):
             ds = tiny_dataset(rng)
             m = random_model(rng, ds.vocab_size)
-            at = int(rng.integers(len(ds.samples)))
-            s = ds.samples[at]
+            at = int(rng.integers(ds.n_samples))
+            s = samples_of(ds)[at]
             upstream = float(rng.normal())
             buf = Accumulate(m, ds)
             buf.apply(PairStep(buf, pair_rows(ds, [at])), [upstream])
@@ -223,9 +223,8 @@ class TestTrain:
     def test_loss_non_increasing_on_tiny_task(self):
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
                            {"q0": ["d0", "d1"]}, vocab_size=8)
-        from numur import CorpusSplit, Dataset
-        split = CorpusSplit(train=ds, test=Dataset(queries={}, documents={},
-                                                   samples=[], pools={}, vocab_size=8))
+        from numur import CorpusSplit
+        split = CorpusSplit(train=ds, test=empty_dataset(8))
         cfg = TrainConfig(learning_rate=0.1, epochs=12, margin=1.0, seed=0,
                           negatives_per_positive=1, dim=4)
         result = train(split, cfg)
@@ -235,9 +234,8 @@ class TestTrain:
     def test_query_without_positive_rejected(self):
         ds = build_dataset([("q0", "d0", 1), ("q1", "d1", 0)],
                            {"q0": ["d0", "d1"], "q1": ["d1", "d0"]}, vocab_size=8)
-        from numur import CorpusSplit, Dataset
-        split = CorpusSplit(train=ds, test=Dataset(queries={}, documents={},
-                                                   samples=[], pools={}, vocab_size=8))
+        from numur import CorpusSplit
+        split = CorpusSplit(train=ds, test=empty_dataset(8))
         cfg = TrainConfig(epochs=1, dim=4)
         with pytest.raises(DataError, match="q1"):
             train(split, cfg)
@@ -248,11 +246,11 @@ class TestRetrain:
         cfg = TrainConfig(learning_rate=0.05, epochs=3, margin=1.0, seed=5,
                           negatives_per_positive=2, dim=8)
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT,
-                          ids=frozenset({next(iter(accept_split.train.documents))}))
+                          ids=frozenset({accept_split.train.docs.ids[0]}))
         # a document with no samples produces an empty forget set
         doc_with_no_samples = next(
-            d for d in accept_split.train.documents
-            if all(s.doc_id != d for s in accept_split.train.samples))
+            d for d in accept_split.train.docs.ids
+            if all(s.doc_id != d for s in samples_of(accept_split.train)))
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({doc_with_no_samples}))
         part = partition(accept_split.train, spec)
         assert not len(part.forget)
@@ -262,14 +260,13 @@ class TestRetrain:
 
     @staticmethod
     def figure_split_with_fillers():
-        from numur import CorpusSplit, Dataset
+        from numur import CorpusSplit
         triples = [("q1", "d1", 1), ("q1", "d2", 1), ("q2", "d2", 1), ("q3", "d2", 1),
                    ("q4", "d3", 1), ("q4", "d4", 1), ("q5", "d5", 1)]
         pools = {"q1": ["d1", "d2", "dx"], "q2": ["d2", "dx"], "q3": ["d2", "dx"],
                  "q4": ["d3", "d4", "dx"], "q5": ["d5", "dx"]}
         ds = build_dataset(triples, pools, vocab_size=32)
-        return CorpusSplit(train=ds, test=Dataset(queries={}, documents={}, samples=[],
-                                                  pools={}, vocab_size=32))
+        return CorpusSplit(train=ds, test=empty_dataset(32))
 
     @staticmethod
     def trained_positives(monkeypatch, split, spec):
@@ -279,7 +276,7 @@ class TestRetrain:
         draws = spy(monkeypatch, HingeDraws, "run")
         retrain(split, TrainConfig(learning_rate=0.05, epochs=2, margin=1.0, seed=1,
                                    negatives_per_positive=1, dim=4), part)
-        qids, dids = list(split.train.queries), list(split.train.documents)
+        qids, dids = split.train.queries.ids, split.train.docs.ids
         return [(qids[q], dids[pos]) for _, q, pos, _ in draws], part
 
     def test_touches_only_retained_samples(self, monkeypatch):
@@ -304,7 +301,7 @@ class TestSnapshot:
     def test_snapshot_unaffected_by_mutation(self, accept_split):
         m = init_model(accept_split.train.vocab_size, 8, seed=2)
         ds = accept_split.train
-        s = ds.samples[0]
+        s = samples_of(ds)[0]
         teacher = sample_scores(pool(m, ds), every(ds)[:1])
         before = forward(m, ds, s.query_id, s.doc_id)
         m.embed_q += 1.0
@@ -315,7 +312,7 @@ class TestSnapshot:
         ds = accept_split.train
         m = init_model(ds.vocab_size, 8, seed=3)
         assert sample_scores(pool(m, ds), every(ds)[:10]) == [
-            forward(m, ds, s.query_id, s.doc_id) for s in ds.samples[:10]]
+            forward(m, ds, s.query_id, s.doc_id) for s in samples_of(ds)[:10]]
 
     def test_snapshot_is_read_only(self):
         # the trained model, which teaches cocol and badt, is only ever read
@@ -331,11 +328,11 @@ class TestSnapshot:
         assert frozen.params.tobytes() == model.params.tobytes()
 
 
-# Samples are positions past the loader, so an id enters only where the
-# dataset's index maps each sample's ids to rows; every entry that takes
-# positions builds the index first, which names the first unknown id.
+# Samples are positions past the loader, so an id enters only where a
+# dataset is built: Dataset.of names the first unknown id, so no entry that
+# takes positions can be handed a dataset whose sample names one.
 UNKNOWN_ID_CALLS = {
-    "index": lambda m, ds: ds.index,
+    "index": lambda m, ds: ds,
     "sample_scores": lambda m, ds: sample_scores(pool(m, ds), every(ds)),
     "HingeSet": lambda m, ds: HingeSet(ds, every(ds)),
     "contrastive_loss": lambda m, ds: contrastive_loss(1.0, Sgd(m, ds, 0.1), 1, None),
@@ -346,13 +343,13 @@ UNKNOWN_ID_CALLS = {
 @pytest.mark.parametrize("call", UNKNOWN_ID_CALLS.values(), ids=UNKNOWN_ID_CALLS.keys())
 @pytest.mark.parametrize("pair, kind", [(("nope", "d0"), "query"), (("q0", "nope"), "doc")])
 def test_unknown_sample_id_is_a_data_error(call, pair, kind):
-    ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)], {"q0": ["d0", "d1"]})
-    # a hand-built dataset that skips validate: its second sample names an unknown id
-    ds = replace(ds, samples=[ds.samples[0], Sample(*pair, Label.POSITIVE), ds.samples[1]])
-    m = init_model(ds.vocab_size, 3, seed=0)
+    # the second sample names an unknown id
+    samples = [("q0", "d0", Label.POSITIVE), (*pair, Label.POSITIVE), ("q0", "d1", Label.NEGATIVE)]
+    m = init_model(32, 3, seed=0)
     params = m.params.copy()
     with pytest.raises(DataError, match=f"^sample references unknown {kind} id 'nope'$"):
-        call(m, ds)
+        call(m, Dataset.of(queries={"q0": (1, 2)}, docs={"d0": (3, 4), "d1": (5, 6)},
+                           samples=samples, pools={"q0": ("d0", "d1")}, vocab_size=32))
     assert np.array_equal(m.params, params)
 
 

@@ -9,13 +9,13 @@ from test_scoring_properties import datasets
 from numur import (ConfigError, ForgetSpec, RemovalKind, ScoreModel, entangled_partners,
                    load_forget_spec, load_model, partition, save_forget_spec, save_model)
 
-from conftest import samples_at
+from conftest import samples_at, samples_of
 
 
 @st.composite
 def specs(draw, ds):
     kind = draw(st.sampled_from(RemovalKind))
-    known = sorted(ds.queries if kind is RemovalKind.QUERY else ds.documents)
+    known = sorted((ds.queries if kind is RemovalKind.QUERY else ds.docs).ids)
     return ForgetSpec(kind=kind, ids=frozenset(draw(st.lists(st.sampled_from(known),
                                                              min_size=1))))
 
@@ -32,16 +32,16 @@ def test_partition_is_a_disjoint_cover_and_e_shares_an_id_with_f(ds, data):
     forget, entangled, disjoint = (samples_at(ds, group) for group in
                                    (part.forget, part.entangled, part.disjoint))
     f, e, d = ({key(s) for s in group} for group in (forget, entangled, disjoint))
-    assert len(part.forget) + len(part.entangled) + len(part.disjoint) == len(ds.samples)
-    assert f | e | d == {key(s) for s in ds.samples}
+    assert len(part.forget) + len(part.entangled) + len(part.disjoint) == ds.n_samples
+    assert f | e | d == {key(s) for s in samples_of(ds)}
     assert not (f & e or f & d or e & d)
 
     named = (lambda s: s.query_id in spec.ids) if spec.kind is RemovalKind.QUERY \
         else (lambda s: s.doc_id in spec.ids)
-    assert forget == [s for s in ds.samples if named(s)]
+    assert forget == [s for s in samples_of(ds) if named(s)]
     shares = lambda s: any(s.query_id == x.query_id or s.doc_id == x.doc_id
                            for x in forget)
-    retained = [s for s in ds.samples if not named(s)]
+    retained = [s for s in samples_of(ds) if not named(s)]
     assert entangled == [s for s in retained if shares(s)]
     assert disjoint == [s for s in retained if not shares(s)]
 
@@ -55,7 +55,7 @@ def test_entangled_partners_are_the_linear_scan_of_e(ds, data):
     except ConfigError:  # the request would forget every sample
         return
     for i in part.forget:
-        x = ds.samples[i]
+        x = samples_of(ds)[i]
         assert samples_at(ds, entangled_partners(part, i)) == [
             e for e in samples_at(ds, part.entangled)
             if e.query_id == x.query_id or e.doc_id == x.doc_id]

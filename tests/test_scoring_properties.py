@@ -12,8 +12,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from numur import (ConfigError, Dataset, Document, ForgetSpec, Label, Query,
-                   RemovalKind, Sample, build_min_cache, consistent_loss, contrastive_loss,
+from numur import (ConfigError, Dataset, ForgetSpec, Label, RemovalKind, build_min_cache,
+                   consistent_loss, contrastive_loss,
                    init_model, mrr_forget, mrr_set, partition, score_distribution)
 from numur.ranker import (HingeSet, PairStep, Sgd, doc_vectors, pairwise_epoch, pool,
                           query_vectors, sample_scores, score_pools)
@@ -21,7 +21,7 @@ from numur.unlearn_losses import _abs_delta_loss
 from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
                                pool_rows, query_tokens, rank, score_pool)
 
-from conftest import every, forget_query_ids, position_of
+from conftest import Sample, every, forget_query_ids, position_of, samples_of
 
 VOCAB = 10
 
@@ -37,21 +37,19 @@ def datasets(draw, doc_len=9, query_len=5):
     templates = draw(st.lists(token_lists(doc_len), min_size=1, max_size=5))
     n_docs = draw(st.integers(2, 12))
     doc_ids = [f"d{i}" for i in range(n_docs)]
-    documents = {did: Document(did, draw(st.sampled_from(templates))) for did in doc_ids}
+    documents = {did: draw(st.sampled_from(templates)) for did in doc_ids}
     queries, pools, samples = {}, {}, []
     for qi in range(draw(st.integers(1, 3))):
         qid = f"q{qi}"
-        queries[qid] = Query(qid, draw(token_lists(query_len)))
+        queries[qid] = draw(token_lists(query_len))
         pool = draw(st.permutations(doc_ids))[:draw(st.integers(1, n_docs))]
         pools[qid] = tuple(pool)
         for did in pool:
             label = draw(st.sampled_from([None, Label.POSITIVE, Label.NEGATIVE]))
             if label is not None:
                 samples.append(Sample(qid, did, label))
-    ds = Dataset(queries=queries, documents=documents, samples=samples, pools=pools,
-                 vocab_size=VOCAB)
-    ds.validate()
-    return ds
+    return Dataset.of(queries=queries, docs=documents, samples=samples, pools=pools,
+                      vocab_size=VOCAB)
 
 
 models = st.builds(init_model, st.just(VOCAB), st.integers(1, 5),
@@ -93,7 +91,7 @@ def test_score_pool_is_bitwise_the_per_doc_loop(ds, model):
     # Softplus absorbs a last-bit change in a small logit, so the pooled
     # rows are compared too.
     dvec = doc_vectors(model, ds)
-    for did, row in ds.index.doc_row.items():
+    for did, row in ds.docs.row.items():
         assert np.array_equal(dvec[row], model.embed_d[doc_tokens(ds, did)].mean(axis=0))
     for qid in ds.pools:
         assert np.array_equal(score_pool(model, ds, qid), ref_score_pool(model, ds, qid))
@@ -124,13 +122,12 @@ sgd_models = st.one_of(models, wide_models, roomy_models)
 def test_batched_query_vectors_and_scores_are_bitwise_score_pool(ds, model, scale):
     # Softplus keeps a logit's last bit only away from 0, hence the scaled model.
     model.params *= scale
-    index = ds.index
     qvec = query_vectors(model, ds)
-    for qid, row in index.query_row.items():
+    for qid, row in ds.queries.row.items():
         tokens = model.embed_q[query_tokens(ds, qid)]
         assert np.array_equal(qvec[row], np.add.reduce(tokens) / len(tokens))
     qids = sorted(ds.pools, reverse=True)  # any order of query rows
-    scores = score_pools(pool(model, ds), np.array([index.query_row[q] for q in qids]))
+    scores = score_pools(pool(model, ds), np.array([ds.queries.row[q] for q in qids]))
     for qid, row in zip(qids, scores):
         want = score_pool(model, ds, qid)
         assert np.array_equal(row[:len(want)], want)
@@ -139,11 +136,10 @@ def test_batched_query_vectors_and_scores_are_bitwise_score_pool(ds, model, scal
 
 @given(datasets())
 def test_pool_columns_find_each_doc_in_each_pool(ds):
-    index = ds.index
-    docs = np.arange(len(index.doc_row))
-    for qid, row in index.query_row.items():
+    docs = np.arange(len(ds.docs.ids))
+    for qid, row in ds.queries.row.items():
         pool = pool_rows(ds, qid).tolist() if qid in ds.pools else []
-        cols = index.pool_columns(np.full(len(docs), row), docs)
+        cols = ds.pool_columns(np.full(len(docs), row), docs)
         assert cols.tolist() == [pool.index(d) if d in pool else -1 for d in docs.tolist()]
 
 
@@ -152,11 +148,11 @@ def test_pool_columns_find_each_doc_in_each_pool(ds):
 def test_long_docs_pool_bitwise_at_every_dim(doc_lists, model):
     # numpy sums a (tokens, 1) slice pairwise from 8 tokens on, and a wider
     # one token by token; the grouped pooling must follow both.
-    documents = {f"d{i}": Document(f"d{i}", toks) for i, toks in enumerate(doc_lists)}
-    ds = Dataset(queries={"q": Query("q", doc_lists[0])}, documents=documents,
-                 samples=[], pools={"q": tuple(documents)}, vocab_size=VOCAB)
+    documents = {f"d{i}": toks for i, toks in enumerate(doc_lists)}
+    ds = Dataset.of(queries={"q": doc_lists[0]}, docs=documents,
+                    samples=[], pools={"q": tuple(documents)}, vocab_size=VOCAB)
     dvec, qvec = doc_vectors(model, ds), query_vectors(model, ds)
-    for did, row in ds.index.doc_row.items():
+    for did, row in ds.docs.row.items():
         assert np.array_equal(dvec[row], model.embed_d[doc_tokens(ds, did)].mean(axis=0))
     assert np.array_equal(qvec[0], model.embed_q[query_tokens(ds, "q")].mean(axis=0))
 
@@ -164,9 +160,9 @@ def test_long_docs_pool_bitwise_at_every_dim(doc_lists, model):
 @settings(max_examples=150, deadline=None)
 @given(datasets(), models)
 def test_score_distribution_is_bitwise_the_per_pair_forward(ds, model):
-    assume(ds.samples)
+    assume(ds.n_samples)
     dist, = score_distribution("m", pool(model, ds), [("all", every(ds))])
-    scores = np.array([forward(model, ds, s.query_id, s.doc_id) for s in ds.samples])
+    scores = np.array([forward(model, ds, s.query_id, s.doc_id) for s in samples_of(ds)])
     assert (dist.min, dist.max, dist.mean) == (scores.min(), scores.max(), scores.mean())
     assert dist.deciles == tuple(np.percentile(scores, np.arange(10, 100, 10)))
 
@@ -180,10 +176,10 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
         assert list(rank(model, ds, qid).doc_ids) == oracle_ranking(model, ds, qid)
 
     assert mrr_set(pool(model, ds), every(ds)).value == \
-        oracle_mrr(model, ds, positives(ds.samples))
+        oracle_mrr(model, ds, positives(samples_of(ds)))
 
-    forget_docs = sorted({s.doc_id for s in ds.samples})[:2]
-    forget_queries = sorted({s.query_id for s in ds.samples})[:1]
+    forget_docs = sorted({s.doc_id for s in samples_of(ds)})[:2]
+    forget_queries = sorted({s.query_id for s in samples_of(ds)})[:1]
     assume(forget_docs)
     for kind, ids in ((RemovalKind.DOCUMENT, forget_docs),
                       (RemovalKind.QUERY, forget_queries)):
@@ -196,7 +192,7 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
             targets = {q: {d for d in ds.pools[q] if d in spec.ids}
                        for q in forget_query_ids(ds, part)}
         else:
-            pos = positives(ds.samples)
+            pos = positives(samples_of(ds))
             targets = {q: pos.get(q, set()) for q in forget_query_ids(ds, part)}
         assert mrr_forget(pool(model, ds), part).value == oracle_mrr(model, ds, targets)
 
@@ -206,18 +202,18 @@ def test_rank_and_mrrs_match_the_sorting_oracle(ds, model, flat):
 def test_stored_teacher_scores_are_bitwise_forward(ds, model):
     teacher = sample_scores(pool(model, ds), every(ds))
     floors = build_min_cache(ds, teacher)
-    assert len(teacher) == len(ds.samples)
-    for s, score in zip(ds.samples, teacher):
+    assert len(teacher) == ds.n_samples
+    for s, score in zip(samples_of(ds), teacher):
         want = forward(model, ds, s.query_id, s.doc_id)
         assert score == want
-        assert floors[ds.index.query_row[s.query_id]] <= want
+        assert floors[ds.queries.row[s.query_id]] <= want
 
 
 @settings(max_examples=150, deadline=None)
 @given(datasets(), wide_models)
 def test_mrrs_match_the_sorting_oracle_at_wide_dims(ds, model):
     assert mrr_set(pool(model, ds), every(ds)).value == \
-        oracle_mrr(model, ds, positives(ds.samples))
+        oracle_mrr(model, ds, positives(samples_of(ds)))
 
 
 def nan_last_oracle_mrr(model, ds, targets):
@@ -238,7 +234,7 @@ def nan_last_oracle_mrr(model, ds, targets):
 @given(datasets(), models, st.sets(st.integers(0, VOCAB - 1), min_size=1))
 def test_nan_scores_rank_after_numbers(ds, model, nan_tokens):
     model.embed_d[sorted(nan_tokens)] = np.nan  # every doc with such a token scores NaN
-    targets = positives(ds.samples)
+    targets = positives(samples_of(ds))
     with np.errstate(invalid="ignore"):
         want = nan_last_oracle_mrr(model, ds, targets)
         assert mrr_set(pool(model, ds), every(ds)).value == want
@@ -318,7 +314,7 @@ def ref_abs_delta(ref, teacher, ds, pair):
 
 
 def ref_contrastive(ref, teacher, ds, x, partner):
-    floor = min(Ref(teacher).forward(ds, s.query_id, s.doc_id) for s in ds.samples
+    floor = min(Ref(teacher).forward(ds, s.query_id, s.doc_id) for s in samples_of(ds)
                 if s.query_id == x.query_id)
     f_w = ref.forward(ds, x.query_id, x.doc_id)
     adjusted = (f_w - floor) / (f_w + floor)
@@ -344,7 +340,7 @@ def scored(teacher, ds, pair):
 def teacher_floor(teacher, ds, x):
     """The floor of ``x``'s query under ``teacher`` (``build_min_cache``)."""
     floors = build_min_cache(ds, sample_scores(pool(teacher, ds), every(ds)))
-    return floors[ds.index.query_row[x.query_id]]
+    return floors[ds.queries.row[x.query_id]]
 
 
 def ref_pairwise_epoch(ref, ds, samples, rng, lr, margin, npp):
@@ -389,9 +385,9 @@ def assert_same_params(model, ref):
 
 
 def draw_contrastive_case(data, ds):
-    x = data.draw(st.sampled_from(ds.samples))
+    x = data.draw(st.sampled_from(samples_of(ds)))
     partner = data.draw(st.sampled_from(
-        [None] + [s for s in ds.samples
+        [None] + [s for s in samples_of(ds)
                   if s != x and (s.query_id == x.query_id or s.doc_id == x.doc_id)]))
     return x, partner
 
@@ -410,7 +406,7 @@ def test_fused_pair_steps_match_the_unfused_reference(ds, student, teacher_seed,
             == ref_hinge(ref, ds, qid, pos, neg, margin))
     assert_same_gradients(fused, ref)
 
-    assume(ds.samples)
+    assume(ds.n_samples)
     teacher = init_model(VOCAB, student.dim, teacher_seed)
     x, partner = draw_contrastive_case(data, ds)
     fused, ref = Accumulate(student, ds), Ref(student)
@@ -427,7 +423,8 @@ def test_sgd_apply_is_the_accumulated_gradient_times_lr(ds, model, lr, data):
     # gradient alike: where the step touches, Sgd.apply leaves exactly
     # params - lr * grad; it leaves every other parameter as it was, and
     # its scratch zero.
-    rows = st.tuples(st.integers(0, len(ds.queries) - 1), st.integers(0, len(ds.documents) - 1))
+    rows = st.tuples(st.integers(0, len(ds.queries.ids) - 1),
+                     st.integers(0, len(ds.docs.ids) - 1))
     pairs = data.draw(st.lists(rows, min_size=1, max_size=4))
     upstream = data.draw(st.lists(st.just(0.0) | st.floats(-3.0, 3.0),
                                   min_size=len(pairs), max_size=len(pairs)))
@@ -461,7 +458,7 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
     ref.apply(lr)
     assert_same_params(student, ref)
 
-    assume(ds.samples)
+    assume(ds.n_samples)
     teacher = init_model(VOCAB, student.dim, teacher_seed)
     x, partner = draw_contrastive_case(data, ds)
     assert (contrastive_loss(teacher_floor(teacher, ds, x), sgd,
@@ -470,14 +467,14 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
     ref.apply(lr)
     assert_same_params(student, ref)
 
-    pair = data.draw(st.sampled_from(ds.samples))
+    pair = data.draw(st.sampled_from(samples_of(ds)))
     assert (_abs_delta_loss(sgd, [scored(teacher, ds, pair)])
             == ref_abs_delta(ref, teacher, ds, pair))
     ref.apply(lr)
     assert_same_params(student, ref)
 
-    pos_pairs = [s for s in ds.samples if s.label is Label.POSITIVE]
-    neg_pairs = [s for s in ds.samples if s.label is Label.NEGATIVE]
+    pos_pairs = [s for s in samples_of(ds) if s.label is Label.POSITIVE]
+    neg_pairs = [s for s in samples_of(ds) if s.label is Label.NEGATIVE]
     if pos_pairs and neg_pairs:
         p, n = data.draw(st.sampled_from(pos_pairs)), data.draw(st.sampled_from(neg_pairs))
         assert (consistent_loss(sgd, scored(teacher, ds, p), scored(teacher, ds, n))
@@ -492,7 +489,7 @@ def test_sgd_steps_match_the_per_table_reference(ds, student, teacher_seed, marg
        st.floats(0.1, 2.0), st.integers(1, 4))
 def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, npp):
     positives = {}
-    for s in ds.samples:
+    for s in samples_of(ds):
         if s.label is Label.POSITIVE:
             positives.setdefault(s.query_id, set()).add(s.doc_id)
     assume(positives)
@@ -502,5 +499,5 @@ def test_pairwise_epochs_match_the_reference_loop(ds, model, seed, lr, margin, n
     for _ in range(3):
         assert (pairwise_epoch(sgd, HingeSet(ds, every(ds)), pool(model, ds), rng, margin,
                                npp)
-                == ref_pairwise_epoch(ref, ds, ds.samples, ref_rng, lr, margin, npp))
+                == ref_pairwise_epoch(ref, ds, samples_of(ds), ref_rng, lr, margin, npp))
         assert_same_params(model, ref)

@@ -11,7 +11,7 @@ from numur import ranker, unlearn_engine
 from numur.ranker import Sgd, pool, pool_split, sample_scores
 from numur.unlearn_losses import _abs_delta_loss
 
-from conftest import ACCEPT_UNLEARN_LR, build_dataset, samples_at, spy
+from conftest import ACCEPT_UNLEARN_LR, build_dataset, empty_dataset, samples_at, spy
 import scoring_reference
 from scoring_reference import doc_tokens, query_tokens
 
@@ -38,12 +38,11 @@ def keys(ds, positions):
 def row_keys(ds, positions):
     """The (query row, doc row) of the sample at each of ``positions``, as
     hinge draws see them."""
-    index = ds.index
-    return set(zip(index.sample_query[positions].tolist(), index.sample_doc[positions].tolist()))
+    return set(zip(ds.sample_query[positions].tolist(), ds.sample_doc[positions].tolist()))
 
 
 def positives(ds, positions):
-    return positions[ds.index.positive[positions]]
+    return positions[ds.positive[positions]]
 
 
 def ucfg(method, **kw):
@@ -140,8 +139,7 @@ class TestCocol:
         for did, z in (("d0", -3.0), ("d1", 2.0), ("d2", 3.0), ("d3", 4.0)):
             model.embed_d[doc_tokens(ds, did)] = [z, 0.0]
         # q0's forget pair (d0) scores below its labelled negative d1: at floor
-        split = CorpusSplit(train=ds, test=Dataset(queries={}, documents={},
-                                                   samples=[], pools={}, vocab_size=32))
+        split = CorpusSplit(train=ds, test=empty_dataset(32))
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d0"}))
         part = partition(ds, spec)
         before = clone_model(model)
@@ -153,8 +151,7 @@ class TestCocol:
         triples = [("q0", "d0", 1), ("q0", "d1", 0), ("q1", "d2", 1)]
         pools = {"q0": ["d0", "d1"], "q1": ["d2", "d3"]}
         ds = build_dataset(triples, pools, vocab_size=32)
-        split = CorpusSplit(train=ds, test=Dataset(queries={}, documents={},
-                                                   samples=[], pools={}, vocab_size=32))
+        split = CorpusSplit(train=ds, test=empty_dataset(32))
         spec = ForgetSpec(kind=RemovalKind.QUERY, ids=frozenset({"q0"}))
         part = partition(ds, spec)  # disjoint = q1's single positive, no negative
         model = init_model(32, 2, seed=0)
@@ -334,7 +331,7 @@ class TestBadT:
             with patch.object(unlearn_engine, "pool", unpooled), \
                     patch.object(unlearn_engine, "sample_scores", per_pair):
                 lazy = unlearn(model, split, part, cfg)
-        assert len(calls) == len(split.train.samples)
+        assert len(calls) == split.train.n_samples
         assert run.final_model.params.tobytes() == lazy.final_model.params.tobytes()
 
 
@@ -381,11 +378,11 @@ def test_nan_config_values_rejected(make):
 
 def test_fits_and_plans_leave_no_step_state_on_the_dataset():
     # Each fit's and plan's offset table lives on its Sgd; a dataset holds
-    # its fields, its token tables and its index, and nothing of the ranker's.
+    # its fields and the pool arrays derived from them, and nothing of the ranker's.
     split, part, model = small_unlearn_world()
     retrain(split, TrainConfig(epochs=1, dim=8, seed=0), part)
     for method in Method:
         unlearn(model, split, part, ucfg(method, delta_target=1e-9, max_epochs=1))
-    own = {f.name for f in fields(Dataset)} | {"_query_rows", "_doc_rows", "index"}
+    own = {f.name for f in fields(Dataset)} | {"pool_ids", "_pool_entries"}
     for ds in (split.train, split.test):
         assert set(vars(ds)) <= own

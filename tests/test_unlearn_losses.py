@@ -11,7 +11,7 @@ from numur import (ConfigError, Label, build_min_cache, clone_model, consistent_
 from numur.ranker import pool, sample_scores
 from numur.unlearn_losses import _abs_delta_loss, _abs_delta_terms
 
-from conftest import build_dataset, every
+from conftest import build_dataset, every, samples_of
 from scoring_reference import Accumulate, doc_tokens, forward, query_tokens
 from test_ranker import assert_close_grads, finite_difference, tiny_dataset
 
@@ -41,7 +41,7 @@ def score(model, ds, pair):
 def floors(teacher, ds):
     """The teacher's per-query floors over every sample of ds, by query id."""
     by_row = build_min_cache(ds, sample_scores(pool(teacher, ds), every(ds)))
-    return {qid: float(by_row[row]) for qid, row in ds.index.query_row.items()}
+    return {qid: float(by_row[row]) for qid, row in ds.queries.row.items()}
 
 
 def gap(teacher, student, ds, pair):
@@ -56,13 +56,13 @@ class TestDelta:
     def test_identical_models_give_zero(self, accept_split):
         ds = accept_split.train
         m = init_model(ds.vocab_size, 8, seed=1)
-        pair = ds.samples[0]
+        pair = samples_of(ds)[0]
         assert _abs_delta_terms(sample_scores(pool(m, ds), np.array([0])),
                                 [score(m, ds, pair)]) == (0.0, [0.0])
 
     def test_formula_thirty_vs_ten(self):
         ds, teacher, student = rigged_pair(score_setter(30.0), score_setter(10.0))
-        f_m, f_w = score(teacher, ds, ds.samples[0]), score(student, ds, ds.samples[0])
+        f_m, f_w = score(teacher, ds, samples_of(ds)[0]), score(student, ds, samples_of(ds)[0])
         assert f_m == pytest.approx(30.0, rel=1e-9)
         assert f_w == pytest.approx(10.0, rel=1e-9)
         value, (upstream,) = _abs_delta_terms([f_m], [f_w])
@@ -72,7 +72,7 @@ class TestDelta:
 
     def test_antisymmetry(self):
         ds, teacher, student = rigged_pair(score_setter(10.0), score_setter(30.0))
-        f_m, f_w = score(teacher, ds, ds.samples[0]), score(student, ds, ds.samples[0])
+        f_m, f_w = score(teacher, ds, samples_of(ds)[0]), score(student, ds, samples_of(ds)[0])
         value, (upstream,) = _abs_delta_terms([f_m], [f_w])
         swapped, (swapped_upstream,) = _abs_delta_terms([f_w], [f_m])
         assert value == pytest.approx(0.5, rel=1e-9) and swapped == pytest.approx(value)
@@ -108,7 +108,7 @@ class TestMinCache:
         cache = floors(teacher_model, ds)
         assert cache["q0"] == pytest.approx(2.0, rel=1e-9)
         # brute-force oracle over the same samples
-        want = min(forward(teacher_model, ds, s.query_id, s.doc_id) for s in ds.samples)
+        want = min(forward(teacher_model, ds, s.query_id, s.doc_id) for s in samples_of(ds))
         assert cache["q0"] == pytest.approx(want)
 
     def test_queries_cached_independently(self):
@@ -131,13 +131,13 @@ class TestMinCache:
         # NaN scores included: a running minimum taken with < keeps a NaN
         # only where it comes first for its query
         scores = data.draw(st.lists(st.floats(0.0, 10.0) | st.just(math.nan),
-                                    min_size=len(ds.samples), max_size=len(ds.samples)))
+                                    min_size=ds.n_samples, max_size=ds.n_samples))
         want = {}
-        for s, score in zip(ds.samples, scores):
+        for s, score in zip(samples_of(ds), scores):
             if s.query_id not in want or score < want[s.query_id]:
                 want[s.query_id] = score
         floors = build_min_cache(ds, scores)
-        for qid, row in ds.index.query_row.items():
+        for qid, row in ds.queries.row.items():
             w = want.get(qid, math.inf)
             assert floors[row] == w or (math.isnan(floors[row]) and math.isnan(w))
 
@@ -149,17 +149,17 @@ class TestMinCache:
 class TestDeltaMin:
     def test_zero_at_floor(self):
         ds, teacher, student = rigged_pair(score_setter(2.0), score_setter(2.0))
-        assert delta_min(floors(teacher, ds)["q0"], score(student, ds, ds.samples[0])) == \
+        assert delta_min(floors(teacher, ds)["q0"], score(student, ds, samples_of(ds)[0])) == \
             pytest.approx(0.0)
 
     def test_above_floor(self):
         ds, teacher, student = rigged_pair(score_setter(5.0), score_setter(15.0))
-        assert delta_min(floors(teacher, ds)["q0"], score(student, ds, ds.samples[0])) == \
+        assert delta_min(floors(teacher, ds)["q0"], score(student, ds, samples_of(ds)[0])) == \
             pytest.approx(0.5, rel=1e-8)
 
     def test_below_floor(self):
         ds, teacher, student = rigged_pair(score_setter(5.0), score_setter(3.0))
-        assert delta_min(floors(teacher, ds)["q0"], score(student, ds, ds.samples[0])) == \
+        assert delta_min(floors(teacher, ds)["q0"], score(student, ds, samples_of(ds)[0])) == \
             pytest.approx(-0.25, rel=1e-8)
 
 
@@ -175,7 +175,7 @@ class TestContrastiveLoss:
         model.embed_d[doc_tokens(ds, "d1")] = [score_setter(4.0), 0.0]
         student = clone_model(model)
         buf = Accumulate(student, ds)
-        partner = (1, score(model, ds, ds.samples[1]))
+        partner = (1, score(model, ds, samples_of(ds)[1]))
         value = contrastive_loss(floors(model, ds)["q0"], buf, 0, partner)
         assert value == pytest.approx(0.0)
         assert not buf.rows
@@ -193,7 +193,7 @@ class TestContrastiveLoss:
         with pytest.raises(ConfigError, match=r"^partner \('q1', 'd1'\) shares no id with "
                                               r"the forget pair \('q0', 'd0'\)$"):
             contrastive_loss(floors(m, ds)["q0"], Accumulate(m, ds), 0,
-                             (1, score(m, ds, ds.samples[1])))
+                             (1, score(m, ds, samples_of(ds)[1])))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
@@ -202,13 +202,13 @@ class TestContrastiveLoss:
             ds = tiny_dataset(rng)
             teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
             student = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
-            x = ds.samples[0]
+            x = samples_of(ds)[0]
             floor = floors(teacher, ds)[x.query_id]
-            partner = next(((i, score(teacher, ds, s)) for i, s in enumerate(ds.samples)
+            partner = next(((i, score(teacher, ds, s)) for i, s in enumerate(samples_of(ds))
                             if i and (s.query_id == x.query_id or s.doc_id == x.doc_id)), None)
             adjusted = delta_min(floor, score(student, ds, x))
             partner_gap = 0.0 if partner is None else \
-                gap(teacher, student, ds, ds.samples[partner[0]])
+                gap(teacher, student, ds, samples_of(ds)[partner[0]])
             if abs(adjusted) < 1e-3 or (partner is not None and abs(partner_gap) < 1e-3):
                 continue
             buf = Accumulate(student, ds)
@@ -229,7 +229,7 @@ class TestConsistentLoss:
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 3, seed=4)
-        pos, neg = ((i, score(m, ds, s)) for i, s in enumerate(ds.samples))
+        pos, neg = ((i, score(m, ds, s)) for i, s in enumerate(samples_of(ds)))
         assert consistent_loss(Accumulate(m, ds), pos, neg) == pytest.approx(0.0)
 
     def test_sum_of_absolute_gaps(self):
@@ -244,7 +244,7 @@ class TestConsistentLoss:
             model.embed_d[doc_tokens(ds, "d0")] = [score_setter(s0), 0.0]
             model.embed_d[doc_tokens(ds, "d1")] = [score_setter(s1), 0.0]
         # delta(pos) = .5, delta(neg) = -.5 -> loss 1.0
-        pos, neg = ((i, score(teacher_model, ds, s)) for i, s in enumerate(ds.samples))
+        pos, neg = ((i, score(teacher_model, ds, s)) for i, s in enumerate(samples_of(ds)))
         assert consistent_loss(Accumulate(student, ds), pos, neg) \
             == pytest.approx(1.0, rel=1e-8)
 
@@ -252,7 +252,7 @@ class TestConsistentLoss:
         ds = build_dataset([("q0", "d0", 1), ("q0", "d1", 0)],
                            {"q0": ["d0", "d1"]}, vocab_size=8)
         m = init_model(8, 2, seed=0)
-        pos, neg = ((i, score(m, ds, s)) for i, s in enumerate(ds.samples))
+        pos, neg = ((i, score(m, ds, s)) for i, s in enumerate(samples_of(ds)))
         with pytest.raises(ConfigError, match=r"^pos_pair \('q0', 'd1'\) is not positive$"):
             consistent_loss(Accumulate(m, ds), neg, pos)
         with pytest.raises(ConfigError, match=r"^neg_pair \('q0', 'd0'\) is not negative$"):
@@ -263,8 +263,8 @@ class TestConsistentLoss:
         checked = 0
         while checked < 100:
             ds = tiny_dataset(rng)
-            pos = next((s for s in ds.samples if s.label is Label.POSITIVE), None)
-            neg = next((s for s in ds.samples if s.label is Label.NEGATIVE), None)
+            pos = next((s for s in samples_of(ds) if s.label is Label.POSITIVE), None)
+            neg = next((s for s in samples_of(ds) if s.label is Label.NEGATIVE), None)
             if pos is None or neg is None:
                 continue
             teacher = init_model(ds.vocab_size, 3, seed=int(rng.integers(1 << 31)))
@@ -272,8 +272,8 @@ class TestConsistentLoss:
             gaps = (gap(teacher, student, ds, pos), gap(teacher, student, ds, neg))
             if min(abs(g) for g in gaps) < 1e-3:
                 continue
-            pos_pair = (ds.samples.index(pos), score(teacher, ds, pos))
-            neg_pair = (ds.samples.index(neg), score(teacher, ds, neg))
+            pos_pair = (samples_of(ds).index(pos), score(teacher, ds, pos))
+            neg_pair = (samples_of(ds).index(neg), score(teacher, ds, neg))
             buf = Accumulate(student, ds)
             consistent_loss(buf, pos_pair, neg_pair)
 
@@ -290,7 +290,7 @@ class TestConsistentLoss:
 class TestAbsDelta:
     def test_matches_delta_magnitude(self):
         ds, teacher, student = rigged_pair(score_setter(30.0), score_setter(10.0))
-        pair = (0, score(teacher, ds, ds.samples[0]))
+        pair = (0, score(teacher, ds, samples_of(ds)[0]))
         assert _abs_delta_loss(Accumulate(student, ds), [pair]) \
             == pytest.approx(0.5, rel=1e-8)
 
@@ -298,6 +298,6 @@ class TestAbsDelta:
         ds = build_dataset([("q0", "d0", 1)], {"q0": ["d0"]}, vocab_size=4)
         m = init_model(4, 2, seed=5)
         buf = Accumulate(m, ds)
-        pair = (0, score(m, ds, ds.samples[0]))
+        pair = (0, score(m, ds, samples_of(ds)[0]))
         assert _abs_delta_loss(buf, [pair]) == 0.0
         assert not buf.rows

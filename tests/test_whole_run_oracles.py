@@ -24,10 +24,11 @@ from test_hinge_draws import (Loop, loop_importance, loop_pairwise_epoch, loop_u
 from test_scoring_properties import (VOCAB, Ref, datasets, models, ref_abs_delta,
                                      ref_consistent, ref_contrastive, token_lists)
 
-from numur import (ConfigError, CorpusSplit, DataError, Dataset, Document, Label, Method,
-                   Query, RemovalKind, Sample, UnlearnConfig, clone_model, init_model,
-                   partition, unlearn)
+from numur import (ConfigError, CorpusSplit, DataError, Dataset, Label, Method, RemovalKind,
+                   UnlearnConfig, clone_model, init_model, partition, unlearn)
 from numur.ranker import Sgd
+
+from conftest import Sample, samples_of
 
 
 @st.composite
@@ -39,13 +40,13 @@ def separable_datasets(draw):
     shared = [f"s{i}" for i in range(draw(st.integers(0, 3)))]
     queries, documents, pools, samples = {}, {}, {}, []
     for did in shared:
-        documents[did] = Document(did, draw(token_lists(4)))
+        documents[did] = draw(token_lists(4))
     for qi in range(draw(st.integers(2, 5))):
         qid = f"q{qi}"
-        queries[qid] = Query(qid, draw(token_lists(4)))
+        queries[qid] = draw(token_lists(4))
         own = [f"d{qi}_{k}" for k in range(draw(st.integers(2, 4)))]
         for did in own:
-            documents[did] = Document(did, draw(token_lists(4)))
+            documents[did] = draw(token_lists(4))
         extra = draw(st.lists(st.sampled_from(shared), unique=True)) if shared else []
         pool = draw(st.permutations(own + extra))
         pools[qid] = tuple(pool)
@@ -54,22 +55,21 @@ def separable_datasets(draw):
                 else draw(st.sampled_from([None, Label.POSITIVE, Label.NEGATIVE]))
             if label is not None:
                 samples.append(Sample(qid, did, label))
-    ds = Dataset(queries=queries, documents=documents, samples=draw(st.permutations(samples)),
-                 pools=pools, vocab_size=VOCAB)
-    ds.validate()
-    return ds
+    return Dataset.of(queries=queries, docs=documents, samples=draw(st.permutations(samples)),
+                      pools=pools, vocab_size=VOCAB)
 
 
 corpora = st.one_of(datasets(), separable_datasets())
 
 
 def scan_sets(ds, spec):
-    """F, E and D of ``spec`` over ``ds.samples``, each in sample order."""
+    """F, E and D of ``spec`` over the samples of ``ds``, each in sample order."""
     named = (lambda s: s.query_id in spec.ids) if spec.kind is RemovalKind.QUERY \
         else (lambda s: s.doc_id in spec.ids)
-    forget = [s for s in ds.samples if named(s)]
+    samples = samples_of(ds)
+    forget = [s for s in samples if named(s)]
     shares = lambda s: any(s.query_id == x.query_id or s.doc_id == x.doc_id for x in forget)
-    retained = [s for s in ds.samples if not named(s)]
+    retained = [s for s in samples if not named(s)]
     return (forget, [s for s in retained if shares(s)],
             [s for s in retained if not shares(s)])
 
@@ -80,7 +80,8 @@ def epochs_due(ds, spec, forget, epochs):
     if spec.kind is RemovalKind.DOCUMENT:
         return epochs  # a forget sample's doc is a named doc in its query's pool
     queries = {s.query_id for s in forget}
-    has_target = any(s.label is Label.POSITIVE and s.query_id in queries for s in ds.samples)
+    has_target = any(s.label is Label.POSITIVE and s.query_id in queries
+                     for s in samples_of(ds))
     return epochs if has_target else 0
 
 
@@ -113,7 +114,7 @@ def ref_cocol(model, ds, spec, seed, lr, epochs, use_entangled, use_phase2):
 
 def ref_badt(model, ds, spec, seed, lr, epochs):
     forget = scan_sets(ds, spec)[0]
-    retained = [s for s in ds.samples if s not in forget]
+    retained = [s for s in samples_of(ds) if s not in forget]
     bad_teacher = init_model(model.vocab_size, model.dim, seed)
     ref, rng = Ref(model), np.random.default_rng(seed)
     for _ in range(epochs):
@@ -175,7 +176,7 @@ def ref_hinge(model, ds, spec, method, seed, lr, epochs, margin, npp):
     forget, entangled, disjoint = scan_sets(ds, spec)
     ref, rng = clone_model(model), np.random.default_rng(seed)
     if method is Method.CF:
-        retained = [s for s in ds.samples if s not in forget]
+        retained = [s for s in samples_of(ds) if s not in forget]
         trained = {s.query_id for s in retained if s.label is Label.POSITIVE}
         if epochs and not all(has_negatives(ds, retained, q) for q in trained):
             return None
@@ -185,7 +186,7 @@ def ref_hinge(model, ds, spec, method, seed, lr, epochs, margin, npp):
         return ref
     drawn = forget + (entangled if method is Method.AMNESIAC else [])
     if method is Method.AMNESIAC and not all(
-            has_negatives(ds, ds.samples, s.query_id) for s in drawn
+            has_negatives(ds, samples_of(ds), s.query_id) for s in drawn
             if s.label is Label.POSITIVE):
         return None
     loop = Loop(Sgd(ref, ds, lr if method is Method.AMNESIAC else -lr), margin)
@@ -226,7 +227,7 @@ def test_ssd_runs_are_the_reference(ds, model, alpha, lam, margin, npp, seed, da
     # the forget pass, then the full pass, on one generator; then the edit
     negatives, rng = query_negatives(ds), np.random.default_rng(seed)
     imp_f = loop_importance(model, ds, scan_sets(ds, spec)[0], negatives, margin, npp, rng)
-    imp_s = loop_importance(model, ds, ds.samples, negatives, margin, npp, rng)
+    imp_s = loop_importance(model, ds, samples_of(ds), negatives, margin, npp, rng)
     ref = clone_model(model)
     edit = (imp_f > alpha * imp_s) & (imp_s > 0.0)
     ref.params[edit] *= np.minimum(lam * imp_s[edit] / imp_f[edit], 1.0)

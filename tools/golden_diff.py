@@ -7,11 +7,12 @@
 package (``CHANGE_SRC`` defaults to this checkout's ``src``). For each
 tree, one subprocess with that tree on ``PYTHONPATH`` runs, on the
 config of every benchmark workload in ``perfbench/workloads.py``: gen,
-train, retrain and partition on the workload's spec, eval of the trained
-model on each of its eval specs, unlearn with all six methods at
-``--delta 0.001`` and at ``--dest d2``, unlearn with all six methods at
-``--delta 0.001`` on the eval spec of the other removal kind, so every
-strategy runs under both kinds, and report. Each run of
+train, retrain and partition on the workload's spec, partition on the
+eval spec of the other removal kind, eval of the trained model on each
+of its eval specs, unlearn with all six methods at ``--delta 0.001`` and
+at ``--dest d2``, unlearn with all six methods at ``--delta 0.001`` on
+the other kind's eval spec, so that partition and every strategy run
+under both kinds, and report. Each run of
 ``VARIANTS`` then unlearns at ``--delta 0.001`` with its method and
 method_params, in an output directory of its own, on a copy of the
 workload's corpus, specs and trained model.
@@ -82,6 +83,7 @@ def _commands(workload, delta: str, out: Path) -> list[list[str]]:
     spec = workload.spec
     other, = (s for s in workload.eval_specs if _kind(s) != _kind(spec))
     return [["gen"], ["train"], ["retrain", "--spec", spec], ["partition", "--spec", spec],
+            ["partition", "--spec", other],
             *[["eval", "--spec", s, "--model", str(out / "train" / "model.bin")]
               for s in workload.eval_specs],
             ["unlearn", "--spec", spec, "--method", "all", "--delta", delta],
