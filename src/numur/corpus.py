@@ -118,14 +118,16 @@ class Dataset:
     ``sample_query`` and ``sample_doc`` hold its query row and doc row,
     and ``positive`` marks it positive. ``pool_matrix`` holds each query
     row's pool as one row of doc rows in pool order, padded past
-    ``pool_len`` with ``len(docs.ids)``, a row no doc has.
+    ``pool_len`` with ``len(docs.ids)``, a row no doc has;
+    ``pool_queries`` lists the query rows of the pools in the order the
+    pools were first listed.
 
     Derived on first use: ``pool_ids``, the ``docs.id_order`` of each
     ``pool_matrix`` entry, padded with the same value, so a padding entry
     sorts after every doc; every pool entry as one sorted integer key
     (``_pool_key``) with its column, which ``pool_columns`` looks (query,
-    doc) pairs up in; and ``pools``, the doc ids of each pool by query id,
-    which ``save_dataset`` writes.
+    doc) pairs up in; and ``pools``, the doc ids of each pool by query id
+    in ``pool_queries`` order, which ``save_dataset`` writes.
 
     Datasets are immutable by convention; ``_load_split`` raises
     ``vocab_size`` to the generator's before any reader runs.
@@ -138,6 +140,7 @@ class Dataset:
     positive: np.ndarray
     pool_matrix: np.ndarray
     pool_len: np.ndarray
+    pool_queries: np.ndarray
     vocab_size: int
 
     @classmethod
@@ -175,13 +178,15 @@ class Dataset:
                     raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
         query_items = Items.of(list(queries), list(queries.values()))
         doc_items = Items.of(list(docs), list(docs.values()))
+        pool_queries = _rows_of(list(pools), query_items.row)
         lengths = np.fromiter(map(len, pools.values()), np.intp, len(pools))
-        pool_query = _rows_of(list(pools), query_items.row).repeat(lengths)
+        pool_query = pool_queries.repeat(lengths)
         pool_doc = _rows_of(list(chain.from_iterable(pools.values())), doc_items.row)
         return cls(query_items, doc_items, _rows_of([s[0] for s in samples], query_items.row),
                    _rows_of([s[1] for s in samples], doc_items.row),
                    np.array([s[2] is Label.POSITIVE for s in samples], dtype=bool),
-                   *_pool_matrix(pool_query, pool_doc, len(queries), len(docs)), vocab_size)
+                   *_pool_matrix(pool_query, pool_doc, len(queries), len(docs)), pool_queries,
+                   vocab_size)
 
     @property
     def n_samples(self) -> int:
@@ -211,12 +216,13 @@ class Dataset:
         at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         return np.where(keys[at] == wanted, cols[at], -1)
 
-    @property
+    @cached_property
     def pools(self) -> dict[str, tuple[str, ...]]:
-        """The doc ids of each non-empty pool, in pool order, by query id in row order."""
-        doc_ids, query_ids = self.docs.ids, self.queries.ids
-        return {query_ids[q]: tuple(map(doc_ids.__getitem__, self.pool_matrix[q, :n].tolist()))
-                for q, n in enumerate(self.pool_len.tolist()) if n}
+        """The doc ids of each pool, in pool order, by query id in listed order."""
+        doc_ids, query_ids, pool_len = self.docs.ids, self.queries.ids, self.pool_len.tolist()
+        return {query_ids[q]: tuple(map(doc_ids.__getitem__,
+                                        self.pool_matrix[q, :pool_len[q]].tolist()))
+                for q in self.pool_queries.tolist()}
 
 
 def _pool_matrix(query: np.ndarray, doc: np.ndarray, n_queries: int,
@@ -546,6 +552,10 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
             pool_keys = _unique_keys(_pool_key(q, d, n_docs))
     if pool_keys is None:
         _line_error(pools_path, _lines(pools_path)[1:], 2, _pool_check(query_row, doc_row))
+    # the query rows of the pools in the order first listed, from the runs of q
+    runs = np.concatenate((q[:1], q[1:][q[1:] != q[:-1]]))
+    listed, first = np.unique(runs, return_index=True)
+    pool_queries = listed[np.argsort(first)]
     try:
         hint_keys = np.array(hints, dtype=np.int64)
     except OverflowError:  # hints past int64 sort as their ranks among the hints
@@ -573,7 +583,8 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     _reject_negative_tokens("document", docs, vocab_size)
     return Dataset(queries, docs, sample_query=q, sample_doc=d,
                    positive=np.fromiter(map("1".__eq__, labels), bool, len(labels)),
-                   pool_matrix=pool_matrix, pool_len=pool_len, vocab_size=vocab_size)
+                   pool_matrix=pool_matrix, pool_len=pool_len, pool_queries=pool_queries,
+                   vocab_size=vocab_size)
 
 
 @contextmanager
@@ -821,7 +832,7 @@ def dataset_stats(dataset: Dataset) -> StatsRecord:
     """Summary counts over a dataset; all zeros for an empty one."""
     n_queries = len(dataset.queries.ids)
     pos_counts = np.bincount(dataset.sample_query[dataset.positive], minlength=n_queries)
-    pools = dataset.pool_len[dataset.pool_len > 0]
+    pools = dataset.pool_len[dataset.pool_queries]
     return StatsRecord(
         n_queries=n_queries,
         n_docs=len(dataset.docs.ids),

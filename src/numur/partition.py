@@ -72,7 +72,8 @@ def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
                      retained=np.flatnonzero(~forgotten), named=named, spec=spec)
 
 
-def entangled_partners(part: Partition, x):
+def entangled_partners(part: Partition,
+                       x: int | np.ndarray) -> np.ndarray | list[np.ndarray]:
     """The entangled samples sharing a query id or doc id with the forget
     sample at position ``x``, as ascending positions; for an array ``x``, a
     list of those of each of its positions.

@@ -87,6 +87,20 @@ class TestLoadDataset:
         loaded = load_dataset(q, d, qr, po)
         assert loaded.pools["q1"] == ("d1", "d2")
 
+    def test_pools_keep_the_order_first_listed(self, tmp_path):
+        ds = figure_case_dataset()
+        q, d, qr, po = write_corpus_files(tmp_path, ds)
+        pools = [[f"{qid}\t{did}\t{i}" for i, did in enumerate(pool)]
+                 for qid, pool in reversed(ds.pools.items())]
+        # one line of the second pool listed before the first pool
+        lines = pools[1][:1] + pools[0] + pools[1][1:] + sum(pools[2:], [])
+        po.write_text("\n".join([POOLS_HEADER] + lines) + "\n", encoding="utf-8")
+        loaded = load_dataset(q, d, qr, po)
+        want = list(ds.pools)[::-1]
+        assert list(loaded.pools) == [want[1], want[0]] + want[2:]
+        save_dataset(loaded, q, d, qr, po)
+        assert list(load_dataset(q, d, qr, po).pools) == list(loaded.pools)
+
 
 class TestGenerateSynthetic:
     def test_acceptance_counts(self):
@@ -156,6 +170,12 @@ class TestDatasetStats:
         assert stats.mean_positives_per_query == 0.0
         assert stats.mean_pool_size == 0.0
         assert stats.queries_with_multiple_positives == 0
+
+    def test_an_empty_pool_counts_as_a_pool(self):
+        ds = Dataset.of(queries={"q1": (1,), "q2": (2,)}, docs={"d1": (3,)},
+                        samples=[], pools={"q2": ("d1",), "q1": ()}, vocab_size=4)
+        assert list(ds.pools.items()) == [("q2", ("d1",)), ("q1", ())]
+        assert dataset_stats(ds).mean_pool_size == 0.5
 
     def test_synthetic_mean_positives(self):
         split = generate_synthetic(SyntheticConfig())

@@ -129,7 +129,7 @@ def assert_same_dataset(got, want):
     assert list(tokens_of(got.queries).items()) == list(want.queries.items())
     assert list(tokens_of(got.docs).items()) == list(want.docs.items())
     assert samples_of(got) == want.samples
-    assert got.pools == want.pools
+    assert list(got.pools.items()) == list(want.pools.items())
     assert got.vocab_size == want.vocab_size
     for qid, tokens in want.queries.items():
         assert np.array_equal(query_tokens(got, qid), np.asarray(tokens, dtype=np.int64))

@@ -383,6 +383,6 @@ def test_fits_and_plans_leave_no_step_state_on_the_dataset():
     retrain(split, TrainConfig(epochs=1, dim=8, seed=0), part)
     for method in Method:
         unlearn(model, split, part, ucfg(method, delta_target=1e-9, max_epochs=1))
-    own = {f.name for f in fields(Dataset)} | {"pool_ids", "_pool_entries"}
+    own = {f.name for f in fields(Dataset)} | {"pool_ids", "_pool_entries", "pools"}
     for ds in (split.train, split.test):
         assert set(vars(ds)) <= own
