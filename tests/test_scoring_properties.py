@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from numur import (ConfigError, Dataset, ForgetSpec, Label, RemovalKind, build_min_cache,
                    consistent_loss, contrastive_loss,
                    init_model, mrr_forget, mrr_set, partition, score_distribution)
-from numur.ranker import (HingeSet, PairStep, Sgd, doc_vectors, pairwise_epoch, pool,
-                          query_vectors, sample_scores, score_pools)
+from numur.ranker import (HingeSet, PairStep, Sgd, doc_vectors, pair_scores, pairwise_epoch,
+                          pool, query_vectors, sample_scores, score_pools)
 from numur.unlearn_losses import _abs_delta_loss
 from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
                                pool_rows, query_tokens, rank, score_pool)
@@ -440,6 +440,83 @@ def test_sgd_apply_is_the_accumulated_gradient_times_lr(ds, model, lr, data):
     assert np.array_equal(model.params, want)
     assert not sgd.scratch.any()
     assert np.array_equal(acc.model.params, before)
+
+
+STEP_SHAPES = ("one pair", "one query", "two queries", "one doc twice")
+
+
+def draw_step(data, ds):
+    """The (query row, doc row) pairs of one step of a drawn shape: one pair,
+    2-5 pairs of one query, pairs of different queries, or one doc in two pairs."""
+    shape = data.draw(st.sampled_from(STEP_SHAPES))
+    query = st.integers(0, len(ds.queries.ids) - 1)
+    doc = st.integers(0, len(ds.docs.ids) - 1)
+    if shape == "one pair":
+        return [(data.draw(query), data.draw(doc))]
+    if shape == "one query":
+        q = data.draw(query)
+        return [(q, d) for d in data.draw(st.lists(doc, min_size=2, max_size=5))]
+    if shape == "two queries":
+        return data.draw(st.lists(st.tuples(query, doc), min_size=2, max_size=5))
+    d = data.draw(doc)
+    return [(data.draw(query), d), (data.draw(query), d)]
+
+
+def with_signed_zeros(data, model):
+    """``model`` with a drawn share of its entries set to -0.0: a token row
+    whose column holds only -0.0 pools to -0.0 there, and 0.0 + -0.0 is 0.0."""
+    share = data.draw(st.sampled_from([0.0, 0.3, 0.8]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    model.params[rng.random(model.params.shape) < share] = -0.0
+    return model
+
+
+def ref_gradient(model, ds, pairs, upstream):
+    """The (index, terms) of ``PairStep.gradient``, one pair at a time with
+    ``Ref``'s pooling: each pair's query offsets, then its doc's, ``dim``
+    per token row, and ``g * v / len(query)`` and ``g * u / len(doc)`` on them."""
+    ref, dim, vocab = Ref(model), model.dim, model.vocab_size
+    index, terms = [], []
+    for (q, d), up in zip(pairs, upstream):
+        if up == 0.0:
+            continue
+        qt, dt, u, v = ref.pooled(ds, ds.queries.ids[q], ds.docs.ids[d])
+        g = _sigmoid(float(u @ v)) * up
+        for rows, along in ((qt, v), (dt + vocab, u)):
+            index.append((rows[:, None] * dim + np.arange(dim)).ravel())
+            terms.append(np.tile(g * along / len(rows), len(rows)))
+    return (np.concatenate(index), np.concatenate(terms)) if index else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(sgd_datasets, sgd_models, st.floats(0.01, 5.0), st.data())
+def test_pair_steps_are_bitwise_the_per_pair_reference(ds, model, lr, data):
+    # Every step shape against a fresh pool, each pair alone, the per-pair
+    # gradient and one Ref step. Parameters are compared as bytes, which
+    # tell -0.0 from 0.0 where np.array_equal does not.
+    model = with_signed_zeros(data, model)
+    pairs = draw_step(data, ds)
+    upstream = data.draw(st.lists(st.just(0.0) | st.floats(-3.0, 3.0),
+                                  min_size=len(pairs), max_size=len(pairs)))
+    sgd = Sgd(model, ds, lr)
+    step = PairStep(sgd, pairs)
+    query_rows, doc_rows = (np.array(rows) for rows in zip(*pairs))
+    logits, scores = pair_scores(pool(model, ds), query_rows, doc_rows)
+    assert np.array(step.scores).tobytes() == scores.tobytes()
+    assert [PairStep(sgd, [pair]).scores[0] for pair in pairs] == step.scores
+
+    got, want = step.gradient(upstream), ref_gradient(model, ds, pairs, upstream)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got[0], want[0]) and got[1].tobytes() == want[1].tobytes()
+
+    ref = Ref(model)
+    for (q, d), up in zip(pairs, upstream):
+        ref.backward(ds, ds.queries.ids[q], ds.docs.ids[d], up)
+    ref.apply(lr)
+    sgd.apply(step, upstream)
+    assert model.params.tobytes() == np.concatenate((ref.embed_q, ref.embed_d)).tobytes()
+    assert not sgd.scratch.any()
 
 
 @settings(max_examples=150, deadline=None)
