@@ -72,17 +72,15 @@ def partition(dataset: Dataset, spec: ForgetSpec) -> Partition:
                      retained=np.flatnonzero(~forgotten), named=named, spec=spec)
 
 
-def entangled_partners(part: Partition,
-                       x: int | np.ndarray) -> np.ndarray | list[np.ndarray]:
+def entangled_partners(part: Partition, xs: np.ndarray) -> list[np.ndarray]:
     """The entangled samples sharing a query id or doc id with the forget
-    sample at position ``x``, as ascending positions; for an array ``x``, a
-    list of those of each of its positions.
+    sample at each position of ``xs``, as ascending positions: one array
+    per position of ``xs``, in its order.
 
     E is sorted once by query row and once by doc row; each forget
     sample's partners are the two runs of its rows (``np.searchsorted``),
     merged by one ``np.unique`` over (forget sample, E index) keys.
     """
-    xs = np.atleast_1d(x)
     outside = np.flatnonzero(~np.isin(xs, part.forget))
     if len(outside):
         pair = part.dataset.sample_ids(xs[outside[0]])
@@ -98,8 +96,7 @@ def entangled_partners(part: Partition,
         at = np.arange(counts.sum()) + (lo - np.cumsum(counts) + counts).repeat(counts)
         keys.append(np.arange(len(xs)).repeat(counts) * n + by_row[at])
     keys = np.unique(np.concatenate(keys))
-    each = np.split(entangled[keys % n], np.searchsorted(keys // n, np.arange(1, len(xs))))
-    return each if np.ndim(x) else each[0]
+    return np.split(entangled[keys % n], np.searchsorted(keys // n, np.arange(1, len(xs))))
 
 
 def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,

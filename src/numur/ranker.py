@@ -34,12 +34,18 @@ class ScoreModel:
 
     Rows ``[0, vocab_size)`` embed query tokens and rows
     ``[vocab_size, 2 * vocab_size)`` embed document tokens; ``embed_q``
-    and ``embed_d`` are views of the two halves. One gather or scatter
-    over the stacked table therefore covers every row an SGD step touches.
+    and ``embed_d`` are views of the two halves. One gather over the
+    stacked table pools every part of an SGD step, and one scatter covers
+    every row it touches. ``params`` is a view of ``table``, a copy of the
+    given array with one more row, of -0.0, which pads that gather:
+    ``x + -0.0`` is ``x`` bit for bit, signed zeros included.
     """
 
     def __init__(self, params: np.ndarray):
-        self.params = np.ascontiguousarray(params)  # so flat views share its memory
+        self.table = np.empty((len(params) + 1, np.shape(params)[1]))
+        self.table[-1] = -0.0
+        self.params = self.table[:-1]
+        self.params[...] = params
         self.embed_q, self.embed_d = np.split(self.params, 2)
         self.flat = self.params.reshape(-1)  # the offsets of a PairStep index it
 
@@ -91,7 +97,7 @@ def init_model(vocab_size: int, dim: int, seed: int) -> ScoreModel:
 
 
 def clone_model(model: ScoreModel) -> ScoreModel:
-    return ScoreModel(model.params.copy())
+    return ScoreModel(model.params)
 
 
 def _sigmoids(z: np.ndarray) -> np.ndarray:
@@ -112,42 +118,49 @@ def _stacked_tokens(dataset: Dataset, vocab_size: int) -> tuple[np.ndarray, np.n
             np.concatenate((qtok.starts[:-1], dtok.starts + len(qtok.flat))))
 
 
-def _offset_table(dataset: Dataset, shape: tuple[int, int]) -> tuple[list, list]:
-    """Each query row's and each doc row's flat offsets into a stacked
-    parameter table of ``shape``, ``dim`` offsets per token.
+def _step_tables(dataset: Dataset, shape: tuple[int, int]) -> tuple:
+    """The step tables of ``dataset`` under a stacked parameter table of
+    ``shape``, each built with whole-array operations. Entry e is query row
+    e, and entry ``n_q + r`` doc row r, with ``n_q`` queries.
 
-    Token ``t`` is row ``t`` of the query half and row ``vocab_size + t``
-    of the doc half, with the model's ``vocab_size``, not the corpus's,
-    and row ``r`` covers the flat offsets ``r * dim`` to ``r * dim + dim - 1``.
-    Every entry is a view of one array of the offsets of all entries.
+    Row e of ``tokens`` holds entry e's rows of the stacked table, token by
+    token, padded to the longest entry with row ``shape[0]``, the spare
+    row of ``ScoreModel.table``; ``counts`` holds each entry's token
+    count. Token ``t`` is row ``t`` of the query half and row
+    ``vocab_size + t`` of the doc half, with the model's ``vocab_size``,
+    not the corpus's. ``offsets`` lists the flat offsets of every entry's
+    rows in turn, ``dim`` per row, entry e's from ``bounds[e]`` to
+    ``bounds[e + 1]``.
     """
     dim = shape[1]
-    flat, starts = _stacked_tokens(dataset, shape[0] // 2)
-    offsets = (flat[:, None] * dim + np.arange(dim)).ravel()
-    offsets.flags.writeable = False  # steps hold views of it
-    bounds = (starts * dim).tolist()
-    views = [offsets[a:b] for a, b in zip(bounds, bounds[1:])]
-    n_q = len(dataset.queries.ids)
-    return views[:n_q], views[n_q:]
+    rows, starts = _stacked_tokens(dataset, shape[0] // 2)
+    counts = np.diff(starts)
+    real = np.arange(counts.max(initial=0)) < counts[:, None]
+    tokens = np.full(real.shape, shape[0])
+    tokens[real] = rows
+    offsets = (rows[:, None] * dim + np.arange(dim)).ravel()
+    return tokens, counts, offsets, (starts * dim).tolist()
 
 
 class Sgd:
     """Plain SGD on ``model`` over the pairs of ``dataset``: one per fit or
     unlearning plan, holding all that its steps read and write.
 
-    ``queries`` and ``docs`` are the dataset's offset table under the
-    model's shape (``_offset_table``), built once here. ``apply`` adds a
-    step's gradient into ``scratch``, a flat gradient of the stacked table
-    that is all zeros between steps, moves the offsets it touched by
-    ``-lr`` times it and zeroes them again. ``pairs`` holds the (query row,
-    doc row) of each sample of ``dataset``, by position.
+    ``tokens``, ``counts``, ``offsets`` and ``bounds`` are the dataset's
+    step tables under the model's shape (``_step_tables``), built once
+    here; ``lengths`` is ``counts`` as a list. ``apply`` adds a step's
+    gradient into ``scratch``, a flat gradient of the stacked table that
+    is all zeros between steps, moves the offsets it touched by ``-lr``
+    times it and zeroes them again. ``pairs`` holds the (query row, doc
+    row) of each sample of ``dataset``, by position.
     """
 
     def __init__(self, model: ScoreModel, dataset: Dataset, lr: float):
         self.model, self.dataset, self.lr = model, dataset, lr
         self.shape, self.flat = model.params.shape, model.flat
         self.scratch = np.zeros(model.params.size)
-        self.queries, self.docs = _offset_table(dataset, self.shape)
+        self.tokens, self.counts, self.offsets, self.bounds = _step_tables(dataset, self.shape)
+        self.lengths, self.n_queries = self.counts.tolist(), len(dataset.queries.ids)
         self.pairs = list(zip(dataset.sample_query.tolist(), dataset.sample_doc.tolist()))
 
     def apply(self, step: "PairStep", upstream: Sequence[float]) -> None:
@@ -159,7 +172,7 @@ class Sgd:
         index, terms = grad
         np.add.at(self.scratch, index, terms)
         # an offset listed twice is gathered before the scatter, so it steps once
-        stepped = self.flat.take(index)
+        stepped = self.flat[index]
         stepped -= self.lr * self.scratch[index]
         self.flat[index] = stepped
         self.scratch[index] = 0.0
@@ -169,45 +182,35 @@ class PairStep:
     """Scores of a few (query row, doc row) pairs under the model of an
     ``Sgd``, and their gradient.
 
-    The stepper's offset table holds, per query row and per doc row, the
-    flat offsets of its token rows in the stacked table, ``dim`` offsets
-    per token, doc rows shifted by the model's ``vocab_size``. The
-    constructor concatenates the offsets of every pair, its query's then
-    its doc's, and gathers them with one ``take``. Each pooled vector is
-    the mean of its slice of that gather; a pair with the same query as
-    the pair before it reuses that pair's query vector. ``gradient`` spans
-    the same offsets. The parameters must not change between the
-    constructor and the ``Sgd.apply`` of the step.
-
-    Per part (a pair's query, then its doc) the step keeps its offsets,
-    its token count and the vector its gradient runs along: the doc's
-    vector for the query part, the query's for the doc part.
+    The constructor pools every part of the step (each pair's query, then
+    its doc) at once: one gather of the parts' rows of the stepper's token
+    table, cut to the step's longest part, one gather of those rows of
+    ``ScoreModel.table`` as a (parts, tokens, dim) block, padded with its
+    -0.0 row, and one reduction over the token axis. numpy sums each part
+    of that block token by token, as ``mean(axis=0)`` sums its (tokens,
+    dim) slice, and the padding changes no sum. At dim 1 numpy sums a
+    slice pairwise from 8 tokens on; there the reduction skips the padding
+    (``where``), and numpy then sums each part's run of tokens pairwise
+    too. One divide by the token counts gives ``means``, each pair's query
+    vector then its doc vector; one ``np.vecdot`` gives the logits, as
+    ``pair_scores`` does, and one ``logaddexp`` the scores. ``gradient``
+    reads its vectors from ``means``. The parameters must not change
+    between the constructor and the ``Sgd.apply`` of the step.
     """
 
-    __slots__ = ("sgd", "offsets", "counts", "along", "logits", "index", "scores")
+    __slots__ = ("sgd", "parts", "counts", "means", "logits", "scores")
 
     def __init__(self, sgd: Sgd, pairs: Sequence[tuple[int, int]]):
-        self.sgd = sgd
-        queries, docs = sgd.queries, sgd.docs
-        self.offsets = offsets = [o for q, d in pairs for o in (queries[q], docs[d])]
-        self.index = index = np.concatenate(offsets)
-        dim = sgd.shape[1]
-        rows = sgd.flat.take(index).reshape(-1, dim)
-        self.counts, self.along, self.logits = counts, along, logits = [], [], []
-        end, query_row = 0, None
-        each = iter(offsets)
-        for (q, _), qo, do in zip(pairs, each, each):
-            nq, nd = len(qo) // dim, len(do) // dim
-            mid = end + nq
-            if q != query_row:  # the arithmetic of mean(axis=0), bitwise
-                u, query_row = np.add.reduce(rows[end:mid]) / nq, q
-            end = mid + nd
-            v = np.add.reduce(rows[mid:end]) / nd
-            counts += (nq, nd)
-            along += (v, u)
-            logits.append(float(u @ v))
-        # softplus, elementwise: the same values as one logaddexp call per pair
-        self.scores = np.logaddexp(0.0, logits).tolist()
+        self.sgd, n_q = sgd, sgd.n_queries
+        self.parts = parts = [e for q, d in pairs for e in (q, n_q + d)]
+        at = np.array(parts)
+        rows = sgd.tokens.take(at, axis=0)[:, :max(map(sgd.lengths.__getitem__, parts))]
+        real = rows[:, :, None] < sgd.shape[0] if sgd.shape[1] == 1 else True
+        sums = np.add.reduce(sgd.model.table.take(rows, axis=0), axis=1, where=real)
+        self.counts = counts = sgd.counts[at].reshape(-1, 2, 1)
+        self.means = means = sums.reshape(counts.shape[0], 2, -1) / counts
+        logits = np.vecdot(means[:, 0], means[:, 1])
+        self.logits, self.scores = logits.tolist(), np.logaddexp(0.0, logits).tolist()
 
     def gradient(self, upstream: Sequence[float]) -> tuple[np.ndarray, np.ndarray] | None:
         """The flat offsets of the parts of the pairs with a nonzero
@@ -215,7 +218,7 @@ class PairStep:
         offsets, and each offset's term of ``upstream[i] * d(score_i)/d(params)``;
         None when every upstream is 0. An offset listed twice has a term
         per listing, for the caller to sum."""
-        gs, parts = [], []
+        gs, active = [], []
         for i, (z, up) in enumerate(zip(self.logits, upstream)):
             if up == 0.0:
                 continue
@@ -224,19 +227,21 @@ class PairStep:
             else:
                 e = float(np.exp(z))
                 g = e / (1.0 + e) * up
-            gs += (g, g)
-            parts += (2 * i, 2 * i + 1)
+            gs.append(g)
+            active.append(i)
         if not gs:
             return None
-        counts, along, index = self.counts, self.along, self.index
-        if len(parts) < len(counts):
-            counts, along = [counts[k] for k in parts], [along[k] for k in parts]
-            index = np.concatenate([self.offsets[k] for k in parts])
-        # (g * vector) / count, the arithmetic of one backward pass per pair
-        grads = np.array(along)
-        grads *= np.array(gs)[:, None]
-        grads /= np.array(counts, dtype=float)[:, None]
-        return index, grads.repeat(counts, axis=0).ravel()
+        means, counts, parts = self.means, self.counts, self.parts
+        if len(active) < len(means):
+            means, counts = means[active], counts[active]
+            parts = [e for i in active for e in parts[2 * i:2 * i + 2]]
+        # (g * vector) / count, the arithmetic of one backward pass per pair:
+        # a query part runs along its doc's vector, a doc part along its query's
+        grads = means[:, ::-1] * np.array(gs)[:, None, None]
+        grads /= counts
+        offsets, bounds = self.sgd.offsets, self.sgd.bounds
+        index = np.concatenate([offsets[bounds[e]:bounds[e + 1]] for e in parts])
+        return index, grads.reshape(-1, means.shape[2]).repeat(counts.ravel(), axis=0).ravel()
 
 
 # Rows pooled per gather in doc_vectors and query_vectors; keeps the
@@ -332,12 +337,11 @@ def pair_scores(pooled: Pooled, query_rows, doc_rows) -> tuple[np.ndarray, np.nd
     """The logit ``u . v`` and the score ``softplus(u . v)`` of each pair of
     a pooled query row and a pooled doc row.
 
-    One ``np.matmul`` of (pairs, 1, dim) by (pairs, dim, 1) runs one dot
-    product per pair, the one ``float(u @ v)`` of ``PairStep`` runs, so
-    each score is bitwise the score a ``PairStep`` of the pair gives.
+    One ``np.vecdot`` of two (pairs, dim) gathers runs one dot product per
+    pair, bitwise ``float(u @ v)``, as ``PairStep`` does, so each score is
+    bitwise the score a ``PairStep`` of the pair gives.
     """
-    logits = np.matmul(pooled.query_vecs[query_rows][:, None, :],
-                       pooled.doc_vecs[doc_rows][:, :, None])[:, 0, 0]
+    logits = np.vecdot(pooled.query_vecs[query_rows], pooled.doc_vecs[doc_rows])
     return logits, np.logaddexp(0.0, logits)
 
 
@@ -641,8 +645,7 @@ def load_model(path) -> ScoreModel:
     expected = 16 + 2 * vocab_size * dim * 8
     if len(blob) != expected:
         raise DataError(f"{path}: truncated model file ({len(blob)} of {expected} bytes)")
-    params = np.frombuffer(blob, dtype="<f8", offset=16).reshape(2 * vocab_size, dim)
-    return ScoreModel(params.astype(np.float64))
+    return ScoreModel(np.frombuffer(blob, dtype="<f8", offset=16).reshape(2 * vocab_size, dim))
 
 
 def check_model_fits(model: ScoreModel, dataset: Dataset, path) -> None:

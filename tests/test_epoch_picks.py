@@ -138,10 +138,11 @@ def loop_cocol_epochs(student, ds, part, rng, epochs, use_entangled, use_phase2)
     d_pos = [d for d in disjoint if samples[d[0]].label is Label.POSITIVE]
     d_neg = [d for d in disjoint if samples[d[0]].label is Label.NEGATIVE]
     sgd = Sgd(student, ds, UnlearnConfig().learning_rate)
+    partners = entangled_partners(part, part.forget)
     for _ in range(epochs):
         for i in rng.permutation(len(part.forget)):
             x = int(part.forget[int(i)])
-            options = [(int(e), teacher[e]) for e in entangled_partners(part, x)]
+            options = [(int(e), teacher[e]) for e in partners[int(i)]]
             partner = None
             if options and use_entangled:
                 partner = options[int(rng.integers(len(options)))]

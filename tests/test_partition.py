@@ -124,20 +124,21 @@ class TestEntangledPartners:
     def test_partner_of_shared_doc(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
-        x = part.forget[0]  # (q1, d2)
-        assert keys_at(figure_case, entangled_partners(part, x)) == [("q1", "d1")]
+        partners = entangled_partners(part, part.forget)[0]  # of (q1, d2)
+        assert keys_at(figure_case, partners) == [("q1", "d1")]
 
     def test_fully_forgotten_doc_has_no_partner(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
-        x = next(i for i in part.forget if samples_of(figure_case)[i].query_id == "q3")
-        assert not len(entangled_partners(part, x))
+        k = next(k for k, i in enumerate(part.forget)
+                 if samples_of(figure_case)[i].query_id == "q3")
+        assert not len(entangled_partners(part, part.forget)[k])
 
     def test_non_forget_sample_rejected(self, figure_case):
         spec = ForgetSpec(kind=RemovalKind.DOCUMENT, ids=frozenset({"d2", "d3"}))
         part = partition(figure_case, spec)
         with pytest.raises(ConfigError, match=r"^pair \('q5', 'd5'\) is not in the forget set$"):
-            entangled_partners(part, position_of(figure_case, "q5", "d5"))
+            entangled_partners(part, np.array([position_of(figure_case, "q5", "d5")]))
 
     def test_partners_match_linear_scan(self):
         rng = np.random.default_rng(9)
@@ -147,9 +148,9 @@ class TestEntangledPartners:
                 part = partition(dataset, spec)
             except ConfigError:
                 continue
-            for i in part.forget:
+            for i, partners in zip(part.forget, entangled_partners(part, part.forget)):
                 x = samples_of(dataset)[i]
-                got = samples_at(dataset, entangled_partners(part, i))
+                got = samples_at(dataset, partners)
                 want = [e for e in samples_at(dataset, part.entangled)
                         if e.query_id == x.query_id or e.doc_id == x.doc_id]
                 assert got == want

@@ -103,15 +103,19 @@ class TestForward:
         ds = tiny_dataset(np.random.default_rng(0))
         m = init_model(vocab, 4, seed=0)
         sgd = Sgd(m, ds, 0.1)
-        queries, docs = sgd.queries, sgd.docs
-        assert len(queries) == len(ds.queries.ids) and len(docs) == len(ds.docs.ids)
-        # each entry: dim offsets per token, doc rows past the model's query table
-        for qid, row in ds.queries.row.items():
-            want = query_tokens(ds, qid)[:, None] * m.dim + np.arange(m.dim)
-            assert np.array_equal(queries[row], want.ravel())
-        for did, row in ds.docs.row.items():
-            want = (doc_tokens(ds, did) + vocab)[:, None] * m.dim + np.arange(m.dim)
-            assert np.array_equal(docs[row], want.ravel())
+        n_q = len(ds.queries.ids)
+        entries = [query_tokens(ds, qid) for qid in ds.queries.ids] + \
+            [doc_tokens(ds, did) + vocab for did in ds.docs.ids]
+        assert sgd.tokens.shape == (len(entries), max(map(len, entries)))
+        assert len(sgd.bounds) == len(entries) + 1 and n_q == sgd.n_queries
+        # each entry: its stacked rows, then the spare row past both tables,
+        # and dim offsets per token; doc rows lie past the model's query table
+        for e, rows in enumerate(entries):
+            assert sgd.counts[e] == len(rows)
+            pad = [2 * vocab] * (sgd.tokens.shape[1] - len(rows))
+            assert sgd.tokens[e].tolist() == rows.tolist() + pad
+            want = rows[:, None] * m.dim + np.arange(m.dim)
+            assert np.array_equal(sgd.offsets[sgd.bounds[e]:sgd.bounds[e + 1]], want.ravel())
 
     def test_score_pool_matches_forward(self):
         rng = np.random.default_rng(3)
@@ -318,9 +322,9 @@ class TestSnapshot:
         # the trained model, which teaches cocol and badt, is only ever read
         from test_unlearn_engine import small_unlearn_world
         split, part, model = small_unlearn_world()
-        params = model.params.copy()
-        params.setflags(write=False)  # before ScoreModel takes its views
-        frozen = ScoreModel(params)
+        frozen = ScoreModel(model.params)  # a copy: each of its views is made read-only
+        for table in (frozen.table, frozen.params, frozen.flat, frozen.embed_q, frozen.embed_d):
+            table.setflags(write=False)
         for method in Method:
             run = unlearn(frozen, split, part, UnlearnConfig(delta_target=1e-9, max_epochs=2,
                                                              method=method))

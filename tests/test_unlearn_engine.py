@@ -377,7 +377,7 @@ def test_nan_config_values_rejected(make):
 
 
 def test_fits_and_plans_leave_no_step_state_on_the_dataset():
-    # Each fit's and plan's offset table lives on its Sgd; a dataset holds
+    # Each fit's and plan's step tables live on its Sgd; a dataset holds
     # its fields and the pool arrays derived from them, and nothing of the ranker's.
     split, part, model = small_unlearn_world()
     retrain(split, TrainConfig(epochs=1, dim=8, seed=0), part)
