@@ -17,7 +17,6 @@ JSON object with every run.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import json
 import os
 import subprocess
@@ -43,10 +42,9 @@ SHAPES = {
 
 
 def _workload_corpus() -> dict:
-    spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclass
-    spec.loader.exec_module(module)
-    return module.WORKLOADS[WORKLOAD].config["corpus"]
+    sys.path.insert(0, str(REPO))
+    from perfbench.workloads import WORKLOADS
+    return WORKLOADS[WORKLOAD].config["corpus"]
 
 
 def _rows(dataset) -> dict[str, int]:
@@ -111,7 +109,8 @@ def main(argv=None) -> int:
           f"of {args.number} calls")
     for col, tree in enumerate(trees):
         print(f"  [{col}] {tree}")
-    print(f"{'shape':36s} {'timing':>10s} " + " ".join(f"{f'[{c}]':>8s}" for c in range(len(trees))))
+    columns = " ".join(f"{f'[{c}]':>8s}" for c in range(len(trees)))
+    print(f"{'shape':36s} {'timing':>10s} {columns}")
     for name in SHAPES:
         for timing in ("step", "step+apply"):
             cells = [min(run[tree][name][timing] for run in runs) for tree in trees]
