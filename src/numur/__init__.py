@@ -7,8 +7,8 @@ dual-embedding scorer, six unlearning strategies with a shared
 rank-targeted stopping rule, and ranking metrics with reports.
 """
 
-from .corpus import (CorpusSplit, Dataset, Label, StatsRecord, SyntheticConfig,
-                     dataset_stats, generate_synthetic, load_dataset, save_dataset)
+from .corpus import (CorpusSplit, Dataset, StatsRecord, SyntheticConfig, dataset_stats,
+                     generate_synthetic, load_dataset, save_dataset)
 from .errors import ConfigError, DataError, DivergedError, NumurError
 from .evaluation import (MrrResult, ScoreDistribution, mrr_forget, mrr_set,
                          normalized_forget_score, score_distribution, timing_metrics)

@@ -24,13 +24,12 @@ that removal requests produce non-empty entangled sets.
 
 from __future__ import annotations
 
-import enum
 import json
 import os
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from collections.abc import Sequence
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -54,11 +53,6 @@ SIG_TOKENS = 1
 SIG_REUSE_FRACTION = 0.5
 DOC_LEN = 5
 MIN_NOISE_REGION = 16
-
-
-class Label(enum.Enum):
-    POSITIVE = 1
-    NEGATIVE = 0
 
 
 LABELS = frozenset({"0", "1"})  # qrels label fields; "1" marks a positive sample
@@ -142,51 +136,6 @@ class Dataset:
     pool_len: np.ndarray
     pool_queries: np.ndarray
     vocab_size: int
-
-    @classmethod
-    def of(cls, queries: dict[str, Sequence[int]], docs: dict[str, Sequence[int]],
-           samples: Sequence[tuple[str, str, Label]], pools: dict[str, Sequence[str]],
-           vocab_size: int) -> "Dataset":
-        """The dataset of id-keyed values: token lists by query id and by doc
-        id, (query id, doc id, label) samples and pools of doc ids by query
-        id. Rows follow the order of ``queries`` and ``docs``. Raises
-        DataError on the first violated invariant, in the order checked."""
-        for kind, items in (("query", queries), ("document", docs)):
-            for ident, tokens in items.items():
-                _check_tokens(kind, ident, tokens, vocab_size)
-        seen_pairs: set[tuple[str, str]] = set()
-        for qid, did, _ in samples:
-            if qid not in queries:
-                raise DataError(f"sample references unknown query id {qid!r}")
-            if did not in docs:
-                raise DataError(f"sample references unknown doc id {did!r}")
-            if (qid, did) in seen_pairs:
-                raise DataError(f"duplicate sample for pair {(qid, did)!r}")
-            seen_pairs.add((qid, did))
-            pool = pools.get(qid)
-            if pool is None:
-                raise DataError(f"query {qid!r} has samples but no pool")
-            if did not in pool:
-                raise DataError(f"sample doc {did!r} missing from pool of query {qid!r}")
-        for qid, pool in pools.items():
-            if qid not in queries:
-                raise DataError(f"pool references unknown query id {qid!r}")
-            if len(set(pool)) != len(pool):
-                raise DataError(f"pool of query {qid!r} contains duplicate doc ids")
-            for did in pool:
-                if did not in docs:
-                    raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
-        query_items = Items.of(list(queries), list(queries.values()))
-        doc_items = Items.of(list(docs), list(docs.values()))
-        pool_queries = _rows_of(list(pools), query_items.row)
-        lengths = np.fromiter(map(len, pools.values()), np.intp, len(pools))
-        pool_query = pool_queries.repeat(lengths)
-        pool_doc = _rows_of(list(chain.from_iterable(pools.values())), doc_items.row)
-        return cls(query_items, doc_items, _rows_of([s[0] for s in samples], query_items.row),
-                   _rows_of([s[1] for s in samples], doc_items.row),
-                   np.array([s[2] is Label.POSITIVE for s in samples], dtype=bool),
-                   *_pool_matrix(pool_query, pool_doc, len(queries), len(docs)), pool_queries,
-                   vocab_size)
 
     @property
     def n_samples(self) -> int:
@@ -276,14 +225,6 @@ class SyntheticConfig:
     seed: int = 7
 
 
-def _check_tokens(kind: str, ident: str, tokens: tuple[int, ...], vocab_size: int) -> None:
-    if not tokens:
-        raise DataError(f"{kind} {ident!r} has an empty token list")
-    if min(tokens) < 0 or max(tokens) >= vocab_size:
-        t = next(t for t in tokens if not 0 <= t < vocab_size)
-        raise DataError(f"{kind} {ident!r} token {t} outside vocabulary of size {vocab_size}")
-
-
 # ---------------------------------------------------------------------------
 # File ingestion
 
@@ -366,7 +307,10 @@ def _parse_jsonl(items: list[str]) -> Items | None:
         tokens += lists
     if len(set(ids)) != len(ids):
         return None
-    return Items.of(ids, tokens)
+    try:
+        return Items.of(ids, tokens)
+    except OverflowError:  # a token outside int64
+        return None
 
 
 def _jsonl_check():
@@ -392,6 +336,9 @@ def _jsonl_check():
         toks = obj["tokens"]
         if not isinstance(toks, list) or not all(isinstance(t, int) for t in toks):
             return "'tokens' must be a list of integers"
+        wide = next((t for t in toks if not -2**63 <= t < 2**63), None)
+        if wide is not None:
+            return f"token {wide} outside the 64-bit integer range"
         return None
     return check
 
@@ -505,7 +452,8 @@ def _unique_keys(keys: np.ndarray) -> np.ndarray | None:
 
 
 def _reject_negative_tokens(kind: str, items: Items, vocab_size: int) -> None:
-    """Raise, as Dataset.of would, for the first item with a token below zero."""
+    """Raise DataError for the first item of ``items`` with a token below zero,
+    which no vocabulary holds."""
     at = np.flatnonzero(items.flat < 0)
     if len(at):
         row = int(np.searchsorted(items.starts, at[0], side="right")) - 1
@@ -577,8 +525,9 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
         _line_error(qrels_path, _lines(qrels_path)[1:], 2,
                     _qrels_check(query_row, doc_row, set(pool_keys.tolist())))
 
-    # The checks above cover every invariant of Dataset.of but one: tokens
-    # below zero.
+    # The checks above cover every invariant of a dataset but one: each
+    # token lies in range(vocab_size). The inferred vocab_size bounds the
+    # tokens above, so only a token below zero breaks it.
     _reject_negative_tokens("query", queries, vocab_size)
     _reject_negative_tokens("document", docs, vocab_size)
     return Dataset(queries, docs, sample_query=q, sample_doc=d,
@@ -652,7 +601,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
     of them reuse its signature too (near duplicates), which puts a
     trained scorer's test ranking between chance and its training
     ranking. A fraction ``entanglement_rate`` of positive documents is
-    shared between two queries of the same split.
+    shared between two queries of the same split. The two splits share
+    one doc side, as splits loaded with ``docs_from`` do.
     """
     _check_feasible(cfg)
     rng = np.random.default_rng(cfg.seed)
@@ -662,18 +612,20 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
     if n_train <= 0:
         raise ConfigError("test_fraction leaves no training queries")
 
+    # Queries and docs are handled by their index; ids are made for the files.
     n_topics = _n_topics(cfg.n_queries)
-    perm = rng.permutation(cfg.vocab_size)
+    perm = rng.permutation(cfg.vocab_size).tolist()
     topic_blocks = [perm[t * TOPIC_GROUP:(t + 1) * TOPIC_GROUP] for t in range(n_topics)]
     sig_base = n_topics * TOPIC_GROUP
-    sig_of = {f: perm[sig_base + f * SIG_TOKENS: sig_base + (f + 1) * SIG_TOKENS]
-              for f in range(cfg.n_queries)}
-    noise_region = perm[sig_base + cfg.n_queries * SIG_TOKENS:]
+    sig_of = [perm[sig_base + f * SIG_TOKENS: sig_base + (f + 1) * SIG_TOKENS]
+              for f in range(cfg.n_queries)]
+    noise_region = np.array(perm[sig_base + cfg.n_queries * SIG_TOKENS:])
 
     width = len(str(max(cfg.n_queries, cfg.n_docs) - 1))
-    qids = [f"q{idx:0{width}d}" for idx in range(cfg.n_queries)]
-    order = rng.permutation(cfg.n_queries)
-    test_ids = {qids[i] for i in order[:n_test]}
+    is_test = np.zeros(cfg.n_queries, dtype=bool)
+    is_test[rng.permutation(cfg.n_queries)[:n_test]] = True
+    side = is_test.tolist()
+    train_qs, test_qs = np.flatnonzero(~is_test).tolist(), np.flatnonzero(is_test).tolist()
 
     # Every train query gets a distinct topic pair and its own signature.
     # A test query inherits the topic pair of a random train parent; half
@@ -682,119 +634,117 @@ def generate_synthetic(cfg: SyntheticConfig) -> CorpusSplit:
     # are genuinely novel.
     all_pairs = [(a, b) for a in range(n_topics) for b in range(a + 1, n_topics)]
     pair_order = rng.permutation(len(all_pairs))
-    qindex = {qid: i for i, qid in enumerate(qids)}
-    train_qids = [qid for qid in qids if qid not in test_ids]
-    pair_of: dict[str, tuple[int, ...]] = {}
-    eff_sig: dict[str, tuple[int, ...]] = {}
-    for i, qid in enumerate(train_qids):
-        pair_of[qid] = all_pairs[int(pair_order[i])]
-        eff_sig[qid] = tuple(int(t) for t in sig_of[qindex[qid]])
-    for qid in (q for q in qids if q in test_ids):
-        parent = train_qids[int(rng.integers(len(train_qids)))]
-        pair_of[qid] = pair_of[parent]
+    pair_of: list = [None] * cfg.n_queries
+    eff_sig = sig_of.copy()
+    for i, q in enumerate(train_qs):
+        pair_of[q] = all_pairs[int(pair_order[i])]
+    for q in test_qs:
+        parent = train_qs[int(rng.integers(len(train_qs)))]
+        pair_of[q] = pair_of[parent]
         if rng.random() < SIG_REUSE_FRACTION:
-            eff_sig[qid] = eff_sig[parent]
-        else:
-            eff_sig[qid] = tuple(int(t) for t in sig_of[qindex[qid]])
+            eff_sig[q] = eff_sig[parent]
 
     def topic_tokens(topics: tuple[int, ...]) -> list[int]:
-        return [int(t) for topic in topics for t in topic_blocks[topic]]
+        return [t for topic in topics for t in topic_blocks[topic]]
 
-    queries = {}
-    for qid in qids:
-        # The signature appears twice so it carries as much pooled weight
-        # as the topic pair; that is what separates a query from others
-        # sharing one of its topics.
-        toks = topic_tokens(pair_of[qid]) + list(eff_sig[qid]) * 2
-        queries[qid] = toks
+    # The signature appears twice so it carries as much pooled weight as
+    # the topic pair; that is what separates a query from others sharing
+    # one of its topics.
+    query_tokens = [topic_tokens(pair_of[q]) + eff_sig[q] * 2 for q in range(cfg.n_queries)]
 
     # Positive-document ownership. Adopting an open single-owner document
-    # with probability e/(1+e) per slot yields a shared fraction of e
-    # among distinct positive documents.
+    # of another query of the same split with probability e/(1+e) per
+    # slot yields a shared fraction of e among distinct positive
+    # documents. The open docs are listed per split side and per (side,
+    # topic pair), ascending, which is creation order; the ``own`` docs
+    # that the current query created close each of its two lists.
     adopt_p = cfg.entanglement_rate / (1.0 + cfg.entanglement_rate)
-    owners: list[list[str]] = []
-    open_docs: list[int] = []
-    pos_docs_of: dict[str, list[int]] = {qid: [] for qid in qids}
-    for qid in qids:
+    owners: list[list[int]] = []
+    open_on: tuple[list[int], list[int]] = ([], [])  # train side, test side
+    open_in: dict[tuple, list[int]] = {}
+    pos_docs_of: list[list[int]] = []
+    for q in range(cfg.n_queries):
+        on_side = open_on[side[q]]
+        in_pair = open_in.setdefault((side[q], pair_of[q]), [])
+        pos: list[int] = []
+        own = 0
         for _ in range(cfg.positives_per_query):
-            candidates = [i for i in open_docs
-                          if owners[i][0] != qid
-                          and (owners[i][0] in test_ids) == (qid in test_ids)
-                          and i not in pos_docs_of[qid]]
-            same_pair = [i for i in candidates if pair_of[owners[i][0]] == pair_of[qid]]
+            candidates = len(on_side) - own
             if candidates and rng.random() < adopt_p:
-                pick = same_pair[int(rng.integers(len(same_pair)))] if same_pair \
-                    else candidates[int(rng.integers(len(candidates)))]
-                owners[pick].append(qid)
-                open_docs.remove(pick)
-                pos_docs_of[qid].append(pick)
+                same_pair = len(in_pair) - own
+                pick = in_pair[int(rng.integers(same_pair))] if same_pair \
+                    else on_side[int(rng.integers(candidates))]
+                for docs in (on_side, open_in[side[q], pair_of[owners[pick][0]]]):
+                    del docs[bisect_left(docs, pick)]
+                owners[pick].append(q)
             else:
-                owners.append([qid])
-                open_docs.append(len(owners) - 1)
-                pos_docs_of[qid].append(len(owners) - 1)
+                pick = len(owners)
+                owners.append([q])
+                on_side.append(pick)
+                in_pair.append(pick)
+                own += 1
+            pos.append(pick)
+        pos_docs_of.append(pos)
 
     n_pos_docs = len(owners)
     if n_pos_docs > cfg.n_docs:
         raise ConfigError(
             f"n_docs={cfg.n_docs} too small for {n_pos_docs} positive documents")
 
-    dids = [f"d{idx:0{width}d}" for idx in range(cfg.n_docs)]
-    documents = {}
-    for idx, owner_list in enumerate(owners):
+    doc_tokens = []
+    for owner_list in owners:
         core: list[int] = []
-        for qid in owner_list:
-            for t in topic_tokens(pair_of[qid]):
+        for q in owner_list:
+            for t in topic_tokens(pair_of[q]):
                 if t not in core:
                     core.append(t)
-        for qid in owner_list:
-            core.extend(eff_sig[qid] * 2)
+        for q in owner_list:
+            core.extend(eff_sig[q] * 2)
         # At least one noise token per document: it is the only token not
         # shared with sibling positives, which keeps documents of the same
         # query distinguishable for document-level removal.
         pad = max(1, DOC_LEN - len(core))
-        core.extend(int(t) for t in rng.choice(noise_region, size=pad, replace=False))
-        documents[dids[idx]] = core
-    for idx in range(n_pos_docs, cfg.n_docs):
-        documents[dids[idx]] = rng.choice(noise_region, size=DOC_LEN, replace=False).tolist()
+        doc_tokens.append(core + rng.choice(noise_region, size=pad, replace=False).tolist())
+    doc_tokens += [rng.choice(noise_region, size=DOC_LEN, replace=False).tolist()
+                   for _ in range(n_pos_docs, cfg.n_docs)]
+    docs = Items.of([f"d{idx:0{width}d}" for idx in range(cfg.n_docs)], doc_tokens)
 
+    # Each query's pool (its positives, then its negatives) and samples
+    # (its positives, then its labelled negatives), by doc index.
     all_doc_indices = np.arange(cfg.n_docs)
-    pools: dict[str, tuple[str, ...]] = {}
-    samples_of: dict[str, list[tuple[str, str, Label]]] = {}
-    for qid in qids:
-        pos = pos_docs_of[qid]
+    pools: list[list[int]] = []
+    samples: list[list[int]] = []
+    for pos in pos_docs_of:
         # the sorted docs outside pos: np.setdiff1d's result, without its sort
         outside = np.ones(cfg.n_docs, dtype=bool)
         outside[pos] = False
-        others = all_doc_indices[outside]
-        negs = rng.choice(others, size=cfg.pool_size - len(pos), replace=False)
-        pool_idx = list(pos) + [int(i) for i in negs]
-        pools[qid] = tuple(dids[i] for i in pool_idx)
+        negs = rng.choice(all_doc_indices[outside], size=cfg.pool_size - len(pos), replace=False)
         # Labelled negatives come from plain noise documents when the pool
         # has enough of them, so removal requests aimed at positive
         # documents do not drag in negative judgements.
         noise_negs = negs[negs >= n_pos_docs]
         candidates = noise_negs if len(noise_negs) >= cfg.positives_per_query else negs
         n_neg_samples = min(cfg.positives_per_query, len(candidates))
-        neg_samples = rng.choice(candidates, size=n_neg_samples, replace=False)
-        samples_of[qid] = (
-            [(qid, dids[i], Label.POSITIVE) for i in pos]
-            + [(qid, dids[int(i)], Label.NEGATIVE) for i in neg_samples])
+        pools.append(pos + negs.tolist())
+        samples.append(pos + rng.choice(candidates, size=n_neg_samples, replace=False).tolist())
 
-    def build(split_ids: list[str]) -> Dataset:
-        return Dataset.of(
-            queries={qid: queries[qid] for qid in split_ids},
-            docs=documents,
-            samples=[s for qid in split_ids for s in samples_of[qid]],
-            pools={qid: pools[qid] for qid in split_ids},
-            vocab_size=cfg.vocab_size,
-        )
+    def build(qs: list[int]) -> Dataset:
+        rows = np.arange(len(qs))
+        counts = [len(samples[q]) for q in qs]
+        ppq = cfg.positives_per_query
+        pool_matrix, pool_len = _pool_matrix(
+            rows.repeat(cfg.pool_size),
+            np.fromiter(chain.from_iterable(pools[q] for q in qs), np.intp), len(qs), cfg.n_docs)
+        return Dataset(
+            Items.of([f"q{q:0{width}d}" for q in qs], [query_tokens[q] for q in qs]), docs,
+            sample_query=rows.repeat(counts),
+            sample_doc=np.fromiter(chain.from_iterable(samples[q] for q in qs), np.intp),
+            positive=np.fromiter(chain.from_iterable([True] * ppq + [False] * (n - ppq)
+                                                     for n in counts), bool),
+            pool_matrix=pool_matrix, pool_len=pool_len, pool_queries=rows,
+            vocab_size=cfg.vocab_size)
 
-    split = CorpusSplit(
-        train=build([qid for qid in qids if qid not in test_ids]),
-        test=build([qid for qid in qids if qid in test_ids]),
-    )
-    split.check_disjoint()
-    return split
+    return CorpusSplit(train=build(train_qs), test=build(test_qs))
 
 
 def _n_topics(n_queries: int) -> int:

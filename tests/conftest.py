@@ -1,17 +1,25 @@
 """Shared fixtures: tiny hand-built datasets and the acceptance pipeline.
 
+``dataset_of`` builds a ``Dataset`` from id-keyed values and checks every
+invariant of one, naming the first that breaks; the tests build their
+hand-made datasets with it.
+
 The acceptance corpus, trained model, retrained model, and reference
 unlearning runs are session-scoped; they are the expensive artifacts
 that several test modules compare against.
 """
 
+import enum
+from collections.abc import Sequence
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from numur import (CorpusSplit, Dataset, ForgetSpec, Label, RemovalKind, SyntheticConfig,
+from numur import (CorpusSplit, Dataset, DataError, ForgetSpec, RemovalKind, SyntheticConfig,
                    TrainConfig, generate_synthetic, partition, retrain, train)
+from numur.corpus import Items, _pool_matrix, _rows_of
 from numur.partition import sample_forget_spec
 
 ACCEPT_CORPUS = SyntheticConfig(n_queries=64, n_docs=256, vocab_size=512,
@@ -23,8 +31,66 @@ ACCEPT_UNLEARN_LR = 0.5
 ACCEPT_MAX_EPOCHS = 200
 
 
+class Label(enum.Enum):
+    POSITIVE = 1
+    NEGATIVE = 0
+
+
+def _check_tokens(kind: str, ident: str, tokens: tuple[int, ...], vocab_size: int) -> None:
+    if not tokens:
+        raise DataError(f"{kind} {ident!r} has an empty token list")
+    if min(tokens) < 0 or max(tokens) >= vocab_size:
+        t = next(t for t in tokens if not 0 <= t < vocab_size)
+        raise DataError(f"{kind} {ident!r} token {t} outside vocabulary of size {vocab_size}")
+
+
+def dataset_of(queries: dict[str, Sequence[int]], docs: dict[str, Sequence[int]],
+               samples: Sequence[tuple[str, str, Label]], pools: dict[str, Sequence[str]],
+               vocab_size: int) -> Dataset:
+    """The dataset of id-keyed values: token lists by query id and by doc
+    id, (query id, doc id, label) samples and pools of doc ids by query
+    id. Rows follow the order of ``queries`` and ``docs``. Raises
+    DataError on the first violated invariant, in the order checked."""
+    for kind, items in (("query", queries), ("document", docs)):
+        for ident, tokens in items.items():
+            _check_tokens(kind, ident, tokens, vocab_size)
+    seen_pairs: set[tuple[str, str]] = set()
+    for qid, did, _ in samples:
+        if qid not in queries:
+            raise DataError(f"sample references unknown query id {qid!r}")
+        if did not in docs:
+            raise DataError(f"sample references unknown doc id {did!r}")
+        if (qid, did) in seen_pairs:
+            raise DataError(f"duplicate sample for pair {(qid, did)!r}")
+        seen_pairs.add((qid, did))
+        pool = pools.get(qid)
+        if pool is None:
+            raise DataError(f"query {qid!r} has samples but no pool")
+        if did not in pool:
+            raise DataError(f"sample doc {did!r} missing from pool of query {qid!r}")
+    for qid, pool in pools.items():
+        if qid not in queries:
+            raise DataError(f"pool references unknown query id {qid!r}")
+        if len(set(pool)) != len(pool):
+            raise DataError(f"pool of query {qid!r} contains duplicate doc ids")
+        for did in pool:
+            if did not in docs:
+                raise DataError(f"pool of query {qid!r} references unknown doc id {did!r}")
+    query_items = Items.of(list(queries), list(queries.values()))
+    doc_items = Items.of(list(docs), list(docs.values()))
+    pool_queries = _rows_of(list(pools), query_items.row)
+    lengths = np.fromiter(map(len, pools.values()), np.intp, len(pools))
+    pool_query = pool_queries.repeat(lengths)
+    pool_doc = _rows_of(list(chain.from_iterable(pools.values())), doc_items.row)
+    return Dataset(query_items, doc_items, _rows_of([s[0] for s in samples], query_items.row),
+                   _rows_of([s[1] for s in samples], doc_items.row),
+                   np.array([s[2] is Label.POSITIVE for s in samples], dtype=bool),
+                   *_pool_matrix(pool_query, pool_doc, len(queries), len(docs)), pool_queries,
+                   vocab_size)
+
+
 class Sample(NamedTuple):
-    """A sample by its ids, as ``Dataset.of`` takes it and ``samples_of`` reads it."""
+    """A sample by its ids, as ``dataset_of`` takes it and ``samples_of`` reads it."""
     query_id: str
     doc_id: str
     label: Label
@@ -56,13 +122,13 @@ def build_dataset(samples, pools, vocab_size=32, extra_docs=()):
         for did in docs:
             if did not in documents:
                 documents[did] = (next_token(), next_token())
-    return Dataset.of(queries=queries, docs=documents, samples=sample_objs,
+    return dataset_of(queries=queries, docs=documents, samples=sample_objs,
                       pools={q: tuple(p) for q, p in pools.items()}, vocab_size=vocab_size)
 
 
 def empty_dataset(vocab_size):
     """A dataset without queries, docs, samples or pools."""
-    return Dataset.of(queries={}, docs={}, samples=[], pools={}, vocab_size=vocab_size)
+    return dataset_of(queries={}, docs={}, samples=[], pools={}, vocab_size=vocab_size)
 
 
 def samples_of(dataset):

@@ -18,8 +18,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from numur.corpus import POOLS_HEADER, QRELS_HEADER, Label, _check_tokens
+from numur.corpus import POOLS_HEADER, QRELS_HEADER
 from numur.errors import DataError
+
+from conftest import Label, _check_tokens
 
 
 @dataclass
@@ -77,6 +79,9 @@ def _read_jsonl_items(path: Path) -> list[tuple[str, tuple[int, ...]]]:
         toks = obj["tokens"]
         if not isinstance(toks, list) or not all(isinstance(t, int) for t in toks):
             raise DataError(f"{path}:{lineno}: 'tokens' must be a list of integers")
+        for t in toks:
+            if not -2**63 <= t < 2**63:
+                raise DataError(f"{path}:{lineno}: token {t} outside the 64-bit integer range")
         items.append((ident, tuple(toks)))
     return items
 
@@ -159,8 +164,8 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
                 f"{qrels_path}:{lineno}: {kind} sample doc {did!r} absent from pool of {qid!r}")
         samples.append((qid, did, label))
 
-    # The line checks above cover every invariant of Dataset.of but one:
-    # tokens below zero. Report the first, as Dataset.of would.
+    # The line checks above cover every invariant of dataset_of (conftest)
+    # but one: tokens below zero. Report the first, as dataset_of would.
     if min_token < 0:
         for kind, items in (("query", queries), ("document", documents)):
             for ident, tokens in items.items():

@@ -11,14 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from numur import (ConfigError, ForgetSpec, Label, Method, RemovalKind, UnlearnConfig,
+from numur import (ConfigError, ForgetSpec, Method, RemovalKind, UnlearnConfig,
                    build_min_cache, compute_destinations, consistent_loss, contrastive_loss,
                    delta_min, init_model, mrr_forget, mrr_set, partition, pool, pool_split,
                    score_distribution, unlearn)
 from numur.cli import main as cli_main
 from numur.ranker import PairStep, sample_scores
 
-from conftest import (ACCEPT_MAX_EPOCHS, ACCEPT_UNLEARN_LR, build_dataset, every,
+from conftest import (ACCEPT_MAX_EPOCHS, ACCEPT_UNLEARN_LR, Label, build_dataset, every,
                       forget_query_ids, pair_rows, samples_at, samples_of)
 from scoring_reference import Accumulate, forward, hinge_loss_and_grad
 from test_evaluation import brute_force_first_rank, set_scores

@@ -587,6 +587,18 @@ class TestMalformedArtifacts:
         return self.fails_with_data_error(capsys, runs, "unlearn", "--spec", "spec_document_25",
                                           "--method", "ssd", "--delta", "0.4")
 
+    @pytest.mark.parametrize("name, token", [("train_queries.jsonl", 2**63),
+                                             ("docs.jsonl", -2**63 - 1)])
+    def test_token_outside_int64(self, runs, capsys, name, token):
+        path = runs / "corpus" / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        item = json.loads(lines[1])
+        item["tokens"][0] = token
+        lines[1] = json.dumps(item)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        err = self.fails_with_data_error(capsys, runs, "partition", "--spec", "spec_document_25")
+        assert err == f"ERROR:data: {path}:2: token {token} outside the 64-bit integer range\n"
+
     def test_short_row_in_train_trajectory(self, runs, capsys):
         path = runs / "train" / "trajectory.csv"
         path.write_text(path.read_text() + "9,0.5\n")

@@ -18,14 +18,14 @@ from hypothesis import strategies as st
 from scoring_reference import score_pool
 from test_scoring_properties import datasets, models
 
-from numur import (ConfigError, CorpusSplit, Dataset, ForgetSpec, Label, Method, RemovalKind,
+from numur import (ConfigError, CorpusSplit, ForgetSpec, Method, RemovalKind,
                    SyntheticConfig, UnlearnConfig, build_min_cache, consistent_loss,
                    contrastive_loss, entangled_partners, generate_synthetic, init_model,
                    partition, unlearn)
 from numur.partition import sample_forget_spec
 from numur.ranker import HARD_NEGATIVES_PER_QUERY, HingeSet, Sgd, pool, sample_scores
 
-from conftest import Sample, every, samples_at, samples_of
+from conftest import Label, Sample, dataset_of, every, samples_at, samples_of
 
 # Bounds of one draw each: 1 (a pick that can only be 0), small bounds, and
 # bounds at and past 2**32, where numpy draws from 64 bits instead of 32.
@@ -80,7 +80,7 @@ def mining_datasets(draw):
             if draw(st.booleans()):
                 samples.append(Sample(qid, did, Label.NEGATIVE))
     samples = draw(st.permutations(samples))
-    return Dataset.of(queries=queries, docs=documents, samples=samples, pools=pools,
+    return dataset_of(queries=queries, docs=documents, samples=samples, pools=pools,
                       vocab_size=10)
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
+from numur import (ConfigError, DataError, ForgetSpec, RemovalKind,
                    SyntheticConfig, generate_synthetic, init_model, mrr_forget, mrr_set, normalized_forget_score,
                    partition, pool, score_distribution, timing_metrics)
 
-from conftest import build_dataset, every, forget_query_ids, samples_at, samples_of
+from conftest import Label, build_dataset, every, forget_query_ids, samples_at, samples_of
 from scoring_reference import doc_tokens, forward, query_tokens, rank
 from test_ranker import tiny_dataset
 

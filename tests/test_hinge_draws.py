@@ -21,12 +21,12 @@ from test_epoch_picks import mining_datasets
 from test_roundtrip_properties import specs
 from test_scoring_properties import VOCAB, _sigmoid, datasets, models, wide_models
 
-from numur import (ConfigError, CorpusSplit, DataError, Label, Method, SyntheticConfig,
+from numur import (ConfigError, CorpusSplit, DataError, Method, SyntheticConfig,
                    UnlearnConfig, generate_synthetic, init_model, partition, ranker, unlearn)
 from numur.ranker import HingeDraws, HingeSet, Sgd, pairwise_epoch, pool
 from numur.unlearn_engine import _importance
 
-from conftest import every, samples_at, samples_of
+from conftest import Label, every, samples_at, samples_of
 
 REGIMES = ("none", "all", "some", "nan")
 

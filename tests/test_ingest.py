@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numur import DataError, Dataset, Label, load_dataset, save_dataset
+from numur import DataError, Dataset, load_dataset, save_dataset
 from numur.corpus import POOLS_HEADER
 
-from conftest import Sample, figure_case_dataset, samples_of, tokens_of
+from conftest import Label, Sample, dataset_of, figure_case_dataset, samples_of, tokens_of
 
 FILES = ("queries", "docs", "qrels", "pools")
 Q2 = '{"id": "q2", "tokens": [3, 4]}'  # the saved line of q2 in queries.jsonl
@@ -58,6 +58,10 @@ ERROR_CASES = [
      "'tokens' must be a list of integers"),
     ("tokens not a list", "queries", replace(1, '{"id": "q1", "tokens": "ab"}'), 1,
      "'tokens' must be a list of integers"),
+    ("token past int64", "docs", replace(3, '{"id": "d3", "tokens": [5, 9223372036854775808]}'),
+     3, "token 9223372036854775808 outside the 64-bit integer range"),
+    ("token below int64", "queries", replace(2, '{"id": "q2", "tokens": [-9223372036854775809]}'),
+     2, "token -9223372036854775809 outside the 64-bit integer range"),
     # _read_tsv
     ("missing header", "pools", lambda lines: lines[1:], 1,
      "expected header 'query_id\\tdoc_id\\trank_hint'"),
@@ -177,7 +181,7 @@ def small_datasets(draw):
                 samples.append(Sample(qid, did, label))
     samples = draw(st.permutations(samples))
     vocab = 1 + max(t for tokens in [*queries.values(), *documents.values()] for t in tokens)
-    return Dataset.of(queries=queries, docs=documents, samples=list(samples), pools=pools,
+    return dataset_of(queries=queries, docs=documents, samples=list(samples), pools=pools,
                       vocab_size=vocab)
 
 

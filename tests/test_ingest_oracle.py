@@ -9,7 +9,7 @@ loaders must give the same dataset, in the same order, and the same
 arrays, without running the per-line error path. On the same corpora
 with one or two lines corrupted, and on every case of ``test_ingest``'s
 error table, both must raise the same ``DataError``, and so must
-``Dataset.of`` and the per-query builder on hand-assembled values whose
+``dataset_of`` and the per-query builder on hand-assembled values whose
 pools name unknown ids.
 """
 
@@ -22,12 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as reference
-from numur import DataError, Dataset, load_dataset
+from numur import DataError, load_dataset
 from numur import corpus
 from numur.corpus import POOLS_HEADER, QRELS_HEADER
 from scoring_reference import doc_tokens, query_tokens
 
-from conftest import samples_of, tokens_of
+from conftest import dataset_of, samples_of, tokens_of
 from test_ingest import ERROR_CASES, saved_figure_case
 
 FILES = ("queries", "docs", "qrels", "pools")
@@ -273,7 +273,7 @@ def test_each_error_case_reads_as_in_the_line_by_line_loader(tmp_path, case, nam
 ], ids=["doc", "query", "later pool", "query first"])
 def test_unknown_pool_ids_fail_like_the_per_query_builder(pools):
     errors = []
-    for build in (Dataset.of, lambda **values: reference.build_index(reference.Corpus(**values))):
+    for build in (dataset_of, lambda **values: reference.build_index(reference.Corpus(**values))):
         with pytest.raises(DataError) as info:
             build(queries={"q1": (1,)}, docs={"d1": (2,)}, samples=[], pools=pools, vocab_size=3)
         errors.append(str(info.value))

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from numur import (ConfigError, DataError, ForgetSpec, Label, RemovalKind,
+from numur import (ConfigError, DataError, ForgetSpec, RemovalKind,
                    entangled_partners, partition)
 from numur.partition import load_forget_spec, sample_forget_spec, save_forget_spec
 
-from conftest import build_dataset, forget_query_ids, position_of, samples_at, samples_of
+from conftest import (Label, build_dataset, forget_query_ids, position_of, samples_at,
+                      samples_of)
 
 
 def brute_force_partition(dataset, spec):

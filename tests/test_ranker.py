@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from numur import (Dataset, DataError, ForgetSpec, Label, Method, RemovalKind, ScoreModel,
+from numur import (DataError, ForgetSpec, Method, RemovalKind, ScoreModel,
                    TrainConfig, UnlearnConfig, consistent_loss, contrastive_loss, init_model,
                    load_model, partition, retrain, save_model, train, unlearn)
 from numur.ranker import HingeDraws, HingeSet, PairStep, Sgd, pool, sample_scores
 
-from conftest import (build_dataset, empty_dataset, every, pair_rows, samples_at, samples_of,
-                      spy)
+from conftest import (Label, build_dataset, dataset_of, empty_dataset, every, pair_rows,
+                      samples_at, samples_of, spy)
 from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
                                query_tokens, score_pool)
 
@@ -333,7 +333,7 @@ class TestSnapshot:
 
 
 # Samples are positions past the loader, so an id enters only where a
-# dataset is built: Dataset.of names the first unknown id, so no entry that
+# dataset is built: dataset_of names the first unknown id, so no entry that
 # takes positions can be handed a dataset whose sample names one.
 UNKNOWN_ID_CALLS = {
     "index": lambda m, ds: ds,
@@ -352,7 +352,7 @@ def test_unknown_sample_id_is_a_data_error(call, pair, kind):
     m = init_model(32, 3, seed=0)
     params = m.params.copy()
     with pytest.raises(DataError, match=f"^sample references unknown {kind} id 'nope'$"):
-        call(m, Dataset.of(queries={"q0": (1, 2)}, docs={"d0": (3, 4), "d1": (5, 6)},
+        call(m, dataset_of(queries={"q0": (1, 2)}, docs={"d0": (3, 4), "d1": (5, 6)},
                            samples=samples, pools={"q0": ("d0", "d1")}, vocab_size=32))
     assert np.array_equal(m.params, params)
 

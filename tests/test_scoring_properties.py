@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from numur import (ConfigError, Dataset, ForgetSpec, Label, RemovalKind, build_min_cache,
+from numur import (ConfigError, ForgetSpec, RemovalKind, build_min_cache,
                    consistent_loss, contrastive_loss,
                    init_model, mrr_forget, mrr_set, partition, score_distribution)
 from numur.ranker import (HingeSet, PairStep, Sgd, doc_vectors, pair_scores, pairwise_epoch,
@@ -21,7 +21,8 @@ from numur.unlearn_losses import _abs_delta_loss
 from scoring_reference import (Accumulate, doc_tokens, forward, hinge_loss_and_grad,
                                pool_rows, query_tokens, rank, score_pool)
 
-from conftest import Sample, every, forget_query_ids, position_of, samples_of
+from conftest import (Label, Sample, dataset_of, every, forget_query_ids, position_of,
+                      samples_of)
 
 VOCAB = 10
 
@@ -48,7 +49,7 @@ def datasets(draw, doc_len=9, query_len=5):
             label = draw(st.sampled_from([None, Label.POSITIVE, Label.NEGATIVE]))
             if label is not None:
                 samples.append(Sample(qid, did, label))
-    return Dataset.of(queries=queries, docs=documents, samples=samples, pools=pools,
+    return dataset_of(queries=queries, docs=documents, samples=samples, pools=pools,
                       vocab_size=VOCAB)
 
 
@@ -149,7 +150,7 @@ def test_long_docs_pool_bitwise_at_every_dim(doc_lists, model):
     # numpy sums a (tokens, 1) slice pairwise from 8 tokens on, and a wider
     # one token by token; the grouped pooling must follow both.
     documents = {f"d{i}": toks for i, toks in enumerate(doc_lists)}
-    ds = Dataset.of(queries={"q": doc_lists[0]}, docs=documents,
+    ds = dataset_of(queries={"q": doc_lists[0]}, docs=documents,
                     samples=[], pools={"q": tuple(documents)}, vocab_size=VOCAB)
     dvec, qvec = doc_vectors(model, ds), query_vectors(model, ds)
     for did, row in ds.docs.row.items():

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_scoring_properties import datasets
 
-from numur import (ConfigError, Label, build_min_cache, clone_model, consistent_loss,
+from numur import (ConfigError, build_min_cache, clone_model, consistent_loss,
                    contrastive_loss, delta_min, init_model)
 from numur.ranker import pool, sample_scores
 from numur.unlearn_losses import _abs_delta_loss, _abs_delta_terms
 
-from conftest import build_dataset, every, samples_of
+from conftest import Label, build_dataset, every, samples_of
 from scoring_reference import Accumulate, doc_tokens, forward, query_tokens
 from test_ranker import assert_close_grads, finite_difference, tiny_dataset
 

@@ -24,11 +24,11 @@ from test_hinge_draws import (Loop, loop_importance, loop_pairwise_epoch, loop_u
 from test_scoring_properties import (VOCAB, Ref, datasets, models, ref_abs_delta,
                                      ref_consistent, ref_contrastive, token_lists)
 
-from numur import (ConfigError, CorpusSplit, DataError, Dataset, Label, Method, RemovalKind,
+from numur import (ConfigError, CorpusSplit, DataError, Method, RemovalKind,
                    UnlearnConfig, clone_model, init_model, partition, unlearn)
 from numur.ranker import Sgd
 
-from conftest import Sample, samples_of
+from conftest import Label, Sample, dataset_of, samples_of
 
 
 @st.composite
@@ -55,7 +55,7 @@ def separable_datasets(draw):
                 else draw(st.sampled_from([None, Label.POSITIVE, Label.NEGATIVE]))
             if label is not None:
                 samples.append(Sample(qid, did, label))
-    return Dataset.of(queries=queries, docs=documents, samples=draw(st.permutations(samples)),
+    return dataset_of(queries=queries, docs=documents, samples=draw(st.permutations(samples)),
                       pools=pools, vocab_size=VOCAB)
 
 
