@@ -562,6 +562,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ERROR:io: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"ERROR:memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -758,6 +758,9 @@ def _n_topics(n_queries: int) -> int:
 def _check_feasible(cfg: SyntheticConfig) -> None:
     if cfg.n_queries < 1 or cfg.n_docs < 1 or cfg.vocab_size < 1:
         raise ConfigError("n_queries, n_docs, and vocab_size must be positive")
+    if cfg.vocab_size >= 2**32:  # save_model's header stores it in 32 bits
+        raise ConfigError(f"vocab_size={cfg.vocab_size} must be below 2**32, the most a model "
+                          "file holds")
     if cfg.positives_per_query < 1:
         raise ConfigError("positives_per_query must be positive")
     if cfg.pool_size <= cfg.positives_per_query:

@@ -111,50 +111,41 @@ def sample_forget_spec(dataset: Dataset, kind: RemovalKind, fraction: float,
     """
     if not 0.0 < fraction < 1.0:
         raise ConfigError("removal fraction must lie in (0, 1)")
-    query_ids, doc_ids, positive = dataset.queries.ids, dataset.docs.ids, dataset.positive
-    positives = [(query_ids[q], doc_ids[d]) for q, d in zip(
-        dataset.sample_query[positive].tolist(), dataset.sample_doc[positive].tolist())]
-    if not positives:
+    query, doc = dataset.sample_query[dataset.positive], dataset.sample_doc[dataset.positive]
+    if not len(query):
         raise ConfigError("dataset has no positive samples to remove")
-    target = max(1, round(fraction * len(positives)))
+    target = max(1, round(fraction * len(query)))
     rng = np.random.default_rng(seed)
+    items = dataset.queries if kind is RemovalKind.QUERY else dataset.docs
+    counts = np.bincount(query if kind is RemovalKind.QUERY else doc, minlength=len(items.ids))
+    # the rows with a positive in id order, then shuffled
+    rows = np.argsort(items.id_order)
+    rows = rows[counts[rows] > 0]
+    order = rows[rng.permutation(len(rows))]
 
-    if kind is RemovalKind.QUERY:
-        per_id: dict[str, int] = {}
-        for qid, _ in positives:
-            per_id[qid] = per_id.get(qid, 0) + 1
-        ids = sorted(per_id)
-        chosen: list[str] = []
-        covered = 0
-        for i in rng.permutation(len(ids)):
-            if covered >= target:
-                break
-            chosen.append(ids[int(i)])
-            covered += per_id[ids[int(i)]]
-        return ForgetSpec(kind=kind, ids=frozenset(chosen))
+    if kind is RemovalKind.QUERY:  # the shortest shuffled prefix that covers the target
+        chosen = order[:np.searchsorted(np.cumsum(counts[order]), target) + 1]
+        return ForgetSpec(kind=kind, ids=frozenset(items.ids[r] for r in chosen.tolist()))
 
-    owners: dict[str, list[str]] = {}
-    remaining: dict[str, int] = {}
-    for qid, did in positives:
-        owners.setdefault(did, []).append(qid)
-        remaining[qid] = remaining.get(qid, 0) + 1
-    ids = sorted(owners)
-    order = [ids[int(i)] for i in rng.permutation(len(ids))]
-    chosen = []
-    covered = 0
+    # each doc row's owners, the queries of its positives, in sample order
+    owners = query[np.argsort(doc, kind="stable")].tolist()
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    remaining = np.bincount(query, minlength=len(dataset.queries.ids)).tolist()
+    order = order.tolist()
+    taken, covered = [False] * len(order), 0
     for strict in (True, False):
-        for did in order:
+        for i, d in enumerate(order):
             if covered >= target:
                 break
-            if did in chosen:
+            mine = owners[bounds[d]:bounds[d + 1]]
+            if taken[i] or (strict and any(remaining[q] <= 1 for q in mine)):
                 continue
-            if strict and any(remaining[q] <= 1 for q in owners[did]):
-                continue
-            chosen.append(did)
-            covered += len(owners[did])
-            for q in owners[did]:
+            taken[i] = True
+            covered += len(mine)
+            for q in mine:
                 remaining[q] -= 1
-    return ForgetSpec(kind=kind, ids=frozenset(chosen))
+    return ForgetSpec(kind=kind, ids=frozenset(
+        items.ids[d] for d, took in zip(order, taken) if took))
 
 
 def load_forget_spec(path: str | Path) -> ForgetSpec:

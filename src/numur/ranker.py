@@ -27,6 +27,7 @@ from .errors import ConfigError, DataError, DivergedError
 
 MODEL_MAGIC = b"NUMR"
 MODEL_VERSION = 1
+MODEL_FIELD_LIMIT = 2**32  # save_model's header stores vocab_size and dim in 32 bits
 
 
 class ScoreModel:
@@ -80,6 +81,8 @@ class TrainConfig:
             raise ConfigError("epochs must be non-negative")
         if self.negatives_per_positive < 1 or self.dim < 1:
             raise ConfigError("negatives_per_positive and dim must be positive")
+        if self.dim >= MODEL_FIELD_LIMIT:
+            raise ConfigError(f"dim={self.dim} must be below 2**32, the most a model file holds")
 
 
 @dataclass
@@ -91,9 +94,17 @@ class TrainResult:
 
 
 def init_model(vocab_size: int, dim: int, seed: int) -> ScoreModel:
-    """Fresh model with entries uniform in [-0.1, 0.1], query table drawn first."""
+    """Fresh model with entries uniform in [-0.1, 0.1], query table drawn
+    first; ConfigError for a table that a model file or numpy cannot hold."""
+    if vocab_size >= MODEL_FIELD_LIMIT or dim >= MODEL_FIELD_LIMIT:
+        raise ConfigError(f"a model of {vocab_size} tokens and dim {dim} cannot be saved: "
+                          "a model file holds each below 2**32")
     rng = np.random.default_rng(seed)
-    return ScoreModel(rng.uniform(-0.1, 0.1, size=(2 * vocab_size, dim)))
+    try:
+        return ScoreModel(rng.uniform(-0.1, 0.1, size=(2 * vocab_size, dim)))
+    except ValueError:  # more bytes than an array can index
+        raise ConfigError(f"a model of {vocab_size} tokens and dim {dim} is too large for "
+                          "an array") from None
 
 
 def clone_model(model: ScoreModel) -> ScoreModel:
@@ -361,12 +372,13 @@ class HingeDraws:
     caller draws them, every draw of a pass in one ``rng.integers`` call.
     A draw whose hinge is not positive leaves the parameters as they
     are, so the draws after it can be scored under the same parameters.
-    After such an inactive draw, every remaining draw of the positive is
-    scored in one ``PairStep`` of the positive and those draws. After an
-    active draw (a NaN loss counts as active), only the next one is
-    scored, in a two-pair step of the positive and that draw. An active
-    draw steps through ``sgd.apply`` with a zero upstream on the other
-    pairs. The window carries over from one positive to the next, so a
+    ``run`` is one walk: each ``PairStep`` scores the positive and a
+    window of the draws left, and the walk goes through them up to the
+    first active draw (a NaN loss counts as active), which steps through
+    ``sgd.apply`` with a zero upstream on the other pairs. After an
+    inactive draw the window is every remaining draw of the positive;
+    after an active draw, and at the start of a pass, it is the next draw
+    alone. The window carries over from one positive to the next, so a
     run whose draws are all active makes the steps of the per-draw loop
     and no more.
 
@@ -381,25 +393,12 @@ class HingeDraws:
 
     def run(self, query_row: int, pos_row: int, neg_rows: Sequence[int]) -> None:
         """One draw of ``(pos_row, neg)`` for each doc row of ``neg_rows`` in order."""
-        if not neg_rows:
-            return
         pos_pair, pairs = (query_row, pos_row), [(query_row, neg) for neg in neg_rows]
         self.draws += len(pairs)
         sgd, margin = self.sgd, self.margin
         at, n = 0, len(pairs)
         while at < n:
-            if not self.wide:  # the per-draw step
-                step = PairStep(sgd, (pos_pair, pairs[at]))
-                pos_score, neg_score = step.scores
-                loss = margin - pos_score + neg_score
-                at += 1
-                if loss <= 0.0:
-                    self.wide = True
-                else:
-                    sgd.apply(step, [-1.0, 1.0])
-                    self.total += loss
-                continue
-            step = PairStep(sgd, [pos_pair, *pairs[at:]])
+            step = PairStep(sgd, [pos_pair, *pairs[at:n if self.wide else at + 1]])
             scores = step.scores
             for k in range(1, len(scores)):
                 loss = margin - scores[0] + scores[k]
@@ -412,6 +411,8 @@ class HingeDraws:
                 self.total += loss
                 self.wide = False
                 break  # the parameters moved: score the rest again
+            else:
+                self.wide = True
 
 
 # Positives per block of hinge_grad_squares. A block's largest temporary
@@ -496,8 +497,8 @@ class HingeSet:
     query's negatives. ``n_pos``, ``n_neg`` and ``n_hard`` count each
     query's positives, its negatives and the negatives it mines;
     ``all_negatives`` holds the doc rows of every query's negatives in
-    turn, those of query i from ``neg_start[i]``. ``bare`` is the id of
-    the first query without a negative, if any.
+    turn, those of query i from ``neg_start[i]``; ``uniform`` draws from
+    it. ``bare`` is the id of the first query without a negative, if any.
     """
 
     def __init__(self, dataset: Dataset, samples: np.ndarray):
@@ -539,6 +540,13 @@ class HingeSet:
         scores = score_pools(pooled, self.rows)
         order = np.lexsort((self.ids, -scores, self.not_negative), axis=-1)
         return np.take_along_axis(self.position, order[:, :HARD_NEGATIVES_PER_QUERY], axis=1)
+
+    def uniform(self, rng: np.random.Generator, at: np.ndarray, counts) -> np.ndarray:
+        """The doc rows of ``counts[i]`` uniform picks among the negatives of
+        query ``at[i]``, i in turn, from one ``rng.integers`` call with one
+        bound per pick: the stream of one call per pick."""
+        at = at.repeat(counts)
+        return self.all_negatives[self.neg_start[at] + rng.integers(self.n_neg[at])]
 
 
 def pairwise_epoch(sgd: Sgd, queries: HingeSet, pooled: Pooled, rng: np.random.Generator,

@@ -263,8 +263,7 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
     positives = np.concatenate((forget, part.entangled[train.positive[part.entangled]]))
     queries = HingeSet(train, np.arange(train.n_samples))
     at = queries.slot[train.sample_query[positives]]
-    n_negs, starts = queries.n_neg[at], queries.neg_start[at]
-    bare = np.flatnonzero(n_negs == 0)
+    bare = np.flatnonzero(queries.n_neg[at] == 0)
     if len(bare):
         query_id = train.sample_ids(positives[bare[0]])[0]
         if bare[0] < n_forget:
@@ -280,8 +279,7 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
     def epoch(rng: np.random.Generator) -> None:
         draws = HingeDraws(sgd, margin)
         order = rng.permutation(len(positives))
-        picks = rng.integers(n_negs[order].repeat(n_draws[order]))
-        negs = queries.all_negatives[starts[order].repeat(n_draws[order]) + picks].tolist()
+        negs = queries.uniform(rng, at[order], n_draws[order]).tolist()
         k = 0
         for i in order.tolist():
             if i < n_forget:
@@ -302,7 +300,7 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
     positives = part.forget[train.positive[part.forget]]
     queries = HingeSet(train, np.arange(train.n_samples))
     at = queries.slot[train.sample_query[positives]]
-    n_negs, starts = queries.n_neg[at], queries.neg_start[at]
+    has_negs = queries.n_neg[at] > 0
     query, doc = train.sample_query[positives].tolist(), train.sample_doc[positives].tolist()
     ascent = Sgd(run.final_model, train, -cfg.learning_rate)
 
@@ -310,9 +308,8 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
         draws = HingeDraws(ascent, margin)
         order = rng.permutation(len(positives))
         # npp draws for each positive that has negatives, none for the rest
-        order = order[n_negs[order] > 0]
-        picks = rng.integers(n_negs[order].repeat(npp))
-        negs = queries.all_negatives[starts[order].repeat(npp) + picks].tolist()
+        order = order[has_negs[order]]
+        negs = queries.uniform(rng, at[order], npp).tolist()
         for k, i in enumerate(order.tolist()):
             draws.run(query[i], doc[i], negs[k * npp:(k + 1) * npp])
 
@@ -370,15 +367,11 @@ def _importance(model: ScoreModel, pooled: Pooled, samples: np.ndarray,
     dataset = pooled.dataset
     positives = samples[dataset.positive[samples]]
     at = queries.slot[dataset.sample_query[positives]]
-    n_negs, starts = queries.n_neg[at], queries.neg_start[at]
-    drawn = n_negs > 0
+    drawn = queries.n_neg[at] > 0
     sq = np.zeros_like(model.params)
     if not drawn.any():
         return sq
-    # one call with an array of bounds makes the draws of one
-    # rng.integers(n_neg) call per draw, in the same order
-    picks = rng.integers(n_negs[drawn].repeat(npp))
-    neg_rows = queries.all_negatives[starts[drawn].repeat(npp) + picks].reshape(-1, npp)
+    neg_rows = queries.uniform(rng, at[drawn], npp).reshape(-1, npp)
     hinge_grad_squares(pooled, dataset.sample_query[positives[drawn]],
                        dataset.sample_doc[positives[drawn]], neg_rows, margin, sq)
     sq /= np.count_nonzero(drawn)

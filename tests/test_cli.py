@@ -784,6 +784,67 @@ class TestMalformedArtifacts:
         assert not (runs / "unlearn").exists()
 
 
+class TestTablesThatCannotExist:
+    """A model table that no model file can store, or no array can hold,
+    ends in ERROR:<code> and exit 1, never a traceback. Every size here
+    fails before a page is touched: a vocabulary or dim of 2**32 or more,
+    or a table of 2 PiB, past the 47-bit address space."""
+
+    @pytest.fixture
+    def runs(self, workdir, tmp_path):
+        copy = tmp_path / "runs"
+        shutil.copytree(workdir / "runs" / "corpus", copy / "corpus")
+        return copy
+
+    @staticmethod
+    def train(capsys, runs, code, dim=SMALL_CONFIG["train"]["dim"], vocab=None):
+        if vocab is not None:
+            path = runs / "corpus" / "stats.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()), "vocab_size": vocab}))
+        config = runs / "config.json"
+        config.write_text(json.dumps({"train": {**SMALL_CONFIG["train"], "dim": dim}}))
+        assert main(["--config", str(config), "--out", str(runs), "train"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR:{code}:") and err.count("\n") == 1, err
+        assert not (runs / "train").exists()
+        return err
+
+    @pytest.mark.parametrize("vocab", [2**32, 2**40, 10**20])
+    def test_vocab_in_corpus_stats(self, runs, capsys, vocab):
+        assert f"a model of {vocab} tokens and dim 8 cannot be saved" in \
+            self.train(capsys, runs, "config", vocab=vocab)
+
+    def test_huge_token_in_docs(self, runs, capsys):
+        path = runs / "corpus" / "docs.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        item = json.loads(lines[1])
+        item["tokens"][0] = 2**62
+        lines[1] = json.dumps(item)
+        path.write_text("\n".join(lines), encoding="utf-8")
+        assert f"a model of {2**62 + 1} tokens" in self.train(capsys, runs, "config")
+
+    def test_dim_past_the_model_file(self, runs, capsys):
+        assert "dim=4294967296 must be below 2**32" in self.train(capsys, runs, "config",
+                                                                  dim=2**32)
+
+    def test_table_past_an_array(self, runs, capsys):
+        err = self.train(capsys, runs, "config", dim=2**32 - 1, vocab=2**32 - 1)
+        assert "is too large for an array" in err
+
+    def test_table_past_the_address_space(self, runs, capsys):
+        assert "2.00 PiB" in self.train(capsys, runs, "memory", dim=2**16, vocab=2**31 - 1)
+
+    def test_gen_vocab_past_the_model_file(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "corpus": {**SMALL_CONFIG["corpus"],
+                                                                 "vocab_size": 2**40}}))
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == 1
+        err = capsys.readouterr().err
+        assert err == "ERROR:config: vocab_size=1099511627776 must be below 2**32, the most " \
+            "a model file holds\n"
+        assert not (tmp_path / "o").exists()
+
+
 def _declared(payload, fields) -> bool:
     """Whether ``payload`` has exactly the keys of the declaration ``fields``."""
     return sorted(payload) == sorted(fields) and all(

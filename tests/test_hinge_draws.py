@@ -109,6 +109,47 @@ def test_run_is_the_per_draw_loop(ds, model, regime, sign, lr, data):
     assert not sgd.scratch.any() and not ref_sgd.scratch.any()
 
 
+def window_widths(activity):
+    """The draws each ``PairStep`` of a pass scores, from each positive's
+    draw activity in order: one draw at the start of the pass and after an
+    active draw, the rest of the positive's draws after an inactive one,
+    and the state carried from one positive to the next."""
+    widths, wide = [], False
+    for active in activity:
+        at = 0
+        while at < len(active):
+            width = len(active) - at if wide else 1
+            widths.append(width)
+            hit = next((k for k in range(at, at + width) if active[k]), None)
+            wide = hit is None
+            at = at + width if wide else hit + 1
+    return widths
+
+
+@settings(max_examples=150, deadline=None)
+@given(datasets(), models, st.sampled_from(REGIMES), st.floats(0.01, 2.0), st.data())
+def test_run_steps_through_the_window(ds, model, regime, lr, data):
+    margin = apply_regime(model, ds, regime, data)
+    tasks = draw_tasks(data, ds)
+    ref_model = type(model)(model.params.copy())
+    draws, loop = HingeDraws(Sgd(model, ds, lr), margin), Loop(Sgd(ref_model, ds, lr), margin)
+    widths = []
+
+    class Recorded(ranker.PairStep):
+        def __init__(self, sgd, pairs):
+            widths.append(len(pairs) - 1)  # the draws beside the positive's pair
+            super().__init__(sgd, pairs)
+
+    activity = []
+    with np.errstate(all="ignore"), patch.object(ranker, "PairStep", Recorded):
+        for qid, pos, negs in tasks:
+            draws.run(ds.queries.row[qid], ds.docs.row[pos], doc_rows(ds, negs))
+    with np.errstate(all="ignore"):  # the reference's own steps go unrecorded
+        for qid, pos, negs in tasks:
+            activity.append([not loop.step(qid, pos, neg) <= 0.0 for neg in negs])
+    assert widths == window_widths(activity)
+
+
 def loop_pairwise_epoch(ds, samples, rng, margin, npp, loop):
     """pairwise_epoch with one hinge_loss_and_grad call per draw."""
     positives = {}

@@ -18,12 +18,16 @@ def test_one_run_times_every_shape_of_this_tree(capsys):
     result = json.loads(lines[-1])
     (run,) = result["runs"]
     (times,) = run.values()
-    assert list(times) == list(step_bench.SHAPES)
-    for timing in times.values():
-        assert timing["step"] > 0 and timing["step+apply"] > 0
-    # one table row per shape and timing, one column per tree
-    rows = [line for line in lines if line.startswith(tuple(step_bench.SHAPES))]
-    assert len(rows) == 2 * len(step_bench.SHAPES)
+    assert list(times) == [*step_bench.SHAPES, *step_bench.HINGE_RUNS]
+    for name in step_bench.SHAPES:
+        assert list(times[name]) == ["step", "step+apply"]
+    for name in step_bench.HINGE_RUNS:
+        assert list(times[name]) == ["run"]
+    assert all(t > 0 for timing in times.values() for t in timing.values())
+    # one table row per shape or hinge run and timing, one column per tree
+    names = (*step_bench.SHAPES, *step_bench.HINGE_RUNS)
+    rows = [line for line in lines if line.startswith(names)]
+    assert len(rows) == 2 * len(step_bench.SHAPES) + len(step_bench.HINGE_RUNS)
 
 
 def test_a_tree_without_the_package_is_refused(tmp_path):

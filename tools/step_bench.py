@@ -8,10 +8,11 @@ checkout). Every run starts one subprocess per tree, in turn, the order
 reversed on odd runs; the subprocess builds the train split of the
 sgd-wide workload's corpus (``perfbench/workloads.py``) and a fresh
 dim-16 model, then times, for each step shape, ``PairStep(sgd, pairs)``
-alone and ``sgd.apply(PairStep(sgd, pairs), upstream)``, K calls per
-timing. It prints the minimum over the runs, in µs per call, one row per
-shape and one column per tree; the last line of standard output is one
-JSON object with every run.
+alone and ``sgd.apply(PairStep(sgd, pairs), upstream)``, and, for each
+hinge run, ``HingeDraws(sgd, margin).run`` of one positive and four
+draws, K calls per timing. It prints the minimum over the runs, in µs
+per call, one row per shape or run and timing and one column per tree;
+the last line of standard output is one JSON object with every run.
 """
 
 from __future__ import annotations
@@ -40,6 +41,14 @@ SHAPES = {
                                         [-1.0, 0.0, 1.0, 0.0, 0.0]),
 }
 
+# name: margin of a HingeDraws whose run(q, p, [n1, n2, n3, n4]) is timed. At
+# 100 every draw is active: four two-pair steps, each applied. At -100 every
+# draw is inactive and the window is already wide: one five-pair step.
+HINGE_RUNS = {
+    "hinge positive, 4 draws active": 100.0,
+    "hinge positive, 4 draws inactive": -100.0,
+}
+
 
 def _workload_corpus() -> dict:
     sys.path.insert(0, str(REPO))
@@ -60,7 +69,7 @@ def _rows(dataset) -> dict[str, int]:
 def worker(number: int) -> dict[str, dict[str, float]]:
     """µs per call of each shape under the ``numur`` on ``sys.path``."""
     from numur import SyntheticConfig, generate_synthetic, init_model
-    from numur.ranker import PairStep, Sgd
+    from numur.ranker import HingeDraws, PairStep, Sgd
 
     dataset = generate_synthetic(SyntheticConfig(**_workload_corpus())).train
     sgd = Sgd(init_model(dataset.vocab_size, DIM, seed=0), dataset, 1e-6)
@@ -72,6 +81,12 @@ def worker(number: int) -> dict[str, dict[str, float]]:
         applied = timeit.Timer(lambda: sgd.apply(PairStep(sgd, pairs), upstream))
         out[name] = {"step": min(step.repeat(3, number)) / number * 1e6,
                      "step+apply": min(applied.repeat(3, number)) / number * 1e6}
+    negs = [rows[f"n{i + 1}"] for i in range(4)]
+    for name, margin in HINGE_RUNS.items():
+        draws = HingeDraws(sgd, margin)
+        draws.run(rows["q"], rows["p"], negs)  # an inactive last draw leaves the window wide
+        run = timeit.Timer(lambda: draws.run(rows["q"], rows["p"], negs))
+        out[name] = {"run": min(run.repeat(3, number)) / number * 1e6}
     return out
 
 
@@ -111,8 +126,8 @@ def main(argv=None) -> int:
         print(f"  [{col}] {tree}")
     columns = " ".join(f"{f'[{c}]':>8s}" for c in range(len(trees)))
     print(f"{'shape':36s} {'timing':>10s} {columns}")
-    for name in SHAPES:
-        for timing in ("step", "step+apply"):
+    for name in [*SHAPES, *HINGE_RUNS]:
+        for timing in runs[0][trees[0]][name]:
             cells = [min(run[tree][name][timing] for run in runs) for tree in trees]
             print(f"{name:36s} {timing:>10s} " + " ".join(f"{c:8.2f}" for c in cells))
     print(json.dumps({"workload": WORKLOAD, "dim": DIM, "number": args.number, "runs": runs}))
