@@ -26,8 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import charts
-from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, generate_synthetic,
-                     load_dataset, read_json, read_utf8, save_dataset, write_lines)
+from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, file_digests,
+                     generate_synthetic, load_dataset, load_image, read_json, read_utf8,
+                     save_dataset, save_image, write_lines)
 from .errors import ConfigError, DataError, NumurError, checked
 from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
@@ -161,6 +162,10 @@ RUN_REPORT = {"method": str, "spec": str, "delta_target": float, "epochs_run": i
 # Output layout and serialisation helpers
 
 
+# The parsed arrays of both splits, beside the corpus text (corpus.save_image).
+CORPUS_IMAGE = "arrays.bin"
+
+
 def _corpus_paths(out: Path, split_name: str):
     base = out / "corpus"
     return (base / f"{split_name}_queries.jsonl", base / "docs.jsonl",
@@ -225,10 +230,27 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _load_split(out: Path) -> CorpusSplit:
-    # both splits share one docs.jsonl: the test split holds the train
-    # split's parsed doc side, with its row map, length groups and id order
-    train_ds = load_dataset(*_corpus_paths(out, "train"))
-    test_ds = load_dataset(*_corpus_paths(out, "test"), docs_from=train_ds)
+    """Both splits of ``out``'s corpus: from its image when the image holds
+    this text's arrays, else parsed from the text, which then writes the
+    image unless the text changed while it was parsed or the image cannot
+    be written (a read-only corpus)."""
+    train_paths, test_paths = _corpus_paths(out, "train"), _corpus_paths(out, "test")
+    sources = sorted(set(train_paths + test_paths))
+    image = out / "corpus" / CORPUS_IMAGE
+    digests = file_digests(sources)
+    loaded = load_image(image, digests) if digests is not None else None
+    if loaded is not None:
+        train_ds, test_ds = loaded
+    else:
+        # both splits share one docs.jsonl: the test split holds the train
+        # split's parsed doc side, with its row map, length groups and id order
+        train_ds = load_dataset(*train_paths)
+        test_ds = load_dataset(*test_paths, docs_from=train_ds)
+        if digests is not None and file_digests(sources) == digests:
+            try:
+                save_image(image, digests, train_ds, test_ds)
+            except OSError:  # the next load parses the text again
+                pass
     vocab = max(train_ds.vocab_size, test_ds.vocab_size)
     stats_path = out / "corpus" / "stats.json"
     if stats_path.exists():
@@ -407,7 +429,7 @@ def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, part: Par
         report["normalized_forget"] = normalized_forget_score(last.mrr_forget,
                                                               retrain_report["mrr_test"])
     if run.epoch_times and train_times:
-        report.update(timing_metrics(train_times, run.epoch_times, run.epochs_run))
+        report.update(timing_metrics(train_times, run.epoch_times, len(run.epoch_times)))
     _write_json(run_dir / "report.json", report)
     print(f"{method.value} on {name} -> forget MRR {last.mrr_forget:.4f} "
           f"after {run.epochs_run} epochs (stopped_early={run.stopped_early})")

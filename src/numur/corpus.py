@@ -24,8 +24,10 @@ that removal requests produce non-empty entangled sets.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import struct
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -585,6 +587,92 @@ def write_lines(path: str | Path, lines: list[str]) -> None:
     """Write each line and a newline as UTF-8 with ``atomic_write``."""
     with atomic_write(path) as fh:
         fh.write("".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Array image: the parsed arrays of both splits, bound to the text they came from
+#
+# Layout: _IMAGE_HEAD (magic, version, sha256 of the payload), then the
+# payload: the source digests, a u64 length and a JSON object (the ids by
+# side, every array's shape, each split's vocab_size) padded with spaces to
+# a multiple of 8 bytes, then every array's entries as little-endian int64.
+
+_IMAGE_MAGIC = b"NUMURIMG"
+# Raise it when the layout changes, or when load_dataset gives another
+# result for some text: an image of another version is never read.
+_IMAGE_VERSION = 1
+_IMAGE_HEAD = struct.Struct("<8sQ32s")
+# The arrays in stored order: the doc side's, then per split its queries'
+# and its own; each is np.intp unless _DTYPES names it.
+_ITEM_ARRAYS = ("flat", "starts")
+_SPLIT_ARRAYS = ("sample_query", "sample_doc", "positive", "pool_matrix", "pool_len",
+                 "pool_queries")
+_IMAGE_ARRAYS = _ITEM_ARRAYS + (_ITEM_ARRAYS + _SPLIT_ARRAYS) * 2
+_DTYPES = {"flat": np.int64, "positive": np.bool_}
+
+
+def file_digests(paths) -> bytes | None:
+    """The sha256 of each file of ``paths``, concatenated; None when one
+    cannot be read."""
+    try:
+        return b"".join(hashlib.sha256(Path(path).read_bytes()).digest() for path in paths)
+    except OSError:
+        return None
+
+
+def save_image(path: str | Path, digests: bytes, train: Dataset, test: Dataset) -> None:
+    """Write the image of ``train`` and ``test``, two splits loaded with one
+    doc side (``docs_from``) from the text whose ``file_digests`` are
+    ``digests``, to ``path`` with ``atomic_write``."""
+    arrays = [getattr(train.docs, name) for name in _ITEM_ARRAYS]
+    for ds in (train, test):
+        arrays += [getattr(ds.queries, name) for name in _ITEM_ARRAYS]
+        arrays += [getattr(ds, name) for name in _SPLIT_ARRAYS]
+    meta = json.dumps({"ids": [train.docs.ids, train.queries.ids, test.queries.ids],
+                       "shapes": [array.shape for array in arrays],
+                       "vocab_size": [train.vocab_size, test.vocab_size]},
+                      separators=(",", ":")).encode("ascii")
+    meta += b" " * (-len(meta) % 8)  # aligns the arrays
+    entries = np.concatenate([array.ravel() for array in arrays]).astype("<i8")
+    payload = b"".join([digests, struct.pack("<Q", len(meta)), meta, entries.tobytes()])
+    with atomic_write(path) as fh:
+        fh.write(_IMAGE_HEAD.pack(_IMAGE_MAGIC, _IMAGE_VERSION, hashlib.sha256(payload).digest()))
+        fh.write(payload)
+
+
+def load_image(path: str | Path, digests: bytes) -> tuple[Dataset, Dataset] | None:
+    """The train and test splits that ``save_image`` wrote to ``path``,
+    sharing one doc side, as ``load_dataset`` gave them; None when ``path``
+    cannot be read, holds no image of this version, fails its checksum or
+    was taken of text whose ``file_digests`` are not ``digests``."""
+    try:
+        data = bytearray(Path(path).read_bytes())  # writable arrays, as parsed ones are
+    except OSError:
+        return None
+    if len(data) < _IMAGE_HEAD.size:
+        return None
+    magic, version, checksum = _IMAGE_HEAD.unpack_from(data)
+    payload = memoryview(data)[_IMAGE_HEAD.size:]
+    if (magic, version) != (_IMAGE_MAGIC, _IMAGE_VERSION) \
+            or hashlib.sha256(payload).digest() != checksum or payload[:len(digests)] != digests:
+        return None
+    at = len(digests) + 8
+    (size,) = struct.unpack_from("<Q", payload, at - 8)
+    meta = json.loads(bytes(payload[at:at + size]))
+    entries = np.frombuffer(payload[at + size:], "<i8")
+    arrays, at = [], 0
+    for name, shape in zip(_IMAGE_ARRAYS, meta["shapes"]):
+        end = at + int(np.prod(shape))
+        arrays.append(entries[at:end].reshape(shape).astype(_DTYPES.get(name, np.intp),
+                                                              copy=False))
+        at = end
+    doc_ids, *query_ids = meta["ids"]
+    docs = Items(doc_ids, *arrays[:2])
+    train, test = (Dataset(Items(ids, *own[:2]), docs, **dict(zip(_SPLIT_ARRAYS, own[2:])),
+                           vocab_size=vocab_size)
+                   for ids, vocab_size, own in zip(query_ids, meta["vocab_size"],
+                                                   (arrays[2:10], arrays[10:])))
+    return train, test
 
 
 # ---------------------------------------------------------------------------

@@ -323,7 +323,8 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     Importance is the mean squared training-loss gradient per parameter.
     Where the forget importance exceeds alpha times the full-set
     importance, the parameter is scaled by min(lambda * ratio, 1). The
-    edit's time is the run's one epoch time; no epoch runs.
+    time of both importance passes and the edit is the run's one epoch
+    time; no epoch runs.
     """
     alpha = _param(cfg, "alpha", 10.0)
     lam = _param(cfg, "lambda", 1.0)
@@ -331,14 +332,13 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
         raise ConfigError("ssd needs alpha > 1 and lambda > 0")
     margin, npp = _hinge(cfg)
 
+    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     every = np.arange(split.train.n_samples)
     queries = HingeSet(split.train, every)
     pooled = pool(m_train, split.train)  # once for both passes
     imp_f = _importance(m_train, pooled, part.forget, queries, margin, npp, rng)
     imp_s = _importance(m_train, pooled, every, queries, margin, npp, rng)
-
-    t0 = time.perf_counter()
     # one table at a time, which halves the temporaries
     for table, f_table, s_table in zip(np.split(run.final_model.params, 2),
                                        np.split(imp_f, 2), np.split(imp_s, 2)):

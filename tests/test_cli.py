@@ -869,15 +869,46 @@ def test_every_declared_artifact_reads_back_through_its_declaration(workdir):
                                               for row in rows]
 
 
-def test_docs_file_is_read_once_per_command(workdir, monkeypatch):
+def test_every_method_reports_its_measured_unlearning_time(workdir, tmp_path):
+    # ssd edits the model once, with no epoch: its one timed edit (both
+    # importance passes and the dampening) is its whole unlearning time
+    runs = tmp_path / "runs"
+    for part in ("corpus", "specs", "train"):
+        shutil.copytree(workdir / "runs" / part, runs / part)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**SMALL_CONFIG,
+                                  "unlearn": {**SMALL_CONFIG["unlearn"], "max_epochs": 2}}))
+    assert main(["--config", str(config), "--out", str(runs), "unlearn", "--spec",
+                 "spec_document_25", "--method", "all", "--delta", "0.001"]) == 0
+    reports = {d.name.split("_")[0]: json.loads((d / "report.json").read_text())
+               for d in (runs / "unlearn").iterdir()}
+    assert sorted(reports) == sorted(m.value for m in Method)
+    ssd = reports.pop("ssd")
+    assert ssd["epochs_run"] == 0 and ssd["edited_params"] > 0
+    assert ssd["total_unlearn_time"] > 0.0
+    assert ssd["total_unlearn_time"] == ssd["normalized_epoch_duration"]
+    for method, report in reports.items():
+        assert report["epochs_run"] == 2, method
+        assert report["total_unlearn_time"] == \
+            report["normalized_epoch_duration"] * report["epochs_run"], method
+
+
+def test_docs_file_is_read_once_per_command(workdir, tmp_path, monkeypatch):
     import numur.corpus as corpus
 
+    runs = tmp_path / "runs"
+    for part in ("corpus", "specs"):
+        shutil.copytree(workdir / "runs" / part, runs / part)
+    (runs / "corpus" / cli.CORPUS_IMAGE).unlink()
     reads = []
     read_items = corpus._read_jsonl_items
     monkeypatch.setattr(corpus, "_read_jsonl_items",
                         lambda path: reads.append(path.name) or read_items(path))
-    assert main(["--out", str(workdir / "runs"), "partition", "--spec", "spec_document_25"]) == 0
+    assert main(["--out", str(runs), "partition", "--spec", "spec_document_25"]) == 0
     assert sorted(reads) == ["docs.jsonl", "test_queries.jsonl", "train_queries.jsonl"]
+    # that parse wrote the image, and the next command reads no text file
+    assert main(["--out", str(runs), "partition", "--spec", "spec_document_25"]) == 0
+    assert len(reads) == 3
 
 
 
