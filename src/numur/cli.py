@@ -32,12 +32,11 @@ from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, file_digests,
 from .errors import ConfigError, DataError, NumurError, checked
 from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
                          score_distribution, timing_metrics)
-from .partition import (ForgetSpec, Partition, RemovalKind, load_forget_spec, partition,
+from .partition import (ForgetSpec, RemovalKind, load_forget_spec, partition,
                         sample_forget_spec, save_forget_spec)
-from .ranker import (ScoreModel, TrainConfig, check_model_fits, load_model, pool_split,
-                     retrain, save_model, train)
-from .unlearn_engine import (PARAM_KEYS, Method, UnlearnConfig, compute_destinations,
-                             unlearn)
+from .ranker import (TrainConfig, check_model_fits, load_model, pool_split, retrain,
+                     save_model, train)
+from .unlearn_engine import PARAMS, Method, UnlearnConfig, compute_destinations, unlearn
 
 DEFAULT_FRACTIONS = (0.05, 0.15, 0.25)
 
@@ -297,10 +296,11 @@ def _train_epoch_times(out: Path) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each takes the config, the output directory and the parsed
+# arguments, and build_parser names it once, on its subparser.
 
 
-def cmd_gen(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_gen(cfg: ExperimentConfig, out: Path, args) -> None:
     split = generate_synthetic(cfg.corpus)
     (out / "corpus").mkdir(parents=True, exist_ok=True)
     save_dataset(split.train, *_corpus_paths(out, "train"))
@@ -320,21 +320,27 @@ def cmd_gen(cfg: ExperimentConfig, out: Path) -> None:
     print(f"wrote corpus and {2 * len(cfg.fractions)} forget specs under {out}")
 
 
-def cmd_train(cfg: ExperimentConfig, out: Path) -> None:
-    split = _load_split(out)
-    result = train(split, cfg.train)
-    (out / "train").mkdir(parents=True, exist_ok=True)
-    save_model(result.model, out / "train" / "model.bin")
+def _write_fit(fit_dir: Path, result, header) -> None:
+    """A training or retraining result's model.bin and trajectory.csv, one
+    row per epoch under ``header``, in ``fit_dir``."""
+    fit_dir.mkdir(parents=True, exist_ok=True)
+    save_model(result.model, fit_dir / "model.bin")
     rows = [[e + 1, loss, mrr, wall] for e, (loss, mrr, wall) in
             enumerate(zip(result.epoch_losses, result.epoch_mrr, result.epoch_times))]
-    _write_csv(out / "train" / "trajectory.csv", TRAIN_TRAJECTORY, rows)
+    _write_csv(fit_dir / "trajectory.csv", header, rows)
+
+
+def cmd_train(cfg: ExperimentConfig, out: Path, args) -> None:
+    split = _load_split(out)
+    result = train(split, cfg.train)
+    _write_fit(out / "train", result, TRAIN_TRAJECTORY)
     final = result.epoch_mrr[-1] if result.epoch_mrr else float("nan")
     print(f"trained {cfg.train.epochs} epochs; final train MRR {final:.4f}")
 
 
-def cmd_partition(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
+def cmd_partition(cfg: ExperimentConfig, out: Path, args) -> None:
     split = _load_split(out)
-    name, spec = _resolve_spec(out, spec_arg)
+    name, spec = _resolve_spec(out, args.spec)
     train = split.train
     part = partition(train, spec)
     _write_json(out / "partition" / name / "partition.json", {
@@ -349,20 +355,15 @@ def cmd_partition(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
           f"|D|={len(part.disjoint)}")
 
 
-def cmd_retrain(cfg: ExperimentConfig, out: Path, spec_arg: str) -> None:
+def cmd_retrain(cfg: ExperimentConfig, out: Path, args) -> None:
     split = _load_split(out)
-    name, spec = _resolve_spec(out, spec_arg)
+    name, spec = _resolve_spec(out, args.spec)
     part = partition(split.train, spec)
     if not len(part.forget):  # before fitting, so nothing is written
         raise ConfigError("forget set is empty")
     result = retrain(split, cfg.train, part)
     dest_dir = out / "retrain" / name
-    dest_dir.mkdir(parents=True, exist_ok=True)
-    save_model(result.model, dest_dir / "model.bin")
-    rows = [[e + 1, loss, mrr, wall] for e, (loss, mrr, wall) in
-            enumerate(zip(result.epoch_losses, result.epoch_mrr, result.epoch_times))]
-    _write_csv(dest_dir / "trajectory.csv",
-               ["epoch", "loss", "mrr_retained", "wall_time_s"], rows)
+    _write_fit(dest_dir, result, ["epoch", "loss", "mrr_retained", "wall_time_s"])
     train_pool, test_pool = pool_split(result.model, split)
     dest = compute_destinations(train_pool, test_pool, part)
     _write_json(dest_dir / "report.json", {
@@ -394,62 +395,20 @@ def _resolve_delta(out: Path, spec_name: str, delta: float | None, dest: str | N
     return fallback, f"delta{fallback:g}", report
 
 
-def _unlearn_one(cfg: ExperimentConfig, out: Path, split: CorpusSplit, part: Partition,
-                 m_train: ScoreModel, name: str, method: Method, delta: float, tag: str,
-                 method_params: dict, retrain_report: dict | None,
-                 train_times: list[float]) -> None:
-    run_cfg = replace(cfg.unlearn, method=method, delta_target=delta,
-                      method_params=method_params)
-    run = unlearn(m_train, split, part, run_cfg)
-
-    run_dir = out / "unlearn" / f"{method.value}_{name}_{tag}"
-    run_dir.mkdir(parents=True, exist_ok=True)
-    save_model(run.final_model, run_dir / "model.bin")
-    _write_csv(run_dir / "trajectory.csv", UNLEARN_TRAJECTORY,
-               [[r.epoch, r.mrr_forget, r.mrr_entangled, r.mrr_disjoint, r.mrr_test,
-                 r.epoch_wall_time] for r in run.trajectory])
-    _write_json(run_dir / "run_config.json", {
-        "method": method.value, "spec": name, "delta_target": delta,
-        "max_epochs": run_cfg.max_epochs, "learning_rate": run_cfg.learning_rate,
-        "seed": run_cfg.seed, "check_every": run_cfg.check_every,
-        "method_params": run_cfg.method_params, "target": tag,
-    })
-
-    last = run.trajectory[-1]
-    report = {
-        "method": method.value, "spec": name, "delta_target": delta,
-        "epochs_run": run.epochs_run, "stopped_early": run.stopped_early,
-        "edited_params": run.edited_params,
-        "mrr_forget": last.mrr_forget, "mrr_entangled": last.mrr_entangled,
-        "mrr_disjoint": last.mrr_disjoint, "mrr_test": last.mrr_test,
-        "normalized_forget": None, "normalized_epoch_duration": None,
-        "total_unlearn_time": None,
-    }
-    if retrain_report is not None:
-        report["normalized_forget"] = normalized_forget_score(last.mrr_forget,
-                                                              retrain_report["mrr_test"])
-    if run.epoch_times and train_times:
-        report.update(timing_metrics(train_times, run.epoch_times, len(run.epoch_times)))
-    _write_json(run_dir / "report.json", report)
-    print(f"{method.value} on {name} -> forget MRR {last.mrr_forget:.4f} "
-          f"after {run.epochs_run} epochs (stopped_early={run.stopped_early})")
-
-
-def cmd_unlearn(cfg: ExperimentConfig, out: Path, spec_arg: str, method_arg: str,
-                delta: float | None, dest: str | None) -> None:
+def cmd_unlearn(cfg: ExperimentConfig, out: Path, args) -> None:
     split = _load_split(out)
-    name, spec = _resolve_spec(out, spec_arg)
-    resolved, tag, retrain_report = _resolve_delta(out, name, delta, dest,
-                                                   cfg.unlearn.delta_target)
+    name, spec = _resolve_spec(out, args.spec)
+    delta, tag, retrain_report = _resolve_delta(out, name, args.delta, args.dest,
+                                                cfg.unlearn.delta_target)
     params = cfg.unlearn.method_params
-    if method_arg != "all":
-        runs = [(_parse_method(method_arg), params)]
+    if args.method != "all":
+        runs = [(_parse_method(args.method), params)]
     else:
         # each method gets the keys it reads; a key that no method reads is a typo
-        unknown = set(params) - set().union(*PARAM_KEYS.values())
+        unknown = set(params) - set().union(*PARAMS.values())
         if unknown:
             raise ConfigError(f"unknown method_params: {sorted(unknown)}")
-        runs = [(method, {k: v for k, v in params.items() if k in PARAM_KEYS[method]})
+        runs = [(method, {k: v for k, v in params.items() if k in PARAMS[method]})
                 for method in Method]
     # read before the first run, so a damaged file leaves no run directory
     # behind; every run unlearns from the same model and partition
@@ -459,14 +418,45 @@ def cmd_unlearn(cfg: ExperimentConfig, out: Path, spec_arg: str, method_arg: str
     m_train = load_model(model_path)
     check_model_fits(m_train, split.train, model_path)
     for method, method_params in runs:
-        _unlearn_one(cfg, out, split, part, m_train, name, method, resolved, tag,
-                     method_params, retrain_report, train_times)
+        run_cfg = replace(cfg.unlearn, method=method, delta_target=delta,
+                          method_params=method_params)
+        run = unlearn(m_train, split, part, run_cfg)
+
+        run_dir = out / "unlearn" / f"{method.value}_{name}_{tag}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        save_model(run.final_model, run_dir / "model.bin")
+        _write_csv(run_dir / "trajectory.csv", UNLEARN_TRAJECTORY,
+                   [[r.epoch, r.mrr_forget, r.mrr_entangled, r.mrr_disjoint, r.mrr_test,
+                     r.epoch_wall_time] for r in run.trajectory])
+        _write_json(run_dir / "run_config.json", {
+            "method": method.value, "spec": name, "delta_target": delta,
+            "max_epochs": run_cfg.max_epochs, "learning_rate": run_cfg.learning_rate,
+            "seed": run_cfg.seed, "check_every": run_cfg.check_every,
+            "method_params": method_params, "target": tag,
+        })
+
+        last = run.trajectory[-1]
+        report = dict.fromkeys(RUN_REPORT)
+        report.update(method=method.value, spec=name, delta_target=delta,
+                      epochs_run=run.epochs_run, stopped_early=run.stopped_early,
+                      edited_params=run.edited_params, mrr_forget=last.mrr_forget,
+                      mrr_entangled=last.mrr_entangled, mrr_disjoint=last.mrr_disjoint,
+                      mrr_test=last.mrr_test)
+        if retrain_report is not None:
+            report["normalized_forget"] = normalized_forget_score(last.mrr_forget,
+                                                                  retrain_report["mrr_test"])
+        if run.epoch_times and train_times:
+            report.update(timing_metrics(train_times, run.epoch_times))
+        _write_json(run_dir / "report.json", report)
+        print(f"{method.value} on {name} -> forget MRR {last.mrr_forget:.4f} "
+              f"after {run.epochs_run} epochs (stopped_early={run.stopped_early})")
 
 
-def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -> None:
+def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> None:
     split = _load_split(out)
-    name, spec = _resolve_spec(out, spec_arg)
+    name, spec = _resolve_spec(out, args.spec)
     part = partition(split.train, spec)
+    model_path = args.model
     model = load_model(Path(model_path))
     check_model_fits(model, split.train, model_path)
     # include the parent directory so train/ and retrain/ models do not collide
@@ -492,7 +482,7 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, spec_arg: str, model_path: str) -
     print(f"evaluated {model_path} on {name} -> {eval_dir}")
 
 
-def cmd_report(cfg: ExperimentConfig, out: Path) -> None:
+def cmd_report(cfg: ExperimentConfig, out: Path, args) -> None:
     run_dirs = sorted(p for p in (out / "unlearn").glob("*") if p.is_dir()) \
         if (out / "unlearn").exists() else []
     if not run_dirs:
@@ -536,14 +526,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="runs", help="output directory (default: runs)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("gen", help="generate the synthetic corpus and forget specs")
-    sub.add_parser("train", help="train the base ranking model")
+    # each subcommand carries its command; main builds the parser on every
+    # call, so a cli.cmd_* replaced after import is the one that runs
+    sub.add_parser("gen", help="generate the synthetic corpus and forget specs") \
+        .set_defaults(run=cmd_gen)
+    sub.add_parser("train", help="train the base ranking model").set_defaults(run=cmd_train)
 
-    for name in ("retrain", "partition"):
+    for name, run in (("retrain", cmd_retrain), ("partition", cmd_partition)):
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="forget spec path or name under <out>/specs")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("unlearn", help="run an unlearning method")
+    p.set_defaults(run=cmd_unlearn)
     p.add_argument("--spec", required=True)
     p.add_argument("--method", default="cocol",
                    help="cocol|cf|amnesiac|neggrad|ssd|badt|all")
@@ -552,32 +547,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stopping target taken from the retrained model")
 
     p = sub.add_parser("eval", help="evaluate a stored model on a forget spec")
+    p.set_defaults(run=cmd_eval)
     p.add_argument("--spec", required=True)
     p.add_argument("--model", required=True)
 
-    sub.add_parser("report", help="aggregate unlearning runs into tables and charts")
+    sub.add_parser("report", help="aggregate unlearning runs into tables and charts") \
+        .set_defaults(run=cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = ExperimentConfig.load(args.config, args.seed)
-        out = Path(args.out)
-        if args.command == "gen":
-            cmd_gen(cfg, out)
-        elif args.command == "train":
-            cmd_train(cfg, out)
-        elif args.command == "retrain":
-            cmd_retrain(cfg, out, args.spec)
-        elif args.command == "partition":
-            cmd_partition(cfg, out, args.spec)
-        elif args.command == "unlearn":
-            cmd_unlearn(cfg, out, args.spec, args.method, args.delta, args.dest)
-        elif args.command == "eval":
-            cmd_eval(cfg, out, args.spec, args.model)
-        elif args.command == "report":
-            cmd_report(cfg, out)
+        args.run(ExperimentConfig.load(args.config, args.seed), Path(args.out), args)
     except NumurError as exc:
         print(f"ERROR:{exc.code}: {exc}", file=sys.stderr)
         return 1

@@ -50,7 +50,6 @@ POOLS_HEADER = "query_id\tdoc_id\trank_hint"
 # documents are padded with noise tokens to DOC_LEN so that mean
 # pooling weighs every document the same way.
 TOPIC_GROUP = 1
-QUERY_TOPICS = 2
 SIG_TOKENS = 1
 SIG_REUSE_FRACTION = 0.5
 DOC_LEN = 5
@@ -259,17 +258,6 @@ def _lines(path: Path) -> list[str]:
 BLOCK_LINES = 1024
 
 _decoder = json.JSONDecoder()
-_raw_decode = _decoder.raw_decode
-
-
-def _json_line(line: str):
-    """json.loads(line) for a stripped line: the same value or the same error."""
-    if line.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-    obj, end = _raw_decode(line)
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return obj
 
 
 def _read_jsonl_items(path: Path) -> Items:
@@ -324,7 +312,7 @@ def _jsonl_check():
         if not line:
             return None
         try:
-            obj = _json_line(line)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             return f"malformed JSON ({exc.msg})"
         except RecursionError:

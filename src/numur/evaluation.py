@@ -136,8 +136,8 @@ def normalized_forget_score(mrr_forget_unlearn: float, mrr_test_retrain: float) 
     return 1.0 - abs(mrr_forget_unlearn - mrr_test_retrain)
 
 
-def timing_metrics(train_epoch_times: list[float], unlearn_epoch_times: list[float],
-                   epochs_run: int) -> dict[str, float]:
+def timing_metrics(train_epoch_times: list[float],
+                   unlearn_epoch_times: list[float]) -> dict[str, float]:
     """Unlearn epoch duration relative to a training epoch, and the total cost."""
     if not train_epoch_times or not unlearn_epoch_times:
         raise ConfigError("timing metrics need at least one epoch time on each side")
@@ -145,7 +145,7 @@ def timing_metrics(train_epoch_times: list[float], unlearn_epoch_times: list[flo
         (sum(train_epoch_times) / len(train_epoch_times))
     return {
         "normalized_epoch_duration": normalized,
-        "total_unlearn_time": normalized * epochs_run,
+        "total_unlearn_time": normalized * len(unlearn_epoch_times),
     }
 
 

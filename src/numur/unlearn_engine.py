@@ -2,7 +2,8 @@
 
 ``unlearn`` is the one entry point. It checks the request, copies the
 trained model into the student and runs the setup plan of the strategy
-that ``cfg.method`` names. A plan validates the strategy's method_params,
+that ``cfg.method`` names, with the strategy's method_params checked
+against its ``PARAMS`` entry and completed from its defaults. A plan
 computes what stays fixed for the whole run (teacher scores, partners,
 negatives) and returns the epoch function that the driver repeats until
 the forget-set mean reciprocal rank drops to the target, or the epoch
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -104,36 +105,17 @@ class Destinations:
     d3: float  # half of d2
 
 
-# The method_params keys each strategy reads; any other key is rejected.
-PARAM_KEYS = {
-    Method.COCOL: {"entangled_term", "phase2"},
-    Method.CF: {"margin", "negatives_per_positive"},
-    Method.AMNESIAC: {"margin", "negatives_per_positive"},
-    Method.NEGGRAD: {"margin", "negatives_per_positive"},
-    Method.SSD: {"alpha", "lambda", "margin", "negatives_per_positive"},
-    Method.BADT: set(),
+# The method_params each strategy reads, with their defaults; any other key
+# is rejected, and a given value must be of its default's kind (``checked``).
+_HINGE = {"margin": 1.0, "negatives_per_positive": 4}
+PARAMS = {
+    Method.COCOL: {"entangled_term": True, "phase2": True},
+    Method.CF: _HINGE,
+    Method.AMNESIAC: _HINGE,
+    Method.NEGGRAD: _HINGE,
+    Method.SSD: {"alpha": 10.0, "lambda": 1.0, **_HINGE},
+    Method.BADT: {},
 }
-
-
-def _param(cfg: UnlearnConfig, key: str, default: float) -> float:
-    """A number from method_params; ConfigError unless it is a finite int or float."""
-    return float(checked(f"method_params {key!r}", cfg.method_params.get(key, default), float))
-
-
-def _switch(cfg: UnlearnConfig, key: str) -> bool:
-    """An on/off switch from method_params, on by default; ConfigError unless a bool."""
-    return checked(f"method_params {key!r}", cfg.method_params.get(key, True), bool)
-
-
-def _hinge(cfg: UnlearnConfig) -> tuple[float, int]:
-    """The margin and negatives_per_positive of a hinge strategy (cf,
-    amnesiac, neggrad, ssd), checked in that order."""
-    margin = _param(cfg, "margin", 1.0)
-    npp = cfg.method_params.get("negatives_per_positive", 4)
-    if checked("method_params 'negatives_per_positive'", npp, int) < 1:
-        raise ConfigError("method_params 'negatives_per_positive' must be at least 1, "
-                          f"got {npp!r}")
-    return margin, npp
 
 
 def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
@@ -181,8 +163,9 @@ def _drive(run: UnlearnRun, split: CorpusSplit, part: Partition, cfg: UnlearnCon
 
 
 # Each plan takes (m_train, run, split, part, cfg), where run.final_model is
-# the student, and returns the epoch function ``epoch(rng)`` for the driver,
-# or None once it has edited the student itself (ssd).
+# the student and cfg.method_params holds every key of the method's PARAMS
+# entry, checked. It returns the epoch function ``epoch(rng)`` for the
+# driver, or None once it has edited the student itself (ssd).
 
 
 def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
@@ -192,8 +175,8 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
     method_params: entangled_term / phase2 (JSON booleans, true by default)
     switch the partner term and the consistency pass off for ablation runs.
     """
-    use_entangled = _switch(cfg, "entangled_term")
-    use_phase2 = _switch(cfg, "phase2")
+    use_entangled = cfg.method_params["entangled_term"]
+    use_phase2 = cfg.method_params["phase2"]
 
     # every pair the teacher scores is a train sample: score them all once
     train = split.train
@@ -243,7 +226,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
 def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
         cfg: UnlearnConfig):
     """Keep training on retained samples; forgetting happens only by drift."""
-    margin, npp = _hinge(cfg)
+    margin, npp = (cfg.method_params[key] for key in _HINGE)
     queries = HingeSet(split.train, part.retained)
     sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
@@ -256,7 +239,7 @@ def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partitio
 def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
               cfg: UnlearnConfig):
     """Push sampled pool negatives above each forget positive; train the entangled set."""
-    margin, npp = _hinge(cfg)
+    margin, npp = (cfg.method_params[key] for key in _HINGE)
     train = split.train
     forget = part.forget[train.positive[part.forget]]
     n_forget = len(forget)
@@ -295,7 +278,7 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
 def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
              cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
-    margin, npp = _hinge(cfg)
+    margin, npp = (cfg.method_params[key] for key in _HINGE)
     train = split.train
     positives = part.forget[train.positive[part.forget]]
     queries = HingeSet(train, np.arange(train.n_samples))
@@ -326,11 +309,9 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     time of both importance passes and the edit is the run's one epoch
     time; no epoch runs.
     """
-    alpha = _param(cfg, "alpha", 10.0)
-    lam = _param(cfg, "lambda", 1.0)
+    alpha, lam, margin, npp = (cfg.method_params[key] for key in PARAMS[Method.SSD])
     if alpha <= 1.0 or lam <= 0.0:
         raise ConfigError("ssd needs alpha > 1 and lambda > 0")
-    margin, npp = _hinge(cfg)
 
     t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -411,12 +392,22 @@ def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
             cfg: UnlearnConfig) -> UnlearnRun:
     """Unlearn ``part.forget`` from ``m_train`` with the strategy named by
     cfg.method; ``m_train`` itself is left as it is."""
-    unknown = set(cfg.method_params) - PARAM_KEYS[cfg.method]
+    defaults = PARAMS[cfg.method]
+    unknown = set(cfg.method_params) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown method_params for {cfg.method.value}: {sorted(unknown)}; "
-                          f"it reads {sorted(PARAM_KEYS[cfg.method])}")
+                          f"it reads {sorted(defaults)}")
     if not len(part.forget):
         raise ConfigError("forget set is empty")
+    params = {}
+    for key, default in defaults.items():
+        kind = type(default)  # float() makes an integer margin, alpha or lambda a float
+        params[key] = kind(checked(f"method_params {key!r}",
+                                   cfg.method_params.get(key, default), kind))
+    if params.get("negatives_per_positive", 1) < 1:
+        raise ConfigError("method_params 'negatives_per_positive' must be at least 1, "
+                          f"got {params['negatives_per_positive']!r}")
+    cfg = replace(cfg, method_params=params)
     run = UnlearnRun(final_model=clone_model(m_train), epochs_run=0, stopped_early=False,
                      trajectory=[], method=cfg.method)
     return _drive(run, split, part, cfg, _PLANS[cfg.method](m_train, run, split, part, cfg))

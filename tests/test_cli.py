@@ -163,6 +163,20 @@ def test_delta_one_stops_immediately(workdir, capsys):
     assert len(rows) == 2  # header plus the pre-check evaluation
 
 
+# The benchmark times each command by replacing cli.cmd_<name> after import,
+# so main must look every command up on the module when it runs.
+@pytest.mark.parametrize("argv", [["gen"], ["train"], ["retrain", "--spec", "s"],
+                                  ["partition", "--spec", "s"], ["unlearn", "--spec", "s"],
+                                  ["eval", "--spec", "s", "--model", "m"], ["report"]],
+                         ids=lambda argv: argv[0])
+def test_main_reaches_each_command_through_the_cli_module(tmp_path, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda *args: calls.append(args))
+    assert main(["--out", str(tmp_path / "runs"), *argv]) == 0
+    assert len(calls) == 1
+    assert not (tmp_path / "runs").exists()
+
+
 class TestErrors:
     def test_empty_fraction_list_rejected(self, tmp_path, capsys):
         config = tmp_path / "c.json"

@@ -277,22 +277,23 @@ class TestNormalizedForget:
 
 class TestTimingMetrics:
     def test_identical_times(self):
-        out = timing_metrics([1.0, 1.0], [1.0], epochs_run=3)
+        out = timing_metrics([1.0, 1.0], [1.0, 1.0, 1.0])
         assert out["normalized_epoch_duration"] == pytest.approx(1.0)
         assert out["total_unlearn_time"] == pytest.approx(3.0)
 
     def test_twice_as_slow_three_epochs(self):
-        out = timing_metrics([1.0], [2.0, 2.0], epochs_run=3)
+        out = timing_metrics([1.0], [2.0, 2.0, 2.0])
         assert out["normalized_epoch_duration"] == pytest.approx(2.0)
         assert out["total_unlearn_time"] == pytest.approx(6.0)
 
     def test_zero_epochs(self):
-        out = timing_metrics([1.0], [0.5], epochs_run=0)
-        assert out["total_unlearn_time"] == 0.0
+        # a run stopped before its first epoch has no epoch time to measure
+        with pytest.raises(ConfigError):
+            timing_metrics([1.0], [])
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
-            timing_metrics([], [1.0], 1)
+            timing_metrics([], [1.0])
 
 
 class TestScoreDistribution:

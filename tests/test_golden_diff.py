@@ -73,10 +73,10 @@ def test_bytes_must_match_for_models_and_specs_and_files_in_one_tree(trees):
 
 
 def test_every_variant_reads_only_keys_of_its_method():
-    from numur.unlearn_engine import PARAM_KEYS, Method
+    from numur.unlearn_engine import PARAMS, Method
 
     for method, params in golden_diff.VARIANTS.values():
-        assert set(params) <= PARAM_KEYS[Method(method)]
+        assert set(params) <= set(PARAMS[Method(method)])
     hinge = {method for method, params in golden_diff.VARIANTS.values()
              if params is golden_diff.HINGE_PARAMS}
     assert hinge == {"cf", "amnesiac", "neggrad", "ssd"}
