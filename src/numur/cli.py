@@ -30,13 +30,13 @@ from .corpus import (CorpusSplit, SyntheticConfig, dataset_stats, file_digests,
                      generate_synthetic, load_dataset, load_image, read_json, read_utf8,
                      save_dataset, save_image, write_lines)
 from .errors import ConfigError, DataError, NumurError, checked
-from .evaluation import (mrr_forget, mrr_set, normalized_forget_score,
-                         score_distribution, timing_metrics)
+from .evaluation import normalized_forget_score, score_distribution, timing_metrics
 from .partition import (ForgetSpec, RemovalKind, load_forget_spec, partition,
                         sample_forget_spec, save_forget_spec)
 from .ranker import (TrainConfig, check_model_fits, load_model, pool_split, retrain,
                      save_model, train)
-from .unlearn_engine import PARAMS, Method, UnlearnConfig, compute_destinations, unlearn
+from .unlearn_engine import (PARAMS, Method, UnlearnConfig, _mrrs, compute_destinations,
+                             unlearn)
 
 DEFAULT_FRACTIONS = (0.05, 0.15, 0.25)
 
@@ -364,15 +364,9 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, args) -> None:
     result = retrain(split, cfg.train, part)
     dest_dir = out / "retrain" / name
     _write_fit(dest_dir, result, ["epoch", "loss", "mrr_retained", "wall_time_s"])
-    train_pool, test_pool = pool_split(result.model, split)
-    dest = compute_destinations(train_pool, test_pool, part)
-    _write_json(dest_dir / "report.json", {
-        "mrr_forget": dest.d1,
-        "mrr_entangled": mrr_set(train_pool, part.entangled).value,
-        "mrr_disjoint": mrr_set(train_pool, part.disjoint).value,
-        "mrr_test": dest.d2,
-        "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3},
-    })
+    dest = compute_destinations(*pool_split(result.model, split), part)
+    _write_json(dest_dir / "report.json",
+                {**dest.mrrs, "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3}})
     print(f"retrained for {name}: destinations d1={dest.d1:.4f} d2={dest.d2:.4f} "
           f"d3={dest.d3:.4f}")
 
@@ -464,13 +458,8 @@ def cmd_eval(cfg: ExperimentConfig, out: Path, args) -> None:
     eval_dir = out / "eval" / f"{model_tag}_{name}"
     train_pool, test_pool = pool_split(model, split)
     test = np.arange(split.test.n_samples)
-    _write_json(eval_dir / "report.json", {
-        "model": str(model_path), "spec": name,
-        "mrr_forget": mrr_forget(train_pool, part).value,
-        "mrr_entangled": mrr_set(train_pool, part.entangled).value,
-        "mrr_disjoint": mrr_set(train_pool, part.disjoint).value,
-        "mrr_test": mrr_set(test_pool, test).value,
-    })
+    _write_json(eval_dir / "report.json",
+                {"model": str(model_path), "spec": name, **_mrrs(train_pool, test_pool, part)})
     dists = score_distribution(model_tag, train_pool, [
         ("forget", part.forget), ("entangled", part.entangled), ("disjoint", part.disjoint)])
     dists += score_distribution(model_tag, test_pool, [("test", test)])

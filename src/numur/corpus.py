@@ -32,10 +32,8 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
-from operator import itemgetter
+from itertools import chain, islice
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -254,191 +252,75 @@ def _lines(path: Path) -> list[str]:
     return read_utf8(path).split("\n")
 
 
-# Lines parsed at a time; bounds the JSON objects and TSV fields alive at once.
-BLOCK_LINES = 1024
-
-_decoder = json.JSONDecoder()
+# raw_decode without its wrapper: it raises StopIteration on a line that
+# starts with no JSON value; json.loads words every refused line
+_scan_once = json.JSONDecoder().scan_once
+# the types of the JSON values that isinstance(value, int) accepts: JSON
+# booleans pass as the integers 1 and 0
+_INTEGER_TYPES = frozenset({int, bool})
+_INT64_MIN, _INT64_END = -2**63, 2**63
 
 
 def _read_jsonl_items(path: Path) -> Items:
-    """The ids and token lists of a JSONL file's objects, in file order."""
-    lines = _lines(path)
-    parsed = _parse_jsonl(list(filter(None, map(str.strip, lines))))
-    if parsed is None:
-        _line_error(path, lines, 1, _jsonl_check())
-    return parsed
-
-
-def _parse_jsonl(items: list[str]) -> Items | None:
-    """``_read_jsonl_items`` of the stripped non-blank lines, checked in
-    whole-block passes; None when a line is invalid."""
+    """The ids and token lists of a JSONL file's objects, in file order;
+    DataError, as ``path:line: message``, at the first invalid line."""
     ids: list[str] = []
-    tokens: list[list] = []
-    for start in range(0, len(items), BLOCK_LINES):
-        block = items[start:start + BLOCK_LINES]
-        # scan_once is raw_decode without its wrapper: on a line that starts
-        # with no JSON value it raises StopIteration, which ends the list early
-        try:
-            decoded = list(map(_decoder.scan_once, block, repeat(0)))
-        except (json.JSONDecodeError, RecursionError):
-            return None
-        if list(map(itemgetter(1), decoded)) != list(map(len, block)):
-            return None
-        objs = list(map(itemgetter(0), decoded))
-        if not (set(map(type, objs)) <= {dict} and all(map(dict.__contains__, objs, repeat("id")))
-                and all(map(dict.__contains__, objs, repeat("tokens")))):
-            return None
-        lists = list(map(itemgetter("tokens"), objs))
-        # isinstance(True, int) holds, so the line check accepts booleans too
-        if not (set(map(type, lists)) <= {list}
-                and set(map(type, chain.from_iterable(lists))) <= {int, bool}):
-            return None
-        ids += map(str, map(itemgetter("id"), objs))
-        tokens += lists
-    if len(set(ids)) != len(ids):
-        return None
-    try:
-        return Items.of(ids, tokens)
-    except OverflowError:  # a token outside int64
-        return None
-
-
-def _jsonl_check():
-    """The check of one line of a JSONL file, lines taken in file order."""
+    lists: list[list] = []
     seen: set[str] = set()
-
-    def check(line: str) -> str | None:
+    for lineno, line in enumerate(_lines(path), start=1):
         line = line.strip()
         if not line:
-            return None
+            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            return f"malformed JSON ({exc.msg})"
-        except RecursionError:
-            return "JSON nested too deeply"
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, json.JSONDecodeError, RecursionError):
+            end = 0
+        if end != len(line):  # json.loads refuses the stripped line too
+            try:
+                json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            except RecursionError:
+                raise DataError(f"{path}:{lineno}: JSON nested too deeply") from None
         if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
-            return "expected object with 'id' and 'tokens'"
+            raise DataError(f"{path}:{lineno}: expected object with 'id' and 'tokens'")
         ident = str(obj["id"])
         if ident in seen:
-            return f"duplicate id {ident!r}"
+            raise DataError(f"{path}:{lineno}: duplicate id {ident!r}")
         seen.add(ident)
-        toks = obj["tokens"]
-        if not isinstance(toks, list) or not all(isinstance(t, int) for t in toks):
-            return "'tokens' must be a list of integers"
-        wide = next((t for t in toks if not -2**63 <= t < 2**63), None)
-        if wide is not None:
-            return f"token {wide} outside the 64-bit integer range"
-        return None
-    return check
+        tokens = obj["tokens"]
+        if type(tokens) is not list or not _INTEGER_TYPES.issuperset(map(type, tokens)):
+            raise DataError(f"{path}:{lineno}: 'tokens' must be a list of integers")
+        if tokens and (min(tokens) < _INT64_MIN or max(tokens) >= _INT64_END):
+            wide = next(t for t in tokens if not _INT64_MIN <= t < _INT64_END)
+            raise DataError(f"{path}:{lineno}: token {wide} outside the 64-bit integer range")
+        ids.append(ident)
+        lists.append(tokens)
+    return Items.of(ids, lists)
 
 
-def _line_error(path: Path, lines: list[str], first: int, check) -> NoReturn:
-    """Raise the DataError of the first line ``check`` rejects, as
-    ``path:line: message``; ``lines`` are numbered from ``first``.
-
-    Loaders call this only after their whole-file checks found an invalid
-    line, so some line fails.
-    """
-    for lineno, line in enumerate(lines, start=first):
-        message = check(line)
-        if message is not None:
-            raise DataError(f"{path}:{lineno}: {message}")
-    raise AssertionError(f"{path}: the whole-file checks rejected a file whose lines all pass")
-
-
-def _read_tsv(path: Path, header: str, query_row: dict[str, int], doc_row: dict[str, int],
-              convert) -> tuple[np.ndarray, np.ndarray, list] | None:
-    """The query row, doc row and ``convert`` of the third field of each
-    non-blank line after the header of a three-column TSV file, in file
-    order; -1 for an id that ``query_row`` or ``doc_row`` lacks.
-
-    None when a line has another number of fields or ``convert`` raises
-    ValueError on a third field.
-    """
+def _read_tsv(path: Path, header: str, query_row: dict[str, int], doc_row: dict[str, int]):
+    """(line number, query row, doc row, third field) of each non-blank line
+    after the header of a three-column TSV file, yielded in file order;
+    DataError, as ``path:line: message``, at a wrong header, a line with
+    another number of fields or an id that ``query_row`` or ``doc_row`` lacks."""
     lines = _lines(path)
     if lines[0] != header:
         raise DataError(f"{path}:1: expected header {header!r}")
-    rows = list(filter(None, islice(lines, 1, None)))
-    if not set(map(str.count, rows, repeat("\t"))) <= {2}:
-        return None
-    q, d, third = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)], []
-    try:
-        for start in range(0, len(rows), BLOCK_LINES):
-            fields = "\t".join(rows[start:start + BLOCK_LINES]).split("\t")
-            q.append(_rows_of(fields[0::3], query_row))
-            d.append(_rows_of(fields[1::3], doc_row))
-            third += map(convert, fields[2::3])
-    except ValueError:
-        return None
-    return np.concatenate(q), np.concatenate(d), third
-
-
-def _tsv_check(check_fields):
-    """The check of one line after the header of a three-column TSV file:
-    its field count, then ``check_fields`` of its fields; blank lines pass."""
-    def check(line: str) -> str | None:
+    for lineno, line in enumerate(islice(lines, 1, None), start=2):
         if not line:
-            return None
+            continue
         fields = line.split("\t")
         if len(fields) != 3:
-            return "expected 3 tab-separated fields"
-        return check_fields(*fields)
-    return check
-
-
-def _pool_check(queries: dict[str, int], documents: dict[str, int]):
-    """The check of one pools.tsv line, lines taken in file order."""
-    seen: set[tuple[str, str]] = set()
-
-    def check(qid: str, did: str, hint: str) -> str | None:
-        if qid not in queries:
-            return f"unknown query id {qid!r}"
-        if did not in documents:
-            return f"unknown doc id {did!r}"
-        try:
-            int(hint)
-        except ValueError:
-            return f"rank_hint {hint!r} is not an integer"
-        if (qid, did) in seen:
-            return f"duplicate pool entry {did!r} for query {qid!r}"
-        seen.add((qid, did))
-        return None
-    return _tsv_check(check)
-
-
-def _qrels_check(queries: dict[str, int], documents: dict[str, int], pool_keys: set[int]):
-    """The check of one qrels.tsv line, lines taken in file order; ``queries``
-    and ``documents`` map ids to rows, and ``pool_keys`` holds the
-    ``_pool_key`` of every pool entry."""
-    seen: set[tuple[str, str]] = set()
-
-    def check(qid: str, did: str, label: str) -> str | None:
-        if qid not in queries:
-            return f"unknown query id {qid!r}"
-        if did not in documents:
-            return f"unknown doc id {did!r}"
-        if label not in LABELS:
-            return f"label must be 0 or 1, got {label!r}"
-        if (qid, did) in seen:
-            return f"duplicate pair ({qid!r}, {did!r})"
-        seen.add((qid, did))
-        if _pool_key(queries[qid], documents[did], len(documents)) not in pool_keys:
-            kind = "positive" if label == "1" else "negative"
-            return f"{kind} sample doc {did!r} absent from pool of {qid!r}"
-        return None
-    return _tsv_check(check)
-
-
-def _rows_of(ids: list[str], row: dict[str, int]) -> np.ndarray:
-    """The row of each id, -1 where ``row`` lacks it."""
-    return np.fromiter(map(row.get, ids, repeat(-1)), np.intp, len(ids))
-
-
-def _unique_keys(keys: np.ndarray) -> np.ndarray | None:
-    """``keys`` sorted, or None when one repeats."""
-    keys = np.sort(keys)
-    return None if (keys[1:] == keys[:-1]).any() else keys
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
+        qid, did, third = fields
+        q = query_row.get(qid)
+        if q is None:
+            raise DataError(f"{path}:{lineno}: unknown query id {qid!r}")
+        d = doc_row.get(did)
+        if d is None:
+            raise DataError(f"{path}:{lineno}: unknown doc id {did!r}")
+        yield lineno, q, d, third
 
 
 def _reject_negative_tokens(kind: str, items: Items, vocab_size: int) -> None:
@@ -463,9 +345,9 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     two datasets then share one doc side, with its row map, length groups
     and id order.
 
-    Each file is parsed and checked in whole-file passes over its lines;
-    only when those find an invalid line do the per-line checks run, to
-    report the first invalid line as ``path:line: message``.
+    The files are read in turn (queries, docs, pools, qrels), each in one
+    pass over its lines in file order; the first invalid line raises
+    DataError as ``path:line: message``.
     """
     queries_path, docs_path = Path(queries_path), Path(docs_path)
     qrels_path, pools_path = Path(qrels_path), Path(pools_path)
@@ -480,48 +362,65 @@ def load_dataset(queries_path: str | Path, docs_path: str | Path,
     vocab_size = max_token + 1 if max_token >= 0 else 1
 
     query_row, doc_row = queries.row, docs.row
-    n_docs = len(docs.ids)
+    query_ids, doc_ids, n_docs = queries.ids, docs.ids, len(docs.ids)
 
-    columns = _read_tsv(pools_path, POOLS_HEADER, query_row, doc_row, int)
-    pool_keys = None
-    if columns is not None:
-        q, d, hints = columns
-        if (q >= 0).all() and (d >= 0).all():
-            pool_keys = _unique_keys(_pool_key(q, d, n_docs))
-    if pool_keys is None:
-        _line_error(pools_path, _lines(pools_path)[1:], 2, _pool_check(query_row, doc_row))
-    # the query rows of the pools in the order first listed, from the runs of q
-    runs = np.concatenate((q[:1], q[1:][q[1:] != q[:-1]]))
-    listed, first = np.unique(runs, return_index=True)
-    pool_queries = listed[np.argsort(first)]
+    pool_entries: set[tuple[int, int]] = set()  # (query row, doc row)
+    pool_q: list[int] = []
+    pool_d: list[int] = []
+    hints: list[int] = []
+    for lineno, q, d, hint in _read_tsv(pools_path, POOLS_HEADER, query_row, doc_row):
+        try:
+            hints.append(int(hint))
+        except ValueError:
+            raise DataError(f"{pools_path}:{lineno}: rank_hint {hint!r} is not an integer") \
+                from None
+        entry = q, d
+        if entry in pool_entries:
+            raise DataError(f"{pools_path}:{lineno}: duplicate pool entry {doc_ids[d]!r} "
+                            f"for query {query_ids[q]!r}")
+        pool_entries.add(entry)
+        pool_q.append(q)
+        pool_d.append(d)
+    # the query rows of the pools in the order first listed
+    pool_queries = np.fromiter(dict.fromkeys(pool_q), np.intp)
     try:
         hint_keys = np.array(hints, dtype=np.int64)
     except OverflowError:  # hints past int64 sort as their ranks among the hints
         hint_keys = np.unique(np.array(hints, dtype=object), return_inverse=True)[1]
     # each pool by rank_hint, then file order
     order = np.argsort(hint_keys, kind="stable")
-    pool_matrix, pool_len = _pool_matrix(q[order], d[order], len(queries.ids), n_docs)
+    pool_matrix, pool_len = _pool_matrix(np.array(pool_q, dtype=np.intp)[order],
+                                         np.array(pool_d, dtype=np.intp)[order],
+                                         len(query_ids), n_docs)
 
-    columns = _read_tsv(qrels_path, QRELS_HEADER, query_row, doc_row, str)
-    valid = False
-    if columns is not None:
-        q, d, labels = columns
-        if set(labels) <= LABELS and (q >= 0).all() and (d >= 0).all():
-            keys = _unique_keys(_pool_key(q, d, n_docs))
-            if keys is not None:
-                at = np.searchsorted(pool_keys, keys)
-                valid = bool((np.append(pool_keys, -1)[at] == keys).all())
-    if not valid:
-        _line_error(qrels_path, _lines(qrels_path)[1:], 2,
-                    _qrels_check(query_row, doc_row, set(pool_keys.tolist())))
+    sample_q: list[int] = []
+    sample_d: list[int] = []
+    positive: list[bool] = []
+    pairs: set[tuple[int, int]] = set()
+    for lineno, q, d, label in _read_tsv(qrels_path, QRELS_HEADER, query_row, doc_row):
+        if label not in LABELS:
+            raise DataError(f"{qrels_path}:{lineno}: label must be 0 or 1, got {label!r}")
+        pair = q, d
+        if pair in pairs:
+            raise DataError(f"{qrels_path}:{lineno}: duplicate pair "
+                            f"({query_ids[q]!r}, {doc_ids[d]!r})")
+        pairs.add(pair)
+        if pair not in pool_entries:
+            kind = "positive" if label == "1" else "negative"
+            raise DataError(f"{qrels_path}:{lineno}: {kind} sample doc {doc_ids[d]!r} "
+                            f"absent from pool of {query_ids[q]!r}")
+        sample_q.append(q)
+        sample_d.append(d)
+        positive.append(label == "1")
 
     # The checks above cover every invariant of a dataset but one: each
     # token lies in range(vocab_size). The inferred vocab_size bounds the
     # tokens above, so only a token below zero breaks it.
     _reject_negative_tokens("query", queries, vocab_size)
     _reject_negative_tokens("document", docs, vocab_size)
-    return Dataset(queries, docs, sample_query=q, sample_doc=d,
-                   positive=np.fromiter(map("1".__eq__, labels), bool, len(labels)),
+    return Dataset(queries, docs, sample_query=np.array(sample_q, dtype=np.intp),
+                   sample_doc=np.array(sample_d, dtype=np.intp),
+                   positive=np.array(positive, dtype=bool),
                    pool_matrix=pool_matrix, pool_len=pool_len, pool_queries=pool_queries,
                    vocab_size=vocab_size)
 

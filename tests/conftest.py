@@ -19,7 +19,7 @@ import pytest
 
 from numur import (CorpusSplit, Dataset, DataError, ForgetSpec, RemovalKind, SyntheticConfig,
                    TrainConfig, generate_synthetic, partition, retrain, train)
-from numur.corpus import Items, _pool_matrix, _rows_of
+from numur.corpus import Items, _pool_matrix
 from numur.partition import sample_forget_spec
 
 ACCEPT_CORPUS = SyntheticConfig(n_queries=64, n_docs=256, vocab_size=512,
@@ -42,6 +42,11 @@ def _check_tokens(kind: str, ident: str, tokens: tuple[int, ...], vocab_size: in
     if min(tokens) < 0 or max(tokens) >= vocab_size:
         t = next(t for t in tokens if not 0 <= t < vocab_size)
         raise DataError(f"{kind} {ident!r} token {t} outside vocabulary of size {vocab_size}")
+
+
+def _rows_of(ids: list[str], row: dict[str, int]) -> np.ndarray:
+    """The row of each id; every id must be a key of ``row``."""
+    return np.fromiter(map(row.__getitem__, ids), np.intp, len(ids))
 
 
 def dataset_of(queries: dict[str, Sequence[int]], docs: dict[str, Sequence[int]],

@@ -1,11 +1,12 @@
-"""The line-by-line corpus loader and the per-query index builder that
-``numur.corpus`` replaced with whole-file array passes, kept as the
-reference the array versions are compared against.
+"""An id-keyed corpus loader and a per-query index builder, the reference
+that ``numur.corpus`` is compared against.
 
 ``load_dataset`` reads every line of the four files in turn, raises at
-the first invalid one and returns the corpus as id-keyed values
-(``Corpus``); ``build_index`` builds the arrays of a ``Dataset`` from
-those one pool at a time, from per-item token arrays.
+the first invalid one and returns the corpus as values keyed by string
+id (``Corpus``); ``build_index`` builds the arrays of a ``Dataset`` from
+those one pool at a time, from per-item token arrays. ``numur.corpus``
+checks the same lines in the same order but keeps only integer rows, and
+builds its arrays in whole-array passes.
 """
 
 from __future__ import annotations

@@ -37,6 +37,15 @@ def append(*new):
     return lambda lines: lines + list(new)
 
 
+def then(*edits):
+    """The edits applied in turn."""
+    def edit(lines):
+        for each in edits:
+            lines = each(lines)
+        return lines
+    return edit
+
+
 # (case, file, edit of the file's lines, line number or None, message after "path:line: ")
 ERROR_CASES = [
     # _read_jsonl_items
@@ -91,6 +100,42 @@ ERROR_CASES = [
      "positive sample doc 'd5' absent from pool of 'q1'"),
     ("negative outside pool", "qrels", append("q2\td5\t0"), 9,
      "negative sample doc 'd5' absent from pool of 'q2'"),
+    # a line that breaks several checks fails the first, in the order above
+    ("duplicate id without tokens", "queries", replace(3, '{"id": "q2"}'), 3,
+     "expected object with 'id' and 'tokens'"),
+    ("duplicate id and float tokens", "queries", replace(3, '{"id": "q2", "tokens": [1.5]}'), 3,
+     "duplicate id 'q2'"),
+    ("duplicate id and token past int64", "docs",
+     replace(4, '{"id": "d1", "tokens": [9223372036854775808]}'), 4, "duplicate id 'd1'"),
+    ("token past int64 and float token", "docs",
+     replace(2, '{"id": "d2", "tokens": [9223372036854775808, 1.5]}'), 2,
+     "'tokens' must be a list of integers"),
+    ("four fields of unknown ids", "qrels", append("q9\td9\t1\t1"), 9,
+     "expected 3 tab-separated fields"),
+    ("pool line of unknown query, unknown doc and bad hint", "pools", append("q9\td9\tfirst"), 9,
+     "unknown query id 'q9'"),
+    ("pool line of unknown doc and bad hint", "pools", append("q1\td9\tfirst"), 9,
+     "unknown doc id 'd9'"),
+    ("duplicate pool entry with bad hint", "pools", append("q1\td1\tfirst"), 9,
+     "rank_hint 'first' is not an integer"),
+    ("sample of unknown doc labelled 2", "qrels", append("q1\td9\t2"), 9,
+     "unknown doc id 'd9'"),
+    ("duplicate pair labelled 2", "qrels", append("q1\td1\t2"), 9,
+     "label must be 0 or 1, got '2'"),
+    ("sample outside pool labelled 2", "qrels", append("q1\td5\t2"), 9,
+     "label must be 0 or 1, got '2'"),
+    # of two bad lines in one file, the first fails, whatever its check
+    ("bad hint before a two-field line", "pools", then(replace(2, "q1\td1\tfirst"), append("q1")),
+     2, "rank_hint 'first' is not an integer"),
+    ("positive outside pool before label 2", "qrels",
+     then(replace(2, "q1\td5\t1"), append("q1\td1\t2")), 2,
+     "positive sample doc 'd5' absent from pool of 'q1'"),
+    ("token past int64 before a duplicate id", "queries",
+     then(replace(2, '{"id": "q2", "tokens": [9223372036854775808]}'), replace(4, Q2)), 2,
+     "token 9223372036854775808 outside the 64-bit integer range"),
+    # the empty-list check runs once both JSONL files are read
+    ("empty token list before a duplicate id", "queries",
+     then(replace(2, '{"id": "q2", "tokens": []}'), replace(4, Q2)), 4, "duplicate id 'q2'"),
 ]
 
 

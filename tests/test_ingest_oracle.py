@@ -1,12 +1,11 @@
-"""The whole-file corpus loader against the line-by-line one it replaced.
+"""The corpus loader against an id-keyed reference loader.
 
-``ingest_reference`` keeps the line-by-line ``load_dataset`` and the
-per-query index builder. On random valid corpora (pools of 1 to 40 docs,
-shuffled pool lines, tied, negative, signed and 30-digit rank hints,
-blank lines, CRLF and CR line endings, a test split loaded with
-``docs_from``, files parsed in blocks of as few as one line) both
-loaders must give the same dataset, in the same order, and the same
-arrays, without running the per-line error path. On the same corpora
+``ingest_reference`` keeps a line-by-line ``load_dataset`` over dicts
+keyed by string id and a per-query index builder. On random valid
+corpora (pools of 1 to 40 docs, shuffled pool lines, tied, negative,
+signed and 30-digit rank hints, blank lines, CRLF and CR line endings,
+a test split loaded with ``docs_from``) both loaders must give the same
+dataset, in the same order, and the same arrays. On the same corpora
 with one or two lines corrupted, and on every case of ``test_ingest``'s
 error table, both must raise the same ``DataError``, and so must
 ``dataset_of`` and the per-query builder on hand-assembled values whose
@@ -14,7 +13,6 @@ pools name unknown ids.
 """
 
 import json
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +21,6 @@ from hypothesis import strategies as st
 
 import ingest_reference as reference
 from numur import DataError, load_dataset
-from numur import corpus
 from numur.corpus import POOLS_HEADER, QRELS_HEADER
 from scoring_reference import doc_tokens, query_tokens
 
@@ -162,21 +159,11 @@ def assert_same_index(got, want):
     assert list(got.queries.row.items()) == list(want.query_row.items())
 
 
-def line_error_never_runs(*args):
-    raise AssertionError("the per-line error path ran on a valid corpus")
-
-
-# lines per parsed block: small ones put block edges inside these small files
-BLOCKS = st.sampled_from([1, 2, 3, corpus.BLOCK_LINES])
-
-
 @settings(max_examples=150, deadline=None)
-@given(corpora(), BLOCKS)
-def test_valid_corpora_load_like_the_line_by_line_loader(tmp_path_factory, corpus_lines, block):
+@given(corpora())
+def test_valid_corpora_load_like_the_line_by_line_loader(tmp_path_factory, corpus_lines):
     paths = write(tmp_path_factory.mktemp("valid"), corpus_lines)
-    with mock.patch.object(corpus, "_line_error", line_error_never_runs), \
-            mock.patch.object(corpus, "BLOCK_LINES", block):
-        train, test = load_both(load_dataset, paths)
+    train, test = load_both(load_dataset, paths)
     want_train, want_test = load_both(reference.load_dataset, paths)
     assert_same_dataset(train, want_train)
     assert_same_dataset(test, want_test)
@@ -236,12 +223,10 @@ def corrupted_corpora(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corrupted_corpora(), BLOCKS)
-def test_corrupted_corpora_fail_like_the_line_by_line_loader(tmp_path_factory, corpus_lines,
-                                                             block):
+@given(corrupted_corpora())
+def test_corrupted_corpora_fail_like_the_line_by_line_loader(tmp_path_factory, corpus_lines):
     paths = write(tmp_path_factory.mktemp("corrupt"), corpus_lines)
-    with mock.patch.object(corpus, "BLOCK_LINES", block):
-        got = load_both(load_dataset, paths)
+    got = load_both(load_dataset, paths)
     want = load_both(reference.load_dataset, paths)
     if isinstance(want, str):
         assert got == want
