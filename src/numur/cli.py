@@ -364,7 +364,7 @@ def cmd_retrain(cfg: ExperimentConfig, out: Path, args) -> None:
     result = retrain(split, cfg.train, part)
     dest_dir = out / "retrain" / name
     _write_fit(dest_dir, result, ["epoch", "loss", "mrr_retained", "wall_time_s"])
-    dest = compute_destinations(*pool_split(result.model, split), part)
+    dest = compute_destinations(*pool_split(result.model, split, result.pooled), part)
     _write_json(dest_dir / "report.json",
                 {**dest.mrrs, "destinations": {"d1": dest.d1, "d2": dest.d2, "d3": dest.d3}})
     print(f"retrained for {name}: destinations d1={dest.d1:.4f} d2={dest.d2:.4f} "

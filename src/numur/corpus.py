@@ -244,6 +244,8 @@ def read_json(path: Path):
         raise DataError(f"{path}: malformed JSON ({exc})") from None
     except RecursionError:
         raise DataError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # an integer past int()'s limit on digits (4,300 by default)
+        raise DataError(f"{path}: JSON integer with too many digits") from None
 
 
 def _lines(path: Path) -> list[str]:
@@ -273,7 +275,7 @@ def _read_jsonl_items(path: Path) -> Items:
             continue
         try:
             obj, end = _scan_once(line, 0)
-        except (StopIteration, json.JSONDecodeError, RecursionError):
+        except (StopIteration, ValueError, RecursionError):  # ValueError: JSONDecodeError too
             end = 0
         if end != len(line):  # json.loads refuses the stripped line too
             try:
@@ -282,6 +284,8 @@ def _read_jsonl_items(path: Path) -> Items:
                 raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
             except RecursionError:
                 raise DataError(f"{path}:{lineno}: JSON nested too deeply") from None
+            except ValueError:  # as in read_json
+                raise DataError(f"{path}:{lineno}: JSON integer with too many digits") from None
         if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
             raise DataError(f"{path}:{lineno}: expected object with 'id' and 'tokens'")
         ident = str(obj["id"])

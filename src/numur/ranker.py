@@ -10,7 +10,7 @@ during unlearning always have positive denominators. Training minimises
 a pairwise hinge over (positive, sampled pool negative) pairs with plain
 SGD, one pair per step, in a seeded order so runs are bit-reproducible.
 Every per-pair update, in training and in unlearning, is one
-``PairStep``.
+``PairStep``, and every epoch one turn of ``_epochs``.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ class TrainResult:
     epoch_losses: list[float]
     epoch_mrr: list[float]
     epoch_times: list[float]
+    pooled: Pooled  # the final model pooled over the fit's dataset
 
 
 def init_model(vocab_size: int, dim: int, seed: int) -> ScoreModel:
@@ -310,11 +311,12 @@ def pool(model: ScoreModel, dataset: Dataset) -> Pooled:
     return Pooled(dataset, query_vectors(model, dataset), doc_vectors(model, dataset))
 
 
-def pool_split(model: ScoreModel, split: CorpusSplit) -> tuple[Pooled, Pooled]:
-    """``pool`` of the train split and of the test split. A test split loaded
-    with ``docs_from`` holds the train split's doc side, so its value
-    shares the train doc vectors and the docs are pooled once for both."""
-    train, test = pool(model, split.train), split.test
+def pool_split(model: ScoreModel, split: CorpusSplit,
+               train: Pooled | None = None) -> tuple[Pooled, Pooled]:
+    """``pool`` of the train split, unless given as ``train``, and of the test
+    split. A test split loaded with ``docs_from`` holds the train split's doc
+    side, so its value shares the train doc vectors: one doc pooling for both."""
+    train, test = train if train is not None else pool(model, split.train), split.test
     docs = train.doc_vecs if test.docs is split.train.docs else doc_vectors(model, test)
     return train, Pooled(test, query_vectors(model, test), docs)
 
@@ -588,6 +590,28 @@ def pairwise_epoch(sgd: Sgd, queries: HingeSet, pooled: Pooled, rng: np.random.G
     return draws.total / draws.draws if draws.draws else 0.0
 
 
+def _epochs(model: ScoreModel, dataset: Dataset, pooled: Pooled | None, seed: int, epochs: int,
+            check_every: int, what: str, epoch, checkpoint) -> tuple[list[float], Pooled]:
+    """Up to ``epochs`` calls of ``epoch(rng, pooled)``, one generator seeded
+    with ``seed`` for all, ``pooled`` the model pooled over ``dataset`` as
+    the epoch starts or None. After every ``check_every``-th epoch and the
+    last, one pooling goes to ``checkpoint(n, pooled, wall)``, ``wall`` the
+    time of the ``epoch`` call alone; a true return stops the loop, a
+    non-finite parameter raises DivergedError for ``what`` epoch n. Returns
+    the epoch times and the last pooling (the given one if no epoch ran).
+    Private, so perfbench's tracer counts a checkpoint's calls as its caller's."""
+    rng, times = np.random.default_rng(seed), []
+    for n in range(1, epochs + 1):
+        t0 = time.perf_counter()
+        epoch(rng, pooled)
+        times.append(time.perf_counter() - t0)
+        model.check_finite(f"{what} epoch {n}")
+        pooled = pool(model, dataset) if n % check_every == 0 or n == epochs else None
+        if pooled is not None and checkpoint(n, pooled, times[-1]):
+            break
+    return times, pooled
+
+
 def _fit(dataset: Dataset, samples: np.ndarray, cfg: TrainConfig,
          require_positives: bool) -> TrainResult:
     from .evaluation import mrr_set  # local import: evaluation depends on this module
@@ -600,19 +624,14 @@ def _fit(dataset: Dataset, samples: np.ndarray, cfg: TrainConfig,
             raise DataError(f"query {query_id!r} has samples but no positive")
 
     model = init_model(dataset.vocab_size, cfg.dim, cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    result = TrainResult(model=model, epoch_losses=[], epoch_mrr=[], epoch_times=[])
-    sgd, pooled = Sgd(model, dataset, cfg.learning_rate), pool(model, dataset)
-    for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        loss = pairwise_epoch(sgd, queries, pooled, rng, cfg.margin,
-                              cfg.negatives_per_positive)
-        pooled = pool(model, dataset)  # for this epoch's MRR and the next epoch's mining
-        result.epoch_times.append(time.perf_counter() - t0)
-        model.check_finite(f"training epoch {epoch}")
-        result.epoch_losses.append(loss)
-        result.epoch_mrr.append(mrr_set(pooled, samples).value)
-    return result
+    sgd, losses, mrrs = Sgd(model, dataset, cfg.learning_rate), [], []
+    # every epoch ends in a checkpoint: its MRR, and the next epoch's mining
+    times, pooled = _epochs(
+        model, dataset, pool(model, dataset), cfg.seed, cfg.epochs, 1, "training",
+        lambda rng, pooled: losses.append(pairwise_epoch(
+            sgd, queries, pooled, rng, cfg.margin, cfg.negatives_per_positive)),
+        lambda n, pooled, wall: mrrs.append(mrr_set(pooled, samples).value))
+    return TrainResult(model, losses, mrrs, times, pooled)
 
 
 def train(split: CorpusSplit, cfg: TrainConfig) -> TrainResult:

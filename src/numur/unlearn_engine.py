@@ -5,10 +5,11 @@ trained model into the student and runs the setup plan of the strategy
 that ``cfg.method`` names, with the strategy's method_params checked
 against its ``PARAMS`` entry and completed from its defaults. A plan
 computes what stays fixed for the whole run (teacher scores, partners,
-negatives) and returns the epoch function that the driver repeats until
-the forget-set mean reciprocal rank drops to the target, or the epoch
-budget runs out. The target is checked before the first epoch too, so an
-already-satisfied request costs zero epochs.
+negatives) from the trained model, pooled once, and returns the epoch
+function that ``ranker._epochs``, the epoch loop of fits too, repeats
+until the forget-set mean reciprocal rank drops to the target, or the
+epoch budget runs out. The target is checked before the first epoch
+too, so an already-satisfied request costs zero epochs.
 
 Strategies:
 
@@ -39,7 +40,7 @@ from .corpus import CorpusSplit
 from .errors import ConfigError, DataError, checked
 from .evaluation import mrr_forget, mrr_set
 from .partition import Partition, entangled_partners
-from .ranker import (HingeDraws, HingeSet, Pooled, ScoreModel, Sgd, clone_model,
+from .ranker import (HingeDraws, HingeSet, Pooled, ScoreModel, Sgd, _epochs, clone_model,
                      hinge_grad_squares, init_model, pairwise_epoch, pool, pool_split,
                      sample_scores)
 from .unlearn_losses import _abs_delta_loss, build_min_cache, consistent_loss, contrastive_loss
@@ -90,10 +91,10 @@ class EpochRecord:
 @dataclass
 class UnlearnRun:
     final_model: ScoreModel
-    epochs_run: int
-    stopped_early: bool
-    trajectory: list[EpochRecord]
     method: Method
+    epochs_run: int = 0
+    stopped_early: bool = False
+    trajectory: list[EpochRecord] = field(default_factory=list)
     epoch_times: list[float] = field(default_factory=list)
     edited_params: int = 0
 
@@ -132,50 +133,13 @@ def _mrrs(train: Pooled, test: Pooled, part: Partition) -> dict[str, float]:
             "mrr_test": mrr_set(test, np.arange(test.dataset.n_samples)).value}
 
 
-def _evaluate(student: ScoreModel, split: CorpusSplit, part: Partition,
-              epoch: int, wall: float) -> EpochRecord:
-    return EpochRecord(epoch=epoch, **_mrrs(*pool_split(student, split), part),
-                       epoch_wall_time=wall)
+# Each plan takes (trained, run, split, part, cfg): the trained model pooled
+# over the train split, run.final_model the student, and every key of the
+# method's PARAMS entry, checked, in cfg.method_params. It returns the epoch
+# function for ``ranker._epochs``, or None once it has edited the student (ssd).
 
 
-def _drive(run: UnlearnRun, split: CorpusSplit, part: Partition, cfg: UnlearnConfig,
-           epoch_fn) -> UnlearnRun:
-    """Run epoch_fn until the forget MRR reaches the target or the budget ends.
-
-    The first checkpoint scores the student as its plan left it, with the
-    plan's edit time if it timed one (ssd, whose ``epoch_fn`` is None).
-    An epoch that leaves a parameter NaN or infinite ends the run with a
-    DivergedError.
-    """
-    student = run.final_model
-    rng = np.random.default_rng(cfg.seed)
-    record = _evaluate(student, split, part, 0, run.epoch_times[-1] if run.epoch_times else 0.0)
-    run.trajectory.append(record)
-    run.stopped_early = record.mrr_forget <= cfg.delta_target
-    if run.stopped_early or epoch_fn is None:
-        return run
-    for epoch in range(1, cfg.max_epochs + 1):
-        t0 = time.perf_counter()
-        epoch_fn(rng)
-        run.epoch_times.append(time.perf_counter() - t0)
-        student.check_finite(f"{cfg.method.value} unlearning epoch {epoch}")
-        run.epochs_run = epoch
-        if epoch % cfg.check_every == 0 or epoch == cfg.max_epochs:
-            record = _evaluate(student, split, part, epoch, run.epoch_times[-1])
-            run.trajectory.append(record)
-            if record.mrr_forget <= cfg.delta_target:
-                run.stopped_early = True
-                break
-    return run
-
-
-# Each plan takes (m_train, run, split, part, cfg), where run.final_model is
-# the student and cfg.method_params holds every key of the method's PARAMS
-# entry, checked. It returns the epoch function ``epoch(rng)`` for the
-# driver, or None once it has edited the student itself (ssd).
-
-
-def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+def _cocol(trained: Pooled, run: UnlearnRun, split: CorpusSplit, part: Partition,
            cfg: UnlearnConfig):
     """Contrastive pass over the forget set, consistency pass over the disjoint set.
 
@@ -187,7 +151,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
 
     # every pair the teacher scores is a train sample: score them all once
     train = split.train
-    teacher = sample_scores(pool(m_train, train), np.arange(train.n_samples))
+    teacher = sample_scores(trained, np.arange(train.n_samples))
     forget = part.forget.tolist()
     floors = build_min_cache(train, teacher)[train.sample_query[part.forget]].tolist()
     partners = [[(e, teacher[e]) for e in each.tolist()]
@@ -207,7 +171,7 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
     n_others = np.where(positive, len(d_neg), len(d_pos))
     sgd = Sgd(run.final_model, train, cfg.learning_rate)
 
-    def epoch(rng: np.random.Generator) -> None:
+    def epoch(rng: np.random.Generator, pooled) -> None:
         # each phase: one permutation, then every pick of the phase in one call
         order = rng.permutation(len(forget))
         bounds = n_partners[order]
@@ -230,20 +194,22 @@ def _cocol(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Parti
     return epoch
 
 
-def _cf(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+def _cf(trained: Pooled, run: UnlearnRun, split: CorpusSplit, part: Partition,
         cfg: UnlearnConfig):
     """Keep training on retained samples; forgetting happens only by drift."""
     margin, npp = (cfg.method_params[key] for key in _HINGE)
     queries = HingeSet(split.train, part.retained)
     sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
-    def epoch(rng: np.random.Generator) -> None:
-        pairwise_epoch(sgd, queries, pool(run.final_model, split.train), rng, margin, npp)
+    def epoch(rng: np.random.Generator, pooled: Pooled | None) -> None:
+        if pooled is None:  # no checkpoint ended the epoch before
+            pooled = pool(run.final_model, split.train)
+        pairwise_epoch(sgd, queries, pooled, rng, margin, npp)
 
     return epoch
 
 
-def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+def _amnesiac(trained: Pooled, run: UnlearnRun, split: CorpusSplit, part: Partition,
               cfg: UnlearnConfig):
     """Push sampled pool negatives above each forget positive; train the entangled set."""
     margin, npp = (cfg.method_params[key] for key in _HINGE)
@@ -266,7 +232,7 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
     n_draws = np.array([1] * n_forget + [npp] * (len(positives) - n_forget), dtype=np.intp)
     sgd = Sgd(run.final_model, train, cfg.learning_rate)
 
-    def epoch(rng: np.random.Generator) -> None:
+    def epoch(rng: np.random.Generator, pooled) -> None:
         draws = HingeDraws(sgd, margin)
         order = rng.permutation(len(positives))
         negs = queries.uniform(rng, at[order], n_draws[order]).tolist()
@@ -282,7 +248,7 @@ def _amnesiac(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Pa
     return epoch
 
 
-def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+def _neggrad(trained: Pooled, run: UnlearnRun, split: CorpusSplit, part: Partition,
              cfg: UnlearnConfig):
     """Ascend the pairwise training loss on the forget samples."""
     margin, npp = (cfg.method_params[key] for key in _HINGE)
@@ -294,7 +260,7 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
     query, doc = train.sample_query[positives].tolist(), train.sample_doc[positives].tolist()
     ascent = Sgd(run.final_model, train, -cfg.learning_rate)
 
-    def epoch(rng: np.random.Generator) -> None:
+    def epoch(rng: np.random.Generator, pooled) -> None:
         draws = HingeDraws(ascent, margin)
         order = rng.permutation(len(positives))
         # npp draws for each positive that has negatives, none for the rest
@@ -306,7 +272,7 @@ def _neggrad(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Par
     return epoch
 
 
-def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+def _ssd(trained: Pooled, run: UnlearnRun, split: CorpusSplit, part: Partition,
          cfg: UnlearnConfig) -> None:
     """One-shot dampening of parameters whose forget-set importance dominates.
 
@@ -324,9 +290,8 @@ def _ssd(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partiti
     rng = np.random.default_rng(cfg.seed)
     every = np.arange(split.train.n_samples)
     queries = HingeSet(split.train, every)
-    pooled = pool(m_train, split.train)  # once for both passes
-    imp_f = _importance(m_train, pooled, part.forget, queries, margin, npp, rng)
-    imp_s = _importance(m_train, pooled, every, queries, margin, npp, rng)
+    imp_f = _importance(run.final_model, trained, part.forget, queries, margin, npp, rng)
+    imp_s = _importance(run.final_model, trained, every, queries, margin, npp, rng)
     # one table at a time, which halves the temporaries
     for table, f_table, s_table in zip(np.split(run.final_model.params, 2),
                                        np.split(imp_f, 2), np.split(imp_s, 2)):
@@ -366,18 +331,18 @@ def _importance(model: ScoreModel, pooled: Pooled, samples: np.ndarray,
     return sq
 
 
-def _badt(m_train: ScoreModel, run: UnlearnRun, split: CorpusSplit, part: Partition,
+def _badt(trained: Pooled, run: UnlearnRun, split: CorpusSplit, part: Partition,
           cfg: UnlearnConfig):
     """Distill the forget set toward a random teacher, the rest toward the trained one."""
-    bad_teacher = init_model(m_train.vocab_size, m_train.dim, cfg.seed)
+    bad_teacher = init_model(run.final_model.vocab_size, run.final_model.dim, cfg.seed)
     retained = part.retained
     # each teacher scores the pairs it teaches in one pass
     bad = list(zip(part.forget.tolist(),
                    sample_scores(pool(bad_teacher, split.train), part.forget)))
-    good = list(zip(retained.tolist(), sample_scores(pool(m_train, split.train), retained)))
+    good = list(zip(retained.tolist(), sample_scores(trained, retained)))
     sgd = Sgd(run.final_model, split.train, cfg.learning_rate)
 
-    def epoch(rng: np.random.Generator) -> None:
+    def epoch(rng: np.random.Generator, pooled) -> None:
         for pairs in (bad, good):
             for i in rng.permutation(len(pairs)):
                 _abs_delta_loss(sgd, (pairs[int(i)],))
@@ -415,9 +380,25 @@ def unlearn(m_train: ScoreModel, split: CorpusSplit, part: Partition,
         raise ConfigError("method_params 'negatives_per_positive' must be at least 1, "
                           f"got {params['negatives_per_positive']!r}")
     cfg = replace(cfg, method_params=params)
-    run = UnlearnRun(final_model=clone_model(m_train), epochs_run=0, stopped_early=False,
-                     trajectory=[], method=cfg.method)
-    return _drive(run, split, part, cfg, _PLANS[cfg.method](m_train, run, split, part, cfg))
+    student, trained = clone_model(m_train), pool(m_train, split.train)
+    run = UnlearnRun(final_model=student, method=cfg.method)
+    epoch = _PLANS[cfg.method](trained, run, split, part, cfg)
+    # checkpoint 0 scores the student as its plan left it, with ssd's edit time
+    start = trained if epoch is not None else pool(student, split.train)
+
+    def checkpoint(n: int, pooled: Pooled, wall: float) -> bool:
+        record = EpochRecord(n, **_mrrs(*pool_split(student, split, pooled), part),
+                             epoch_wall_time=wall)
+        run.trajectory.append(record)
+        run.stopped_early = record.mrr_forget <= cfg.delta_target
+        return run.stopped_early
+
+    if not checkpoint(0, start, sum(run.epoch_times, 0.0)) and epoch is not None:
+        run.epoch_times, _ = _epochs(student, split.train, start, cfg.seed, cfg.max_epochs,
+                                     cfg.check_every, f"{cfg.method.value} unlearning",
+                                     epoch, checkpoint)
+        run.epochs_run = len(run.epoch_times)
+    return run
 
 
 def compute_destinations(train: Pooled, test: Pooled, part: Partition) -> Destinations:

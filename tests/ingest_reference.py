@@ -71,6 +71,8 @@ def _read_jsonl_items(path: Path) -> list[tuple[str, tuple[int, ...]]]:
             obj = _json_line(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        except ValueError:  # an integer past int()'s limit on digits
+            raise DataError(f"{path}:{lineno}: JSON integer with too many digits") from None
         if not isinstance(obj, dict) or "id" not in obj or "tokens" not in obj:
             raise DataError(f"{path}:{lineno}: expected object with 'id' and 'tokens'")
         ident = str(obj["id"])

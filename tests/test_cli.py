@@ -13,7 +13,7 @@ from numur import (CorpusSplit, ForgetSpec, Method, RemovalKind, TrainConfig,
                    save_forget_spec, save_model, train, unlearn)
 from numur.cli import _load_split, _write_csv, _write_json, main
 from numur.corpus import atomic_write
-from numur.unlearn_engine import _evaluate
+from numur.unlearn_engine import _mrrs
 
 from conftest import every, samples_of, spy
 
@@ -276,6 +276,28 @@ class TestErrors:
         assert capsys.readouterr().err == f"ERROR:data: {path}:2: JSON nested too deeply\n"
         assert not (runs / args[0]).exists()
 
+    # json raises a plain ValueError past int()'s 4,300 digits, which once ended in a traceback
+    def test_config_integer_too_long(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text('{"seed": %s}' % ("1" * 5001))
+        assert main(["--config", str(config), "--out", str(tmp_path / "o"), "gen"]) == 1
+        assert capsys.readouterr().err == \
+            f"ERROR:data: {config}: JSON integer with too many digits\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_corpus_integer_too_long(self, workdir, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        for part in ("corpus", "specs"):
+            shutil.copytree(workdir / "runs" / part, runs / part)
+        path = runs / "corpus" / "train_queries.jsonl"
+        lines = path.read_text().split("\n")
+        path.write_text("\n".join([lines[0], '{"id": "q", "tokens": [%s]}' % ("1" * 5000),
+                                   *lines[2:]]))
+        assert main(["--out", str(runs), "partition", "--spec", "spec_document_25"]) == 1
+        assert capsys.readouterr().err == \
+            f"ERROR:data: {path}:2: JSON integer with too many digits\n"
+        assert not (runs / "partition").exists()
+
     def test_retrain_on_an_empty_forget_set_writes_nothing(self, workdir, tmp_path, capsys):
         # a pooled doc with no sample: the spec is valid, but forgets no sample
         split = _load_split(workdir / "runs")
@@ -466,7 +488,7 @@ class TestDocPooling:
         docs, queries = pooled
         split, part, model = self.world(workdir)
         assert split.test.docs is split.train.docs
-        record = _evaluate(model, split, part, 0, 0.0)
+        record = _mrrs(*pool_split(model, split), part)
         assert len(docs) == 1
         assert self.counts(queries, split) == (1, 1)
         dest = compute_destinations(*pool_split(model, split), part)
@@ -476,7 +498,7 @@ class TestDocPooling:
         own = CorpusSplit(train=split.train,
                           test=replace(split.test, docs=replace(split.test.docs)))
         assert own.test.docs is not own.train.docs
-        assert _evaluate(model, own, part, 0, 0.0) == record
+        assert _mrrs(*pool_split(model, own), part) == record
         assert len(docs) == 4
         assert compute_destinations(*pool_split(model, own), part) == dest
         assert len(docs) == 6
@@ -488,12 +510,12 @@ class TestDocPooling:
         shutil.copytree(workdir / "runs", runs)
         assert main(["--config", str(workdir / "config.json"), "--out", str(runs), "retrain",
                      "--spec", "spec_document_25"]) == 0
-        # the fresh model, each epoch's end (its MRR, the next epoch's mining),
-        # and the final model's destinations
+        # the fresh model and each epoch's end (its MRR, the next epoch's
+        # mining, and after the last epoch the final model's destinations)
         epochs = SMALL_CONFIG["train"]["epochs"]
         docs, queries = pooled
-        assert len(docs) == epochs + 2
-        assert len(queries) == epochs + 3
+        assert len(docs) == epochs + 1
+        assert len(queries) == epochs + 2
         assert queries[-1][1] is not docs[-1][1]  # the test queries, last
         report = json.loads((runs / "retrain" / "spec_document_25" / "report.json")
                             .read_text())
@@ -517,17 +539,40 @@ class TestDocPooling:
         assert self.counts(docs, split) == (epochs + 1, 0)
         assert self.counts(queries, split) == (epochs + 1, 0)
 
-    def test_cocol_pools_the_train_split_once_more_than_its_checkpoints(self, workdir,
-                                                                          pooled):
+    def test_cocol_pools_the_train_split_once_per_checkpoint(self, workdir, pooled):
         split, part, model = self.world(workdir)
         run = unlearn(model, split, part, UnlearnConfig(method=Method.COCOL, max_epochs=4,
                                                         check_every=2, delta_target=0.001))
         checkpoints = len(run.trajectory)
         assert checkpoints == 3
-        # the teacher's scores, then one pooling of the student per checkpoint
+        # the teacher's scores share the first checkpoint's pooling
         docs, queries = pooled
-        assert self.counts(docs, split) == (1 + checkpoints, 0)
-        assert self.counts(queries, split) == (1 + checkpoints, checkpoints)
+        assert self.counts(docs, split) == (checkpoints, 0)
+        assert self.counts(queries, split) == (checkpoints, checkpoints)
+
+    @pytest.mark.parametrize("check_every, checkpoints, unchecked", [(1, 5, 0), (2, 3, 2)])
+    def test_cf_pools_once_per_checkpoint_and_per_epoch_after_no_checkpoint(
+            self, workdir, pooled, check_every, checkpoints, unchecked):
+        split, part, model = self.world(workdir)
+        run = unlearn(model, split, part, UnlearnConfig(method=Method.CF, max_epochs=4,
+                                                        check_every=check_every,
+                                                        delta_target=0.001))
+        assert len(run.trajectory) == checkpoints
+        # an epoch mines on the pooling of the checkpoint before it, if there is one
+        docs, queries = pooled
+        assert self.counts(docs, split) == (checkpoints + unchecked, 0)
+        assert self.counts(queries, split) == (checkpoints + unchecked, checkpoints)
+
+    def test_badt_pools_once_per_checkpoint_and_once_for_the_random_teacher(self, workdir,
+                                                                            pooled):
+        split, part, model = self.world(workdir)
+        run = unlearn(model, split, part, UnlearnConfig(method=Method.BADT, max_epochs=2,
+                                                        delta_target=0.001))
+        checkpoints = len(run.trajectory)
+        assert checkpoints == 3
+        docs, queries = pooled
+        assert self.counts(docs, split) == (checkpoints + 1, 0)
+        assert self.counts(queries, split) == (checkpoints + 1, checkpoints)
 
     def test_ssd_pools_the_trained_model_once(self, workdir, pooled):
         split, part, model = self.world(workdir)

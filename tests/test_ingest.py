@@ -71,6 +71,8 @@ ERROR_CASES = [
      3, "token 9223372036854775808 outside the 64-bit integer range"),
     ("token below int64", "queries", replace(2, '{"id": "q2", "tokens": [-9223372036854775809]}'),
      2, "token -9223372036854775809 outside the 64-bit integer range"),
+    ("token of 5,000 digits", "queries", replace(2, '{"id": "q2", "tokens": [%s]}' % ("7" * 5000)),
+     2, "JSON integer with too many digits"),
     # _read_tsv
     ("missing header", "pools", lambda lines: lines[1:], 1,
      "expected header 'query_id\\tdoc_id\\trank_hint'"),

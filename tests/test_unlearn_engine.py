@@ -6,7 +6,7 @@ import pytest
 
 from numur import (ConfigError, CorpusSplit, DataError, Dataset, ForgetSpec, Method,
                    RemovalKind, TrainConfig, UnlearnConfig, clone_model, compute_destinations,
-                   init_model, mrr_forget, partition, retrain, train, unlearn)
+                   init_model, mrr_forget, partition, retrain, save_model, train, unlearn)
 from numur import ranker, unlearn_engine
 from numur.ranker import Sgd, pool, pool_split, sample_scores
 from numur.unlearn_losses import _abs_delta_loss
@@ -93,6 +93,36 @@ class TestDriver:
                       ucfg(Method.COCOL, delta_target=1e-9, max_epochs=5,
                            check_every=2))
         assert [r.epoch for r in run.trajectory] == [0, 2, 4, 5]
+
+    def test_an_unreached_target_runs_the_budget_checking_every_third_epoch(self):
+        split, part, model = small_unlearn_world()
+        run = unlearn(model, split, part,
+                      ucfg(Method.COCOL, delta_target=1e-9, max_epochs=7, check_every=3))
+        assert [r.epoch for r in run.trajectory] == [0, 3, 6, 7]
+        assert run.epochs_run == 7 and len(run.epoch_times) == 7
+        assert not run.stopped_early
+
+    def test_a_target_reached_at_a_checkpoint_stops_there(self, tmp_path):
+        split, part, model = small_unlearn_world(seed=2)  # its forget MRR falls by epoch 3
+        cadence = dict(max_epochs=7, check_every=3)
+        target = unlearn(model, split, part, ucfg(Method.COCOL, delta_target=1e-9, **cadence)) \
+            .trajectory[1].mrr_forget
+        run = unlearn(model, split, part, ucfg(Method.COCOL, delta_target=target, **cadence))
+        assert run.trajectory[0].mrr_forget > target  # not met before the first epoch
+        assert [r.epoch for r in run.trajectory] == [0, 3]
+        assert run.epochs_run == 3 and len(run.epoch_times) == 3 and run.stopped_early
+        budget = unlearn(model, split, part,
+                         ucfg(Method.COCOL, delta_target=1e-9, max_epochs=3, check_every=3))
+        save_model(run.final_model, tmp_path / "stopped.bin")
+        save_model(budget.final_model, tmp_path / "budget.bin")
+        assert (tmp_path / "stopped.bin").read_bytes() == (tmp_path / "budget.bin").read_bytes()
+
+    def test_ssd_runs_no_epoch_and_times_its_edit(self):
+        split, part, model = small_unlearn_world()
+        run = unlearn(model, split, part, ucfg(Method.SSD))
+        assert run.epochs_run == 0 and len(run.epoch_times) == 1
+        assert [r.epoch for r in run.trajectory] == [0]
+        assert run.trajectory[0].epoch_wall_time == run.epoch_times[0]
 
     def test_input_model_not_mutated(self):
         split, part, model = small_unlearn_world()
@@ -324,12 +354,17 @@ class TestBadT:
         def unpooled(model, dataset):
             return model, dataset
 
+        def lazy_plan(trained, *rest):
+            # teachers that score each pair with its own forward call: the
+            # trained one as unlearn supplies it, the random one as _badt pools it
+            with patch.object(unlearn_engine, "pool", unpooled), \
+                    patch.object(unlearn_engine, "sample_scores", per_pair):
+                return unlearn_engine._badt(unpooled(model, trained.dataset), *rest)
+
         with patch.object(scoring_reference, "forward", counted):
             run = unlearn(model, split, part, cfg)
             assert not calls
-            # teachers that score each pair with its own forward call
-            with patch.object(unlearn_engine, "pool", unpooled), \
-                    patch.object(unlearn_engine, "sample_scores", per_pair):
+            with patch.dict(unlearn_engine._PLANS, {Method.BADT: lazy_plan}):
                 lazy = unlearn(model, split, part, cfg)
         assert len(calls) == split.train.n_samples
         assert run.final_model.params.tobytes() == lazy.final_model.params.tobytes()
